@@ -8,17 +8,16 @@ EOS, emitting the attribute phrase for that skeletal word (possibly empty).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from . import numerics as nm
 from .corpus import BOS, EOS, Vocabulary
 from .numerics import ParameterStore, Tensor
-
-log = logging.getLogger(__name__)
+from .recurrent import RecurrentDecoder, length_batches
+from .skelnet import SkelState, post_word_context
 
 HIDDEN_TAPS = ("current", "previous", "final")
 
@@ -44,13 +43,17 @@ class AttrTrainingItem:
     targets: List[int]     # attribute indices, EOS excluded
 
 
-class AttributeGenerator:
+class AttributeGenerator(RecurrentDecoder):
     """Estimator-style attribute decoder."""
+
+    model_kind = "attribute"
+    vocab_key = "attr_vocab"
+    default_batch_size = 128
 
     def __init__(self, vocab: Vocabulary, feature_dim: int, skel_embed_size: int,
                  skel_hidden_size: int, hidden_size: int = 128, embed_size: int = 64,
                  hidden_tap: str = "current", use_post_word_alpha: bool = False,
-                 invoke_on_all_tokens: bool = True, seed: int = 0, dtype=np.float32):
+                 seed: int = 0, dtype=np.float32):
         if hidden_tap not in HIDDEN_TAPS:
             raise AttrConfigError(f"hidden_tap must be one of {HIDDEN_TAPS}")
         self.vocab = vocab
@@ -61,28 +64,14 @@ class AttributeGenerator:
         self.embed_size = embed_size
         self.hidden_tap = hidden_tap
         self.use_post_word_alpha = use_post_word_alpha
-        self.invoke_on_all_tokens = invoke_on_all_tokens
         self.seed = seed
         self.dtype = dtype
         self.store = ParameterStore()
         self._build(np.random.default_rng(seed))
 
-    def get_params(self, deep: bool = True) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "skel_embed_size": self.skel_embed_size,
-            "skel_hidden_size": self.skel_hidden_size,
-            "hidden_size": self.hidden_size,
-            "embed_size": self.embed_size,
-            "hidden_tap": self.hidden_tap,
-            "use_post_word_alpha": self.use_post_word_alpha,
-            "invoke_on_all_tokens": self.invoke_on_all_tokens,
-            "seed": self.seed,
-        }
-
     def _build(self, rng):
         D, ms, ns = self.feature_dim, self.skel_embed_size, self.skel_hidden_size
-        n, m = self.hidden_size, self.embed_size
+        m = self.embed_size
         Q = len(self.vocab)
         dt = self.dtype
         add = self.store.add
@@ -92,33 +81,13 @@ class AttributeGenerator:
         add("W_h", nm.glorot_uniform(rng, ns, m, dtype=dt))
         add("fuse_W", nm.glorot_uniform(rng, m, m, dtype=dt))
         add("fuse_b", np.zeros(m, dtype=dt))
-        add("lstm_W", nm.glorot_uniform(rng, m + n, 4 * n, dtype=dt))
-        lstm_b = np.zeros(4 * n, dtype=dt)
-        lstm_b[n:2 * n] = 1.0
-        add("lstm_b", lstm_b)
-        add("out_W", nm.glorot_uniform(rng, n, Q, dtype=dt))
-        add("out_b", np.zeros(Q, dtype=dt))
-
-    def _lstm_t(self, x, h, c):
-        n = self.hidden_size
-        z = nm.add(nm.matmul(nm.concat([x, h], axis=-1), self.store["lstm_W"]),
-                   self.store["lstm_b"])
-        i = nm.sigmoid(nm.narrow(z, -1, 0, n))
-        f = nm.sigmoid(nm.narrow(z, -1, n, n))
-        g = nm.tanh(nm.narrow(z, -1, 2 * n, n))
-        o = nm.sigmoid(nm.narrow(z, -1, 3 * n, n))
-        c_new = nm.add(nm.mul(f, c), nm.mul(i, g))
-        h_new = nm.mul(o, nm.tanh(c_new))
-        return h_new, c_new
+        self._build_lstm_and_output(rng, m)
 
     def _init_input_t(self, z, s_skel, h_skel):
         fused = nm.add(nm.add(nm.matmul(z, self.store["W_I"]),
                               nm.matmul(s_skel, self.store["W_t"])),
                        nm.matmul(h_skel, self.store["W_h"]))
         return nm.tanh(nm.add(nm.matmul(fused, self.store["fuse_W"]), self.store["fuse_b"]))
-
-    def _logits_t(self, h):
-        return nm.add(nm.matmul(h, self.store["out_W"]), self.store["out_b"])
 
     def init_input(self, z: np.ndarray, s_skel: np.ndarray,
                    h_skel: np.ndarray) -> np.ndarray:
@@ -135,14 +104,6 @@ class AttributeGenerator:
                                      Tensor(np.asarray(h_skel, dtype=self.dtype)))
         return out.data
 
-    def _run_init(self, x_init: np.ndarray) -> AttrState:
-        n = self.hidden_size
-        with nm.no_grad():
-            h = Tensor(np.zeros((1, n), dtype=self.dtype))
-            c = Tensor(np.zeros((1, n), dtype=self.dtype))
-            h, c = self._lstm_t(Tensor(x_init[None].astype(self.dtype)), h, c)
-        return AttrState(h=h.data[0], c=c.data[0], t=0)
-
     def make_step_fn(self, x_init: np.ndarray):
         """Beam-search step function seeded with the fused step -1 input."""
 
@@ -156,7 +117,10 @@ class AttributeGenerator:
         return step_fn
 
     def initial_state(self, x_init: np.ndarray) -> AttrState:
-        return self._run_init(x_init)
+        """State after the LSTM consumed the fused step -1 input from zeros."""
+        with nm.no_grad():
+            h, c = self._start_t(Tensor(x_init[None].astype(self.dtype)))
+        return AttrState(h=h.data[0], c=c.data[0], t=0)
 
     def generate_attributes(self, x_init: np.ndarray, max_len: int = 4,
                             beam_size: int = 1, gamma: float = 0.0) -> List[str]:
@@ -172,6 +136,16 @@ class AttributeGenerator:
 
     # -- training ------------------------------------------------------------
 
+    def _start_t(self, x_init):
+        """(h, c) after the LSTM consumed ``x_init`` (B, m) from zero state."""
+        shape = (x_init.data.shape[0], self.hidden_size)
+        return self._lstm_t(x_init, Tensor(np.zeros(shape, dtype=self.dtype)),
+                            Tensor(np.zeros(shape, dtype=self.dtype)))
+
+    def _word_step_t(self, h, c, words):
+        h, c = self._lstm_t(nm.lookup(self.store["embed"], words), h, c)
+        return h, c, self._logits_t(h)
+
     def batch_loss(self, z, s_skel, h_skel, seqs):
         """Teacher-forced loss over a batch of items with equal target length.
 
@@ -181,22 +155,8 @@ class AttributeGenerator:
         z = Tensor(np.ascontiguousarray(z, dtype=self.dtype))
         s_skel = Tensor(np.ascontiguousarray(s_skel, dtype=self.dtype))
         h_skel = Tensor(np.ascontiguousarray(h_skel, dtype=self.dtype))
-        seqs = np.asarray(seqs)
-        B, S = seqs.shape
-        n = self.hidden_size
-        x_init = self._init_input_t(z, s_skel, h_skel)
-        h = Tensor(np.zeros((B, n), dtype=self.dtype))
-        c = Tensor(np.zeros((B, n), dtype=self.dtype))
-        h, c = self._lstm_t(x_init, h, c)
-        loss = None
-        prev = np.full(B, BOS, dtype=np.int64)
-        for t in range(S):
-            x = nm.lookup(self.store["embed"], prev)
-            h, c = self._lstm_t(x, h, c)
-            step_loss = nm.cross_entropy(self._logits_t(h), seqs[:, t])
-            loss = step_loss if loss is None else nm.add(loss, step_loss)
-            prev = seqs[:, t]
-        return loss
+        h, c = self._start_t(self._init_input_t(z, s_skel, h_skel))
+        return self._teacher_forced_t(np.asarray(seqs), h, c, self._word_step_t)
 
     def teacher_forced_loss(self, gold_attributes: Sequence[str], z, s_skel, h_skel):
         """Loss for one skeletal word; gold attribute words, EOS appended."""
@@ -205,70 +165,20 @@ class AttributeGenerator:
         return self.batch_loss(np.asarray(z)[None], np.asarray(s_skel)[None],
                                np.asarray(h_skel)[None], seq)
 
-    def evaluate_loss(self, items: Sequence[AttrTrainingItem], batch_size=256) -> float:
-        total, count = 0.0, 0
-        with nm.no_grad():
-            for z, s, h, seqs in _item_batches(items, batch_size, shuffle_rng=None):
-                loss = self.batch_loss(z, s, h, seqs)
-                total += loss.item() * seqs.shape[0]
-                count += seqs.shape[0]
-        return total / max(count, 1)
+    def _batches(self, items: Sequence[AttrTrainingItem], batch_size, shuffle_rng=None):
+        """(z, skel_embed, skel_hidden, seqs (B, S)) per chunk of equal target length."""
+        for chunk in length_batches([len(it.targets) for it in items], batch_size,
+                                    shuffle_rng):
+            yield (np.stack([items[i].z for i in chunk]),
+                   np.stack([items[i].skel_embed for i in chunk]),
+                   np.stack([items[i].skel_hidden for i in chunk]),
+                   np.asarray([items[i].targets + [EOS] for i in chunk]))
 
-    def fit(self, train_items: Sequence[AttrTrainingItem],
-            val_items: Optional[Sequence[AttrTrainingItem]] = None,
-            epochs: int = 10, learning_rate: float = 0.1, batch_size: int = 128,
-            epsilon: float = 1e-8, clip_norm: float = 5.0,
-            halve_lr_on_plateau: bool = True, shuffle_seed: int = 0,
-            progress=None):
-        """Adagrad training over precomputed conditioning items."""
-        history = {"train_curve": [], "val_loss": [], "learning_rate": []}
-        lr = learning_rate
-        best_val = float("inf")
-        halved = False
-        for epoch in range(epochs):
-            rng = np.random.default_rng([shuffle_seed, epoch])
-            for z, s, h, seqs in _item_batches(train_items, batch_size, shuffle_rng=rng):
-                self.store.zero_grad()
-                loss = self.batch_loss(z, s, h, seqs)
-                nm.backward(loss)
-                self.store.adagrad_step(lr, epsilon=epsilon, clip_norm=clip_norm)
-                history["train_curve"].append((self.store.step_count, loss.item()))
-            history["learning_rate"].append(lr)
-            if val_items is not None:
-                val_loss = self.evaluate_loss(val_items, batch_size)
-                history["val_loss"].append(val_loss)
-                if val_loss < best_val - 1e-6:
-                    best_val = val_loss
-                elif halve_lr_on_plateau and not halved:
-                    lr *= 0.5
-                    halved = True
-                    log.info("validation loss plateaued; halving learning rate to %g", lr)
-            if progress is not None:
-                progress(epoch, history)
-        return history
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path):
-        self.store.save(path, meta={"model": "attribute", "config": self.get_params()},
-                        vocab_hashes={"attr_vocab": self.vocab.content_hash()})
-
-    @classmethod
-    def load(cls, path, vocab: Vocabulary) -> "AttributeGenerator":
-        store = ParameterStore.load(
-            path, expect_vocab_hashes={"attr_vocab": vocab.content_hash()})
-        config = store.meta["config"]
-        model = cls(vocab, **config)
-        for name in model.store.names():
-            model.store[name].data[...] = store[name].data
-            model.store.accumulators[name][...] = store.accumulators[name]
-        model.store.step_count = store.step_count
-        return model
+    _loss = batch_loss
 
 
 def build_training_items(records, skel_model, attr_vocab,
                          use_post_word_alpha: bool = False,
-                         full_rerun: bool = False,
                          hidden_tap: str = "current",
                          batch_size: int = 128) -> List[AttrTrainingItem]:
     """Precompute conditioning items from a frozen skeleton model.
@@ -278,65 +188,37 @@ def build_training_items(records, skel_model, attr_vocab,
     post-word), the gold skeletal word embedding, and the chosen hidden tap.
     Non-head tokens get an empty target so "no attributes" is learned.
     """
-    from .skelnet import SkelState, refine_attention
-
     if hidden_tap not in HIDDEN_TAPS:
         raise AttrConfigError(f"hidden_tap must be one of {HIDDEN_TAPS}")
     traces = skel_model.teacher_trace(records, batch_size=batch_size)
     items: List[AttrTrainingItem] = []
     for record, trace in zip(records, traces):
-        toks = record.decomposition.skeleton
-        flat = record.features.flat()
-        for T, tok in enumerate(toks):
-            word_idx = skel_model.vocab.encode(tok.surface)
+        for T, tok in enumerate(record.decomposition.skeleton):
             alpha = trace["alpha"][T]
             if use_post_word_alpha:
                 state = SkelState(h=trace["h_prev"][T], c=trace["c_prev"][T], t=T)
                 prev_word = BOS if T == 0 else int(trace["words"][T - 1])
-                if full_rerun:
-                    prefix = [BOS] + [int(w) for w in trace["words"][:T]]
-                    p_grid = skel_model.per_location_distributions_full(
-                        prefix, record.features)
-                else:
-                    p_grid = skel_model.per_location_distributions(
-                        state, prev_word, record.features)
-                _, p_attend, _ = skel_model.step(state, prev_word, record.features)
-                alpha = refine_attention(p_attend, p_grid, fallback=alpha).reshape(-1)
-            z = (alpha[:, None] * flat).sum(axis=0)
-            h = _tap_hidden(trace, T, hidden_tap)
+                _, z = post_word_context(skel_model, state, prev_word, record.features, alpha)
+            else:
+                z = skel_model.context(record.features, alpha)
             items.append(AttrTrainingItem(
                 z=z.astype(np.float32),
-                skel_embed=skel_model.embedding_of(word_idx).copy(),
-                skel_hidden=h,
+                skel_embed=skel_model.embedding_of(int(trace["words"][T])).copy(),
+                skel_hidden=tap_hidden(trace["h"], trace["h_prev"], T, hidden_tap),
                 targets=[attr_vocab.encode(w) for w in tok.attributes]))
     return items
 
 
-def _tap_hidden(trace, T, tap):
+def tap_hidden(h, h_prev, T, tap):
+    """Skeleton hidden state that conditions the attributes of skeleton word T.
+
+    ``h`` holds the post-step hidden states of the skeleton words (EOS step
+    excluded) and ``h_prev`` the states entering those steps. "current" taps
+    the state after word T, "previous" the state entering it, "final" the
+    state after the last word.
+    """
     if tap == "previous":
-        return trace["h_prev"][T].copy()
+        return h_prev[T].copy()
     if tap == "final":
-        return trace["h"][-1].copy()
-    return trace["h"][T].copy()
-
-
-def _item_batches(items, batch_size, shuffle_rng=None):
-    order = list(range(len(items)))
-    if shuffle_rng is not None:
-        shuffle_rng.shuffle(order)
-    groups = {}
-    for i in order:
-        groups.setdefault(len(items[i].targets), []).append(i)
-    chunks = []
-    for length in sorted(groups):
-        idxs = groups[length]
-        for lo in range(0, len(idxs), batch_size):
-            chunks.append(idxs[lo:lo + batch_size])
-    if shuffle_rng is not None:
-        shuffle_rng.shuffle(chunks)
-    for chunk in chunks:
-        z = np.stack([items[i].z for i in chunk])
-        s = np.stack([items[i].skel_embed for i in chunk])
-        h = np.stack([items[i].skel_hidden for i in chunk])
-        seqs = np.asarray([items[i].targets + [EOS] for i in chunk])
-        yield z, s, h, seqs
+        return h[-1].copy()
+    return h[T].copy()

@@ -59,15 +59,17 @@ def _load_file_config(path):
         return json.load(fh)
 
 
-def _effective(args, file_config, keys):
-    """File config overridden by explicitly provided CLI flags."""
+def _effective(args, file_config, defaults):
+    """Per key of ``defaults``: the CLI flag, else the file config value, else
+    the default; an empty string also takes the default where there is one."""
     out = {}
-    for key in keys:
+    for key, default in defaults.items():
         value = getattr(args, key.replace("-", "_"))
-        if key in file_config and value is None:
-            out[key] = file_config[key]
-        else:
-            out[key] = value
+        if value is None:
+            value = file_config.get(key)
+        if value in (None, "") and default is not None:
+            value = default
+        out[key] = value
     return out
 
 
@@ -84,30 +86,27 @@ def _csv(value):
 
 # -- synth -------------------------------------------------------------------
 
+_SYNTH = SynthConfig()
+SYNTH_DEFAULTS = {
+    "out": None, "seed": 0, "count": 1000, "val-count": 0, "test-count": 0,
+    "grid-size": _SYNTH.grid_size, "feature-dim": _SYNTH.feature_dim,
+    "noise-sigma": _SYNTH.noise_sigma, "objects": ",".join(_SYNTH.objects),
+    "attributes": ",".join(_SYNTH.attributes), "relations": ",".join(_SYNTH.relations),
+    "max-objects": _SYNTH.max_objects, "max-attributes": _SYNTH.max_attributes,
+}
+
+
 def cmd_synth(args, file_config):
-    keys = ["out", "seed", "count", "val-count", "test-count", "grid-size",
-            "feature-dim", "noise-sigma", "objects", "attributes", "relations",
-            "max-objects", "max-attributes"]
-    cfg = _effective(args, file_config, keys)
-    defaults = SynthConfig()
+    cfg = _effective(args, file_config, SYNTH_DEFAULTS)
     out_dir = Path(cfg["out"])
     base = dict(
-        grid_size=cfg["grid-size"] if cfg["grid-size"] is not None else defaults.grid_size,
-        feature_dim=cfg["feature-dim"] if cfg["feature-dim"] is not None else defaults.feature_dim,
-        noise_sigma=cfg["noise-sigma"] if cfg["noise-sigma"] is not None else defaults.noise_sigma,
-        objects=_csv(cfg["objects"]) if cfg["objects"] else defaults.objects,
-        attributes=_csv(cfg["attributes"]) if cfg["attributes"] else defaults.attributes,
-        relations=_csv(cfg["relations"]) if cfg["relations"] else defaults.relations,
-        max_objects=cfg["max-objects"] if cfg["max-objects"] is not None else defaults.max_objects,
-        max_attributes=(cfg["max-attributes"] if cfg["max-attributes"] is not None
-                        else defaults.max_attributes),
+        grid_size=cfg["grid-size"], feature_dim=cfg["feature-dim"],
+        noise_sigma=cfg["noise-sigma"], objects=_csv(cfg["objects"]),
+        attributes=_csv(cfg["attributes"]), relations=_csv(cfg["relations"]),
+        max_objects=cfg["max-objects"], max_attributes=cfg["max-attributes"],
     )
-    seed = cfg["seed"] if cfg["seed"] is not None else 0
-    counts = {
-        "train": cfg["count"] if cfg["count"] is not None else 1000,
-        "val": cfg["val-count"] if cfg["val-count"] is not None else 0,
-        "test": cfg["test-count"] if cfg["test-count"] is not None else 0,
-    }
+    seed = cfg["seed"]
+    counts = {"train": cfg["count"], "val": cfg["val-count"], "test": cfg["test-count"]}
     _echo_config(out_dir, "synth", {**base, "seed": seed, **counts})
     start = 0
     manifest_entries = {}
@@ -134,9 +133,12 @@ def cmd_synth(args, file_config):
     return 0
 
 
-def _load_split(data_dir: Path, split: str):
+def _load_split(data_dir: Path, split: str, required: bool = True):
+    """Records of ``split``; None for an optional split the manifest lacks."""
     splits, _ = corpus.read_manifest(data_dir / "manifest.txt")
     if split not in splits:
+        if not required:
+            return None
         raise corpus.CorpusError(f"split {split!r} not in manifest ({sorted(splits)})")
     info = splits[split]
     return corpus.load_records(data_dir / info["captions"], data_dir / info["trees"],
@@ -178,34 +180,30 @@ def _write_curve(path, curve):
             fh.write(f"{step}\t{loss:.6f}\n")
 
 
+TRAIN_SKEL_DEFAULTS = {
+    "data": None, "out": None, "epochs": 10, "learning-rate": 0.1, "batch-size": 64,
+    "seed": 0, "hidden-size": 128, "embed-size": 64, "attention-hidden": 128,
+    "skel-threshold": 5,
+}
+
+
 def cmd_train_skel(args, file_config):
-    keys = ["data", "out", "epochs", "learning-rate", "batch-size", "seed",
-            "hidden-size", "embed-size", "attention-hidden", "skel-threshold"]
-    cfg = _effective(args, file_config, keys)
+    cfg = _effective(args, file_config, TRAIN_SKEL_DEFAULTS)
     data_dir = Path(cfg["data"])
     out_dir = Path(cfg["out"])
     train = _load_split(data_dir, "train")
-    try:
-        val = _load_split(data_dir, "val")
-    except corpus.CorpusError:
-        val = None
-    threshold = cfg["skel-threshold"] if cfg["skel-threshold"] is not None else 5
-    seed = cfg["seed"] if cfg["seed"] is not None else 0
+    val = _load_split(data_dir, "val", required=False)
+    threshold = cfg["skel-threshold"]
     vocab = corpus.build_vocab(
         [[t.surface for t in r.decomposition.skeleton] for r in train], threshold)
     sample = train[0].features
     model_cfg = dict(
         feature_dim=sample.feature_dim, grid_size=sample.grid_size,
-        hidden_size=cfg["hidden-size"] if cfg["hidden-size"] is not None else 128,
-        embed_size=cfg["embed-size"] if cfg["embed-size"] is not None else 64,
-        attention_hidden=(cfg["attention-hidden"] if cfg["attention-hidden"] is not None
-                          else 128),
-        use_attention=not args.no_attention,
-        seed=seed,
+        hidden_size=cfg["hidden-size"], embed_size=cfg["embed-size"],
+        attention_hidden=cfg["attention-hidden"], use_attention=not args.no_attention,
+        seed=cfg["seed"],
     )
-    epochs = cfg["epochs"] if cfg["epochs"] is not None else 10
-    lr = cfg["learning-rate"] if cfg["learning-rate"] is not None else 0.1
-    batch = cfg["batch-size"] if cfg["batch-size"] is not None else 64
+    epochs, lr, batch = cfg["epochs"], cfg["learning-rate"], cfg["batch-size"]
     _echo_config(out_dir, "train-skel",
                  {**model_cfg, "epochs": epochs, "learning_rate": lr,
                   "batch_size": batch, "skel_threshold": threshold})
@@ -214,7 +212,7 @@ def cmd_train_skel(args, file_config):
     else:
         model = SkeletonGenerator(vocab, **model_cfg)
     history = model.fit(train, val, epochs=epochs, learning_rate=lr,
-                        batch_size=batch, shuffle_seed=seed,
+                        batch_size=batch, shuffle_seed=cfg["seed"],
                         progress=lambda e, h: log.info(
                             "epoch %d val_loss %s", e,
                             h["val_loss"][-1] if h["val_loss"] else "n/a"))
@@ -225,52 +223,45 @@ def cmd_train_skel(args, file_config):
     return 0
 
 
+TRAIN_ATTR_DEFAULTS = {
+    "data": None, "out": None, "epochs": 10, "learning-rate": 0.1, "batch-size": 128,
+    "seed": 0, "hidden-size": 128, "embed-size": 64, "attr-threshold": 3,
+    "skel-checkpoint": None, "skel-vocab": None, "hidden-tap": "current",
+}
+
+
 def cmd_train_attr(args, file_config):
-    keys = ["data", "out", "epochs", "learning-rate", "batch-size", "seed",
-            "hidden-size", "embed-size", "attr-threshold", "skel-checkpoint",
-            "skel-vocab", "hidden-tap"]
-    cfg = _effective(args, file_config, keys)
+    cfg = _effective(args, file_config, TRAIN_ATTR_DEFAULTS)
     data_dir = Path(cfg["data"])
     out_dir = Path(cfg["out"])
     train = _load_split(data_dir, "train")
-    try:
-        val = _load_split(data_dir, "val")
-    except corpus.CorpusError:
-        val = None
+    val = _load_split(data_dir, "val", required=False)
     skel_vocab = Vocabulary.load(cfg["skel-vocab"])
     skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"], skel_vocab)
-    threshold = cfg["attr-threshold"] if cfg["attr-threshold"] is not None else 3
-    seed = cfg["seed"] if cfg["seed"] is not None else 0
+    threshold = cfg["attr-threshold"]
     attr_vocab = corpus.build_vocab(
         [list(t.attributes) for r in train for t in r.decomposition.skeleton
          if t.attributes], threshold)
-    hidden_tap = cfg["hidden-tap"] or "current"
     model_cfg = dict(
         feature_dim=skel_model.feature_dim,
         skel_embed_size=skel_model.embed_size,
         skel_hidden_size=skel_model.hidden_size,
-        hidden_size=cfg["hidden-size"] if cfg["hidden-size"] is not None else 128,
-        embed_size=cfg["embed-size"] if cfg["embed-size"] is not None else 64,
-        hidden_tap=hidden_tap,
-        use_post_word_alpha=args.post_word_alpha,
-        seed=seed,
+        hidden_size=cfg["hidden-size"], embed_size=cfg["embed-size"],
+        hidden_tap=cfg["hidden-tap"], use_post_word_alpha=args.post_word_alpha, seed=cfg["seed"],
     )
-    epochs = cfg["epochs"] if cfg["epochs"] is not None else 10
-    lr = cfg["learning-rate"] if cfg["learning-rate"] is not None else 0.1
-    batch = cfg["batch-size"] if cfg["batch-size"] is not None else 128
+    epochs, lr, batch = cfg["epochs"], cfg["learning-rate"], cfg["batch-size"]
     _echo_config(out_dir, "train-attr",
                  {**model_cfg, "epochs": epochs, "learning_rate": lr,
                   "batch_size": batch, "attr_threshold": threshold})
     model = AttributeGenerator(attr_vocab, **model_cfg)
-    train_items = build_training_items(train, skel_model, attr_vocab,
-                                       use_post_word_alpha=args.post_word_alpha,
-                                       hidden_tap=hidden_tap)
-    val_items = (build_training_items(val, skel_model, attr_vocab,
-                                      use_post_word_alpha=args.post_word_alpha,
-                                      hidden_tap=hidden_tap)
-                 if val else None)
-    history = model.fit(train_items, val_items, epochs=epochs, learning_rate=lr,
-                        batch_size=batch, shuffle_seed=seed)
+
+    def items(records):
+        return build_training_items(records, skel_model, attr_vocab,
+                                    use_post_word_alpha=model.use_post_word_alpha,
+                                    hidden_tap=model.hidden_tap)
+
+    history = model.fit(items(train), items(val) if val else None, epochs=epochs,
+                        learning_rate=lr, batch_size=batch, shuffle_seed=cfg["seed"])
     attr_vocab.save(out_dir / "attr.vocab")
     model.save(out_dir / "attr.ckpt")
     _write_curve(out_dir / "attr_loss_curve.txt", history["train_curve"])
@@ -280,12 +271,17 @@ def cmd_train_attr(args, file_config):
 
 # -- caption -----------------------------------------------------------------
 
+CAPTION_DEFAULTS = {
+    "data": None, "split": "test", "out": None, "skel-checkpoint": None,
+    "skel-vocab": None, "attr-checkpoint": None, "attr-vocab": None,
+    "gamma-skel": 0.0, "gamma-attr": 0.0, "beam-skel": 3, "beam-attr": 2,
+    "max-skel-len": 16, "max-attr-len": 4,
+}
+
+
 def cmd_caption(args, file_config):
-    keys = ["data", "split", "out", "skel-checkpoint", "skel-vocab",
-            "attr-checkpoint", "attr-vocab", "gamma-skel", "gamma-attr",
-            "beam-skel", "beam-attr", "max-skel-len", "max-attr-len"]
-    cfg = _effective(args, file_config, keys)
-    records = _load_split(Path(cfg["data"]), cfg["split"] or "test")
+    cfg = _effective(args, file_config, CAPTION_DEFAULTS)
+    records = _load_split(Path(cfg["data"]), cfg["split"])
     skel_vocab = Vocabulary.load(cfg["skel-vocab"])
     attr_vocab = Vocabulary.load(cfg["attr-vocab"])
     skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"], skel_vocab)
@@ -300,12 +296,9 @@ def cmd_caption(args, file_config):
                 continue
             trace = run_caption(
                 rec.features, skel_model, attr_model,
-                gamma_skel=cfg["gamma-skel"] if cfg["gamma-skel"] is not None else 0.0,
-                gamma_attr=cfg["gamma-attr"] if cfg["gamma-attr"] is not None else 0.0,
-                beam_skel=cfg["beam-skel"] if cfg["beam-skel"] is not None else 3,
-                beam_attr=cfg["beam-attr"] if cfg["beam-attr"] is not None else 2,
-                max_skel_len=cfg["max-skel-len"] if cfg["max-skel-len"] is not None else 16,
-                max_attr_len=cfg["max-attr-len"] if cfg["max-attr-len"] is not None else 4,
+                gamma_skel=cfg["gamma-skel"], gamma_attr=cfg["gamma-attr"],
+                beam_skel=cfg["beam-skel"], beam_attr=cfg["beam-attr"],
+                max_skel_len=cfg["max-skel-len"], max_attr_len=cfg["max-attr-len"],
                 use_post_word_alpha=args.post_word_alpha or None)
             fh.write(f"{rec.image_id}\t{' '.join(trace.tokens)}\n")
             if trace_fh:

@@ -317,13 +317,21 @@ def read_features(path) -> Dict[str, FeatureGrid]:
         blob = fh.read()
     off = 0
     while off < len(blob):
-        (id_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        image_id = blob[off:off + id_len].decode("utf-8")
-        off += id_len
-        L, D = struct.unpack_from("<II", blob, off)
-        off += 8
+        start = off
+        try:
+            (id_len,) = struct.unpack_from("<H", blob, off)
+            off += 2
+            image_id = blob[off:off + id_len].decode("utf-8")
+            off += id_len
+            L, D = struct.unpack_from("<II", blob, off)
+            off += 8
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise CorpusError(f"{path}: bad record header at byte {start}: {exc}") from None
         count = L * L * D
+        if off + 4 * count > len(blob):
+            raise CorpusError(
+                f"{path}: record {image_id!r} at byte {start} needs {4 * count} feature "
+                f"bytes from byte {off}, file ends at byte {len(blob)}")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
         off += 4 * count
         grids[image_id] = FeatureGrid(arr.reshape(L, L, D).astype(np.float32))
@@ -396,7 +404,7 @@ def read_manifest(path):
         first = fh.readline().strip()
         if first != MANIFEST_MAGIC:
             raise CorpusError(f"{path}: not a {MANIFEST_MAGIC} file")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             if line.startswith("seed:"):
@@ -405,6 +413,8 @@ def read_manifest(path):
                 current = line.split(":", 1)[1].strip()
                 splits[current] = {}
             elif line.startswith("  "):
+                if current is None:
+                    raise CorpusError(f"{path}:{lineno}: split entry before any 'split:' line")
                 key, _, value = line.strip().partition(": ")
                 splits[current][key] = int(value) if key == "count" else value
     return splits, seed

@@ -14,8 +14,10 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from .attrnet import tap_hidden
 from .corpus import BOS, EOS, FeatureGrid
 from .decompose import fuse_predicted
+from .skelnet import post_word_context
 
 log = logging.getLogger(__name__)
 
@@ -182,8 +184,9 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     if use_post_word_alpha is None:
         use_post_word_alpha = attr_model.use_post_word_alpha
     skel_cfg = BeamConfig(beam_size=beam_skel, gamma=gamma_skel, max_len=max_skel_len)
-    hyps = beam_search(skel_model.make_step_fn(features),
-                       skel_model.initial_decode_state(features), skel_cfg,
+    step_fn = skel_model.make_step_fn(features)
+    init = skel_model.initial_decode_state(features)
+    hyps = beam_search(step_fn, init, skel_cfg,
                        vocab_size=len(skel_model.vocab), record_states=True)
     best = hyps[0]
     if not best.tokens:
@@ -191,33 +194,27 @@ def caption(features: FeatureGrid, skel_model, attr_model,
         return CaptionTrace([], [], [], [], [], empty=True)
 
     L = skel_model.grid_size
-    flat = features.flat()
     skeleton_words = [skel_model.vocab.decode(i) for i in best.tokens]
     attributes: List[List[str]] = []
     alphas: List[np.ndarray] = []
     post_alphas: List[Optional[np.ndarray]] = []
-    states = best.states
+    # states entering each skeleton step, and the hidden states leaving the
+    # steps that emitted a skeleton word (a final EOS step is dropped)
+    entering = (init,) + best.states
+    h = [s.h for s in best.states[:len(best.tokens)]]
+    h_prev = [s.h for s in entering[:len(h)]]
     for T, word_idx in enumerate(best.tokens):
-        state = states[T]
-        alpha = state.alpha
-        alphas.append(alpha.reshape(L, L).copy())
-        post = None
-        z = state.z
+        state = best.states[T]
+        alphas.append(state.alpha.reshape(L, L).copy())
+        post, z = None, state.z
         if use_post_word_alpha and skel_model.use_attention:
-            prev_state = states[T - 1] if T > 0 else skel_model.initial_decode_state(features)
-            from .skelnet import SkelState, refine_attention
             prev_word = best.tokens[T - 1] if T > 0 else BOS
-            p_grid = skel_model.per_location_distributions(
-                SkelState(h=prev_state.h, c=prev_state.c, t=T), prev_word, features)
-            _, p_attend, _ = skel_model.step(
-                SkelState(h=prev_state.h, c=prev_state.c, t=T), prev_word, features)
-            post = refine_attention(p_attend, p_grid, fallback=alpha.reshape(L, L))
-            z = (post.reshape(-1)[:, None] * flat).sum(axis=0)
+            post, z = post_word_context(skel_model, entering[T], prev_word, features,
+                                        state.alpha)
         post_alphas.append(post)
         x_init = attr_model.init_input(
-            np.asarray(z, dtype=np.float32),
-            skel_model.embedding_of(word_idx),
-            state.h)
+            np.asarray(z, dtype=np.float32), skel_model.embedding_of(word_idx),
+            tap_hidden(h, h_prev, T, attr_model.hidden_tap))
         attrs = attr_model.generate_attributes(
             x_init, max_len=max_attr_len, beam_size=beam_attr, gamma=gamma_attr)
         attributes.append(attrs)

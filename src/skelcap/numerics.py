@@ -493,7 +493,10 @@ class ParameterStore:
                 fh.write(raw)
 
     @classmethod
-    def load(cls, path, expect_vocab_hashes=None):
+    def load(cls, path, expect_model=None, expect_vocab_hashes=None):
+        """Read a checkpoint written by ``save``. Checks in order the ``meta model``
+        kind, the vocabulary hashes and that the payload holds every header
+        entry; each failure names ``path``."""
         with open(path, "rb") as fh:
             blob = fh.read()
         end = blob.find(b"end-header\n")
@@ -523,6 +526,8 @@ class ParameterStore:
                 entries.append((kind, name, shape, int(off_s)))
             else:
                 raise NumericsError(f"{path}: unknown header line {line!r}")
+        if expect_model is not None and meta.get("model") != expect_model:
+            raise NumericsError(f"{path}: {meta.get('model')} checkpoint, expected {expect_model}")
         if expect_vocab_hashes:
             for key, value in expect_vocab_hashes.items():
                 if vocab_hashes.get(key) != value:
@@ -532,6 +537,11 @@ class ParameterStore:
         for kind, name, shape, off in entries:
             dt = "<f4" if kind == "tensor" else "<f8"
             count = int(np.prod(shape)) if shape else 1
+            stop = off + count * np.dtype(dt).itemsize
+            if off < 0 or stop > len(payload):
+                raise NumericsError(
+                    f"{path}: {kind} {name!r} needs payload bytes {off}..{stop}, "
+                    f"payload has {len(payload)}")
             arr = np.frombuffer(payload, dtype=dt, count=count, offset=off).reshape(shape)
             if kind == "tensor":
                 store.add(name, arr.astype(np.float32))

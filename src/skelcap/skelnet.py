@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from . import numerics as nm
 from .corpus import BOS, EOS, FeatureGrid, Vocabulary
 from .numerics import ParameterStore, Tensor
+from .recurrent import RecurrentDecoder, length_batches
 
 log = logging.getLogger(__name__)
 
@@ -26,25 +27,20 @@ class ConfigError(ValueError):
     pass
 
 
+_TRACE_KEYS = ("alpha", "z", "h", "h_prev", "c_prev")
+
+
 @dataclass
 class SkelState:
-    """Recurrent state: hidden and cell vectors plus the time step."""
+    """Recurrent state: hidden and cell vectors plus the time step; a decode
+    step also keeps its attention trace for reuse."""
 
     h: np.ndarray
     c: np.ndarray
     t: int = 0
-
-
-@dataclass
-class DecodeState:
-    """Beam-search state snapshot; keeps the attention trace for reuse."""
-
-    h: np.ndarray
-    c: np.ndarray
-    alpha: Optional[np.ndarray]  # flat (L*L,), map used at this step
-    z: Optional[np.ndarray]      # context vector used at this step
-    prev_word: int
-    t: int = 0
+    alpha: Optional[np.ndarray] = None  # flat (L*L,), map used at this step
+    z: Optional[np.ndarray] = None      # context vector used at this step
+    prev_word: Optional[int] = None
 
 
 def refine_attention(p_attend: np.ndarray, p_grid: np.ndarray,
@@ -68,8 +64,27 @@ def refine_attention(p_attend: np.ndarray, p_grid: np.ndarray,
     return (scores / total).reshape(lead)
 
 
-class SkeletonGenerator:
-    """Estimator-style skeleton decoder (``fit`` / ``predict_step_fn``)."""
+def post_word_context(model, state: SkelState, prev_word: int, features: FeatureGrid,
+                      alpha: np.ndarray):
+    """Post-word refinement of one step's pre-word map ``alpha``.
+
+    ``state`` is the skeleton state entering the step and ``prev_word`` the
+    word it consumes. Returns the refined map (L, L) and its context vector
+    (D,). Goes through ``model``'s own ``per_location_distributions`` and
+    ``step``, so training and decoding refine the same way.
+    """
+    p_grid = model.per_location_distributions(state, prev_word, features)
+    _, p_attend, _ = model.step(state, prev_word, features)
+    post = refine_attention(p_attend, p_grid, fallback=alpha)
+    return post, model.context(features, post)
+
+
+class SkeletonGenerator(RecurrentDecoder):
+    """Estimator-style skeleton decoder (``fit`` / ``make_step_fn``)."""
+
+    model_kind = "skeleton"
+    vocab_key = "skel_vocab"
+    default_batch_size = 64
 
     def __init__(self, vocab: Vocabulary, feature_dim: int, grid_size: int,
                  hidden_size: int = 128, embed_size: int = 64,
@@ -87,19 +102,6 @@ class SkeletonGenerator:
         self.store = ParameterStore()
         self._build(np.random.default_rng(seed))
 
-    # -- sklearn-style surface --------------------------------------------
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "grid_size": self.grid_size,
-            "hidden_size": self.hidden_size,
-            "embed_size": self.embed_size,
-            "attention_hidden": self.attention_hidden,
-            "use_attention": self.use_attention,
-            "seed": self.seed,
-        }
-
     def _build(self, rng):
         D, n, m, A = self.feature_dim, self.hidden_size, self.embed_size, self.attention_hidden
         Q = len(self.vocab)
@@ -115,27 +117,9 @@ class SkeletonGenerator:
         add("init_bh", np.zeros(n, dtype=dt))
         add("init_Wc", nm.glorot_uniform(rng, D, n, dtype=dt))
         add("init_bc", np.zeros(n, dtype=dt))
-        lstm_in = m + D
-        add("lstm_W", nm.glorot_uniform(rng, lstm_in + n, 4 * n, dtype=dt))
-        lstm_b = np.zeros(4 * n, dtype=dt)
-        lstm_b[n:2 * n] = 1.0  # forget-gate bias
-        add("lstm_b", lstm_b)
-        add("out_W", nm.glorot_uniform(rng, n, Q, dtype=dt))
-        add("out_b", np.zeros(Q, dtype=dt))
+        self._build_lstm_and_output(rng, m + D)
 
     # -- graph building blocks (batched, Tensor-valued) --------------------
-
-    def _lstm_t(self, x, h, c):
-        n = self.hidden_size
-        z = nm.add(nm.matmul(nm.concat([x, h], axis=-1), self.store["lstm_W"]),
-                   self.store["lstm_b"])
-        i = nm.sigmoid(nm.narrow(z, -1, 0, n))
-        f = nm.sigmoid(nm.narrow(z, -1, n, n))
-        g = nm.tanh(nm.narrow(z, -1, 2 * n, n))
-        o = nm.sigmoid(nm.narrow(z, -1, 3 * n, n))
-        c_new = nm.add(nm.mul(f, c), nm.mul(i, g))
-        h_new = nm.mul(o, nm.tanh(c_new))
-        return h_new, c_new
 
     def _init_state_t(self, feats):
         mean_v = nm.mean(feats, axis=1)
@@ -160,9 +144,6 @@ class SkeletonGenerator:
         B, P = alpha.data.shape
         return nm.sum_(nm.mul(nm.reshape(alpha, (B, P, 1)), feats), axis=1)
 
-    def _logits_t(self, h):
-        return nm.add(nm.matmul(h, self.store["out_W"]), self.store["out_b"])
-
     def _step_t(self, feats, h, c, prev_idx):
         alpha = self._attend_t(feats, h)
         z = self._context_t(feats, alpha)
@@ -178,17 +159,9 @@ class SkeletonGenerator:
         batch-mean cross-entropy).
         """
         feats = Tensor(np.ascontiguousarray(feats_np, dtype=self.dtype))
-        seqs = np.asarray(seqs)
-        B, S = seqs.shape
         h, c = self._init_state_t(feats)
-        loss = None
-        prev = np.full(B, BOS, dtype=np.int64)
-        for t in range(S):
-            h, c, logits, _, _ = self._step_t(feats, h, c, prev)
-            step_loss = nm.cross_entropy(logits, seqs[:, t])
-            loss = step_loss if loss is None else nm.add(loss, step_loss)
-            prev = seqs[:, t]
-        return loss
+        return self._teacher_forced_t(np.asarray(seqs), h, c,
+                                      lambda h, c, prev: self._step_t(feats, h, c, prev)[:3])
 
     # -- single-sample inference API ---------------------------------------
 
@@ -200,9 +173,10 @@ class SkeletonGenerator:
         return features.flat()[None, :, :]
 
     def init_state(self, features: FeatureGrid) -> SkelState:
+        """State entering the first decode step, whose input word is BOS."""
         with nm.no_grad():
             h, c = self._init_state_t(Tensor(self._flat(features)))
-        return SkelState(h=h.data[0], c=c.data[0], t=0)
+        return SkelState(h=h.data[0], c=c.data[0], t=0, prev_word=BOS)
 
     def attend(self, features: FeatureGrid, state: SkelState) -> np.ndarray:
         """Pre-word attention map, shape (L, L)."""
@@ -219,20 +193,24 @@ class SkeletonGenerator:
             raise ConfigError(f"attention map has {a.shape[0]} cells, grid has {flat.shape[0]}")
         return (a[:, None] * flat).sum(axis=0)
 
+    def _advance(self, feats: Tensor, state: SkelState, word: int, normalize):
+        """One no-grad decode step; returns (new state, ``normalize``d logits (Q,))."""
+        with nm.no_grad():
+            h, c, logits, alpha, z = self._step_t(
+                feats, Tensor(state.h[None]), Tensor(state.c[None]), np.asarray([word]))
+            dist = normalize(logits, axis=-1)
+        return SkelState(h=h.data[0], c=c.data[0], t=state.t + 1, alpha=alpha.data[0],
+                         z=z.data[0], prev_word=word), dist.data[0]
+
     def step(self, state: SkelState, prev_word_index: int, features: FeatureGrid):
         """One decode step: returns (new state, word distribution, alpha as (L, L))."""
         Q = len(self.vocab)
         if not 0 <= prev_word_index < Q:
             raise ConfigError(f"word index {prev_word_index} out of range for vocab of {Q}")
-        with nm.no_grad():
-            feats = Tensor(self._flat(features))
-            h, c, logits, alpha, _ = self._step_t(
-                feats, Tensor(state.h[None]), Tensor(state.c[None]),
-                np.asarray([prev_word_index]))
-            probs = nm.softmax(logits, axis=-1)
+        new_state, probs = self._advance(Tensor(self._flat(features)), state,
+                                         prev_word_index, nm.softmax)
         L = self.grid_size
-        new_state = SkelState(h=h.data[0], c=c.data[0], t=state.t + 1)
-        return new_state, probs.data[0], alpha.data[0].reshape(L, L)
+        return new_state, probs, new_state.alpha.reshape(L, L)
 
     def per_location_distributions(self, state: SkelState, prev_word_index: int,
                                    features: FeatureGrid) -> np.ndarray:
@@ -255,106 +233,32 @@ class SkeletonGenerator:
         L = self.grid_size
         return probs.data.reshape(L, L, -1)
 
-    def per_location_distributions_full(self, gold_prefix: Sequence[int],
-                                        features: FeatureGrid) -> np.ndarray:
-        """Full re-run variant: per location, replay the whole sequence with the
-        context pinned to v_ij at every step. ``gold_prefix`` are the words
-        consumed so far (BOS-first)."""
-        if not self.use_attention:
-            raise ConfigError("per-location distributions are disabled without attention")
-        flat = features.flat().astype(self.dtype)
-        P = flat.shape[0]
-        with nm.no_grad():
-            v = Tensor(flat)
-            mean_v = Tensor(np.broadcast_to(flat.mean(axis=0), (P, flat.shape[1])).copy())
-            h = nm.tanh(nm.add(nm.matmul(mean_v, self.store["init_Wh"]), self.store["init_bh"]))
-            c = nm.tanh(nm.add(nm.matmul(mean_v, self.store["init_Wc"]), self.store["init_bc"]))
-            for word in gold_prefix:
-                emb = self.store["embed"].data[word]
-                x = nm.concat([Tensor(np.broadcast_to(emb, (P, emb.shape[0])).copy()), v],
-                              axis=-1)
-                h, c = self._lstm_t(x, h, c)
-            probs = nm.softmax(self._logits_t(h), axis=-1)
-        L = self.grid_size
-        return probs.data.reshape(L, L, -1)
-
     # -- beam-search integration -------------------------------------------
 
-    def initial_decode_state(self, features: FeatureGrid) -> DecodeState:
-        s = self.init_state(features)
-        return DecodeState(h=s.h, c=s.c, alpha=None, z=None, prev_word=BOS, t=0)
+    initial_decode_state = init_state
 
     def make_step_fn(self, features: FeatureGrid):
-        """(DecodeState, token) -> (DecodeState, log-probabilities)."""
+        """(SkelState, token) -> (SkelState, log-probabilities)."""
         flat = Tensor(self._flat(features))
 
-        def step_fn(state: DecodeState, token: int):
-            with nm.no_grad():
-                h, c, logits, alpha, z = self._step_t(
-                    flat, Tensor(state.h[None]), Tensor(state.c[None]),
-                    np.asarray([token]))
-                logp = nm.log_softmax(logits, axis=-1)
-            new_state = DecodeState(h=h.data[0], c=c.data[0], alpha=alpha.data[0],
-                                    z=z.data[0], prev_word=token, t=state.t + 1)
-            return new_state, logp.data[0]
+        def step_fn(state: SkelState, token: int):
+            return self._advance(flat, state, token, nm.log_softmax)
 
         return step_fn
 
     # -- training -----------------------------------------------------------
 
     def _encode_skeleton(self, record) -> List[int]:
-        idxs = [self.vocab.encode(t.surface) for t in record.decomposition.skeleton]
-        idxs.append(EOS)
-        return idxs
+        return [self.vocab.encode(t.surface) for t in record.decomposition.skeleton] + [EOS]
 
-    def evaluate_loss(self, records, batch_size: int = 128) -> float:
-        """Mean per-sequence teacher-forced loss, no gradients."""
-        total, count = 0.0, 0
-        with nm.no_grad():
-            for feats, seqs in _batches(records, self._encode_skeleton, batch_size,
-                                        shuffle_rng=None):
-                loss = self.sequence_loss(feats, seqs)
-                total += loss.item() * seqs.shape[0]
-                count += seqs.shape[0]
-        return total / max(count, 1)
+    def _batches(self, records, batch_size, shuffle_rng=None):
+        """(features (B, P, D), seqs (B, S)) per chunk of equal skeleton length."""
+        seqs = [self._encode_skeleton(r) for r in records]
+        for chunk in length_batches([len(q) for q in seqs], batch_size, shuffle_rng):
+            yield (np.stack([records[i].features.flat() for i in chunk]),
+                   np.asarray([seqs[i] for i in chunk]))
 
-    def fit(self, train_records, val_records=None, epochs: int = 10,
-            learning_rate: float = 0.1, batch_size: int = 64,
-            epsilon: float = 1e-8, clip_norm: float = 5.0,
-            halve_lr_on_plateau: bool = True, shuffle_seed: int = 0,
-            progress=None):
-        """Adagrad training with teacher forcing.
-
-        The learning rate is halved once, the first time the validation loss
-        fails to improve for a full epoch. Returns a history dict with the
-        loss curve as (step, loss) pairs.
-        """
-        history = {"train_curve": [], "val_loss": [], "learning_rate": []}
-        lr = learning_rate
-        best_val = float("inf")
-        halved = False
-        for epoch in range(epochs):
-            rng = np.random.default_rng([shuffle_seed, epoch])
-            for feats, seqs in _batches(train_records, self._encode_skeleton,
-                                        batch_size, shuffle_rng=rng):
-                self.store.zero_grad()
-                loss = self.sequence_loss(feats, seqs)
-                nm.backward(loss)
-                self.store.adagrad_step(lr, epsilon=epsilon, clip_norm=clip_norm)
-                history["train_curve"].append((self.store.step_count, loss.item()))
-            history["learning_rate"].append(lr)
-            if val_records is not None:
-                val_loss = self.evaluate_loss(val_records, batch_size)
-                history["val_loss"].append(val_loss)
-                if val_loss < best_val - 1e-6:
-                    best_val = val_loss
-                elif halve_lr_on_plateau and not halved:
-                    lr *= 0.5
-                    halved = True
-                    log.info("validation loss plateaued; halving learning rate to %g", lr)
-            if progress is not None:
-                progress(epoch, history)
-        return history
+    _loss = sequence_loss
 
     # -- traces for attribute conditioning ----------------------------------
 
@@ -368,82 +272,26 @@ class SkeletonGenerator:
         condition the attribute decoder.
         """
         traces = [None] * len(records)
-        order = list(range(len(records)))
-        groups = {}
-        for i in order:
-            groups.setdefault(len(self._encode_skeleton(records[i])), []).append(i)
+        encoded = [self._encode_skeleton(r) for r in records]
         with nm.no_grad():
-            for length, idxs in sorted(groups.items()):
-                for lo in range(0, len(idxs), batch_size):
-                    chunk = idxs[lo:lo + batch_size]
-                    feats = np.stack([records[i].features.flat() for i in chunk])
-                    seqs = np.asarray([self._encode_skeleton(records[i]) for i in chunk])
-                    B, S = seqs.shape
-                    ft = Tensor(feats.astype(self.dtype))
-                    h, c = self._init_state_t(ft)
-                    alphas, zs, hs, h_prevs, c_prevs = [], [], [], [], []
-                    prev = np.full(B, BOS, dtype=np.int64)
-                    for t in range(S - 1):  # exclude the EOS step
-                        h_prevs.append(h.data)
-                        c_prevs.append(c.data)
-                        h, c, _, alpha, z = self._step_t(ft, h, c, prev)
-                        alphas.append(alpha.data)
-                        zs.append(z.data)
-                        hs.append(h.data)
-                        prev = seqs[:, t]
-                    for b, i in enumerate(chunk):
-                        traces[i] = {
-                            "alpha": np.stack([a[b] for a in alphas]),
-                            "z": np.stack([z[b] for z in zs]),
-                            "h": np.stack([hh[b] for hh in hs]),
-                            "h_prev": np.stack([hh[b] for hh in h_prevs]),
-                            "c_prev": np.stack([cc[b] for cc in c_prevs]),
-                            "words": seqs[b, :-1],
-                        }
+            for chunk in length_batches([len(q) for q in encoded], batch_size):
+                feats = np.stack([records[i].features.flat() for i in chunk])
+                seqs = np.asarray([encoded[i] for i in chunk])
+                B, S = seqs.shape
+                ft = Tensor(feats.astype(self.dtype))
+                h, c = self._init_state_t(ft)
+                steps = []
+                prev = np.full(B, BOS, dtype=np.int64)
+                for t in range(S - 1):  # exclude the EOS step
+                    h_prev, c_prev = h.data, c.data
+                    h, c, _, alpha, z = self._step_t(ft, h, c, prev)
+                    steps.append((alpha.data, z.data, h.data, h_prev, c_prev))
+                    prev = seqs[:, t]
+                stacked = [np.stack(arrs, axis=1) for arrs in zip(*steps)]
+                for b, i in enumerate(chunk):
+                    traces[i] = dict(zip(_TRACE_KEYS, (arr[b] for arr in stacked)),
+                                     words=seqs[b, :-1])
         return traces
 
     def embedding_of(self, word_index: int) -> np.ndarray:
         return self.store["embed"].data[word_index]
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path):
-        self.store.save(path, meta={"model": "skeleton", "config": self.get_params()},
-                        vocab_hashes={"skel_vocab": self.vocab.content_hash()})
-
-    @classmethod
-    def load(cls, path, vocab: Vocabulary) -> "SkeletonGenerator":
-        store = ParameterStore.load(
-            path, expect_vocab_hashes={"skel_vocab": vocab.content_hash()})
-        config = store.meta["config"]
-        model = cls(vocab, **config)
-        for name in model.store.names():
-            model.store[name].data[...] = store[name].data
-            model.store.accumulators[name][...] = store.accumulators[name]
-        model.store.step_count = store.step_count
-        return model
-
-
-def _batches(records, encode, batch_size, shuffle_rng=None):
-    """Yield (features (B, P, D), seqs (B, S)) batches bucketed by length.
-
-    Batches from different length buckets are interleaved when shuffling so
-    one optimizer pass never sees a long run of a single sequence length.
-    """
-    order = list(range(len(records)))
-    if shuffle_rng is not None:
-        shuffle_rng.shuffle(order)
-    groups = {}
-    for i in order:
-        groups.setdefault(len(encode(records[i])), []).append(i)
-    chunks = []
-    for length in sorted(groups):
-        idxs = groups[length]
-        for lo in range(0, len(idxs), batch_size):
-            chunks.append(idxs[lo:lo + batch_size])
-    if shuffle_rng is not None:
-        shuffle_rng.shuffle(chunks)
-    for chunk in chunks:
-        feats = np.stack([records[i].features.flat() for i in chunk])
-        seqs = np.asarray([encode(records[i]) for i in chunk])
-        yield feats, seqs

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -217,6 +218,69 @@ def test_caption_missing_checkpoint(workspace, tmp_path):
                "--attr-checkpoint", str(workspace["attr"] / "attr.ckpt"),
                "--attr-vocab", str(workspace["attr"] / "attr.vocab")) == 2
 
+
+
+# -- malformed checkpoints and data files --------------------------------------
+
+def _with_attr_checkpoint(ws, out, ckpt):
+    args = list(_caption_args(ws, out))
+    args[args.index("--attr-checkpoint") + 1] = str(ckpt)
+    return args
+
+
+def _edited_attr_checkpoint(ws, tmp_path, edit):
+    path = tmp_path / "attr.ckpt"
+    path.write_bytes(edit((ws["attr"] / "attr.ckpt").read_bytes()))
+    return path
+
+
+def test_caption_skeleton_checkpoint_as_attribute(workspace, tmp_path, capsys):
+    args = _with_attr_checkpoint(workspace, tmp_path / "c.tsv",
+                                 workspace["skel"] / "skel.ckpt")
+    assert run(*args) == 2
+    assert "skeleton checkpoint, expected attribute" in capsys.readouterr().err
+
+
+def test_caption_legacy_attribute_checkpoint_loads(workspace, tmp_path):
+    # older attribute checkpoints carry an "invoke_on_all_tokens" config key
+    ckpt = _edited_attr_checkpoint(workspace, tmp_path, lambda b: b.replace(
+        b'"seed":1', b'"invoke_on_all_tokens":true,"seed":1', 1))
+    assert run(*_caption_args(workspace, tmp_path / "a.tsv")) == 0
+    assert run(*_with_attr_checkpoint(workspace, tmp_path / "b.tsv", ckpt)) == 0
+    assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b.replace(b'"seed":1', b'"beam_width":3,"seed":1', 1),
+    lambda b: b[:-10],
+], ids=["unknown-config-key", "truncated-payload"])
+def test_caption_malformed_attribute_checkpoint(workspace, tmp_path, capsys, edit):
+    ckpt = _edited_attr_checkpoint(workspace, tmp_path, edit)
+    assert run(*_with_attr_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
+    assert str(ckpt) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", [3, -5], ids=["in-header", "in-values"])
+def test_caption_truncated_features(workspace, tmp_path, capsys, cut):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    feats = data / "test.features.bin"
+    feats.write_bytes(feats.read_bytes()[:cut])
+    ws = {**workspace, "data": data}
+    assert run(*_caption_args(ws, tmp_path / "c.tsv")) == 2
+    err = capsys.readouterr().err
+    assert str(feats) in err and "byte" in err
+
+
+def test_manifest_entry_before_split(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([lines[0], "  count: 3", *lines[1:]]) + "\n")
+    ws = {**workspace, "data": data}
+    assert run(*_caption_args(ws, tmp_path / "c.tsv")) == 2
+    assert f"{manifest}:2" in capsys.readouterr().err
 
 # -- eval ---------------------------------------------------------------------
 

@@ -201,18 +201,6 @@ def test_per_location_constant_grid_matches_step(model):
         assert np.allclose(cell, probs, atol=1e-5)
 
 
-def test_per_location_full_matches_single_step(model, tiny_data):
-    # with prefix [BOS], the full re-run variant is one substituted step from
-    # the mean-feature initial state, i.e. identical to the substitution
-    # variant evaluated at the initial state
-    _, recs = tiny_data
-    g = recs[0].features
-    state = model.init_state(g)
-    a = model.per_location_distributions(state, BOS, g)
-    b = model.per_location_distributions_full([BOS], g)
-    assert np.allclose(a, b, atol=1e-5)
-
-
 def test_per_location_disabled_without_attention():
     vocab = build_vocab([["x"]], 1)
     m = SkeletonGenerator(vocab, feature_dim=4, grid_size=2, use_attention=False)
