@@ -17,7 +17,7 @@ from . import numerics as nm
 from .corpus import BOS, EOS, Vocabulary
 from .numerics import ParameterStore, Tensor
 from .recurrent import RecurrentDecoder, length_batches
-from .skelnet import SkelState, post_word_context
+from .skelnet import SkelState, refine_attention
 
 HIDDEN_TAPS = ("current", "previous", "final")
 
@@ -99,19 +99,18 @@ class AttributeGenerator(RecurrentDecoder):
                 raise AttrConfigError(
                     f"{name} has shape {np.asarray(vec).shape}, expected ({dim},)")
         with nm.no_grad():
-            out = self._init_input_t(Tensor(np.asarray(z, dtype=self.dtype)),
-                                     Tensor(np.asarray(s_skel, dtype=self.dtype)),
-                                     Tensor(np.asarray(h_skel, dtype=self.dtype)))
-        return out.data
+            out = self._init_input_t(*(Tensor(np.asarray(v, dtype=self.dtype)[None])
+                                       for v in (z, s_skel, h_skel)))
+        return out.data[0]
 
-    def make_step_fn(self, x_init: np.ndarray):
-        """Beam-search step function seeded with the fused step -1 input."""
+    def make_step_fn(self):
+        """Beam-search step function: (AttrState, token) -> (AttrState, log-probabilities)."""
 
         def step_fn(state: AttrState, token: int):
             with nm.no_grad():
-                x = Tensor(self.store["embed"].data[token][None])
-                h, c = self._lstm_t(x, Tensor(state.h[None]), Tensor(state.c[None]))
-                logp = nm.log_softmax(self._logits_t(h), axis=-1)
+                h, c, logits = self._word_step_t(Tensor(state.h[None]), Tensor(state.c[None]),
+                                                 np.asarray([token]))
+                logp = nm.log_softmax(logits, axis=-1)
             return AttrState(h=h.data[0], c=c.data[0], t=state.t + 1), logp.data[0]
 
         return step_fn
@@ -129,7 +128,7 @@ class AttributeGenerator(RecurrentDecoder):
         if max_len <= 0:
             return []
         config = BeamConfig(beam_size=beam_size, gamma=gamma, max_len=max_len)
-        hyps = beam_search(self.make_step_fn(x_init), self.initial_state(x_init),
+        hyps = beam_search(self.make_step_fn(), self.initial_state(x_init),
                            config, bos=BOS, eos=EOS, vocab_size=len(self.vocab))
         best = hyps[0]
         return [self.vocab.decode(i) for i in best.tokens]
@@ -158,13 +157,6 @@ class AttributeGenerator(RecurrentDecoder):
         h, c = self._start_t(self._init_input_t(z, s_skel, h_skel))
         return self._teacher_forced_t(np.asarray(seqs), h, c, self._word_step_t)
 
-    def teacher_forced_loss(self, gold_attributes: Sequence[str], z, s_skel, h_skel):
-        """Loss for one skeletal word; gold attribute words, EOS appended."""
-        idxs = [self.vocab.encode(w) for w in gold_attributes]
-        seq = np.asarray([idxs + [EOS]])
-        return self.batch_loss(np.asarray(z)[None], np.asarray(s_skel)[None],
-                               np.asarray(h_skel)[None], seq)
-
     def _batches(self, items: Sequence[AttrTrainingItem], batch_size, shuffle_rng=None):
         """(z, skel_embed, skel_hidden, seqs (B, S)) per chunk of equal target length."""
         for chunk in length_batches([len(it.targets) for it in items], batch_size,
@@ -177,6 +169,44 @@ class AttributeGenerator(RecurrentDecoder):
     _loss = batch_loss
 
 
+def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
+                      use_post_word_alpha: bool = False):
+    """The attribute decoder's conditioning for each skeletal word of one caption.
+
+    ``trace`` is a ``teacher_trace`` record: per skeleton step the pre-word
+    map ``alpha``, its context ``z``, the hidden state ``h`` after the step,
+    the state ``h_prev``/``c_prev`` entering it and the word in ``words`` it
+    emitted. Returns per word (refined map (L, L) or None, z (D,), word
+    embedding, skeleton hidden state). Without refinement z is the step's own
+    context; with it, the step's map is refined post-word from the skeleton
+    decoder's own ``per_location_distributions`` and ``step`` at the state
+    entering the step. The "current" tap is the state after word T,
+    "previous" the state entering it, "final" the state after the last word.
+    """
+    if hidden_tap not in HIDDEN_TAPS:
+        raise AttrConfigError(f"hidden_tap must be one of {HIDDEN_TAPS}")
+    if use_post_word_alpha and not skel_model.use_attention:
+        raise AttrConfigError(
+            "post-word refinement needs a skeleton decoder with attention; "
+            "this one has use_attention=False")
+    words = [int(w) for w in trace["words"]]
+    out = []
+    for T, word in enumerate(words):
+        post, z = None, trace["z"][T]
+        if use_post_word_alpha:
+            state = SkelState(h=trace["h_prev"][T], c=trace["c_prev"][T], t=T)
+            prev = words[T - 1] if T else BOS
+            p_grid = skel_model.per_location_distributions(state, prev, features)
+            _, p_attend, _ = skel_model.step(state, prev, features)
+            post = refine_attention(p_attend, p_grid, fallback=trace["alpha"][T])
+            z = skel_model.context(features, post)
+        hidden = {"current": trace["h"][T], "previous": trace["h_prev"][T],
+                  "final": trace["h"][-1]}[hidden_tap]
+        out.append((post, np.array(z, dtype=np.float32),
+                    skel_model.embedding_of(word).copy(), np.array(hidden)))
+    return out
+
+
 def build_training_items(records, skel_model, attr_vocab,
                          use_post_word_alpha: bool = False,
                          hidden_tap: str = "current",
@@ -184,41 +214,16 @@ def build_training_items(records, skel_model, attr_vocab,
     """Precompute conditioning items from a frozen skeleton model.
 
     Runs one teacher-forced skeleton pass per record, then emits one item per
-    skeleton token: its context vector (pre-word alpha, optionally refined
-    post-word), the gold skeletal word embedding, and the chosen hidden tap.
-    Non-head tokens get an empty target so "no attributes" is learned.
+    skeleton token with its ``word_conditioning``. Non-head tokens get an
+    empty target so "no attributes" is learned.
     """
-    if hidden_tap not in HIDDEN_TAPS:
-        raise AttrConfigError(f"hidden_tap must be one of {HIDDEN_TAPS}")
     traces = skel_model.teacher_trace(records, batch_size=batch_size)
     items: List[AttrTrainingItem] = []
     for record, trace in zip(records, traces):
-        for T, tok in enumerate(record.decomposition.skeleton):
-            alpha = trace["alpha"][T]
-            if use_post_word_alpha:
-                state = SkelState(h=trace["h_prev"][T], c=trace["c_prev"][T], t=T)
-                prev_word = BOS if T == 0 else int(trace["words"][T - 1])
-                _, z = post_word_context(skel_model, state, prev_word, record.features, alpha)
-            else:
-                z = skel_model.context(record.features, alpha)
+        conditioning = word_conditioning(skel_model, trace, record.features,
+                                         hidden_tap, use_post_word_alpha)
+        for tok, (_, z, embed, hidden) in zip(record.decomposition.skeleton, conditioning):
             items.append(AttrTrainingItem(
-                z=z.astype(np.float32),
-                skel_embed=skel_model.embedding_of(int(trace["words"][T])).copy(),
-                skel_hidden=tap_hidden(trace["h"], trace["h_prev"], T, hidden_tap),
+                z=z, skel_embed=embed, skel_hidden=hidden,
                 targets=[attr_vocab.encode(w) for w in tok.attributes]))
     return items
-
-
-def tap_hidden(h, h_prev, T, tap):
-    """Skeleton hidden state that conditions the attributes of skeleton word T.
-
-    ``h`` holds the post-step hidden states of the skeleton words (EOS step
-    excluded) and ``h_prev`` the states entering those steps. "current" taps
-    the state after word T, "previous" the state entering it, "final" the
-    state after the last word.
-    """
-    if tap == "previous":
-        return h_prev[T].copy()
-    if tap == "final":
-        return h[-1].copy()
-    return h[T].copy()

@@ -68,12 +68,6 @@ class Vocabulary:
     def decode(self, index: int) -> str:
         return self.index_to_token[index]
 
-    def encode_sequence(self, tokens: Sequence[str]) -> List[int]:
-        return [self.encode(t) for t in tokens]
-
-    def decode_sequence(self, indices: Sequence[int]) -> List[str]:
-        return [self.decode(i) for i in indices]
-
     def content_hash(self) -> str:
         return vocab_hash(self.index_to_token)
 
@@ -85,19 +79,29 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
+        """Read a file written by ``save``; a fault raises ``CorpusError``
+        naming ``path:line``."""
         tokens, counts = [], {}
         threshold = 1
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if line.startswith("#"):
-                    if "threshold=" in line:
-                        threshold = int(line.split("threshold=")[1])
-                    continue
-                tok, _, cnt = line.partition("\t")
-                tokens.append(tok)
-                counts[tok] = int(cnt or 0)
+        for lineno, line in treebank.read_lines(path, CorpusError):
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                if "threshold=" in line:
+                    threshold = _integer(line.split("threshold=")[1], path, lineno, "threshold")
+                continue
+            tok, _, cnt = line.partition("\t")
+            if tok in counts or tok in SPECIALS:
+                raise CorpusError(f"{path}:{lineno}: duplicate token {tok!r}")
+            tokens.append(tok)
+            counts[tok] = _integer(cnt or "0", path, lineno, "count")
         return cls(tokens, counts, threshold)
+
+
+def _integer(text, path, lineno, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise CorpusError(f"{path}:{lineno}: {what} {text.strip()!r} is not an integer") from None
 
 
 def build_vocab(sequences: Sequence[Sequence[str]], threshold: int) -> Vocabulary:
@@ -334,7 +338,10 @@ def read_features(path) -> Dict[str, FeatureGrid]:
                 f"bytes from byte {off}, file ends at byte {len(blob)}")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
         off += 4 * count
-        grids[image_id] = FeatureGrid(arr.reshape(L, L, D).astype(np.float32))
+        try:
+            grids[image_id] = FeatureGrid(arr.reshape(L, L, D).astype(np.float32))
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: record {image_id!r} at byte {start}: {exc}") from None
     return grids
 
 
@@ -397,24 +404,26 @@ def write_manifest(path, splits: Dict[str, Dict[str, object]], seed=None):
 
 
 def read_manifest(path):
+    """(splits, seed) of a file written by ``write_manifest``; a fault raises
+    ``CorpusError`` naming ``path:line``."""
     splits: Dict[str, Dict[str, object]] = {}
     seed = None
     current = None
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first != MANIFEST_MAGIC:
-            raise CorpusError(f"{path}: not a {MANIFEST_MAGIC} file")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            if line.startswith("seed:"):
-                seed = int(line.split(":", 1)[1])
-            elif line.startswith("split:"):
-                current = line.split(":", 1)[1].strip()
-                splits[current] = {}
-            elif line.startswith("  "):
-                if current is None:
-                    raise CorpusError(f"{path}:{lineno}: split entry before any 'split:' line")
-                key, _, value = line.strip().partition(": ")
-                splits[current][key] = int(value) if key == "count" else value
+    lines = treebank.read_lines(path, CorpusError)
+    if next(lines, (1, ""))[1].strip() != MANIFEST_MAGIC:
+        raise CorpusError(f"{path}:1: not a {MANIFEST_MAGIC} file")
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        if line.startswith("seed:"):
+            seed = _integer(line.split(":", 1)[1], path, lineno, "seed")
+        elif line.startswith("split:"):
+            current = line.split(":", 1)[1].strip()
+            splits[current] = {}
+        elif line.startswith("  "):
+            if current is None:
+                raise CorpusError(f"{path}:{lineno}: split entry before any 'split:' line")
+            key, _, value = line.strip().partition(": ")
+            splits[current][key] = (_integer(value, path, lineno, "count") if key == "count"
+                                    else value)
     return splits, seed

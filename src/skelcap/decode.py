@@ -14,10 +14,9 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .attrnet import tap_hidden
+from .attrnet import word_conditioning
 from .corpus import BOS, EOS, FeatureGrid
 from .decompose import fuse_predicted
-from .skelnet import post_word_context
 
 log = logging.getLogger(__name__)
 
@@ -126,17 +125,9 @@ def beam_search(step_fn: Callable, init_state, config: BeamConfig,
             if bound < finished[-1].adjusted_logp:
                 break
     else:
-        live = live[:config.beam_size]
-        for hyp in live:
-            finished.append(replace(hyp, finished=True))
+        finished.extend(replace(hyp, finished=True) for hyp in live)
         finished.sort(key=_sort_key)
         del finished[config.beam_size:]
-        live = []
-
-    if not finished:
-        # max_len cut all survivors off inside the loop break path
-        finished = [replace(h, finished=True) for h in live]
-        finished.sort(key=_sort_key)
     return finished
 
 
@@ -176,10 +167,10 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     """Full coarse-to-fine inference for one image.
 
     Beam-searches the skeleton decoder, then for every predicted skeleton
-    token reuses that step's recorded attention (optionally refined post-word)
-    to build the attribute decoder's fused input and beam-searches the
-    attribute phrase. The fused caption interleaves attributes before their
-    skeletal words.
+    token takes the attribute decoder's conditioning from that step's
+    recorded states, through the ``word_conditioning`` training uses, and
+    beam-searches the attribute phrase. The fused caption interleaves
+    attributes before their skeletal words.
     """
     if use_post_word_alpha is None:
         use_post_word_alpha = attr_model.use_post_word_alpha
@@ -189,36 +180,28 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     hyps = beam_search(step_fn, init, skel_cfg,
                        vocab_size=len(skel_model.vocab), record_states=True)
     best = hyps[0]
+    # the teacher_trace record of the winning beam: the states leaving the
+    # steps that emitted a skeleton word (a final EOS step is dropped) and
+    # the states entering them
+    stepped = best.states[:len(best.tokens)]
+    entering = ((init,) + best.states)[:len(best.tokens)]
+    trace = {"alpha": [s.alpha for s in stepped], "z": [s.z for s in stepped],
+             "h": [s.h for s in stepped], "h_prev": [s.h for s in entering],
+             "c_prev": [s.c for s in entering], "words": best.tokens}
+    conditioning = word_conditioning(skel_model, trace, features, attr_model.hidden_tap,
+                                     use_post_word_alpha)
     if not best.tokens:
         log.warning("empty skeleton output; returning empty caption")
         return CaptionTrace([], [], [], [], [], empty=True)
 
     L = skel_model.grid_size
+    attributes = []
+    for post, z, embed, hidden in conditioning:
+        x_init = attr_model.init_input(z, embed, hidden)
+        attributes.append(attr_model.generate_attributes(
+            x_init, max_len=max_attr_len, beam_size=beam_attr, gamma=gamma_attr))
     skeleton_words = [skel_model.vocab.decode(i) for i in best.tokens]
-    attributes: List[List[str]] = []
-    alphas: List[np.ndarray] = []
-    post_alphas: List[Optional[np.ndarray]] = []
-    # states entering each skeleton step, and the hidden states leaving the
-    # steps that emitted a skeleton word (a final EOS step is dropped)
-    entering = (init,) + best.states
-    h = [s.h for s in best.states[:len(best.tokens)]]
-    h_prev = [s.h for s in entering[:len(h)]]
-    for T, word_idx in enumerate(best.tokens):
-        state = best.states[T]
-        alphas.append(state.alpha.reshape(L, L).copy())
-        post, z = None, state.z
-        if use_post_word_alpha and skel_model.use_attention:
-            prev_word = best.tokens[T - 1] if T > 0 else BOS
-            post, z = post_word_context(skel_model, entering[T], prev_word, features,
-                                        state.alpha)
-        post_alphas.append(post)
-        x_init = attr_model.init_input(
-            np.asarray(z, dtype=np.float32), skel_model.embedding_of(word_idx),
-            tap_hidden(h, h_prev, T, attr_model.hidden_tap))
-        attrs = attr_model.generate_attributes(
-            x_init, max_len=max_attr_len, beam_size=beam_attr, gamma=gamma_attr)
-        attributes.append(attrs)
-
-    tokens = fuse_predicted(skeleton_words, attributes)
     return CaptionTrace(skeleton_words=skeleton_words, attributes=attributes,
-                        alphas=alphas, post_alphas=post_alphas, tokens=tokens)
+                        alphas=[s.alpha.reshape(L, L).copy() for s in stepped],
+                        post_alphas=[post for post, *_ in conditioning],
+                        tokens=fuse_predicted(skeleton_words, attributes))

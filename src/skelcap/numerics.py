@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -35,8 +36,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
@@ -45,22 +46,11 @@ class Tensor:
         self._backward = None
         self._parents = ()
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     def item(self):
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, g):
         if self.grad is None:
@@ -112,10 +102,10 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def as_tensor(x, dtype=None):
+def as_tensor(x):
     if isinstance(x, Tensor):
         return x
-    return Tensor(x, dtype=dtype)
+    return Tensor(x)
 
 
 def add(a, b):
@@ -127,17 +117,6 @@ def add(a, b):
         b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _result(a.data + b.data, (a, b), bw)
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-
-    def bw(out):
-        g = out.grad
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(-_unbroadcast(g, b.data.shape))
-
-    return _result(a.data - b.data, (a, b), bw)
 
 
 def mul(a, b):
@@ -162,31 +141,16 @@ def scale(a, s):
 
 
 def matmul(a, b):
+    """Batched matrix product; both operands are at least 2-d."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ShapeError("matmul requires at least 1-d operands")
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul requires at least 2-d operands: {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
 
     def bw(out):
         g = out.grad
         ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 1:
-            a._accumulate(g * bd)
-            b._accumulate(g * ad)
-            return
-        if ad.ndim == 1:
-            ga = np.matmul(np.expand_dims(g, -2), np.swapaxes(bd, -1, -2)).squeeze(-2)
-            gb = np.matmul(np.expand_dims(ad, -1), np.expand_dims(g, -2))
-            a._accumulate(_unbroadcast(ga, ad.shape))
-            b._accumulate(_unbroadcast(gb, bd.shape))
-            return
-        if bd.ndim == 1:
-            ga = np.matmul(np.expand_dims(g, -1), np.expand_dims(bd, -2))
-            gb = np.matmul(np.swapaxes(ad, -1, -2), np.expand_dims(g, -1)).squeeze(-1)
-            a._accumulate(_unbroadcast(ga, ad.shape))
-            b._accumulate(_unbroadcast(gb, bd.shape))
-            return
         ga = np.matmul(g, np.swapaxes(bd, -1, -2))
         gb = np.matmul(np.swapaxes(ad, -1, -2), g)
         a._accumulate(_unbroadcast(ga, ad.shape))
@@ -323,46 +287,28 @@ def log_softmax(a, axis=-1):
 
 
 def cross_entropy(logits, targets):
-    """Mean negative log-likelihood of integer ``targets`` under ``logits``.
-
-    ``logits`` is (Q,) with scalar target, or (B, Q) with (B,) targets.
-    """
+    """Mean negative log-likelihood of integer ``targets`` (B,) under ``logits`` (B, Q)."""
     logits = as_tensor(logits)
     tgt = np.asarray(targets)
-    lp = log_softmax(logits, axis=-1)
-    if logits.data.ndim == 1:
-        if tgt.ndim != 0:
-            raise ShapeError("scalar target expected for 1-d logits")
-        picked = lookup_rows(lp, np.asarray([int(tgt)]), single=True)
-    else:
-        if tgt.shape != logits.data.shape[:-1]:
-            raise ShapeError(f"target shape {tgt.shape} does not match logits {logits.data.shape}")
-        picked = lookup_rows(lp, tgt)
+    if logits.data.ndim < 2 or tgt.shape != logits.data.shape[:-1]:
+        raise ShapeError(f"target shape {tgt.shape} does not match logits {logits.data.shape}")
+    picked = lookup_rows(log_softmax(logits, axis=-1), tgt)
     loss = scale(mean(picked), -1.0)
     loss.check_finite("cross_entropy loss")
     return loss
 
 
-def lookup_rows(a, indices, single=False):
+def lookup_rows(a, indices):
     """Select one entry per row along the last axis."""
     a = as_tensor(a)
-    idx = np.asarray(indices)
+    pick = (*np.indices(np.shape(indices)), np.asarray(indices))
 
     def bw(out):
         g = np.zeros_like(a.data)
-        if single or a.data.ndim == 1:
-            g[idx] = out.grad
-        else:
-            grid = np.indices(idx.shape)
-            g[(*grid, idx)] = out.grad
+        g[pick] = out.grad
         a._accumulate(g)
 
-    if single or a.data.ndim == 1:
-        y = a.data[idx]
-    else:
-        grid = np.indices(idx.shape)
-        y = a.data[(*grid, idx)]
-    return _result(y, (a,), bw)
+    return _result(a.data[pick], (a,), bw)
 
 
 def backward(loss):
@@ -494,38 +440,48 @@ class ParameterStore:
 
     @classmethod
     def load(cls, path, expect_model=None, expect_vocab_hashes=None):
-        """Read a checkpoint written by ``save``. Checks in order the ``meta model``
-        kind, the vocabulary hashes and that the payload holds every header
-        entry; each failure names ``path``."""
+        """Read a checkpoint written by ``save``. Checks in order that every
+        header line parses, the ``meta model`` kind, the vocabulary hashes and
+        that the payload holds every header entry; each failure names ``path``
+        (and the header line where there is one)."""
         with open(path, "rb") as fh:
             blob = fh.read()
-        end = blob.find(b"end-header\n")
+        end = blob.find(b"\nend-header\n")
         if end < 0:
             raise NumericsError(f"{path}: missing checkpoint header terminator")
-        lines = blob[:end].decode("utf-8").splitlines()
-        payload = blob[end + len(b"end-header\n"):]
-        if not lines or lines[0] != CHECKPOINT_MAGIC:
-            raise NumericsError(f"{path}: not a {CHECKPOINT_MAGIC} file")
+        try:
+            lines = blob[:end].decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            line = blob.count(b"\n", 0, exc.start) + 1
+            raise NumericsError(f"{path}:{line}: header is not UTF-8 text") from None
+        payload = blob[end + len(b"\nend-header\n"):]
+        if lines[0] != CHECKPOINT_MAGIC:
+            raise NumericsError(f"{path}:1: not a {CHECKPOINT_MAGIC} file")
         store = cls()
         meta = {}
         vocab_hashes = {}
         entries = []
-        for line in lines[1:]:
+        for lineno, line in enumerate(lines[1:], start=2):
             kind, _, rest = line.partition(" ")
-            if kind == "step_count":
-                store.step_count = int(rest)
-            elif kind == "vocab_hash":
-                key, _, value = rest.partition(" ")
-                vocab_hashes[key] = value
-            elif kind == "meta":
-                key, _, value = rest.partition(" ")
-                meta[key] = json.loads(value)
-            elif kind in ("tensor", "accumulator"):
-                name, shape_s, off_s = rest.rsplit(" ", 2)
-                shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split(","))
-                entries.append((kind, name, shape, int(off_s)))
-            else:
-                raise NumericsError(f"{path}: unknown header line {line!r}")
+            try:
+                if kind == "step_count":
+                    store.step_count = int(rest)
+                elif kind == "vocab_hash":
+                    key, _, value = rest.partition(" ")
+                    vocab_hashes[key] = value
+                elif kind == "meta":
+                    key, _, value = rest.partition(" ")
+                    meta[key] = json.loads(value)
+                elif kind in ("tensor", "accumulator"):
+                    name, shape_s, off_s = rest.rsplit(" ", 2)
+                    shape = () if shape_s == "scalar" else tuple(map(int, shape_s.split(",")))
+                    if int(off_s) < 0 or min(shape, default=0) < 0:
+                        raise ValueError("negative shape or offset")
+                    entries.append((lineno, kind, name, shape, int(off_s)))
+                else:
+                    raise ValueError("unknown header line")
+            except ValueError as exc:
+                raise NumericsError(f"{path}:{lineno}: {exc}: {line!r}") from None
         if expect_model is not None and meta.get("model") != expect_model:
             raise NumericsError(f"{path}: {meta.get('model')} checkpoint, expected {expect_model}")
         if expect_vocab_hashes:
@@ -534,19 +490,24 @@ class ParameterStore:
                     raise NumericsError(
                         f"{path}: vocabulary hash mismatch for {key!r} "
                         f"(checkpoint {vocab_hashes.get(key)}, expected {value})")
-        for kind, name, shape, off in entries:
+        for lineno, kind, name, shape, off in entries:
             dt = "<f4" if kind == "tensor" else "<f8"
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             stop = off + count * np.dtype(dt).itemsize
-            if off < 0 or stop > len(payload):
+            if stop > len(payload):
                 raise NumericsError(
-                    f"{path}: {kind} {name!r} needs payload bytes {off}..{stop}, "
+                    f"{path}:{lineno}: {kind} {name!r} needs payload bytes {off}..{stop}, "
                     f"payload has {len(payload)}")
-            arr = np.frombuffer(payload, dtype=dt, count=count, offset=off).reshape(shape)
-            if kind == "tensor":
-                store.add(name, arr.astype(np.float32))
+            try:
+                arr = np.frombuffer(payload, dtype=dt, count=count, offset=off).reshape(shape)
+            except ValueError as exc:
+                raise NumericsError(f"{path}:{lineno}: {kind} {name!r}: {exc}") from None
+            if kind == "accumulator":
+                store.accumulators[name] = arr.astype(np.float64)
+            elif name in store:
+                raise NumericsError(f"{path}:{lineno}: duplicate tensor {name!r}")
             else:
-                store.accumulators[name] = arr.astype(np.float64).copy()
+                store.add(name, arr.astype(np.float32))
         store.meta = meta
         store.vocab_hashes = vocab_hashes
         return store
@@ -560,7 +521,7 @@ def vocab_hash(tokens):
     return h.hexdigest()[:16]
 
 
-def grad_check(fn, params, h=1e-3, tol=1e-4, max_entries=None, rng=None):
+def grad_check(fn, params, h=1e-3, tol=1e-4):
     """Compare analytic gradients of ``fn`` against central finite differences.
 
     ``fn`` takes no arguments, reads the tensors in ``params`` (a dict
@@ -578,13 +539,7 @@ def grad_check(fn, params, h=1e-3, tol=1e-4, max_entries=None, rng=None):
     worst_name = None
     for name, t in params.items():
         flat = t.data.reshape(-1)
-        n = flat.size
-        if max_entries is not None and n > max_entries:
-            picker = rng or np.random.default_rng(0)
-            idxs = picker.choice(n, size=max_entries, replace=False)
-        else:
-            idxs = range(n)
-        for i in idxs:
+        for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
             f_plus = fn().item()

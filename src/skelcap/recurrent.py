@@ -163,10 +163,10 @@ class RecurrentDecoder:
         store = ParameterStore.load(path, expect_model=cls.model_kind,
                                     expect_vocab_hashes={cls.vocab_key: vocab.content_hash()})
         config = store.meta.get("config", {})
-        config.pop("invoke_on_all_tokens", None)  # older checkpoints; never read
         try:
+            config.pop("invoke_on_all_tokens", None)  # older checkpoints; never read
             inspect.signature(cls).bind(vocab, **config)
-        except TypeError as exc:
+        except (AttributeError, TypeError) as exc:
             raise NumericsError(f"{path}: config does not fit {cls.__name__}: {exc}") from None
         model = cls(vocab, **config)
         for name in model.store.names():

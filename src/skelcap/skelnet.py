@@ -40,7 +40,6 @@ class SkelState:
     t: int = 0
     alpha: Optional[np.ndarray] = None  # flat (L*L,), map used at this step
     z: Optional[np.ndarray] = None      # context vector used at this step
-    prev_word: Optional[int] = None
 
 
 def refine_attention(p_attend: np.ndarray, p_grid: np.ndarray,
@@ -62,21 +61,6 @@ def refine_attention(p_attend: np.ndarray, p_grid: np.ndarray,
         log.warning("refine_attention: all similarities zero, keeping pre-word map")
         return np.asarray(fallback, dtype=np.float64).reshape(lead)
     return (scores / total).reshape(lead)
-
-
-def post_word_context(model, state: SkelState, prev_word: int, features: FeatureGrid,
-                      alpha: np.ndarray):
-    """Post-word refinement of one step's pre-word map ``alpha``.
-
-    ``state`` is the skeleton state entering the step and ``prev_word`` the
-    word it consumes. Returns the refined map (L, L) and its context vector
-    (D,). Goes through ``model``'s own ``per_location_distributions`` and
-    ``step``, so training and decoding refine the same way.
-    """
-    p_grid = model.per_location_distributions(state, prev_word, features)
-    _, p_attend, _ = model.step(state, prev_word, features)
-    post = refine_attention(p_attend, p_grid, fallback=alpha)
-    return post, model.context(features, post)
 
 
 class SkeletonGenerator(RecurrentDecoder):
@@ -144,12 +128,17 @@ class SkeletonGenerator(RecurrentDecoder):
         B, P = alpha.data.shape
         return nm.sum_(nm.mul(nm.reshape(alpha, (B, P, 1)), feats), axis=1)
 
+    def _cell_t(self, prev_idx, z, h, c):
+        """LSTM transition on input [embedding of ``prev_idx``, context ``z``];
+        returns (h, c, logits)."""
+        x = nm.concat([nm.lookup(self.store["embed"], prev_idx), z], axis=-1)
+        h_new, c_new = self._lstm_t(x, h, c)
+        return h_new, c_new, self._logits_t(h_new)
+
     def _step_t(self, feats, h, c, prev_idx):
         alpha = self._attend_t(feats, h)
         z = self._context_t(feats, alpha)
-        x = nm.concat([nm.lookup(self.store["embed"], prev_idx), z], axis=-1)
-        h_new, c_new = self._lstm_t(x, h, c)
-        return h_new, c_new, self._logits_t(h_new), alpha, z
+        return (*self._cell_t(prev_idx, z, h, c), alpha, z)
 
     def sequence_loss(self, feats_np: np.ndarray, seqs: np.ndarray):
         """Teacher-forced loss on a batch.
@@ -176,22 +165,16 @@ class SkeletonGenerator(RecurrentDecoder):
         """State entering the first decode step, whose input word is BOS."""
         with nm.no_grad():
             h, c = self._init_state_t(Tensor(self._flat(features)))
-        return SkelState(h=h.data[0], c=c.data[0], t=0, prev_word=BOS)
-
-    def attend(self, features: FeatureGrid, state: SkelState) -> np.ndarray:
-        """Pre-word attention map, shape (L, L)."""
-        with nm.no_grad():
-            alpha = self._attend_t(Tensor(self._flat(features)), Tensor(state.h[None]))
-        L = self.grid_size
-        return alpha.data[0].reshape(L, L)
+        return SkelState(h=h.data[0], c=c.data[0], t=0)
 
     def context(self, features: FeatureGrid, alpha: np.ndarray) -> np.ndarray:
-        """Context vector z = sum_ij alpha_ij v_ij."""
-        flat = features.flat()
-        a = np.asarray(alpha).reshape(-1)
-        if a.shape[0] != flat.shape[0]:
-            raise ConfigError(f"attention map has {a.shape[0]} cells, grid has {flat.shape[0]}")
-        return (a[:, None] * flat).sum(axis=0)
+        """Context vector z = sum_ij alpha_ij v_ij, shape (D,)."""
+        flat = self._flat(features)
+        a = np.asarray(alpha).reshape(1, -1)
+        if a.shape[1] != flat.shape[1]:
+            raise ConfigError(f"attention map has {a.shape[1]} cells, grid has {flat.shape[1]}")
+        with nm.no_grad():
+            return self._context_t(Tensor(flat), Tensor(a)).data[0]
 
     def _advance(self, feats: Tensor, state: SkelState, word: int, normalize):
         """One no-grad decode step; returns (new state, ``normalize``d logits (Q,))."""
@@ -200,7 +183,7 @@ class SkeletonGenerator(RecurrentDecoder):
                 feats, Tensor(state.h[None]), Tensor(state.c[None]), np.asarray([word]))
             dist = normalize(logits, axis=-1)
         return SkelState(h=h.data[0], c=c.data[0], t=state.t + 1, alpha=alpha.data[0],
-                         z=z.data[0], prev_word=word), dist.data[0]
+                         z=z.data[0]), dist.data[0]
 
     def step(self, state: SkelState, prev_word_index: int, features: FeatureGrid):
         """One decode step: returns (new state, word distribution, alpha as (L, L))."""
@@ -221,15 +204,13 @@ class SkeletonGenerator(RecurrentDecoder):
         """
         if not self.use_attention:
             raise ConfigError("per-location distributions are disabled without attention")
-        flat = features.flat().astype(self.dtype)  # (P, D)
-        P = flat.shape[0]
+        flat = self._flat(features)[0]  # (P, D): each cell's features as a context
+        P, n = flat.shape[0], self.hidden_size
         with nm.no_grad():
-            emb = self.store["embed"].data[prev_word_index]
-            x = Tensor(np.concatenate([np.broadcast_to(emb, (P, emb.shape[0])), flat], axis=-1))
-            h = Tensor(np.broadcast_to(state.h, (P, state.h.shape[0])).copy())
-            c = Tensor(np.broadcast_to(state.c, (P, state.c.shape[0])).copy())
-            h_new, _ = self._lstm_t(x, h, c)
-            probs = nm.softmax(self._logits_t(h_new), axis=-1)
+            _, _, logits = self._cell_t(np.full(P, prev_word_index), Tensor(flat),
+                                        Tensor(np.broadcast_to(state.h, (P, n))),
+                                        Tensor(np.broadcast_to(state.c, (P, n))))
+            probs = nm.softmax(logits, axis=-1)
         L = self.grid_size
         return probs.data.reshape(L, L, -1)
 

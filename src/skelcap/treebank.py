@@ -2,16 +2,32 @@
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 
 class TreeParseError(ValueError):
-    """Malformed bracketed tree; carries the character offset of the problem."""
+    """Malformed bracketed tree; carries the character offset of the problem
+    within the tree's text, where there is one."""
 
-    def __init__(self, message, offset):
-        super().__init__(f"{message} at offset {offset}")
+    def __init__(self, message, offset=None):
+        super().__init__(message if offset is None else f"{message} at offset {offset}")
         self.offset = offset
+
+
+def read_lines(path, error):
+    """(line number, line) pairs of the UTF-8 text file ``path``: numbered
+    from 1, newlines translated as in text mode. Bytes that are not UTF-8
+    raise ``error`` with a message that begins ``path:line``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not UTF-8 text (byte {exc.start})") from None
+    return enumerate(io.StringIO(text, newline=None), start=1)
 
 
 @dataclass(frozen=True)
@@ -164,11 +180,17 @@ def read_trees(path) -> Iterator[Tuple[int, ParseTree]]:
 
     Blank lines are skipped; lines starting with ``#`` are comments. Line
     numbers are 1-based and count every physical line, keeping alignment with
-    the caption corpus file.
+    the caption corpus file. A malformed tree raises ``TreeParseError``
+    naming ``path:line``.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, parse_bracketed(stripped)
+    for lineno, line in read_lines(path, TreeParseError):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            tree = parse_bracketed(stripped)
+        except TreeParseError as exc:
+            raise TreeParseError(f"{path}:{lineno}: {exc}") from None
+        except RecursionError:
+            raise TreeParseError(f"{path}:{lineno}: tree nested too deeply") from None
+        yield lineno, tree

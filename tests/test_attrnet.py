@@ -104,10 +104,10 @@ def test_empty_gold_is_eos_loss(attr_vocab, skel_model):
     z = rng.normal(size=m.feature_dim)
     s = rng.normal(size=m.skel_embed_size)
     h = rng.normal(size=m.skel_hidden_size)
-    loss = m.teacher_forced_loss([], z, s, h)
+    loss = m.batch_loss(z[None], s[None], h[None], [[EOS]])
     x_init = m.init_input(z, s, h)
     state = m.initial_state(x_init)
-    _, logp = m.make_step_fn(x_init)(state, BOS)
+    _, logp = m.make_step_fn()(state, BOS)
     assert loss.item() == pytest.approx(-logp[EOS], abs=1e-5)
 
 
@@ -117,10 +117,9 @@ def test_teacher_forced_matches_stepwise(attr_vocab, skel_model):
     z = rng.normal(size=m.feature_dim)
     s = rng.normal(size=m.skel_embed_size)
     h = rng.normal(size=m.skel_hidden_size)
-    word = m.vocab.decode(3)
-    loss = m.teacher_forced_loss([word], z, s, h)
+    loss = m.batch_loss(z[None], s[None], h[None], [[3, EOS]])
     x_init = m.init_input(z, s, h)
-    step_fn = m.make_step_fn(x_init)
+    step_fn = m.make_step_fn()
     state = m.initial_state(x_init)
     state, lp1 = step_fn(state, BOS)
     _, lp2 = step_fn(state, 3)

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import pytest
@@ -253,7 +254,8 @@ def test_caption_legacy_attribute_checkpoint_loads(workspace, tmp_path):
 @pytest.mark.parametrize("edit", [
     lambda b: b.replace(b'"seed":1', b'"beam_width":3,"seed":1', 1),
     lambda b: b[:-10],
-], ids=["unknown-config-key", "truncated-payload"])
+    lambda b: re.sub(rb"meta config [^\n]*", b"meta config [1]", b, count=1),
+], ids=["unknown-config-key", "truncated-payload", "config-not-object"])
 def test_caption_malformed_attribute_checkpoint(workspace, tmp_path, capsys, edit):
     ckpt = _edited_attr_checkpoint(workspace, tmp_path, edit)
     assert run(*_with_attr_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
@@ -281,6 +283,93 @@ def test_manifest_entry_before_split(workspace, tmp_path, capsys):
     ws = {**workspace, "data": data}
     assert run(*_caption_args(ws, tmp_path / "c.tsv")) == 2
     assert f"{manifest}:2" in capsys.readouterr().err
+
+
+def _copied_data(workspace, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    return {**workspace, "data": data}, data
+
+
+@pytest.mark.parametrize("edit,line", [
+    (lambda text: text.replace("  count: 10", "  count: ten", 1), None),
+    (lambda text: text.replace("seed: 3", "seed: x", 1), 2),
+], ids=["count", "seed"])
+def test_manifest_non_integer(workspace, tmp_path, capsys, edit, line):
+    ws, data = _copied_data(workspace, tmp_path)
+    manifest = data / "manifest.txt"
+    text = manifest.read_text()
+    manifest.write_text(edit(text))
+    line = line or text.splitlines().index("  count: 10") + 1
+    assert run(*_caption_args(ws, tmp_path / "c.tsv")) == 2
+    assert f"error: {manifest}:{line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,line", [
+    (lambda lines: [lines[0].replace("threshold=1", "threshold=one"), *lines[1:]], 1),
+    (lambda lines: [lines[0], lines[1].split("\t")[0] + "\tmany", *lines[2:]], 2),
+    (lambda lines: [*lines[:3], lines[1], *lines[3:]], 4),
+    (lambda lines: [lines[0], "<eos>\t1", *lines[1:]], 2),
+], ids=["threshold", "count", "duplicate", "special"])
+def test_vocabulary_malformed(workspace, tmp_path, capsys, edit, line):
+    vocab = tmp_path / "skel.vocab"
+    lines = (workspace["skel"] / "skel.vocab").read_text().splitlines()
+    vocab.write_text("\n".join(edit(lines)) + "\n")
+    args = list(_caption_args(workspace, tmp_path / "c.tsv"))
+    args[args.index("--skel-vocab") + 1] = str(vocab)
+    assert run(*args) == 2
+    assert f"error: {vocab}:{line}: " in capsys.readouterr().err
+
+
+def test_vocabulary_not_utf8(workspace, tmp_path, capsys):
+    # a checkpoint passed as the vocabulary: its payload is not UTF-8 text
+    ckpt = workspace["skel"] / "skel.ckpt"
+    args = list(_caption_args(workspace, tmp_path / "c.tsv"))
+    args[args.index("--skel-vocab") + 1] = str(ckpt)
+    assert run(*args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {ckpt}:" in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("entry", [b"tensor embed", b"tensor embed 8,x 0",
+                                   b"tensor embed 8,-4 0", b"tensor embed 8 -4"],
+                         ids=["fields", "shape", "negative-shape", "negative-offset"])
+def test_caption_malformed_checkpoint_header(workspace, tmp_path, capsys, entry):
+    blob = (workspace["attr"] / "attr.ckpt").read_bytes()
+    header = blob[:blob.index(b"\nend-header\n")].split(b"\n")
+    line = next(i for i, h in enumerate(header) if h.startswith(b"tensor embed "))
+    ckpt = _edited_attr_checkpoint(
+        workspace, tmp_path, lambda b: b.replace(header[line] + b"\n", entry + b"\n", 1))
+    assert run(*_with_attr_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
+    assert f"error: {ckpt}:{line + 1}: " in capsys.readouterr().err
+
+
+def test_caption_malformed_tree(workspace, tmp_path, capsys):
+    ws, data = _copied_data(workspace, tmp_path)
+    trees = data / "test.trees.txt"
+    lines = trees.read_text().splitlines()
+    lines[2] = lines[2][:-1]  # drop a closing bracket
+    trees.write_text("\n".join(lines) + "\n")
+    assert run(*_caption_args(ws, tmp_path / "c.tsv")) == 2
+    assert f"error: {trees}:3: unbalanced at offset" in capsys.readouterr().err
+
+
+def test_caption_refinement_needs_attention(workspace, tmp_path, capsys):
+    skel = tmp_path / "skel"
+    assert run("train-skel", "--data", str(workspace["data"]), "--out", str(skel),
+               "--epochs", "1", "--hidden-size", "16", "--embed-size", "8",
+               "--batch-size", "16", "--skel-threshold", "1", "--seed", "1",
+               "--no-attention") == 0
+    ws = {**workspace, "skel": skel}
+    assert run("train-attr", "--data", str(ws["data"]), "--out", str(tmp_path / "attr"),
+               "--skel-checkpoint", str(skel / "skel.ckpt"),
+               "--skel-vocab", str(skel / "skel.vocab"), "--epochs", "1",
+               "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1",
+               "--post-word-alpha") == 2
+    assert "needs a skeleton decoder with attention" in capsys.readouterr().err
+    assert run(*_caption_args(ws, tmp_path / "c.tsv", "--post-word-alpha")) == 2
+    assert "needs a skeleton decoder with attention" in capsys.readouterr().err
+    assert run(*_caption_args(ws, tmp_path / "c.tsv")) == 0
 
 # -- eval ---------------------------------------------------------------------
 

@@ -287,29 +287,36 @@ def test_caption_render(pipeline):
 
 @pytest.mark.parametrize("tap", ["current", "previous", "final"])
 def test_caption_hidden_tap_matches_training(pipeline, tap):
-    # the skeleton hidden state caption hands the attribute decoder is the one
-    # build_training_items picks for the same skeleton under the same tap
+    # caption hands the attribute decoder exactly the conditioning (context z,
+    # skeletal word embedding, skeleton hidden state) that build_training_items
+    # builds for the same skeleton, under the same tap, refined or not
     from types import SimpleNamespace
 
     from skelcap.attrnet import AttributeGenerator, build_training_items
     recs, skel, base = pipeline
-    attr = AttributeGenerator(base.vocab, **{**base.get_params(), "hidden_tap": tap})
-    seen = []
-    real_init_input = attr.init_input
+    for refine in (False, True):
+        attr = AttributeGenerator(base.vocab, **{**base.get_params(), "hidden_tap": tap,
+                                                 "use_post_word_alpha": refine})
+        seen = []
+        real_init_input = attr.init_input
 
-    def spy(z, s, h):
-        seen.append(np.array(h))
-        return real_init_input(z, s, h)
+        def spy(z, s, h):
+            seen.append(tuple(np.array(v) for v in (z, s, h)))
+            return real_init_input(z, s, h)
 
-    attr.init_input = spy
-    # a length bonus so the untrained decoder emits several skeleton words
-    trace = caption(recs[0].features, skel, attr, max_skel_len=6, gamma_skel=3.0)
-    assert len(trace.skeleton_words) >= 2
-    gold = SimpleNamespace(
-        features=recs[0].features,
-        decomposition=SimpleNamespace(skeleton=[
-            SimpleNamespace(surface=w, attributes=()) for w in trace.skeleton_words]))
-    items = build_training_items([gold], skel, base.vocab, hidden_tap=tap)
-    assert len(seen) == len(items)
-    for h, item in zip(seen, items):
-        assert np.array_equal(h, item.skel_hidden)
+        attr.init_input = spy
+        # a length bonus so the untrained decoder emits several skeleton words
+        trace = caption(recs[0].features, skel, attr, max_skel_len=6, gamma_skel=3.0)
+        assert len(trace.skeleton_words) >= 2
+        gold = SimpleNamespace(
+            features=recs[0].features,
+            decomposition=SimpleNamespace(skeleton=[
+                SimpleNamespace(surface=w, attributes=()) for w in trace.skeleton_words]))
+        items = build_training_items([gold], skel, base.vocab, hidden_tap=tap,
+                                     use_post_word_alpha=refine)
+        assert len(seen) == len(items)
+        for (z, s, h), item in zip(seen, items):
+            assert np.array_equal(z, item.z), ("z", refine)
+            assert np.array_equal(s, item.skel_embed), ("embedding", refine)
+            assert np.array_equal(h, item.skel_hidden), ("hidden", refine)
+

@@ -33,13 +33,17 @@ def test_matmul_identity():
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        nm.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+    # tape operands are batched: a vector is a batch of one, shape (1, n)
+    for a, b in (((2, 3), (4, 2)), ((3,), (3, 2)), ((2, 3), (3,))):
+        with pytest.raises(ShapeError):
+            nm.matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
 
 def test_cross_entropy_uniform():
-    loss = nm.cross_entropy(t64([0.0, 0.0]), 0)
+    loss = nm.cross_entropy(t64([[0.0, 0.0]]), [0])
     assert math.isclose(loss.item(), math.log(2), rel_tol=1e-6)
+    with pytest.raises(ShapeError):
+        nm.cross_entropy(t64([0.0, 0.0]), 0)
 
 
 def test_backward_sum_gives_ones():
@@ -110,9 +114,9 @@ def test_no_grad_blocks_tape():
 
 
 def test_nonfinite_loss_detected():
-    logits = t64([1e30, -1e30])
+    logits = t64([[1e30, -1e30]])
     # cross entropy handles extreme logits via log-softmax, stays finite
-    loss = nm.cross_entropy(logits, 1)
+    loss = nm.cross_entropy(logits, [1])
     assert np.isfinite(loss.item())
     with pytest.raises(NonFiniteError):
         Tensor([np.nan]).check_finite()

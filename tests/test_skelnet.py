@@ -79,7 +79,7 @@ def test_refine_zero_similarity_fallback():
 def test_attend_normalized(model, tiny_data):
     _, recs = tiny_data
     state = model.init_state(recs[0].features)
-    alpha = model.attend(recs[0].features, state)
+    _, _, alpha = model.step(state, BOS, recs[0].features)
     assert alpha.shape == (3, 3)
     assert alpha.sum() == pytest.approx(1.0, abs=1e-5)
     assert np.all(alpha >= 0)
@@ -91,7 +91,7 @@ def test_attend_uniform_when_scores_equal(model, tiny_data):
     model.store["att_w"].data[...] = 0.0
     try:
         state = model.init_state(recs[0].features)
-        alpha = model.attend(recs[0].features, state)
+        _, _, alpha = model.step(state, BOS, recs[0].features)
         assert np.allclose(alpha, 1.0 / 9.0, atol=1e-6)
     finally:
         model.store["att_w"].data[...] = saved
@@ -104,7 +104,7 @@ def test_no_attention_uniform_context():
     rng = np.random.default_rng(2)
     g = _grid(rng, 2, 4)
     state = m.init_state(g)
-    alpha = m.attend(g, state)
+    _, _, alpha = m.step(state, BOS, g)
     assert np.allclose(alpha, 0.25)
     z = m.context(g, alpha)
     assert np.allclose(z, g.flat().mean(axis=0), atol=1e-6)
@@ -117,7 +117,7 @@ def test_single_cell_grid():
     rng = np.random.default_rng(3)
     g = _grid(rng, 1, 4)
     state = m.init_state(g)
-    alpha = m.attend(g, state)
+    _, _, alpha = m.step(state, BOS, g)
     assert np.allclose(alpha, [[1.0]])
     assert np.allclose(m.context(g, alpha), g.values[0, 0], atol=1e-6)
 
