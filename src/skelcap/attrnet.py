@@ -91,47 +91,55 @@ class AttributeGenerator(RecurrentDecoder):
 
     def init_input(self, z: np.ndarray, s_skel: np.ndarray,
                    h_skel: np.ndarray) -> np.ndarray:
-        """Fused step -1 input x_{-1} for one skeletal word."""
-        for name, vec, dim in (("z", z, self.feature_dim),
-                               ("s_skel", s_skel, self.skel_embed_size),
-                               ("h_skel", h_skel, self.skel_hidden_size)):
-            if np.asarray(vec).shape != (dim,):
-                raise AttrConfigError(
-                    f"{name} has shape {np.asarray(vec).shape}, expected ({dim},)")
+        """Fused step -1 input x_{-1}: (m,) for one skeletal word given as
+        vectors, or (W, m) for W words given as rows, in one call."""
+        vecs = [np.asarray(v, dtype=self.dtype) for v in (z, s_skel, h_skel)]
+        lead = vecs[0].shape[:1] if vecs[0].ndim == 2 else ()
+        for name, vec, dim in zip(("z", "s_skel", "h_skel"), vecs,
+                                  (self.feature_dim, self.skel_embed_size,
+                                   self.skel_hidden_size)):
+            if vec.shape != lead + (dim,):
+                raise AttrConfigError(f"{name} has shape {vec.shape}, expected {lead + (dim,)}")
         with nm.no_grad():
-            out = self._init_input_t(*(Tensor(np.asarray(v, dtype=self.dtype)[None])
-                                       for v in (z, s_skel, h_skel)))
-        return out.data[0]
+            out = self._init_input_t(*(Tensor(v.reshape(-1, v.shape[-1])) for v in vecs))
+        return out.data.reshape(lead + (-1,))
 
     def make_step_fn(self):
-        """Beam-search step function: (AttrState, token) -> (AttrState, log-probabilities)."""
+        """Batched beam-search step function: (K states, K tokens) -> (K new
+        states, log-probabilities (K, V)), one ``_word_step_t`` call for all K."""
 
-        def step_fn(state: AttrState, token: int):
+        def step_fn(states, tokens):
             with nm.no_grad():
-                h, c, logits = self._word_step_t(Tensor(state.h[None]), Tensor(state.c[None]),
-                                                 np.asarray([token]))
+                h, c, logits = self._word_step_t(Tensor(np.stack([s.h for s in states])),
+                                                 Tensor(np.stack([s.c for s in states])),
+                                                 np.asarray(tokens))
                 logp = nm.log_softmax(logits, axis=-1)
-            return AttrState(h=h.data[0], c=c.data[0], t=state.t + 1), logp.data[0]
+            return [AttrState(h=h.data[k], c=c.data[k], t=s.t + 1)
+                    for k, s in enumerate(states)], logp.data
 
         return step_fn
 
-    def initial_state(self, x_init: np.ndarray) -> AttrState:
-        """State after the LSTM consumed the fused step -1 input from zeros."""
+    def initial_state(self, x_init: np.ndarray) -> List[AttrState]:
+        """States after the LSTM consumed the fused step -1 inputs ``x_init``
+        ((W, m), or one (m,) input) from zeros, one per word."""
+        x = np.atleast_2d(np.asarray(x_init, dtype=self.dtype))
         with nm.no_grad():
-            h, c = self._start_t(Tensor(x_init[None].astype(self.dtype)))
-        return AttrState(h=h.data[0], c=c.data[0], t=0)
+            h, c = self._start_t(Tensor(x))
+        return [AttrState(h=h.data[k], c=c.data[k], t=0) for k in range(len(x))]
 
     def generate_attributes(self, x_init: np.ndarray, max_len: int = 4,
-                            beam_size: int = 1, gamma: float = 0.0) -> List[str]:
-        """Decode the attribute phrase for one skeletal word (may be empty)."""
-        from .decode import BeamConfig, beam_search
+                            beam_size: int = 1, gamma: float = 0.0) -> List[List[str]]:
+        """Decode the attribute phrase (possibly empty) of every skeletal word
+        of one caption, from their fused inputs ``x_init`` (W, m), in one
+        joint beam search; returns W phrases."""
+        from .decode import BeamConfig, joint_beam_search
+        states = self.initial_state(x_init)
         if max_len <= 0:
-            return []
+            return [[] for _ in states]
         config = BeamConfig(beam_size=beam_size, gamma=gamma, max_len=max_len)
-        hyps = beam_search(self.make_step_fn(), self.initial_state(x_init),
-                           config, bos=BOS, eos=EOS, vocab_size=len(self.vocab))
-        best = hyps[0]
-        return [self.vocab.decode(i) for i in best.tokens]
+        searches = joint_beam_search(self.make_step_fn(), states, config,
+                                     bos=BOS, eos=EOS, vocab_size=len(self.vocab))
+        return [[self.vocab.decode(i) for i in hyps[0].tokens] for hyps in searches]
 
     # -- training ------------------------------------------------------------
 
@@ -175,13 +183,14 @@ def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
 
     ``trace`` is a ``teacher_trace`` record: per skeleton step the pre-word
     map ``alpha``, its context ``z``, the hidden state ``h`` after the step,
-    the state ``h_prev``/``c_prev`` entering it and the word in ``words`` it
-    emitted. Returns per word (refined map (L, L) or None, z (D,), word
-    embedding, skeleton hidden state). Without refinement z is the step's own
-    context; with it, the step's map is refined post-word from the skeleton
-    decoder's own ``per_location_distributions`` and ``step`` at the state
-    entering the step. The "current" tap is the state after word T,
-    "previous" the state entering it, "final" the state after the last word.
+    the state ``h_prev``/``c_prev`` entering it, its word ``logits`` and the
+    word in ``words`` it emitted. Returns per word (refined map (L, L) or
+    None, z (D,), word embedding, skeleton hidden state). Without refinement
+    z is the step's own context; with it, the step's map is refined post-word
+    from the step's own word distribution and the skeleton decoder's
+    ``per_location_distributions`` at the state entering the step, one call
+    for all words. The "current" tap is the state after word T, "previous"
+    the state entering it, "final" the state after the last word.
     """
     if hidden_tap not in HIDDEN_TAPS:
         raise AttrConfigError(f"hidden_tap must be one of {HIDDEN_TAPS}")
@@ -190,21 +199,21 @@ def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
             "post-word refinement needs a skeleton decoder with attention; "
             "this one has use_attention=False")
     words = [int(w) for w in trace["words"]]
-    out = []
-    for T, word in enumerate(words):
-        post, z = None, trace["z"][T]
-        if use_post_word_alpha:
-            state = SkelState(h=trace["h_prev"][T], c=trace["c_prev"][T], t=T)
-            prev = words[T - 1] if T else BOS
-            p_grid = skel_model.per_location_distributions(state, prev, features)
-            _, p_attend, _ = skel_model.step(state, prev, features)
-            post = refine_attention(p_attend, p_grid, fallback=trace["alpha"][T])
-            z = skel_model.context(features, post)
-        hidden = {"current": trace["h"][T], "previous": trace["h_prev"][T],
-                  "final": trace["h"][-1]}[hidden_tap]
-        out.append((post, np.array(z, dtype=np.float32),
-                    skel_model.embedding_of(word).copy(), np.array(hidden)))
-    return out
+    if not words:
+        return []
+    z, posts = np.asarray(trace["z"], dtype=np.float32), [None] * len(words)
+    if use_post_word_alpha:
+        entering = SkelState(h=np.asarray(trace["h_prev"]), c=np.asarray(trace["c_prev"]))
+        p_grid = skel_model.per_location_distributions(entering, [BOS] + words[:-1], features)
+        with nm.no_grad():
+            p_attend = nm.softmax(Tensor(np.asarray(trace["logits"])), axis=-1).data
+        posts = [refine_attention(p, grid, fallback=alpha)
+                 for p, grid, alpha in zip(p_attend, p_grid, trace["alpha"])]
+        z = skel_model.context(features, np.stack(posts)).astype(np.float32)
+    hidden = {"current": trace["h"], "previous": trace["h_prev"],
+              "final": [trace["h"][-1]] * len(words)}[hidden_tap]
+    return list(zip(posts, z, skel_model.embedding_of(np.asarray(words)),
+                    np.asarray(hidden)))
 
 
 def build_training_items(records, skel_model, attr_vocab,

@@ -11,6 +11,7 @@ configuration there as ``config.json``. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -288,9 +289,11 @@ def cmd_caption(args, file_config):
     attr_model = AttributeGenerator.load(cfg["attr-checkpoint"], attr_vocab)
     wanted = None if args.ids in (None, "all") else set(_csv(args.ids))
     out_path = Path(cfg["out"])
-    trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     n = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(_replaced_on_success(out_path))
+        trace_fh = files.enter_context(_replaced_on_success(Path(args.trace))) \
+            if args.trace else None
         for rec in records:
             if wanted is not None and rec.image_id not in wanted:
                 continue
@@ -304,10 +307,22 @@ def cmd_caption(args, file_config):
             if trace_fh:
                 trace_fh.write(f"image: {rec.image_id}\n{trace.render()}\n\n")
             n += 1
-    if trace_fh:
-        trace_fh.close()
     print(f"captioned {n} images -> {out_path}")
     return 0
+
+
+@contextlib.contextmanager
+def _replaced_on_success(path: Path):
+    """A text file to write ``path`` through: written beside it under a
+    temporary name, it replaces ``path`` only if the block completes, so a
+    failed run leaves an existing file as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # -- eval --------------------------------------------------------------------

@@ -85,6 +85,8 @@ class Vocabulary:
         threshold = 1
         for lineno, line in treebank.read_lines(path, CorpusError):
             line = line.rstrip("\n")
+            if not line:
+                raise CorpusError(f"{path}:{lineno}: blank line")
             if line.startswith("#"):
                 if "threshold=" in line:
                     threshold = _integer(line.split("threshold=")[1], path, lineno, "threshold")

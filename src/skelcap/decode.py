@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,70 +65,100 @@ def _sort_key(h: Hypothesis):
     return (-h.adjusted_logp, h.length, h.tokens)
 
 
+class LiveStates(list):
+    """The states of the live hypotheses entering one beam step, in hypothesis
+    order; ``t`` is the beam step, 0 for the initial states."""
+
+    def __init__(self, states, t: int):
+        super().__init__(states)
+        self.t = t
+
+
+def joint_beam_search(step_fn: Callable, init_states: Sequence, config: BeamConfig,
+                      bos: int = BOS, eos: int = EOS, vocab_size: Optional[int] = None,
+                      record_states: bool = False) -> List[List[Hypothesis]]:
+    """Length-factor beam search, for independent searches stepped together.
+
+    Search i starts from ``init_states[i]``. Each beam step advances the live
+    hypotheses of every unfinished search with one call
+    ``step_fn(states, tokens) -> (new_states, log_probs)``: ``states`` is a
+    ``LiveStates`` list of their K states, ``tokens`` a (K,) array of their
+    last tokens (BOS for an empty hypothesis), ``new_states`` K new states and
+    ``log_probs`` a (K, V) array. Expansion adds gamma to every candidate
+    word's log-probability except EOS. Per search, hypotheses reaching EOS
+    (their raw score includes the EOS term) or ``max_len`` move to its
+    finished pool, capped at ``beam_size``, and the search stops once it has
+    no live hypothesis or its best one cannot catch up with a full pool.
+    Returns per search its finished hypotheses sorted by adjusted score; ties
+    break toward shorter, then lexicographically smaller token sequences.
+    """
+    gamma, width = config.gamma, config.beam_size
+    live = [[Hypothesis(tokens=(), raw_logp=0.0, adjusted_logp=0.0, state=s)]
+            for s in init_states]
+    finished: List[List[Hypothesis]] = [[] for _ in init_states]
+    active = list(range(len(init_states)))
+    for step in range(config.max_len):
+        if not active:
+            break
+        parents = [hyp for i in active for hyp in live[i]]
+        new_states, logps = step_fn(
+            LiveStates([hyp.state for hyp in parents], step),
+            np.asarray([hyp.tokens[-1] if hyp.tokens else bos for hyp in parents], dtype=np.int64))
+        logps = np.asarray(logps, dtype=np.float64)
+        if logps.ndim != 2 or logps.shape[0] != len(parents) or \
+                (vocab_size is not None and logps.shape[1] != vocab_size):
+            raise BeamError(f"step_fn returned log-probs of shape {logps.shape}, expected "
+                            f"({len(parents)}, {vocab_size if vocab_size is not None else 'V'})")
+        n_keep = min(width + 1, logps.shape[1])
+        tops = np.sort(np.argpartition(-logps, n_keep - 1, axis=1)[:, :n_keep], axis=1)
+        rows = iter(zip(parents, new_states, logps, tops.tolist()))
+        still_active = []
+        for i in active:
+            candidates: List[Hypothesis] = []
+            for _ in live[i]:
+                hyp, new_state, row, top = next(rows)
+                states = hyp.states + (new_state,) if record_states else ()
+                for tok in top:
+                    raw = hyp.raw_logp + float(row[tok])
+                    if tok == eos:
+                        candidates.append(Hypothesis(
+                            tokens=hyp.tokens, raw_logp=raw,
+                            adjusted_logp=score_adjust(raw, hyp.length, gamma),
+                            state=new_state, finished=True, states=states))
+                    else:
+                        tokens = hyp.tokens + (tok,)
+                        candidates.append(Hypothesis(
+                            tokens=tokens, raw_logp=raw,
+                            adjusted_logp=score_adjust(raw, len(tokens), gamma),
+                            state=new_state, states=states))
+            candidates.sort(key=_sort_key)
+            live[i] = [cand for cand in candidates if not cand.finished][:width]
+            pool = finished[i]
+            pool.extend(cand for cand in candidates if cand.finished)
+            pool.sort(key=_sort_key)
+            del pool[width:]
+            if not live[i]:
+                continue
+            # the best live hypothesis cannot catch up with the finished pool
+            remaining = config.max_len - (step + 1)
+            if len(pool) == width and \
+                    live[i][0].adjusted_logp + max(gamma, 0.0) * remaining < pool[-1].adjusted_logp:
+                continue
+            still_active.append(i)
+        active = still_active
+    for i in active:  # searches that ran to max_len
+        finished[i].extend(replace(hyp, finished=True) for hyp in live[i])
+        finished[i].sort(key=_sort_key)
+        del finished[i][width:]
+    return finished
+
+
 def beam_search(step_fn: Callable, init_state, config: BeamConfig,
                 bos: int = BOS, eos: int = EOS, vocab_size: Optional[int] = None,
                 record_states: bool = False) -> List[Hypothesis]:
-    """Length-factor beam search.
-
-    ``step_fn(state, token) -> (new_state, log_probs)`` advances the decoder.
-    Expansion adds gamma to every candidate word's log-probability except EOS.
-    Hypotheses reaching EOS (their raw score includes the EOS term) or
-    ``max_len`` move to the finished pool, which is capped at ``beam_size``.
-    Returns finished hypotheses sorted by adjusted score; ties break toward
-    shorter, then lexicographically smaller token sequences.
-    """
-    gamma = config.gamma
-    live = [Hypothesis(tokens=(), raw_logp=0.0, adjusted_logp=0.0, state=init_state)]
-    finished: List[Hypothesis] = []
-
-    for step in range(config.max_len):
-        candidates: List[Hypothesis] = []
-        for hyp in live:
-            prev = hyp.tokens[-1] if hyp.tokens else bos
-            new_state, logps = step_fn(hyp.state, prev)
-            logps = np.asarray(logps, dtype=np.float64)
-            if vocab_size is not None and logps.shape[0] != vocab_size:
-                raise BeamError(
-                    f"step_fn returned {logps.shape[0]} log-probs, expected {vocab_size}")
-            n_keep = min(config.beam_size + 1, logps.shape[0])
-            top = np.argpartition(-logps, n_keep - 1)[:n_keep]
-            states = hyp.states + (new_state,) if record_states else ()
-            for tok in sorted(top.tolist()):
-                lp = float(logps[tok])
-                raw = hyp.raw_logp + lp
-                if tok == eos:
-                    candidates.append(Hypothesis(
-                        tokens=hyp.tokens, raw_logp=raw,
-                        adjusted_logp=score_adjust(raw, hyp.length, gamma),
-                        state=new_state, finished=True, states=states))
-                else:
-                    tokens = hyp.tokens + (tok,)
-                    candidates.append(Hypothesis(
-                        tokens=tokens, raw_logp=raw,
-                        adjusted_logp=score_adjust(raw, len(tokens), gamma),
-                        state=new_state, states=states))
-        candidates.sort(key=_sort_key)
-        live = []
-        for cand in candidates:
-            if cand.finished:
-                finished.append(cand)
-            elif len(live) < config.beam_size:
-                live.append(cand)
-        finished.sort(key=_sort_key)
-        del finished[config.beam_size:]
-        if not live:
-            break
-        # the best live hypothesis cannot catch up with the finished pool
-        if len(finished) == config.beam_size:
-            remaining = config.max_len - (step + 1)
-            bound = live[0].adjusted_logp + max(gamma, 0.0) * remaining
-            if bound < finished[-1].adjusted_logp:
-                break
-    else:
-        finished.extend(replace(hyp, finished=True) for hyp in live)
-        finished.sort(key=_sort_key)
-        del finished[config.beam_size:]
-    return finished
+    """``joint_beam_search`` of the single search that starts from ``init_state``."""
+    return joint_beam_search(step_fn, [init_state], config, bos, eos, vocab_size,
+                             record_states)[0]
 
 
 @dataclass
@@ -169,8 +199,9 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     Beam-searches the skeleton decoder, then for every predicted skeleton
     token takes the attribute decoder's conditioning from that step's
     recorded states, through the ``word_conditioning`` training uses, and
-    beam-searches the attribute phrase. The fused caption interleaves
-    attributes before their skeletal words.
+    decodes the attribute phrases of all skeleton tokens in one joint beam
+    search. The fused caption interleaves attributes before their skeletal
+    words.
     """
     if use_post_word_alpha is None:
         use_post_word_alpha = attr_model.use_post_word_alpha
@@ -187,7 +218,8 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     entering = ((init,) + best.states)[:len(best.tokens)]
     trace = {"alpha": [s.alpha for s in stepped], "z": [s.z for s in stepped],
              "h": [s.h for s in stepped], "h_prev": [s.h for s in entering],
-             "c_prev": [s.c for s in entering], "words": best.tokens}
+             "c_prev": [s.c for s in entering], "logits": [s.logits for s in stepped],
+             "words": best.tokens}
     conditioning = word_conditioning(skel_model, trace, features, attr_model.hidden_tap,
                                      use_post_word_alpha)
     if not best.tokens:
@@ -195,13 +227,12 @@ def caption(features: FeatureGrid, skel_model, attr_model,
         return CaptionTrace([], [], [], [], [], empty=True)
 
     L = skel_model.grid_size
-    attributes = []
-    for post, z, embed, hidden in conditioning:
-        x_init = attr_model.init_input(z, embed, hidden)
-        attributes.append(attr_model.generate_attributes(
-            x_init, max_len=max_attr_len, beam_size=beam_attr, gamma=gamma_attr))
+    post_alphas, *inputs = zip(*conditioning)
+    x_init = attr_model.init_input(*(np.stack(rows) for rows in inputs))
+    attributes = attr_model.generate_attributes(x_init, max_len=max_attr_len,
+                                                beam_size=beam_attr, gamma=gamma_attr)
     skeleton_words = [skel_model.vocab.decode(i) for i in best.tokens]
     return CaptionTrace(skeleton_words=skeleton_words, attributes=attributes,
                         alphas=[s.alpha.reshape(L, L).copy() for s in stepped],
-                        post_alphas=[post for post, *_ in conditioning],
+                        post_alphas=list(post_alphas),
                         tokens=fuse_predicted(skeleton_words, attributes))

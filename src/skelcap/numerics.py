@@ -140,6 +140,19 @@ def scale(a, s):
     return _result(a.data * s, (a,), bw)
 
 
+def _row_stable_matmul(a, b):
+    """``np.matmul`` whose rows do not depend on how many rows ``a`` holds.
+
+    BLAS multiplies a lone row with a matrix-vector kernel that sums in a
+    different order than the matrix-matrix kernel used for two or more rows,
+    so a lone 2-d row is doubled and multiplied as a pair. A decode step then
+    gives each hypothesis the same bits whatever else shares its batch.
+    """
+    if a.ndim == 2 and a.shape[0] == 1:
+        return np.matmul(np.concatenate([a, a]), b)[:1]
+    return np.matmul(a, b)
+
+
 def matmul(a, b):
     """Batched matrix product; both operands are at least 2-d."""
     a, b = as_tensor(a), as_tensor(b)
@@ -156,7 +169,7 @@ def matmul(a, b):
         a._accumulate(_unbroadcast(ga, ad.shape))
         b._accumulate(_unbroadcast(gb, bd.shape))
 
-    return _result(np.matmul(a.data, b.data), (a, b), bw)
+    return _result(_row_stable_matmul(a.data, b.data), (a, b), bw)
 
 
 def tanh(a):

@@ -27,19 +27,20 @@ class ConfigError(ValueError):
     pass
 
 
-_TRACE_KEYS = ("alpha", "z", "h", "h_prev", "c_prev")
+_TRACE_KEYS = ("alpha", "z", "h", "h_prev", "c_prev", "logits")
 
 
 @dataclass
 class SkelState:
     """Recurrent state: hidden and cell vectors plus the time step; a decode
-    step also keeps its attention trace for reuse."""
+    step also keeps its attention trace and word logits for reuse."""
 
     h: np.ndarray
     c: np.ndarray
     t: int = 0
-    alpha: Optional[np.ndarray] = None  # flat (L*L,), map used at this step
-    z: Optional[np.ndarray] = None      # context vector used at this step
+    alpha: Optional[np.ndarray] = None   # flat (L*L,), map used at this step
+    z: Optional[np.ndarray] = None       # context vector used at this step
+    logits: Optional[np.ndarray] = None  # (Q,), word logits of this step
 
 
 def refine_attention(p_attend: np.ndarray, p_grid: np.ndarray,
@@ -111,11 +112,15 @@ class SkeletonGenerator(RecurrentDecoder):
         c = nm.tanh(nm.add(nm.matmul(mean_v, self.store["init_Wc"]), self.store["init_bc"]))
         return h, c
 
-    def _attend_t(self, feats, h):
+    def _project_t(self, feats):
+        """The time-invariant half of the attention MLP, feats @ U (None
+        without attention); decoding computes it once per batch or image."""
+        return nm.matmul(feats, self.store["att_U"]) if self.use_attention else None
+
+    def _attend_t(self, feats, u, h):
         if not self.use_attention:
             B, P = feats.data.shape[0], feats.data.shape[1]
             return Tensor(np.full((B, P), 1.0 / P, dtype=feats.data.dtype))
-        u = nm.matmul(feats, self.store["att_U"])
         vh = nm.reshape(nm.matmul(h, self.store["att_V"]), (h.data.shape[0], 1, -1))
         scores = nm.matmul(nm.tanh(nm.add(nm.add(u, vh), self.store["att_b"])),
                            self.store["att_w"])
@@ -135,8 +140,8 @@ class SkeletonGenerator(RecurrentDecoder):
         h_new, c_new = self._lstm_t(x, h, c)
         return h_new, c_new, self._logits_t(h_new)
 
-    def _step_t(self, feats, h, c, prev_idx):
-        alpha = self._attend_t(feats, h)
+    def _step_t(self, feats, u, h, c, prev_idx):
+        alpha = self._attend_t(feats, u, h)
         z = self._context_t(feats, alpha)
         return (*self._cell_t(prev_idx, z, h, c), alpha, z)
 
@@ -149,8 +154,14 @@ class SkeletonGenerator(RecurrentDecoder):
         """
         feats = Tensor(np.ascontiguousarray(feats_np, dtype=self.dtype))
         h, c = self._init_state_t(feats)
-        return self._teacher_forced_t(np.asarray(seqs), h, c,
-                                      lambda h, c, prev: self._step_t(feats, h, c, prev)[:3])
+
+        def step(h, c, prev):
+            # projected at every step, not once per batch: one shared
+            # projection sums the gradient of att_U in another order, and
+            # the seeded training amplifies those low bits into its losses
+            return self._step_t(feats, self._project_t(feats), h, c, prev)[:3]
+
+        return self._teacher_forced_t(np.asarray(seqs), h, c, step)
 
     # -- single-sample inference API ---------------------------------------
 
@@ -168,62 +179,95 @@ class SkeletonGenerator(RecurrentDecoder):
         return SkelState(h=h.data[0], c=c.data[0], t=0)
 
     def context(self, features: FeatureGrid, alpha: np.ndarray) -> np.ndarray:
-        """Context vector z = sum_ij alpha_ij v_ij, shape (D,)."""
-        flat = self._flat(features)
-        a = np.asarray(alpha).reshape(1, -1)
-        if a.shape[1] != flat.shape[1]:
-            raise ConfigError(f"attention map has {a.shape[1]} cells, grid has {flat.shape[1]}")
-        with nm.no_grad():
-            return self._context_t(Tensor(flat), Tensor(a)).data[0]
+        """Context vectors z = sum_ij alpha_ij v_ij.
 
-    def _advance(self, feats: Tensor, state: SkelState, word: int, normalize):
-        """One no-grad decode step; returns (new state, ``normalize``d logits (Q,))."""
+        ``alpha`` is one map, as (L, L) or flattened (P,), or maps stacked
+        along leading axes, (..., L, L) or (..., P); returns (..., D), all
+        maps in one call.
+        """
+        flat = self._flat(features)
+        L, P = self.grid_size, flat.shape[1]
+        a = np.asarray(alpha)
+        if a.shape[-2:] == (L, L):
+            lead = a.shape[:-2]
+        elif a.shape[-1:] == (P,):
+            lead = a.shape[:-1]
+        else:
+            raise ConfigError(f"attention map of shape {a.shape} does not fit a {L}x{L} grid")
+        maps = a.reshape(-1, P)
+        with nm.no_grad():
+            z = self._context_t(Tensor(np.broadcast_to(flat, (len(maps),) + flat.shape[1:])),
+                                Tensor(maps))
+        return z.data.reshape(*lead, -1)
+
+    def _image(self, features: FeatureGrid):
+        """The image as (1, P, D) features and their attention projection."""
+        flat = self._flat(features)
+        with nm.no_grad():
+            return flat, self._project_t(Tensor(flat))
+
+    def _advance(self, image, states, words, normalize):
+        """One no-grad step of the K hypotheses ``states`` fed ``words``, as
+        one batch; returns (new states, ``normalize``d logits (K, Q))."""
+        flat, u = image
         with nm.no_grad():
             h, c, logits, alpha, z = self._step_t(
-                feats, Tensor(state.h[None]), Tensor(state.c[None]), np.asarray([word]))
+                Tensor(np.broadcast_to(flat, (len(states),) + flat.shape[1:])), u,
+                Tensor(np.stack([s.h for s in states])), Tensor(np.stack([s.c for s in states])),
+                np.asarray(words))
             dist = normalize(logits, axis=-1)
-        return SkelState(h=h.data[0], c=c.data[0], t=state.t + 1, alpha=alpha.data[0],
-                         z=z.data[0]), dist.data[0]
+        return [SkelState(h=h.data[k], c=c.data[k], t=s.t + 1, alpha=alpha.data[k],
+                          z=z.data[k], logits=logits.data[k])
+                for k, s in enumerate(states)], dist.data
 
     def step(self, state: SkelState, prev_word_index: int, features: FeatureGrid):
         """One decode step: returns (new state, word distribution, alpha as (L, L))."""
         Q = len(self.vocab)
         if not 0 <= prev_word_index < Q:
             raise ConfigError(f"word index {prev_word_index} out of range for vocab of {Q}")
-        new_state, probs = self._advance(Tensor(self._flat(features)), state,
-                                         prev_word_index, nm.softmax)
+        (new_state,), probs = self._advance(self._image(features), [state],
+                                            [prev_word_index], nm.softmax)
         L = self.grid_size
-        return new_state, probs, new_state.alpha.reshape(L, L)
+        return new_state, probs[0], new_state.alpha.reshape(L, L)
 
-    def per_location_distributions(self, state: SkelState, prev_word_index: int,
+    def per_location_distributions(self, state: SkelState, prev_word_index,
                                    features: FeatureGrid) -> np.ndarray:
         """Word distribution per location, context replaced by v_ij; (L, L, Q).
 
         The recurrent state is held fixed: the LSTM transition is recomputed
         with the same (h, c) and previous word, only the context differs.
+        ``state`` may also stack T states ((T, n) ``h`` and ``c``) given with
+        T previous words; the result is then (T, L, L, Q), from one LSTM call
+        over all T * P rows.
         """
         if not self.use_attention:
             raise ConfigError("per-location distributions are disabled without attention")
         flat = self._flat(features)[0]  # (P, D): each cell's features as a context
-        P, n = flat.shape[0], self.hidden_size
+        words = np.asarray(prev_word_index)
+        h = np.reshape(state.h, (-1, self.hidden_size))
+        c = np.reshape(state.c, (-1, self.hidden_size))
+        P = flat.shape[0]
         with nm.no_grad():
-            _, _, logits = self._cell_t(np.full(P, prev_word_index), Tensor(flat),
-                                        Tensor(np.broadcast_to(state.h, (P, n))),
-                                        Tensor(np.broadcast_to(state.c, (P, n))))
+            _, _, logits = self._cell_t(np.repeat(words.reshape(-1), P),
+                                        Tensor(np.tile(flat, (h.shape[0], 1))),
+                                        Tensor(np.repeat(h, P, axis=0)),
+                                        Tensor(np.repeat(c, P, axis=0)))
             probs = nm.softmax(logits, axis=-1)
         L = self.grid_size
-        return probs.data.reshape(L, L, -1)
+        return probs.data.reshape(*words.shape, L, L, -1)
 
     # -- beam-search integration -------------------------------------------
 
     initial_decode_state = init_state
 
     def make_step_fn(self, features: FeatureGrid):
-        """(SkelState, token) -> (SkelState, log-probabilities)."""
-        flat = Tensor(self._flat(features))
+        """Batched beam-search step function: (K states, K tokens) -> (K new
+        states, log-probabilities (K, Q)), one ``_step_t`` call for all K.
+        The attention projection feats @ U is computed once, here."""
+        image = self._image(features)
 
-        def step_fn(state: SkelState, token: int):
-            return self._advance(flat, state, token, nm.log_softmax)
+        def step_fn(states, tokens):
+            return self._advance(image, states, tokens, nm.log_softmax)
 
         return step_fn
 
@@ -249,8 +293,9 @@ class SkeletonGenerator(RecurrentDecoder):
         Each trace is a dict with arrays over steps t = 0..S-1 (one per gold
         skeleton word, EOS step excluded): ``alpha`` (S, P), ``z`` (S, D),
         ``h`` (S, n) post-step hidden states, ``h_prev``/``c_prev`` (S, n)
-        states entering each step, and ``words`` (S,) gold indices. Used to
-        condition the attribute decoder.
+        states entering each step, ``logits`` (S, Q) the word logits of each
+        step, and ``words`` (S,) gold indices. Used to condition the
+        attribute decoder.
         """
         traces = [None] * len(records)
         encoded = [self._encode_skeleton(r) for r in records]
@@ -260,13 +305,14 @@ class SkeletonGenerator(RecurrentDecoder):
                 seqs = np.asarray([encoded[i] for i in chunk])
                 B, S = seqs.shape
                 ft = Tensor(feats.astype(self.dtype))
+                u = self._project_t(ft)
                 h, c = self._init_state_t(ft)
                 steps = []
                 prev = np.full(B, BOS, dtype=np.int64)
                 for t in range(S - 1):  # exclude the EOS step
                     h_prev, c_prev = h.data, c.data
-                    h, c, _, alpha, z = self._step_t(ft, h, c, prev)
-                    steps.append((alpha.data, z.data, h.data, h_prev, c_prev))
+                    h, c, logits, alpha, z = self._step_t(ft, u, h, c, prev)
+                    steps.append((alpha.data, z.data, h.data, h_prev, c_prev, logits.data))
                     prev = seqs[:, t]
                 stacked = [np.stack(arrs, axis=1) for arrs in zip(*steps)]
                 for b, i in enumerate(chunk):
@@ -274,5 +320,6 @@ class SkeletonGenerator(RecurrentDecoder):
                                      words=seqs[b, :-1])
         return traces
 
-    def embedding_of(self, word_index: int) -> np.ndarray:
+    def embedding_of(self, word_index) -> np.ndarray:
+        """Embedding (m,) of one word index, or a copy (T, m) for T indices."""
         return self.store["embed"].data[word_index]

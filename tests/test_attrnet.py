@@ -106,8 +106,8 @@ def test_empty_gold_is_eos_loss(attr_vocab, skel_model):
     h = rng.normal(size=m.skel_hidden_size)
     loss = m.batch_loss(z[None], s[None], h[None], [[EOS]])
     x_init = m.init_input(z, s, h)
-    state = m.initial_state(x_init)
-    _, logp = m.make_step_fn()(state, BOS)
+    states = m.initial_state(x_init)
+    _, (logp,) = m.make_step_fn()(states, [BOS])
     assert loss.item() == pytest.approx(-logp[EOS], abs=1e-5)
 
 
@@ -120,9 +120,9 @@ def test_teacher_forced_matches_stepwise(attr_vocab, skel_model):
     loss = m.batch_loss(z[None], s[None], h[None], [[3, EOS]])
     x_init = m.init_input(z, s, h)
     step_fn = m.make_step_fn()
-    state = m.initial_state(x_init)
-    state, lp1 = step_fn(state, BOS)
-    _, lp2 = step_fn(state, 3)
+    states = m.initial_state(x_init)
+    states, (lp1,) = step_fn(states, [BOS])
+    _, (lp2,) = step_fn(states, [3])
     assert loss.item() == pytest.approx(-(lp1[3] + lp2[EOS]), abs=1e-5)
 
 
@@ -147,7 +147,7 @@ def test_batch_loss_gradients_match_finite_differences(attr_vocab, skel_model):
 
 def test_generate_zero_max_len(attr_vocab, skel_model):
     m = _make(attr_vocab, skel_model)
-    assert m.generate_attributes(np.zeros(m.embed_size), max_len=0) == []
+    assert m.generate_attributes(np.zeros((2, m.embed_size)), max_len=0) == [[], []]
 
 
 def test_generate_deterministic(attr_vocab, skel_model):
@@ -155,11 +155,35 @@ def test_generate_deterministic(attr_vocab, skel_model):
     rng = np.random.default_rng(6)
     z = rng.normal(size=m.feature_dim)
     x = m.init_input(z, np.zeros(m.skel_embed_size), np.zeros(m.skel_hidden_size))
-    a = m.generate_attributes(x, beam_size=2)
-    b = m.generate_attributes(x, beam_size=2)
+    a = m.generate_attributes(x[None], beam_size=2)
+    b = m.generate_attributes(x[None], beam_size=2)
     assert a == b
-    for w in a:
+    for w in a[0]:
         assert w in m.vocab
+
+
+def test_init_input_rows_match_single_words(attr_vocab, skel_model):
+    m = _make(attr_vocab, skel_model, seed=8)
+    rng = np.random.default_rng(7)
+    rows = [rng.normal(size=(3, dim)).astype(np.float32)
+            for dim in (m.feature_dim, m.skel_embed_size, m.skel_hidden_size)]
+    stacked = m.init_input(*rows)
+    assert stacked.shape == (3, m.embed_size)
+    for i in range(3):
+        assert np.array_equal(stacked[i], m.init_input(*(r[i] for r in rows)))
+    with pytest.raises(AttrConfigError):
+        m.init_input(rows[0], rows[1][:2], rows[2])
+
+
+@pytest.mark.parametrize("beam_size", [1, 2, 3])
+def test_joint_search_matches_per_word_searches(attr_vocab, skel_model, beam_size):
+    # every word's phrase from the joint search is the one its own search finds
+    m = _make(attr_vocab, skel_model, seed=9)
+    rng = np.random.default_rng(8)
+    x = np.tanh(rng.normal(size=(5, m.embed_size)) * 3).astype(np.float32)
+    joint = m.generate_attributes(x, beam_size=beam_size, gamma=0.5)
+    assert joint == [m.generate_attributes(x[i:i + 1], beam_size=beam_size, gamma=0.5)[0]
+                     for i in range(len(x))]
 
 
 # -- training items -----------------------------------------------------------

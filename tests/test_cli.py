@@ -310,7 +310,8 @@ def test_manifest_non_integer(workspace, tmp_path, capsys, edit, line):
     (lambda lines: [lines[0], lines[1].split("\t")[0] + "\tmany", *lines[2:]], 2),
     (lambda lines: [*lines[:3], lines[1], *lines[3:]], 4),
     (lambda lines: [lines[0], "<eos>\t1", *lines[1:]], 2),
-], ids=["threshold", "count", "duplicate", "special"])
+    (lambda lines: [*lines[:2], "", *lines[2:]], 3),
+], ids=["threshold", "count", "duplicate", "special", "blank"])
 def test_vocabulary_malformed(workspace, tmp_path, capsys, edit, line):
     vocab = tmp_path / "skel.vocab"
     lines = (workspace["skel"] / "skel.vocab").read_text().splitlines()
@@ -367,9 +368,17 @@ def test_caption_refinement_needs_attention(workspace, tmp_path, capsys):
                "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1",
                "--post-word-alpha") == 2
     assert "needs a skeleton decoder with attention" in capsys.readouterr().err
-    assert run(*_caption_args(ws, tmp_path / "c.tsv", "--post-word-alpha")) == 2
+    # the failed run leaves earlier outputs as they were, and no temporary file
+    out, trace = tmp_path / "x.tsv", tmp_path / "x.trace"
+    out.write_bytes(b"img\tan earlier caption\n")
+    trace.write_bytes(b"image: img\n")
+    assert run(*_caption_args(ws, out, "--post-word-alpha", "--trace", str(trace))) == 2
     assert "needs a skeleton decoder with attention" in capsys.readouterr().err
+    assert out.read_bytes() == b"img\tan earlier caption\n"
+    assert trace.read_bytes() == b"image: img\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["attr", "skel", "x.trace", "x.tsv"]
     assert run(*_caption_args(ws, tmp_path / "c.tsv")) == 0
+
 
 # -- eval ---------------------------------------------------------------------
 

@@ -1,13 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skelcap.corpus import (BOS, EOS, SynthConfig, build_vocab, synth_generate)
-from skelcap.decode import (BeamConfig, BeamError, beam_search, caption,
-                            score_adjust)
+from skelcap.decode import (BeamConfig, BeamError, Hypothesis, LiveStates, beam_search,
+                            caption, joint_beam_search, score_adjust)
 from skelcap.decompose import fuse_predicted
 
 
 # -- toy language + brute-force oracle ----------------------------------------
+
+def batched(step_fn):
+    """The batched step contract over a per-hypothesis ``step_fn(state, token)``."""
+    return lambda states, tokens: tuple(zip(*map(step_fn, states, tokens)))
+
 
 def make_toy_lm(vocab_size, seed):
     """Deterministic toy language model over prefix states.
@@ -54,6 +62,113 @@ def _full_width(vocab_size, max_len):
     return (vocab_size - 1) ** max_len + max_len * vocab_size
 
 
+def _sort_key(h):
+    return (-h.adjusted_logp, h.length, h.tokens)
+
+
+def reference_beam_search(step_fn, init_state, config, bos=BOS, eos=EOS,
+                          vocab_size=None, record_states=False, exits=None):
+    """The scalar beam search: one ``step_fn(state, token)`` call per live
+    hypothesis. Appends how the search ended to ``exits``: "no_live",
+    "early_stop" or "flush" (ran to ``max_len``)."""
+    gamma = config.gamma
+    live = [Hypothesis(tokens=(), raw_logp=0.0, adjusted_logp=0.0, state=init_state)]
+    finished = []
+
+    for step in range(config.max_len):
+        candidates = []
+        for hyp in live:
+            prev = hyp.tokens[-1] if hyp.tokens else bos
+            new_state, logps = step_fn(hyp.state, prev)
+            logps = np.asarray(logps, dtype=np.float64)
+            if vocab_size is not None and logps.shape[0] != vocab_size:
+                raise BeamError(
+                    f"step_fn returned {logps.shape[0]} log-probs, expected {vocab_size}")
+            n_keep = min(config.beam_size + 1, logps.shape[0])
+            top = np.argpartition(-logps, n_keep - 1)[:n_keep]
+            states = hyp.states + (new_state,) if record_states else ()
+            for tok in sorted(top.tolist()):
+                lp = float(logps[tok])
+                raw = hyp.raw_logp + lp
+                if tok == eos:
+                    candidates.append(Hypothesis(
+                        tokens=hyp.tokens, raw_logp=raw,
+                        adjusted_logp=score_adjust(raw, hyp.length, gamma),
+                        state=new_state, finished=True, states=states))
+                else:
+                    tokens = hyp.tokens + (tok,)
+                    candidates.append(Hypothesis(
+                        tokens=tokens, raw_logp=raw,
+                        adjusted_logp=score_adjust(raw, len(tokens), gamma),
+                        state=new_state, states=states))
+        candidates.sort(key=_sort_key)
+        live = []
+        for cand in candidates:
+            if cand.finished:
+                finished.append(cand)
+            elif len(live) < config.beam_size:
+                live.append(cand)
+        finished.sort(key=_sort_key)
+        del finished[config.beam_size:]
+        if not live:
+            exit_kind = "no_live"
+            break
+        # the best live hypothesis cannot catch up with the finished pool
+        if len(finished) == config.beam_size:
+            remaining = config.max_len - (step + 1)
+            bound = live[0].adjusted_logp + max(gamma, 0.0) * remaining
+            if bound < finished[-1].adjusted_logp:
+                exit_kind = "early_stop"
+                break
+    else:
+        exit_kind = "flush"
+        finished.extend(replace(hyp, finished=True) for hyp in live)
+        finished.sort(key=_sort_key)
+        del finished[config.beam_size:]
+    if exits is not None:
+        exits.append(exit_kind)
+    return finished
+
+
+def _summary(hyps):
+    return [(h.tokens, h.raw_logp, h.adjusted_logp, h.finished, h.state, h.states)
+            for h in hyps]
+
+
+def make_tied_lm(vocab_size, seed, eos_bias):
+    """Toy language over (search id, prefix) states whose log-scores are
+    multiples of 0.5, so exact score ties are common; ``eos_bias`` (a
+    multiple of 0.5) makes a search end sooner or later."""
+
+    def step_fn(state, token):
+        search, prefix = state
+        new = prefix + (int(token),)
+        rng = np.random.default_rng([seed, len(new), *new])
+        logps = -0.5 * rng.integers(0, 4, size=vocab_size).astype(np.float64)
+        logps[EOS] += eos_bias
+        return (search, new), logps
+
+    return step_fn
+
+
+def _joint_vs_reference(lms, vocab_size, config):
+    """Runs the searches of ``lms`` jointly and each alone through the
+    reference; asserts they agree and returns the reference exit kinds."""
+
+    def step(state, token):
+        return lms[state[0]](state, token)
+
+    inits = [(i, ()) for i in range(len(lms))]
+    joint = joint_beam_search(batched(step), inits, config, vocab_size=vocab_size,
+                              record_states=True)
+    exits = []
+    for init, hyps in zip(inits, joint):
+        ref = reference_beam_search(step, init, config, vocab_size=vocab_size,
+                                    record_states=True, exits=exits)
+        assert _summary(hyps) == _summary(ref)
+    return exits
+
+
 # -- score_adjust -------------------------------------------------------------
 
 def test_score_adjust_examples():
@@ -84,7 +199,7 @@ def test_full_width_beam_matches_brute_force(seed, gamma):
     oracle = brute_force(logps_for, V, max_len, gamma)
     config = BeamConfig(beam_size=_full_width(V, max_len), gamma=gamma,
                         max_len=max_len)
-    hyps = beam_search(step_fn, (), config, vocab_size=V)
+    hyps = beam_search(batched(step_fn), (), config, vocab_size=V)
     assert hyps[0].tokens == oracle[0][0]
     assert hyps[0].raw_logp == pytest.approx(oracle[0][1], abs=1e-12)
     assert hyps[0].adjusted_logp == pytest.approx(oracle[0][2], abs=1e-12)
@@ -99,7 +214,7 @@ def test_gamma_sweep_monotone_under_exhaustive_search(seed):
         oracle = brute_force(logps_for, V, max_len, float(gamma))
         config = BeamConfig(beam_size=_full_width(V, max_len),
                             gamma=float(gamma), max_len=max_len)
-        hyps = beam_search(step_fn, (), config, vocab_size=V)
+        hyps = beam_search(batched(step_fn), (), config, vocab_size=V)
         assert hyps[0].tokens == oracle[0][0]
         lengths.append(len(hyps[0].tokens))
     assert lengths == sorted(lengths)
@@ -111,7 +226,7 @@ def test_adjusted_minus_raw_is_exactly_gamma_times_length(gamma):
     V, max_len = 4, 5
     step_fn, _ = make_toy_lm(V, 9)
     config = BeamConfig(beam_size=3, gamma=gamma, max_len=max_len)
-    for hyp in beam_search(step_fn, (), config, vocab_size=V):
+    for hyp in beam_search(batched(step_fn), (), config, vocab_size=V):
         # bit-identical to a single fused adjustment: no per-step drift
         assert hyp.adjusted_logp == score_adjust(hyp.raw_logp, len(hyp.tokens),
                                                  gamma)
@@ -121,7 +236,7 @@ def test_rescoring_invariant():
     V, max_len = 5, 6
     step_fn, logps_for = make_toy_lm(V, 21)
     config = BeamConfig(beam_size=4, gamma=0.4, max_len=max_len)
-    for hyp in beam_search(step_fn, (), config, vocab_size=V):
+    for hyp in beam_search(batched(step_fn), (), config, vocab_size=V):
         raw = 0.0
         prefix = (BOS,)
         for tok in hyp.tokens:
@@ -143,11 +258,11 @@ def test_eos_exempt_from_length_factor():
         with np.errstate(divide="ignore"):
             return new, np.log(dist)
 
-    short = beam_search(step_fn, None, BeamConfig(beam_size=4, gamma=0.0,
-                                                  max_len=3), vocab_size=3)
+    short = beam_search(batched(step_fn), None,
+                        BeamConfig(beam_size=4, gamma=0.0, max_len=3), vocab_size=3)
     assert short[0].tokens == ()
-    long = beam_search(step_fn, None, BeamConfig(beam_size=4, gamma=5.0,
-                                                 max_len=3), vocab_size=3)
+    long = beam_search(batched(step_fn), None,
+                       BeamConfig(beam_size=4, gamma=5.0, max_len=3), vocab_size=3)
     assert len(long[0].tokens) > 0
 
 
@@ -164,8 +279,8 @@ def test_greedy_equivalence_on_peaked_lm():
             logps[EOS] = -0.01
         return t + 1, logps
 
-    hyps = beam_search(step_fn, 0, BeamConfig(beam_size=1, gamma=0.0,
-                                              max_len=6), vocab_size=5)
+    hyps = beam_search(batched(step_fn), 0,
+                       BeamConfig(beam_size=1, gamma=0.0, max_len=6), vocab_size=5)
     assert hyps[0].tokens == tuple(path)
 
 
@@ -177,7 +292,7 @@ def test_tie_breaking_prefers_short_then_lexicographic():
     def step_fn(state, token):
         return None, np.full(V, -1.0)
 
-    hyps = beam_search(step_fn, None,
+    hyps = beam_search(batched(step_fn), None,
                        BeamConfig(beam_size=50, gamma=1.0, max_len=max_len),
                        vocab_size=V)
     # cut hypotheses (length 3, adjusted 0) beat EOS-finished ones (-1);
@@ -191,7 +306,7 @@ def test_tie_breaking_prefers_short_then_lexicographic():
 
 def test_beam_returns_at_most_beam_size():
     step_fn, _ = make_toy_lm(4, 2)
-    hyps = beam_search(step_fn, (), BeamConfig(beam_size=3, max_len=4),
+    hyps = beam_search(batched(step_fn), (), BeamConfig(beam_size=3, max_len=4),
                        vocab_size=4)
     assert 1 <= len(hyps) <= 3
     assert all(h.finished for h in hyps)
@@ -199,7 +314,7 @@ def test_beam_returns_at_most_beam_size():
 
 def test_record_states_tracks_steps():
     step_fn, _ = make_toy_lm(4, 3)
-    hyps = beam_search(step_fn, (), BeamConfig(beam_size=2, max_len=4),
+    hyps = beam_search(batched(step_fn), (), BeamConfig(beam_size=2, max_len=4),
                        vocab_size=4, record_states=True)
     for hyp in hyps:
         # one recorded state per consumed step (EOS step included)
@@ -210,7 +325,58 @@ def test_record_states_tracks_steps():
 def test_vocab_size_mismatch_raises():
     step_fn, _ = make_toy_lm(4, 0)
     with pytest.raises(BeamError):
-        beam_search(step_fn, (), BeamConfig(), vocab_size=7)
+        beam_search(batched(step_fn), (), BeamConfig(), vocab_size=7)
+
+
+# -- joint searches against the scalar reference -----------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_joint_search_matches_reference_per_search(data):
+    V = data.draw(st.integers(2, 5), label="vocab_size")
+    config = BeamConfig(beam_size=data.draw(st.integers(1, 4), label="beam_size"),
+                        gamma=data.draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.5]),
+                                        label="gamma"),
+                        max_len=data.draw(st.integers(1, 5), label="max_len"))
+    specs = data.draw(st.lists(st.tuples(st.integers(0, 2**16),
+                                         st.sampled_from([-1.5, 0.0, 1.0, 3.0])),
+                               min_size=1, max_size=4), label="searches")
+    _joint_vs_reference([make_tied_lm(V, seed, bias) for seed, bias in specs], V, config)
+
+
+def test_joint_search_covers_every_exit():
+    # fixed draws that together stop early and flush at max_len, with
+    # searches that end differently in one joint run
+    seen, lengths = set(), set()
+    for seed in range(12):
+        lms = [make_tied_lm(4, seed * 7 + i, bias) for i, bias in enumerate((-1.5, 0.0, 3.0))]
+        for gamma in (-0.5, 0.5):
+            config = BeamConfig(beam_size=2, gamma=gamma, max_len=4)
+            exits = _joint_vs_reference(lms, 4, config)
+            seen.update(exits)
+            lengths.add(len(set(exits)))
+    assert seen == {"early_stop", "flush"}
+    assert max(lengths) > 1  # one joint run held searches that ended differently
+
+
+def test_joint_search_without_searches():
+    assert joint_beam_search(batched(make_tied_lm(3, 0, 0.0)), [], BeamConfig()) == []
+
+
+def test_live_states_carry_the_beam_step():
+    seen = []
+    step_fn, _ = make_toy_lm(4, 1)
+
+    def spy(states, tokens):
+        assert isinstance(states, LiveStates)
+        seen.append((states.t, len(states), [len(s) for s in states]))
+        return batched(step_fn)(states, tokens)
+
+    beam_search(spy, (), BeamConfig(beam_size=2, max_len=4), vocab_size=4)
+    assert [t for t, _, _ in seen] == list(range(len(seen)))
+    assert seen[0][1] == 1
+    for t, k, prefix_lengths in seen:
+        assert 1 <= k <= 2 and prefix_lengths == [t] * k
 
 
 # -- coarse-to-fine pipeline --------------------------------------------------
@@ -301,7 +467,7 @@ def test_caption_hidden_tap_matches_training(pipeline, tap):
         real_init_input = attr.init_input
 
         def spy(z, s, h):
-            seen.append(tuple(np.array(v) for v in (z, s, h)))
+            seen.extend(zip(*(np.array(v) for v in (z, s, h))))
             return real_init_input(z, s, h)
 
         attr.init_input = spy
@@ -320,3 +486,72 @@ def test_caption_hidden_tap_matches_training(pipeline, tap):
             assert np.array_equal(s, item.skel_embed), ("embedding", refine)
             assert np.array_equal(h, item.skel_hidden), ("hidden", refine)
 
+
+
+def _counting(make_step_fn, calls):
+    """``make_step_fn`` whose step functions log (beam step, live count) per call."""
+
+    def make(*args):
+        step_fn = make_step_fn(*args)
+
+        def counted(states, tokens):
+            calls.append((states.t, len(states)))
+            return step_fn(states, tokens)
+
+        return counted
+
+    return make
+
+
+def _reference_steps(step_fn, init_state, config, vocab_size):
+    """Beam steps the scalar reference takes, one hypothesis per call."""
+    steps = set()
+
+    def one(state, token):
+        steps.add(state.t)
+        (new,), logps = step_fn(LiveStates([state], state.t), [token])
+        return new, logps[0]
+
+    hyps = reference_beam_search(one, init_state, config, vocab_size=vocab_size)
+    return len(steps), hyps
+
+
+def test_caption_one_step_call_per_beam_step(pipeline, monkeypatch):
+    recs, skel, attr = pipeline
+    features = recs[0].features
+    skel_calls, attr_calls, inits = [], [], []
+    real_generate = attr.generate_attributes
+    skel_step_fn, attr_step_fn = skel.make_step_fn, attr.make_step_fn
+
+    def generate(x_init, **kw):
+        inits.append(np.array(x_init))
+        return real_generate(x_init, **kw)
+
+    monkeypatch.setattr(skel, "make_step_fn", _counting(skel.make_step_fn, skel_calls))
+    monkeypatch.setattr(attr, "make_step_fn", _counting(attr.make_step_fn, attr_calls))
+    monkeypatch.setattr(attr, "generate_attributes", generate)
+    # a length bonus so the untrained decoder emits several skeleton words
+    trace = caption(features, skel, attr, max_skel_len=6, gamma_skel=3.0,
+                    beam_skel=3, beam_attr=2, max_attr_len=4)
+    words = len(trace.skeleton_words)
+    assert words >= 2
+
+    # one skeleton call per beam step: the calls serve steps 0, 1, 2, ... once each
+    assert [t for t, _ in skel_calls] == list(range(len(skel_calls)))
+    assert all(k <= 3 for _, k in skel_calls)
+    steps, ref = _reference_steps(skel_step_fn(features), skel.init_state(features),
+                                  BeamConfig(beam_size=3, gamma=3.0, max_len=6),
+                                  len(skel.vocab))
+    assert len(skel_calls) == steps
+    assert [skel.vocab.decode(i) for i in ref[0].tokens] == trace.skeleton_words
+
+    # one attribute call per beam step, shared by every word's search
+    (x_init,) = inits
+    assert [t for t, _ in attr_calls] == list(range(len(attr_calls)))
+    assert attr_calls[0][1] == words
+    alone = [_reference_steps(attr_step_fn(), state,
+                              BeamConfig(beam_size=2, max_len=4), len(attr.vocab))
+             for state in attr.initial_state(x_init)]
+    assert len(attr_calls) == max(n for n, _ in alone)
+    assert [[attr.vocab.decode(i) for i in hyps[0].tokens] for _, hyps in alone] == \
+        trace.attributes

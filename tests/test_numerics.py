@@ -39,6 +39,20 @@ def test_matmul_shape_mismatch():
             nm.matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_row_same_alone_and_in_a_batch(dtype):
+    # a decode step's hypotheses share one batch; each row's bits must not
+    # depend on how many rows it shares it with
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(5, 224)).astype(dtype)
+    b = rng.normal(size=(224, 512)).astype(dtype)
+    batch = nm.matmul(Tensor(a), Tensor(b)).data
+    for k in range(1, 6):
+        assert np.array_equal(nm.matmul(Tensor(a[:k]), Tensor(b)).data, batch[:k])
+    for i in range(5):
+        assert np.array_equal(nm.matmul(Tensor(a[i:i + 1]), Tensor(b)).data[0], batch[i])
+
+
 def test_cross_entropy_uniform():
     loss = nm.cross_entropy(t64([[0.0, 0.0]]), [0])
     assert math.isclose(loss.item(), math.log(2), rel_tol=1e-6)

@@ -1,6 +1,8 @@
 """Property tests: every file reader, given arbitrary bytes, either returns or
 raises its module's own error naming the file."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -74,3 +76,16 @@ def test_valid_file_reads(kind, valid_files, tmp_path):
     path = tmp_path / kind
     path.write_bytes(valid_files[kind])
     READERS[kind][0](path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_vocabulary_blank_line_named(valid_files, tmp_path, data):
+    # a blank line would load as the token "" and shift every later index
+    lines = valid_files["vocabulary"].decode("utf-8").splitlines(keepends=True)
+    at = data.draw(st.integers(0, len(lines)), label="at")
+    blank = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="blank")
+    path = tmp_path / "blank.vocab"
+    path.write_bytes("".join([*lines[:at], blank, *lines[at:]]).encode("utf-8"))
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:{at + 1}: blank line"):
+        Vocabulary.load(path)
