@@ -8,8 +8,9 @@ token count.
 
 from __future__ import annotations
 
+import itertools
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,10 +62,6 @@ def score_adjust(raw_logp: float, length: int, gamma: float) -> float:
     return raw_logp + gamma * length
 
 
-def _sort_key(h: Hypothesis):
-    return (-h.adjusted_logp, h.length, h.tokens)
-
-
 class LiveStates(list):
     """The states of the live hypotheses entering one beam step, in hypothesis
     order; ``t`` is the beam step, 0 for the initial states."""
@@ -95,7 +92,11 @@ def joint_beam_search(step_fn: Callable, init_states: Sequence, config: BeamConf
     gamma, width = config.gamma, config.beam_size
     live = [[Hypothesis(tokens=(), raw_logp=0.0, adjusted_logp=0.0, state=s)]
             for s in init_states]
-    finished: List[List[Hypothesis]] = [[] for _ in init_states]
+    # finished pools hold plain entries (-adjusted, length, tokens, seq, raw,
+    # state, states) until the end; seq numbers entries in the order they
+    # were made, so sorting entries is the stable sort on the ranking key
+    finished: List[list] = [[] for _ in init_states]
+    seq = itertools.count()
     active = list(range(len(init_states)))
     for step in range(config.max_len):
         if not active:
@@ -111,46 +112,53 @@ def joint_beam_search(step_fn: Callable, init_states: Sequence, config: BeamConf
                             f"({len(parents)}, {vocab_size if vocab_size is not None else 'V'})")
         n_keep = min(width + 1, logps.shape[1])
         tops = np.sort(np.argpartition(-logps, n_keep - 1, axis=1)[:, :n_keep], axis=1)
-        rows = iter(zip(parents, new_states, logps, tops.tolist()))
+        rows = iter(zip(parents, new_states, tops.tolist(),
+                        np.take_along_axis(logps, tops, axis=1).tolist()))
         still_active = []
         for i in active:
-            candidates: List[Hypothesis] = []
+            # candidates (-adjusted, length, tokens, seq, raw, parent, state);
+            # EOS candidates keep their parent's tokens
+            candidates = []
             for _ in live[i]:
-                hyp, new_state, row, top = next(rows)
+                hyp, new_state, top, kept = next(rows)
+                for tok, logp in zip(top, kept):
+                    raw = hyp.raw_logp + logp
+                    tokens = hyp.tokens if tok == eos else hyp.tokens + (tok,)
+                    candidates.append((-score_adjust(raw, len(tokens), gamma), len(tokens),
+                                       tokens, next(seq), raw, hyp, new_state))
+            candidates.sort()
+            pool, kept_live = finished[i], []
+            for neg_adj, length, tokens, order, raw, hyp, new_state in candidates:
+                is_eos = length == hyp.length
+                if not is_eos and len(kept_live) == width:
+                    continue
                 states = hyp.states + (new_state,) if record_states else ()
-                for tok in top:
-                    raw = hyp.raw_logp + float(row[tok])
-                    if tok == eos:
-                        candidates.append(Hypothesis(
-                            tokens=hyp.tokens, raw_logp=raw,
-                            adjusted_logp=score_adjust(raw, hyp.length, gamma),
-                            state=new_state, finished=True, states=states))
-                    else:
-                        tokens = hyp.tokens + (tok,)
-                        candidates.append(Hypothesis(
-                            tokens=tokens, raw_logp=raw,
-                            adjusted_logp=score_adjust(raw, len(tokens), gamma),
-                            state=new_state, states=states))
-            candidates.sort(key=_sort_key)
-            live[i] = [cand for cand in candidates if not cand.finished][:width]
-            pool = finished[i]
-            pool.extend(cand for cand in candidates if cand.finished)
-            pool.sort(key=_sort_key)
+                if is_eos:
+                    pool.append((neg_adj, length, tokens, order, raw, new_state, states))
+                else:
+                    kept_live.append(Hypothesis(tokens=tokens, raw_logp=raw,
+                                                adjusted_logp=-neg_adj, state=new_state,
+                                                states=states))
+            pool.sort()
             del pool[width:]
-            if not live[i]:
+            live[i] = kept_live
+            if not kept_live:
                 continue
             # the best live hypothesis cannot catch up with the finished pool
             remaining = config.max_len - (step + 1)
             if len(pool) == width and \
-                    live[i][0].adjusted_logp + max(gamma, 0.0) * remaining < pool[-1].adjusted_logp:
+                    kept_live[0].adjusted_logp + max(gamma, 0.0) * remaining < -pool[-1][0]:
                 continue
             still_active.append(i)
         active = still_active
     for i in active:  # searches that ran to max_len
-        finished[i].extend(replace(hyp, finished=True) for hyp in live[i])
-        finished[i].sort(key=_sort_key)
+        finished[i].extend((-hyp.adjusted_logp, hyp.length, hyp.tokens, next(seq), hyp.raw_logp,
+                            hyp.state, hyp.states) for hyp in live[i])
+        finished[i].sort()
         del finished[i][width:]
-    return finished
+    return [[Hypothesis(tokens=tokens, raw_logp=raw, adjusted_logp=-neg_adj, state=state,
+                        finished=True, states=states)
+             for neg_adj, _, tokens, _, raw, state, states in pool] for pool in finished]
 
 
 def beam_search(step_fn: Callable, init_state, config: BeamConfig,

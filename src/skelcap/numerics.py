@@ -54,8 +54,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # zeros + g in one pass; adding 0.0 turns -0.0 into +0.0 as that did
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def check_finite(self, what="tensor"):
         if not np.all(np.isfinite(self.data)):
@@ -162,14 +164,18 @@ def matmul(a, b):
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
 
     def bw(out):
-        g = out.grad
-        ad, bd = a.data, b.data
-        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, ad.shape))
-        b._accumulate(_unbroadcast(gb, bd.shape))
+        _matmul_backward(out.grad, a, b)
 
     return _result(_row_stable_matmul(a.data, b.data), (a, b), bw)
+
+
+def _matmul_backward(g, a, b):
+    """Gradients of ``a @ b`` given the output gradient ``g``; an operand
+    that does not require grad (a constant input) gets none."""
+    if a.requires_grad:
+        a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
 
 def tanh(a):
@@ -182,43 +188,53 @@ def tanh(a):
     return _result(y, (a,), bw)
 
 
+def _sigmoid(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a):
     a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        y = 1.0 / (1.0 + np.exp(-a.data))
 
     def bw(out):
         a._accumulate(out.grad * out.data * (1.0 - out.data))
 
-    return _result(y, (a,), bw)
+    return _result(_sigmoid(a.data), (a,), bw)
+
+
+def _softmax(x, axis):
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_backward(g, y, axis):
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return y * (g - dot)
 
 
 def softmax(a, axis=-1):
     a = as_tensor(a)
-    x = a.data
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
 
     def bw(out):
-        g = out.grad
-        dot = (g * out.data).sum(axis=axis, keepdims=True)
-        a._accumulate(out.data * (g - dot))
+        a._accumulate(_softmax_backward(out.grad, out.data, axis))
 
-    return _result(y, (a,), bw)
+    return _result(_softmax(a.data, axis), (a,), bw)
 
 
 def concat(tensors, axis=-1):
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def bw(out):
         g = out.grad
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
+        idx = [slice(None)] * g.ndim
+        ax = axis % g.ndim
+        lo = 0
+        for t in tensors:
+            hi = lo + t.data.shape[ax]
+            idx[ax] = slice(lo, hi)
             t._accumulate(g[tuple(idx)])
+            lo = hi
 
     return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
@@ -324,6 +340,114 @@ def lookup_rows(a, indices):
     return _result(a.data[pick], (a,), bw)
 
 
+# -- fused recurrent kernels ------------------------------------------------------
+#
+# Each op below is one tape node (the LSTM cell two) in place of a graph of the
+# ops above. Forward and backward repeat that graph's arithmetic operation for
+# operation, in the same order and on arrays of the same layout, so outputs and
+# gradients are bit-identical to it; only the intermediate nodes and their
+# zero-filled gradient buffers are gone. tests/test_numerics.py keeps the
+# composed graphs as the reference.
+
+
+def lstm_cell(x, h, c, W, b):
+    """LSTM transition: gates [x, h] @ W + b split as (i, f, g, o),
+    c' = f*c + i*g and h' = o*tanh(c'); returns (h', c').
+
+    Two nodes: ``c'`` owns the gates and the backward, and ``h'`` hands its
+    output-gate gradient and its share of the gradient of ``c'`` to ``c'``.
+    """
+    x, h, c, W, b = (as_tensor(t) for t in (x, h, c, W, b))
+    n = h.data.shape[-1]
+    xh = np.concatenate([x.data, h.data], axis=-1)
+    z = _row_stable_matmul(xh, W.data) + b.data
+    i, f, o = (_sigmoid(z[..., k * n:(k + 1) * n]) for k in (0, 1, 3))
+    g = np.tanh(z[..., 2 * n:3 * n])
+    c_new = f * c.data + i * g
+    tc = np.tanh(c_new)
+    d_o = []  # the output-gate gradient, from the h' node
+
+    def bw_c(out):
+        gc = out.grad
+        dz = np.concatenate([gc * g * i * (1.0 - i), gc * c.data * f * (1.0 - f),
+                             gc * i * (1.0 - g * g), d_o.pop() if d_o else np.zeros_like(gc)],
+                            axis=-1)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(dz, b.data.shape))
+        if W.requires_grad:
+            W._accumulate(_unbroadcast(np.matmul(np.swapaxes(xh, -1, -2), dz), W.data.shape))
+        if x.requires_grad or h.requires_grad:
+            gxh = np.matmul(dz, np.swapaxes(W.data, -1, -2))
+            m = x.data.shape[-1]
+            if x.requires_grad:
+                x._accumulate(gxh[..., :m])
+            if h.requires_grad:
+                h._accumulate(gxh[..., m:])
+        if c.requires_grad:
+            c._accumulate(_unbroadcast(gc * f, c.data.shape))
+
+    # x last: the tape reaches x's own inputs (a step's word lookup) after
+    # the history in h and c, as it did through the composed graph's concat
+    c_out = _result(c_new, (x, h, c, W, b), bw_c)
+
+    def bw_h(out):
+        gh = out.grad
+        d_o.append(gh * tc * o * (1.0 - o))
+        c_out._accumulate(gh * o * (1.0 - tc * tc))
+
+    return _result(o * tc, (c_out,), bw_h), c_out
+
+
+def attention(u, h, V, b, w):
+    """Soft-attention maps softmax(tanh(u + h @ V + b) @ w) over P cells.
+
+    ``u`` (B, P, A) is the projected feature grid, or (1, P, A) shared by the
+    batch; ``h`` is (B, n), ``V`` (n, A), ``b`` (A,), ``w`` (A, 1). Returns
+    alpha (B, P) as one node.
+    """
+    u, h, V, b, w = (as_tensor(t) for t in (u, h, V, b, w))
+    B = h.data.shape[0]
+    vh_shape = (B, 1, V.data.shape[-1])
+    th = u.data + _row_stable_matmul(h.data, V.data).reshape(vh_shape)
+    th += b.data
+    np.tanh(th, out=th)
+    scores = np.matmul(th, w.data)
+
+    def bw(out):
+        gs = _softmax_backward(out.grad, out.data, -1).reshape(scores.shape)
+        if w.requires_grad:
+            w._accumulate(_unbroadcast(np.matmul(np.swapaxes(th, -1, -2), gs), w.data.shape))
+        # (gs @ w.T) * (1 - th*th), in place; gs @ w.T sums one product per entry
+        d_pre = th * th
+        np.subtract(1.0, d_pre, out=d_pre)
+        d_pre *= gs * np.swapaxes(w.data, -1, -2)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(d_pre, b.data.shape))
+        if u.requires_grad:
+            u._accumulate(_unbroadcast(d_pre, u.data.shape))
+        _matmul_backward(_unbroadcast(d_pre, vh_shape).reshape(B, -1), h, V)
+
+    return _result(_softmax(scores.reshape(scores.shape[:-1]), -1), (u, h, V, b, w), bw)
+
+
+def weighted_sum(alpha, feats):
+    """Context vectors sum_p alpha[b, p] * feats[b, p]: alpha (B, P) and
+    feats (B, P, D) give (B, D), summed in float64, as one node."""
+    alpha, feats = as_tensor(alpha), as_tensor(feats)
+    a3 = alpha.data[..., None]
+    prod = a3 * feats.data
+    z = prod.sum(axis=1, dtype=np.float64).astype(prod.dtype)
+
+    def bw(out):
+        g = np.expand_dims(out.grad, 1)
+        if alpha.requires_grad:
+            alpha._accumulate(_unbroadcast(g * feats.data, a3.shape).reshape(alpha.data.shape))
+        if feats.requires_grad:
+            feats._accumulate(_unbroadcast(g * a3, feats.data.shape))
+
+    return _result(z, (alpha, feats), bw)
+
+
 def backward(loss):
     """Populate gradients of everything reachable from the scalar ``loss``."""
     if loss.data.size != 1:
@@ -406,11 +530,12 @@ class ParameterStore:
         return norm
 
     def adagrad_step(self, learning_rate, epsilon=1e-8, clip_norm=5.0):
-        """acc += g^2; w -= lr * g / (sqrt(acc) + eps)."""
+        """acc += g^2; w -= lr * g / (sqrt(acc) + eps). Returns the global
+        gradient norm before clipping."""
         missing = [n for n, t in self.params.items() if t.grad is None]
         if len(missing) == len(self.params):
             raise NumericsError("adagrad_step called with no gradients populated")
-        self.clip_gradients(clip_norm)
+        norm = self.clip_gradients(clip_norm)
         for name, t in self.params.items():
             g = t.grad
             if g is None:
@@ -422,6 +547,7 @@ class ParameterStore:
             t.data -= (learning_rate * g / (np.sqrt(acc) + epsilon)).astype(t.data.dtype)
         self.step_count += 1
         self.zero_grad()
+        return float(norm)
 
     # -- checkpoint I/O ----------------------------------------------------
 

@@ -66,16 +66,7 @@ class RecurrentDecoder:
         self.store.add("out_b", np.zeros(Q, dtype=dt))
 
     def _lstm_t(self, x, h, c):
-        n = self.hidden_size
-        z = nm.add(nm.matmul(nm.concat([x, h], axis=-1), self.store["lstm_W"]),
-                   self.store["lstm_b"])
-        i = nm.sigmoid(nm.narrow(z, -1, 0, n))
-        f = nm.sigmoid(nm.narrow(z, -1, n, n))
-        g = nm.tanh(nm.narrow(z, -1, 2 * n, n))
-        o = nm.sigmoid(nm.narrow(z, -1, 3 * n, n))
-        c_new = nm.add(nm.mul(f, c), nm.mul(i, g))
-        h_new = nm.mul(o, nm.tanh(c_new))
-        return h_new, c_new
+        return nm.lstm_cell(x, h, c, self.store["lstm_W"], self.store["lstm_b"])
 
     def _logits_t(self, h):
         return nm.add(nm.matmul(h, self.store["out_W"]), self.store["out_b"])
@@ -118,10 +109,11 @@ class RecurrentDecoder:
         skeleton decoder, conditioning items for the attribute decoder. The
         learning rate is halved once, the first time the validation loss
         fails to improve for a full epoch. Returns a history dict with the
-        loss curve as (step, loss) pairs.
+        loss curve as (step, loss) pairs and each step's gradient norm
+        before clipping.
         """
         batch_size = batch_size or self.default_batch_size
-        history = {"train_curve": [], "val_loss": [], "learning_rate": []}
+        history = {"train_curve": [], "grad_norm": [], "val_loss": [], "learning_rate": []}
         lr = learning_rate
         best_val = float("inf")
         halved = False
@@ -131,7 +123,8 @@ class RecurrentDecoder:
                 self.store.zero_grad()
                 loss = self._loss(*batch)
                 nm.backward(loss)
-                self.store.adagrad_step(lr, epsilon=epsilon, clip_norm=clip_norm)
+                history["grad_norm"].append(
+                    self.store.adagrad_step(lr, epsilon=epsilon, clip_norm=clip_norm))
                 history["train_curve"].append((self.store.step_count, loss.item()))
             history["learning_rate"].append(lr)
             if val_records is not None:

@@ -121,17 +121,12 @@ class SkeletonGenerator(RecurrentDecoder):
         if not self.use_attention:
             B, P = feats.data.shape[0], feats.data.shape[1]
             return Tensor(np.full((B, P), 1.0 / P, dtype=feats.data.dtype))
-        vh = nm.reshape(nm.matmul(h, self.store["att_V"]), (h.data.shape[0], 1, -1))
-        scores = nm.matmul(nm.tanh(nm.add(nm.add(u, vh), self.store["att_b"])),
-                           self.store["att_w"])
-        scores = nm.reshape(scores, scores.data.shape[:-1])
-        return nm.softmax(scores, axis=-1)
+        return nm.attention(u, h, self.store["att_V"], self.store["att_b"], self.store["att_w"])
 
     def _context_t(self, feats, alpha):
         if not self.use_attention:
             return nm.mean(feats, axis=1)
-        B, P = alpha.data.shape
-        return nm.sum_(nm.mul(nm.reshape(alpha, (B, P, 1)), feats), axis=1)
+        return nm.weighted_sum(alpha, feats)
 
     def _cell_t(self, prev_idx, z, h, c):
         """LSTM transition on input [embedding of ``prev_idx``, context ``z``];

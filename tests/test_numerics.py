@@ -95,6 +95,16 @@ def test_concat_backward():
     assert a.grad.shape == (2, 2) and b.grad.shape == (2, 3)
 
 
+def test_concat_middle_axis_backward():
+    parts = [t64(np.full((2, k, 3), float(k))) for k in (1, 3, 2)]
+    out = nm.concat(parts, axis=1)
+    assert out.data.shape == (2, 6, 3)
+    weights = np.arange(36.0).reshape(2, 6, 3)
+    backward(nm.sum_(nm.mul(out, Tensor(weights))))
+    for part, lo, hi in zip(parts, (0, 1, 4), (1, 4, 6)):
+        assert np.array_equal(part.grad, weights[:, lo:hi])
+
+
 def test_lookup_backward_accumulates():
     table = t64(np.ones((4, 3)))
     out = nm.lookup(table, np.array([1, 1, 2]))
@@ -271,3 +281,230 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_vocab_hash_stable():
     assert nm.vocab_hash(["a", "b"]) == nm.vocab_hash(["a", "b"])
     assert nm.vocab_hash(["a", "b"]) != nm.vocab_hash(["ab"])
+
+
+def test_adagrad_step_returns_norm_before_clipping():
+    store, t = _store_with(np.zeros(4), np.full(4, 10.0))
+    assert store.adagrad_step(0.1, clip_norm=5.0) == pytest.approx(20.0)
+
+
+def test_matmul_constant_operand_gets_no_gradient():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(2, 3, 4)))  # a constant input, e.g. a feature grid
+    W = t64(rng.normal(size=(4, 5)))
+    backward(nm.sum_(nm.matmul(x, W)))
+    assert x.grad is None
+    assert np.allclose(W.grad, x.data.sum(axis=(0, 1))[:, None])
+
+
+# -- fused recurrent kernels ----------------------------------------------------
+#
+# The composed graphs the fused ops replace, kept as their reference: each
+# fused op must give the same bits, forward and backward.
+
+def ref_lstm_cell(x, h, c, W, b):
+    n = h.data.shape[-1]
+    z = nm.add(nm.matmul(nm.concat([x, h], axis=-1), W), b)
+    i = nm.sigmoid(nm.narrow(z, -1, 0, n))
+    f = nm.sigmoid(nm.narrow(z, -1, n, n))
+    g = nm.tanh(nm.narrow(z, -1, 2 * n, n))
+    o = nm.sigmoid(nm.narrow(z, -1, 3 * n, n))
+    c_new = nm.add(nm.mul(f, c), nm.mul(i, g))
+    return nm.mul(o, nm.tanh(c_new)), c_new
+
+
+def ref_attention(u, h, V, b, w):
+    vh = nm.reshape(nm.matmul(h, V), (h.data.shape[0], 1, -1))
+    scores = nm.matmul(nm.tanh(nm.add(nm.add(u, vh), b)), w)
+    return nm.softmax(nm.reshape(scores, scores.data.shape[:-1]), axis=-1)
+
+
+def ref_weighted_sum(alpha, feats):
+    B, P = alpha.data.shape
+    return nm.sum_(nm.mul(nm.reshape(alpha, (B, P, 1)), feats), axis=1)
+
+
+FUSED = {"lstm_cell": ref_lstm_cell, "attention": ref_attention,
+         "weighted_sum": ref_weighted_sum}
+
+
+def _lstm_inputs(rng, B, m, n, dtype):
+    return [rng.normal(size=(B, m)), rng.normal(size=(B, n)), rng.normal(size=(B, n)),
+            rng.normal(size=(m + n, 4 * n)) * 0.5, rng.normal(size=4 * n) * 0.5]
+
+
+def _attention_inputs(rng, B, n, P, A, shared_u):
+    return [rng.normal(size=(1 if shared_u else B, P, A)), rng.normal(size=(B, n)),
+            rng.normal(size=(n, A)) * 0.5, rng.normal(size=A) * 0.5,
+            rng.normal(size=(A, 1))]
+
+
+def _weighted_sum_inputs(rng, B, P, D):
+    alpha = rng.random(size=(B, P))
+    return [alpha / alpha.sum(axis=-1, keepdims=True), rng.normal(size=(B, P, D))]
+
+
+def _run(op, arrays, const, upstream, dtype):
+    """Outputs of ``op``, then the gradients of sum(output * upstream) with
+    respect to every input not listed in ``const`` (constants)."""
+    inputs = [Tensor(np.asarray(a, dtype=dtype), requires_grad=k not in const)
+              for k, a in enumerate(arrays)]
+    outs = op(*inputs)
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    loss = None
+    for out, up in zip(outs, upstream):
+        if up is not None:
+            term = nm.sum_(nm.mul(out, Tensor(np.asarray(up, dtype=dtype))))
+            loss = term if loss is None else nm.add(loss, term)
+    backward(loss)
+    return [o.data for o in outs] + [t.grad for t in inputs if t.requires_grad]
+
+
+def _assert_same_bits(name, arrays, const, upstream, dtype=np.float32):
+    fused = _run(getattr(nm, name), arrays, const, upstream, dtype)
+    ref = _run(FUSED[name], arrays, const, upstream, dtype)
+    assert len(fused) == len(ref)
+    for got, want in zip(fused, ref):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+dims = st.integers(1, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), dims, dims, dims,
+       st.sampled_from(["h", "c", "both"]), st.booleans())
+def test_lstm_cell_bit_identical_to_composed(seed, B, m, n, used, const_state):
+    rng = np.random.default_rng(seed)
+    upstream = [rng.normal(size=(B, n)) if used in ("h", "both") else None,
+                rng.normal(size=(B, n)) if used in ("c", "both") else None]
+    # constant (h, c): the zero state the attribute decoder starts from
+    _assert_same_bits("lstm_cell", _lstm_inputs(rng, B, m, n, np.float32),
+                      {1, 2} if const_state else set(), upstream)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), dims, dims, dims, dims, st.booleans())
+def test_attention_bit_identical_to_composed(seed, B, n, P, A, shared_u):
+    rng = np.random.default_rng(seed)
+    _assert_same_bits("attention", _attention_inputs(rng, B, n, P, A, shared_u), set(),
+                      [rng.normal(size=(B, P))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), dims, dims, dims, st.booleans())
+def test_weighted_sum_bit_identical_to_composed(seed, B, P, D, const_feats):
+    rng = np.random.default_rng(seed)
+    _assert_same_bits("weighted_sum", _weighted_sum_inputs(rng, B, P, D),
+                      {1} if const_feats else set(), [rng.normal(size=(B, D))])
+
+
+@pytest.mark.parametrize("name, arrays, upstream", [
+    ("lstm_cell", lambda rng: _lstm_inputs(rng, 2, 3, 2, np.float64),
+     lambda rng: [rng.normal(size=(2, 2)), rng.normal(size=(2, 2))]),
+    ("attention", lambda rng: _attention_inputs(rng, 2, 3, 4, 3, False),
+     lambda rng: [rng.normal(size=(2, 4))]),
+    ("attention", lambda rng: _attention_inputs(rng, 2, 3, 4, 3, True),
+     lambda rng: [rng.normal(size=(2, 4))]),
+    ("weighted_sum", lambda rng: _weighted_sum_inputs(rng, 2, 4, 3),
+     lambda rng: [rng.normal(size=(2, 3))]),
+])
+def test_fused_op_matches_finite_differences(name, arrays, upstream):
+    rng = np.random.default_rng(11)
+    params = {f"in{k}": t64(a) for k, a in enumerate(arrays(rng))}
+    ups = [Tensor(u) for u in upstream(rng)]
+    op = getattr(nm, name)
+
+    def f():
+        outs = op(*params.values())
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        terms = [nm.sum_(nm.mul(o, u)) for o, u in zip(outs, ups)]
+        return terms[0] if len(terms) == 1 else nm.add(*terms)
+
+    report = grad_check(f, params, h=1e-5, tol=1e-6)
+    assert report["passed"], report
+
+
+def _decoders():
+    from skelcap.attrnet import AttributeGenerator
+    from skelcap.corpus import SynthConfig, build_vocab, synth_generate
+    from skelcap.skelnet import SkeletonGenerator
+
+    cfg = SynthConfig(count=80, grid_size=3, feature_dim=24)
+    recs = synth_generate(cfg, seed=6).records
+    skel_vocab = build_vocab([r.decomposition.skeleton_words for r in recs[:60]], 1)
+    attr_vocab = build_vocab(
+        [list(t.attributes) for r in recs[:60] for t in r.decomposition.skeleton], 1)
+    skel = SkeletonGenerator(skel_vocab, feature_dim=cfg.feature_dim, grid_size=cfg.grid_size,
+                             hidden_size=10, embed_size=6, attention_hidden=8, seed=1)
+    attr = AttributeGenerator(attr_vocab, feature_dim=cfg.feature_dim,
+                              skel_embed_size=skel.embed_size, skel_hidden_size=skel.hidden_size,
+                              hidden_size=8, embed_size=5, seed=1)
+    return recs, skel, attr
+
+
+def _fit_both_decoders():
+    from skelcap.attrnet import build_training_items
+
+    recs, skel, attr = _decoders()
+    train, val = recs[:60], recs[60:]
+    hists = [skel.fit(train, val, epochs=2, learning_rate=0.1, batch_size=16)]
+    items = [build_training_items(part, skel, attr.vocab, use_post_word_alpha=True)
+             for part in (train, val)]
+    hists.append(attr.fit(*items, epochs=2, learning_rate=0.1, batch_size=16))
+    tensors = [arr.tobytes() for model in (skel, attr) for name in model.store.names()
+               for arr in (model.store[name].data, model.store.accumulators[name])]
+    return hists, tensors, [it.z.tobytes() for it in items[0]]
+
+
+def test_decoders_train_bit_identical_with_composed_graphs(monkeypatch):
+    fused = _fit_both_decoders()
+    for name, ref in FUSED.items():
+        monkeypatch.setattr(nm, name, ref)
+    composed = _fit_both_decoders()
+    for hist_f, hist_c in zip(fused[0], composed[0]):
+        assert hist_f["train_curve"] == hist_c["train_curve"]
+        assert hist_f["val_loss"] == hist_c["val_loss"]
+        assert hist_f["grad_norm"] == hist_c["grad_norm"]
+        assert len(hist_f["grad_norm"]) == len(hist_f["train_curve"])
+    assert fused[1] == composed[1]
+    assert fused[2] == composed[2]
+
+
+def _parameter_contributions(monkeypatch):
+    """Per parameter of both decoders, the gradient contributions of one
+    backward pass over one long batch each, in the order the tape adds them."""
+    from skelcap.attrnet import build_training_items
+
+    recs, skel, attr = _decoders()
+    params = {id(t): f"{kind}.{name}" for kind, model in (("skel", skel), ("attr", attr))
+              for name, t in model.store.params.items()}
+    seen = {name: [] for name in params.values()}
+    accumulate = Tensor._accumulate
+
+    def spy(self, g):
+        if id(self) in params:
+            seen[params[id(self)]].append(np.array(g, copy=True).tobytes())
+        accumulate(self, g)
+
+    batch = next(b for b in skel._batches(recs, 8) if b[1].shape[1] >= 4)
+    items = build_training_items(recs, skel, attr.vocab)
+    attr_batch = next(b for b in attr._batches(items, 8) if b[-1].shape[1] >= 3)
+    with monkeypatch.context() as mp:
+        mp.setattr(Tensor, "_accumulate", spy)
+        backward(skel.sequence_loss(*batch))
+        backward(attr.batch_loss(*attr_batch))
+    return seen
+
+
+def test_fused_graphs_add_parameter_gradients_in_composed_order(monkeypatch):
+    # a parameter used at every step (lstm_W, att_U, embed, ...) sums one
+    # contribution per step; the tape must add them in the composed order
+    fused = _parameter_contributions(monkeypatch)
+    for name, ref in FUSED.items():
+        monkeypatch.setattr(nm, name, ref)
+    composed = _parameter_contributions(monkeypatch)
+    assert fused.keys() == composed.keys()
+    for name in fused:
+        assert fused[name] == composed[name], name
+    assert max(len(v) for v in fused.values()) >= 4
