@@ -1,0 +1,5 @@
+"""``python -m skelcap``: the same command line as ``skelcap``."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import BOS, EOS, Vocabulary
-from .numerics import ParameterStore, Tensor
+from .numerics import ParameterStore
 from .recurrent import RecurrentDecoder, length_batches
 from .skelnet import SkelState, refine_attention
 
@@ -101,8 +101,8 @@ class AttributeGenerator(RecurrentDecoder):
             if vec.shape != lead + (dim,):
                 raise AttrConfigError(f"{name} has shape {vec.shape}, expected {lead + (dim,)}")
         with nm.no_grad():
-            out = self._init_input_t(*(Tensor(v.reshape(-1, v.shape[-1])) for v in vecs))
-        return out.data.reshape(lead + (-1,))
+            out = self._init_input_t(*(v.reshape(-1, v.shape[-1]) for v in vecs))
+        return out.reshape(lead + (-1,))
 
     def make_step_fn(self):
         """Batched beam-search step function: (K states, K tokens) -> (K new
@@ -110,12 +110,11 @@ class AttributeGenerator(RecurrentDecoder):
 
         def step_fn(states, tokens):
             with nm.no_grad():
-                h, c, logits = self._word_step_t(Tensor(np.stack([s.h for s in states])),
-                                                 Tensor(np.stack([s.c for s in states])),
+                h, c, logits = self._word_step_t(np.stack([s.h for s in states]),
+                                                 np.stack([s.c for s in states]),
                                                  np.asarray(tokens))
-                logp = nm.log_softmax(logits, axis=-1)
-            return [AttrState(h=h.data[k], c=c.data[k], t=s.t + 1)
-                    for k, s in enumerate(states)], logp.data
+            return [AttrState(h=h[k], c=c[k], t=s.t + 1)
+                    for k, s in enumerate(states)], nm.log_softmax(logits, axis=-1)
 
         return step_fn
 
@@ -124,8 +123,8 @@ class AttributeGenerator(RecurrentDecoder):
         ((W, m), or one (m,) input) from zeros, one per word."""
         x = np.atleast_2d(np.asarray(x_init, dtype=self.dtype))
         with nm.no_grad():
-            h, c = self._start_t(Tensor(x))
-        return [AttrState(h=h.data[k], c=c.data[k], t=0) for k in range(len(x))]
+            h, c = self._start_t(x)
+        return [AttrState(h=h[k], c=c[k], t=0) for k in range(len(x))]
 
     def generate_attributes(self, x_init: np.ndarray, max_len: int = 4,
                             beam_size: int = 1, gamma: float = 0.0) -> List[List[str]]:
@@ -145,9 +144,9 @@ class AttributeGenerator(RecurrentDecoder):
 
     def _start_t(self, x_init):
         """(h, c) after the LSTM consumed ``x_init`` (B, m) from zero state."""
-        shape = (x_init.data.shape[0], self.hidden_size)
-        return self._lstm_t(x_init, Tensor(np.zeros(shape, dtype=self.dtype)),
-                            Tensor(np.zeros(shape, dtype=self.dtype)))
+        shape = (x_init.shape[0], self.hidden_size)
+        return self._lstm_t(x_init, np.zeros(shape, dtype=self.dtype),
+                            np.zeros(shape, dtype=self.dtype))
 
     def _word_step_t(self, h, c, words):
         h, c = self._lstm_t(nm.lookup(self.store["embed"], words), h, c)
@@ -159,10 +158,8 @@ class AttributeGenerator(RecurrentDecoder):
         ``seqs`` is (B, S) whose last column is EOS. The fused init is
         consumed at step -1, then BOS, then the gold attribute words.
         """
-        z = Tensor(np.ascontiguousarray(z, dtype=self.dtype))
-        s_skel = Tensor(np.ascontiguousarray(s_skel, dtype=self.dtype))
-        h_skel = Tensor(np.ascontiguousarray(h_skel, dtype=self.dtype))
-        h, c = self._start_t(self._init_input_t(z, s_skel, h_skel))
+        inputs = (np.ascontiguousarray(v, dtype=self.dtype) for v in (z, s_skel, h_skel))
+        h, c = self._start_t(self._init_input_t(*inputs))
         return self._teacher_forced_t(np.asarray(seqs), h, c, self._word_step_t)
 
     def _batches(self, items: Sequence[AttrTrainingItem], batch_size, shuffle_rng=None):
@@ -205,8 +202,7 @@ def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
     if use_post_word_alpha:
         entering = SkelState(h=np.asarray(trace["h_prev"]), c=np.asarray(trace["c_prev"]))
         p_grid = skel_model.per_location_distributions(entering, [BOS] + words[:-1], features)
-        with nm.no_grad():
-            p_attend = nm.softmax(Tensor(np.asarray(trace["logits"])), axis=-1).data
+        p_attend = nm.softmax(np.asarray(trace["logits"]), axis=-1)
         posts = [refine_attention(p, grid, fallback=alpha)
                  for p, grid, alpha in zip(p_attend, p_grid, trace["alpha"])]
         z = skel_model.context(features, np.stack(posts)).astype(np.float32)

@@ -184,7 +184,7 @@ def _write_curve(path, curve):
 TRAIN_SKEL_DEFAULTS = {
     "data": None, "out": None, "epochs": 10, "learning-rate": 0.1, "batch-size": 64,
     "seed": 0, "hidden-size": 128, "embed-size": 64, "attention-hidden": 128,
-    "skel-threshold": 5,
+    "skel-threshold": 5, "no-attention": False,
 }
 
 
@@ -201,7 +201,7 @@ def cmd_train_skel(args, file_config):
     model_cfg = dict(
         feature_dim=sample.feature_dim, grid_size=sample.grid_size,
         hidden_size=cfg["hidden-size"], embed_size=cfg["embed-size"],
-        attention_hidden=cfg["attention-hidden"], use_attention=not args.no_attention,
+        attention_hidden=cfg["attention-hidden"], use_attention=not cfg["no-attention"],
         seed=cfg["seed"],
     )
     epochs, lr, batch = cfg["epochs"], cfg["learning-rate"], cfg["batch-size"]
@@ -227,7 +227,7 @@ def cmd_train_skel(args, file_config):
 TRAIN_ATTR_DEFAULTS = {
     "data": None, "out": None, "epochs": 10, "learning-rate": 0.1, "batch-size": 128,
     "seed": 0, "hidden-size": 128, "embed-size": 64, "attr-threshold": 3,
-    "skel-checkpoint": None, "skel-vocab": None, "hidden-tap": "current",
+    "skel-checkpoint": None, "skel-vocab": None, "hidden-tap": "current", "post-word-alpha": False,
 }
 
 
@@ -248,7 +248,7 @@ def cmd_train_attr(args, file_config):
         skel_embed_size=skel_model.embed_size,
         skel_hidden_size=skel_model.hidden_size,
         hidden_size=cfg["hidden-size"], embed_size=cfg["embed-size"],
-        hidden_tap=cfg["hidden-tap"], use_post_word_alpha=args.post_word_alpha, seed=cfg["seed"],
+        hidden_tap=cfg["hidden-tap"], use_post_word_alpha=cfg["post-word-alpha"], seed=cfg["seed"],
     )
     epochs, lr, batch = cfg["epochs"], cfg["learning-rate"], cfg["batch-size"]
     _echo_config(out_dir, "train-attr",
@@ -276,7 +276,7 @@ CAPTION_DEFAULTS = {
     "data": None, "split": "test", "out": None, "skel-checkpoint": None,
     "skel-vocab": None, "attr-checkpoint": None, "attr-vocab": None,
     "gamma-skel": 0.0, "gamma-attr": 0.0, "beam-skel": 3, "beam-attr": 2,
-    "max-skel-len": 16, "max-attr-len": 4,
+    "max-skel-len": 16, "max-attr-len": 4, "post-word-alpha": None,  # None: as trained
 }
 
 
@@ -302,7 +302,7 @@ def cmd_caption(args, file_config):
                 gamma_skel=cfg["gamma-skel"], gamma_attr=cfg["gamma-attr"],
                 beam_skel=cfg["beam-skel"], beam_attr=cfg["beam-attr"],
                 max_skel_len=cfg["max-skel-len"], max_attr_len=cfg["max-attr-len"],
-                use_post_word_alpha=args.post_word_alpha or None)
+                use_post_word_alpha=cfg["post-word-alpha"])
             fh.write(f"{rec.image_id}\t{' '.join(trace.tokens)}\n")
             if trace_fh:
                 trace_fh.write(f"image: {rec.image_id}\n{trace.render()}\n\n")
@@ -450,7 +450,7 @@ def build_parser():
     p.add_argument("--embed-size", type=int)
     p.add_argument("--attention-hidden", type=int)
     p.add_argument("--skel-threshold", type=int)
-    p.add_argument("--no-attention", action="store_true")
+    p.add_argument("--no-attention", action="store_true", default=None)
     p.add_argument("--resume")
     p.set_defaults(func=cmd_train_skel)
 
@@ -468,7 +468,7 @@ def build_parser():
     p.add_argument("--embed-size", type=int)
     p.add_argument("--attr-threshold", type=int)
     p.add_argument("--hidden-tap", choices=("current", "previous", "final"))
-    p.add_argument("--post-word-alpha", action="store_true")
+    p.add_argument("--post-word-alpha", action="store_true", default=None)
     p.set_defaults(func=cmd_train_attr)
 
     p = sub.add_parser("caption", help="run coarse-to-fine captioning")
@@ -487,7 +487,7 @@ def build_parser():
     p.add_argument("--beam-attr", type=int)
     p.add_argument("--max-skel-len", type=int)
     p.add_argument("--max-attr-len", type=int)
-    p.add_argument("--post-word-alpha", action="store_true")
+    p.add_argument("--post-word-alpha", action="store_true", default=None)
     p.add_argument("--trace", help="write per-image attention traces here")
     p.set_defaults(func=cmd_caption)
 

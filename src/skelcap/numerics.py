@@ -49,6 +49,10 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
+    @property
+    def shape(self):
+        return self.data.shape
+
     def item(self):
         return float(self.data)
 
@@ -83,13 +87,25 @@ class no_grad:
         return False
 
 
-def _result(data, parents, backward_fn):
-    """Build an output node; the tape edge is dropped when no parent needs grad."""
-    out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+# Every op takes Tensors or plain arrays and runs one forward on arrays. When no
+# tape is needed (grad disabled, or no operand requires grad) it returns that
+# array; otherwise it wraps its operands, defines its backward and returns a node.
+
+
+def _data(x):
+    """The array behind an operand: a Tensor's data, or ``x`` as an array."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x)
+
+
+def _taped(*operands):
+    """Whether an op on ``operands`` must record a tape node."""
+    return _grad_enabled and any(isinstance(x, Tensor) and x.requires_grad for x in operands)
+
+
+def _node(data, parents, backward_fn):
+    out = Tensor(data, requires_grad=True)
+    out._parents = parents
+    out._backward = backward_fn
     return out
 
 
@@ -105,12 +121,13 @@ def _unbroadcast(grad, shape):
 
 
 def as_tensor(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def add(a, b):
+    y = _data(a) + _data(b)
+    if not _taped(a, b):
+        return y
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(out):
@@ -118,28 +135,19 @@ def add(a, b):
         a._accumulate(_unbroadcast(g, a.data.shape))
         b._accumulate(_unbroadcast(g, b.data.shape))
 
-    return _result(a.data + b.data, (a, b), bw)
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-
-    def bw(out):
-        g = out.grad
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _result(a.data * b.data, (a, b), bw)
+    return _node(y, (a, b), bw)
 
 
 def scale(a, s):
-    a = as_tensor(a)
     s = float(s)
+    y = _data(a) * s
+    if not _taped(a):
+        return y
 
     def bw(out):
         a._accumulate(out.grad * s)
 
-    return _result(a.data * s, (a,), bw)
+    return _node(y, (a,), bw)
 
 
 def _row_stable_matmul(a, b):
@@ -157,16 +165,20 @@ def _row_stable_matmul(a, b):
 
 def matmul(a, b):
     """Batched matrix product; both operands are at least 2-d."""
+    ad, bd = _data(a), _data(b)
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ShapeError(f"matmul requires at least 2-d operands: {ad.shape} @ {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
+    y = _row_stable_matmul(ad, bd)
+    if not _taped(a, b):
+        return y
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul requires at least 2-d operands: {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
 
     def bw(out):
         _matmul_backward(out.grad, a, b)
 
-    return _result(_row_stable_matmul(a.data, b.data), (a, b), bw)
+    return _node(y, (a, b), bw)
 
 
 def _matmul_backward(g, a, b):
@@ -179,27 +191,19 @@ def _matmul_backward(g, a, b):
 
 
 def tanh(a):
-    a = as_tensor(a)
-    y = np.tanh(a.data)
+    y = np.tanh(_data(a))
+    if not _taped(a):
+        return y
 
     def bw(out):
         a._accumulate(out.grad * (1.0 - out.data * out.data))
 
-    return _result(y, (a,), bw)
+    return _node(y, (a,), bw)
 
 
 def _sigmoid(x):
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-
-    def bw(out):
-        a._accumulate(out.grad * out.data * (1.0 - out.data))
-
-    return _result(_sigmoid(a.data), (a,), bw)
 
 
 def _softmax(x, axis):
@@ -214,16 +218,21 @@ def _softmax_backward(g, y, axis):
 
 
 def softmax(a, axis=-1):
-    a = as_tensor(a)
+    y = _softmax(_data(a), axis)
+    if not _taped(a):
+        return y
 
     def bw(out):
         a._accumulate(_softmax_backward(out.grad, out.data, axis))
 
-    return _result(_softmax(a.data, axis), (a,), bw)
+    return _node(y, (a,), bw)
 
 
 def concat(tensors, axis=-1):
-    tensors = [as_tensor(t) for t in tensors]
+    y = np.concatenate([_data(t) for t in tensors], axis=axis)
+    if not _taped(*tensors):
+        return y
+    tensors = tuple(as_tensor(t) for t in tensors)
 
     def bw(out):
         g = out.grad
@@ -236,27 +245,32 @@ def concat(tensors, axis=-1):
             t._accumulate(g[tuple(idx)])
             lo = hi
 
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
+    return _node(y, tensors, bw)
 
 
 def lookup(table, indices):
     """Embedding lookup: rows of ``table`` selected by integer ``indices``."""
-    table = as_tensor(table)
+    td = _data(table)
     idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise ShapeError(f"lookup index out of range for table with {table.data.shape[0]} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= td.shape[0]):
+        raise ShapeError(f"lookup index out of range for table with {td.shape[0]} rows")
+    y = td[idx]
+    if not _taped(table):
+        return y
 
     def bw(out):
         g = np.zeros_like(table.data)
         np.add.at(g, idx, out.grad)
         table._accumulate(g)
 
-    return _result(table.data[idx], (table,), bw)
+    return _node(y, (table,), bw)
 
 
 def sum_(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    y = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(a.data.dtype)
+    ad = _data(a)
+    y = ad.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(ad.dtype)
+    if not _taped(a):
+        return y
 
     def bw(out):
         g = out.grad
@@ -264,80 +278,56 @@ def sum_(a, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
-    return _result(y, (a,), bw)
+    return _node(y, (a,), bw)
 
 
 def mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
+    n = _data(a).size if axis is None else _data(a).shape[axis]
     return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def reshape(a, shape):
-    a = as_tensor(a)
-
-    def bw(out):
-        a._accumulate(out.grad.reshape(a.data.shape))
-
-    return _result(a.data.reshape(shape), (a,), bw)
-
-
-def narrow(a, axis, start, length):
-    """Contiguous slice of ``length`` entries along ``axis``."""
-    a = as_tensor(a)
-    nd = a.data.ndim
-    ax = axis if axis >= 0 else nd + axis
-    idx = [slice(None)] * nd
-    idx[ax] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def bw(out):
-        g = np.zeros_like(a.data)
-        g[idx] = out.grad
-        a._accumulate(g)
-
-    return _result(a.data[idx], (a,), bw)
-
-
 def log_softmax(a, axis=-1):
-    a = as_tensor(a)
-    x = a.data
+    x = _data(a)
     m = x.max(axis=axis, keepdims=True)
     s = x - m
     lse = np.log(np.exp(s).sum(axis=axis, keepdims=True))
     y = s - lse
+    if not _taped(a):
+        return y
 
     def bw(out):
         g = out.grad
         p = np.exp(out.data)
         a._accumulate(g - p * g.sum(axis=axis, keepdims=True))
 
-    return _result(y, (a,), bw)
+    return _node(y, (a,), bw)
 
 
 def cross_entropy(logits, targets):
     """Mean negative log-likelihood of integer ``targets`` (B,) under ``logits`` (B, Q)."""
-    logits = as_tensor(logits)
+    shape = _data(logits).shape
     tgt = np.asarray(targets)
-    if logits.data.ndim < 2 or tgt.shape != logits.data.shape[:-1]:
-        raise ShapeError(f"target shape {tgt.shape} does not match logits {logits.data.shape}")
-    picked = lookup_rows(log_softmax(logits, axis=-1), tgt)
-    loss = scale(mean(picked), -1.0)
-    loss.check_finite("cross_entropy loss")
+    if len(shape) < 2 or tgt.shape != shape[:-1]:
+        raise ShapeError(f"target shape {tgt.shape} does not match logits {shape}")
+    loss = scale(mean(lookup_rows(log_softmax(logits, axis=-1), tgt)), -1.0)
+    if not np.all(np.isfinite(_data(loss))):
+        raise NonFiniteError("non-finite values in cross_entropy loss")
     return loss
 
 
 def lookup_rows(a, indices):
     """Select one entry per row along the last axis."""
-    a = as_tensor(a)
     pick = (*np.indices(np.shape(indices)), np.asarray(indices))
+    y = _data(a)[pick]
+    if not _taped(a):
+        return y
 
     def bw(out):
         g = np.zeros_like(a.data)
         g[pick] = out.grad
         a._accumulate(g)
 
-    return _result(a.data[pick], (a,), bw)
+    return _node(y, (a,), bw)
 
 
 # -- fused recurrent kernels ------------------------------------------------------
@@ -357,14 +347,18 @@ def lstm_cell(x, h, c, W, b):
     Two nodes: ``c'`` owns the gates and the backward, and ``h'`` hands its
     output-gate gradient and its share of the gradient of ``c'`` to ``c'``.
     """
-    x, h, c, W, b = (as_tensor(t) for t in (x, h, c, W, b))
-    n = h.data.shape[-1]
-    xh = np.concatenate([x.data, h.data], axis=-1)
-    z = _row_stable_matmul(xh, W.data) + b.data
-    i, f, o = (_sigmoid(z[..., k * n:(k + 1) * n]) for k in (0, 1, 3))
+    hd, cd = _data(h), _data(c)
+    n = hd.shape[-1]
+    xh = np.concatenate([_data(x), hd], axis=-1)
+    z = _row_stable_matmul(xh, _data(W)) + _data(b)
+    gates = _sigmoid(z)  # elementwise, so the g columns are simply unused
+    i, f, o = gates[..., :n], gates[..., n:2 * n], gates[..., 3 * n:]
     g = np.tanh(z[..., 2 * n:3 * n])
-    c_new = f * c.data + i * g
+    c_new = f * cd + i * g
     tc = np.tanh(c_new)
+    if not _taped(x, h, c, W, b):
+        return o * tc, c_new
+    x, h, c, W, b = (as_tensor(t) for t in (x, h, c, W, b))
     d_o = []  # the output-gate gradient, from the h' node
 
     def bw_c(out):
@@ -388,14 +382,14 @@ def lstm_cell(x, h, c, W, b):
 
     # x last: the tape reaches x's own inputs (a step's word lookup) after
     # the history in h and c, as it did through the composed graph's concat
-    c_out = _result(c_new, (x, h, c, W, b), bw_c)
+    c_out = _node(c_new, (x, h, c, W, b), bw_c)
 
     def bw_h(out):
         gh = out.grad
         d_o.append(gh * tc * o * (1.0 - o))
         c_out._accumulate(gh * o * (1.0 - tc * tc))
 
-    return _result(o * tc, (c_out,), bw_h), c_out
+    return _node(o * tc, (c_out,), bw_h), c_out
 
 
 def attention(u, h, V, b, w):
@@ -405,13 +399,17 @@ def attention(u, h, V, b, w):
     batch; ``h`` is (B, n), ``V`` (n, A), ``b`` (A,), ``w`` (A, 1). Returns
     alpha (B, P) as one node.
     """
-    u, h, V, b, w = (as_tensor(t) for t in (u, h, V, b, w))
-    B = h.data.shape[0]
-    vh_shape = (B, 1, V.data.shape[-1])
-    th = u.data + _row_stable_matmul(h.data, V.data).reshape(vh_shape)
-    th += b.data
+    hd, Vd = _data(h), _data(V)
+    B = hd.shape[0]
+    vh_shape = (B, 1, Vd.shape[-1])
+    th = _data(u) + _row_stable_matmul(hd, Vd).reshape(vh_shape)
+    th += _data(b)
     np.tanh(th, out=th)
-    scores = np.matmul(th, w.data)
+    scores = np.matmul(th, _data(w))
+    alpha = _softmax(scores.reshape(scores.shape[:-1]), -1)
+    if not _taped(u, h, V, b, w):
+        return alpha
+    u, h, V, b, w = (as_tensor(t) for t in (u, h, V, b, w))
 
     def bw(out):
         gs = _softmax_backward(out.grad, out.data, -1).reshape(scores.shape)
@@ -427,16 +425,18 @@ def attention(u, h, V, b, w):
             u._accumulate(_unbroadcast(d_pre, u.data.shape))
         _matmul_backward(_unbroadcast(d_pre, vh_shape).reshape(B, -1), h, V)
 
-    return _result(_softmax(scores.reshape(scores.shape[:-1]), -1), (u, h, V, b, w), bw)
+    return _node(alpha, (u, h, V, b, w), bw)
 
 
 def weighted_sum(alpha, feats):
     """Context vectors sum_p alpha[b, p] * feats[b, p]: alpha (B, P) and
     feats (B, P, D) give (B, D), summed in float64, as one node."""
-    alpha, feats = as_tensor(alpha), as_tensor(feats)
-    a3 = alpha.data[..., None]
-    prod = a3 * feats.data
+    a3 = _data(alpha)[..., None]
+    prod = a3 * _data(feats)
     z = prod.sum(axis=1, dtype=np.float64).astype(prod.dtype)
+    if not _taped(alpha, feats):
+        return z
+    alpha, feats = as_tensor(alpha), as_tensor(feats)
 
     def bw(out):
         g = np.expand_dims(out.grad, 1)
@@ -445,7 +445,7 @@ def weighted_sum(alpha, feats):
         if feats.requires_grad:
             feats._accumulate(_unbroadcast(g * a3, feats.data.shape))
 
-    return _result(z, (alpha, feats), bw)
+    return _node(z, (alpha, feats), bw)
 
 
 def backward(loss):
@@ -513,38 +513,45 @@ class ParameterStore:
         for t in self.params.values():
             t.grad = None
 
-    def grad_global_norm(self):
-        sq = 0.0
-        for t in self.params.values():
-            if t.grad is not None:
-                sq += float(np.sum(t.grad.astype(np.float64) ** 2))
-        return np.sqrt(sq)
+    def _squared_gradients(self):
+        """Each populated gradient squared into a float64 buffer, by name, and
+        the global gradient norm summed from them in parameter order."""
+        squares = {name: np.square(t.grad, dtype=np.float64)
+                   for name, t in self.params.items() if t.grad is not None}
+        return squares, np.sqrt(sum(float(np.sum(sq)) for sq in squares.values()))
 
     def clip_gradients(self, max_norm):
-        norm = self.grad_global_norm()
+        norm = self._squared_gradients()[1]
         if max_norm is not None and norm > max_norm > 0:
-            factor = max_norm / norm
             for t in self.params.values():
                 if t.grad is not None:
-                    t.grad *= factor
+                    t.grad *= max_norm / norm
         return norm
 
     def adagrad_step(self, learning_rate, epsilon=1e-8, clip_norm=5.0):
-        """acc += g^2; w -= lr * g / (sqrt(acc) + eps). Returns the global
-        gradient norm before clipping."""
-        missing = [n for n, t in self.params.items() if t.grad is None]
-        if len(missing) == len(self.params):
+        """acc += g^2; w -= lr * g / (sqrt(acc) + eps), after clipping the
+        global gradient norm to ``clip_norm``; returns that norm before
+        clipping. Every gradient is checked before anything is updated."""
+        squares, norm = self._squared_gradients()
+        if not squares:
             raise NumericsError("adagrad_step called with no gradients populated")
-        norm = self.clip_gradients(clip_norm)
-        for name, t in self.params.items():
+        if not np.isfinite(norm):  # finite float64 squares may still sum to inf
+            for name in squares:
+                if not np.all(np.isfinite(self.params[name].grad)):
+                    raise NonFiniteError(f"non-finite gradient for {name!r}")
+        clipped = clip_norm is not None and norm > clip_norm > 0
+        for name, sq in squares.items():
+            t = self.params[name]
             g = t.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteError(f"non-finite gradient for {name!r}")
-            acc = self.accumulators[name]
-            acc += g.astype(np.float64) ** 2
-            t.data -= (learning_rate * g / (np.sqrt(acc) + epsilon)).astype(t.data.dtype)
+            if clipped:
+                g *= clip_norm / norm
+                np.square(g, out=sq, dtype=np.float64)
+            self.accumulators[name] += sq
+            denom = np.sqrt(self.accumulators[name], out=sq)
+            denom += epsilon
+            # lr * g in g's dtype, divided in float64 and rounded back to it
+            step = learning_rate * g
+            t.data -= np.divide(step, denom, out=step)
         self.step_count += 1
         self.zero_grad()
         return float(norm)

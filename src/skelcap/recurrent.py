@@ -54,7 +54,7 @@ class RecurrentDecoder:
         return {k: getattr(self, k) for k in inspect.signature(type(self)).parameters
                 if k not in ("vocab", "dtype")}
 
-    # -- graph building blocks (batched, Tensor-valued) --------------------
+    # -- graph building blocks (batched; Tensors on the tape, else arrays) --
 
     def _build_lstm_and_output(self, rng, input_size):
         n, Q, dt = self.hidden_size, len(self.vocab), self.dtype
@@ -94,7 +94,7 @@ class RecurrentDecoder:
         with nm.no_grad():
             for batch in self._batches(records, batch_size or 2 * self.default_batch_size):
                 n = batch[-1].shape[0]
-                total += self._loss(*batch).item() * n
+                total += float(self._loss(*batch)) * n
                 count += n
         return total / max(count, 1)
 

@@ -104,7 +104,7 @@ class SkeletonGenerator(RecurrentDecoder):
         add("init_bc", np.zeros(n, dtype=dt))
         self._build_lstm_and_output(rng, m + D)
 
-    # -- graph building blocks (batched, Tensor-valued) --------------------
+    # -- graph building blocks (batched; Tensors on the tape, else arrays) --
 
     def _init_state_t(self, feats):
         mean_v = nm.mean(feats, axis=1)
@@ -119,8 +119,7 @@ class SkeletonGenerator(RecurrentDecoder):
 
     def _attend_t(self, feats, u, h):
         if not self.use_attention:
-            B, P = feats.data.shape[0], feats.data.shape[1]
-            return Tensor(np.full((B, P), 1.0 / P, dtype=feats.data.dtype))
+            return np.full(feats.shape[:2], 1.0 / feats.shape[1], dtype=self.dtype)
         return nm.attention(u, h, self.store["att_V"], self.store["att_b"], self.store["att_w"])
 
     def _context_t(self, feats, alpha):
@@ -144,9 +143,10 @@ class SkeletonGenerator(RecurrentDecoder):
         """Teacher-forced loss on a batch.
 
         ``feats_np`` is (B, P, D); ``seqs`` is (B, S) of targets whose last
-        column is EOS. Returns the scalar loss Tensor (sum over steps of
-        batch-mean cross-entropy).
+        column is EOS. Returns the scalar loss (sum over steps of batch-mean
+        cross-entropy), a Tensor on the tape and an array under ``no_grad``.
         """
+        # one constant node for the grid, which every step reads twice
         feats = Tensor(np.ascontiguousarray(feats_np, dtype=self.dtype))
         h, c = self._init_state_t(feats)
 
@@ -170,8 +170,8 @@ class SkeletonGenerator(RecurrentDecoder):
     def init_state(self, features: FeatureGrid) -> SkelState:
         """State entering the first decode step, whose input word is BOS."""
         with nm.no_grad():
-            h, c = self._init_state_t(Tensor(self._flat(features)))
-        return SkelState(h=h.data[0], c=c.data[0], t=0)
+            h, c = self._init_state_t(self._flat(features))
+        return SkelState(h=h[0], c=c[0], t=0)
 
     def context(self, features: FeatureGrid, alpha: np.ndarray) -> np.ndarray:
         """Context vectors z = sum_ij alpha_ij v_ij.
@@ -190,16 +190,14 @@ class SkeletonGenerator(RecurrentDecoder):
         else:
             raise ConfigError(f"attention map of shape {a.shape} does not fit a {L}x{L} grid")
         maps = a.reshape(-1, P)
-        with nm.no_grad():
-            z = self._context_t(Tensor(np.broadcast_to(flat, (len(maps),) + flat.shape[1:])),
-                                Tensor(maps))
-        return z.data.reshape(*lead, -1)
+        z = self._context_t(np.broadcast_to(flat, (len(maps),) + flat.shape[1:]), maps)
+        return z.reshape(*lead, -1)
 
     def _image(self, features: FeatureGrid):
         """The image as (1, P, D) features and their attention projection."""
         flat = self._flat(features)
         with nm.no_grad():
-            return flat, self._project_t(Tensor(flat))
+            return flat, self._project_t(flat)
 
     def _advance(self, image, states, words, normalize):
         """One no-grad step of the K hypotheses ``states`` fed ``words``, as
@@ -207,13 +205,11 @@ class SkeletonGenerator(RecurrentDecoder):
         flat, u = image
         with nm.no_grad():
             h, c, logits, alpha, z = self._step_t(
-                Tensor(np.broadcast_to(flat, (len(states),) + flat.shape[1:])), u,
-                Tensor(np.stack([s.h for s in states])), Tensor(np.stack([s.c for s in states])),
+                np.broadcast_to(flat, (len(states),) + flat.shape[1:]), u,
+                np.stack([s.h for s in states]), np.stack([s.c for s in states]),
                 np.asarray(words))
-            dist = normalize(logits, axis=-1)
-        return [SkelState(h=h.data[k], c=c.data[k], t=s.t + 1, alpha=alpha.data[k],
-                          z=z.data[k], logits=logits.data[k])
-                for k, s in enumerate(states)], dist.data
+        return [SkelState(h=h[k], c=c[k], t=s.t + 1, alpha=alpha[k], z=z[k], logits=logits[k])
+                for k, s in enumerate(states)], normalize(logits, axis=-1)
 
     def step(self, state: SkelState, prev_word_index: int, features: FeatureGrid):
         """One decode step: returns (new state, word distribution, alpha as (L, L))."""
@@ -244,12 +240,9 @@ class SkeletonGenerator(RecurrentDecoder):
         P = flat.shape[0]
         with nm.no_grad():
             _, _, logits = self._cell_t(np.repeat(words.reshape(-1), P),
-                                        Tensor(np.tile(flat, (h.shape[0], 1))),
-                                        Tensor(np.repeat(h, P, axis=0)),
-                                        Tensor(np.repeat(c, P, axis=0)))
-            probs = nm.softmax(logits, axis=-1)
-        L = self.grid_size
-        return probs.data.reshape(*words.shape, L, L, -1)
+                                        np.tile(flat, (h.shape[0], 1)),
+                                        np.repeat(h, P, axis=0), np.repeat(c, P, axis=0))
+        return nm.softmax(logits, axis=-1).reshape(*words.shape, self.grid_size, self.grid_size, -1)
 
     # -- beam-search integration -------------------------------------------
 
@@ -296,19 +289,17 @@ class SkeletonGenerator(RecurrentDecoder):
         encoded = [self._encode_skeleton(r) for r in records]
         with nm.no_grad():
             for chunk in length_batches([len(q) for q in encoded], batch_size):
-                feats = np.stack([records[i].features.flat() for i in chunk])
+                feats = np.stack([records[i].features.flat() for i in chunk]).astype(self.dtype)
                 seqs = np.asarray([encoded[i] for i in chunk])
                 B, S = seqs.shape
-                ft = Tensor(feats.astype(self.dtype))
-                u = self._project_t(ft)
-                h, c = self._init_state_t(ft)
+                u = self._project_t(feats)
+                h, c = self._init_state_t(feats)
                 steps = []
                 prev = np.full(B, BOS, dtype=np.int64)
                 for t in range(S - 1):  # exclude the EOS step
-                    h_prev, c_prev = h.data, c.data
-                    h, c, logits, alpha, z = self._step_t(ft, u, h, c, prev)
-                    steps.append((alpha.data, z.data, h.data, h_prev, c_prev, logits.data))
-                    prev = seqs[:, t]
+                    h_new, c_new, logits, alpha, z = self._step_t(feats, u, h, c, prev)
+                    steps.append((alpha, z, h_new, h, c, logits))
+                    h, c, prev = h_new, c_new, seqs[:, t]
                 stacked = [np.stack(arrs, axis=1) for arrs in zip(*steps)]
                 for b, i in enumerate(chunk):
                     traces[i] = dict(zip(_TRACE_KEYS, (arr[b] for arr in stacked)),

@@ -1,6 +1,10 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -378,6 +382,53 @@ def test_caption_refinement_needs_attention(workspace, tmp_path, capsys):
     assert trace.read_bytes() == b"image: img\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["attr", "skel", "x.trace", "x.tsv"]
     assert run(*_caption_args(ws, tmp_path / "c.tsv")) == 0
+
+
+def test_config_file_sets_no_attention(workspace, tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"no-attention": True, "post-word-alpha": True}))
+    skel = tmp_path / "skel"
+    assert run("train-skel", "--config", str(config), "--data", str(workspace["data"]),
+               "--out", str(skel), "--epochs", "1", "--hidden-size", "16",
+               "--embed-size", "8", "--skel-threshold", "1") == 0
+    assert json.loads((skel / "config.json").read_text())["use_attention"] is False
+    # train-attr reads "post-word-alpha" from the same file, which this skeleton refuses
+    assert run("train-attr", "--config", str(config), "--data", str(workspace["data"]),
+               "--out", str(tmp_path / "attr"), "--skel-checkpoint", str(skel / "skel.ckpt"),
+               "--skel-vocab", str(skel / "skel.vocab"), "--epochs", "1",
+               "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1") == 2
+
+
+def test_config_file_sets_post_word_alpha(workspace, tmp_path):
+    on, off = tmp_path / "on.json", tmp_path / "off.json"
+    on.write_text(json.dumps({"post-word-alpha": True}))
+    off.write_text(json.dumps({"post-word-alpha": False}))
+    attr = tmp_path / "attr"
+    assert run("train-attr", "--config", str(on), "--data", str(workspace["data"]),
+               "--out", str(attr), "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
+               "--skel-vocab", str(workspace["skel"] / "skel.vocab"), "--epochs", "1",
+               "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1") == 0
+    assert json.loads((attr / "config.json").read_text())["use_post_word_alpha"] is True
+    ws = {**workspace, "attr": attr}
+
+    def refined(*extra):
+        out, trace = tmp_path / "caps.tsv", tmp_path / "trace.txt"
+        assert run(*_caption_args(ws, out, "--trace", str(trace), *extra)) == 0
+        return "alpha_post[" in trace.read_text()
+
+    assert refined()  # as the attribute model was trained
+    assert not refined("--config", str(off))
+    assert refined("--config", str(off), "--post-word-alpha")  # the flag wins
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "skelcap", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: skelcap")
 
 
 # -- eval ---------------------------------------------------------------------

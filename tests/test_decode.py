@@ -555,3 +555,30 @@ def test_caption_one_step_call_per_beam_step(pipeline, monkeypatch):
     assert len(attr_calls) == max(n for n, _ in alone)
     assert [[attr.vocab.decode(i) for i in hyps[0].tokens] for _, hyps in alone] == \
         trace.attributes
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    dict(beam_skel=5, beam_attr=3, gamma_skel=0.5, gamma_attr=0.5, use_post_word_alpha=True),
+], ids=["default", "refined"])
+def test_caption_constructs_no_tensor(pipeline, monkeypatch, settings):
+    # inference runs on plain arrays: no step, projection, refinement or
+    # attribute search wraps anything in the tape's Tensor
+    from skelcap.numerics import Tensor
+    recs, skel, attr = pipeline
+    made = []
+    init = Tensor.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    saved = skel.store["out_b"].data.copy()
+    skel.store["out_b"].data[EOS] = -5.0  # the untrained decoder says several words
+    monkeypatch.setattr(Tensor, "__init__", spy)
+    try:
+        traces = [caption(r.features, skel, attr, **settings) for r in recs[:4]]
+    finally:
+        skel.store["out_b"].data[...] = saved
+    assert all(len(t.skeleton_words) >= 2 for t in traces)
+    assert made == []

@@ -13,23 +13,78 @@ def t64(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
+# -- tape ops that only the composed references below use ------------------------
+
+def mul(a, b):
+    y = nm._data(a) * nm._data(b)
+    if not nm._taped(a, b):
+        return y
+    a, b = nm.as_tensor(a), nm.as_tensor(b)
+
+    def bw(out):
+        g = out.grad
+        a._accumulate(nm._unbroadcast(g * b.data, a.data.shape))
+        b._accumulate(nm._unbroadcast(g * a.data, b.data.shape))
+
+    return nm._node(y, (a, b), bw)
+
+
+def sigmoid(a):
+    y = nm._sigmoid(nm._data(a))
+    if not nm._taped(a):
+        return y
+
+    def bw(out):
+        a._accumulate(out.grad * out.data * (1.0 - out.data))
+
+    return nm._node(y, (a,), bw)
+
+
+def reshape(a, shape):
+    y = nm._data(a).reshape(shape)
+    if not nm._taped(a):
+        return y
+
+    def bw(out):
+        a._accumulate(out.grad.reshape(a.data.shape))
+
+    return nm._node(y, (a,), bw)
+
+
+def narrow(a, axis, start, length):
+    """Contiguous slice of ``length`` entries along ``axis``."""
+    ad = nm._data(a)
+    idx = [slice(None)] * ad.ndim
+    idx[axis % ad.ndim] = slice(start, start + length)
+    idx = tuple(idx)
+    if not nm._taped(a):
+        return ad[idx]
+
+    def bw(out):
+        g = np.zeros_like(a.data)
+        g[idx] = out.grad
+        a._accumulate(g)
+
+    return nm._node(ad[idx], (a,), bw)
+
+
 def test_softmax_uniform():
     out = nm.softmax(Tensor([0.0, 0.0, 0.0]))
-    assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3])
+    assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_softmax_sums_to_one():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(5, 7)))
     out = nm.softmax(x, axis=-1)
-    assert np.all(out.data >= 0)
-    assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
+    assert np.all(out >= 0)
+    assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_matmul_identity():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     out = nm.matmul(Tensor(np.eye(2)), Tensor(x))
-    assert np.allclose(out.data, x)
+    assert np.allclose(out, x)
 
 
 def test_matmul_shape_mismatch():
@@ -46,11 +101,11 @@ def test_matmul_row_same_alone_and_in_a_batch(dtype):
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 224)).astype(dtype)
     b = rng.normal(size=(224, 512)).astype(dtype)
-    batch = nm.matmul(Tensor(a), Tensor(b)).data
+    batch = nm.matmul(Tensor(a), Tensor(b))
     for k in range(1, 6):
-        assert np.array_equal(nm.matmul(Tensor(a[:k]), Tensor(b)).data, batch[:k])
+        assert np.array_equal(nm.matmul(Tensor(a[:k]), Tensor(b)), batch[:k])
     for i in range(5):
-        assert np.array_equal(nm.matmul(Tensor(a[i:i + 1]), Tensor(b)).data[0], batch[i])
+        assert np.array_equal(nm.matmul(Tensor(a[i:i + 1]), Tensor(b))[0], batch[i])
 
 
 def test_cross_entropy_uniform():
@@ -68,14 +123,14 @@ def test_backward_sum_gives_ones():
 
 def test_backward_square():
     x = t64([3.0])
-    backward(nm.sum_(nm.mul(x, x)))
+    backward(nm.sum_(mul(x, x)))
     assert np.allclose(x.grad, [6.0])
 
 
 def test_backward_requires_scalar():
     x = t64([1.0, 2.0])
     with pytest.raises(NumericsError):
-        backward(nm.mul(x, x))
+        backward(mul(x, x))
 
 
 def test_broadcast_add_backward():
@@ -91,7 +146,7 @@ def test_concat_backward():
     b = t64(np.ones((2, 3)))
     out = nm.concat([a, b], axis=-1)
     assert out.data.shape == (2, 5)
-    backward(nm.sum_(nm.mul(out, out)))
+    backward(nm.sum_(mul(out, out)))
     assert a.grad.shape == (2, 2) and b.grad.shape == (2, 3)
 
 
@@ -100,7 +155,7 @@ def test_concat_middle_axis_backward():
     out = nm.concat(parts, axis=1)
     assert out.data.shape == (2, 6, 3)
     weights = np.arange(36.0).reshape(2, 6, 3)
-    backward(nm.sum_(nm.mul(out, Tensor(weights))))
+    backward(nm.sum_(mul(out, Tensor(weights))))
     for part, lo, hi in zip(parts, (0, 1, 4), (1, 4, 6)):
         assert np.array_equal(part.grad, weights[:, lo:hi])
 
@@ -121,7 +176,7 @@ def test_lookup_out_of_range():
 
 def test_narrow_backward():
     x = t64(np.arange(12.0).reshape(3, 4))
-    out = nm.narrow(x, -1, 1, 2)
+    out = narrow(x, -1, 1, 2)
     assert np.allclose(out.data, x.data[:, 1:3])
     backward(nm.sum_(out))
     expected = np.zeros((3, 4))
@@ -130,11 +185,13 @@ def test_narrow_backward():
 
 
 def test_no_grad_blocks_tape():
+    # without a tape an op returns its plain array: no node, no backward
     x = t64([2.0])
     with nm.no_grad():
-        out = nm.mul(x, x)
-    assert out._parents == ()
-    assert not out.requires_grad
+        out = mul(x, x)
+    assert type(out) is np.ndarray and np.array_equal(out, [4.0])
+    assert type(nm.tanh(Tensor([0.5]))) is np.ndarray  # no operand requires grad
+    assert isinstance(nm.tanh(x), Tensor)
 
 
 def test_nonfinite_loss_detected():
@@ -177,7 +234,7 @@ def test_three_layer_net_grad_check():
         h = Tensor(x)
         for i in range(3):
             h = nm.tanh(nm.add(nm.matmul(h, params[f"W{i}"]), params[f"b{i}"]))
-        return nm.mean(nm.mul(h, h))
+        return nm.mean(mul(h, h))
 
     report = grad_check(f, params, h=1e-3, tol=1e-4)
     assert report["passed"], report
@@ -305,23 +362,23 @@ def test_matmul_constant_operand_gets_no_gradient():
 def ref_lstm_cell(x, h, c, W, b):
     n = h.data.shape[-1]
     z = nm.add(nm.matmul(nm.concat([x, h], axis=-1), W), b)
-    i = nm.sigmoid(nm.narrow(z, -1, 0, n))
-    f = nm.sigmoid(nm.narrow(z, -1, n, n))
-    g = nm.tanh(nm.narrow(z, -1, 2 * n, n))
-    o = nm.sigmoid(nm.narrow(z, -1, 3 * n, n))
-    c_new = nm.add(nm.mul(f, c), nm.mul(i, g))
-    return nm.mul(o, nm.tanh(c_new)), c_new
+    i = sigmoid(narrow(z, -1, 0, n))
+    f = sigmoid(narrow(z, -1, n, n))
+    g = nm.tanh(narrow(z, -1, 2 * n, n))
+    o = sigmoid(narrow(z, -1, 3 * n, n))
+    c_new = nm.add(mul(f, c), mul(i, g))
+    return mul(o, nm.tanh(c_new)), c_new
 
 
 def ref_attention(u, h, V, b, w):
-    vh = nm.reshape(nm.matmul(h, V), (h.data.shape[0], 1, -1))
+    vh = reshape(nm.matmul(h, V), (h.data.shape[0], 1, -1))
     scores = nm.matmul(nm.tanh(nm.add(nm.add(u, vh), b)), w)
-    return nm.softmax(nm.reshape(scores, scores.data.shape[:-1]), axis=-1)
+    return nm.softmax(reshape(scores, scores.data.shape[:-1]), axis=-1)
 
 
 def ref_weighted_sum(alpha, feats):
     B, P = alpha.data.shape
-    return nm.sum_(nm.mul(nm.reshape(alpha, (B, P, 1)), feats), axis=1)
+    return nm.sum_(mul(reshape(alpha, (B, P, 1)), feats), axis=1)
 
 
 FUSED = {"lstm_cell": ref_lstm_cell, "attention": ref_attention,
@@ -354,7 +411,7 @@ def _run(op, arrays, const, upstream, dtype):
     loss = None
     for out, up in zip(outs, upstream):
         if up is not None:
-            term = nm.sum_(nm.mul(out, Tensor(np.asarray(up, dtype=dtype))))
+            term = nm.sum_(mul(out, Tensor(np.asarray(up, dtype=dtype))))
             loss = term if loss is None else nm.add(loss, term)
     backward(loss)
     return [o.data for o in outs] + [t.grad for t in inputs if t.requires_grad]
@@ -418,7 +475,7 @@ def test_fused_op_matches_finite_differences(name, arrays, upstream):
     def f():
         outs = op(*params.values())
         outs = outs if isinstance(outs, tuple) else (outs,)
-        terms = [nm.sum_(nm.mul(o, u)) for o, u in zip(outs, ups)]
+        terms = [nm.sum_(mul(o, u)) for o, u in zip(outs, ups)]
         return terms[0] if len(terms) == 1 else nm.add(*terms)
 
     report = grad_check(f, params, h=1e-5, tol=1e-6)
@@ -508,3 +565,126 @@ def test_fused_graphs_add_parameter_gradients_in_composed_order(monkeypatch):
     for name in fused:
         assert fused[name] == composed[name], name
     assert max(len(v) for v in fused.values()) >= 4
+
+
+# -- plain-array mode -------------------------------------------------------------
+
+def _decode_ops(rng, B, m, n, P, A):
+    """Every op a caption reaches, each with its input arrays (float32)."""
+    idx = rng.integers(0, n + 1, size=B)
+    f32 = [np.asarray(a, dtype=np.float32) for a in
+           _lstm_inputs(rng, B, m, n, np.float32) + _attention_inputs(rng, B, n, P, A, B > 1)
+           + _weighted_sum_inputs(rng, B, P, m)]
+    lstm, att, ws = f32[:5], f32[5:10], f32[10:]
+    x = rng.normal(size=(B, n)).astype(np.float32)
+    return {
+        "matmul": (nm.matmul, [x, rng.normal(size=(n, m)).astype(np.float32)]),
+        "add": (nm.add, [x, rng.normal(size=n).astype(np.float32)]),
+        "tanh": (nm.tanh, [x]),
+        "softmax": (lambda a: nm.softmax(a, axis=-1), [x]),
+        "log_softmax": (lambda a: nm.log_softmax(a, axis=-1), [x]),
+        "concat": (lambda a, b: nm.concat([a, b], axis=-1), [x, lstm[0]]),
+        "lookup": (lambda table: nm.lookup(table, idx),
+                   [rng.normal(size=(n + 1, m)).astype(np.float32)]),
+        "mean": (lambda a: nm.mean(a, axis=1), [ws[1]]),
+        "lstm_cell": (nm.lstm_cell, lstm),
+        "attention": (nm.attention, att),
+        "weighted_sum": (nm.weighted_sum, ws),
+    }
+
+
+def _outputs(out):
+    return list(out) if isinstance(out, tuple) else [out]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), dims, dims, dims, dims)
+def test_ops_return_the_tape_bits_as_plain_arrays(seed, B, m, n, P, A):
+    rng = np.random.default_rng(seed)
+    for name, (op, arrays) in _decode_ops(rng, B, m, n, P, A).items():
+        taped = _outputs(op(*(Tensor(a.copy(), requires_grad=True) for a in arrays)))
+        plain = _outputs(op(*arrays))
+        with nm.no_grad():
+            no_grad = _outputs(op(*(Tensor(a.copy(), requires_grad=True) for a in arrays)))
+        for t, p, q in zip(taped, plain, no_grad):
+            assert isinstance(t, Tensor) and t._parents, name
+            assert type(p) is np.ndarray and type(q) is np.ndarray, name
+            for arr in (p, q):
+                assert arr.dtype == t.data.dtype and np.array_equal(arr, t.data), name
+
+
+# -- adagrad against the formula it replaced ---------------------------------------
+
+def _adagrad_reference(store, learning_rate, epsilon=1e-8, clip_norm=5.0):
+    """The earlier multi-pass update: global norm, clip, then per parameter a
+    finite check, acc += g^2 and w -= lr * g / (sqrt(acc) + eps)."""
+    sq = 0.0
+    for t in store.params.values():
+        if t.grad is not None:
+            sq += float(np.sum(t.grad.astype(np.float64) ** 2))
+    norm = np.sqrt(sq)
+    if clip_norm is not None and norm > clip_norm > 0:
+        factor = clip_norm / norm
+        for t in store.params.values():
+            if t.grad is not None:
+                t.grad *= factor
+    for name, t in store.params.items():
+        g = t.grad
+        if g is None:
+            continue
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteError(f"non-finite gradient for {name!r}")
+        acc = store.accumulators[name]
+        acc += g.astype(np.float64) ** 2
+        t.data -= (learning_rate * g / (np.sqrt(acc) + epsilon)).astype(t.data.dtype)
+    store.step_count += 1
+    store.zero_grad()
+    return float(norm)
+
+
+def _bytes(store):
+    return {name: (t.data.tobytes(), store.accumulators[name].tobytes())
+            for name, t in store.params.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("clip_norm", [None, 5.0])
+def test_adagrad_step_bit_identical_to_reference(dtype, clip_norm):
+    rng = np.random.default_rng(8)
+    shapes = {"W": (30, 40), "b": (40,), "E": (7, 3, 2), "unused": (3,)}
+    stores = [ParameterStore(), ParameterStore()]
+    for name, shape in shapes.items():
+        w = rng.normal(size=shape).astype(dtype)
+        for store in stores:
+            store.add(name, w.copy())
+    clipped = []
+    for _ in range(20):
+        grads = {name: (rng.normal(size=shape) * rng.uniform(0.01, 0.5)).astype(dtype)
+                 for name, shape in shapes.items() if name != "unused"}
+        for store in stores:
+            for name, g in grads.items():
+                store[name].grad = g.copy()
+        norm = stores[0].adagrad_step(0.1, clip_norm=clip_norm)
+        assert norm == _adagrad_reference(stores[1], 0.1, clip_norm=clip_norm)
+        clipped.append(clip_norm is not None and norm > clip_norm)
+        assert _bytes(stores[0]) == _bytes(stores[1])
+    assert stores[0].step_count == stores[1].step_count == 20
+    if clip_norm is not None:  # both branches were taken
+        assert any(clipped) and not all(clipped)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adagrad_non_finite_gradient_changes_nothing(bad):
+    store = ParameterStore()
+    store.add("a", np.ones(3, dtype=np.float32))
+    store.add("b", np.ones(2, dtype=np.float32))
+    store.accumulators["a"][:] = 0.5
+    store["a"].grad = np.full(3, 100.0, dtype=np.float32)  # would be clipped
+    store["b"].grad = np.array([1.0, bad], dtype=np.float32)
+    before = _bytes(store)
+    grads = [store[n].grad.tobytes() for n in ("a", "b")]
+    with pytest.raises(NonFiniteError, match="'b'"):
+        store.adagrad_step(0.1, clip_norm=5.0)
+    assert _bytes(store) == before
+    assert store.step_count == 0
+    assert [store[n].grad.tobytes() for n in ("a", "b")] == grads
