@@ -16,7 +16,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import BOS, EOS, Vocabulary
 from .numerics import ParameterStore
-from .recurrent import RecurrentDecoder, length_batches
+from .recurrent import LSTMState, RecurrentDecoder, length_batches
 from .skelnet import SkelState, refine_attention
 
 HIDDEN_TAPS = ("current", "previous", "final")
@@ -24,13 +24,6 @@ HIDDEN_TAPS = ("current", "previous", "final")
 
 class AttrConfigError(ValueError):
     pass
-
-
-@dataclass
-class AttrState:
-    h: np.ndarray
-    c: np.ndarray
-    t: int = 0
 
 
 @dataclass
@@ -105,26 +98,25 @@ class AttributeGenerator(RecurrentDecoder):
         return out.reshape(lead + (-1,))
 
     def make_step_fn(self):
-        """Batched beam-search step function: (K states, K tokens) -> (K new
-        states, log-probabilities (K, V)), one ``_word_step_t`` call for all K."""
+        """Batched beam-search step function: (a batch of K states, K tokens)
+        -> (the batch of K new states, log-probabilities (K, V)), one
+        ``_word_step_t`` call for all K."""
 
         def step_fn(states, tokens):
             with nm.no_grad():
-                h, c, logits = self._word_step_t(np.stack([s.h for s in states]),
-                                                 np.stack([s.c for s in states]),
-                                                 np.asarray(tokens))
-            return [AttrState(h=h[k], c=c[k], t=s.t + 1)
-                    for k, s in enumerate(states)], nm.log_softmax(logits, axis=-1)
+                h, c, logits = self._word_step_t(states.h, states.c, np.asarray(tokens))
+            return LSTMState(h, c, states.t + 1), nm.log_softmax(logits, axis=-1)
 
         return step_fn
 
-    def initial_state(self, x_init: np.ndarray) -> List[AttrState]:
-        """States after the LSTM consumed the fused step -1 inputs ``x_init``
-        ((W, m), or one (m,) input) from zeros, one per word."""
+    def initial_state(self, x_init: np.ndarray) -> LSTMState:
+        """The batch of states after the LSTM consumed the fused step -1
+        inputs ``x_init`` ((W, m), or one (m,) input) from zeros, one row per
+        word."""
         x = np.atleast_2d(np.asarray(x_init, dtype=self.dtype))
         with nm.no_grad():
             h, c = self._start_t(x)
-        return [AttrState(h=h[k], c=c[k], t=0) for k in range(len(x))]
+        return LSTMState(h, c, 0)
 
     def generate_attributes(self, x_init: np.ndarray, max_len: int = 4,
                             beam_size: int = 1, gamma: float = 0.0) -> List[List[str]]:
@@ -134,7 +126,7 @@ class AttributeGenerator(RecurrentDecoder):
         from .decode import BeamConfig, joint_beam_search
         states = self.initial_state(x_init)
         if max_len <= 0:
-            return [[] for _ in states]
+            return [[] for _ in range(len(states))]
         config = BeamConfig(beam_size=beam_size, gamma=gamma, max_len=max_len)
         searches = joint_beam_search(self.make_step_fn(), states, config,
                                      bos=BOS, eos=EOS, vocab_size=len(self.vocab))

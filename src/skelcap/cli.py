@@ -288,6 +288,11 @@ def cmd_caption(args, file_config):
     skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"], skel_vocab)
     attr_model = AttributeGenerator.load(cfg["attr-checkpoint"], attr_vocab)
     wanted = None if args.ids in (None, "all") else set(_csv(args.ids))
+    if wanted is not None:
+        missing = wanted.difference(rec.image_id for rec in records)
+        if missing:
+            raise corpus.CorpusError(f"--ids: image ids not in split {cfg['split']!r}: "
+                                     f"{', '.join(sorted(missing))}")
     out_path = Path(cfg["out"])
     n = 0
     with contextlib.ExitStack() as files:

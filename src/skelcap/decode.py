@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +41,11 @@ class BeamConfig:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """Partial or finished sentence; tokens never include EOS."""
+    """Partial or finished sentence; tokens never include EOS.
+
+    ``state`` is the (batch, row) of its state after its last step, and
+    ``states``, when recorded, the (batch, row) of its state after each step.
+    """
 
     tokens: Tuple[int, ...]
     raw_logp: float
@@ -62,83 +66,83 @@ def score_adjust(raw_logp: float, length: int, gamma: float) -> float:
     return raw_logp + gamma * length
 
 
-class LiveStates(list):
-    """The states of the live hypotheses entering one beam step, in hypothesis
-    order; ``t`` is the beam step, 0 for the initial states."""
-
-    def __init__(self, states, t: int):
-        super().__init__(states)
-        self.t = t
-
-
-def joint_beam_search(step_fn: Callable, init_states: Sequence, config: BeamConfig,
+def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
                       bos: int = BOS, eos: int = EOS, vocab_size: Optional[int] = None,
                       record_states: bool = False) -> List[List[Hypothesis]]:
     """Length-factor beam search, for independent searches stepped together.
 
-    Search i starts from ``init_states[i]``. Each beam step advances the live
-    hypotheses of every unfinished search with one call
-    ``step_fn(states, tokens) -> (new_states, log_probs)``: ``states`` is a
-    ``LiveStates`` list of their K states, ``tokens`` a (K,) array of their
-    last tokens (BOS for an empty hypothesis), ``new_states`` K new states and
-    ``log_probs`` a (K, V) array. Expansion adds gamma to every candidate
-    word's log-probability except EOS. Per search, hypotheses reaching EOS
-    (their raw score includes the EOS term) or ``max_len`` move to its
-    finished pool, capped at ``beam_size``, and the search stops once it has
-    no live hypothesis or its best one cannot catch up with a full pool.
-    Returns per search its finished hypotheses sorted by adjusted score; ties
-    break toward shorter, then lexicographically smaller token sequences.
+    Search i starts from row i of the batch ``init_states``. A batch of K
+    states has ``len(batch) == K``, the beam step ``batch.t`` (0 for
+    ``init_states``) and ``batch.take(rows)``, the batch of those rows. Each
+    beam step advances the live hypotheses of every unfinished search with
+    one call ``step_fn(states, tokens) -> (new_states, log_probs)``:
+    ``tokens`` is a (K,) array of their last tokens (BOS for an empty
+    hypothesis), ``new_states`` the batch of their K new states and
+    ``log_probs`` a (K, V) array; the survivors' rows of ``new_states`` are
+    then taken in one gather. Expansion adds gamma to every candidate word's
+    log-probability except EOS. Per search, hypotheses reaching EOS (their
+    raw score includes the EOS term) or ``max_len`` move to its finished
+    pool, capped at ``beam_size``, and the search stops once it has no live
+    hypothesis or its best one cannot catch up with a full pool. Returns per
+    search its finished hypotheses sorted by adjusted score; ties break
+    toward shorter, then lexicographically smaller token sequences.
     """
     gamma, width = config.gamma, config.beam_size
-    live = [[Hypothesis(tokens=(), raw_logp=0.0, adjusted_logp=0.0, state=s)]
-            for s in init_states]
-    # finished pools hold plain entries (-adjusted, length, tokens, seq, raw,
-    # state, states) until the end; seq numbers entries in the order they
-    # were made, so sorting entries is the stable sort on the ranking key
-    finished: List[list] = [[] for _ in init_states]
+    # live hypotheses are tuples (tokens, raw, adjusted, row, history): row is
+    # the hypothesis's row in the batch its last step returned, history its
+    # recorded (batch, row) pairs; they follow the rows of ``states`` in order
+    live = [[((), 0.0, 0.0, i, ())] for i in range(len(init_states))]
+    # finished pools hold entries (-adjusted, length, tokens, seq, raw,
+    # (batch, row), history) until the end; seq numbers entries in the order
+    # they were made, so sorting entries is the stable sort on the ranking key
+    finished: List[list] = [[] for _ in live]
     seq = itertools.count()
-    active = list(range(len(init_states)))
+    active = list(range(len(live)))
+    states, tokens = init_states, np.full(len(live), bos, dtype=np.int64)
     for step in range(config.max_len):
         if not active:
             break
-        parents = [hyp for i in active for hyp in live[i]]
-        new_states, logps = step_fn(
-            LiveStates([hyp.state for hyp in parents], step),
-            np.asarray([hyp.tokens[-1] if hyp.tokens else bos for hyp in parents], dtype=np.int64))
+        new_states, logps = step_fn(states, tokens)
         logps = np.asarray(logps, dtype=np.float64)
-        if logps.ndim != 2 or logps.shape[0] != len(parents) or \
+        K = len(tokens)
+        if logps.ndim != 2 or logps.shape[0] != K or \
                 (vocab_size is not None and logps.shape[1] != vocab_size):
             raise BeamError(f"step_fn returned log-probs of shape {logps.shape}, expected "
-                            f"({len(parents)}, {vocab_size if vocab_size is not None else 'V'})")
+                            f"({K}, {vocab_size if vocab_size is not None else 'V'})")
         n_keep = min(width + 1, logps.shape[1])
         tops = np.sort(np.argpartition(-logps, n_keep - 1, axis=1)[:, :n_keep], axis=1)
-        rows = iter(zip(parents, new_states, tops.tolist(),
-                        np.take_along_axis(logps, tops, axis=1).tolist()))
-        still_active = []
+        kept = logps[np.arange(K)[:, None], tops].tolist()
+        tops = tops.tolist()
+        still_active, rows, next_tokens = [], [], []
+        k = 0  # the parent's row in new_states
         for i in active:
-            # candidates (-adjusted, length, tokens, seq, raw, parent, state);
-            # EOS candidates keep their parent's tokens
+            # candidates (-adjusted, length, tokens, seq, raw, parent row, is
+            # EOS, parent history), adjusted as in score_adjust; EOS
+            # candidates keep their parent's tokens
             candidates = []
-            for _ in live[i]:
-                hyp, new_state, top, kept = next(rows)
-                for tok, logp in zip(top, kept):
-                    raw = hyp.raw_logp + logp
-                    tokens = hyp.tokens if tok == eos else hyp.tokens + (tok,)
-                    candidates.append((-score_adjust(raw, len(tokens), gamma), len(tokens),
-                                       tokens, next(seq), raw, hyp, new_state))
+            for parent_tokens, parent_raw, _, _, history in live[i]:
+                n = len(parent_tokens)
+                for tok, logp in zip(tops[k], kept[k]):
+                    raw = parent_raw + logp
+                    if tok == eos:
+                        candidates.append((-(raw + gamma * n), n, parent_tokens, next(seq),
+                                           raw, k, True, history))
+                    else:
+                        candidates.append((-(raw + gamma * (n + 1)), n + 1,
+                                           parent_tokens + (tok,), next(seq), raw, k, False,
+                                           history))
+                k += 1
             candidates.sort()
             pool, kept_live = finished[i], []
-            for neg_adj, length, tokens, order, raw, hyp, new_state in candidates:
-                is_eos = length == hyp.length
+            for neg_adj, length, cand, order, raw, row, is_eos, history in candidates:
                 if not is_eos and len(kept_live) == width:
                     continue
-                states = hyp.states + (new_state,) if record_states else ()
+                if record_states:
+                    history += ((new_states, row),)
                 if is_eos:
-                    pool.append((neg_adj, length, tokens, order, raw, new_state, states))
+                    pool.append((neg_adj, length, cand, order, raw, (new_states, row), history))
                 else:
-                    kept_live.append(Hypothesis(tokens=tokens, raw_logp=raw,
-                                                adjusted_logp=-neg_adj, state=new_state,
-                                                states=states))
+                    kept_live.append((cand, raw, -neg_adj, row, history))
             pool.sort()
             del pool[width:]
             live[i] = kept_live
@@ -147,25 +151,32 @@ def joint_beam_search(step_fn: Callable, init_states: Sequence, config: BeamConf
             # the best live hypothesis cannot catch up with the finished pool
             remaining = config.max_len - (step + 1)
             if len(pool) == width and \
-                    kept_live[0].adjusted_logp + max(gamma, 0.0) * remaining < -pool[-1][0]:
+                    kept_live[0][2] + max(gamma, 0.0) * remaining < -pool[-1][0]:
                 continue
             still_active.append(i)
+            for hyp in kept_live:
+                rows.append(hyp[3])
+                next_tokens.append(hyp[0][-1])
         active = still_active
+        if active and step + 1 < config.max_len:
+            states = new_states.take(np.asarray(rows))
+            tokens = np.asarray(next_tokens, dtype=np.int64)
     for i in active:  # searches that ran to max_len
-        finished[i].extend((-hyp.adjusted_logp, hyp.length, hyp.tokens, next(seq), hyp.raw_logp,
-                            hyp.state, hyp.states) for hyp in live[i])
+        finished[i].extend((-adjusted, len(toks), toks, next(seq), raw, (new_states, row), history)
+                           for toks, raw, adjusted, row, history in live[i])
         finished[i].sort()
         del finished[i][width:]
-    return [[Hypothesis(tokens=tokens, raw_logp=raw, adjusted_logp=-neg_adj, state=state,
-                        finished=True, states=states)
-             for neg_adj, _, tokens, _, raw, state, states in pool] for pool in finished]
+    return [[Hypothesis(tokens=toks, raw_logp=raw, adjusted_logp=-neg_adj, state=state,
+                        finished=True, states=history)
+             for neg_adj, _, toks, _, raw, state, history in pool] for pool in finished]
 
 
 def beam_search(step_fn: Callable, init_state, config: BeamConfig,
                 bos: int = BOS, eos: int = EOS, vocab_size: Optional[int] = None,
                 record_states: bool = False) -> List[Hypothesis]:
-    """``joint_beam_search`` of the single search that starts from ``init_state``."""
-    return joint_beam_search(step_fn, [init_state], config, bos, eos, vocab_size,
+    """``joint_beam_search`` of the single search that starts from
+    ``init_state``, a batch of one row."""
+    return joint_beam_search(step_fn, init_state, config, bos, eos, vocab_size,
                              record_states)[0]
 
 
@@ -219,15 +230,15 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     hyps = beam_search(step_fn, init, skel_cfg,
                        vocab_size=len(skel_model.vocab), record_states=True)
     best = hyps[0]
-    # the teacher_trace record of the winning beam: the states leaving the
-    # steps that emitted a skeleton word (a final EOS step is dropped) and
-    # the states entering them
+    # the teacher_trace record of the winning beam, indexed from the recorded
+    # rows: the states leaving the steps that emitted a skeleton word (a
+    # final EOS step is dropped) and the states entering them
     stepped = best.states[:len(best.tokens)]
-    entering = ((init,) + best.states)[:len(best.tokens)]
-    trace = {"alpha": [s.alpha for s in stepped], "z": [s.z for s in stepped],
-             "h": [s.h for s in stepped], "h_prev": [s.h for s in entering],
-             "c_prev": [s.c for s in entering], "logits": [s.logits for s in stepped],
-             "words": best.tokens}
+    entering = (((init, 0),) + best.states)[:len(best.tokens)]
+    trace = {"alpha": [b.alpha[r] for b, r in stepped], "z": [b.z[r] for b, r in stepped],
+             "h": [b.h[r] for b, r in stepped], "h_prev": [b.h[r] for b, r in entering],
+             "c_prev": [b.c[r] for b, r in entering],
+             "logits": [b.logits[r] for b, r in stepped], "words": best.tokens}
     conditioning = word_conditioning(skel_model, trace, features, attr_model.hidden_tap,
                                      use_post_word_alpha)
     if not best.tokens:
@@ -241,6 +252,6 @@ def caption(features: FeatureGrid, skel_model, attr_model,
                                                 beam_size=beam_attr, gamma=gamma_attr)
     skeleton_words = [skel_model.vocab.decode(i) for i in best.tokens]
     return CaptionTrace(skeleton_words=skeleton_words, attributes=attributes,
-                        alphas=[s.alpha.reshape(L, L).copy() for s in stepped],
+                        alphas=[alpha.reshape(L, L).copy() for alpha in trace["alpha"]],
                         post_alphas=list(post_alphas),
                         tokens=fuse_predicted(skeleton_words, attributes))

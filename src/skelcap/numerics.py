@@ -89,7 +89,8 @@ class no_grad:
 
 # Every op takes Tensors or plain arrays and runs one forward on arrays. When no
 # tape is needed (grad disabled, or no operand requires grad) it returns that
-# array; otherwise it wraps its operands, defines its backward and returns a node.
+# array; otherwise it defines its backward and returns a node. A plain-array
+# operand is a constant: it is not a parent of the node and gets no gradient.
 
 
 def _data(x):
@@ -102,9 +103,14 @@ def _taped(*operands):
     return _grad_enabled and any(isinstance(x, Tensor) and x.requires_grad for x in operands)
 
 
-def _node(data, parents, backward_fn):
+def _requires(x):
+    """Whether operand ``x`` takes a gradient: a Tensor that requires grad."""
+    return isinstance(x, Tensor) and x.requires_grad
+
+
+def _node(data, operands, backward_fn):
     out = Tensor(data, requires_grad=True)
-    out._parents = parents
+    out._parents = tuple(x for x in operands if isinstance(x, Tensor))
     out._backward = backward_fn
     return out
 
@@ -128,12 +134,12 @@ def add(a, b):
     y = _data(a) + _data(b)
     if not _taped(a, b):
         return y
-    a, b = as_tensor(a), as_tensor(b)
 
     def bw(out):
         g = out.grad
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        for x in (a, b):
+            if isinstance(x, Tensor):
+                x._accumulate(_unbroadcast(g, x.data.shape))
 
     return _node(y, (a, b), bw)
 
@@ -173,7 +179,6 @@ def matmul(a, b):
     y = _row_stable_matmul(ad, bd)
     if not _taped(a, b):
         return y
-    a, b = as_tensor(a), as_tensor(b)
 
     def bw(out):
         _matmul_backward(out.grad, a, b)
@@ -184,10 +189,10 @@ def matmul(a, b):
 def _matmul_backward(g, a, b):
     """Gradients of ``a @ b`` given the output gradient ``g``; an operand
     that does not require grad (a constant input) gets none."""
-    if a.requires_grad:
-        a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-    if b.requires_grad:
-        b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+    if _requires(a):
+        a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(_data(b), -1, -2)), a.data.shape))
+    if _requires(b):
+        b._accumulate(_unbroadcast(np.matmul(np.swapaxes(_data(a), -1, -2), g), b.data.shape))
 
 
 def tanh(a):
@@ -232,7 +237,6 @@ def concat(tensors, axis=-1):
     y = np.concatenate([_data(t) for t in tensors], axis=axis)
     if not _taped(*tensors):
         return y
-    tensors = tuple(as_tensor(t) for t in tensors)
 
     def bw(out):
         g = out.grad
@@ -240,9 +244,10 @@ def concat(tensors, axis=-1):
         ax = axis % g.ndim
         lo = 0
         for t in tensors:
-            hi = lo + t.data.shape[ax]
-            idx[ax] = slice(lo, hi)
-            t._accumulate(g[tuple(idx)])
+            hi = lo + _data(t).shape[ax]
+            if isinstance(t, Tensor):
+                idx[ax] = slice(lo, hi)
+                t._accumulate(g[tuple(idx)])
             lo = hi
 
     return _node(y, tensors, bw)
@@ -347,10 +352,10 @@ def lstm_cell(x, h, c, W, b):
     Two nodes: ``c'`` owns the gates and the backward, and ``h'`` hands its
     output-gate gradient and its share of the gradient of ``c'`` to ``c'``.
     """
-    hd, cd = _data(h), _data(c)
+    xd, hd, cd, Wd = _data(x), _data(h), _data(c), _data(W)
     n = hd.shape[-1]
-    xh = np.concatenate([_data(x), hd], axis=-1)
-    z = _row_stable_matmul(xh, _data(W)) + _data(b)
+    xh = np.concatenate([xd, hd], axis=-1)
+    z = _row_stable_matmul(xh, Wd) + _data(b)
     gates = _sigmoid(z)  # elementwise, so the g columns are simply unused
     i, f, o = gates[..., :n], gates[..., n:2 * n], gates[..., 3 * n:]
     g = np.tanh(z[..., 2 * n:3 * n])
@@ -358,27 +363,26 @@ def lstm_cell(x, h, c, W, b):
     tc = np.tanh(c_new)
     if not _taped(x, h, c, W, b):
         return o * tc, c_new
-    x, h, c, W, b = (as_tensor(t) for t in (x, h, c, W, b))
     d_o = []  # the output-gate gradient, from the h' node
 
     def bw_c(out):
         gc = out.grad
-        dz = np.concatenate([gc * g * i * (1.0 - i), gc * c.data * f * (1.0 - f),
+        dz = np.concatenate([gc * g * i * (1.0 - i), gc * cd * f * (1.0 - f),
                              gc * i * (1.0 - g * g), d_o.pop() if d_o else np.zeros_like(gc)],
                             axis=-1)
-        if b.requires_grad:
+        if _requires(b):
             b._accumulate(_unbroadcast(dz, b.data.shape))
-        if W.requires_grad:
-            W._accumulate(_unbroadcast(np.matmul(np.swapaxes(xh, -1, -2), dz), W.data.shape))
-        if x.requires_grad or h.requires_grad:
-            gxh = np.matmul(dz, np.swapaxes(W.data, -1, -2))
-            m = x.data.shape[-1]
-            if x.requires_grad:
+        if _requires(W):
+            W._accumulate(_unbroadcast(np.matmul(np.swapaxes(xh, -1, -2), dz), Wd.shape))
+        if _requires(x) or _requires(h):
+            gxh = np.matmul(dz, np.swapaxes(Wd, -1, -2))
+            m = xd.shape[-1]
+            if _requires(x):
                 x._accumulate(gxh[..., :m])
-            if h.requires_grad:
+            if _requires(h):
                 h._accumulate(gxh[..., m:])
-        if c.requires_grad:
-            c._accumulate(_unbroadcast(gc * f, c.data.shape))
+        if _requires(c):
+            c._accumulate(_unbroadcast(gc * f, cd.shape))
 
     # x last: the tape reaches x's own inputs (a step's word lookup) after
     # the history in h and c, as it did through the composed graph's concat
@@ -399,29 +403,28 @@ def attention(u, h, V, b, w):
     batch; ``h`` is (B, n), ``V`` (n, A), ``b`` (A,), ``w`` (A, 1). Returns
     alpha (B, P) as one node.
     """
-    hd, Vd = _data(h), _data(V)
+    hd, Vd, wd = _data(h), _data(V), _data(w)
     B = hd.shape[0]
     vh_shape = (B, 1, Vd.shape[-1])
     th = _data(u) + _row_stable_matmul(hd, Vd).reshape(vh_shape)
     th += _data(b)
     np.tanh(th, out=th)
-    scores = np.matmul(th, _data(w))
+    scores = np.matmul(th, wd)
     alpha = _softmax(scores.reshape(scores.shape[:-1]), -1)
     if not _taped(u, h, V, b, w):
         return alpha
-    u, h, V, b, w = (as_tensor(t) for t in (u, h, V, b, w))
 
     def bw(out):
         gs = _softmax_backward(out.grad, out.data, -1).reshape(scores.shape)
-        if w.requires_grad:
-            w._accumulate(_unbroadcast(np.matmul(np.swapaxes(th, -1, -2), gs), w.data.shape))
+        if _requires(w):
+            w._accumulate(_unbroadcast(np.matmul(np.swapaxes(th, -1, -2), gs), wd.shape))
         # (gs @ w.T) * (1 - th*th), in place; gs @ w.T sums one product per entry
         d_pre = th * th
         np.subtract(1.0, d_pre, out=d_pre)
-        d_pre *= gs * np.swapaxes(w.data, -1, -2)
-        if b.requires_grad:
+        d_pre *= gs * np.swapaxes(wd, -1, -2)
+        if _requires(b):
             b._accumulate(_unbroadcast(d_pre, b.data.shape))
-        if u.requires_grad:
+        if _requires(u):
             u._accumulate(_unbroadcast(d_pre, u.data.shape))
         _matmul_backward(_unbroadcast(d_pre, vh_shape).reshape(B, -1), h, V)
 
@@ -432,18 +435,18 @@ def weighted_sum(alpha, feats):
     """Context vectors sum_p alpha[b, p] * feats[b, p]: alpha (B, P) and
     feats (B, P, D) give (B, D), summed in float64, as one node."""
     a3 = _data(alpha)[..., None]
-    prod = a3 * _data(feats)
+    fd = _data(feats)
+    prod = a3 * fd
     z = prod.sum(axis=1, dtype=np.float64).astype(prod.dtype)
     if not _taped(alpha, feats):
         return z
-    alpha, feats = as_tensor(alpha), as_tensor(feats)
 
     def bw(out):
         g = np.expand_dims(out.grad, 1)
-        if alpha.requires_grad:
-            alpha._accumulate(_unbroadcast(g * feats.data, a3.shape).reshape(alpha.data.shape))
-        if feats.requires_grad:
-            feats._accumulate(_unbroadcast(g * a3, feats.data.shape))
+        if _requires(alpha):
+            alpha._accumulate(_unbroadcast(g * fd, a3.shape).reshape(alpha.data.shape))
+        if _requires(feats):
+            feats._accumulate(_unbroadcast(g * a3, fd.shape))
 
     return _node(z, (alpha, feats), bw)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +41,25 @@ def length_batches(lengths, batch_size, shuffle_rng=None):
     if shuffle_rng is not None:
         shuffle_rng.shuffle(chunks)
     return chunks
+
+
+@dataclass
+class LSTMState:
+    """LSTM states of a batch of hypotheses, one per row of the (K, n)
+    hidden ``h`` and cell ``c``, entering decode step ``t``: the batch a
+    beam search hands its step function."""
+
+    h: np.ndarray
+    c: np.ndarray
+    t: int = 0
+
+    def __len__(self):
+        return len(self.h)
+
+    def take(self, rows):
+        """The batch of ``rows`` (an index array), entering step ``t``: one
+        fancy index per state array."""
+        return type(self)(self.h[rows], self.c[rows], self.t)
 
 
 class RecurrentDecoder:

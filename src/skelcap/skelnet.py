@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import BOS, EOS, FeatureGrid, Vocabulary
 from .numerics import ParameterStore, Tensor
-from .recurrent import RecurrentDecoder, length_batches
+from .recurrent import LSTMState, RecurrentDecoder, length_batches
 
 log = logging.getLogger(__name__)
 
@@ -31,16 +31,13 @@ _TRACE_KEYS = ("alpha", "z", "h", "h_prev", "c_prev", "logits")
 
 
 @dataclass
-class SkelState:
-    """Recurrent state: hidden and cell vectors plus the time step; a decode
-    step also keeps its attention trace and word logits for reuse."""
+class SkelState(LSTMState):
+    """LSTM states of a batch of hypotheses, one per row; the batch a decode
+    step returns also keeps that step's attention trace and word logits."""
 
-    h: np.ndarray
-    c: np.ndarray
-    t: int = 0
-    alpha: Optional[np.ndarray] = None   # flat (L*L,), map used at this step
-    z: Optional[np.ndarray] = None       # context vector used at this step
-    logits: Optional[np.ndarray] = None  # (Q,), word logits of this step
+    alpha: Optional[np.ndarray] = None   # (K, L*L), maps used at this step
+    z: Optional[np.ndarray] = None       # (K, D), context vectors used at this step
+    logits: Optional[np.ndarray] = None  # (K, Q), word logits of this step
 
 
 def refine_attention(p_attend: np.ndarray, p_grid: np.ndarray,
@@ -117,14 +114,18 @@ class SkeletonGenerator(RecurrentDecoder):
         without attention); decoding computes it once per batch or image."""
         return nm.matmul(feats, self.store["att_U"]) if self.use_attention else None
 
+    # ``feats`` is (B, P, D), or (1, P, D) shared by a batch of B states
+
     def _attend_t(self, feats, u, h):
         if not self.use_attention:
-            return np.full(feats.shape[:2], 1.0 / feats.shape[1], dtype=self.dtype)
+            P = feats.shape[1]
+            return np.full((h.shape[0], P), 1.0 / P, dtype=self.dtype)
         return nm.attention(u, h, self.store["att_V"], self.store["att_b"], self.store["att_w"])
 
     def _context_t(self, feats, alpha):
         if not self.use_attention:
-            return nm.mean(feats, axis=1)
+            z = nm.mean(feats, axis=1)  # a constant grid's mean: an array
+            return np.broadcast_to(z, (alpha.shape[0], z.shape[-1]))
         return nm.weighted_sum(alpha, feats)
 
     def _cell_t(self, prev_idx, z, h, c):
@@ -168,10 +169,11 @@ class SkeletonGenerator(RecurrentDecoder):
         return features.flat()[None, :, :]
 
     def init_state(self, features: FeatureGrid) -> SkelState:
-        """State entering the first decode step, whose input word is BOS."""
+        """State entering the first decode step, whose input word is BOS, as
+        a batch of one row."""
         with nm.no_grad():
             h, c = self._init_state_t(self._flat(features))
-        return SkelState(h=h[0], c=c[0], t=0)
+        return SkelState(h=h, c=c, t=0)
 
     def context(self, features: FeatureGrid, alpha: np.ndarray) -> np.ndarray:
         """Context vectors z = sum_ij alpha_ij v_ij.
@@ -189,8 +191,7 @@ class SkeletonGenerator(RecurrentDecoder):
             lead = a.shape[:-1]
         else:
             raise ConfigError(f"attention map of shape {a.shape} does not fit a {L}x{L} grid")
-        maps = a.reshape(-1, P)
-        z = self._context_t(np.broadcast_to(flat, (len(maps),) + flat.shape[1:]), maps)
+        z = self._context_t(flat, a.reshape(-1, P))
         return z.reshape(*lead, -1)
 
     def _image(self, features: FeatureGrid):
@@ -200,24 +201,26 @@ class SkeletonGenerator(RecurrentDecoder):
             return flat, self._project_t(flat)
 
     def _advance(self, image, states, words, normalize):
-        """One no-grad step of the K hypotheses ``states`` fed ``words``, as
-        one batch; returns (new states, ``normalize``d logits (K, Q))."""
+        """One no-grad step of the batch ``states`` fed ``words``; returns
+        (the batch of new states, with the step's alpha, z and logits, and
+        the ``normalize``d logits (K, Q))."""
         flat, u = image
         with nm.no_grad():
-            h, c, logits, alpha, z = self._step_t(
-                np.broadcast_to(flat, (len(states),) + flat.shape[1:]), u,
-                np.stack([s.h for s in states]), np.stack([s.c for s in states]),
-                np.asarray(words))
-        return [SkelState(h=h[k], c=c[k], t=s.t + 1, alpha=alpha[k], z=z[k], logits=logits[k])
-                for k, s in enumerate(states)], normalize(logits, axis=-1)
+            h, c, logits, alpha, z = self._step_t(flat, u, states.h, states.c,
+                                                  np.asarray(words))
+        return SkelState(h, c, states.t + 1, alpha, z, logits), normalize(logits, axis=-1)
 
     def step(self, state: SkelState, prev_word_index: int, features: FeatureGrid):
-        """One decode step: returns (new state, word distribution, alpha as (L, L))."""
+        """One decode step of one hypothesis, whose state is one row or (n,)
+        vectors: returns (new state of one row, word distribution, alpha as
+        (L, L))."""
         Q = len(self.vocab)
         if not 0 <= prev_word_index < Q:
             raise ConfigError(f"word index {prev_word_index} out of range for vocab of {Q}")
-        (new_state,), probs = self._advance(self._image(features), [state],
-                                            [prev_word_index], nm.softmax)
+        one = SkelState(h=np.reshape(state.h, (1, -1)), c=np.reshape(state.c, (1, -1)),
+                        t=state.t)
+        new_state, probs = self._advance(self._image(features), one, [prev_word_index],
+                                         nm.softmax)
         L = self.grid_size
         return new_state, probs[0], new_state.alpha.reshape(L, L)
 
@@ -227,8 +230,8 @@ class SkeletonGenerator(RecurrentDecoder):
 
         The recurrent state is held fixed: the LSTM transition is recomputed
         with the same (h, c) and previous word, only the context differs.
-        ``state`` may also stack T states ((T, n) ``h`` and ``c``) given with
-        T previous words; the result is then (T, L, L, Q), from one LSTM call
+        ``state`` may also hold T rows ((T, n) ``h`` and ``c``) given with T
+        previous words; the result is then (T, L, L, Q), from one LSTM call
         over all T * P rows.
         """
         if not self.use_attention:
@@ -249,9 +252,10 @@ class SkeletonGenerator(RecurrentDecoder):
     initial_decode_state = init_state
 
     def make_step_fn(self, features: FeatureGrid):
-        """Batched beam-search step function: (K states, K tokens) -> (K new
-        states, log-probabilities (K, Q)), one ``_step_t`` call for all K.
-        The attention projection feats @ U is computed once, here."""
+        """Batched beam-search step function: (a batch of K states, K tokens)
+        -> (the batch of K new states, log-probabilities (K, Q)), one
+        ``_step_t`` call for all K. The attention projection feats @ U is
+        computed once, here."""
         image = self._image(features)
 
         def step_fn(states, tokens):

@@ -18,7 +18,7 @@ from skelcap.decompose import decompose, fuse
 from skelcap.skelnet import SkeletonGenerator, SkelState, refine_attention
 from skelcap.treebank import leaves, parse_bracketed
 
-from test_decode import batched, brute_force, make_toy_lm, _full_width
+from test_decode import Rows, batched, brute_force, make_toy_lm, _full_width
 from test_metrics import (_random_corpus, oracle_bleu, oracle_cider,
                           oracle_rouge)
 
@@ -224,7 +224,7 @@ def test_criterion_4_length_factor_beam():
         for gamma in np.arange(-2.0, 2.0 + 1e-9, 0.5):
             gamma = float(gamma)
             oracle = brute_force(logps_for, V, max_len, gamma)
-            hyps = beam_search(batched(step_fn), (),
+            hyps = beam_search(batched(step_fn), Rows([()]),
                                BeamConfig(beam_size=_full_width(V, max_len),
                                           gamma=gamma, max_len=max_len),
                                vocab_size=V)

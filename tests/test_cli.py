@@ -195,6 +195,22 @@ def test_caption_id_subset_and_trace(workspace, tmp_path):
     assert f"image: {first_id}" in text and "alpha[step 0]:" in text
 
 
+def test_caption_ids_not_in_split(workspace, tmp_path, capsys):
+    # an id the split lacks fails the run, naming the split and every missing
+    # id, and leaves an existing output file untouched
+    out = tmp_path / "caps.tsv"
+    assert run(*_caption_args(workspace, out)) == 0
+    first_id = out.read_text().splitlines()[0].split("\t")[0]
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert run(*_caption_args(workspace, out, "--ids",
+                              f"{first_id},no-such-image,also-missing")) == 2
+    err = capsys.readouterr().err
+    assert "'test'" in err and "also-missing, no-such-image" in err
+    assert first_id not in err
+    assert out.read_bytes() == before
+
+
 def test_caption_bit_identical_rerun(workspace, tmp_path):
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     extra = ("--gamma-skel", "0.5", "--gamma-attr", "-0.5", "--beam-skel", "2")

@@ -5,16 +5,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelcap.corpus import (BOS, EOS, SynthConfig, build_vocab, synth_generate)
-from skelcap.decode import (BeamConfig, BeamError, Hypothesis, LiveStates, beam_search,
+from skelcap.decode import (BeamConfig, BeamError, Hypothesis, beam_search,
                             caption, joint_beam_search, score_adjust)
 from skelcap.decompose import fuse_predicted
 
 
 # -- toy language + brute-force oracle ----------------------------------------
 
+class Rows:
+    """Per-hypothesis toy states as a state batch of the beam protocol."""
+
+    def __init__(self, states, t=0):
+        self.states, self.t = list(states), t
+
+    def __len__(self):
+        return len(self.states)
+
+    def take(self, rows):
+        return Rows([self.states[r] for r in rows], self.t)
+
+
 def batched(step_fn):
     """The batched step contract over a per-hypothesis ``step_fn(state, token)``."""
-    return lambda states, tokens: tuple(zip(*map(step_fn, states, tokens)))
+
+    def step(batch, tokens):
+        new_states, logps = zip(*map(step_fn, batch.states, tokens))
+        return Rows(new_states, batch.t + 1), logps
+
+    return step
+
+
+def _state(ref):
+    """The toy state a (batch, row) back-reference points at."""
+    batch, row = ref
+    return batch.states[row]
 
 
 def make_toy_lm(vocab_size, seed):
@@ -130,9 +154,9 @@ def reference_beam_search(step_fn, init_state, config, bos=BOS, eos=EOS,
     return finished
 
 
-def _summary(hyps):
-    return [(h.tokens, h.raw_logp, h.adjusted_logp, h.finished, h.state, h.states)
-            for h in hyps]
+def _summary(hyps, resolve=lambda state: state):
+    return [(h.tokens, h.raw_logp, h.adjusted_logp, h.finished, resolve(h.state),
+             tuple(map(resolve, h.states))) for h in hyps]
 
 
 def make_tied_lm(vocab_size, seed, eos_bias):
@@ -159,13 +183,13 @@ def _joint_vs_reference(lms, vocab_size, config):
         return lms[state[0]](state, token)
 
     inits = [(i, ()) for i in range(len(lms))]
-    joint = joint_beam_search(batched(step), inits, config, vocab_size=vocab_size,
+    joint = joint_beam_search(batched(step), Rows(inits), config, vocab_size=vocab_size,
                               record_states=True)
     exits = []
     for init, hyps in zip(inits, joint):
         ref = reference_beam_search(step, init, config, vocab_size=vocab_size,
                                     record_states=True, exits=exits)
-        assert _summary(hyps) == _summary(ref)
+        assert _summary(hyps, _state) == _summary(ref)
     return exits
 
 
@@ -199,7 +223,7 @@ def test_full_width_beam_matches_brute_force(seed, gamma):
     oracle = brute_force(logps_for, V, max_len, gamma)
     config = BeamConfig(beam_size=_full_width(V, max_len), gamma=gamma,
                         max_len=max_len)
-    hyps = beam_search(batched(step_fn), (), config, vocab_size=V)
+    hyps = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
     assert hyps[0].tokens == oracle[0][0]
     assert hyps[0].raw_logp == pytest.approx(oracle[0][1], abs=1e-12)
     assert hyps[0].adjusted_logp == pytest.approx(oracle[0][2], abs=1e-12)
@@ -214,7 +238,7 @@ def test_gamma_sweep_monotone_under_exhaustive_search(seed):
         oracle = brute_force(logps_for, V, max_len, float(gamma))
         config = BeamConfig(beam_size=_full_width(V, max_len),
                             gamma=float(gamma), max_len=max_len)
-        hyps = beam_search(batched(step_fn), (), config, vocab_size=V)
+        hyps = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
         assert hyps[0].tokens == oracle[0][0]
         lengths.append(len(hyps[0].tokens))
     assert lengths == sorted(lengths)
@@ -226,7 +250,7 @@ def test_adjusted_minus_raw_is_exactly_gamma_times_length(gamma):
     V, max_len = 4, 5
     step_fn, _ = make_toy_lm(V, 9)
     config = BeamConfig(beam_size=3, gamma=gamma, max_len=max_len)
-    for hyp in beam_search(batched(step_fn), (), config, vocab_size=V):
+    for hyp in beam_search(batched(step_fn), Rows([()]), config, vocab_size=V):
         # bit-identical to a single fused adjustment: no per-step drift
         assert hyp.adjusted_logp == score_adjust(hyp.raw_logp, len(hyp.tokens),
                                                  gamma)
@@ -236,7 +260,7 @@ def test_rescoring_invariant():
     V, max_len = 5, 6
     step_fn, logps_for = make_toy_lm(V, 21)
     config = BeamConfig(beam_size=4, gamma=0.4, max_len=max_len)
-    for hyp in beam_search(batched(step_fn), (), config, vocab_size=V):
+    for hyp in beam_search(batched(step_fn), Rows([()]), config, vocab_size=V):
         raw = 0.0
         prefix = (BOS,)
         for tok in hyp.tokens:
@@ -258,10 +282,10 @@ def test_eos_exempt_from_length_factor():
         with np.errstate(divide="ignore"):
             return new, np.log(dist)
 
-    short = beam_search(batched(step_fn), None,
+    short = beam_search(batched(step_fn), Rows([None]),
                         BeamConfig(beam_size=4, gamma=0.0, max_len=3), vocab_size=3)
     assert short[0].tokens == ()
-    long = beam_search(batched(step_fn), None,
+    long = beam_search(batched(step_fn), Rows([None]),
                        BeamConfig(beam_size=4, gamma=5.0, max_len=3), vocab_size=3)
     assert len(long[0].tokens) > 0
 
@@ -279,7 +303,7 @@ def test_greedy_equivalence_on_peaked_lm():
             logps[EOS] = -0.01
         return t + 1, logps
 
-    hyps = beam_search(batched(step_fn), 0,
+    hyps = beam_search(batched(step_fn), Rows([0]),
                        BeamConfig(beam_size=1, gamma=0.0, max_len=6), vocab_size=5)
     assert hyps[0].tokens == tuple(path)
 
@@ -292,7 +316,7 @@ def test_tie_breaking_prefers_short_then_lexicographic():
     def step_fn(state, token):
         return None, np.full(V, -1.0)
 
-    hyps = beam_search(batched(step_fn), None,
+    hyps = beam_search(batched(step_fn), Rows([None]),
                        BeamConfig(beam_size=50, gamma=1.0, max_len=max_len),
                        vocab_size=V)
     # cut hypotheses (length 3, adjusted 0) beat EOS-finished ones (-1);
@@ -306,7 +330,7 @@ def test_tie_breaking_prefers_short_then_lexicographic():
 
 def test_beam_returns_at_most_beam_size():
     step_fn, _ = make_toy_lm(4, 2)
-    hyps = beam_search(batched(step_fn), (), BeamConfig(beam_size=3, max_len=4),
+    hyps = beam_search(batched(step_fn), Rows([()]), BeamConfig(beam_size=3, max_len=4),
                        vocab_size=4)
     assert 1 <= len(hyps) <= 3
     assert all(h.finished for h in hyps)
@@ -314,7 +338,7 @@ def test_beam_returns_at_most_beam_size():
 
 def test_record_states_tracks_steps():
     step_fn, _ = make_toy_lm(4, 3)
-    hyps = beam_search(batched(step_fn), (), BeamConfig(beam_size=2, max_len=4),
+    hyps = beam_search(batched(step_fn), Rows([()]), BeamConfig(beam_size=2, max_len=4),
                        vocab_size=4, record_states=True)
     for hyp in hyps:
         # one recorded state per consumed step (EOS step included)
@@ -325,7 +349,7 @@ def test_record_states_tracks_steps():
 def test_vocab_size_mismatch_raises():
     step_fn, _ = make_toy_lm(4, 0)
     with pytest.raises(BeamError):
-        beam_search(batched(step_fn), (), BeamConfig(), vocab_size=7)
+        beam_search(batched(step_fn), Rows([()]), BeamConfig(), vocab_size=7)
 
 
 # -- joint searches against the scalar reference -----------------------------
@@ -360,7 +384,7 @@ def test_joint_search_covers_every_exit():
 
 
 def test_joint_search_without_searches():
-    assert joint_beam_search(batched(make_tied_lm(3, 0, 0.0)), [], BeamConfig()) == []
+    assert joint_beam_search(batched(make_tied_lm(3, 0, 0.0)), Rows([]), BeamConfig()) == []
 
 
 def test_live_states_carry_the_beam_step():
@@ -368,11 +392,11 @@ def test_live_states_carry_the_beam_step():
     step_fn, _ = make_toy_lm(4, 1)
 
     def spy(states, tokens):
-        assert isinstance(states, LiveStates)
-        seen.append((states.t, len(states), [len(s) for s in states]))
+        assert isinstance(states, Rows)
+        seen.append((states.t, len(states), [len(s) for s in states.states]))
         return batched(step_fn)(states, tokens)
 
-    beam_search(spy, (), BeamConfig(beam_size=2, max_len=4), vocab_size=4)
+    beam_search(spy, Rows([()]), BeamConfig(beam_size=2, max_len=4), vocab_size=4)
     assert [t for t, _, _ in seen] == list(range(len(seen)))
     assert seen[0][1] == 1
     for t, k, prefix_lengths in seen:
@@ -503,16 +527,19 @@ def _counting(make_step_fn, calls):
     return make
 
 
-def _reference_steps(step_fn, init_state, config, vocab_size):
-    """Beam steps the scalar reference takes, one hypothesis per call."""
-    steps = set()
+def _reference_steps(step_fn, init_state, config, vocab_size, record_states=False):
+    """Beam steps the scalar reference takes, one hypothesis per call,
+    counted by each state's depth rather than read from its ``t``."""
+    steps, depth = set(), {id(init_state): 0}
 
-    def one(state, token):
-        steps.add(state.t)
-        (new,), logps = step_fn(LiveStates([state], state.t), [token])
+    def one(state, token):  # state: a batch of one row
+        steps.add(depth[id(state)])
+        new, logps = step_fn(state, [token])
+        depth[id(new)] = depth[id(state)] + 1
         return new, logps[0]
 
-    hyps = reference_beam_search(one, init_state, config, vocab_size=vocab_size)
+    hyps = reference_beam_search(one, init_state, config, vocab_size=vocab_size,
+                                 record_states=record_states)
     return len(steps), hyps
 
 
@@ -549,9 +576,10 @@ def test_caption_one_step_call_per_beam_step(pipeline, monkeypatch):
     (x_init,) = inits
     assert [t for t, _ in attr_calls] == list(range(len(attr_calls)))
     assert attr_calls[0][1] == words
-    alone = [_reference_steps(attr_step_fn(), state,
+    states = attr.initial_state(x_init)
+    alone = [_reference_steps(attr_step_fn(), states.take([w]),
                               BeamConfig(beam_size=2, max_len=4), len(attr.vocab))
-             for state in attr.initial_state(x_init)]
+             for w in range(len(states))]
     assert len(attr_calls) == max(n for n, _ in alone)
     assert [[attr.vocab.decode(i) for i in hyps[0].tokens] for _, hyps in alone] == \
         trace.attributes
@@ -582,3 +610,138 @@ def test_caption_constructs_no_tensor(pipeline, monkeypatch, settings):
         skel.store["out_b"].data[...] = saved
     assert all(len(t.skeleton_words) >= 2 for t in traces)
     assert made == []
+
+
+_STEP_KEYS = ("h", "c", "alpha", "z", "logits")
+
+
+@pytest.mark.parametrize("beam", [1, 3, 5])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0])
+def test_caption_recorded_rows_match_single_hypothesis_steps(pipeline, monkeypatch, beam,
+                                                             gamma):
+    # the winning skeleton hypothesis's (batch, row) records hold, row for
+    # row, the states the scalar reference reaches through one-row steps
+    import skelcap.decode as decode
+    recs, skel, attr = pipeline
+    won = []
+    real_beam_search = decode.beam_search
+
+    def spy(*args, **kwargs):
+        hyps = real_beam_search(*args, **kwargs)
+        won.append(hyps[0])
+        return hyps
+
+    monkeypatch.setattr(decode, "beam_search", spy)
+    config = BeamConfig(beam_size=beam, gamma=gamma, max_len=6)
+    L = skel.grid_size
+    for rec in recs[:3]:
+        trace = caption(rec.features, skel, attr, beam_skel=beam, gamma_skel=gamma,
+                        max_skel_len=6)
+        (best,) = won
+        won.clear()
+        _, (ref, *_) = _reference_steps(skel.make_step_fn(rec.features),
+                                        skel.init_state(rec.features), config,
+                                        len(skel.vocab), record_states=True)
+        assert (best.tokens, best.raw_logp, best.adjusted_logp) == \
+            (ref.tokens, ref.raw_logp, ref.adjusted_logp)
+        assert len(best.states) == len(ref.states)
+        for (batch, row), one in zip(best.states + (best.state,), ref.states + (ref.state,)):
+            for key in _STEP_KEYS:
+                assert np.array_equal(getattr(batch, key)[row], getattr(one, key)[0]), key
+        for alpha, one in zip(trace.alphas, ref.states):
+            assert np.array_equal(alpha, one.alpha[0].reshape(L, L))
+
+
+@pytest.mark.parametrize("beam", [3, 5])
+def test_no_attention_batched_rows_match_single_hypothesis_steps(pipeline, monkeypatch, beam):
+    # without attention a step's uniform map and mean context are made for
+    # the batch's rows from the unbroadcast (1, P, D) grid: each row must be
+    # what stepping that hypothesis alone gives
+    from skelcap.skelnet import SkeletonGenerator
+    recs, skel, attr = pipeline
+    flat = SkeletonGenerator(skel.vocab, feature_dim=skel.feature_dim,
+                             grid_size=skel.grid_size, hidden_size=skel.hidden_size,
+                             embed_size=skel.embed_size, use_attention=False, seed=2)
+    widths = []
+    real_make_step_fn = flat.make_step_fn
+
+    def make_step_fn(features):
+        step_fn = real_make_step_fn(features)
+
+        def checked(states, tokens):
+            new, logps = step_fn(states, tokens)
+            widths.append(len(states))
+            for k in range(len(states)):
+                alone, _, _ = flat.step(states.take([k]), int(tokens[k]), features)
+                for key in _STEP_KEYS:
+                    assert np.array_equal(getattr(new, key)[k], getattr(alone, key)[0]), key
+            return new, logps
+
+        return checked
+
+    monkeypatch.setattr(flat, "make_step_fn", make_step_fn)
+    for rec in recs[:3]:
+        # a length bonus so the untrained decoder emits several skeleton words
+        trace = caption(rec.features, flat, attr, beam_skel=beam, gamma_skel=3.0,
+                        max_skel_len=6)
+        assert len(trace.skeleton_words) >= 2
+    assert max(widths) == beam
+
+
+def _perfbench_tracing():
+    """The benchmark's ``perfbench/tracing.py``, loaded by path."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_counts_match_the_untraced_run(pipeline, monkeypatch):
+    # the benchmark's traced run sees decoding only through its proxies
+    # (initial_decode_state, make_step_fn, initial_state and the step batch's
+    # t); its counts must be those of the untraced run
+    recs, skel, attr = pipeline
+    settings = dict(max_skel_len=6, gamma_skel=3.0, beam_skel=3, beam_attr=2, max_attr_len=4)
+    images = [r.features for r in recs[:4]]
+    tracer = _perfbench_tracing().Tracer()
+    traced_skel, traced_attr = tracer.wrap_skel(skel), tracer.wrap_attr(attr)
+    traced = []
+    for features in images:
+        tracer.new_request()
+        with tracer.span("decode.caption"):
+            traced.append(caption(features, traced_skel, traced_attr, **settings))
+
+    skel_calls, attr_calls, inits = [], [], []
+    real_generate = attr.generate_attributes
+    skel_step_fn, attr_step_fn = skel.make_step_fn, attr.make_step_fn
+
+    def generate(x_init, **kw):
+        inits.append(np.array(x_init))
+        return real_generate(x_init, **kw)
+
+    monkeypatch.setattr(skel, "make_step_fn", _counting(skel.make_step_fn, skel_calls))
+    monkeypatch.setattr(attr, "make_step_fn", _counting(attr.make_step_fn, attr_calls))
+    monkeypatch.setattr(attr, "generate_attributes", generate)
+    untraced = [caption(features, skel, attr, **settings) for features in images]
+    assert [t.tokens for t in traced] == [t.tokens for t in untraced]
+    assert all(t.skeleton_words for t in untraced)
+
+    calls = tracer.counted_calls()
+    assert calls["skelnet.step"] == len(skel_calls)
+    assert calls["attrnet.step"] == len(attr_calls)
+    assert calls["decode.skel_beam"] == calls["decode.attr_beam"] == len(images)
+    beam_steps = 0
+    for features, x_init in zip(images, inits):
+        steps, _ = _reference_steps(skel_step_fn(features), skel.init_state(features),
+                                    BeamConfig(beam_size=3, gamma=3.0, max_len=6),
+                                    len(skel.vocab))
+        states = attr.initial_state(x_init)
+        beam_steps += steps + max(
+            _reference_steps(attr_step_fn(), states.take([w]),
+                             BeamConfig(beam_size=2, max_len=4), len(attr.vocab))[0]
+            for w in range(len(states)))
+    assert tracer.counts["decode.searches"] == 2 * len(images)
+    assert tracer.counts["decode.beam_steps"] == beam_steps
