@@ -333,14 +333,20 @@ def _replaced_on_success(path: Path):
 # -- eval --------------------------------------------------------------------
 
 def _read_caption_file(path):
+    """Image id -> token lists, from lines ``image_id<TAB>caption``; blank
+    lines are skipped. A line without a tab or with an empty image id, and
+    bytes that are not UTF-8, raise MetricsError naming ``path:line``."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            image_id, _, text = line.partition("\t")
-            out.setdefault(image_id, []).append(text.split())
+    for lineno, line in treebank.read_lines(path, metrics.MetricsError):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        image_id, tab, text = line.partition("\t")
+        if not tab:
+            raise metrics.MetricsError(f"{path}:{lineno}: no tab between image id and caption")
+        if not image_id.strip():
+            raise metrics.MetricsError(f"{path}:{lineno}: empty image id")
+        out.setdefault(image_id, []).append(text.split())
     return out
 
 
@@ -365,7 +371,7 @@ def cmd_eval(args, file_config):
                               generated_for_uniqueness=gen if training else None)
     print(report.render_table())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with _replaced_on_success(Path(args.json)) as fh:
             fh.write(report.to_json() + "\n")
     return 0
 

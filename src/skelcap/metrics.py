@@ -39,8 +39,21 @@ def make_pairs(candidates: Sequence[Sequence[str]],
             for c, refs in zip(candidates, references)]
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens: Sequence[str], n: int) -> Dict[Tuple[str, ...], int]:
+    """Counts of the n-grams of ``tokens``, keyed in order of first occurrence."""
+    counts: Dict[Tuple[str, ...], int] = {}
+    for g in zip(*(tokens[i:] for i in range(n))):
+        counts[g] = counts.get(g, 0) + 1
+    return counts
+
+
+def _ngram_tables(pairs: Sequence[EvalPair], max_n: int):
+    """Per pair: the candidate's n-gram counts for n = 1..max_n, and each
+    reference's. Built once per call, so BLEU's clipping and CIDEr's df and
+    tf-idf passes all read the same counts."""
+    def table(tokens):
+        return [_ngrams(tokens, n) for n in range(1, max_n + 1)]
+    return [(table(p.candidate), [table(r) for r in p.references]) for p in pairs]
 
 
 def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> Dict[str, float]:
@@ -49,26 +62,29 @@ def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> Dict[str, float]:
     The effective reference length per pair is the closest to the candidate
     length (shorter on ties). Returns {"B-1": ..., ..., f"B-{max_n}": ...}.
     """
+    return _bleu(pairs, _ngram_tables(pairs, max_n), max_n)
+
+
+def _bleu(pairs, tables, max_n):
     matched = [0] * max_n
     total = [0] * max_n
     cand_len = 0
     ref_len = 0
-    for pair in pairs:
+    for pair, (cand, refs) in zip(pairs, tables):
         c = pair.candidate
         cand_len += len(c)
         ref_len += min((len(r) for r in pair.references),
                        key=lambda rl: (abs(rl - len(c)), rl))
-        for n in range(1, max_n + 1):
-            counts = _ngrams(c, n)
-            if not counts:
-                continue
-            best = Counter()
-            for r in pair.references:
-                rc = _ngrams(r, n)
-                for g in counts:
-                    best[g] = max(best[g], rc.get(g, 0))
-            total[n - 1] += sum(counts.values())
-            matched[n - 1] += sum(min(v, best[g]) for g, v in counts.items())
+        for k in range(min(max_n, len(c))):
+            ref_counts = [r[k] for r in refs]
+            total[k] += len(c) - k
+            for g, v in cand[k].items():
+                clip = 0
+                for rc in ref_counts:
+                    clip = max(clip, rc.get(g, 0))
+                    if clip >= v:
+                        break
+                matched[k] += min(v, clip)
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len) if cand_len else 0.0
     scores = {}
     for n in range(1, max_n + 1):
@@ -81,15 +97,20 @@ def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> Dict[str, float]:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Longest common subsequence length by the bit-parallel recurrence
+    (Allison & Dix 1986): bit j of ``s`` stands for token j of ``b``, and
+    each token of ``a`` updates all of them in a few big-int operations."""
+    masks: Dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    s = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    return prev[-1]
+        m = masks.get(x)
+        if m:
+            u = s & m
+            s = ((s + u) | (s - u)) & full
+    return len(b) - s.bit_count()
 
 
 def rouge_l(pairs: Sequence[EvalPair], beta: float = 1.2) -> float:
@@ -118,46 +139,46 @@ def cider(pairs: Sequence[EvalPair], max_n: int = 4, sigma: float = 6.0,
     """
     if not pairs:
         raise MetricsError("cider needs at least one pair")
+    return _cider(pairs, _ngram_tables(pairs, max_n), max_n, sigma, scale)
+
+
+def _cider(pairs, tables, max_n, sigma, scale):
     n_images = len(pairs)
     if n_images == 1:
         log.warning("cider: single-image corpus yields degenerate idf statistics")
     doc_freq = [Counter() for _ in range(max_n)]
-    for pair in pairs:
-        for n in range(1, max_n + 1):
-            seen = set()
-            for ref in pair.references:
-                seen.update(_ngrams(ref, n))
-            for g in seen:
-                doc_freq[n - 1][g] += 1
+    for _, refs in tables:
+        for k, df in enumerate(doc_freq):
+            df.update(set().union(*[r[k] for r in refs]))
+    # an n-gram no reference has gets df 1, so its idf is log(N) - log(1)
+    log_n = math.log(n_images)
+    idf = [{g: log_n - math.log(d) for g, d in df.items()} for df in doc_freq]
 
-    def tfidf(tokens, n):
-        counts = _ngrams(tokens, n)
-        length = max(len(tokens) - n + 1, 0)
-        vec = {}
+    def tfidf(counts, length, idf_k):
+        vec = {g: (c / length) * idf_k.get(g, log_n) for g, c in counts.items()}
         norm = 0.0
-        for g, c in counts.items():
-            idf = math.log(n_images) - math.log(max(doc_freq[n - 1].get(g, 0), 1))
-            w = (c / length) * idf if length else 0.0
-            vec[g] = w
+        for w in vec.values():
             norm += w * w
-        return vec, math.sqrt(norm), length
+        return vec, math.sqrt(norm)
 
     total = 0.0
-    for pair in pairs:
+    for pair, (cand, refs) in zip(pairs, tables):
+        c_len = len(pair.candidate)
+        penalties = [math.exp(-((c_len - len(ref)) ** 2) / (2 * sigma ** 2))
+                     for ref in pair.references]
         score_n = [0.0] * max_n
-        for n in range(1, max_n + 1):
-            cvec, cnorm, clen = tfidf(pair.candidate, n)
-            for ref in pair.references:
-                rvec, rnorm, rlen = tfidf(ref, n)
-                num = sum(min(cvec.get(g, 0.0), w) * w for g, w in rvec.items())
+        for k in range(max_n):
+            cvec, cnorm = tfidf(cand[k], c_len - k, idf[k])
+            for rt, ref, penalty in zip(refs, pair.references, penalties):
+                rvec, rnorm = tfidf(rt[k], len(ref) - k, idf[k])
                 if cnorm > 0 and rnorm > 0:
+                    # an n-gram the candidate lacks adds an exact 0.0: skipped
+                    num = sum(min(cvec[g], w) * w for g, w in rvec.items() if g in cvec)
                     sim = num / (cnorm * rnorm)
                 else:
                     sim = 0.0
-                delta = len(pair.candidate) - len(ref)
-                sim *= math.exp(-(delta ** 2) / (2 * sigma ** 2))
-                score_n[n - 1] += sim
-            score_n[n - 1] *= scale / len(pair.references)
+                score_n[k] += sim * penalty
+            score_n[k] *= scale / len(pair.references)
         total += sum(score_n) / max_n
     return total / n_images
 
@@ -224,9 +245,10 @@ def evaluate(pairs: Sequence[EvalPair], apply_without_a: bool = False,
         raise MetricsError("evaluate needs at least one pair")
     if apply_without_a:
         pairs = without_a(pairs)
-    scores = dict(bleu(pairs))
+    tables = _ngram_tables(pairs, 4)  # read by both BLEU and CIDEr
+    scores = _bleu(pairs, tables, max_n=4)
     scores["ROUGE-L"] = rouge_l(pairs)
-    scores["CIDEr"] = cider(pairs)
+    scores["CIDEr"] = _cider(pairs, tables, max_n=4, sigma=6.0, scale=10.0)
     uniq = None
     if training_captions is not None:
         gen = generated_for_uniqueness

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from skelcap import metrics
 from skelcap.cli import main
 
 
@@ -488,6 +489,37 @@ def test_eval_missing_reference_id(tmp_path):
     ref.write_text("img-2\ta dog\n")
     assert run("eval", "--candidates", str(cand), "--references",
                str(ref)) == 2
+
+
+@pytest.mark.parametrize("side,content,message", [
+    ("candidates", b"img-1\ta dog\nimg2 a cat\n", ":2: no tab between image id and caption"),
+    ("candidates", b"img-1\ta dog\n\ta cat\n", ":2: empty image id"),
+    ("references", b"img-1\ta dog\n\n\xffimg-2\ta cat\n", ":3: not UTF-8 text"),
+], ids=["no-tab", "empty-image-id", "not-utf8"])
+def test_eval_malformed_caption_file(tmp_path, capsys, side, content, message):
+    good = tmp_path / "good.tsv"
+    good.write_text("img-1\ta dog\n")
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(content)
+    files = {"candidates": good, "references": good, side: bad}
+    assert run("eval", "--candidates", str(files["candidates"]),
+               "--references", str(files["references"])) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}{message}")
+
+
+def test_eval_json_report_kept_when_write_fails(tmp_path, monkeypatch):
+    caps = tmp_path / "caps.tsv"
+    caps.write_text("img-1\ta dog\n")
+    report = tmp_path / "report.json"
+    report.write_text("earlier report\n")
+
+    def broken(self):
+        raise ValueError("cannot serialise")
+    monkeypatch.setattr(metrics.EvalReport, "to_json", broken)
+    assert run("eval", "--candidates", str(caps), "--references", str(caps),
+               "--json", str(report)) == 2
+    assert report.read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["caps.tsv", "report.json"]
 
 
 # -- gradcheck / config / usage ----------------------------------------------

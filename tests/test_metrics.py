@@ -1,11 +1,14 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from skelcap.metrics import (EvalPair, MetricsError, bleu, cider, evaluate,
-                             make_pairs, rouge_l, uniqueness_stats, without_a)
+from skelcap.metrics import (EvalPair, MetricsError, _lcs_length, bleu, cider,
+                             evaluate, make_pairs, rouge_l, uniqueness_stats,
+                             without_a)
 
 
 def _pair(cand, refs):
@@ -169,6 +172,22 @@ def test_bleu_closest_reference_shorter_on_ties():
 
 # -- rouge --------------------------------------------------------------------
 
+def _sentences(alphabet, max_size):
+    return st.lists(st.sampled_from(alphabet), max_size=max_size).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(_sentences(["x", "y"], 150), _sentences(list("abcdefgh"), 40)),
+       b=st.one_of(_sentences(["x", "y"], 150), _sentences(list("abcdefgh"), 40)))
+@example(a=(), b=())
+@example(a=(), b=("x",) * 5)
+@example(a=("x", "y") * 33, b=("y", "y", "x") * 24)
+@example(a=("x", "y", "y") * 44, b=("x",) * 129)
+def test_lcs_length_matches_oracle(a, b):
+    # a side longer than 64 or 128 tokens spans several machine words
+    assert _lcs_length(a, b) == oracle_lcs(a, b)
+
+
 def test_rouge_identical():
     assert rouge_l([_pair("a b c", ["a b c"])]) == pytest.approx(1.0, abs=1e-12)
 
@@ -325,6 +344,76 @@ def test_evaluate_without_a_changes_scores_iff_a_present():
     r4 = evaluate(no_a, apply_without_a=True)
     assert r3.scores == r4.scores
     assert r4.without_a_applied
+
+
+def _golden_corpus(seed=8, count=120):
+    """Caption-like pairs: candidate and references are noisy copies of one
+    base sentence (words dropped, a few inserted, then rotated); every 25th
+    candidate is empty and every 40th base sentence is 70-139 tokens long."""
+    rng = np.random.default_rng(seed)
+    vocab = ("a", "dog", "cat", "red", "on", "big", "tree", "runs", "the",
+             "small", "grass", "sits", "near", "blue", "car", "with")
+
+    def variant(base):
+        keep = [t for t in base if rng.random() > 0.2]
+        extra = [vocab[j] for j in rng.integers(0, len(vocab), rng.integers(0, 3))]
+        at = int(rng.integers(0, len(keep) + 1))
+        out = keep[:at] + extra + keep[at:]
+        cut = int(rng.integers(0, len(out) + 1))
+        return tuple(out[cut:] + out[:cut])
+
+    pairs = []
+    for i in range(count):
+        size = rng.integers(70, 140) if i % 40 == 7 else rng.integers(2, 16)
+        base = [vocab[j] for j in rng.integers(0, len(vocab), size)]
+        cand = () if i % 25 == 3 else variant(base)
+        refs = tuple(variant(base) for _ in range(rng.integers(1, 6)))
+        pairs.append(EvalPair(cand, refs))
+    return pairs
+
+
+# Exact reprs, so that a change to the order of any float sum shows: the
+# oracle comparisons above allow 1e-9. One corpus-wide score rarely moves
+# when a sum is reordered, so the scores of 8-pair windows are pinned too,
+# as a digest.
+GOLDEN_SCORES = {
+    False: {"B-1": "0.8723416345160541", "B-2": "0.755773195633243",
+            "B-3": "0.644746257861708", "B-4": "0.5431075679388292",
+            "ROUGE-L": "0.6050668683377487", "CIDEr": "2.88477581297802"},
+    True: {"B-1": "0.867677518421837", "B-2": "0.7496590708412078",
+           "B-3": "0.6347802484562268", "B-4": "0.5260508082696846",
+           "ROUGE-L": "0.6110338249428755", "CIDEr": "2.850493081265709"},
+}
+GOLDEN_WINDOWS_SHA256 = "c14a71ffa81c9346e8364181973c1c5acc0722983e391fbaf10d4bb5476422f5"
+
+
+@pytest.mark.parametrize("strip_a", [False, True])
+def test_evaluate_golden_scores(strip_a):
+    report = evaluate(_golden_corpus(), apply_without_a=strip_a)
+    assert {k: repr(v) for k, v in report.scores.items()} == GOLDEN_SCORES[strip_a]
+
+
+def test_evaluate_golden_window_scores():
+    pairs = _golden_corpus()
+    lines = [f"{i} {strip_a} {k} {v!r}"
+             for strip_a in (False, True) for i in range(0, len(pairs), 8)
+             for k, v in evaluate(pairs[i:i + 8], apply_without_a=strip_a).scores.items()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_WINDOWS_SHA256
+
+
+def test_public_metrics_equal_evaluate():
+    pairs = _golden_corpus()
+    scores = evaluate(pairs).scores
+    assert {**bleu(pairs), "ROUGE-L": rouge_l(pairs), "CIDEr": cider(pairs)} == scores
+
+
+def test_evaluate_keeps_no_state():
+    pairs = _golden_corpus(seed=9, count=30)
+    first = evaluate(pairs, training_captions=[pairs[0].candidate])
+    second = evaluate(pairs, training_captions=[pairs[0].candidate])
+    assert first == second
+    for pair in pairs:
+        assert set(pair.__dict__) == {"candidate", "references"}
 
 
 def test_evaluate_empty_rejected():

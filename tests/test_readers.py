@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from skelcap import corpus, treebank
+from skelcap import cli, corpus, treebank
 from skelcap.corpus import CorpusError, Vocabulary
+from skelcap.metrics import MetricsError
 from skelcap.numerics import NumericsError, ParameterStore
 from skelcap.treebank import TreeParseError
 
@@ -34,6 +35,8 @@ def _valid_files(root):
     files["vocabulary"] = (root / "v.txt").read_bytes()
     corpus.write_trees(root / "t.txt", recs)
     files["trees"] = (root / "t.txt").read_bytes()
+    corpus.write_captions(root / "c.tsv", recs)
+    files["captions"] = (root / "c.tsv").read_bytes()
     return files
 
 
@@ -43,6 +46,7 @@ READERS = {
     "manifest": (corpus.read_manifest, CorpusError),
     "vocabulary": (Vocabulary.load, CorpusError),
     "trees": (lambda p: list(treebank.read_trees(p)), TreeParseError),
+    "captions": (cli._read_caption_file, MetricsError),
 }
 
 
