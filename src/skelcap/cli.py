@@ -52,12 +52,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_file_config(path):
+    """The JSON object in ``path`` (default: $SKELCAP_CONFIG), or {} without
+    one; a file that cannot be read or holds no JSON object raises
+    ValueError naming the file."""
     if path is None:
         path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        config = json.loads("".join(line for _, line in treebank.read_lines(path, ValueError)))
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read config: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: config is not JSON: {exc.msg}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object, not {type(config).__name__}")
+    return config
 
 
 def _effective(args, file_config, defaults):
@@ -333,19 +343,10 @@ def _replaced_on_success(path: Path):
 # -- eval --------------------------------------------------------------------
 
 def _read_caption_file(path):
-    """Image id -> token lists, from lines ``image_id<TAB>caption``; blank
-    lines are skipped. A line without a tab or with an empty image id, and
-    bytes that are not UTF-8, raise MetricsError naming ``path:line``."""
+    """Image id -> token lists, from lines ``image_id<TAB>caption``; faults
+    raise MetricsError naming ``path:line`` (see ``corpus.read_captions``)."""
     out = {}
-    for lineno, line in treebank.read_lines(path, metrics.MetricsError):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        image_id, tab, text = line.partition("\t")
-        if not tab:
-            raise metrics.MetricsError(f"{path}:{lineno}: no tab between image id and caption")
-        if not image_id.strip():
-            raise metrics.MetricsError(f"{path}:{lineno}: empty image id")
+    for image_id, text in corpus.read_captions(path, metrics.MetricsError):
         out.setdefault(image_id, []).append(text.split())
     return out
 
@@ -524,9 +525,8 @@ def main(argv=None):
     logging.basicConfig(level=os.environ.get("SKELCAP_LOGLEVEL", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
-    file_config = _load_file_config(getattr(args, "config", None))
     try:
-        return args.func(args, file_config)
+        return args.func(args, _load_file_config(getattr(args, "config", None)))
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import treebank
-from .decompose import DecomposedCaption, decompose
+from .decompose import DecomposedCaption, decompose, fuse
 from .numerics import vocab_hash
 from .treebank import ParseTree, parse_bracketed
 
@@ -261,16 +261,17 @@ def _scene_to_record(config: SynthConfig, placements, rng, image_id) -> CaptionR
     else:
         tree_line = "(S " + " ".join(np_brackets) + ")"
     tree = parse_bracketed(tree_line)
+    d = decompose(tree)
     caption = " ".join(caption_parts)
     tokens = preprocess(caption)
-    assert tokens == treebank.leaves(tree)
+    assert tokens == fuse(d)
     return CaptionRecord(
         image_id=image_id,
         features=FeatureGrid(values.astype(np.float32)),
         raw=caption,
         tokens=tokens,
         tree=tree,
-        decomposition=decompose(tree),
+        decomposition=d,
         layout=layout,
     )
 
@@ -347,24 +348,36 @@ def read_features(path) -> Dict[str, FeatureGrid]:
     return grids
 
 
+def read_captions(path, error=CorpusError) -> List[Tuple[str, str]]:
+    """(image id, raw caption) of each line ``image_id<TAB>caption`` of
+    ``path``, in file order; blank lines are skipped. A line without a tab
+    or with an empty image id, and bytes that are not UTF-8, raise ``error``
+    naming ``path:line``."""
+    out = []
+    for lineno, line in treebank.read_lines(path, error):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        image_id, tab, raw = line.partition("\t")
+        if not tab:
+            raise error(f"{path}:{lineno}: no tab between image id and caption")
+        if not image_id.strip():
+            raise error(f"{path}:{lineno}: empty image id")
+        out.append((image_id, raw))
+    return out
+
+
 def load_records(captions_path, trees_path, features_path=None) -> List[CaptionRecord]:
     """Load aligned caption/tree (and optionally feature) files into records.
 
     Records whose preprocessed caption disagrees with the tree's leaves, or
     whose decomposition has an empty skeleton, are dropped with a warning.
     """
-    captions = []
-    with open(captions_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            image_id, _, raw = line.partition("\t")
-            captions.append((image_id, raw))
+    captions = read_captions(captions_path)
     trees = [t for _, t in treebank.read_trees(trees_path)]
     if len(trees) != len(captions):
-        raise CorpusError(
-            f"{len(captions)} captions but {len(trees)} trees; files must align")
+        raise CorpusError(f"{captions_path}: {len(captions)} captions but {trees_path}: "
+                          f"{len(trees)} trees; files must align")
     grids = read_features(features_path) if features_path else {}
     records = []
     for (image_id, raw), tree in zip(captions, trees):
@@ -372,11 +385,11 @@ def load_records(captions_path, trees_path, features_path=None) -> List[CaptionR
         if not tokens:
             log.warning("dropping %s: caption empty after preprocessing", image_id)
             continue
-        if tokens != treebank.leaves(tree):
+        d = decompose(tree)
+        if tokens != fuse(d):
             log.warning("dropping %s: tree leaves disagree with preprocessed caption",
                         image_id)
             continue
-        d = decompose(tree)
         if not d.skeleton:
             log.warning("dropping %s: decomposition yields an empty skeleton", image_id)
             continue

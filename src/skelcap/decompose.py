@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .treebank import ParseTree, leaves, lowest_nps
+from .treebank import ParseTree, base_label
 
 
 class DecomposeError(ValueError):
@@ -40,45 +40,39 @@ class DecomposedCaption:
         return [t.surface for t in self.skeleton]
 
 
-def _leaf_nodes(node, out):
-    if node.is_leaf:
-        out.append(node)
-    else:
-        for c in node.children:
-            _leaf_nodes(c, out)
+def _walk(node, words, spans):
+    """Append the leaf words under ``node`` to ``words`` and the (start, end)
+    word span of each lowest NP under it to ``spans``, left to right; True
+    when ``node`` is or contains an NP."""
+    if node.token is not None:
+        words.append(node.token)
+        return False
+    start = len(words)
+    has_np = False
+    for child in node.children:
+        if _walk(child, words, spans):
+            has_np = True
+    if base_label(node.label) != "NP":
+        return has_np
+    if not has_np:
+        spans.append((start, len(words)))
+    return True
 
 
 def decompose(tree: ParseTree) -> DecomposedCaption:
-    """Apply the lowest-NP head/attribute split to a parse tree."""
-    all_leaves = []
-    _leaf_nodes(tree.root, all_leaves)
-    # Map each leaf position to the lowest NP covering it, if any.
-    np_of_leaf = [None] * len(all_leaves)
-    np_spans = []
-    pos_of = {id(leaf): i for i, leaf in enumerate(all_leaves)}
-    for np_idx, np_node in enumerate(lowest_nps(tree)):
-        np_leaves = []
-        _leaf_nodes(np_node, np_leaves)
-        positions = [pos_of[id(leaf)] for leaf in np_leaves]
-        np_spans.append(positions)
-        for p in positions:
-            np_of_leaf[p] = np_idx
-
+    """Apply the lowest-NP head/attribute split to a parse tree, in one walk."""
+    words: List[str] = []
+    spans: List[Tuple[int, int]] = []
+    _walk(tree.root, words, spans)
     tokens: List[SkeletonToken] = []
-    handled = set()
-    for pos, leaf in enumerate(all_leaves):
-        np_idx = np_of_leaf[pos]
-        if np_idx is None:
-            tokens.append(SkeletonToken(surface=leaf.token))
-            continue
-        if np_idx in handled:
-            continue
-        handled.add(np_idx)
-        span = np_spans[np_idx]
-        words = [all_leaves[p].token for p in span]
-        tokens.append(SkeletonToken(surface=words[-1], is_np_head=True,
-                                    attributes=tuple(words[:-1])))
-    return DecomposedCaption(skeleton=tuple(tokens), original_length=len(all_leaves))
+    pos = 0
+    for start, end in spans:
+        tokens.extend(SkeletonToken(surface=w) for w in words[pos:start])
+        tokens.append(SkeletonToken(surface=words[end - 1], is_np_head=True,
+                                    attributes=tuple(words[start:end - 1])))
+        pos = end
+    tokens.extend(SkeletonToken(surface=w) for w in words[pos:])
+    return DecomposedCaption(skeleton=tuple(tokens), original_length=len(words))
 
 
 def fuse(d: DecomposedCaption) -> List[str]:

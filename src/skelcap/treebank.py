@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -30,6 +32,9 @@ def read_lines(path, error):
     return enumerate(io.StringIO(text, newline=None), start=1)
 
 
+_LABEL_FORBIDDEN = frozenset(" \t()")
+
+
 @dataclass(frozen=True)
 class ParseNode:
     label: str
@@ -39,7 +44,7 @@ class ParseNode:
     def __post_init__(self):
         if (self.token is None) == (len(self.children) == 0):
             raise ValueError("a node must have a token iff it has no children")
-        if not self.label or any(c in self.label for c in " \t()"):
+        if not self.label or not _LABEL_FORBIDDEN.isdisjoint(self.label):
             raise ValueError(f"bad node label {self.label!r}")
 
     @property
@@ -69,63 +74,77 @@ def serialize(tree: ParseTree) -> str:
     return _serialize_node(tree.root)
 
 
+# One token of a bracketed tree: a bracket, or a maximal run of characters
+# that are neither whitespace nor brackets (a label or a word). ``\s``
+# matches exactly the characters ``str.isspace`` accepts.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+# Deepest nesting a tree may have, counting the root and the leaves as
+# levels. ``serialize`` and ``lowest_nps`` take up to three stack frames per
+# level, so an accepted tree needs at most about 600 of Python's default
+# limit of 1000, which leaves the caller room for its own.
+MAX_DEPTH = 200
+
+
+def _token_offset(text, index, end=False):
+    """Character offset where token ``index`` of ``text`` starts (or ends);
+    ``len(text)`` when there is no such token."""
+    match = next(itertools.islice(_TOKEN.finditer(text), index, None), None)
+    if match is None:
+        return len(text)
+    return match.end() if end else match.start()
+
+
 def parse_bracketed(text: str) -> ParseTree:
-    """Parse one S-expression-style bracketed tree, e.g. ``(NP (DT a) (NN dog))``."""
-    i = 0
-    n = len(text)
+    """Parse one S-expression-style bracketed tree, e.g. ``(NP (DT a) (NN dog))``.
 
-    def skip_ws(i):
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def read_atom(i):
-        start = i
-        while i < n and not text[i].isspace() and text[i] not in "()":
-            i += 1
-        return text[start:i], i
-
-    def parse_node(i):
-        if i >= n or text[i] != "(":
-            raise TreeParseError("expected '('", i)
-        i = skip_ws(i + 1)
-        label, i = read_atom(i)
-        if not label:
-            raise TreeParseError("empty node", i)
-        i = skip_ws(i)
-        children = []
-        tokens = []
-        while True:
-            if i >= n:
-                raise TreeParseError("unbalanced", n)
-            if text[i] == ")":
-                i += 1
-                break
-            if text[i] == "(":
-                node, i = parse_node(i)
-                children.append(node)
-            else:
-                tok, i = read_atom(i)
-                tokens.append((tok, i))
-            i = skip_ws(i)
-        if children and tokens:
-            raise TreeParseError("mixed tokens and children under one node", tokens[0][1])
-        if len(tokens) > 1:
-            raise TreeParseError("leaf with more than one token", tokens[1][1])
-        if tokens:
-            return ParseNode(label, token=tokens[0][0]), i
-        if not children:
-            raise TreeParseError("empty node", i)
-        return ParseNode(label, children=tuple(children)), i
-
-    i = skip_ws(i)
-    if i >= n:
-        raise TreeParseError("empty input", i)
-    root, i = parse_node(i)
-    i = skip_ws(i)
-    if i < n:
-        raise TreeParseError("trailing content after tree", i)
-    return ParseTree(root=root, source_line=text)
+    One regex pass splits ``text`` into tokens and an explicit stack of open
+    nodes builds the tree, so nesting costs no recursion; nesting deeper
+    than ``MAX_DEPTH`` is rejected. A malformed tree raises
+    ``TreeParseError`` with the character offset of the problem."""
+    tokens = _TOKEN.findall(text)
+    if not tokens:
+        raise TreeParseError("empty input", len(text))
+    if tokens[0] != "(":
+        raise TreeParseError("expected '('", _token_offset(text, 0))
+    m = len(tokens)
+    # Open nodes, outermost first: (label, children, indices of word tokens).
+    stack = []
+    k = 0
+    while k < m:
+        tok = tokens[k]
+        if tok == "(":
+            if len(stack) == MAX_DEPTH:
+                raise TreeParseError("tree nested too deeply")
+            if k + 1 == m or tokens[k + 1] in "()":
+                raise TreeParseError("empty node", _token_offset(text, k + 1))
+            stack.append((tokens[k + 1], [], []))
+            k += 2
+            continue
+        if tok != ")":
+            stack[-1][2].append(k)
+            k += 1
+            continue
+        label, children, words = stack.pop()
+        if words:
+            if children:
+                raise TreeParseError("mixed tokens and children under one node",
+                                     _token_offset(text, words[0], end=True))
+            if len(words) > 1:
+                raise TreeParseError("leaf with more than one token",
+                                     _token_offset(text, words[1], end=True))
+            node = ParseNode(label, token=tokens[words[0]])
+        elif children:
+            node = ParseNode(label, children=tuple(children))
+        else:
+            raise TreeParseError("empty node", _token_offset(text, k, end=True))
+        k += 1
+        if not stack:
+            if k < m:
+                raise TreeParseError("trailing content after tree", _token_offset(text, k))
+            return ParseTree(root=node, source_line=text)
+        stack[-1][1].append(node)
+    raise TreeParseError("unbalanced", len(text))
 
 
 def leaves(tree: ParseTree) -> list:
@@ -191,6 +210,4 @@ def read_trees(path) -> Iterator[Tuple[int, ParseTree]]:
             tree = parse_bracketed(stripped)
         except TreeParseError as exc:
             raise TreeParseError(f"{path}:{lineno}: {exc}") from None
-        except RecursionError:
-            raise TreeParseError(f"{path}:{lineno}: tree nested too deeply") from None
         yield lineno, tree

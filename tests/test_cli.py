@@ -376,6 +376,22 @@ def test_caption_malformed_tree(workspace, tmp_path, capsys):
     assert f"error: {trees}:3: unbalanced at offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: [lines[0], lines[1].replace(b"\t", b" "), *lines[2:]],
+     ":2: no tab between image id and caption"),
+    (lambda lines: [lines[0], b"\t" + lines[1], *lines[2:]], ":2: empty image id"),
+    (lambda lines: [b"", b"", lines[0], b"\xff" + lines[1], *lines[2:]], ":4: not UTF-8 text"),
+    (lambda lines: lines[1:], ": 9 captions but {trees}: 10 trees; files must align"),
+], ids=["no-tab", "empty-image-id", "not-utf8", "count"])
+def test_caption_malformed_captions_file(workspace, tmp_path, capsys, edit, message):
+    ws, data = _copied_data(workspace, tmp_path)
+    captions = data / "test.captions.tsv"
+    captions.write_bytes(b"\n".join(edit(captions.read_bytes().splitlines())) + b"\n")
+    assert run(*_caption_args(ws, tmp_path / "c.tsv")) == 2
+    message = message.format(trees=data / "test.trees.txt")
+    assert capsys.readouterr().err.startswith(f"error: {captions}{message}")
+
+
 def test_caption_refinement_needs_attention(workspace, tmp_path, capsys):
     skel = tmp_path / "skel"
     assert run("train-skel", "--data", str(workspace["data"]), "--out", str(skel),
@@ -547,6 +563,22 @@ def test_config_file_layering(workspace, tmp_path, monkeypatch):
     monkeypatch.setenv("SKELCAP_CONFIG", str(config))
     assert run("synth", "--out", str(out3)) == 0
     assert json.loads((out3 / "config.json").read_text())["train"] == 7
+
+
+@pytest.mark.parametrize("command,content,message", [
+    ("eval", None, ": cannot read config: No such file or directory"),
+    ("eval", "{bad json", ":1: config is not JSON: "),
+    ("synth", "[1]", ": config must be a JSON object, not list"),
+], ids=["missing", "not-json", "not-object"])
+def test_config_file_fault_exits_2(tmp_path, capsys, command, content, message):
+    config = tmp_path / "conf.json"
+    if content is not None:
+        config.write_text(content)
+    args = {"eval": ("--candidates", "c.tsv", "--references", "r.tsv"),
+            "synth": ("--out", str(tmp_path / "d"))}[command]
+    assert run(command, "--config", str(config), *args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}{message}")
+    assert not (tmp_path / "d").exists()
 
 
 def test_unknown_command_usage_error():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from skelcap.decompose import (DecomposeError, DecomposedCaption, SkeletonToken,
                                decompose, format_decomposition, fuse,
                                fuse_predicted, parse_decomposition)
-from skelcap.treebank import leaves, parse_bracketed
+from skelcap.treebank import ParseNode, ParseTree, leaves, lowest_nps, parse_bracketed
 
 
 def _skeleton(tree_src):
@@ -130,3 +130,64 @@ def test_roundtrip_random_trees(src):
     assert d.original_length == len(leaves(t))
     # no skeleton token duplicates a non-final lowest-NP word position count
     assert len(fuse(d)) == d.original_length
+
+
+# -- the two-walk decomposition, kept as the reference ------------------------
+
+def _leaf_nodes(node, out):
+    if node.is_leaf:
+        out.append(node)
+    else:
+        for c in node.children:
+            _leaf_nodes(c, out)
+
+
+def _reference_decompose(tree):
+    """The former algorithm: leaves by identity, lowest NPs via lowest_nps."""
+    all_leaves = []
+    _leaf_nodes(tree.root, all_leaves)
+    np_of_leaf = [None] * len(all_leaves)
+    np_spans = []
+    pos_of = {id(leaf): i for i, leaf in enumerate(all_leaves)}
+    for np_idx, np_node in enumerate(lowest_nps(tree)):
+        np_leaves = []
+        _leaf_nodes(np_node, np_leaves)
+        positions = [pos_of[id(leaf)] for leaf in np_leaves]
+        np_spans.append(positions)
+        for p in positions:
+            np_of_leaf[p] = np_idx
+    tokens = []
+    handled = set()
+    for pos, leaf in enumerate(all_leaves):
+        np_idx = np_of_leaf[pos]
+        if np_idx is None:
+            tokens.append(SkeletonToken(surface=leaf.token))
+            continue
+        if np_idx in handled:
+            continue
+        handled.add(np_idx)
+        words = [all_leaves[p].token for p in np_spans[np_idx]]
+        tokens.append(SkeletonToken(surface=words[-1], is_np_head=True,
+                                    attributes=tuple(words[:-1])))
+    return DecomposedCaption(skeleton=tuple(tokens), original_length=len(all_leaves))
+
+
+# NP with functional tags counts as NP; -NP, NPP and NP-labelled leaves do not.
+_LABELS = st.sampled_from(["NP", "NP", "NP-SBJ", "NP=2", "NP-TMP=1", "-NP", "NPP",
+                           "VP", "PP", "S", "DT", "NN", "JJ"])
+
+_node = st.recursive(
+    st.builds(lambda label, word: ParseNode(label, token=word), _LABELS,
+              st.sampled_from(_WORDS)),
+    lambda kids: st.builds(lambda label, cs: ParseNode(label, children=tuple(cs)),
+                           _LABELS, st.lists(kids, min_size=1, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_node)
+def test_decompose_matches_reference(root):
+    t = ParseTree(root)
+    d = decompose(t)
+    assert d == _reference_decompose(t)
+    assert fuse(d) == leaves(t)

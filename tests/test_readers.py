@@ -1,6 +1,7 @@
 """Property tests: every file reader, given arbitrary bytes, either returns or
 raises its module's own error naming the file."""
 
+import functools
 import re
 
 import numpy as np
@@ -17,10 +18,22 @@ FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+@functools.cache
+def _records():
+    return corpus.synth_generate(corpus.SynthConfig(count=2, grid_size=2, feature_dim=16),
+                                 seed=1).records
+
+
+def _load_with_valid_trees(captions_path):
+    """``load_records`` of ``captions_path`` against a valid trees file."""
+    trees_path = captions_path.with_name(captions_path.name + ".trees")
+    corpus.write_trees(trees_path, _records())
+    return corpus.load_records(captions_path, trees_path)
+
+
 def _valid_files(root):
     """One well-formed file per reader, written by the package's own writers."""
-    recs = corpus.synth_generate(corpus.SynthConfig(count=2, grid_size=2, feature_dim=16),
-                                 seed=1).records
+    recs = _records()
     files = {}
     corpus.write_features(root / "f.bin", recs)
     files["features"] = (root / "f.bin").read_bytes()
@@ -36,7 +49,7 @@ def _valid_files(root):
     corpus.write_trees(root / "t.txt", recs)
     files["trees"] = (root / "t.txt").read_bytes()
     corpus.write_captions(root / "c.tsv", recs)
-    files["captions"] = (root / "c.tsv").read_bytes()
+    files["captions"] = files["load"] = (root / "c.tsv").read_bytes()
     return files
 
 
@@ -47,6 +60,7 @@ READERS = {
     "vocabulary": (Vocabulary.load, CorpusError),
     "trees": (lambda p: list(treebank.read_trees(p)), TreeParseError),
     "captions": (cli._read_caption_file, MetricsError),
+    "load": (_load_with_valid_trees, CorpusError),
 }
 
 

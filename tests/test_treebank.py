@@ -1,7 +1,11 @@
-import pytest
+import re
 
-from skelcap.treebank import (ParseNode, TreeParseError, base_label, leaves,
-                              lowest_nps, parse_bracketed, read_trees, serialize)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skelcap.decompose import decompose
+from skelcap.treebank import (MAX_DEPTH, ParseNode, ParseTree, TreeParseError, base_label,
+                              leaves, lowest_nps, parse_bracketed, read_trees, serialize)
 
 
 def test_parse_simple():
@@ -116,3 +120,129 @@ def test_read_trees_skips_blank_and_comments(tmp_path):
 def test_unicode_tokens_pass_through():
     t = parse_bracketed("(NN café)")
     assert leaves(t) == ["café"]
+
+
+# -- the recursive-descent parser, kept as the reference -----------------------
+
+def _reference_parse(text):
+    """Character-at-a-time recursive descent: the parser's former algorithm."""
+    i = 0
+    n = len(text)
+
+    def skip_ws(i):
+        while i < n and text[i].isspace():
+            i += 1
+        return i
+
+    def read_atom(i):
+        start = i
+        while i < n and not text[i].isspace() and text[i] not in "()":
+            i += 1
+        return text[start:i], i
+
+    def parse_node(i):
+        if i >= n or text[i] != "(":
+            raise TreeParseError("expected '('", i)
+        i = skip_ws(i + 1)
+        label, i = read_atom(i)
+        if not label:
+            raise TreeParseError("empty node", i)
+        i = skip_ws(i)
+        children = []
+        tokens = []
+        while True:
+            if i >= n:
+                raise TreeParseError("unbalanced", n)
+            if text[i] == ")":
+                i += 1
+                break
+            if text[i] == "(":
+                node, i = parse_node(i)
+                children.append(node)
+            else:
+                tok, i = read_atom(i)
+                tokens.append((tok, i))
+            i = skip_ws(i)
+        if children and tokens:
+            raise TreeParseError("mixed tokens and children under one node", tokens[0][1])
+        if len(tokens) > 1:
+            raise TreeParseError("leaf with more than one token", tokens[1][1])
+        if tokens:
+            return ParseNode(label, token=tokens[0][0]), i
+        if not children:
+            raise TreeParseError("empty node", i)
+        return ParseNode(label, children=tuple(children)), i
+
+    i = skip_ws(i)
+    if i >= n:
+        raise TreeParseError("empty input", i)
+    root, i = parse_node(i)
+    i = skip_ws(i)
+    if i < n:
+        raise TreeParseError("trailing content after tree", i)
+    return ParseTree(root=root, source_line=text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except TreeParseError as exc:
+        return (str(exc), exc.offset)
+
+
+# Brackets and whitespace of every kind (ASCII, Unicode spaces, the
+# separators str.isspace counts), labels, functional tags and words.
+_PIECES = ["(", "(", "(", ")", ")", ")", " ", " ", "\t", "\n", "\r", "\x0b", "\x0c",
+           "\x1c", "\x85", "\xa0", "\u2003", "\u3000", "NP", "NN", "DT", "S", "NP-SBJ",
+           "NP=2", "-", "=", "a", "dog", "café", "x", "\u200b"]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.sampled_from(["", "(", " (", "(NP ", "\n(S "]),
+       st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_parser_matches_reference(head, rest):
+    text = head + rest
+    assert _outcome(parse_bracketed, text) == _outcome(_reference_parse, text)
+
+
+_SPACE = st.sampled_from([" ", "  ", "\t", "\n ", "\xa0", "\u3000"])
+_well_formed = st.recursive(
+    st.builds(lambda w, tag, word: f"({w}{tag} {word}{w})", _SPACE,
+              st.sampled_from(["NN", "DT", "NP"]), st.sampled_from(["a", "dog", "café"])),
+    lambda kids: st.builds(lambda w, tag, cs: f"({tag}{w}{w.join(cs)})", _SPACE,
+                           st.sampled_from(["NP", "S", "NP-SBJ", "PP"]),
+                           st.lists(kids, min_size=1, max_size=4)),
+    max_leaves=16)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_well_formed, st.integers(0, 400), st.integers(0, 2),
+       st.sampled_from(["", "(", ")", "x", " x ", "()", "(NN y)"]))
+def test_parser_matches_reference_on_edited_trees(src, at, cut, insert):
+    # a well-formed tree as is, and with up to two characters replaced by a piece
+    for text in (src, src[:at] + insert + src[at + cut:]):
+        assert _outcome(parse_bracketed, text) == _outcome(_reference_parse, text)
+
+
+def _nested(depth):
+    """A chain of ``depth`` nodes, an NP over non-NPs down to one leaf: the
+    deepest recursion ``lowest_nps`` makes for that depth."""
+    return "(NP " + "(X " * (depth - 2) + "(NN w)" + ")" * (depth - 1)
+
+
+def test_depth_bound_accepts_max_depth(tmp_path):
+    path = tmp_path / "deep.txt"
+    path.write_text(_nested(MAX_DEPTH) + "\n", encoding="utf-8")
+    [(_, tree)] = read_trees(path)
+    assert serialize(tree) == _nested(MAX_DEPTH)
+    assert leaves(tree) == ["w"]
+    assert len(lowest_nps(tree)) == 1
+    assert decompose(tree).skeleton_words == ["w"]
+    assert tree == _reference_parse(_nested(MAX_DEPTH))
+
+
+def test_depth_bound_rejects_deeper(tmp_path):
+    path = tmp_path / "deep.txt"
+    path.write_text("(NN ok)\n" + _nested(MAX_DEPTH + 1) + "\n", encoding="utf-8")
+    with pytest.raises(TreeParseError, match=f"^{re.escape(str(path))}:2: tree nested too deeply$"):
+        list(read_trees(path))
