@@ -128,9 +128,9 @@ class AttributeGenerator(RecurrentDecoder):
         if max_len <= 0:
             return [[] for _ in range(len(states))]
         config = BeamConfig(beam_size=beam_size, gamma=gamma, max_len=max_len)
-        searches = joint_beam_search(self.make_step_fn(), states, config,
-                                     bos=BOS, eos=EOS, vocab_size=len(self.vocab))
-        return [[self.vocab.decode(i) for i in hyps[0].tokens] for hyps in searches]
+        winners = joint_beam_search(self.make_step_fn(), states, config,
+                                    bos=BOS, eos=EOS, vocab_size=len(self.vocab))
+        return [[self.vocab.decode(i) for i in hyp.tokens] for hyp in winners]
 
     # -- training ------------------------------------------------------------
 
@@ -166,6 +166,17 @@ class AttributeGenerator(RecurrentDecoder):
     _loss = batch_loss
 
 
+def check_conditioning(skel_model, hidden_tap: str, use_post_word_alpha: bool):
+    """Raises AttrConfigError unless ``word_conditioning`` can condition on
+    ``skel_model`` with this tap and refinement setting."""
+    if hidden_tap not in HIDDEN_TAPS:
+        raise AttrConfigError(f"hidden_tap must be one of {HIDDEN_TAPS}")
+    if use_post_word_alpha and not skel_model.use_attention:
+        raise AttrConfigError(
+            "post-word refinement needs a skeleton decoder with attention; "
+            "this one has use_attention=False")
+
+
 def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
                       use_post_word_alpha: bool = False):
     """The attribute decoder's conditioning for each skeletal word of one caption.
@@ -181,12 +192,7 @@ def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
     for all words. The "current" tap is the state after word T, "previous"
     the state entering it, "final" the state after the last word.
     """
-    if hidden_tap not in HIDDEN_TAPS:
-        raise AttrConfigError(f"hidden_tap must be one of {HIDDEN_TAPS}")
-    if use_post_word_alpha and not skel_model.use_attention:
-        raise AttrConfigError(
-            "post-word refinement needs a skeleton decoder with attention; "
-            "this one has use_attention=False")
+    check_conditioning(skel_model, hidden_tap, use_post_word_alpha)
     words = [int(w) for w in trace["words"]]
     if not words:
         return []

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, metrics, treebank
-from .decompose import (DecomposeError, decompose as decompose_tree,
-                        format_decomposition, fuse)
+from .decompose import DecomposeError, decompose as decompose_tree, format_decomposition
 from .attrnet import AttributeGenerator, build_training_items
 from .corpus import SynthConfig, Vocabulary
 from .decode import caption as run_caption
@@ -159,23 +158,18 @@ def _load_split(data_dir: Path, split: str, required: bool = True):
 # -- decompose ---------------------------------------------------------------
 
 def cmd_decompose(args, file_config):
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     n = 0
     skel_lens = []
     attr_counts = []
-    try:
-        for lineno, tree in treebank.read_trees(args.trees):
+    sink = _replaced_on_success(Path(args.out)) if args.out else \
+        contextlib.nullcontext(sys.stdout)
+    with sink as out:
+        for _, tree in treebank.read_trees(args.trees):
             d = decompose_tree(tree)
-            if fuse(d) != treebank.leaves(tree):
-                raise DecomposeError(
-                    f"{args.trees}:{lineno}: fusion does not reproduce the caption")
             out.write(format_decomposition(d) + "\n")
             n += 1
             skel_lens.append(len(d.skeleton))
             attr_counts.extend(len(t.attributes) for t in d.skeleton if t.is_np_head)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     mean_skel = sum(skel_lens) / n if n else 0.0
     mean_attr = sum(attr_counts) / len(attr_counts) if attr_counts else 0.0
     print(f"trees: {n}  mean skeleton length: {mean_skel:.2f}  "

@@ -8,14 +8,13 @@ token count.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .attrnet import word_conditioning
+from .attrnet import check_conditioning, word_conditioning
 from .corpus import BOS, EOS, FeatureGrid
 from .decompose import fuse_predicted
 
@@ -68,7 +67,7 @@ def score_adjust(raw_logp: float, length: int, gamma: float) -> float:
 
 def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
                       bos: int = BOS, eos: int = EOS, vocab_size: Optional[int] = None,
-                      record_states: bool = False) -> List[List[Hypothesis]]:
+                      record_states: bool = False) -> List[Hypothesis]:
     """Length-factor beam search, for independent searches stepped together.
 
     Search i starts from row i of the batch ``init_states``. A batch of K
@@ -80,23 +79,31 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
     hypothesis), ``new_states`` the batch of their K new states and
     ``log_probs`` a (K, V) array; the survivors' rows of ``new_states`` are
     then taken in one gather. Expansion adds gamma to every candidate word's
-    log-probability except EOS. Per search, hypotheses reaching EOS (their
-    raw score includes the EOS term) or ``max_len`` move to its finished
-    pool, capped at ``beam_size``, and the search stops once it has no live
-    hypothesis or its best one cannot catch up with a full pool. Returns per
-    search its finished hypotheses sorted by adjusted score; ties break
-    toward shorter, then lexicographically smaller token sequences.
+    log-probability except EOS. Each search keeps no finished pool, only
+    its best finished hypothesis: one that reached EOS (its raw score includes
+    the EOS term) or ``max_len``. It stops once it has no live hypothesis, or
+    once its best live one cannot beat that winner even gaining
+    ``max(gamma, 0)`` at each step left before ``max_len``; with
+    log-probabilities <= 0 no later hypothesis could, so the winner is the
+    hypothesis a pool of ``beam_size`` finished ones would rank first. Returns
+    per search its winner, the finished hypothesis of highest adjusted score;
+    ties break toward shorter, then lexicographically smaller token sequences.
     """
     gamma, width = config.gamma, config.beam_size
-    # live hypotheses are tuples (tokens, raw, adjusted, row, history): row is
-    # the hypothesis's row in the batch its last step returned, history its
-    # recorded (batch, row) pairs; they follow the rows of ``states`` in order
-    live = [[((), 0.0, 0.0, i, ())] for i in range(len(init_states))]
-    # finished pools hold entries (-adjusted, length, tokens, seq, raw,
-    # (batch, row), history) until the end; seq numbers entries in the order
-    # they were made, so sorting entries is the stable sort on the ranking key
-    finished: List[list] = [[] for _ in live]
-    seq = itertools.count()
+    bonus = max(gamma, 0.0)
+    # Hypotheses rank by their keys (-adjusted, length, tokens), which are
+    # unique within a search: at each step all its live hypotheses share a
+    # length and differ in their tokens, and a finished hypothesis's tokens
+    # fix the step it ended at. So ranking never ties: it needs no insertion
+    # counter and does not depend on the order candidates are made in.
+    # Live hypotheses are tuples (-adjusted, length, tokens, raw, row,
+    # history): row is the hypothesis's row in the batch its last step
+    # returned, history its recorded (batch, row) pairs; they follow the rows
+    # of ``states`` in order.
+    live = [[(0.0, 0, (), 0.0, i, ())] for i in range(len(init_states))]
+    # per search its winner so far, (-adjusted, length, tokens, raw,
+    # (batch, row), history), or None
+    best: list = [None] * len(live)
     active = list(range(len(live)))
     states, tokens = init_states, np.full(len(live), bos, dtype=np.int64)
     for step in range(config.max_len):
@@ -110,70 +117,63 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
             raise BeamError(f"step_fn returned log-probs of shape {logps.shape}, expected "
                             f"({K}, {vocab_size if vocab_size is not None else 'V'})")
         n_keep = min(width + 1, logps.shape[1])
-        tops = np.sort(np.argpartition(-logps, n_keep - 1, axis=1)[:, :n_keep], axis=1)
+        tops = np.argpartition(-logps, n_keep - 1, axis=1)[:, :n_keep]
         kept = logps[np.arange(K)[:, None], tops].tolist()
         tops = tops.tolist()
+        remaining = config.max_len - (step + 1)
         still_active, rows, next_tokens = [], [], []
         k = 0  # the parent's row in new_states
         for i in active:
-            # candidates (-adjusted, length, tokens, seq, raw, parent row, is
-            # EOS, parent history), adjusted as in score_adjust; EOS
-            # candidates keep their parent's tokens
-            candidates = []
-            for parent_tokens, parent_raw, _, _, history in live[i]:
-                n = len(parent_tokens)
+            # candidates are live tuples, adjusted as in score_adjust; ended
+            # is the best EOS candidate, which keeps its parent's tokens
+            candidates, ended = [], None
+            for _, n, parent_tokens, parent_raw, _, history in live[i]:
                 for tok, logp in zip(tops[k], kept[k]):
                     raw = parent_raw + logp
-                    if tok == eos:
-                        candidates.append((-(raw + gamma * n), n, parent_tokens, next(seq),
-                                           raw, k, True, history))
-                    else:
+                    if tok != eos:
                         candidates.append((-(raw + gamma * (n + 1)), n + 1,
-                                           parent_tokens + (tok,), next(seq), raw, k, False,
-                                           history))
+                                           parent_tokens + (tok,), raw, k, history))
+                    else:
+                        cand = (-(raw + gamma * n), n, parent_tokens, raw, k, history)
+                        if ended is None or cand < ended:
+                            ended = cand
                 k += 1
+            if ended is not None and (best[i] is None or ended < best[i]):
+                neg_adj, n, toks, raw, row, history = ended
+                ref = (new_states, row)
+                best[i] = (neg_adj, n, toks, raw, ref,
+                           history + (ref,) if record_states else history)
             candidates.sort()
-            pool, kept_live = finished[i], []
-            for neg_adj, length, cand, order, raw, row, is_eos, history in candidates:
-                if not is_eos and len(kept_live) == width:
-                    continue
-                if record_states:
-                    history += ((new_states, row),)
-                if is_eos:
-                    pool.append((neg_adj, length, cand, order, raw, (new_states, row), history))
-                else:
-                    kept_live.append((cand, raw, -neg_adj, row, history))
-            pool.sort()
-            del pool[width:]
-            live[i] = kept_live
-            if not kept_live:
+            del candidates[width:]
+            if record_states:
+                candidates = [(neg_adj, n, toks, raw, row, history + ((new_states, row),))
+                              for neg_adj, n, toks, raw, row, history in candidates]
+            live[i] = candidates
+            if not candidates:
                 continue
-            # the best live hypothesis cannot catch up with the finished pool
-            remaining = config.max_len - (step + 1)
-            if len(pool) == width and \
-                    kept_live[0][2] + max(gamma, 0.0) * remaining < -pool[-1][0]:
+            # the best live hypothesis cannot beat the winner
+            if best[i] is not None and -candidates[0][0] + bonus * remaining < -best[i][0]:
                 continue
             still_active.append(i)
-            for hyp in kept_live:
-                rows.append(hyp[3])
-                next_tokens.append(hyp[0][-1])
+            for hyp in candidates:
+                rows.append(hyp[4])
+                next_tokens.append(hyp[2][-1])
         active = still_active
         if active and step + 1 < config.max_len:
             states = new_states.take(np.asarray(rows))
             tokens = np.asarray(next_tokens, dtype=np.int64)
     for i in active:  # searches that ran to max_len
-        finished[i].extend((-adjusted, len(toks), toks, next(seq), raw, (new_states, row), history)
-                           for toks, raw, adjusted, row, history in live[i])
-        finished[i].sort()
-        del finished[i][width:]
-    return [[Hypothesis(tokens=toks, raw_logp=raw, adjusted_logp=-neg_adj, state=state,
-                        finished=True, states=history)
-             for neg_adj, _, toks, _, raw, state, history in pool] for pool in finished]
+        neg_adj, n, toks, raw, row, history = live[i][0]
+        if best[i] is None or live[i][0] < best[i]:
+            best[i] = (neg_adj, n, toks, raw, (new_states, row), history)
+    return [Hypothesis(tokens=toks, raw_logp=raw, adjusted_logp=-neg_adj, state=state,
+                       finished=True, states=history)
+            for neg_adj, _, toks, raw, state, history in best]
 
 
 def beam_search(step_fn: Callable, init_state, config: BeamConfig,
                 bos: int = BOS, eos: int = EOS, vocab_size: Optional[int] = None,
-                record_states: bool = False) -> List[Hypothesis]:
+                record_states: bool = False) -> Hypothesis:
     """``joint_beam_search`` of the single search that starts from
     ``init_state``, a batch of one row."""
     return joint_beam_search(step_fn, init_state, config, bos, eos, vocab_size,
@@ -224,12 +224,15 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     """
     if use_post_word_alpha is None:
         use_post_word_alpha = attr_model.use_post_word_alpha
+    check_conditioning(skel_model, attr_model.hidden_tap, use_post_word_alpha)
     skel_cfg = BeamConfig(beam_size=beam_skel, gamma=gamma_skel, max_len=max_skel_len)
     step_fn = skel_model.make_step_fn(features)
     init = skel_model.initial_decode_state(features)
-    hyps = beam_search(step_fn, init, skel_cfg,
+    best = beam_search(step_fn, init, skel_cfg,
                        vocab_size=len(skel_model.vocab), record_states=True)
-    best = hyps[0]
+    if not best.tokens:
+        log.warning("empty skeleton output; returning empty caption")
+        return CaptionTrace([], [], [], [], [], empty=True)
     # the teacher_trace record of the winning beam, indexed from the recorded
     # rows: the states leaving the steps that emitted a skeleton word (a
     # final EOS step is dropped) and the states entering them
@@ -241,9 +244,6 @@ def caption(features: FeatureGrid, skel_model, attr_model,
              "logits": [b.logits[r] for b, r in stepped], "words": best.tokens}
     conditioning = word_conditioning(skel_model, trace, features, attr_model.hidden_tap,
                                      use_post_word_alpha)
-    if not best.tokens:
-        log.warning("empty skeleton output; returning empty caption")
-        return CaptionTrace([], [], [], [], [], empty=True)
 
     L = skel_model.grid_size
     post_alphas, *inputs = zip(*conditioning)

@@ -224,15 +224,13 @@ def test_criterion_4_length_factor_beam():
         for gamma in np.arange(-2.0, 2.0 + 1e-9, 0.5):
             gamma = float(gamma)
             oracle = brute_force(logps_for, V, max_len, gamma)
-            hyps = beam_search(batched(step_fn), Rows([()]),
-                               BeamConfig(beam_size=_full_width(V, max_len),
-                                          gamma=gamma, max_len=max_len),
-                               vocab_size=V)
-            argmax_ok &= hyps[0].tokens == oracle[0][0]
-            lengths.append(len(hyps[0].tokens))
-            for h in hyps[:10]:
-                exact_ok &= h.adjusted_logp == score_adjust(
-                    h.raw_logp, len(h.tokens), gamma)
+            hyp = beam_search(batched(step_fn), Rows([()]),
+                              BeamConfig(beam_size=_full_width(V, max_len),
+                                         gamma=gamma, max_len=max_len),
+                              vocab_size=V)
+            argmax_ok &= hyp.tokens == oracle[0][0]
+            lengths.append(len(hyp.tokens))
+            exact_ok &= hyp.adjusted_logp == score_adjust(hyp.raw_logp, len(hyp.tokens), gamma)
         argmax_ok &= lengths == sorted(lengths)
     _report(4, argmax_ok and exact_ok,
             "full-width beam == exhaustive argmax; lengths non-decreasing over "

@@ -106,6 +106,18 @@ def test_decompose_malformed_tree(tmp_path):
     assert run("decompose", "--trees", str(bad)) == 2
 
 
+def test_decompose_malformed_tree_leaves_out_file(tmp_path):
+    # a trees file that fails part way leaves an existing --out file as it
+    # was, not a dump of the trees read before the fault
+    bad = tmp_path / "bad.txt"
+    bad.write_text("(S (NP (DT a) (NN dog)) (VP (VBZ runs)))\n(NP (NN dog)\n")
+    out = tmp_path / "decomp.txt"
+    out.write_text("earlier dump\n")
+    assert run("decompose", "--trees", str(bad), "--out", str(out)) == 2
+    assert out.read_text() == "earlier dump\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "decomp.txt"]
+
+
 def test_decompose_missing_file(tmp_path):
     assert run("decompose", "--trees", str(tmp_path / "nope.txt")) == 2
 

@@ -91,10 +91,17 @@ def _sort_key(h):
 
 
 def reference_beam_search(step_fn, init_state, config, bos=BOS, eos=EOS,
-                          vocab_size=None, record_states=False, exits=None):
+                          vocab_size=None, record_states=False, exits=None, winner=False):
     """The scalar beam search: one ``step_fn(state, token)`` call per live
-    hypothesis. Appends how the search ended to ``exits``: "no_live",
-    "early_stop" or "flush" (ran to ``max_len``)."""
+    hypothesis, keeping a finished pool capped at ``beam_size``.
+
+    By default it stops early once its best live hypothesis cannot catch up
+    with the worst entry of a full pool, and returns the pool sorted. With
+    ``winner`` it stops once that hypothesis cannot beat the pool's best
+    entry, and returns that entry. Appends to ``exits`` how the search ended
+    and the beam steps it took: ("no_live", steps), ("early_stop", steps),
+    ("winner_decided", steps) or ("flush", max_len) when it ran to
+    ``max_len``."""
     gamma = config.gamma
     live = [Hypothesis(tokens=(), raw_logp=0.0, adjusted_logp=0.0, state=init_state)]
     finished = []
@@ -137,21 +144,25 @@ def reference_beam_search(step_fn, init_state, config, bos=BOS, eos=EOS,
         if not live:
             exit_kind = "no_live"
             break
-        # the best live hypothesis cannot catch up with the finished pool
-        if len(finished) == config.beam_size:
-            remaining = config.max_len - (step + 1)
-            bound = live[0].adjusted_logp + max(gamma, 0.0) * remaining
-            if bound < finished[-1].adjusted_logp:
-                exit_kind = "early_stop"
+        remaining = config.max_len - (step + 1)
+        bound = live[0].adjusted_logp + max(gamma, 0.0) * remaining
+        if winner:
+            # the best live hypothesis cannot beat the best finished one
+            if finished and bound < finished[0].adjusted_logp:
+                exit_kind = "winner_decided"
                 break
+        # the best live hypothesis cannot catch up with the finished pool
+        elif len(finished) == config.beam_size and bound < finished[-1].adjusted_logp:
+            exit_kind = "early_stop"
+            break
     else:
         exit_kind = "flush"
         finished.extend(replace(hyp, finished=True) for hyp in live)
         finished.sort(key=_sort_key)
         del finished[config.beam_size:]
     if exits is not None:
-        exits.append(exit_kind)
-    return finished
+        exits.append((exit_kind, step + 1))
+    return finished[0] if winner else finished
 
 
 def _summary(hyps, resolve=lambda state: state):
@@ -177,7 +188,8 @@ def make_tied_lm(vocab_size, seed, eos_bias):
 
 def _joint_vs_reference(lms, vocab_size, config):
     """Runs the searches of ``lms`` jointly and each alone through the
-    reference; asserts they agree and returns the reference exit kinds."""
+    winner-rule reference; asserts they agree, that the reference takes no
+    more steps than the full-pool one, and returns its exit kinds."""
 
     def step(state, token):
         return lms[state[0]](state, token)
@@ -185,12 +197,16 @@ def _joint_vs_reference(lms, vocab_size, config):
     inits = [(i, ()) for i in range(len(lms))]
     joint = joint_beam_search(batched(step), Rows(inits), config, vocab_size=vocab_size,
                               record_states=True)
+    assert len(joint) == len(inits)
     exits = []
-    for init, hyps in zip(inits, joint):
+    for init, hyp in zip(inits, joint):
+        full_exits = []
         ref = reference_beam_search(step, init, config, vocab_size=vocab_size,
-                                    record_states=True, exits=exits)
-        assert _summary(hyps, _state) == _summary(ref)
-    return exits
+                                    record_states=True, exits=exits, winner=True)
+        reference_beam_search(step, init, config, vocab_size=vocab_size, exits=full_exits)
+        assert _summary([hyp], _state) == _summary([ref])
+        assert exits[-1][1] <= full_exits[0][1]
+    return [kind for kind, _ in exits]
 
 
 # -- score_adjust -------------------------------------------------------------
@@ -223,10 +239,10 @@ def test_full_width_beam_matches_brute_force(seed, gamma):
     oracle = brute_force(logps_for, V, max_len, gamma)
     config = BeamConfig(beam_size=_full_width(V, max_len), gamma=gamma,
                         max_len=max_len)
-    hyps = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
-    assert hyps[0].tokens == oracle[0][0]
-    assert hyps[0].raw_logp == pytest.approx(oracle[0][1], abs=1e-12)
-    assert hyps[0].adjusted_logp == pytest.approx(oracle[0][2], abs=1e-12)
+    hyp = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
+    assert hyp.tokens == oracle[0][0]
+    assert hyp.raw_logp == pytest.approx(oracle[0][1], abs=1e-12)
+    assert hyp.adjusted_logp == pytest.approx(oracle[0][2], abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
@@ -238,9 +254,9 @@ def test_gamma_sweep_monotone_under_exhaustive_search(seed):
         oracle = brute_force(logps_for, V, max_len, float(gamma))
         config = BeamConfig(beam_size=_full_width(V, max_len),
                             gamma=float(gamma), max_len=max_len)
-        hyps = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
-        assert hyps[0].tokens == oracle[0][0]
-        lengths.append(len(hyps[0].tokens))
+        hyp = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
+        assert hyp.tokens == oracle[0][0]
+        lengths.append(len(hyp.tokens))
     assert lengths == sorted(lengths)
     assert lengths[0] < lengths[-1]  # the sweep actually moves the length
 
@@ -248,9 +264,10 @@ def test_gamma_sweep_monotone_under_exhaustive_search(seed):
 @pytest.mark.parametrize("gamma", [0.1, -0.3, 1.5, 0.7])
 def test_adjusted_minus_raw_is_exactly_gamma_times_length(gamma):
     V, max_len = 4, 5
-    step_fn, _ = make_toy_lm(V, 9)
     config = BeamConfig(beam_size=3, gamma=gamma, max_len=max_len)
-    for hyp in beam_search(batched(step_fn), Rows([()]), config, vocab_size=V):
+    for seed in range(9, 17):
+        step_fn, _ = make_toy_lm(V, seed)
+        hyp = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
         # bit-identical to a single fused adjustment: no per-step drift
         assert hyp.adjusted_logp == score_adjust(hyp.raw_logp, len(hyp.tokens),
                                                  gamma)
@@ -258,9 +275,10 @@ def test_adjusted_minus_raw_is_exactly_gamma_times_length(gamma):
 
 def test_rescoring_invariant():
     V, max_len = 5, 6
-    step_fn, logps_for = make_toy_lm(V, 21)
     config = BeamConfig(beam_size=4, gamma=0.4, max_len=max_len)
-    for hyp in beam_search(batched(step_fn), Rows([()]), config, vocab_size=V):
+    for seed in range(21, 29):
+        step_fn, logps_for = make_toy_lm(V, seed)
+        hyp = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
         raw = 0.0
         prefix = (BOS,)
         for tok in hyp.tokens:
@@ -284,10 +302,10 @@ def test_eos_exempt_from_length_factor():
 
     short = beam_search(batched(step_fn), Rows([None]),
                         BeamConfig(beam_size=4, gamma=0.0, max_len=3), vocab_size=3)
-    assert short[0].tokens == ()
+    assert short.tokens == ()
     long = beam_search(batched(step_fn), Rows([None]),
                        BeamConfig(beam_size=4, gamma=5.0, max_len=3), vocab_size=3)
-    assert len(long[0].tokens) > 0
+    assert len(long.tokens) > 0
 
 
 def test_greedy_equivalence_on_peaked_lm():
@@ -303,9 +321,9 @@ def test_greedy_equivalence_on_peaked_lm():
             logps[EOS] = -0.01
         return t + 1, logps
 
-    hyps = beam_search(batched(step_fn), Rows([0]),
-                       BeamConfig(beam_size=1, gamma=0.0, max_len=6), vocab_size=5)
-    assert hyps[0].tokens == tuple(path)
+    hyp = beam_search(batched(step_fn), Rows([0]),
+                      BeamConfig(beam_size=1, gamma=0.0, max_len=6), vocab_size=5)
+    assert hyp.tokens == tuple(path)
 
 
 def test_tie_breaking_prefers_short_then_lexicographic():
@@ -316,34 +334,42 @@ def test_tie_breaking_prefers_short_then_lexicographic():
     def step_fn(state, token):
         return None, np.full(V, -1.0)
 
-    hyps = beam_search(batched(step_fn), Rows([None]),
-                       BeamConfig(beam_size=50, gamma=1.0, max_len=max_len),
-                       vocab_size=V)
+    config = BeamConfig(beam_size=50, gamma=1.0, max_len=max_len)
+    hyp = beam_search(batched(step_fn), Rows([None]), config, vocab_size=V)
     # cut hypotheses (length 3, adjusted 0) beat EOS-finished ones (-1);
-    # among equal scores ordering is shorter first, then lexicographic
-    assert hyps[0].adjusted_logp == 0.0
-    assert hyps[0].tokens == (0, 0, 0)
-    for a, b in zip(hyps, hyps[1:]):
-        assert (-a.adjusted_logp, a.length, a.tokens) <= \
-               (-b.adjusted_logp, b.length, b.tokens)
+    # among them the lexicographically smallest wins
+    assert (hyp.tokens, hyp.adjusted_logp) == ((0, 0, 0), 0.0)
+
+    # EOS now costs nothing, so every finished hypothesis ties at 0: the
+    # shortest, the empty one, wins
+    def free_eos(state, token):
+        logps = np.full(V, -1.0)
+        logps[EOS] = 0.0
+        return None, logps
+
+    hyp = beam_search(batched(free_eos), Rows([None]), config, vocab_size=V)
+    assert (hyp.tokens, hyp.adjusted_logp) == ((), 0.0)
 
 
-def test_beam_returns_at_most_beam_size():
-    step_fn, _ = make_toy_lm(4, 2)
-    hyps = beam_search(batched(step_fn), Rows([()]), BeamConfig(beam_size=3, max_len=4),
-                       vocab_size=4)
-    assert 1 <= len(hyps) <= 3
-    assert all(h.finished for h in hyps)
+def test_beam_returns_its_finished_winner():
+    for seed in range(8):
+        step_fn, _ = make_toy_lm(4, seed)
+        hyp = beam_search(batched(step_fn), Rows([()]), BeamConfig(beam_size=3, max_len=4),
+                          vocab_size=4)
+        assert isinstance(hyp, Hypothesis) and hyp.finished
 
 
 def test_record_states_tracks_steps():
-    step_fn, _ = make_toy_lm(4, 3)
-    hyps = beam_search(batched(step_fn), Rows([()]), BeamConfig(beam_size=2, max_len=4),
-                       vocab_size=4, record_states=True)
-    for hyp in hyps:
+    lengths = set()
+    for seed in range(3, 11):
+        step_fn, _ = make_toy_lm(4, seed)
+        hyp = beam_search(batched(step_fn), Rows([()]), BeamConfig(beam_size=2, max_len=4),
+                          vocab_size=4, record_states=True)
         # one recorded state per consumed step (EOS step included)
         consumed = len(hyp.tokens) + (1 if len(hyp.tokens) < 4 else 0)
         assert len(hyp.states) == consumed
+        lengths.add(len(hyp.tokens))
+    assert len(lengths) > 1
 
 
 def test_vocab_size_mismatch_raises():
@@ -368,6 +394,28 @@ def test_joint_search_matches_reference_per_search(data):
     _joint_vs_reference([make_tied_lm(V, seed, bias) for seed, bias in specs], V, config)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_winner_stop_returns_the_full_pools_first(data):
+    # Stopping once the best live hypothesis cannot beat the best finished
+    # one keeps the full pool's winner: no later hypothesis gains more than
+    # max(gamma, 0) a step when log-probabilities are <= 0, so EOS biases are
+    # <= 0 here. Gammas are multiples of 0.25, so every score is exact.
+    V = data.draw(st.integers(2, 5), label="vocab_size")
+    config = BeamConfig(beam_size=data.draw(st.integers(1, 4), label="beam_size"),
+                        gamma=data.draw(st.integers(-8, 8), label="gamma * 4") / 4,
+                        max_len=data.draw(st.integers(1, 6), label="max_len"))
+    step = make_tied_lm(V, data.draw(st.integers(0, 2**16), label="seed"),
+                        data.draw(st.sampled_from([-1.5, -1.0, -0.5, 0.0]), label="eos_bias"))
+    full_exits, winner_exits = [], []
+    full = reference_beam_search(step, (0, ()), config, vocab_size=V, record_states=True,
+                                 exits=full_exits)
+    won = reference_beam_search(step, (0, ()), config, vocab_size=V, record_states=True,
+                                exits=winner_exits, winner=True)
+    assert _summary([won]) == _summary(full[:1])
+    assert winner_exits[0][1] <= full_exits[0][1]
+
+
 def test_joint_search_covers_every_exit():
     # fixed draws that together stop early and flush at max_len, with
     # searches that end differently in one joint run
@@ -379,7 +427,7 @@ def test_joint_search_covers_every_exit():
             exits = _joint_vs_reference(lms, 4, config)
             seen.update(exits)
             lengths.add(len(set(exits)))
-    assert seen == {"early_stop", "flush"}
+    assert seen == {"winner_decided", "flush"}
     assert max(lengths) > 1  # one joint run held searches that ended differently
 
 
@@ -405,8 +453,7 @@ def test_live_states_carry_the_beam_step():
 
 # -- coarse-to-fine pipeline --------------------------------------------------
 
-@pytest.fixture(scope="module")
-def pipeline():
+def _pipeline():
     from skelcap.attrnet import AttributeGenerator
     from skelcap.skelnet import SkeletonGenerator
     cfg = SynthConfig(count=30, grid_size=3, feature_dim=24)
@@ -421,6 +468,23 @@ def pipeline():
                               skel_embed_size=skel.embed_size,
                               skel_hidden_size=skel.hidden_size,
                               hidden_size=10, embed_size=6, seed=1)
+    return recs, skel, attr
+
+
+@pytest.fixture(scope="module")
+def pipeline():
+    return _pipeline()
+
+
+@pytest.fixture(scope="module")
+def fitted_pipeline():
+    """The pipeline's records with decoders fitted to them, whose captions
+    end after one to five skeleton words."""
+    from skelcap.attrnet import build_training_items
+    recs, skel, attr = _pipeline()
+    skel.fit(recs, epochs=40, learning_rate=0.1, batch_size=16)
+    attr.fit(build_training_items(recs, skel, attr.vocab), epochs=20, learning_rate=0.1,
+             batch_size=16)
     return recs, skel, attr
 
 
@@ -527,9 +591,11 @@ def _counting(make_step_fn, calls):
     return make
 
 
-def _reference_steps(step_fn, init_state, config, vocab_size, record_states=False):
+def _reference_steps(step_fn, init_state, config, vocab_size, record_states=False,
+                     winner=False):
     """Beam steps the scalar reference takes, one hypothesis per call,
-    counted by each state's depth rather than read from its ``t``."""
+    counted by each state's depth rather than read from its ``t``, and its
+    result."""
     steps, depth = set(), {id(init_state): 0}
 
     def one(state, token):  # state: a batch of one row
@@ -538,9 +604,9 @@ def _reference_steps(step_fn, init_state, config, vocab_size, record_states=Fals
         depth[id(new)] = depth[id(state)] + 1
         return new, logps[0]
 
-    hyps = reference_beam_search(one, init_state, config, vocab_size=vocab_size,
-                                 record_states=record_states)
-    return len(steps), hyps
+    result = reference_beam_search(one, init_state, config, vocab_size=vocab_size,
+                                   record_states=record_states, winner=winner)
+    return len(steps), result
 
 
 def test_caption_one_step_call_per_beam_step(pipeline, monkeypatch):
@@ -566,22 +632,28 @@ def test_caption_one_step_call_per_beam_step(pipeline, monkeypatch):
     # one skeleton call per beam step: the calls serve steps 0, 1, 2, ... once each
     assert [t for t, _ in skel_calls] == list(range(len(skel_calls)))
     assert all(k <= 3 for _, k in skel_calls)
+    skel_config = BeamConfig(beam_size=3, gamma=3.0, max_len=6)
     steps, ref = _reference_steps(skel_step_fn(features), skel.init_state(features),
-                                  BeamConfig(beam_size=3, gamma=3.0, max_len=6),
-                                  len(skel.vocab))
+                                  skel_config, len(skel.vocab), winner=True)
     assert len(skel_calls) == steps
-    assert [skel.vocab.decode(i) for i in ref[0].tokens] == trace.skeleton_words
+    assert steps <= _reference_steps(skel_step_fn(features), skel.init_state(features),
+                                     skel_config, len(skel.vocab))[0]
+    assert [skel.vocab.decode(i) for i in ref.tokens] == trace.skeleton_words
 
     # one attribute call per beam step, shared by every word's search
     (x_init,) = inits
     assert [t for t, _ in attr_calls] == list(range(len(attr_calls)))
     assert attr_calls[0][1] == words
     states = attr.initial_state(x_init)
-    alone = [_reference_steps(attr_step_fn(), states.take([w]),
-                              BeamConfig(beam_size=2, max_len=4), len(attr.vocab))
+    attr_config = BeamConfig(beam_size=2, max_len=4)
+    alone = [_reference_steps(attr_step_fn(), states.take([w]), attr_config, len(attr.vocab),
+                              winner=True)
              for w in range(len(states))]
     assert len(attr_calls) == max(n for n, _ in alone)
-    assert [[attr.vocab.decode(i) for i in hyps[0].tokens] for _, hyps in alone] == \
+    assert len(attr_calls) <= max(
+        _reference_steps(attr_step_fn(), states.take([w]), attr_config, len(attr.vocab))[0]
+        for w in range(len(states)))
+    assert [[attr.vocab.decode(i) for i in hyp.tokens] for _, hyp in alone] == \
         trace.attributes
 
 
@@ -627,9 +699,8 @@ def test_caption_recorded_rows_match_single_hypothesis_steps(pipeline, monkeypat
     real_beam_search = decode.beam_search
 
     def spy(*args, **kwargs):
-        hyps = real_beam_search(*args, **kwargs)
-        won.append(hyps[0])
-        return hyps
+        won.append(real_beam_search(*args, **kwargs))
+        return won[-1]
 
     monkeypatch.setattr(decode, "beam_search", spy)
     config = BeamConfig(beam_size=beam, gamma=gamma, max_len=6)
@@ -688,6 +759,53 @@ def test_no_attention_batched_rows_match_single_hypothesis_steps(pipeline, monke
     assert max(widths) == beam
 
 
+def _full_pool_search(step_fn, init_states, config, bos=BOS, eos=EOS, vocab_size=None,
+                      record_states=False):
+    """``joint_beam_search`` through the full-pool scalar reference: each
+    search alone on one-row batches, its pool's first entry as the winner."""
+
+    def one(state, token):  # state: a batch of one row
+        new, logps = step_fn(state, np.asarray([token], dtype=np.int64))
+        return new, logps[0]
+
+    winners = []
+    for i in range(len(init_states)):
+        best = reference_beam_search(one, init_states.take([i]), config, bos, eos,
+                                     vocab_size, record_states)[0]
+        winners.append(replace(best, state=(best.state, 0),
+                               states=tuple((state, 0) for state in best.states)))
+    return winners
+
+
+@pytest.mark.parametrize("model", ["fitted", "wordy"])
+@pytest.mark.parametrize("settings", [
+    dict(beam_skel=3, beam_attr=2),
+    dict(beam_skel=5, beam_attr=3, gamma_skel=0.5, gamma_attr=0.5, use_post_word_alpha=True),
+    dict(beam_skel=8, beam_attr=4, gamma_skel=-0.5, gamma_attr=1.0, use_post_word_alpha=True),
+], ids=["default", "long", "wide"])
+def test_caption_matches_full_pool_searches(request, monkeypatch, settings, model):
+    # stopping each search once its winner is decided leaves every caption,
+    # attention map and attribute phrase as the full finished pool's first
+    # entry gives them, on fitted decoders and on the untrained skeleton
+    # decoder made to run every search to max_skel_len
+    import skelcap.decode as decode
+    recs, skel, attr = request.getfixturevalue(
+        "fitted_pipeline" if model == "fitted" else "pipeline")
+    saved = skel.store["out_b"].data.copy()
+    if model == "wordy":
+        skel.store["out_b"].data[EOS] = -5.0
+    try:
+        fast = [caption(r.features, skel, attr, **settings) for r in recs]
+        monkeypatch.setattr(decode, "joint_beam_search", _full_pool_search)
+        monkeypatch.setattr(decode, "beam_search",
+                            lambda *args, **kw: _full_pool_search(*args, **kw)[0])
+        full = [caption(r.features, skel, attr, **settings) for r in recs]
+    finally:
+        skel.store["out_b"].data[...] = saved
+    assert [t.render(precision=9) for t in fast] == [t.render(precision=9) for t in full]
+    assert all(t.skeleton_words for t in fast)
+
+
 def _perfbench_tracing():
     """The benchmark's ``perfbench/tracing.py``, loaded by path."""
     import importlib.util
@@ -733,15 +851,18 @@ def test_benchmark_tracer_counts_match_the_untraced_run(pipeline, monkeypatch):
     assert calls["skelnet.step"] == len(skel_calls)
     assert calls["attrnet.step"] == len(attr_calls)
     assert calls["decode.skel_beam"] == calls["decode.attr_beam"] == len(images)
-    beam_steps = 0
-    for features, x_init in zip(images, inits):
+    def reference_steps(features, x_init, winner):
         steps, _ = _reference_steps(skel_step_fn(features), skel.init_state(features),
                                     BeamConfig(beam_size=3, gamma=3.0, max_len=6),
-                                    len(skel.vocab))
+                                    len(skel.vocab), winner=winner)
         states = attr.initial_state(x_init)
-        beam_steps += steps + max(
+        return steps + max(
             _reference_steps(attr_step_fn(), states.take([w]),
-                             BeamConfig(beam_size=2, max_len=4), len(attr.vocab))[0]
+                             BeamConfig(beam_size=2, max_len=4), len(attr.vocab),
+                             winner=winner)[0]
             for w in range(len(states)))
+
+    beam_steps = sum(reference_steps(*pair, True) for pair in zip(images, inits))
+    full_pool_steps = sum(reference_steps(*pair, False) for pair in zip(images, inits))
     assert tracer.counts["decode.searches"] == 2 * len(images)
-    assert tracer.counts["decode.beam_steps"] == beam_steps
+    assert tracer.counts["decode.beam_steps"] == beam_steps <= full_pool_steps
