@@ -3,9 +3,10 @@ eval, gradcheck.
 
 Configuration is layered: values from a JSON config file (``--config`` or the
 ``SKELCAP_CONFIG`` environment variable) are overridden by command-line
-flags. Every command that writes an output directory echoes its effective
-configuration there as ``config.json``. Exit codes: 0 success, 1 usage error,
-2 data/contract violation.
+flags; ``COMMANDS`` declares each option once, for both. Every command that
+writes an output directory echoes its effective configuration there as
+``config.json``. Exit codes: 0 success, 1 usage error, 2 data/contract
+violation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +54,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_file_config(path):
     """The JSON object in ``path`` (default: $SKELCAP_CONFIG), or {} without
-    one; a file that cannot be read or holds no JSON object raises
-    ValueError naming the file."""
+    one, each value checked against its option's kind. A file that cannot be
+    read or holds no JSON object, a key no command takes from a file, or a
+    value not of its option's kind raises ValueError naming the file."""
     if path is None:
         path = os.environ.get(CONFIG_ENV)
     if not path:
@@ -66,28 +69,48 @@ def _load_file_config(path):
         raise ValueError(f"{path}:{exc.lineno}: config is not JSON: {exc.msg}") from None
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object, not {type(config).__name__}")
-    return config
+    # one file serves every command, so a key of any command is accepted
+    options = {opt.flag: opt for _, _, opts in COMMANDS.values() for opt in opts
+               if opt.source == "file"}
+    for key, value in config.items():
+        if key not in options:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        kind = options[key].kind
+        choices = kind if isinstance(kind, tuple) else None
+        if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+            value = config[key] = float(value)  # as the flag parses it
+        # null and "" take the default; JSON true is not an int
+        if not (value in (None, "") or (value in choices if choices else type(value) is kind)):
+            expected = f"one of {', '.join(choices)}" if choices else kind.__name__
+            raise ValueError(f"{path}: config key {key!r} must be {expected}, "
+                             f"not {json.dumps(value)}")
+    return {key: value for key, value in config.items() if value not in (None, "")}
 
 
-def _effective(args, file_config, defaults):
-    """Per key of ``defaults``: the CLI flag, else the file config value, else
-    the default; an empty string also takes the default where there is one."""
-    out = {}
-    for key, default in defaults.items():
-        value = getattr(args, key.replace("-", "_"))
-        if value is None:
-            value = file_config.get(key)
-        if value in (None, "") and default is not None:
-            value = default
-        out[key] = value
-    return out
-
-
-def _echo_config(out_dir: Path, command: str, config: dict):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
+def _echo_config(path: Path, command: str, config: dict):
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump({"command": command, **config}, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def _replaced_on_success(path: Path):
+    """A temporary path beside ``path`` to write it through: the file written
+    there replaces ``path`` only if the block completes, so a failed run
+    leaves an existing file as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def _text_replaced_on_success(path: Path):
+    """``_replaced_on_success`` with its temporary file open as UTF-8 text."""
+    with _replaced_on_success(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _csv(value):
@@ -96,18 +119,7 @@ def _csv(value):
 
 # -- synth -------------------------------------------------------------------
 
-_SYNTH = SynthConfig()
-SYNTH_DEFAULTS = {
-    "out": None, "seed": 0, "count": 1000, "val-count": 0, "test-count": 0,
-    "grid-size": _SYNTH.grid_size, "feature-dim": _SYNTH.feature_dim,
-    "noise-sigma": _SYNTH.noise_sigma, "objects": ",".join(_SYNTH.objects),
-    "attributes": ",".join(_SYNTH.attributes), "relations": ",".join(_SYNTH.relations),
-    "max-objects": _SYNTH.max_objects, "max-attributes": _SYNTH.max_attributes,
-}
-
-
-def cmd_synth(args, file_config):
-    cfg = _effective(args, file_config, SYNTH_DEFAULTS)
+def cmd_synth(cfg):
     out_dir = Path(cfg["out"])
     base = dict(
         grid_size=cfg["grid-size"], feature_dim=cfg["feature-dim"],
@@ -117,7 +129,8 @@ def cmd_synth(args, file_config):
     )
     seed = cfg["seed"]
     counts = {"train": cfg["count"], "val": cfg["val-count"], "test": cfg["test-count"]}
-    _echo_config(out_dir, "synth", {**base, "seed": seed, **counts})
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _echo_config(out_dir / "config.json", "synth", {**base, "seed": seed, **counts})
     start = 0
     manifest_entries = {}
     for split in ("train", "val", "test"):
@@ -157,14 +170,14 @@ def _load_split(data_dir: Path, split: str, required: bool = True):
 
 # -- decompose ---------------------------------------------------------------
 
-def cmd_decompose(args, file_config):
+def cmd_decompose(cfg):
     n = 0
     skel_lens = []
     attr_counts = []
-    sink = _replaced_on_success(Path(args.out)) if args.out else \
+    sink = _text_replaced_on_success(Path(cfg["out"])) if cfg["out"] else \
         contextlib.nullcontext(sys.stdout)
     with sink as out:
-        for _, tree in treebank.read_trees(args.trees):
+        for _, tree in treebank.read_trees(cfg["trees"]):
             d = decompose_tree(tree)
             out.write(format_decomposition(d) + "\n")
             n += 1
@@ -179,119 +192,91 @@ def cmd_decompose(args, file_config):
 
 # -- training ----------------------------------------------------------------
 
-def _write_curve(path, curve):
-    with open(path, "w", encoding="utf-8") as fh:
-        for step, loss in curve:
-            fh.write(f"{step}\t{loss:.6f}\n")
+def _save_training(out_dir, cfg, stage, model, vocab, curve):
+    """Write ``stage``'s vocabulary, checkpoint, loss curve and config into
+    ``out_dir`` after training, each replacing its file only once all four
+    are written: a failed run leaves the directory as it was."""
+    with contextlib.ExitStack() as files:
+        def target(name):
+            return files.enter_context(_replaced_on_success(out_dir / name))
+
+        vocab.save(target(f"{stage}.vocab"))
+        model.save(target(f"{stage}.ckpt"))
+        with open(target(f"{stage}_loss_curve.txt"), "w", encoding="utf-8") as fh:
+            fh.writelines(f"{step}\t{loss:.6f}\n" for step, loss in curve)
+        _echo_config(target("config.json"), f"train-{stage}",
+                     {**model.get_params(), "epochs": cfg["epochs"],
+                      "learning_rate": cfg["learning-rate"], "batch_size": cfg["batch-size"],
+                      f"{stage}_threshold": cfg[f"{stage}-threshold"]})
 
 
-TRAIN_SKEL_DEFAULTS = {
-    "data": None, "out": None, "epochs": 10, "learning-rate": 0.1, "batch-size": 64,
-    "seed": 0, "hidden-size": 128, "embed-size": 64, "attention-hidden": 128,
-    "skel-threshold": 5, "no-attention": False,
-}
-
-
-def cmd_train_skel(args, file_config):
-    cfg = _effective(args, file_config, TRAIN_SKEL_DEFAULTS)
+def cmd_train_skel(cfg):
     data_dir = Path(cfg["data"])
-    out_dir = Path(cfg["out"])
     train = _load_split(data_dir, "train")
     val = _load_split(data_dir, "val", required=False)
-    threshold = cfg["skel-threshold"]
     vocab = corpus.build_vocab(
-        [[t.surface for t in r.decomposition.skeleton] for r in train], threshold)
-    sample = train[0].features
-    model_cfg = dict(
-        feature_dim=sample.feature_dim, grid_size=sample.grid_size,
-        hidden_size=cfg["hidden-size"], embed_size=cfg["embed-size"],
-        attention_hidden=cfg["attention-hidden"], use_attention=not cfg["no-attention"],
-        seed=cfg["seed"],
-    )
-    epochs, lr, batch = cfg["epochs"], cfg["learning-rate"], cfg["batch-size"]
-    _echo_config(out_dir, "train-skel",
-                 {**model_cfg, "epochs": epochs, "learning_rate": lr,
-                  "batch_size": batch, "skel_threshold": threshold})
-    if args.resume:
-        model = SkeletonGenerator.load(args.resume, vocab)
+        [[t.surface for t in r.decomposition.skeleton] for r in train], cfg["skel-threshold"])
+    out_dir = Path(cfg["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before training
+    if cfg["resume"]:
+        model = SkeletonGenerator.load(cfg["resume"], vocab)
     else:
-        model = SkeletonGenerator(vocab, **model_cfg)
-    history = model.fit(train, val, epochs=epochs, learning_rate=lr,
-                        batch_size=batch, shuffle_seed=cfg["seed"],
+        sample = train[0].features
+        model = SkeletonGenerator(
+            vocab, feature_dim=sample.feature_dim, grid_size=sample.grid_size,
+            hidden_size=cfg["hidden-size"], embed_size=cfg["embed-size"],
+            attention_hidden=cfg["attention-hidden"], use_attention=not cfg["no-attention"],
+            seed=cfg["seed"])
+    history = model.fit(train, val, epochs=cfg["epochs"], learning_rate=cfg["learning-rate"],
+                        batch_size=cfg["batch-size"], shuffle_seed=cfg["seed"],
                         progress=lambda e, h: log.info(
                             "epoch %d val_loss %s", e,
                             h["val_loss"][-1] if h["val_loss"] else "n/a"))
-    vocab.save(out_dir / "skel.vocab")
-    model.save(out_dir / "skel.ckpt")
-    _write_curve(out_dir / "skel_loss_curve.txt", history["train_curve"])
+    _save_training(out_dir, cfg, "skel", model, vocab, history["train_curve"])
     print(f"trained skeleton model: {model.store.step_count} steps -> {out_dir}")
     return 0
 
 
-TRAIN_ATTR_DEFAULTS = {
-    "data": None, "out": None, "epochs": 10, "learning-rate": 0.1, "batch-size": 128,
-    "seed": 0, "hidden-size": 128, "embed-size": 64, "attr-threshold": 3,
-    "skel-checkpoint": None, "skel-vocab": None, "hidden-tap": "current", "post-word-alpha": False,
-}
-
-
-def cmd_train_attr(args, file_config):
-    cfg = _effective(args, file_config, TRAIN_ATTR_DEFAULTS)
+def cmd_train_attr(cfg):
     data_dir = Path(cfg["data"])
-    out_dir = Path(cfg["out"])
     train = _load_split(data_dir, "train")
     val = _load_split(data_dir, "val", required=False)
     skel_vocab = Vocabulary.load(cfg["skel-vocab"])
     skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"], skel_vocab)
-    threshold = cfg["attr-threshold"]
     attr_vocab = corpus.build_vocab(
         [list(t.attributes) for r in train for t in r.decomposition.skeleton
-         if t.attributes], threshold)
-    model_cfg = dict(
-        feature_dim=skel_model.feature_dim,
-        skel_embed_size=skel_model.embed_size,
-        skel_hidden_size=skel_model.hidden_size,
+         if t.attributes], cfg["attr-threshold"])
+    out_dir = Path(cfg["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before training
+    model = AttributeGenerator(
+        attr_vocab, feature_dim=skel_model.feature_dim,
+        skel_embed_size=skel_model.embed_size, skel_hidden_size=skel_model.hidden_size,
         hidden_size=cfg["hidden-size"], embed_size=cfg["embed-size"],
-        hidden_tap=cfg["hidden-tap"], use_post_word_alpha=cfg["post-word-alpha"], seed=cfg["seed"],
-    )
-    epochs, lr, batch = cfg["epochs"], cfg["learning-rate"], cfg["batch-size"]
-    _echo_config(out_dir, "train-attr",
-                 {**model_cfg, "epochs": epochs, "learning_rate": lr,
-                  "batch_size": batch, "attr_threshold": threshold})
-    model = AttributeGenerator(attr_vocab, **model_cfg)
+        hidden_tap=cfg["hidden-tap"], use_post_word_alpha=cfg["post-word-alpha"],
+        seed=cfg["seed"])
 
     def items(records):
         return build_training_items(records, skel_model, attr_vocab,
                                     use_post_word_alpha=model.use_post_word_alpha,
                                     hidden_tap=model.hidden_tap)
 
-    history = model.fit(items(train), items(val) if val else None, epochs=epochs,
-                        learning_rate=lr, batch_size=batch, shuffle_seed=cfg["seed"])
-    attr_vocab.save(out_dir / "attr.vocab")
-    model.save(out_dir / "attr.ckpt")
-    _write_curve(out_dir / "attr_loss_curve.txt", history["train_curve"])
+    history = model.fit(items(train), items(val) if val else None, epochs=cfg["epochs"],
+                        learning_rate=cfg["learning-rate"], batch_size=cfg["batch-size"],
+                        shuffle_seed=cfg["seed"])
+    _save_training(out_dir, cfg, "attr", model, attr_vocab, history["train_curve"])
     print(f"trained attribute model: {model.store.step_count} steps -> {out_dir}")
     return 0
 
 
 # -- caption -----------------------------------------------------------------
 
-CAPTION_DEFAULTS = {
-    "data": None, "split": "test", "out": None, "skel-checkpoint": None,
-    "skel-vocab": None, "attr-checkpoint": None, "attr-vocab": None,
-    "gamma-skel": 0.0, "gamma-attr": 0.0, "beam-skel": 3, "beam-attr": 2,
-    "max-skel-len": 16, "max-attr-len": 4, "post-word-alpha": None,  # None: as trained
-}
-
-
-def cmd_caption(args, file_config):
-    cfg = _effective(args, file_config, CAPTION_DEFAULTS)
+def cmd_caption(cfg):
     records = _load_split(Path(cfg["data"]), cfg["split"])
     skel_vocab = Vocabulary.load(cfg["skel-vocab"])
     attr_vocab = Vocabulary.load(cfg["attr-vocab"])
     skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"], skel_vocab)
     attr_model = AttributeGenerator.load(cfg["attr-checkpoint"], attr_vocab)
-    wanted = None if args.ids in (None, "all") else set(_csv(args.ids))
+    wanted = None if cfg["ids"] in (None, "all") else set(_csv(cfg["ids"]))
     if wanted is not None:
         missing = wanted.difference(rec.image_id for rec in records)
         if missing:
@@ -300,9 +285,9 @@ def cmd_caption(args, file_config):
     out_path = Path(cfg["out"])
     n = 0
     with contextlib.ExitStack() as files:
-        fh = files.enter_context(_replaced_on_success(out_path))
-        trace_fh = files.enter_context(_replaced_on_success(Path(args.trace))) \
-            if args.trace else None
+        fh = files.enter_context(_text_replaced_on_success(out_path))
+        trace_fh = files.enter_context(_text_replaced_on_success(Path(cfg["trace"]))) \
+            if cfg["trace"] else None
         for rec in records:
             if wanted is not None and rec.image_id not in wanted:
                 continue
@@ -320,20 +305,6 @@ def cmd_caption(args, file_config):
     return 0
 
 
-@contextlib.contextmanager
-def _replaced_on_success(path: Path):
-    """A text file to write ``path`` through: written beside it under a
-    temporary name, it replaces ``path`` only if the block completes, so a
-    failed run leaves an existing file as it was."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 # -- eval --------------------------------------------------------------------
 
 def _read_caption_file(path):
@@ -345,9 +316,9 @@ def _read_caption_file(path):
     return out
 
 
-def cmd_eval(args, file_config):
-    cands = _read_caption_file(args.candidates)
-    refs = _read_caption_file(args.references)
+def cmd_eval(cfg):
+    cands = _read_caption_file(cfg["candidates"])
+    refs = _read_caption_file(cfg["references"])
     pairs = []
     gen = []
     for image_id, cand_list in sorted(cands.items()):
@@ -358,22 +329,22 @@ def cmd_eval(args, file_config):
                                           tuple(tuple(r) for r in refs[image_id])))
             gen.append(cand)
     training = None
-    if args.uniqueness:
-        training = [toks for lst in _read_caption_file(args.uniqueness).values()
+    if cfg["uniqueness"]:
+        training = [toks for lst in _read_caption_file(cfg["uniqueness"]).values()
                     for toks in lst]
-    report = metrics.evaluate(pairs, apply_without_a=args.without_a,
+    report = metrics.evaluate(pairs, apply_without_a=cfg["without-a"],
                               training_captions=training,
                               generated_for_uniqueness=gen if training else None)
     print(report.render_table())
-    if args.json:
-        with _replaced_on_success(Path(args.json)) as fh:
+    if cfg["json"]:
+        with _text_replaced_on_success(Path(cfg["json"])) as fh:
             fh.write(report.to_json() + "\n")
     return 0
 
 
 # -- gradcheck ---------------------------------------------------------------
 
-def cmd_gradcheck(args, file_config):
+def cmd_gradcheck(cfg):
     from .corpus import SynthConfig, synth_generate
     sc = SynthConfig(grid_size=2, feature_dim=8, objects=("dog", "cat", "cup"),
                      attributes=("red", "big"), relations=("on",),
@@ -389,7 +360,7 @@ def cmd_gradcheck(args, file_config):
     feats = records[0].features.flat()[None].astype(np.float64)
     seqs = np.asarray([skel._encode_skeleton(records[0])])
     report = grad_check(lambda: skel.sequence_loss(feats, seqs),
-                        skel.store.params, h=args.step, tol=args.tol)
+                        skel.store.params, h=cfg["step"], tol=cfg["tol"])
     print(f"skel step: max rel err {report['max_rel_error']:.3e} "
           f"({'pass' if report['passed'] else 'FAIL'})")
     ok = report["passed"]
@@ -402,17 +373,106 @@ def cmd_gradcheck(args, file_config):
     h = rng.normal(size=(1, 16))
     seq = np.asarray([[attr_vocab.encode("red"), corpus.EOS]])
     report2 = grad_check(lambda: attr.batch_loss(z, s, h, seq),
-                         attr.store.params, h=args.step, tol=args.tol)
+                         attr.store.params, h=cfg["step"], tol=cfg["tol"])
     print(f"attr init+step: max rel err {report2['max_rel_error']:.3e} "
           f"({'pass' if report2['passed'] else 'FAIL'})")
     ok = ok and report2["passed"]
     return 0 if ok else 2
 
 
-# -- parser ------------------------------------------------------------------
+# -- option table ------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file (default: $SKELCAP_CONFIG)")
+class Opt(NamedTuple):
+    """One option of a command: the flag ``--<flag>`` and, if ``source`` is
+    "file", the config file key ``<flag>``; a "flag" option comes from the
+    command line only, and a "required" one must be given there. ``kind`` is
+    int, float, str, bool (an on switch) or a tuple of choices."""
+    flag: str
+    kind: object = str
+    default: object = None
+    help: str = ""
+    source: str = "file"
+
+
+_TRAIN_COMMON = (
+    Opt("data", help="dataset directory", source="required"),
+    Opt("out", help="run directory", source="required"),
+    Opt("epochs", int, 10, "training epochs"),
+    Opt("learning-rate", float, 0.1, "Adagrad learning rate"),
+    Opt("seed", int, 0, "initialisation and shuffling seed"),
+    Opt("hidden-size", int, 128, "LSTM hidden size"),
+    Opt("embed-size", int, 64, "word embedding size"),
+)
+
+# command -> (function, summary, options): the one declaration of every option
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic dataset", (
+        Opt("out", help="dataset directory", source="required"),
+        Opt("seed", int, 0, "generation seed"),
+        Opt("count", int, 1000, "training records"),
+        Opt("val-count", int, 0, "validation records"),
+        Opt("test-count", int, 0, "test records"),
+        Opt("grid-size", int, SynthConfig.grid_size, "feature grid side"),
+        Opt("feature-dim", int, SynthConfig.feature_dim, "feature vector size"),
+        Opt("noise-sigma", float, SynthConfig.noise_sigma, "feature noise"),
+        Opt("objects", str, ",".join(SynthConfig.objects), "comma-separated object nouns"),
+        Opt("attributes", str, ",".join(SynthConfig.attributes), "comma-separated attributes"),
+        Opt("relations", str, ",".join(SynthConfig.relations), "comma-separated relations"),
+        Opt("max-objects", int, SynthConfig.max_objects, "objects per image at most"),
+        Opt("max-attributes", int, SynthConfig.max_attributes, "attributes per object at most"),
+    )),
+    "decompose": (cmd_decompose, "dump skeleton/attribute decompositions", (
+        Opt("trees", help="bracketed trees file", source="required"),
+        Opt("out", help="write the dump here, not to stdout", source="flag"),
+    )),
+    "train-skel": (cmd_train_skel, "train the skeleton decoder", (
+        *_TRAIN_COMMON,
+        Opt("batch-size", int, 64, "records per batch"),
+        Opt("attention-hidden", int, 128, "attention MLP size"),
+        Opt("skel-threshold", int, 5, "minimum count of a vocabulary word"),
+        Opt("no-attention", bool, False, "decode without attention"),
+        Opt("resume", help="continue training this checkpoint", source="flag"),
+    )),
+    "train-attr": (cmd_train_attr, "train the attribute decoder", (
+        *_TRAIN_COMMON,
+        Opt("skel-checkpoint", help="trained skeleton checkpoint", source="required"),
+        Opt("skel-vocab", help="its skeleton vocabulary", source="required"),
+        Opt("batch-size", int, 128, "items per batch"),
+        Opt("attr-threshold", int, 3, "minimum count of a vocabulary word"),
+        Opt("hidden-tap", ("current", "previous", "final"), "current",
+            "skeleton hidden state to condition on"),
+        Opt("post-word-alpha", bool, False, "condition on refined attention"),
+    )),
+    "caption": (cmd_caption, "run coarse-to-fine captioning", (
+        Opt("data", help="dataset directory", source="required"),
+        Opt("split", str, "test", "split to caption"),
+        Opt("out", help="captions file", source="required"),
+        Opt("skel-checkpoint", help="trained skeleton checkpoint", source="required"),
+        Opt("skel-vocab", help="its skeleton vocabulary", source="required"),
+        Opt("attr-checkpoint", help="trained attribute checkpoint", source="required"),
+        Opt("attr-vocab", help="its attribute vocabulary", source="required"),
+        Opt("ids", help="comma-separated image ids, or 'all'", source="flag"),
+        Opt("gamma-skel", float, 0.0, "skeleton length factor"),
+        Opt("gamma-attr", float, 0.0, "attribute length factor"),
+        Opt("beam-skel", int, 3, "skeleton beam width"),
+        Opt("beam-attr", int, 2, "attribute beam width"),
+        Opt("max-skel-len", int, 16, "skeleton words at most"),
+        Opt("max-attr-len", int, 4, "attributes per word at most"),
+        Opt("post-word-alpha", bool, None, "refine attention (default: as trained)"),
+        Opt("trace", help="write per-image attention traces here", source="flag"),
+    )),
+    "eval": (cmd_eval, "score candidate captions against references", (
+        Opt("candidates", help="candidate captions file", source="required"),
+        Opt("references", help="reference captions file", source="required"),
+        Opt("without-a", bool, False, "also score with the word 'a' removed", source="flag"),
+        Opt("uniqueness", help="training captions file for novelty stats", source="flag"),
+        Opt("json", help="also write a machine-readable report here", source="flag"),
+    )),
+    "gradcheck": (cmd_gradcheck, "finite-difference gradient checks", (
+        Opt("step", float, 1e-3, "finite-difference step", source="flag"),
+        Opt("tol", float, 1e-4, "largest relative error that passes", source="flag"),
+    )),
+}
 
 
 def build_parser():
@@ -420,107 +480,42 @@ def build_parser():
                      description="Coarse-to-fine caption engine: decomposition, "
                                  "training, decoding, evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--val-count", type=int)
-    p.add_argument("--test-count", type=int)
-    p.add_argument("--grid-size", type=int)
-    p.add_argument("--feature-dim", type=int)
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--objects")
-    p.add_argument("--attributes")
-    p.add_argument("--relations")
-    p.add_argument("--max-objects", type=int)
-    p.add_argument("--max-attributes", type=int)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("decompose", help="dump skeleton/attribute decompositions")
-    _add_common(p)
-    p.add_argument("--trees", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("train-skel", help="train the skeleton decoder")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden-size", type=int)
-    p.add_argument("--embed-size", type=int)
-    p.add_argument("--attention-hidden", type=int)
-    p.add_argument("--skel-threshold", type=int)
-    p.add_argument("--no-attention", action="store_true", default=None)
-    p.add_argument("--resume")
-    p.set_defaults(func=cmd_train_skel)
-
-    p = sub.add_parser("train-attr", help="train the attribute decoder")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--skel-checkpoint", required=True)
-    p.add_argument("--skel-vocab", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden-size", type=int)
-    p.add_argument("--embed-size", type=int)
-    p.add_argument("--attr-threshold", type=int)
-    p.add_argument("--hidden-tap", choices=("current", "previous", "final"))
-    p.add_argument("--post-word-alpha", action="store_true", default=None)
-    p.set_defaults(func=cmd_train_attr)
-
-    p = sub.add_parser("caption", help="run coarse-to-fine captioning")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split")
-    p.add_argument("--out", required=True)
-    p.add_argument("--skel-checkpoint", required=True)
-    p.add_argument("--skel-vocab", required=True)
-    p.add_argument("--attr-checkpoint", required=True)
-    p.add_argument("--attr-vocab", required=True)
-    p.add_argument("--ids", help="comma-separated image ids, or 'all'")
-    p.add_argument("--gamma-skel", type=float)
-    p.add_argument("--gamma-attr", type=float)
-    p.add_argument("--beam-skel", type=int)
-    p.add_argument("--beam-attr", type=int)
-    p.add_argument("--max-skel-len", type=int)
-    p.add_argument("--max-attr-len", type=int)
-    p.add_argument("--post-word-alpha", action="store_true", default=None)
-    p.add_argument("--trace", help="write per-image attention traces here")
-    p.set_defaults(func=cmd_caption)
-
-    p = sub.add_parser("eval", help="score candidate captions against references")
-    _add_common(p)
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--references", required=True)
-    p.add_argument("--without-a", action="store_true")
-    p.add_argument("--uniqueness", help="training captions file for novelty stats")
-    p.add_argument("--json", help="also write a machine-readable report here")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    _add_common(p)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.set_defaults(func=cmd_gradcheck)
-
+    for command, (_, summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON config file (default: $SKELCAP_CONFIG)")
+        for opt in options:
+            kind = {"action": "store_true"} if opt.kind is bool else \
+                {"choices": opt.kind} if isinstance(opt.kind, tuple) else {"type": opt.kind}
+            help = opt.help if opt.default is None else f"{opt.help} (default: {opt.default})"
+            # default None: _configure tells a flag left out from one given
+            p.add_argument(f"--{opt.flag}", **kind, default=None, help=help,
+                           required=opt.source == "required")
     return parser
+
+
+def _configure(argv):
+    """The function of the command ``argv`` names and its options: per option
+    the flag, else the config file's value where a file can set it, else the
+    default, which an empty string also takes where there is one."""
+    args = build_parser().parse_args(argv)
+    func, _, options = COMMANDS[args.command]
+    file_config = _load_file_config(args.config)
+    cfg = {}
+    for opt in options:
+        value = getattr(args, opt.flag.replace("-", "_"))
+        if value is None and opt.source == "file":
+            value = file_config.get(opt.flag)
+        if value in (None, "") and opt.default is not None:
+            value = opt.default
+        cfg[opt.flag] = value
+    return func, cfg
 
 
 def main(argv=None):
     logging.basicConfig(level=os.environ.get("SKELCAP_LOGLEVEL", "WARNING"))
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args, _load_file_config(getattr(args, "config", None)))
+        func, cfg = _configure(argv)
+        return func(cfg)
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

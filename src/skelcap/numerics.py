@@ -591,8 +591,8 @@ class ParameterStore:
     def load(cls, path, expect_model=None, expect_vocab_hashes=None):
         """Read a checkpoint written by ``save``. Checks in order that every
         header line parses, the ``meta model`` kind, the vocabulary hashes and
-        that the payload holds every header entry; each failure names ``path``
-        (and the header line where there is one)."""
+        that the payload holds every header entry, all of it finite; each
+        failure names ``path`` (and the header line where there is one)."""
         with open(path, "rb") as fh:
             blob = fh.read()
         end = blob.find(b"\nend-header\n")
@@ -651,6 +651,8 @@ class ParameterStore:
                 arr = np.frombuffer(payload, dtype=dt, count=count, offset=off).reshape(shape)
             except ValueError as exc:
                 raise NumericsError(f"{path}:{lineno}: {kind} {name!r}: {exc}") from None
+            if not np.isfinite(arr).all():
+                raise NumericsError(f"{path}:{lineno}: {kind} {name!r} holds non-finite values")
             if kind == "accumulator":
                 store.accumulators[name] = arr.astype(np.float64)
             elif name in store:

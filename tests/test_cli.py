@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from skelcap import metrics
+from skelcap import cli, metrics
+from skelcap.attrnet import AttributeGenerator
 from skelcap.cli import main
+from skelcap.numerics import NonFiniteError, ParameterStore
+from skelcap.skelnet import SkeletonGenerator
 
 
 def run(*argv):
@@ -603,3 +607,155 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         run("--help")
     assert exc.value.code == 0
+
+
+# -- option table and config file checks --------------------------------------
+
+def _file_options():
+    return [(command, opt) for command, (_, _, options) in cli.COMMANDS.items()
+            for opt in options if opt.source == "file"]
+
+
+def test_config_keys_per_command():
+    # the keys a config file can set; required flags and flag-only options
+    # (--resume, --ids, --trace, and every option of decompose, eval and
+    # gradcheck) stay on the command line
+    training = {"epochs", "learning-rate", "batch-size", "seed", "hidden-size", "embed-size"}
+    expected = {
+        "synth": {"seed", "count", "val-count", "test-count", "grid-size", "feature-dim",
+                  "noise-sigma", "objects", "attributes", "relations", "max-objects",
+                  "max-attributes"},
+        "train-skel": training | {"attention-hidden", "skel-threshold", "no-attention"},
+        "train-attr": training | {"attr-threshold", "hidden-tap", "post-word-alpha"},
+        "caption": {"split", "gamma-skel", "gamma-attr", "beam-skel", "beam-attr",
+                    "max-skel-len", "max-attr-len", "post-word-alpha"},
+    }
+    keys = {}
+    for command, opt in _file_options():
+        keys.setdefault(command, set()).add(opt.flag)
+    assert keys == expected
+    assert len(set().union(*keys.values())) == 30
+
+
+def _sample_value(opt):
+    """Flag arguments and the JSON value that set ``opt`` to one non-default
+    value; a float option gets a JSON int, which its flag also parses."""
+    if opt.kind is bool:
+        return [f"--{opt.flag}"], True
+    value = opt.kind[-1] if isinstance(opt.kind, tuple) else "x,y" if opt.kind is str else 7
+    return [f"--{opt.flag}", str(value)], value
+
+
+@pytest.mark.parametrize("command,opt", _file_options(),
+                         ids=[f"{c}:{o.flag}" for c, o in _file_options()])
+def test_file_value_equals_flag_value(tmp_path, monkeypatch, command, opt):
+    # every option a file can set goes through the same typed parse as its flag
+    monkeypatch.delenv("SKELCAP_CONFIG", raising=False)
+    _, _, options = cli.COMMANDS[command]
+    required = [arg for o in options if o.source == "required" for arg in (f"--{o.flag}", "x")]
+    flag_args, value = _sample_value(opt)
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({opt.flag: value}))
+    by_default = cli._configure([command, *required])[1]
+    by_flag = cli._configure([command, *required, *flag_args])[1]
+    by_file = cli._configure([command, *required, "--config", str(config)])[1]
+    assert by_file == by_flag and by_file[opt.flag] != by_default[opt.flag]
+    assert type(by_file[opt.flag]) is type(by_flag[opt.flag])
+
+
+_SMALL_SKEL = ("--hidden-size", "16", "--embed-size", "8", "--attention-hidden", "12",
+               "--batch-size", "16", "--skel-threshold", "1")
+
+
+@pytest.mark.parametrize("content,message", [
+    ({"frobnicate": 1}, "unknown config key 'frobnicate'"),
+    ({"learning_rate": 5.0, "epoch": 1}, "unknown config key 'learning_rate'"),
+    ({"epochs": "2"}, "config key 'epochs' must be int, not \"2\""),
+    ({"epochs": True}, "config key 'epochs' must be int, not true"),
+    ({"hidden-tap": "middle"},
+     "config key 'hidden-tap' must be one of current, previous, final, not \"middle\""),
+], ids=["unknown", "misspelt", "string-for-int", "true-for-int", "bad-choice"])
+def test_config_file_value_fault_exits_2(workspace, tmp_path, capsys, content, message):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(content))
+    out = tmp_path / "run"
+    assert run("train-skel", "--config", str(config), "--data", str(workspace["data"]),
+               "--out", str(out), *_SMALL_SKEL) == 2
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not out.exists()
+
+
+def test_config_file_key_of_another_command_accepted(tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"count": 7, "gamma-skel": 0.5, "hidden-tap": "final",
+                                  "epochs": 2}))
+    out = tmp_path / "d"
+    assert run("synth", "--config", str(config), "--out", str(out)) == 0
+    assert json.loads((out / "config.json").read_text())["train"] == 7
+
+
+# -- training outputs ----------------------------------------------------------
+
+_ECHO_KEYS = {"command", "seed", "epochs", "learning_rate", "batch_size", "feature_dim",
+              "hidden_size", "embed_size"}
+
+
+def test_train_echo_keys(workspace):
+    skel = json.loads((workspace["skel"] / "config.json").read_text())
+    attr = json.loads((workspace["attr"] / "config.json").read_text())
+    assert skel.keys() == _ECHO_KEYS | {"grid_size", "attention_hidden", "use_attention",
+                                        "skel_threshold"}
+    assert attr.keys() == _ECHO_KEYS | {"skel_embed_size", "skel_hidden_size", "hidden_tap",
+                                        "use_post_word_alpha", "attr_threshold"}
+
+
+def test_train_skel_resume_echoes_loaded_model(workspace, tmp_path):
+    # the resumed model keeps the checkpoint's sizes (16/8/12), not the flags' defaults
+    out = tmp_path / "resumed"
+    assert run("train-skel", "--data", str(workspace["data"]), "--out", str(out),
+               "--epochs", "1", "--batch-size", "16", "--skel-threshold", "1",
+               "--seed", "1", "--resume", str(workspace["skel"] / "skel.ckpt")) == 0
+    echoed = json.loads((out / "config.json").read_text())
+    trained = json.loads((workspace["skel"] / "config.json").read_text())
+    assert echoed.keys() == trained.keys()
+    assert (echoed["hidden_size"], echoed["embed_size"], echoed["attention_hidden"]) == \
+           (16, 8, 12)
+    assert echoed["epochs"] == 1
+
+
+@pytest.mark.parametrize("stage", ["skel", "attr"])
+def test_failed_training_leaves_run_directory(workspace, tmp_path, monkeypatch, stage):
+    # nothing is written until fit returns: a run resumed from its own output
+    # directory that fails leaves every file there as it was, and no temporary
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace[stage], run_dir)
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+    def broken(self, *args, **kwargs):
+        raise NonFiniteError("injected")
+    monkeypatch.setattr({"skel": SkeletonGenerator, "attr": AttributeGenerator}[stage],
+                        "fit", broken)
+    common = ("--data", str(workspace["data"]), "--out", str(run_dir), "--epochs", "1")
+    if stage == "skel":
+        argv = ("train-skel", *common, *_SMALL_SKEL, "--resume", str(run_dir / "skel.ckpt"))
+    else:
+        argv = ("train-attr", *common, "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
+                "--skel-vocab", str(workspace["skel"] / "skel.vocab"),
+                "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1")
+    assert run(*argv) == 2
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("kind", ["tensor", "accumulator"])
+def test_caption_non_finite_checkpoint(workspace, tmp_path, capsys, kind):
+    store = ParameterStore.load(workspace["skel"] / "skel.ckpt")
+    {"tensor": store["out_W"].data, "accumulator": store.accumulators["out_W"]}[kind][0, 0] = \
+        np.nan
+    ckpt = tmp_path / "skel.ckpt"
+    store.save(ckpt, meta=store.meta, vocab_hashes=store.vocab_hashes)
+    args = list(_caption_args(workspace, tmp_path / "c.tsv"))
+    args[args.index("--skel-checkpoint") + 1] = str(ckpt)
+    assert run(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}:") and f"{kind} 'out_W' holds non-finite" in err
+    assert not (tmp_path / "c.tsv").exists()

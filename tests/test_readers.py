@@ -2,6 +2,7 @@
 raises its module's own error naming the file."""
 
 import functools
+import json
 import re
 
 import numpy as np
@@ -50,6 +51,9 @@ def _valid_files(root):
     files["trees"] = (root / "t.txt").read_bytes()
     corpus.write_captions(root / "c.tsv", recs)
     files["captions"] = files["load"] = (root / "c.tsv").read_bytes()
+    files["config"] = json.dumps({"epochs": 2, "learning-rate": 0.5, "hidden-tap": "final",
+                                  "objects": "dog,cat", "no-attention": True,
+                                  "seed": None}).encode("utf-8")
     return files
 
 
@@ -61,6 +65,7 @@ READERS = {
     "trees": (lambda p: list(treebank.read_trees(p)), TreeParseError),
     "captions": (cli._read_caption_file, MetricsError),
     "load": (_load_with_valid_trees, CorpusError),
+    "config": (cli._load_file_config, ValueError),
 }
 
 
