@@ -84,18 +84,17 @@ class AttributeGenerator(RecurrentDecoder):
 
     def init_input(self, z: np.ndarray, s_skel: np.ndarray,
                    h_skel: np.ndarray) -> np.ndarray:
-        """Fused step -1 input x_{-1}: (m,) for one skeletal word given as
-        vectors, or (W, m) for W words given as rows, in one call."""
+        """Fused step -1 inputs x_{-1} (W, m) of W skeletal words, given as
+        rows, in one call."""
         vecs = [np.asarray(v, dtype=self.dtype) for v in (z, s_skel, h_skel)]
-        lead = vecs[0].shape[:1] if vecs[0].ndim == 2 else ()
+        W = len(vecs[0]) if vecs[0].ndim == 2 else "W"
         for name, vec, dim in zip(("z", "s_skel", "h_skel"), vecs,
                                   (self.feature_dim, self.skel_embed_size,
                                    self.skel_hidden_size)):
-            if vec.shape != lead + (dim,):
-                raise AttrConfigError(f"{name} has shape {vec.shape}, expected {lead + (dim,)}")
+            if vec.shape != (W, dim):
+                raise AttrConfigError(f"{name} has shape {vec.shape}, expected ({W}, {dim})")
         with nm.no_grad():
-            out = self._init_input_t(*(v.reshape(-1, v.shape[-1]) for v in vecs))
-        return out.reshape(lead + (-1,))
+            return self._init_input_t(*vecs)
 
     def make_step_fn(self):
         """Batched beam-search step function: (a batch of K states, K tokens)
@@ -111,11 +110,9 @@ class AttributeGenerator(RecurrentDecoder):
 
     def initial_state(self, x_init: np.ndarray) -> LSTMState:
         """The batch of states after the LSTM consumed the fused step -1
-        inputs ``x_init`` ((W, m), or one (m,) input) from zeros, one row per
-        word."""
-        x = np.atleast_2d(np.asarray(x_init, dtype=self.dtype))
+        inputs ``x_init`` (W, m) from zeros, one row per word."""
         with nm.no_grad():
-            h, c = self._start_t(x)
+            h, c = self._start_t(np.asarray(x_init, dtype=self.dtype))
         return LSTMState(h, c, 0)
 
     def generate_attributes(self, x_init: np.ndarray, max_len: int = 4,
@@ -129,7 +126,7 @@ class AttributeGenerator(RecurrentDecoder):
             return [[] for _ in range(len(states))]
         config = BeamConfig(beam_size=beam_size, gamma=gamma, max_len=max_len)
         winners = joint_beam_search(self.make_step_fn(), states, config,
-                                    bos=BOS, eos=EOS, vocab_size=len(self.vocab))
+                                    vocab_size=len(self.vocab))
         return [[self.vocab.decode(i) for i in hyp.tokens] for hyp in winners]
 
     # -- training ------------------------------------------------------------
@@ -212,15 +209,14 @@ def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
 
 def build_training_items(records, skel_model, attr_vocab,
                          use_post_word_alpha: bool = False,
-                         hidden_tap: str = "current",
-                         batch_size: int = 128) -> List[AttrTrainingItem]:
+                         hidden_tap: str = "current") -> List[AttrTrainingItem]:
     """Precompute conditioning items from a frozen skeleton model.
 
     Runs one teacher-forced skeleton pass per record, then emits one item per
     skeleton token with its ``word_conditioning``. Non-head tokens get an
     empty target so "no attributes" is learned.
     """
-    traces = skel_model.teacher_trace(records, batch_size=batch_size)
+    traces = skel_model.teacher_trace(records)
     items: List[AttrTrainingItem] = []
     for record, trace in zip(records, traces):
         conditioning = word_conditioning(skel_model, trace, record.features,

@@ -129,19 +129,20 @@ def cmd_synth(cfg):
     )
     seed = cfg["seed"]
     counts = {"train": cfg["count"], "val": cfg["val-count"], "test": cfg["test-count"]}
+    if counts["train"] < 1:
+        raise corpus.CorpusError("train count must be >= 1")
+    # every split's config is checked before --out is touched
+    configs = {split: SynthConfig(count=count, **base)
+               for split, count in counts.items() if count >= 1}
+    for sc in configs.values():
+        sc.validate()
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(out_dir / "config.json", "synth", {**base, "seed": seed, **counts})
     start = 0
     manifest_entries = {}
-    for split in ("train", "val", "test"):
-        count = counts[split]
-        if split == "train" and count < 1:
-            raise corpus.CorpusError("train count must be >= 1")
-        if count < 1:
-            continue
-        sc = SynthConfig(count=count, **base)
+    for split, sc in configs.items():
         manifest = corpus.synth_generate(sc, seed, split=split, start_index=start)
-        start += count
+        start += sc.count
         corpus.write_captions(out_dir / f"{split}.captions.tsv", manifest.records)
         corpus.write_trees(out_dir / f"{split}.trees.txt", manifest.records)
         corpus.write_features(out_dir / f"{split}.features.bin", manifest.records)
@@ -149,7 +150,7 @@ def cmd_synth(cfg):
             "captions": f"{split}.captions.tsv",
             "trees": f"{split}.trees.txt",
             "features": f"{split}.features.bin",
-            "count": count,
+            "count": sc.count,
         }
     corpus.write_manifest(out_dir / "manifest.txt", manifest_entries, seed=seed)
     print(f"wrote {sum(counts.values())} records to {out_dir}")
@@ -158,14 +159,19 @@ def cmd_synth(cfg):
 
 def _load_split(data_dir: Path, split: str, required: bool = True):
     """Records of ``split``; None for an optional split the manifest lacks."""
-    splits, _ = corpus.read_manifest(data_dir / "manifest.txt")
+    manifest = data_dir / "manifest.txt"
+    splits, _ = corpus.read_manifest(manifest)
     if split not in splits:
         if not required:
             return None
         raise corpus.CorpusError(f"split {split!r} not in manifest ({sorted(splits)})")
     info = splits[split]
-    return corpus.load_records(data_dir / info["captions"], data_dir / info["trees"],
-                               data_dir / info["features"])
+    files = ("captions", "trees", "features")
+    missing = [key for key in files if key not in info]
+    if missing:
+        raise corpus.CorpusError(f"{manifest}: split {split!r} has no entry for "
+                                 f"{', '.join(missing)}")
+    return corpus.load_records(*(data_dir / info[key] for key in files))
 
 
 # -- decompose ---------------------------------------------------------------

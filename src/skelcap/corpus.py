@@ -403,6 +403,7 @@ def load_records(captions_path, trees_path, features_path=None) -> List[CaptionR
 
 
 MANIFEST_MAGIC = "skelcap-manifest-v1"
+MANIFEST_KEYS = ("captions", "trees", "features", "count")
 
 
 def write_manifest(path, splits: Dict[str, Dict[str, object]], seed=None):
@@ -413,7 +414,7 @@ def write_manifest(path, splits: Dict[str, Dict[str, object]], seed=None):
             fh.write(f"seed: {seed}\n")
         for split, info in splits.items():
             fh.write(f"split: {split}\n")
-            for key in ("captions", "trees", "features", "count"):
+            for key in MANIFEST_KEYS:
                 if key in info:
                     fh.write(f"  {key}: {info[key]}\n")
 
@@ -439,6 +440,9 @@ def read_manifest(path):
             if current is None:
                 raise CorpusError(f"{path}:{lineno}: split entry before any 'split:' line")
             key, _, value = line.strip().partition(": ")
+            if key not in MANIFEST_KEYS:
+                raise CorpusError(f"{path}:{lineno}: unknown split entry {key!r}, "
+                                  f"expected one of {', '.join(MANIFEST_KEYS)}")
             splits[current][key] = (_integer(value, path, lineno, "count") if key == "count"
                                     else value)
     return splits, seed

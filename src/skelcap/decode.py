@@ -66,7 +66,7 @@ def score_adjust(raw_logp: float, length: int, gamma: float) -> float:
 
 
 def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
-                      bos: int = BOS, eos: int = EOS, vocab_size: Optional[int] = None,
+                      vocab_size: Optional[int] = None,
                       record_states: bool = False) -> List[Hypothesis]:
     """Length-factor beam search, for independent searches stepped together.
 
@@ -105,7 +105,7 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
     # (batch, row), history), or None
     best: list = [None] * len(live)
     active = list(range(len(live)))
-    states, tokens = init_states, np.full(len(live), bos, dtype=np.int64)
+    states, tokens = init_states, np.full(len(live), BOS, dtype=np.int64)
     for step in range(config.max_len):
         if not active:
             break
@@ -130,7 +130,7 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
             for _, n, parent_tokens, parent_raw, _, history in live[i]:
                 for tok, logp in zip(tops[k], kept[k]):
                     raw = parent_raw + logp
-                    if tok != eos:
+                    if tok != EOS:
                         candidates.append((-(raw + gamma * (n + 1)), n + 1,
                                            parent_tokens + (tok,), raw, k, history))
                     else:
@@ -169,15 +169,6 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
     return [Hypothesis(tokens=toks, raw_logp=raw, adjusted_logp=-neg_adj, state=state,
                        finished=True, states=history)
             for neg_adj, _, toks, raw, state, history in best]
-
-
-def beam_search(step_fn: Callable, init_state, config: BeamConfig,
-                bos: int = BOS, eos: int = EOS, vocab_size: Optional[int] = None,
-                record_states: bool = False) -> Hypothesis:
-    """``joint_beam_search`` of the single search that starts from
-    ``init_state``, a batch of one row."""
-    return joint_beam_search(step_fn, init_state, config, bos, eos, vocab_size,
-                             record_states)[0]
 
 
 @dataclass
@@ -228,8 +219,8 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     skel_cfg = BeamConfig(beam_size=beam_skel, gamma=gamma_skel, max_len=max_skel_len)
     step_fn = skel_model.make_step_fn(features)
     init = skel_model.initial_decode_state(features)
-    best = beam_search(step_fn, init, skel_cfg,
-                       vocab_size=len(skel_model.vocab), record_states=True)
+    best = joint_beam_search(step_fn, init, skel_cfg, vocab_size=len(skel_model.vocab),
+                             record_states=True)[0]
     if not best.tokens:
         log.warning("empty skeleton output; returning empty caption")
         return CaptionTrace([], [], [], [], [], empty=True)

@@ -34,20 +34,19 @@ class NonFiniteError(NumericsError):
 class Tensor:
     """A dense array node on the autodiff tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad = None
-        self.requires_grad = requires_grad
         self._backward = None
         self._parents = ()
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     @property
     def shape(self):
@@ -62,11 +61,6 @@ class Tensor:
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += g
-
-    def check_finite(self, what="tensor"):
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError(f"non-finite values in {what}")
-        return self
 
 
 _grad_enabled = True
@@ -87,10 +81,11 @@ class no_grad:
         return False
 
 
-# Every op takes Tensors or plain arrays and runs one forward on arrays. When no
-# tape is needed (grad disabled, or no operand requires grad) it returns that
-# array; otherwise it defines its backward and returns a node. A plain-array
-# operand is a constant: it is not a parent of the node and gets no gradient.
+# Every op takes Tensors or plain arrays and runs one forward on arrays. A Tensor
+# is a parameter or a tape node; a plain-array operand is a constant, which is
+# not a parent of the node and gets no gradient. When no tape is needed (grad
+# disabled, or every operand a constant) an op returns its array; otherwise it
+# defines its backward and returns a node.
 
 
 def _data(x):
@@ -100,16 +95,16 @@ def _data(x):
 
 def _taped(*operands):
     """Whether an op on ``operands`` must record a tape node."""
-    return _grad_enabled and any(isinstance(x, Tensor) and x.requires_grad for x in operands)
+    return _grad_enabled and any(isinstance(x, Tensor) for x in operands)
 
 
 def _requires(x):
-    """Whether operand ``x`` takes a gradient: a Tensor that requires grad."""
-    return isinstance(x, Tensor) and x.requires_grad
+    """Whether operand ``x`` takes a gradient: a Tensor, not a constant."""
+    return isinstance(x, Tensor)
 
 
 def _node(data, operands, backward_fn):
-    out = Tensor(data, requires_grad=True)
+    out = Tensor(data)
     out._parents = tuple(x for x in operands if isinstance(x, Tensor))
     out._backward = backward_fn
     return out
@@ -124,10 +119,6 @@ def _unbroadcast(grad, shape):
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
-
-
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def add(a, b):
@@ -187,8 +178,8 @@ def matmul(a, b):
 
 
 def _matmul_backward(g, a, b):
-    """Gradients of ``a @ b`` given the output gradient ``g``; an operand
-    that does not require grad (a constant input) gets none."""
+    """Gradients of ``a @ b`` given the output gradient ``g``; a constant
+    operand gets none."""
     if _requires(a):
         a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(_data(b), -1, -2)), a.data.shape))
     if _requires(b):
@@ -498,7 +489,7 @@ class ParameterStore:
     def add(self, name, data):
         if name in self.params:
             raise NumericsError(f"duplicate parameter {name!r}")
-        t = Tensor(np.asarray(data), requires_grad=True)
+        t = Tensor(np.asarray(data))
         self.params[name] = t
         self.accumulators[name] = np.zeros(t.data.shape, dtype=np.float64)
         return t
@@ -522,14 +513,6 @@ class ParameterStore:
         squares = {name: np.square(t.grad, dtype=np.float64)
                    for name, t in self.params.items() if t.grad is not None}
         return squares, np.sqrt(sum(float(np.sum(sq)) for sq in squares.values()))
-
-    def clip_gradients(self, max_norm):
-        norm = self._squared_gradients()[1]
-        if max_norm is not None and norm > max_norm > 0:
-            for t in self.params.values():
-                if t.grad is not None:
-                    t.grad *= max_norm / norm
-        return norm
 
     def adagrad_step(self, learning_rate, epsilon=1e-8, clip_norm=5.0):
         """acc += g^2; w -= lr * g / (sqrt(acc) + eps), after clipping the

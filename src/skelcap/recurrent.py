@@ -69,7 +69,7 @@ class RecurrentDecoder:
     vocab_key: str           # name of the vocabulary hash in the checkpoint
     default_batch_size: int  # training batch; evaluation batches are twice as large
 
-    def get_params(self, deep: bool = True) -> dict:
+    def get_params(self) -> dict:
         """Constructor keywords except ``vocab`` and ``dtype``; saved as the config."""
         return {k: getattr(self, k) for k in inspect.signature(type(self)).parameters
                 if k not in ("vocab", "dtype")}
@@ -119,18 +119,17 @@ class RecurrentDecoder:
         return total / max(count, 1)
 
     def fit(self, train_records, val_records=None, epochs: int = 10,
-            learning_rate: float = 0.1, batch_size=None,
-            epsilon: float = 1e-8, clip_norm: float = 5.0,
-            halve_lr_on_plateau: bool = True, shuffle_seed: int = 0,
+            learning_rate: float = 0.1, batch_size=None, shuffle_seed: int = 0,
             progress=None):
         """Adagrad training with teacher forcing.
 
         The records are what ``_batches`` takes: caption records for the
-        skeleton decoder, conditioning items for the attribute decoder. The
-        learning rate is halved once, the first time the validation loss
-        fails to improve for a full epoch. Returns a history dict with the
-        loss curve as (step, loss) pairs and each step's gradient norm
-        before clipping.
+        skeleton decoder, conditioning items for the attribute decoder. Each
+        step clips the global gradient norm to 5 (``adagrad_step``'s
+        defaults). The learning rate is halved once, the first time the
+        validation loss fails to improve for a full epoch. Returns a history
+        dict with the loss curve as (step, loss) pairs and each step's
+        gradient norm before clipping.
         """
         batch_size = batch_size or self.default_batch_size
         history = {"train_curve": [], "grad_norm": [], "val_loss": [], "learning_rate": []}
@@ -143,8 +142,7 @@ class RecurrentDecoder:
                 self.store.zero_grad()
                 loss = self._loss(*batch)
                 nm.backward(loss)
-                history["grad_norm"].append(
-                    self.store.adagrad_step(lr, epsilon=epsilon, clip_norm=clip_norm))
+                history["grad_norm"].append(self.store.adagrad_step(lr))
                 history["train_curve"].append((self.store.step_count, loss.item()))
             history["learning_rate"].append(lr)
             if val_records is not None:
@@ -152,7 +150,7 @@ class RecurrentDecoder:
                 history["val_loss"].append(val_loss)
                 if val_loss < best_val - 1e-6:
                     best_val = val_loss
-                elif halve_lr_on_plateau and not halved:
+                elif not halved:
                     lr *= 0.5
                     halved = True
                     log.info("validation loss plateaued; halving learning rate to %g", lr)

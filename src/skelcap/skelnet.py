@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import BOS, EOS, FeatureGrid, Vocabulary
-from .numerics import ParameterStore, Tensor
+from .numerics import ParameterStore
 from .recurrent import LSTMState, RecurrentDecoder, length_batches
 
 log = logging.getLogger(__name__)
@@ -28,6 +28,7 @@ class ConfigError(ValueError):
 
 
 _TRACE_KEYS = ("alpha", "z", "h", "h_prev", "c_prev", "logits")
+TRACE_BATCH = 128  # records per teacher-forced batch of ``teacher_trace``
 
 
 @dataclass
@@ -147,8 +148,7 @@ class SkeletonGenerator(RecurrentDecoder):
         column is EOS. Returns the scalar loss (sum over steps of batch-mean
         cross-entropy), a Tensor on the tape and an array under ``no_grad``.
         """
-        # one constant node for the grid, which every step reads twice
-        feats = Tensor(np.ascontiguousarray(feats_np, dtype=self.dtype))
+        feats = np.ascontiguousarray(feats_np, dtype=self.dtype)  # a constant
         h, c = self._init_state_t(feats)
 
         def step(h, c, prev):
@@ -159,7 +159,7 @@ class SkeletonGenerator(RecurrentDecoder):
 
         return self._teacher_forced_t(np.asarray(seqs), h, c, step)
 
-    # -- single-sample inference API ---------------------------------------
+    # -- inference ------------------------------------------------------------
 
     def _flat(self, features: FeatureGrid) -> np.ndarray:
         if features.feature_dim != self.feature_dim or features.grid_size != self.grid_size:
@@ -194,36 +194,6 @@ class SkeletonGenerator(RecurrentDecoder):
         z = self._context_t(flat, a.reshape(-1, P))
         return z.reshape(*lead, -1)
 
-    def _image(self, features: FeatureGrid):
-        """The image as (1, P, D) features and their attention projection."""
-        flat = self._flat(features)
-        with nm.no_grad():
-            return flat, self._project_t(flat)
-
-    def _advance(self, image, states, words, normalize):
-        """One no-grad step of the batch ``states`` fed ``words``; returns
-        (the batch of new states, with the step's alpha, z and logits, and
-        the ``normalize``d logits (K, Q))."""
-        flat, u = image
-        with nm.no_grad():
-            h, c, logits, alpha, z = self._step_t(flat, u, states.h, states.c,
-                                                  np.asarray(words))
-        return SkelState(h, c, states.t + 1, alpha, z, logits), normalize(logits, axis=-1)
-
-    def step(self, state: SkelState, prev_word_index: int, features: FeatureGrid):
-        """One decode step of one hypothesis, whose state is one row or (n,)
-        vectors: returns (new state of one row, word distribution, alpha as
-        (L, L))."""
-        Q = len(self.vocab)
-        if not 0 <= prev_word_index < Q:
-            raise ConfigError(f"word index {prev_word_index} out of range for vocab of {Q}")
-        one = SkelState(h=np.reshape(state.h, (1, -1)), c=np.reshape(state.c, (1, -1)),
-                        t=state.t)
-        new_state, probs = self._advance(self._image(features), one, [prev_word_index],
-                                         nm.softmax)
-        L = self.grid_size
-        return new_state, probs[0], new_state.alpha.reshape(L, L)
-
     def per_location_distributions(self, state: SkelState, prev_word_index,
                                    features: FeatureGrid) -> np.ndarray:
         """Word distribution per location, context replaced by v_ij; (L, L, Q).
@@ -252,14 +222,19 @@ class SkeletonGenerator(RecurrentDecoder):
     initial_decode_state = init_state
 
     def make_step_fn(self, features: FeatureGrid):
-        """Batched beam-search step function: (a batch of K states, K tokens)
-        -> (the batch of K new states, log-probabilities (K, Q)), one
-        ``_step_t`` call for all K. The attention projection feats @ U is
-        computed once, here."""
-        image = self._image(features)
+        """Batched decode step function: (a batch of K states, K previous
+        words) -> (the batch of K new states, holding the step's alpha, z and
+        logits, and log-probabilities (K, Q)), one ``_step_t`` call for all K.
+        The attention projection feats @ U is computed once, here."""
+        flat = self._flat(features)
+        with nm.no_grad():
+            u = self._project_t(flat)
 
         def step_fn(states, tokens):
-            return self._advance(image, states, tokens, nm.log_softmax)
+            with nm.no_grad():
+                h, c, logits, alpha, z = self._step_t(flat, u, states.h, states.c,
+                                                      np.asarray(tokens))
+            return SkelState(h, c, states.t + 1, alpha, z, logits), nm.log_softmax(logits)
 
         return step_fn
 
@@ -279,7 +254,7 @@ class SkeletonGenerator(RecurrentDecoder):
 
     # -- traces for attribute conditioning ----------------------------------
 
-    def teacher_trace(self, records, batch_size: int = 128):
+    def teacher_trace(self, records):
         """Teacher-forced pass per record; returns per-record step traces.
 
         Each trace is a dict with arrays over steps t = 0..S-1 (one per gold
@@ -292,7 +267,7 @@ class SkeletonGenerator(RecurrentDecoder):
         traces = [None] * len(records)
         encoded = [self._encode_skeleton(r) for r in records]
         with nm.no_grad():
-            for chunk in length_batches([len(q) for q in encoded], batch_size):
+            for chunk in length_batches([len(q) for q in encoded], TRACE_BATCH):
                 feats = np.stack([records[i].features.flat() for i in chunk]).astype(self.dtype)
                 seqs = np.asarray([encoded[i] for i in chunk])
                 B, S = seqs.shape

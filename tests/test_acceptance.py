@@ -13,7 +13,7 @@ import pytest
 from skelcap import numerics as nm
 from skelcap.attrnet import AttributeGenerator, build_training_items
 from skelcap.corpus import (BOS, EOS, SynthConfig, build_vocab, synth_generate)
-from skelcap.decode import BeamConfig, beam_search, caption, score_adjust
+from skelcap.decode import BeamConfig, caption, joint_beam_search, score_adjust
 from skelcap.decompose import decompose, fuse
 from skelcap.skelnet import SkeletonGenerator, SkelState, refine_attention
 from skelcap.treebank import leaves, parse_bracketed
@@ -80,6 +80,7 @@ def trained():
     pre_ok = post_ok = loc_n = 0
     traces = skel.teacher_trace(test)
     for rec, tr in zip(test, traces):
+        step_fn = skel.make_step_fn(rec.features)
         heads = [i for i, t in enumerate(rec.decomposition.skeleton)
                  if t.is_np_head]
         for i, placement in zip(heads, rec.layout):
@@ -88,11 +89,12 @@ def trained():
             loc_n += 1
             if int(np.argmax(alpha)) == gi:
                 pre_ok += 1
-            state = SkelState(h=tr["h_prev"][i], c=tr["c_prev"][i], t=i)
+            state = SkelState(h=tr["h_prev"][i:i + 1], c=tr["c_prev"][i:i + 1], t=i)
             prev_w = int(tr["words"][i - 1]) if i else BOS
             p_grid = skel.per_location_distributions(state, prev_w,
                                                      rec.features)
-            _, p_attend, _ = skel.step(state, prev_w, rec.features)
+            stepped, _ = step_fn(state, [prev_w])
+            p_attend = nm.softmax(stepped.logits, axis=-1)[0]
             post = refine_attention(p_attend,
                                     p_grid.reshape(-1, p_grid.shape[-1]),
                                     fallback=alpha)
@@ -224,10 +226,10 @@ def test_criterion_4_length_factor_beam():
         for gamma in np.arange(-2.0, 2.0 + 1e-9, 0.5):
             gamma = float(gamma)
             oracle = brute_force(logps_for, V, max_len, gamma)
-            hyp = beam_search(batched(step_fn), Rows([()]),
-                              BeamConfig(beam_size=_full_width(V, max_len),
-                                         gamma=gamma, max_len=max_len),
-                              vocab_size=V)
+            hyp = joint_beam_search(batched(step_fn), Rows([()]),
+                                    BeamConfig(beam_size=_full_width(V, max_len),
+                                               gamma=gamma, max_len=max_len),
+                                    vocab_size=V)[0]
             argmax_ok &= hyp.tokens == oracle[0][0]
             lengths.append(len(hyp.tokens))
             exact_ok &= hyp.adjusted_logp == score_adjust(hyp.raw_logp, len(hyp.tokens), gamma)

@@ -43,9 +43,9 @@ def _make(attr_vocab, skel_model, **kw):
 def test_init_input_formula(attr_vocab, skel_model):
     m = _make(attr_vocab, skel_model, seed=1)
     rng = np.random.default_rng(0)
-    z = rng.normal(size=m.feature_dim).astype(np.float32)
-    s = rng.normal(size=m.skel_embed_size).astype(np.float32)
-    h = rng.normal(size=m.skel_hidden_size).astype(np.float32)
+    z = rng.normal(size=(1, m.feature_dim)).astype(np.float32)
+    s = rng.normal(size=(1, m.skel_embed_size)).astype(np.float32)
+    h = rng.normal(size=(1, m.skel_hidden_size)).astype(np.float32)
     fused = (z @ m.store["W_I"].data + s @ m.store["W_t"].data
              + h @ m.store["W_h"].data)
     expected = np.tanh(fused @ m.store["fuse_W"].data + m.store["fuse_b"].data)
@@ -55,15 +55,17 @@ def test_init_input_formula(attr_vocab, skel_model):
 
 def test_init_input_shape_validation(attr_vocab, skel_model):
     m = _make(attr_vocab, skel_model)
-    good = (np.zeros(m.feature_dim), np.zeros(m.skel_embed_size),
-            np.zeros(m.skel_hidden_size))
+    good = (np.zeros((1, m.feature_dim)), np.zeros((1, m.skel_embed_size)),
+            np.zeros((1, m.skel_hidden_size)))
     m.init_input(*good)
     with pytest.raises(AttrConfigError):
-        m.init_input(np.zeros(m.feature_dim + 1), good[1], good[2])
+        m.init_input(np.zeros((1, m.feature_dim + 1)), good[1], good[2])
     with pytest.raises(AttrConfigError):
-        m.init_input(good[0], np.zeros(1), good[2])
+        m.init_input(good[0], np.zeros((1, 1)), good[2])
     with pytest.raises(AttrConfigError):
         m.init_input(good[0], good[1], np.zeros((2, 2)))
+    with pytest.raises(AttrConfigError):  # one word is a row, not a vector
+        m.init_input(*(v[0] for v in good))
 
 
 def test_image_only_conditioning(attr_vocab, skel_model):
@@ -72,21 +74,21 @@ def test_image_only_conditioning(attr_vocab, skel_model):
     m.store["W_t"].data[...] = 0.0
     m.store["W_h"].data[...] = 0.0
     rng = np.random.default_rng(1)
-    z = rng.normal(size=m.feature_dim).astype(np.float32)
-    a = m.init_input(z, rng.normal(size=m.skel_embed_size),
-                     rng.normal(size=m.skel_hidden_size))
-    b = m.init_input(z, rng.normal(size=m.skel_embed_size),
-                     rng.normal(size=m.skel_hidden_size))
+    z = rng.normal(size=(1, m.feature_dim)).astype(np.float32)
+    a = m.init_input(z, rng.normal(size=(1, m.skel_embed_size)),
+                     rng.normal(size=(1, m.skel_hidden_size)))
+    b = m.init_input(z, rng.normal(size=(1, m.skel_embed_size)),
+                     rng.normal(size=(1, m.skel_hidden_size)))
     assert np.array_equal(a, b)
 
 
 def test_skeleton_word_changes_conditioning(attr_vocab, skel_model):
     m = _make(attr_vocab, skel_model, seed=3)
     rng = np.random.default_rng(2)
-    z = rng.normal(size=m.feature_dim).astype(np.float32)
-    h = rng.normal(size=m.skel_hidden_size).astype(np.float32)
-    a = m.init_input(z, rng.normal(size=m.skel_embed_size).astype(np.float32), h)
-    b = m.init_input(z, rng.normal(size=m.skel_embed_size).astype(np.float32), h)
+    z = rng.normal(size=(1, m.feature_dim)).astype(np.float32)
+    h = rng.normal(size=(1, m.skel_hidden_size)).astype(np.float32)
+    a = m.init_input(z, rng.normal(size=(1, m.skel_embed_size)).astype(np.float32), h)
+    b = m.init_input(z, rng.normal(size=(1, m.skel_embed_size)).astype(np.float32), h)
     assert not np.array_equal(a, b)
 
 
@@ -105,7 +107,7 @@ def test_empty_gold_is_eos_loss(attr_vocab, skel_model):
     s = rng.normal(size=m.skel_embed_size)
     h = rng.normal(size=m.skel_hidden_size)
     loss = m.batch_loss(z[None], s[None], h[None], [[EOS]])
-    x_init = m.init_input(z, s, h)
+    x_init = m.init_input(z[None], s[None], h[None])
     states = m.initial_state(x_init)
     _, (logp,) = m.make_step_fn()(states, [BOS])
     assert loss.item() == pytest.approx(-logp[EOS], abs=1e-5)
@@ -118,7 +120,7 @@ def test_teacher_forced_matches_stepwise(attr_vocab, skel_model):
     s = rng.normal(size=m.skel_embed_size)
     h = rng.normal(size=m.skel_hidden_size)
     loss = m.batch_loss(z[None], s[None], h[None], [[3, EOS]])
-    x_init = m.init_input(z, s, h)
+    x_init = m.init_input(z[None], s[None], h[None])
     step_fn = m.make_step_fn()
     states = m.initial_state(x_init)
     states, (lp1,) = step_fn(states, [BOS])
@@ -154,9 +156,10 @@ def test_generate_deterministic(attr_vocab, skel_model):
     m = _make(attr_vocab, skel_model, seed=7)
     rng = np.random.default_rng(6)
     z = rng.normal(size=m.feature_dim)
-    x = m.init_input(z, np.zeros(m.skel_embed_size), np.zeros(m.skel_hidden_size))
-    a = m.generate_attributes(x[None], beam_size=2)
-    b = m.generate_attributes(x[None], beam_size=2)
+    x = m.init_input(z[None], np.zeros((1, m.skel_embed_size)),
+                     np.zeros((1, m.skel_hidden_size)))
+    a = m.generate_attributes(x, beam_size=2)
+    b = m.generate_attributes(x, beam_size=2)
     assert a == b
     for w in a[0]:
         assert w in m.vocab
@@ -170,7 +173,7 @@ def test_init_input_rows_match_single_words(attr_vocab, skel_model):
     stacked = m.init_input(*rows)
     assert stacked.shape == (3, m.embed_size)
     for i in range(3):
-        assert np.array_equal(stacked[i], m.init_input(*(r[i] for r in rows)))
+        assert np.array_equal(stacked[i], m.init_input(*(r[i:i + 1] for r in rows))[0])
     with pytest.raises(AttrConfigError):
         m.init_input(rows[0], rows[1][:2], rows[2])
 
@@ -273,9 +276,9 @@ def test_save_load_roundtrip(attr_vocab, skel_model, tmp_path):
     loaded = AttributeGenerator.load(p, attr_vocab)
     assert loaded.get_params() == m.get_params()
     rng = np.random.default_rng(7)
-    z = rng.normal(size=m.feature_dim)
-    s = rng.normal(size=m.skel_embed_size)
-    h = rng.normal(size=m.skel_hidden_size)
+    z = rng.normal(size=(1, m.feature_dim))
+    s = rng.normal(size=(1, m.skel_embed_size))
+    h = rng.normal(size=(1, m.skel_hidden_size))
     assert np.array_equal(m.init_input(z, s, h), loaded.init_input(z, s, h))
 
 

@@ -1,0 +1,79 @@
+"""What the traced benchmark (``perfbench/``) needs of the package.
+
+``perfbench/tracing.py`` times decoding through proxies that forward named
+model methods, and its training probe tapes ``sequence_loss`` and runs
+``nm.backward`` on it. Renaming or deleting any of those breaks the traced
+run, which the untraced one cannot show; these tests can.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from skelcap import numerics as nm
+from skelcap.attrnet import AttributeGenerator, build_training_items
+from skelcap.corpus import SynthConfig, build_vocab, synth_generate
+from skelcap.decode import caption
+from skelcap.skelnet import SkeletonGenerator
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+SPANS = ("skelnet.init", "skelnet.step", "skelnet.refine", "decode.skel_beam",
+         "attrnet.init_input", "attrnet.init", "attrnet.step", "decode.attr_beam")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return tracing
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    cfg = SynthConfig(count=30, grid_size=3, feature_dim=24)
+    recs = synth_generate(cfg, seed=5).records
+    skel = SkeletonGenerator(build_vocab([r.decomposition.skeleton_words for r in recs], 1),
+                             feature_dim=cfg.feature_dim, grid_size=cfg.grid_size,
+                             hidden_size=12, embed_size=6, attention_hidden=10, seed=1)
+    skel.fit(recs, epochs=3, batch_size=16)
+    attr_vocab = build_vocab(
+        [list(t.attributes) for r in recs for t in r.decomposition.skeleton], 1)
+    attr = AttributeGenerator(attr_vocab, feature_dim=cfg.feature_dim,
+                              skel_embed_size=skel.embed_size,
+                              skel_hidden_size=skel.hidden_size,
+                              hidden_size=10, embed_size=6, seed=1)
+    attr.fit(build_training_items(recs, skel, attr_vocab), epochs=2, batch_size=16)
+    return recs, skel, attr
+
+
+def test_captions_through_the_proxies(tracing, fitted):
+    recs, skel, attr = fitted
+    tracer = tracing.Tracer()
+    traced_skel, traced_attr = tracer.wrap_skel(skel), tracer.wrap_attr(attr)
+    settings = dict(max_skel_len=6, gamma_skel=3.0)  # several skeleton words
+    for refine in (False, True):
+        for rec in recs[:3]:
+            tracer.new_request()
+            with tracer.span("decode.caption"):
+                traced = caption(rec.features, traced_skel, traced_attr,
+                                 use_post_word_alpha=refine, **settings)
+            plain = caption(rec.features, skel, attr, use_post_word_alpha=refine, **settings)
+            assert traced.tokens == plain.tokens, refine
+            assert traced.skeleton_words, refine
+    recorded = tracer.layer_totals()
+    assert [name for name in SPANS if name not in recorded] == []
+
+
+def test_training_probe_tapes_and_backpropagates(tracing, fitted):
+    recs, skel, _ = fitted
+    fresh = SkeletonGenerator(skel.vocab, **skel.get_params())
+    feats, seqs = next(fresh._batches(recs, 8))
+    loss = fresh.sequence_loss(feats, seqs)
+    assert tracing.tape_nodes(loss) > 1
+    nm.backward(loss)
+    assert fresh.store["att_U"].grad is not None

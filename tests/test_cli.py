@@ -92,6 +92,23 @@ def test_synth_invalid_feature_dim(tmp_path):
                "--feature-dim", "2") == 2
 
 
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("args", [("--count", "5", "--feature-dim", "2"), ("--count", "0")],
+                         ids=["feature-dim", "count"])
+def test_synth_invalid_config_writes_nothing(workspace, tmp_path, args):
+    missing = tmp_path / "new"
+    assert run("synth", "--out", str(missing), *args) == 2
+    assert not missing.exists()
+    existing = tmp_path / "data"
+    shutil.copytree(workspace["data"], existing)
+    before = _tree_bytes(existing)
+    assert run("synth", "--out", str(existing), *args) == 2
+    assert _tree_bytes(existing) == before
+
+
 # -- decompose ----------------------------------------------------------------
 
 def test_decompose_roundtrip_dump(workspace, tmp_path, capsys):
@@ -326,6 +343,28 @@ def _copied_data(workspace, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)
     return {**workspace, "data": data}, data
+
+
+def test_manifest_misspelt_entry_key(workspace, tmp_path, capsys):
+    ws, data = _copied_data(workspace, tmp_path)
+    manifest = data / "manifest.txt"
+    text = manifest.read_text()
+    line = text.splitlines().index("  captions: train.captions.tsv") + 1
+    manifest.write_text(text.replace("  captions: train", "  captions:train", 1))
+    assert run("train-skel", "--data", str(data), "--out", str(tmp_path / "m"),
+               "--epochs", "1") == 2
+    assert f"error: {manifest}:{line}: " in capsys.readouterr().err
+
+
+def test_manifest_split_without_files(workspace, tmp_path, capsys):
+    ws, data = _copied_data(workspace, tmp_path)
+    manifest = data / "manifest.txt"
+    manifest.write_text("skelcap-manifest-v1\nsplit: train\n  count: 80\n")
+    assert run("train-skel", "--data", str(data), "--out", str(tmp_path / "m"),
+               "--epochs", "1") == 2
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: split 'train'" in err and "captions" in err
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("edit,line", [

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelcap.corpus import (BOS, EOS, SynthConfig, build_vocab, synth_generate)
-from skelcap.decode import (BeamConfig, BeamError, Hypothesis, beam_search,
-                            caption, joint_beam_search, score_adjust)
+from skelcap.decode import (BeamConfig, BeamError, Hypothesis, caption,
+                            joint_beam_search, score_adjust)
 from skelcap.decompose import fuse_predicted
 
 
@@ -90,8 +90,8 @@ def _sort_key(h):
     return (-h.adjusted_logp, h.length, h.tokens)
 
 
-def reference_beam_search(step_fn, init_state, config, bos=BOS, eos=EOS,
-                          vocab_size=None, record_states=False, exits=None, winner=False):
+def reference_beam_search(step_fn, init_state, config, vocab_size=None, record_states=False,
+                          exits=None, winner=False):
     """The scalar beam search: one ``step_fn(state, token)`` call per live
     hypothesis, keeping a finished pool capped at ``beam_size``.
 
@@ -109,7 +109,7 @@ def reference_beam_search(step_fn, init_state, config, bos=BOS, eos=EOS,
     for step in range(config.max_len):
         candidates = []
         for hyp in live:
-            prev = hyp.tokens[-1] if hyp.tokens else bos
+            prev = hyp.tokens[-1] if hyp.tokens else BOS
             new_state, logps = step_fn(hyp.state, prev)
             logps = np.asarray(logps, dtype=np.float64)
             if vocab_size is not None and logps.shape[0] != vocab_size:
@@ -121,7 +121,7 @@ def reference_beam_search(step_fn, init_state, config, bos=BOS, eos=EOS,
             for tok in sorted(top.tolist()):
                 lp = float(logps[tok])
                 raw = hyp.raw_logp + lp
-                if tok == eos:
+                if tok == EOS:
                     candidates.append(Hypothesis(
                         tokens=hyp.tokens, raw_logp=raw,
                         adjusted_logp=score_adjust(raw, hyp.length, gamma),
@@ -239,7 +239,7 @@ def test_full_width_beam_matches_brute_force(seed, gamma):
     oracle = brute_force(logps_for, V, max_len, gamma)
     config = BeamConfig(beam_size=_full_width(V, max_len), gamma=gamma,
                         max_len=max_len)
-    hyp = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
+    hyp = joint_beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)[0]
     assert hyp.tokens == oracle[0][0]
     assert hyp.raw_logp == pytest.approx(oracle[0][1], abs=1e-12)
     assert hyp.adjusted_logp == pytest.approx(oracle[0][2], abs=1e-12)
@@ -254,7 +254,7 @@ def test_gamma_sweep_monotone_under_exhaustive_search(seed):
         oracle = brute_force(logps_for, V, max_len, float(gamma))
         config = BeamConfig(beam_size=_full_width(V, max_len),
                             gamma=float(gamma), max_len=max_len)
-        hyp = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
+        hyp = joint_beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)[0]
         assert hyp.tokens == oracle[0][0]
         lengths.append(len(hyp.tokens))
     assert lengths == sorted(lengths)
@@ -267,7 +267,7 @@ def test_adjusted_minus_raw_is_exactly_gamma_times_length(gamma):
     config = BeamConfig(beam_size=3, gamma=gamma, max_len=max_len)
     for seed in range(9, 17):
         step_fn, _ = make_toy_lm(V, seed)
-        hyp = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
+        hyp = joint_beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)[0]
         # bit-identical to a single fused adjustment: no per-step drift
         assert hyp.adjusted_logp == score_adjust(hyp.raw_logp, len(hyp.tokens),
                                                  gamma)
@@ -278,7 +278,7 @@ def test_rescoring_invariant():
     config = BeamConfig(beam_size=4, gamma=0.4, max_len=max_len)
     for seed in range(21, 29):
         step_fn, logps_for = make_toy_lm(V, seed)
-        hyp = beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)
+        hyp = joint_beam_search(batched(step_fn), Rows([()]), config, vocab_size=V)[0]
         raw = 0.0
         prefix = (BOS,)
         for tok in hyp.tokens:
@@ -300,11 +300,11 @@ def test_eos_exempt_from_length_factor():
         with np.errstate(divide="ignore"):
             return new, np.log(dist)
 
-    short = beam_search(batched(step_fn), Rows([None]),
-                        BeamConfig(beam_size=4, gamma=0.0, max_len=3), vocab_size=3)
+    short = joint_beam_search(batched(step_fn), Rows([None]),
+                              BeamConfig(beam_size=4, gamma=0.0, max_len=3), vocab_size=3)[0]
     assert short.tokens == ()
-    long = beam_search(batched(step_fn), Rows([None]),
-                       BeamConfig(beam_size=4, gamma=5.0, max_len=3), vocab_size=3)
+    long = joint_beam_search(batched(step_fn), Rows([None]),
+                             BeamConfig(beam_size=4, gamma=5.0, max_len=3), vocab_size=3)[0]
     assert len(long.tokens) > 0
 
 
@@ -321,8 +321,8 @@ def test_greedy_equivalence_on_peaked_lm():
             logps[EOS] = -0.01
         return t + 1, logps
 
-    hyp = beam_search(batched(step_fn), Rows([0]),
-                      BeamConfig(beam_size=1, gamma=0.0, max_len=6), vocab_size=5)
+    hyp = joint_beam_search(batched(step_fn), Rows([0]),
+                            BeamConfig(beam_size=1, gamma=0.0, max_len=6), vocab_size=5)[0]
     assert hyp.tokens == tuple(path)
 
 
@@ -335,7 +335,7 @@ def test_tie_breaking_prefers_short_then_lexicographic():
         return None, np.full(V, -1.0)
 
     config = BeamConfig(beam_size=50, gamma=1.0, max_len=max_len)
-    hyp = beam_search(batched(step_fn), Rows([None]), config, vocab_size=V)
+    hyp = joint_beam_search(batched(step_fn), Rows([None]), config, vocab_size=V)[0]
     # cut hypotheses (length 3, adjusted 0) beat EOS-finished ones (-1);
     # among them the lexicographically smallest wins
     assert (hyp.tokens, hyp.adjusted_logp) == ((0, 0, 0), 0.0)
@@ -347,15 +347,15 @@ def test_tie_breaking_prefers_short_then_lexicographic():
         logps[EOS] = 0.0
         return None, logps
 
-    hyp = beam_search(batched(free_eos), Rows([None]), config, vocab_size=V)
+    hyp = joint_beam_search(batched(free_eos), Rows([None]), config, vocab_size=V)[0]
     assert (hyp.tokens, hyp.adjusted_logp) == ((), 0.0)
 
 
 def test_beam_returns_its_finished_winner():
     for seed in range(8):
         step_fn, _ = make_toy_lm(4, seed)
-        hyp = beam_search(batched(step_fn), Rows([()]), BeamConfig(beam_size=3, max_len=4),
-                          vocab_size=4)
+        hyp = joint_beam_search(batched(step_fn), Rows([()]),
+                                BeamConfig(beam_size=3, max_len=4), vocab_size=4)[0]
         assert isinstance(hyp, Hypothesis) and hyp.finished
 
 
@@ -363,8 +363,9 @@ def test_record_states_tracks_steps():
     lengths = set()
     for seed in range(3, 11):
         step_fn, _ = make_toy_lm(4, seed)
-        hyp = beam_search(batched(step_fn), Rows([()]), BeamConfig(beam_size=2, max_len=4),
-                          vocab_size=4, record_states=True)
+        hyp = joint_beam_search(batched(step_fn), Rows([()]),
+                                BeamConfig(beam_size=2, max_len=4), vocab_size=4,
+                                record_states=True)[0]
         # one recorded state per consumed step (EOS step included)
         consumed = len(hyp.tokens) + (1 if len(hyp.tokens) < 4 else 0)
         assert len(hyp.states) == consumed
@@ -375,7 +376,7 @@ def test_record_states_tracks_steps():
 def test_vocab_size_mismatch_raises():
     step_fn, _ = make_toy_lm(4, 0)
     with pytest.raises(BeamError):
-        beam_search(batched(step_fn), Rows([()]), BeamConfig(), vocab_size=7)
+        joint_beam_search(batched(step_fn), Rows([()]), BeamConfig(), vocab_size=7)
 
 
 # -- joint searches against the scalar reference -----------------------------
@@ -444,7 +445,7 @@ def test_live_states_carry_the_beam_step():
         seen.append((states.t, len(states), [len(s) for s in states.states]))
         return batched(step_fn)(states, tokens)
 
-    beam_search(spy, Rows([()]), BeamConfig(beam_size=2, max_len=4), vocab_size=4)
+    joint_beam_search(spy, Rows([()]), BeamConfig(beam_size=2, max_len=4), vocab_size=4)
     assert [t for t, _, _ in seen] == list(range(len(seen)))
     assert seen[0][1] == 1
     for t, k, prefix_lengths in seen:
@@ -695,20 +696,20 @@ def test_caption_recorded_rows_match_single_hypothesis_steps(pipeline, monkeypat
     # row, the states the scalar reference reaches through one-row steps
     import skelcap.decode as decode
     recs, skel, attr = pipeline
-    won = []
-    real_beam_search = decode.beam_search
+    won = []  # per search its winners: the skeleton's first, then the attributes'
+    real_search = decode.joint_beam_search
 
     def spy(*args, **kwargs):
-        won.append(real_beam_search(*args, **kwargs))
+        won.append(real_search(*args, **kwargs))
         return won[-1]
 
-    monkeypatch.setattr(decode, "beam_search", spy)
+    monkeypatch.setattr(decode, "joint_beam_search", spy)
     config = BeamConfig(beam_size=beam, gamma=gamma, max_len=6)
     L = skel.grid_size
     for rec in recs[:3]:
         trace = caption(rec.features, skel, attr, beam_skel=beam, gamma_skel=gamma,
                         max_skel_len=6)
-        (best,) = won
+        (best,) = won[0]
         won.clear()
         _, (ref, *_) = _reference_steps(skel.make_step_fn(rec.features),
                                         skel.init_state(rec.features), config,
@@ -743,7 +744,7 @@ def test_no_attention_batched_rows_match_single_hypothesis_steps(pipeline, monke
             new, logps = step_fn(states, tokens)
             widths.append(len(states))
             for k in range(len(states)):
-                alone, _, _ = flat.step(states.take([k]), int(tokens[k]), features)
+                alone, _ = step_fn(states.take([k]), tokens[k:k + 1])
                 for key in _STEP_KEYS:
                     assert np.array_equal(getattr(new, key)[k], getattr(alone, key)[0]), key
             return new, logps
@@ -759,8 +760,7 @@ def test_no_attention_batched_rows_match_single_hypothesis_steps(pipeline, monke
     assert max(widths) == beam
 
 
-def _full_pool_search(step_fn, init_states, config, bos=BOS, eos=EOS, vocab_size=None,
-                      record_states=False):
+def _full_pool_search(step_fn, init_states, config, vocab_size=None, record_states=False):
     """``joint_beam_search`` through the full-pool scalar reference: each
     search alone on one-row batches, its pool's first entry as the winner."""
 
@@ -770,8 +770,8 @@ def _full_pool_search(step_fn, init_states, config, bos=BOS, eos=EOS, vocab_size
 
     winners = []
     for i in range(len(init_states)):
-        best = reference_beam_search(one, init_states.take([i]), config, bos, eos,
-                                     vocab_size, record_states)[0]
+        best = reference_beam_search(one, init_states.take([i]), config, vocab_size,
+                                     record_states)[0]
         winners.append(replace(best, state=(best.state, 0),
                                states=tuple((state, 0) for state in best.states)))
     return winners
@@ -797,8 +797,6 @@ def test_caption_matches_full_pool_searches(request, monkeypatch, settings, mode
     try:
         fast = [caption(r.features, skel, attr, **settings) for r in recs]
         monkeypatch.setattr(decode, "joint_beam_search", _full_pool_search)
-        monkeypatch.setattr(decode, "beam_search",
-                            lambda *args, **kw: _full_pool_search(*args, **kw)[0])
         full = [caption(r.features, skel, attr, **settings) for r in recs]
     finally:
         skel.store["out_b"].data[...] = saved

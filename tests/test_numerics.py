@@ -10,7 +10,7 @@ from skelcap.numerics import (NonFiniteError, NumericsError, ParameterStore,
 
 
 def t64(data):
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+    return Tensor(np.asarray(data, dtype=np.float64))
 
 
 # -- tape ops that only the composed references below use ------------------------
@@ -19,12 +19,13 @@ def mul(a, b):
     y = nm._data(a) * nm._data(b)
     if not nm._taped(a, b):
         return y
-    a, b = nm.as_tensor(a), nm.as_tensor(b)
 
     def bw(out):
         g = out.grad
-        a._accumulate(nm._unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(nm._unbroadcast(g * a.data, b.data.shape))
+        if isinstance(a, Tensor):
+            a._accumulate(nm._unbroadcast(g * nm._data(b), a.data.shape))
+        if isinstance(b, Tensor):
+            b._accumulate(nm._unbroadcast(g * nm._data(a), b.data.shape))
 
     return nm._node(y, (a, b), bw)
 
@@ -69,13 +70,13 @@ def narrow(a, axis, start, length):
 
 
 def test_softmax_uniform():
-    out = nm.softmax(Tensor([0.0, 0.0, 0.0]))
+    out = nm.softmax(np.zeros(3))
     assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_softmax_sums_to_one():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(5, 7)))
+    x = rng.normal(size=(5, 7))
     out = nm.softmax(x, axis=-1)
     assert np.all(out >= 0)
     assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-6)
@@ -83,7 +84,7 @@ def test_softmax_sums_to_one():
 
 def test_matmul_identity():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = nm.matmul(Tensor(np.eye(2)), Tensor(x))
+    out = nm.matmul(np.eye(2), x)
     assert np.allclose(out, x)
 
 
@@ -91,7 +92,7 @@ def test_matmul_shape_mismatch():
     # tape operands are batched: a vector is a batch of one, shape (1, n)
     for a, b in (((2, 3), (4, 2)), ((3,), (3, 2)), ((2, 3), (3,))):
         with pytest.raises(ShapeError):
-            nm.matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+            nm.matmul(np.zeros(a), np.zeros(b))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -101,11 +102,11 @@ def test_matmul_row_same_alone_and_in_a_batch(dtype):
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 224)).astype(dtype)
     b = rng.normal(size=(224, 512)).astype(dtype)
-    batch = nm.matmul(Tensor(a), Tensor(b))
+    batch = nm.matmul(a, b)
     for k in range(1, 6):
-        assert np.array_equal(nm.matmul(Tensor(a[:k]), Tensor(b)), batch[:k])
+        assert np.array_equal(nm.matmul(a[:k], b), batch[:k])
     for i in range(5):
-        assert np.array_equal(nm.matmul(Tensor(a[i:i + 1]), Tensor(b))[0], batch[i])
+        assert np.array_equal(nm.matmul(a[i:i + 1], b)[0], batch[i])
 
 
 def test_cross_entropy_uniform():
@@ -155,7 +156,7 @@ def test_concat_middle_axis_backward():
     out = nm.concat(parts, axis=1)
     assert out.data.shape == (2, 6, 3)
     weights = np.arange(36.0).reshape(2, 6, 3)
-    backward(nm.sum_(mul(out, Tensor(weights))))
+    backward(nm.sum_(mul(out, weights)))
     for part, lo, hi in zip(parts, (0, 1, 4), (1, 4, 6)):
         assert np.array_equal(part.grad, weights[:, lo:hi])
 
@@ -190,7 +191,7 @@ def test_no_grad_blocks_tape():
     with nm.no_grad():
         out = mul(x, x)
     assert type(out) is np.ndarray and np.array_equal(out, [4.0])
-    assert type(nm.tanh(Tensor([0.5]))) is np.ndarray  # no operand requires grad
+    assert type(nm.tanh(np.array([0.5]))) is np.ndarray  # a constant operand
     assert isinstance(nm.tanh(x), Tensor)
 
 
@@ -200,7 +201,7 @@ def test_nonfinite_loss_detected():
     loss = nm.cross_entropy(logits, [1])
     assert np.isfinite(loss.item())
     with pytest.raises(NonFiniteError):
-        Tensor([np.nan]).check_finite()
+        nm.cross_entropy(t64([[np.nan, 0.0]]), [1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,7 +215,7 @@ def test_random_mlp_matches_finite_differences(seed):
     tgt = np.array([0, 2])
 
     def f():
-        h = nm.tanh(nm.matmul(Tensor(x), W1))
+        h = nm.tanh(nm.matmul(x, W1))
         return nm.cross_entropy(nm.add(nm.matmul(h, W2), b), tgt)
 
     report = grad_check(f, {"W1": W1, "W2": W2, "b": b}, h=1e-5, tol=1e-6)
@@ -231,7 +232,7 @@ def test_three_layer_net_grad_check():
     x = rng.normal(size=(3, 6))
 
     def f():
-        h = Tensor(x)
+        h = x
         for i in range(3):
             h = nm.tanh(nm.add(nm.matmul(h, params[f"W{i}"]), params[f"b{i}"]))
         return nm.mean(mul(h, h))
@@ -287,10 +288,12 @@ def test_adagrad_missing_grads():
 
 
 def test_gradient_clipping():
+    # the norm 20 is clipped to 5: each entry 10 becomes 2.5 before it is
+    # accumulated and applied
     store, t = _store_with(np.zeros(4), np.full(4, 10.0))
-    norm = store.clip_gradients(5.0)
+    norm = store.adagrad_step(0.1, clip_norm=5.0)
     assert norm == pytest.approx(20.0)
-    assert np.linalg.norm(t.grad) == pytest.approx(5.0, rel=1e-5)
+    assert np.sqrt(store.accumulators["w"].sum()) == pytest.approx(5.0, rel=1e-5)
 
 
 def test_duplicate_parameter_rejected():
@@ -347,11 +350,12 @@ def test_adagrad_step_returns_norm_before_clipping():
 
 def test_matmul_constant_operand_gets_no_gradient():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(2, 3, 4)))  # a constant input, e.g. a feature grid
+    x = rng.normal(size=(2, 3, 4))  # a constant input, e.g. a feature grid
     W = t64(rng.normal(size=(4, 5)))
-    backward(nm.sum_(nm.matmul(x, W)))
-    assert x.grad is None
-    assert np.allclose(W.grad, x.data.sum(axis=(0, 1))[:, None])
+    out = nm.matmul(x, W)
+    assert out._parents == (W,)  # the constant is not on the tape
+    backward(nm.sum_(out))
+    assert np.allclose(W.grad, x.sum(axis=(0, 1))[:, None])
 
 
 # -- fused recurrent kernels ----------------------------------------------------
@@ -360,7 +364,7 @@ def test_matmul_constant_operand_gets_no_gradient():
 # fused op must give the same bits, forward and backward.
 
 def ref_lstm_cell(x, h, c, W, b):
-    n = h.data.shape[-1]
+    n = nm._data(h).shape[-1]
     z = nm.add(nm.matmul(nm.concat([x, h], axis=-1), W), b)
     i = sigmoid(narrow(z, -1, 0, n))
     f = sigmoid(narrow(z, -1, n, n))
@@ -404,17 +408,17 @@ def _weighted_sum_inputs(rng, B, P, D):
 def _run(op, arrays, const, upstream, dtype):
     """Outputs of ``op``, then the gradients of sum(output * upstream) with
     respect to every input not listed in ``const`` (constants)."""
-    inputs = [Tensor(np.asarray(a, dtype=dtype), requires_grad=k not in const)
+    inputs = [np.asarray(a, dtype=dtype) if k in const else Tensor(np.asarray(a, dtype=dtype))
               for k, a in enumerate(arrays)]
     outs = op(*inputs)
     outs = outs if isinstance(outs, tuple) else (outs,)
     loss = None
     for out, up in zip(outs, upstream):
         if up is not None:
-            term = nm.sum_(mul(out, Tensor(np.asarray(up, dtype=dtype))))
+            term = nm.sum_(mul(out, np.asarray(up, dtype=dtype)))
             loss = term if loss is None else nm.add(loss, term)
     backward(loss)
-    return [o.data for o in outs] + [t.grad for t in inputs if t.requires_grad]
+    return [o.data for o in outs] + [t.grad for t in inputs if isinstance(t, Tensor)]
 
 
 def _assert_same_bits(name, arrays, const, upstream, dtype=np.float32):
@@ -469,7 +473,7 @@ def test_weighted_sum_bit_identical_to_composed(seed, B, P, D, const_feats):
 def test_fused_op_matches_finite_differences(name, arrays, upstream):
     rng = np.random.default_rng(11)
     params = {f"in{k}": t64(a) for k, a in enumerate(arrays(rng))}
-    ups = [Tensor(u) for u in upstream(rng)]
+    ups = upstream(rng)
     op = getattr(nm, name)
 
     def f():
@@ -602,10 +606,10 @@ def _outputs(out):
 def test_ops_return_the_tape_bits_as_plain_arrays(seed, B, m, n, P, A):
     rng = np.random.default_rng(seed)
     for name, (op, arrays) in _decode_ops(rng, B, m, n, P, A).items():
-        taped = _outputs(op(*(Tensor(a.copy(), requires_grad=True) for a in arrays)))
+        taped = _outputs(op(*(Tensor(a.copy()) for a in arrays)))
         plain = _outputs(op(*arrays))
         with nm.no_grad():
-            no_grad = _outputs(op(*(Tensor(a.copy(), requires_grad=True) for a in arrays)))
+            no_grad = _outputs(op(*(Tensor(a.copy()) for a in arrays)))
         for t, p, q in zip(taped, plain, no_grad):
             assert isinstance(t, Tensor) and t._parents, name
             assert type(p) is np.ndarray and type(q) is np.ndarray, name

@@ -27,6 +27,14 @@ def _grid(rng, L, D):
     return FeatureGrid(rng.normal(size=(L, L, D)).astype(np.float32))
 
 
+def _step(model, state, word, features):
+    """One decode step of a batch of one row through ``make_step_fn``: (new
+    state, word distribution (Q,), attention map (L, L))."""
+    new, _ = model.make_step_fn(features)(state, [word])
+    L = model.grid_size
+    return new, nm.softmax(new.logits, axis=-1)[0], new.alpha.reshape(L, L)
+
+
 # -- refine_attention ---------------------------------------------------------
 
 def test_refine_two_location_hand_case():
@@ -79,7 +87,7 @@ def test_refine_zero_similarity_fallback():
 def test_attend_normalized(model, tiny_data):
     _, recs = tiny_data
     state = model.init_state(recs[0].features)
-    _, _, alpha = model.step(state, BOS, recs[0].features)
+    _, _, alpha = _step(model, state, BOS, recs[0].features)
     assert alpha.shape == (3, 3)
     assert alpha.sum() == pytest.approx(1.0, abs=1e-5)
     assert np.all(alpha >= 0)
@@ -91,7 +99,7 @@ def test_attend_uniform_when_scores_equal(model, tiny_data):
     model.store["att_w"].data[...] = 0.0
     try:
         state = model.init_state(recs[0].features)
-        _, _, alpha = model.step(state, BOS, recs[0].features)
+        _, _, alpha = _step(model, state, BOS, recs[0].features)
         assert np.allclose(alpha, 1.0 / 9.0, atol=1e-6)
     finally:
         model.store["att_w"].data[...] = saved
@@ -104,7 +112,7 @@ def test_no_attention_uniform_context():
     rng = np.random.default_rng(2)
     g = _grid(rng, 2, 4)
     state = m.init_state(g)
-    _, _, alpha = m.step(state, BOS, g)
+    _, _, alpha = _step(m, state, BOS, g)
     assert np.allclose(alpha, 0.25)
     z = m.context(g, alpha)
     assert np.allclose(z, g.flat().mean(axis=0), atol=1e-6)
@@ -117,7 +125,7 @@ def test_single_cell_grid():
     rng = np.random.default_rng(3)
     g = _grid(rng, 1, 4)
     state = m.init_state(g)
-    _, _, alpha = m.step(state, BOS, g)
+    _, _, alpha = _step(m, state, BOS, g)
     assert np.allclose(alpha, [[1.0]])
     assert np.allclose(m.context(g, alpha), g.values[0, 0], atol=1e-6)
 
@@ -153,8 +161,8 @@ def test_step_deterministic(model, tiny_data):
     _, recs = tiny_data
     g = recs[0].features
     s0 = model.init_state(g)
-    a = model.step(s0, BOS, g)
-    b = model.step(s0, BOS, g)
+    a = _step(model, s0, BOS, g)
+    b = _step(model, s0, BOS, g)
     assert np.array_equal(a[1], b[1])
     assert np.array_equal(a[2], b[2])
     assert a[0].t == s0.t + 1
@@ -164,7 +172,7 @@ def test_step_distribution_valid(model, tiny_data):
     _, recs = tiny_data
     g = recs[0].features
     state = model.init_state(g)
-    _, probs, alpha = model.step(state, BOS, g)
+    _, probs, alpha = _step(model, state, BOS, g)
     assert probs.shape == (len(model.vocab),)
     assert probs.sum() == pytest.approx(1.0, abs=1e-5)
     assert alpha.sum() == pytest.approx(1.0, abs=1e-5)
@@ -173,10 +181,11 @@ def test_step_distribution_valid(model, tiny_data):
 def test_step_bad_word_index(model, tiny_data):
     _, recs = tiny_data
     state = model.init_state(recs[0].features)
-    with pytest.raises(ConfigError):
-        model.step(state, len(model.vocab), recs[0].features)
-    with pytest.raises(ConfigError):
-        model.step(state, -1, recs[0].features)
+    step_fn = model.make_step_fn(recs[0].features)
+    with pytest.raises(nm.ShapeError):
+        step_fn(state, [len(model.vocab)])
+    with pytest.raises(nm.ShapeError):
+        step_fn(state, [-1])
 
 
 def test_per_location_rows_normalized(model, tiny_data):
@@ -190,12 +199,12 @@ def test_per_location_rows_normalized(model, tiny_data):
 
 def test_per_location_constant_grid_matches_step(model):
     # when every cell holds the same vector, the substituted context equals
-    # the attended context, so each cell's distribution matches step()
+    # the attended context, so each cell's distribution matches a decode step's
     rng = np.random.default_rng(6)
     v = rng.normal(size=24).astype(np.float32)
     g = FeatureGrid(np.broadcast_to(v, (3, 3, 24)).copy())
     state = model.init_state(g)
-    _, probs, _ = model.step(state, BOS, g)
+    _, probs, _ = _step(model, state, BOS, g)
     dists = model.per_location_distributions(state, BOS, g)
     for cell in dists.reshape(-1, dists.shape[-1]):
         assert np.allclose(cell, probs, atol=1e-5)
@@ -277,7 +286,7 @@ def test_teacher_trace_consistent_with_step(model, tiny_data):
     prev = BOS
     for t in range(len(tr["words"])):
         assert np.allclose(state.h, tr["h_prev"][t], atol=1e-5)
-        state, _, alpha = model.step(state, prev, rec.features)
+        state, _, alpha = _step(model, state, prev, rec.features)
         assert np.allclose(alpha.reshape(-1), tr["alpha"][t], atol=1e-5)
         assert np.allclose(state.h, tr["h"][t], atol=1e-5)
         prev = int(tr["words"][t])
@@ -294,8 +303,8 @@ def test_save_load_roundtrip(model, tiny_data, tmp_path):
     g = recs[0].features
     s1 = model.init_state(g)
     s2 = loaded.init_state(g)
-    _, p1, a1 = model.step(s1, BOS, g)
-    _, p2, a2 = loaded.step(s2, BOS, g)
+    _, p1, a1 = _step(model, s1, BOS, g)
+    _, p2, a2 = _step(loaded, s2, BOS, g)
     assert np.array_equal(p1, p2)
     assert np.array_equal(a1, a2)
 
