@@ -16,7 +16,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import BOS, EOS, Vocabulary
 from .numerics import ParameterStore
-from .recurrent import LSTMState, RecurrentDecoder, length_batches
+from .recurrent import LSTMState, RecurrentDecoder, add_grad, length_batches
 from .skelnet import SkelState, refine_attention
 
 HIDDEN_TAPS = ("current", "previous", "final")
@@ -76,10 +76,13 @@ class AttributeGenerator(RecurrentDecoder):
         add("fuse_b", np.zeros(m, dtype=dt))
         self._build_lstm_and_output(rng, m)
 
-    def _init_input_t(self, z, s_skel, h_skel):
-        fused = nm.add(nm.add(nm.matmul(z, self.store["W_I"]),
-                              nm.matmul(s_skel, self.store["W_t"])),
-                       nm.matmul(h_skel, self.store["W_h"]))
+    def _fused_t(self, z, s_skel, h_skel):
+        """z @ W_I + s @ W_t + h @ W_h, the fused layer's input."""
+        return nm.add(nm.add(nm.matmul(z, self.store["W_I"]),
+                             nm.matmul(s_skel, self.store["W_t"])),
+                      nm.matmul(h_skel, self.store["W_h"]))
+
+    def _init_input_t(self, fused):
         return nm.tanh(nm.add(nm.matmul(fused, self.store["fuse_W"]), self.store["fuse_b"]))
 
     def init_input(self, z: np.ndarray, s_skel: np.ndarray,
@@ -94,25 +97,25 @@ class AttributeGenerator(RecurrentDecoder):
             if vec.shape != (W, dim):
                 raise AttrConfigError(f"{name} has shape {vec.shape}, expected ({W}, {dim})")
         with nm.no_grad():
-            return self._init_input_t(*vecs)
+            return self._init_input_t(self._fused_t(*vecs))
 
     def make_step_fn(self):
         """Batched beam-search step function: (a batch of K states, K tokens)
-        -> (the batch of K new states, log-probabilities (K, V)), one
-        ``_word_step_t`` call for all K."""
+        -> (the batch of K new states, log-probabilities (K, V)), one step of
+        the array kernels for all K."""
 
         def step_fn(states, tokens):
-            with nm.no_grad():
-                h, c, logits = self._word_step_t(states.h, states.c, np.asarray(tokens))
-            return LSTMState(h, c, states.t + 1), nm.log_softmax(logits, axis=-1)
+            with np.errstate(over="ignore"):
+                h, c, logits, _, _ = self._advance(None, states.h, states.c, np.asarray(tokens))
+                return LSTMState(h, c, states.t + 1), nm.log_probs(logits)
 
         return step_fn
 
     def initial_state(self, x_init: np.ndarray) -> LSTMState:
         """The batch of states after the LSTM consumed the fused step -1
         inputs ``x_init`` (W, m) from zeros, one row per word."""
-        with nm.no_grad():
-            h, c = self._start_t(np.asarray(x_init, dtype=self.dtype))
+        with np.errstate(over="ignore"):
+            h, c, _ = self._start_cell(np.asarray(x_init, dtype=self.dtype))
         return LSTMState(h, c, 0)
 
     def generate_attributes(self, x_init: np.ndarray, max_len: int = 4,
@@ -142,14 +145,55 @@ class AttributeGenerator(RecurrentDecoder):
         return h, c, self._logits_t(h)
 
     def batch_loss(self, z, s_skel, h_skel, seqs):
-        """Teacher-forced loss over a batch of items with equal target length.
+        """Teacher-forced loss over a batch of items with equal target length,
+        on the tape.
 
         ``seqs`` is (B, S) whose last column is EOS. The fused init is
         consumed at step -1, then BOS, then the gold attribute words.
+        ``fit`` trains through ``loss_and_grads``, which gives this loss and
+        the gradients ``nm.backward`` gives it.
         """
         inputs = (np.ascontiguousarray(v, dtype=self.dtype) for v in (z, s_skel, h_skel))
-        h, c = self._start_t(self._init_input_t(*inputs))
+        h, c = self._start_t(self._init_input_t(self._fused_t(*inputs)))
         return self._teacher_forced_t(np.asarray(seqs), h, c, self._word_step_t)
+
+    # -- the input step and initial state on the array kernels ----------------
+
+    def _start_cell(self, x_init):
+        """``_start_t`` on the array kernels: (h, c, cell cache)."""
+        zeros = np.zeros((x_init.shape[0], self.hidden_size), dtype=self.dtype)
+        return nm.lstm_forward(x_init, zeros, zeros, self.store["lstm_W"].data,
+                               self.store["lstm_b"].data)
+
+    def _start(self, batch):
+        inputs = [np.ascontiguousarray(v, dtype=self.dtype) for v in batch[:3]]
+        with nm.no_grad():
+            fused = self._fused_t(*inputs)
+            x_init = self._init_input_t(fused)
+        h, c, cell = self._start_cell(x_init)
+        return (inputs, fused, x_init, cell), h, c
+
+    def _start_backward(self, ctx, h0, c0, gh, gc, grads):
+        inputs, fused, x_init, cell = ctx
+        p = self.store
+        d_o, gc_h = nm.lstm_h_backward(gh, cell)
+        dx, _, _, dW, db = nm.lstm_backward(gc + gc_h, d_o, cell, (True, False, False, True, True))
+        add_grad(grads, "lstm_W", dW)
+        add_grad(grads, "lstm_b", db)
+        dfused, dW, db = nm.affine_backward(nm.tanh_backward(dx, x_init), fused,
+                                            p["fuse_W"].data, p["fuse_b"].data)
+        add_grad(grads, "fuse_W", dW)
+        add_grad(grads, "fuse_b", db)
+        for v, name in zip(inputs, ("W_I", "W_t", "W_h")):
+            _, dW = nm.matmul_backward(dfused, v, p[name].data, (False, True))
+            add_grad(grads, name, dW)
+
+    def _input_step(self, ctx, h, prev):
+        return nm.gather_rows(self.store["embed"].data, prev), prev
+
+    def _input_backward(self, ctx, prev, gx, grads):
+        add_grad(grads, "embed", nm.gather_rows_backward(gx, prev, self.store["embed"].data))
+        return None
 
     def _batches(self, items: Sequence[AttrTrainingItem], batch_size, shuffle_rng=None):
         """(z, skel_embed, skel_hidden, seqs (B, S)) per chunk of equal target length."""
@@ -159,8 +203,6 @@ class AttributeGenerator(RecurrentDecoder):
                    np.stack([items[i].skel_embed for i in chunk]),
                    np.stack([items[i].skel_hidden for i in chunk]),
                    np.asarray([items[i].targets + [EOS] for i in chunk]))
-
-    _loss = batch_loss
 
 
 def check_conditioning(skel_model, hidden_tap: str, use_post_word_alpha: bool):

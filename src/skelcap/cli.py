@@ -27,7 +27,7 @@ from .decompose import DecomposeError, decompose as decompose_tree, format_decom
 from .attrnet import AttributeGenerator, build_training_items
 from .corpus import SynthConfig, Vocabulary
 from .decode import caption as run_caption
-from .numerics import grad_check, NumericsError
+from .numerics import compare_gradients, NumericsError
 from .skelnet import SkeletonGenerator
 
 log = logging.getLogger(__name__)
@@ -350,6 +350,15 @@ def cmd_eval(cfg):
 
 # -- gradcheck ---------------------------------------------------------------
 
+def _gradcheck(model, batch, cfg):
+    """``loss_and_grads``'s gradients of ``batch`` against central differences
+    of its loss, in every parameter entry."""
+    _, grads = model.loss_and_grads(batch)
+    return compare_gradients(grads, lambda: model.teacher_forced_loss(batch),
+                             {n: t.data for n, t in model.store.params.items()},
+                             h=cfg["step"], tol=cfg["tol"])
+
+
 def cmd_gradcheck(cfg):
     from .corpus import SynthConfig, synth_generate
     sc = SynthConfig(grid_size=2, feature_dim=8, objects=("dog", "cat", "cup"),
@@ -365,8 +374,7 @@ def cmd_gradcheck(cfg):
                              dtype=np.float64)
     feats = records[0].features.flat()[None].astype(np.float64)
     seqs = np.asarray([skel._encode_skeleton(records[0])])
-    report = grad_check(lambda: skel.sequence_loss(feats, seqs),
-                        skel.store.params, h=cfg["step"], tol=cfg["tol"])
+    report = _gradcheck(skel, (feats, seqs), cfg)
     print(f"skel step: max rel err {report['max_rel_error']:.3e} "
           f"({'pass' if report['passed'] else 'FAIL'})")
     ok = report["passed"]
@@ -378,8 +386,7 @@ def cmd_gradcheck(cfg):
     s = rng.normal(size=(1, 8))
     h = rng.normal(size=(1, 16))
     seq = np.asarray([[attr_vocab.encode("red"), corpus.EOS]])
-    report2 = grad_check(lambda: attr.batch_loss(z, s, h, seq),
-                         attr.store.params, h=cfg["step"], tol=cfg["tol"])
+    report2 = _gradcheck(attr, (z, s, h, seq), cfg)
     print(f"attr init+step: max rel err {report2['max_rel_error']:.3e} "
           f"({'pass' if report2['passed'] else 'FAIL'})")
     ok = ok and report2["passed"]

@@ -445,4 +445,7 @@ def read_manifest(path):
                                   f"expected one of {', '.join(MANIFEST_KEYS)}")
             splits[current][key] = (_integer(value, path, lineno, "count") if key == "count"
                                     else value)
+        else:
+            raise CorpusError(f"{path}:{lineno}: unrecognised line {line.rstrip()!r}, expected "
+                              f"'seed:', 'split:' or an entry indented by two spaces")
     return splits, seed

@@ -1,9 +1,13 @@
-"""Dense tensor core with reverse-mode autodiff, Adagrad, and a gradient checker.
+"""Dense tensor core: array kernels, reverse-mode autodiff, Adagrad, and a
+gradient checker.
 
-Everything is numpy-backed. A forward computation builds a tape of Tensor
-nodes; ``backward`` on a scalar loss walks the tape in reverse topological
-order. Default dtype is float32; pass ``dtype=np.float64`` when building
-parameters for gradient checking.
+Everything is numpy-backed. The recurrent layers are array kernels, each a
+forward that returns its output and a cache and a backward that takes that
+cache; the decoders train by calling them directly. A forward computation on
+the tape ops builds a tape of Tensor nodes, the recurrent ones thin wrappers
+over the kernels; ``backward`` on a scalar loss walks the tape in reverse
+topological order. Default dtype is float32; pass ``dtype=np.float64`` when
+building parameters for gradient checking.
 """
 
 from __future__ import annotations
@@ -98,9 +102,17 @@ def _taped(*operands):
     return _grad_enabled and any(isinstance(x, Tensor) for x in operands)
 
 
-def _requires(x):
-    """Whether operand ``x`` takes a gradient: a Tensor, not a constant."""
-    return isinstance(x, Tensor)
+def _needs(*operands):
+    """Which ``operands`` take a gradient: Tensors, not constants; the
+    ``need`` flags of a kernel backward."""
+    return tuple(isinstance(x, Tensor) for x in operands)
+
+
+def _accumulate_all(operands, grads):
+    """Accumulates each gradient of a kernel backward into its operand."""
+    for x, g in zip(operands, grads):
+        if g is not None:
+            x._accumulate(g)
 
 
 def _node(data, operands, backward_fn):
@@ -178,12 +190,9 @@ def matmul(a, b):
 
 
 def _matmul_backward(g, a, b):
-    """Gradients of ``a @ b`` given the output gradient ``g``; a constant
-    operand gets none."""
-    if _requires(a):
-        a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(_data(b), -1, -2)), a.data.shape))
-    if _requires(b):
-        b._accumulate(_unbroadcast(np.matmul(np.swapaxes(_data(a), -1, -2), g), b.data.shape))
+    """Accumulates the gradients of ``a @ b`` given the output gradient
+    ``g``; a constant operand gets none."""
+    _accumulate_all((a, b), matmul_backward(g, _data(a), _data(b), _needs(a, b)))
 
 
 def tanh(a):
@@ -192,14 +201,9 @@ def tanh(a):
         return y
 
     def bw(out):
-        a._accumulate(out.grad * (1.0 - out.data * out.data))
+        a._accumulate(tanh_backward(out.grad, out.data))
 
     return _node(y, (a,), bw)
-
-
-def _sigmoid(x):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _softmax(x, axis):
@@ -246,18 +250,13 @@ def concat(tensors, axis=-1):
 
 def lookup(table, indices):
     """Embedding lookup: rows of ``table`` selected by integer ``indices``."""
-    td = _data(table)
     idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= td.shape[0]):
-        raise ShapeError(f"lookup index out of range for table with {td.shape[0]} rows")
-    y = td[idx]
+    y = gather_rows(_data(table), idx)
     if not _taped(table):
         return y
 
     def bw(out):
-        g = np.zeros_like(table.data)
-        np.add.at(g, idx, out.grad)
-        table._accumulate(g)
+        table._accumulate(gather_rows_backward(out.grad, idx, table.data))
 
     return _node(y, (table,), bw)
 
@@ -283,11 +282,7 @@ def mean(a, axis=None, keepdims=False):
 
 
 def log_softmax(a, axis=-1):
-    x = _data(a)
-    m = x.max(axis=axis, keepdims=True)
-    s = x - m
-    lse = np.log(np.exp(s).sum(axis=axis, keepdims=True))
-    y = s - lse
+    y = log_probs(_data(a), axis)
     if not _taped(a):
         return y
 
@@ -300,146 +295,252 @@ def log_softmax(a, axis=-1):
 
 
 def cross_entropy(logits, targets):
-    """Mean negative log-likelihood of integer ``targets`` (B,) under ``logits`` (B, Q)."""
-    shape = _data(logits).shape
-    tgt = np.asarray(targets)
-    if len(shape) < 2 or tgt.shape != shape[:-1]:
-        raise ShapeError(f"target shape {tgt.shape} does not match logits {shape}")
-    loss = scale(mean(lookup_rows(log_softmax(logits, axis=-1), tgt)), -1.0)
-    if not np.all(np.isfinite(_data(loss))):
-        raise NonFiniteError("non-finite values in cross_entropy loss")
-    return loss
-
-
-def lookup_rows(a, indices):
-    """Select one entry per row along the last axis."""
-    pick = (*np.indices(np.shape(indices)), np.asarray(indices))
-    y = _data(a)[pick]
-    if not _taped(a):
-        return y
+    """Mean negative log-likelihood of integer ``targets`` (B,) under ``logits``
+    (B, Q), as one node over ``nll_forward``."""
+    loss, cache = nll_forward(_data(logits), targets)
+    if not _taped(logits):
+        return loss
 
     def bw(out):
-        g = np.zeros_like(a.data)
-        g[pick] = out.grad
-        a._accumulate(g)
+        logits._accumulate(nll_backward(out.grad, cache))
 
-    return _node(y, (a,), bw)
+    return _node(loss, (logits,), bw)
 
 
-# -- fused recurrent kernels ------------------------------------------------------
+# -- fused recurrent ops ------------------------------------------------------------
 #
-# Each op below is one tape node (the LSTM cell two) in place of a graph of the
-# ops above. Forward and backward repeat that graph's arithmetic operation for
-# operation, in the same order and on arrays of the same layout, so outputs and
-# gradients are bit-identical to it; only the intermediate nodes and their
-# zero-filled gradient buffers are gone. tests/test_numerics.py keeps the
-# composed graphs as the reference.
+# Each op below is one tape node (the LSTM cell two) over the array kernel of
+# the same name, in place of a graph of the ops above. The kernels repeat that
+# graph's arithmetic operation for operation, in the same order and on arrays
+# of the same layout, so outputs and gradients are bit-identical to it; only
+# the intermediate nodes and their zero-filled gradient buffers are gone.
+# tests/test_numerics.py keeps the composed graphs as the reference.
 
 
 def lstm_cell(x, h, c, W, b):
-    """LSTM transition: gates [x, h] @ W + b split as (i, f, g, o),
-    c' = f*c + i*g and h' = o*tanh(c'); returns (h', c').
+    """LSTM transition ``lstm_forward``; returns (h', c').
 
-    Two nodes: ``c'`` owns the gates and the backward, and ``h'`` hands its
-    output-gate gradient and its share of the gradient of ``c'`` to ``c'``.
+    Two nodes: ``c'`` owns the backward, and ``h'`` hands its output-gate
+    gradient and its share of the gradient of ``c'`` to ``c'``.
     """
-    xd, hd, cd, Wd = _data(x), _data(h), _data(c), _data(W)
-    n = hd.shape[-1]
-    xh = np.concatenate([xd, hd], axis=-1)
-    z = _row_stable_matmul(xh, Wd) + _data(b)
-    gates = _sigmoid(z)  # elementwise, so the g columns are simply unused
-    i, f, o = gates[..., :n], gates[..., n:2 * n], gates[..., 3 * n:]
-    g = np.tanh(z[..., 2 * n:3 * n])
-    c_new = f * cd + i * g
-    tc = np.tanh(c_new)
-    if not _taped(x, h, c, W, b):
-        return o * tc, c_new
+    operands = (x, h, c, W, b)
+    with np.errstate(over="ignore"):
+        h_new, c_new, cache = lstm_forward(*(_data(v) for v in operands))
+    if not _taped(*operands):
+        return h_new, c_new
     d_o = []  # the output-gate gradient, from the h' node
 
     def bw_c(out):
-        gc = out.grad
-        dz = np.concatenate([gc * g * i * (1.0 - i), gc * cd * f * (1.0 - f),
-                             gc * i * (1.0 - g * g), d_o.pop() if d_o else np.zeros_like(gc)],
-                            axis=-1)
-        if _requires(b):
-            b._accumulate(_unbroadcast(dz, b.data.shape))
-        if _requires(W):
-            W._accumulate(_unbroadcast(np.matmul(np.swapaxes(xh, -1, -2), dz), Wd.shape))
-        if _requires(x) or _requires(h):
-            gxh = np.matmul(dz, np.swapaxes(Wd, -1, -2))
-            m = xd.shape[-1]
-            if _requires(x):
-                x._accumulate(gxh[..., :m])
-            if _requires(h):
-                h._accumulate(gxh[..., m:])
-        if _requires(c):
-            c._accumulate(_unbroadcast(gc * f, cd.shape))
+        _accumulate_all(operands, lstm_backward(out.grad, d_o.pop() if d_o else None, cache,
+                                                _needs(*operands)))
 
     # x last: the tape reaches x's own inputs (a step's word lookup) after
     # the history in h and c, as it did through the composed graph's concat
-    c_out = _node(c_new, (x, h, c, W, b), bw_c)
+    c_out = _node(c_new, operands, bw_c)
 
     def bw_h(out):
-        gh = out.grad
-        d_o.append(gh * tc * o * (1.0 - o))
-        c_out._accumulate(gh * o * (1.0 - tc * tc))
+        do, gc = lstm_h_backward(out.grad, cache)
+        d_o.append(do)
+        c_out._accumulate(gc)
 
-    return _node(o * tc, (c_out,), bw_h), c_out
+    return _node(h_new, (c_out,), bw_h), c_out
 
 
 def attention(u, h, V, b, w):
-    """Soft-attention maps softmax(tanh(u + h @ V + b) @ w) over P cells.
-
-    ``u`` (B, P, A) is the projected feature grid, or (1, P, A) shared by the
-    batch; ``h`` is (B, n), ``V`` (n, A), ``b`` (A,), ``w`` (A, 1). Returns
-    alpha (B, P) as one node.
-    """
-    hd, Vd, wd = _data(h), _data(V), _data(w)
-    B = hd.shape[0]
-    vh_shape = (B, 1, Vd.shape[-1])
-    th = _data(u) + _row_stable_matmul(hd, Vd).reshape(vh_shape)
-    th += _data(b)
-    np.tanh(th, out=th)
-    scores = np.matmul(th, wd)
-    alpha = _softmax(scores.reshape(scores.shape[:-1]), -1)
-    if not _taped(u, h, V, b, w):
+    """Soft-attention maps ``attention_forward`` as one node."""
+    operands = (u, h, V, b, w)
+    alpha, cache = attention_forward(*(_data(v) for v in operands))
+    if not _taped(*operands):
         return alpha
 
     def bw(out):
-        gs = _softmax_backward(out.grad, out.data, -1).reshape(scores.shape)
-        if _requires(w):
-            w._accumulate(_unbroadcast(np.matmul(np.swapaxes(th, -1, -2), gs), wd.shape))
-        # (gs @ w.T) * (1 - th*th), in place; gs @ w.T sums one product per entry
-        d_pre = th * th
-        np.subtract(1.0, d_pre, out=d_pre)
-        d_pre *= gs * np.swapaxes(wd, -1, -2)
-        if _requires(b):
-            b._accumulate(_unbroadcast(d_pre, b.data.shape))
-        if _requires(u):
-            u._accumulate(_unbroadcast(d_pre, u.data.shape))
-        _matmul_backward(_unbroadcast(d_pre, vh_shape).reshape(B, -1), h, V)
+        _accumulate_all(operands, attention_backward(out.grad, cache, _needs(*operands)))
 
-    return _node(alpha, (u, h, V, b, w), bw)
+    return _node(alpha, operands, bw)
 
 
 def weighted_sum(alpha, feats):
-    """Context vectors sum_p alpha[b, p] * feats[b, p]: alpha (B, P) and
-    feats (B, P, D) give (B, D), summed in float64, as one node."""
-    a3 = _data(alpha)[..., None]
-    fd = _data(feats)
-    prod = a3 * fd
-    z = prod.sum(axis=1, dtype=np.float64).astype(prod.dtype)
+    """Context vectors ``weighted_sum_forward`` as one node."""
+    z, cache = weighted_sum_forward(_data(alpha), _data(feats))
     if not _taped(alpha, feats):
         return z
 
     def bw(out):
-        g = np.expand_dims(out.grad, 1)
-        if _requires(alpha):
-            alpha._accumulate(_unbroadcast(g * fd, a3.shape).reshape(alpha.data.shape))
-        if _requires(feats):
-            feats._accumulate(_unbroadcast(g * a3, fd.shape))
+        _accumulate_all((alpha, feats), weighted_sum_backward(out.grad, cache,
+                                                               _needs(alpha, feats)))
 
     return _node(z, (alpha, feats), bw)
+
+
+# -- array kernels ------------------------------------------------------------------
+#
+# Plain-array forwards and backwards of the layers both decoders train and
+# decode with. A forward returns its output and a cache; a backward takes the
+# output's gradient and that cache, plus ``need``, one flag per forward
+# operand in order, and returns one gradient per operand (None where not
+# needed). Forward products go through ``_row_stable_matmul``, backward
+# products through plain ``np.matmul``. Kernels that take an exponential of
+# a pre-activation expect the caller to have entered
+# ``np.errstate(over="ignore")``: an overflow to inf gives the right 0.
+
+
+def log_probs(x, axis=-1):
+    """Log-softmax of ``x`` along ``axis``."""
+    s = x - x.max(axis=axis, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
+
+
+def affine(x, W, b):
+    """``x @ W + b``."""
+    return _row_stable_matmul(x, W) + b
+
+
+def matmul_backward(g, a, b, need=(True, True)):
+    """Gradients of ``a @ b`` given the output gradient ``g``."""
+    return (_unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape) if need[0] else None,
+            _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape) if need[1] else None)
+
+
+def affine_backward(g, x, W, b, need_x=True):
+    """Gradients (dx, dW, db) of ``x @ W + b`` given the output gradient ``g``."""
+    dx, dW = matmul_backward(g, x, W, (need_x, True))
+    return dx, dW, _unbroadcast(g, b.shape)
+
+
+def tanh_backward(g, y):
+    """Gradient of the pre-activation of ``y = tanh(.)``."""
+    return g * (1.0 - y * y)
+
+
+def gather_rows(table, indices):
+    """Rows of ``table`` selected by integer ``indices``, which must be in range."""
+    if indices.size and (indices.min() < 0 or indices.max() >= table.shape[0]):
+        raise ShapeError(f"lookup index out of range for table with {table.shape[0]} rows")
+    return table[indices]
+
+
+def gather_rows_backward(g, indices, table):
+    """Gradient of ``table`` given the gradient ``g`` of ``table[indices]``."""
+    out = np.zeros_like(table)
+    np.add.at(out, indices, g)
+    return out
+
+
+def nll_forward(logits, targets):
+    """Mean negative log-likelihood of integer ``targets`` (B,) under
+    ``logits`` (B, Q): the log-softmax entry of each row's target, summed in
+    float64 and scaled by -1/B. Raises NonFiniteError on a non-finite loss."""
+    tgt = np.asarray(targets)
+    if logits.ndim < 2 or tgt.shape != logits.shape[:-1]:
+        raise ShapeError(f"target shape {tgt.shape} does not match logits {logits.shape}")
+    y = log_probs(logits, -1)
+    pick = (*np.indices(tgt.shape), tgt)
+    picked = y[pick]
+    n = picked.size
+    loss = picked.sum(dtype=np.float64).astype(y.dtype) * (1.0 / n) * -1.0
+    if not np.isfinite(loss):
+        raise NonFiniteError("non-finite values in cross_entropy loss")
+    return loss, (y, pick, n)
+
+
+def nll_backward(g, cache):
+    """Gradient of the logits given the gradient ``g`` of the loss: each row
+    -c * softmax, plus c at its target, with c = -g/B."""
+    y, pick, n = cache
+    coef = g * -1.0 * (1.0 / n)
+    d = np.exp(y)
+    d *= -coef
+    d[pick] += coef
+    return d
+
+
+def lstm_forward(x, h, c, W, b):
+    """LSTM transition: gates [x, h] @ W + b split as (i, f, g, o),
+    c' = f*c + i*g and h' = o*tanh(c'); returns (h', c', cache)."""
+    n = h.shape[-1]
+    xh = np.concatenate([x, h], axis=-1)
+    z = _row_stable_matmul(xh, W) + b
+    gates = 1.0 / (1.0 + np.exp(-z))  # elementwise, so the g columns are simply unused
+    i, f, o = gates[..., :n], gates[..., n:2 * n], gates[..., 3 * n:]
+    g = np.tanh(z[..., 2 * n:3 * n])
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (x.shape[-1], xh, c, W, b.shape, i, f, g, o, tc)
+
+
+def lstm_h_backward(gh, cache):
+    """The h' half of the backward, given the gradient ``gh`` of h': the
+    output gate's pre-activation gradient, and gh's share of the gradient
+    of c'."""
+    *_, o, tc = cache
+    return gh * tc * o * (1.0 - o), gh * o * (1.0 - tc * tc)
+
+
+def lstm_backward(gc, d_o, cache, need=(True,) * 5):
+    """Gradients (dx, dh, dc, dW, db) given the whole gradient ``gc`` of c'
+    and the output-gate gradient ``d_o`` from ``lstm_h_backward`` (None when
+    h' has no gradient)."""
+    m, xh, c, W, b_shape, i, f, g, o, tc = cache
+    dz = np.concatenate([gc * g * i * (1.0 - i), gc * c * f * (1.0 - f),
+                         gc * i * (1.0 - g * g), np.zeros_like(gc) if d_o is None else d_o],
+                        axis=-1)
+    dx = dh = None
+    if need[0] or need[1]:
+        gxh = np.matmul(dz, np.swapaxes(W, -1, -2))
+        dx, dh = gxh[..., :m] if need[0] else None, gxh[..., m:] if need[1] else None
+    return (dx, dh, _unbroadcast(gc * f, c.shape) if need[2] else None,
+            _unbroadcast(np.matmul(np.swapaxes(xh, -1, -2), dz), W.shape) if need[3] else None,
+            _unbroadcast(dz, b_shape) if need[4] else None)
+
+
+def attention_forward(u, h, V, b, w):
+    """Soft-attention maps softmax(tanh(u + h @ V + b) @ w) over P cells.
+
+    ``u`` (B, P, A) is the projected feature grid, or (1, P, A) shared by the
+    batch; ``h`` is (B, n), ``V`` (n, A), ``b`` (A,), ``w`` (A, 1). Returns
+    alpha (B, P) and the cache.
+    """
+    vh_shape = (h.shape[0], 1, V.shape[-1])
+    th = u + _row_stable_matmul(h, V).reshape(vh_shape)
+    th += b
+    np.tanh(th, out=th)
+    scores = np.matmul(th, w)
+    alpha = _softmax(scores.reshape(scores.shape[:-1]), -1)
+    return alpha, (u.shape, h, V, b.shape, w, th, alpha)
+
+
+def attention_backward(galpha, cache, need=(True,) * 5):
+    """Gradients (du, dh, dV, db, dw) given the gradient of alpha."""
+    u_shape, h, V, b_shape, w, th, alpha = cache
+    gs = _softmax_backward(galpha, alpha, -1).reshape(*alpha.shape, 1)
+    dw = _unbroadcast(np.matmul(np.swapaxes(th, -1, -2), gs), w.shape) if need[4] else None
+    # (gs @ w.T) * (1 - th*th), in place; gs @ w.T sums one product per entry
+    d_pre = th * th
+    np.subtract(1.0, d_pre, out=d_pre)
+    d_pre *= gs * np.swapaxes(w, -1, -2)
+    dh = dV = None
+    if need[1] or need[2]:
+        gvh = _unbroadcast(d_pre, (h.shape[0], 1, V.shape[-1])).reshape(h.shape[0], -1)
+        dh, dV = matmul_backward(gvh, h, V, need[1:3])
+    return (_unbroadcast(d_pre, u_shape) if need[0] else None, dh, dV,
+            _unbroadcast(d_pre, b_shape) if need[3] else None, dw)
+
+
+def weighted_sum_forward(alpha, feats):
+    """Context vectors sum_p alpha[b, p] * feats[b, p]: alpha (B, P) and
+    feats (B, P, D), or (1, P, D) shared by the batch, give (B, D), summed in
+    float64; returns them and the cache."""
+    a3 = alpha[..., None]
+    prod = a3 * feats
+    return prod.sum(axis=1, dtype=np.float64).astype(prod.dtype), (a3, feats)
+
+
+def weighted_sum_backward(gz, cache, need=(True, True)):
+    """Gradients (dalpha, dfeats) given the gradient of the context vectors."""
+    a3, feats = cache
+    g = np.expand_dims(gz, 1)
+    return (_unbroadcast(g * feats, a3.shape).reshape(a3.shape[:-1]) if need[0] else None,
+            _unbroadcast(g * a3, feats.shape) if need[1] else None)
 
 
 def backward(loss):
@@ -656,12 +757,11 @@ def vocab_hash(tokens):
 
 
 def grad_check(fn, params, h=1e-3, tol=1e-4):
-    """Compare analytic gradients of ``fn`` against central finite differences.
+    """Compare the tape's gradients of ``fn`` against central finite differences.
 
     ``fn`` takes no arguments, reads the tensors in ``params`` (a dict
     name -> Tensor) and returns a scalar loss Tensor. Parameters should be
-    float64 for a meaningful comparison. Returns a report dict with the max
-    relative error and pass flag.
+    float64 for a meaningful comparison. Returns ``compare_gradients``'s report.
     """
     for t in params.values():
         t.grad = None
@@ -669,16 +769,28 @@ def grad_check(fn, params, h=1e-3, tol=1e-4):
     backward(loss)
     analytic = {n: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
                 for n, t in params.items()}
+    for t in params.values():
+        t.grad = None
+    return compare_gradients(analytic, lambda: fn().item(),
+                             {n: t.data for n, t in params.items()}, h, tol)
+
+
+def compare_gradients(analytic, loss, arrays, h=1e-3, tol=1e-4):
+    """Compare ``analytic`` gradients (name -> array) against central finite
+    differences of ``loss()``, a float, in every entry of ``arrays`` (name ->
+    the array ``loss`` reads, perturbed in place and restored). Returns a
+    report dict with the max relative error and pass flag.
+    """
     worst = 0.0
     worst_name = None
-    for name, t in params.items():
-        flat = t.data.reshape(-1)
+    for name, arr in arrays.items():
+        flat = arr.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            f_plus = fn().item()
+            f_plus = loss()
             flat[i] = orig - h
-            f_minus = fn().item()
+            f_minus = loss()
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2 * h)
             a = analytic[name].reshape(-1)[i]
@@ -686,6 +798,4 @@ def grad_check(fn, params, h=1e-3, tol=1e-4):
             rel = abs(numeric - a) / denom
             if rel > worst:
                 worst, worst_name = rel, f"{name}[{i}]"
-    for t in params.values():
-        t.grad = None
     return {"max_rel_error": worst, "worst_entry": worst_name, "tol": tol, "passed": worst <= tol}

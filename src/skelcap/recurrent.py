@@ -4,8 +4,12 @@ Both decoders are an LSTM with a linear output layer, trained with teacher
 forcing and Adagrad on length-bucketed batches and saved as a checkpoint
 tagged with their model kind and vocabulary hash. A subclass creates its
 own parameters and then the LSTM and output layer with
-``_build_lstm_and_output``, makes batches in ``_batches`` and names its
-batch loss ``_loss``.
+``_build_lstm_and_output`` and makes batches in ``_batches``. Training runs
+``loss_and_grads``, backpropagation through time written out on the array
+kernels of ``numerics``; for it a subclass supplies its initial state
+(``_start`` / ``_start_backward``) and its input step (``_input_step`` /
+``_input_backward``). Its taped batch loss (``sequence_loss``,
+``batch_loss``) is the reference those gradients are tested against.
 """
 
 from __future__ import annotations
@@ -41,6 +45,15 @@ def length_batches(lengths, batch_size, shuffle_rng=None):
     if shuffle_rng is not None:
         shuffle_rng.shuffle(chunks)
     return chunks
+
+
+def add_grad(grads, name, g):
+    """Adds ``g`` to ``grads[name]``; the first contribution is written as
+    ``g + 0.0``, as ``Tensor._accumulate`` writes it."""
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g + 0.0
 
 
 @dataclass
@@ -106,16 +119,83 @@ class RecurrentDecoder:
             prev = seqs[:, t]
         return loss
 
+    # -- the same loop on the array kernels -----------------------------------
+
+    def _advance(self, ctx, h, c, prev):
+        """One step of a batch on the array kernels, under the caller's
+        ``np.errstate(over="ignore")``: (h', c', logits, input cache, cell
+        cache) given the previous words ``prev``."""
+        p = self.store
+        x, inp = self._input_step(ctx, h, prev)
+        h, c, cell = nm.lstm_forward(x, h, c, p["lstm_W"].data, p["lstm_b"].data)
+        return h, c, nm.affine(h, p["out_W"].data, p["out_b"].data), inp, cell
+
+    def teacher_forced_loss(self, batch, grads=None):
+        """The loss of ``_teacher_forced_t`` on one batch from ``_batches``,
+        as a float; given a dict ``grads``, also fills it with the gradient
+        of every parameter.
+
+        The gradients are those ``nm.backward`` gives the taped loss, bit for
+        bit, because they are summed in the tape's order: ``out_W`` and
+        ``out_b`` in step order, every other parameter in reverse step order,
+        a parameter's first contribution as ``g + 0.0``; the gradient of a
+        hidden state as its logits term, then its LSTM term, then its input
+        step's term.
+        """
+        seqs = np.asarray(batch[-1])
+        steps = []
+        with np.errstate(over="ignore"):
+            ctx, h0, c0 = self._start(batch)
+            h, c, loss = h0, c0, None
+            prev = np.full(seqs.shape[0], BOS, dtype=np.int64)
+            for t in range(seqs.shape[1]):
+                h, c, logits, inp, cell = self._advance(ctx, h, c, prev)
+                step_loss, nll = nm.nll_forward(logits, seqs[:, t])
+                loss = step_loss if loss is None else loss + step_loss
+                if grads is not None:
+                    steps.append((inp, cell, h, nll))
+                prev = seqs[:, t]
+        if grads is None:
+            return float(loss)
+        out_W, out_b = self.store["out_W"].data, self.store["out_b"].data
+        one = np.ones_like(loss)
+        gh_out = []  # the logits term of each step's h'
+        for _, _, h, nll in steps:
+            dh, dW, db = nm.affine_backward(nm.nll_backward(one, nll), h, out_W, out_b)
+            add_grad(grads, "out_W", dW)
+            add_grad(grads, "out_b", db)
+            gh_out.append(dh)
+        gh, gc = gh_out[-1], None
+        for t in reversed(range(len(steps))):
+            inp, cell = steps[t][:2]
+            d_o, gc_h = nm.lstm_h_backward(gh, cell)
+            gc = gc_h if gc is None else gc + gc_h
+            dx, dh, gc, dW, db = nm.lstm_backward(gc, d_o, cell)
+            add_grad(grads, "lstm_W", dW)
+            add_grad(grads, "lstm_b", db)
+            gh_in = self._input_backward(ctx, inp, dx, grads)
+            gh = dh if t == 0 else gh_out[t - 1] + dh
+            if gh_in is not None:
+                gh = gh + gh_in
+        self._start_backward(ctx, h0, c0, gh, gc, grads)
+        return float(loss)
+
+    def loss_and_grads(self, batch):
+        """(loss, gradients by parameter name) of one batch from ``_batches``:
+        the taped loss and what ``nm.backward`` gives it, without a tape."""
+        grads = {}
+        loss = self.teacher_forced_loss(batch, grads)
+        return loss, grads
+
     # -- training -----------------------------------------------------------
 
     def evaluate_loss(self, records, batch_size=None) -> float:
         """Mean per-sequence teacher-forced loss, no gradients."""
         total, count = 0.0, 0
-        with nm.no_grad():
-            for batch in self._batches(records, batch_size or 2 * self.default_batch_size):
-                n = batch[-1].shape[0]
-                total += float(self._loss(*batch)) * n
-                count += n
+        for batch in self._batches(records, batch_size or 2 * self.default_batch_size):
+            n = batch[-1].shape[0]
+            total += self.teacher_forced_loss(batch) * n
+            count += n
         return total / max(count, 1)
 
     def fit(self, train_records, val_records=None, epochs: int = 10,
@@ -125,11 +205,11 @@ class RecurrentDecoder:
 
         The records are what ``_batches`` takes: caption records for the
         skeleton decoder, conditioning items for the attribute decoder. Each
-        step clips the global gradient norm to 5 (``adagrad_step``'s
-        defaults). The learning rate is halved once, the first time the
-        validation loss fails to improve for a full epoch. Returns a history
-        dict with the loss curve as (step, loss) pairs and each step's
-        gradient norm before clipping.
+        step takes its gradients from ``loss_and_grads`` and clips their
+        global norm to 5 (``adagrad_step``'s defaults). The learning rate is
+        halved once, the first time the validation loss fails to improve for
+        a full epoch. Returns a history dict with the loss curve as
+        (step, loss) pairs and each step's gradient norm before clipping.
         """
         batch_size = batch_size or self.default_batch_size
         history = {"train_curve": [], "grad_norm": [], "val_loss": [], "learning_rate": []}
@@ -140,10 +220,11 @@ class RecurrentDecoder:
             rng = np.random.default_rng([shuffle_seed, epoch])
             for batch in self._batches(train_records, batch_size, shuffle_rng=rng):
                 self.store.zero_grad()
-                loss = self._loss(*batch)
-                nm.backward(loss)
+                loss, grads = self.loss_and_grads(batch)
+                for name, g in grads.items():
+                    self.store[name].grad = g
                 history["grad_norm"].append(self.store.adagrad_step(lr))
-                history["train_curve"].append((self.store.step_count, loss.item()))
+                history["train_curve"].append((self.store.step_count, loss))
             history["learning_rate"].append(lr)
             if val_records is not None:
                 val_loss = self.evaluate_loss(val_records, batch_size)

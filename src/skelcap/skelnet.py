@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from . import numerics as nm
 from .corpus import BOS, EOS, FeatureGrid, Vocabulary
 from .numerics import ParameterStore
-from .recurrent import LSTMState, RecurrentDecoder, length_batches
+from .recurrent import LSTMState, RecurrentDecoder, add_grad, length_batches
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +39,26 @@ class SkelState(LSTMState):
     alpha: Optional[np.ndarray] = None   # (K, L*L), maps used at this step
     z: Optional[np.ndarray] = None       # (K, D), context vectors used at this step
     logits: Optional[np.ndarray] = None  # (K, Q), word logits of this step
+
+
+class _Grid(NamedTuple):
+    """What the input step reads of a batch's feature grid (B, P, D), or of
+    one image's (1, P, D) shared by a batch of hypotheses."""
+
+    feats: np.ndarray
+    mean: np.ndarray           # (B, D) or (1, D), the context without attention
+    u: Optional[np.ndarray]    # feats @ att_U, None without attention
+
+
+class _Input(NamedTuple):
+    """One input step: the previous words, the attention maps and context
+    vectors, and the kernel caches (None without attention)."""
+
+    prev: np.ndarray
+    alpha: np.ndarray
+    z: np.ndarray
+    att: Optional[tuple]
+    ws: Optional[tuple]
 
 
 def refine_attention(p_attend: np.ndarray, p_grid: np.ndarray,
@@ -104,15 +124,15 @@ class SkeletonGenerator(RecurrentDecoder):
 
     # -- graph building blocks (batched; Tensors on the tape, else arrays) --
 
-    def _init_state_t(self, feats):
-        mean_v = nm.mean(feats, axis=1)
+    def _init_state_t(self, mean_v):
+        """(h, c) entering step 0 from the mean feature vectors (B, D)."""
         h = nm.tanh(nm.add(nm.matmul(mean_v, self.store["init_Wh"]), self.store["init_bh"]))
         c = nm.tanh(nm.add(nm.matmul(mean_v, self.store["init_Wc"]), self.store["init_bc"]))
         return h, c
 
     def _project_t(self, feats):
         """The time-invariant half of the attention MLP, feats @ U (None
-        without attention); decoding computes it once per batch or image."""
+        without attention); ``_grid`` computes it once per batch or image."""
         return nm.matmul(feats, self.store["att_U"]) if self.use_attention else None
 
     # ``feats`` is (B, P, D), or (1, P, D) shared by a batch of B states
@@ -142,14 +162,16 @@ class SkeletonGenerator(RecurrentDecoder):
         return (*self._cell_t(prev_idx, z, h, c), alpha, z)
 
     def sequence_loss(self, feats_np: np.ndarray, seqs: np.ndarray):
-        """Teacher-forced loss on a batch.
+        """Teacher-forced loss on a batch, on the tape.
 
         ``feats_np`` is (B, P, D); ``seqs`` is (B, S) of targets whose last
         column is EOS. Returns the scalar loss (sum over steps of batch-mean
         cross-entropy), a Tensor on the tape and an array under ``no_grad``.
+        ``fit`` trains through ``loss_and_grads``, which gives this loss and
+        the gradients ``nm.backward`` gives it.
         """
         feats = np.ascontiguousarray(feats_np, dtype=self.dtype)  # a constant
-        h, c = self._init_state_t(feats)
+        h, c = self._init_state_t(nm.mean(feats, axis=1))
 
         def step(h, c, prev):
             # projected at every step, not once per batch: one shared
@@ -158,6 +180,64 @@ class SkeletonGenerator(RecurrentDecoder):
             return self._step_t(feats, self._project_t(feats), h, c, prev)[:3]
 
         return self._teacher_forced_t(np.asarray(seqs), h, c, step)
+
+    # -- the input step and initial state on the array kernels ----------------
+
+    def _grid(self, feats):
+        p = self.store
+        return _Grid(feats, nm.mean(feats, axis=1),
+                     np.matmul(feats, p["att_U"].data) if self.use_attention else None)
+
+    def _input_step(self, grid, h, prev):
+        """x = [embedding of ``prev``, context] and its ``_Input``."""
+        p = self.store
+        e = nm.gather_rows(p["embed"].data, prev)
+        B = len(prev)
+        if not self.use_attention:
+            P, D = grid.feats.shape[1:]
+            alpha = np.full((B, P), 1.0 / P, dtype=self.dtype)
+            z = np.broadcast_to(grid.mean, (B, D))
+            return np.concatenate([e, z], axis=-1), _Input(prev, alpha, z, None, None)
+        alpha, att = nm.attention_forward(grid.u, h, p["att_V"].data, p["att_b"].data,
+                                          p["att_w"].data)
+        z, ws = nm.weighted_sum_forward(alpha, grid.feats)
+        return np.concatenate([e, z], axis=-1), _Input(prev, alpha, z, att, ws)
+
+    def _input_backward(self, grid, inp, gx, grads):
+        """Adds the input step's parameter gradients given the gradient ``gx``
+        of x; returns the attention term of the gradient of h (None without
+        attention). ``att_U`` takes one (B, D, A) sum per step, as the tape
+        does."""
+        m = self.embed_size
+        add_grad(grads, "embed", nm.gather_rows_backward(gx[:, :m], inp.prev,
+                                                         self.store["embed"].data))
+        if inp.att is None:
+            return None
+        dalpha, _ = nm.weighted_sum_backward(gx[:, m:], inp.ws, (True, False))
+        du, dh, dV, db, dw = nm.attention_backward(dalpha, inp.att)
+        _, dU = nm.matmul_backward(du, grid.feats, self.store["att_U"].data, (False, True))
+        for name, g in (("att_U", dU), ("att_V", dV), ("att_b", db), ("att_w", dw)):
+            add_grad(grads, name, g)
+        return dh
+
+    def _step(self, grid, h, c, prev):
+        """``_advance`` without its caches, which outside training would only
+        keep the step's temporaries alive: (h', c', logits, alpha, z)."""
+        h, c, logits, inp, _ = self._advance(grid, h, c, prev)
+        return h, c, logits, inp.alpha, inp.z
+
+    def _start(self, batch):
+        grid = self._grid(np.ascontiguousarray(batch[0], dtype=self.dtype))
+        with nm.no_grad():
+            return (grid, *self._init_state_t(grid.mean))
+
+    def _start_backward(self, grid, h0, c0, gh, gc, grads):
+        p = self.store
+        for y, g, W, b in ((h0, gh, "init_Wh", "init_bh"), (c0, gc, "init_Wc", "init_bc")):
+            _, dW, db = nm.affine_backward(nm.tanh_backward(g, y), grid.mean, p[W].data,
+                                           p[b].data, need_x=False)
+            add_grad(grads, W, dW)
+            add_grad(grads, b, db)
 
     # -- inference ------------------------------------------------------------
 
@@ -172,7 +252,7 @@ class SkeletonGenerator(RecurrentDecoder):
         """State entering the first decode step, whose input word is BOS, as
         a batch of one row."""
         with nm.no_grad():
-            h, c = self._init_state_t(self._flat(features))
+            h, c = self._init_state_t(nm.mean(self._flat(features), axis=1))
         return SkelState(h=h, c=c, t=0)
 
     def context(self, features: FeatureGrid, alpha: np.ndarray) -> np.ndarray:
@@ -224,17 +304,14 @@ class SkeletonGenerator(RecurrentDecoder):
     def make_step_fn(self, features: FeatureGrid):
         """Batched decode step function: (a batch of K states, K previous
         words) -> (the batch of K new states, holding the step's alpha, z and
-        logits, and log-probabilities (K, Q)), one ``_step_t`` call for all K.
-        The attention projection feats @ U is computed once, here."""
-        flat = self._flat(features)
-        with nm.no_grad():
-            u = self._project_t(flat)
+        logits, and log-probabilities (K, Q)), one step of the array kernels
+        for all K. The attention projection feats @ U is computed once, here."""
+        grid = self._grid(self._flat(features))
 
         def step_fn(states, tokens):
-            with nm.no_grad():
-                h, c, logits, alpha, z = self._step_t(flat, u, states.h, states.c,
-                                                      np.asarray(tokens))
-            return SkelState(h, c, states.t + 1, alpha, z, logits), nm.log_softmax(logits)
+            with np.errstate(over="ignore"):
+                h, c, logits, alpha, z = self._step(grid, states.h, states.c, np.asarray(tokens))
+                return SkelState(h, c, states.t + 1, alpha, z, logits), nm.log_probs(logits)
 
         return step_fn
 
@@ -250,8 +327,6 @@ class SkeletonGenerator(RecurrentDecoder):
             yield (np.stack([records[i].features.flat() for i in chunk]),
                    np.asarray([seqs[i] for i in chunk]))
 
-    _loss = sequence_loss
-
     # -- traces for attribute conditioning ----------------------------------
 
     def teacher_trace(self, records):
@@ -266,17 +341,15 @@ class SkeletonGenerator(RecurrentDecoder):
         """
         traces = [None] * len(records)
         encoded = [self._encode_skeleton(r) for r in records]
-        with nm.no_grad():
-            for chunk in length_batches([len(q) for q in encoded], TRACE_BATCH):
-                feats = np.stack([records[i].features.flat() for i in chunk]).astype(self.dtype)
-                seqs = np.asarray([encoded[i] for i in chunk])
-                B, S = seqs.shape
-                u = self._project_t(feats)
-                h, c = self._init_state_t(feats)
-                steps = []
+        for chunk in length_batches([len(q) for q in encoded], TRACE_BATCH):
+            seqs = np.asarray([encoded[i] for i in chunk])
+            B, S = seqs.shape
+            steps = []
+            with np.errstate(over="ignore"):
+                grid, h, c = self._start((np.stack([records[i].features.flat() for i in chunk]),))
                 prev = np.full(B, BOS, dtype=np.int64)
                 for t in range(S - 1):  # exclude the EOS step
-                    h_new, c_new, logits, alpha, z = self._step_t(feats, u, h, c, prev)
+                    h_new, c_new, logits, alpha, z = self._step(grid, h, c, prev)
                     steps.append((alpha, z, h_new, h, c, logits))
                     h, c, prev = h_new, c_new, seqs[:, t]
                 stacked = [np.stack(arrs, axis=1) for arrs in zip(*steps)]

@@ -193,3 +193,15 @@ def test_splits_disjoint_by_image_id():
     train_ids = {r.image_id for r in train.records}
     test_ids = {r.image_id for r in test.records}
     assert not train_ids & test_ids
+
+
+@pytest.mark.parametrize("bad, line", [("sede: 3", 3), ("\tcaptions: t.tsv", 5)],
+                         ids=["misspelt-seed", "tab-indented-entry"])
+def test_manifest_unrecognised_line(tmp_path, bad, line):
+    path = tmp_path / "m.txt"
+    write_manifest(path, {"train": {"count": 2}}, seed=3)
+    lines = path.read_text().splitlines()
+    lines.insert(line - 1, bad)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError, match=f"^{path}:{line}: unrecognised line"):
+        read_manifest(path)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skelcap import numerics as nm
 from skelcap.numerics import (NonFiniteError, NumericsError, ParameterStore,
@@ -31,7 +31,8 @@ def mul(a, b):
 
 
 def sigmoid(a):
-    y = nm._sigmoid(nm._data(a))
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-nm._data(a)))
     if not nm._taped(a):
         return y
 
@@ -48,6 +49,21 @@ def reshape(a, shape):
 
     def bw(out):
         a._accumulate(out.grad.reshape(a.data.shape))
+
+    return nm._node(y, (a,), bw)
+
+
+def lookup_rows(a, indices):
+    """Select one entry per row along the last axis."""
+    pick = (*np.indices(np.shape(indices)), np.asarray(indices))
+    y = nm._data(a)[pick]
+    if not nm._taped(a):
+        return y
+
+    def bw(out):
+        g = np.zeros_like(a.data)
+        g[pick] = out.grad
+        a._accumulate(g)
 
     return nm._node(y, (a,), bw)
 
@@ -385,8 +401,15 @@ def ref_weighted_sum(alpha, feats):
     return nm.sum_(mul(reshape(alpha, (B, P, 1)), feats), axis=1)
 
 
+def ref_cross_entropy(logits, targets):
+    loss = nm.scale(nm.mean(lookup_rows(nm.log_softmax(logits, axis=-1), targets)), -1.0)
+    if not np.all(np.isfinite(nm._data(loss))):
+        raise NonFiniteError("non-finite values in cross_entropy loss")
+    return loss
+
+
 FUSED = {"lstm_cell": ref_lstm_cell, "attention": ref_attention,
-         "weighted_sum": ref_weighted_sum}
+         "weighted_sum": ref_weighted_sum, "cross_entropy": ref_cross_entropy}
 
 
 def _lstm_inputs(rng, B, m, n, dtype):
@@ -460,6 +483,18 @@ def test_weighted_sum_bit_identical_to_composed(seed, B, P, D, const_feats):
                       {1} if const_feats else set(), [rng.normal(size=(B, D))])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), dims, dims, st.sampled_from([np.float32, np.float64]))
+def test_cross_entropy_bit_identical_to_composed(seed, B, Q, dtype):
+    rng = np.random.default_rng(seed)
+    logits, tgt = rng.normal(size=(B, Q)) * 4, rng.integers(0, Q, size=B)
+    upstream = [rng.normal()]
+    fused = _run(lambda x: nm.cross_entropy(x, tgt), [logits], set(), upstream, dtype)
+    ref = _run(lambda x: ref_cross_entropy(x, tgt), [logits], set(), upstream, dtype)
+    for got, want in zip(fused, ref):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("name, arrays, upstream", [
     ("lstm_cell", lambda rng: _lstm_inputs(rng, 2, 3, 2, np.float64),
      lambda rng: [rng.normal(size=(2, 2)), rng.normal(size=(2, 2))]),
@@ -518,18 +553,86 @@ def _fit_both_decoders():
     return hists, tensors, [it.z.tobytes() for it in items[0]]
 
 
+def _taped_loss(model, batch):
+    from skelcap.skelnet import SkeletonGenerator
+
+    return (model.sequence_loss if isinstance(model, SkeletonGenerator) else model.batch_loss)(*batch)
+
+
+def _taped_loss_and_grads(model, batch):
+    """``loss_and_grads`` from the taped loss and ``nm.backward``."""
+    model.store.zero_grad()
+    loss = _taped_loss(model, batch)
+    backward(loss)
+    grads = {name: t.grad for name, t in model.store.params.items() if t.grad is not None}
+    model.store.zero_grad()
+    return loss.item(), grads
+
+
+def _taped_teacher_forced_loss(model, batch, grads=None):
+    assert grads is None
+    with nm.no_grad():
+        return float(_taped_loss(model, batch))
+
+
 def test_decoders_train_bit_identical_with_composed_graphs(monkeypatch):
-    fused = _fit_both_decoders()
+    # fit on loss_and_grads against fit on the tape of the composed graphs,
+    # validation losses included
+    from skelcap.recurrent import RecurrentDecoder
+
+    bptt = _fit_both_decoders()
+    monkeypatch.setattr(RecurrentDecoder, "loss_and_grads", _taped_loss_and_grads)
+    monkeypatch.setattr(RecurrentDecoder, "teacher_forced_loss", _taped_teacher_forced_loss)
     for name, ref in FUSED.items():
         monkeypatch.setattr(nm, name, ref)
     composed = _fit_both_decoders()
-    for hist_f, hist_c in zip(fused[0], composed[0]):
+    for hist_f, hist_c in zip(bptt[0], composed[0]):
         assert hist_f["train_curve"] == hist_c["train_curve"]
         assert hist_f["val_loss"] == hist_c["val_loss"]
         assert hist_f["grad_norm"] == hist_c["grad_norm"]
         assert len(hist_f["grad_norm"]) == len(hist_f["train_curve"])
-    assert fused[1] == composed[1]
-    assert fused[2] == composed[2]
+    assert bptt[1] == composed[1]
+    assert bptt[2] == composed[2]
+
+
+def _random_decoders(seed, use_attention, dtype):
+    from skelcap.attrnet import AttributeGenerator
+    from skelcap.corpus import Vocabulary
+    from skelcap.skelnet import SkeletonGenerator
+
+    vocab = Vocabulary([f"w{i}" for i in range(5)], {}, 1)
+    skel = SkeletonGenerator(vocab, feature_dim=4, grid_size=2, hidden_size=5, embed_size=3,
+                             attention_hidden=4, use_attention=use_attention, seed=seed,
+                             dtype=dtype)
+    attr = AttributeGenerator(vocab, feature_dim=4, skel_embed_size=3, skel_hidden_size=5,
+                              hidden_size=4, embed_size=3, seed=seed, dtype=dtype)
+    return skel, attr
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.integers(1, 5), st.booleans(),
+       st.sampled_from([np.float32, np.float64]))
+@example(0, 1, 3, True, np.float32)    # one row: the row-stable products
+@example(1, 4, 1, True, np.float64)    # S = 1: an EOS-only skeleton
+@example(2, 3, 4, False, np.float32)   # no attention
+@example(3, 1, 1, False, np.float64)
+def test_loss_and_grads_bit_identical_to_tape(seed, B, S, use_attention, dtype):
+    from skelcap.corpus import EOS
+
+    rng = np.random.default_rng(seed)
+    skel, attr = _random_decoders(seed % 1000, use_attention, dtype)
+    seqs = rng.integers(EOS + 1, len(skel.vocab), size=(B, S))
+    seqs[:, -1] = EOS
+    batches = [(skel, (rng.normal(size=(B, 4, 4)), seqs)),
+               (attr, (rng.normal(size=(B, 4)), rng.normal(size=(B, 3)),
+                       rng.normal(size=(B, 5)), seqs))]
+    for model, batch in batches:
+        loss, grads = model.loss_and_grads(batch)
+        ref_loss, ref = _taped_loss_and_grads(model, batch)
+        assert loss == ref_loss == model.teacher_forced_loss(batch)
+        assert grads.keys() == ref.keys() == model.store.params.keys()
+        for name, g in grads.items():
+            assert g.dtype == ref[name].dtype and g.tobytes() == ref[name].tobytes(), name
 
 
 def _parameter_contributions(monkeypatch):
