@@ -211,8 +211,9 @@ def _save_training(out_dir, cfg, stage, model, vocab, curve):
         with open(target(f"{stage}_loss_curve.txt"), "w", encoding="utf-8") as fh:
             fh.writelines(f"{step}\t{loss:.6f}\n" for step, loss in curve)
         _echo_config(target("config.json"), f"train-{stage}",
-                     {**model.get_params(), "epochs": cfg["epochs"],
-                      "learning_rate": cfg["learning-rate"], "batch_size": cfg["batch-size"],
+                     {**model.get_params(), "shuffle_seed": cfg["seed"],
+                      "epochs": cfg["epochs"], "learning_rate": cfg["learning-rate"],
+                      "batch_size": cfg["batch-size"],
                       f"{stage}_threshold": cfg[f"{stage}-threshold"]})
 
 
@@ -506,21 +507,36 @@ def build_parser():
     return parser
 
 
+# train-skel options that a resumed run takes from its checkpoint
+RESUME_FIXED = ("hidden-size", "embed-size", "attention-hidden", "no-attention")
+
+
 def _configure(argv):
     """The function of the command ``argv`` names and its options: per option
     the flag, else the config file's value where a file can set it, else the
-    default, which an empty string also takes where there is one."""
-    args = build_parser().parse_args(argv)
+    default, which an empty string also takes where there is one. A model
+    option given with ``--resume``, by flag or file, is a usage error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     func, _, options = COMMANDS[args.command]
     file_config = _load_file_config(args.config)
     cfg = {}
+    given = {}  # option -> where it was set
     for opt in options:
         value = getattr(args, opt.flag.replace("-", "_"))
-        if value is None and opt.source == "file":
-            value = file_config.get(opt.flag)
+        if value is not None:
+            given[opt.flag] = f"--{opt.flag}"
+        elif opt.source == "file" and opt.flag in file_config:
+            value = file_config[opt.flag]
+            given[opt.flag] = f"config key {opt.flag!r}"
         if value in (None, "") and opt.default is not None:
             value = opt.default
         cfg[opt.flag] = value
+    if cfg.get("resume"):
+        fixed = [given[flag] for flag in RESUME_FIXED if flag in given]
+        if fixed:
+            parser.error(f"{args.command} --resume keeps its checkpoint's model, so "
+                         f"{', '.join(fixed)} cannot be given with it")
     return func, cfg
 
 

@@ -4,24 +4,27 @@ The synthetic generator builds desk-scale scene/caption pairs: 1-3 objects
 placed in distinct grid cells, each with optional attribute words. A cell's
 feature vector is the object's one-hot plus the multi-hot of its attributes
 (front-padded into the feature width) plus Gaussian noise. Captions follow the
-template grammar ``a <attrs> <obj> (<relation> a <attrs> <obj>)*`` and gold
-bracketed trees are emitted directly, so decomposition ground truth is exact.
+template grammar ``a <attrs> <obj> (<relation> a <attrs> <obj>)*``. Each
+record's gold tree and its skeleton-attribute decomposition are built from the
+sampled objects themselves, not parsed back from text, so decomposition ground
+truth is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import string
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import treebank
-from .decompose import DecomposedCaption, decompose, fuse
+from .decompose import DecomposedCaption, SkeletonToken, decompose, fuse
 from .numerics import vocab_hash
-from .treebank import ParseTree, parse_bracketed
+from .treebank import ParseNode, ParseTree
 
 log = logging.getLogger(__name__)
 
@@ -132,7 +135,7 @@ class FeatureGrid:
         arr = np.asarray(self.values, dtype=np.float32)
         if arr.ndim != 3 or arr.shape[0] != arr.shape[1]:
             raise CorpusError(f"feature grid must be (L, L, D), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise CorpusError("non-finite feature values")
         self.values = arr
 
@@ -195,6 +198,14 @@ class SynthConfig:
             raise CorpusError("grid_size must be >= 2")
         if not (self.objects and self.attributes and self.relations):
             raise CorpusError("object/attribute/relation inventories must be non-empty")
+        # a word must reach the caption, its tree and its decomposition as itself
+        for name in ("objects", "attributes", "relations"):
+            for word in getattr(self, name):
+                if preprocess(word) != [word]:
+                    raise CorpusError(
+                        f"{name}: {word!r} is not a caption word: it must be one token "
+                        f"that preprocessing keeps as is (lowercase, no spaces, "
+                        f"punctuation or brackets)")
         width = len(self.objects) + len(self.attributes)
         if self.feature_dim < width:
             raise CorpusError(
@@ -209,14 +220,33 @@ class SynthConfig:
             raise CorpusError("max_attributes exceeds attribute inventory")
 
 
-_POS_BY_KIND = {"object": "NN", "attribute": "JJ"}
+class _Phrase(NamedTuple):
+    """One object's share of a synthetic record."""
+
+    node: ParseNode                    # (NP ...), or (PP (IN relation) (NP ...))
+    text: str                          # that node as bracket text
+    skeleton: Tuple[SkeletonToken, ...]
+    words: Tuple[str, ...]             # caption words
 
 
-def _np_bracket(attr_words, obj_word):
-    parts = ["(DT a)"]
-    parts += [f"(JJ {w})" for w in attr_words]
-    parts.append(f"(NN {obj_word})")
-    return "(NP " + " ".join(parts) + ")"
+@functools.lru_cache(maxsize=4096)
+def _object_phrase(relation: Optional[str], obj_word: str,
+                   attr_words: Tuple[str, ...]) -> _Phrase:
+    """The noun phrase ``(NP (DT a) (JJ attr)* (NN obj))`` of one object,
+    wrapped as ``(PP (IN relation) NP)`` after the first object, and its
+    lowest-NP split: the relation as a plain skeleton word, then the object
+    as the NP's head with the article and attributes. Nodes and tokens are
+    immutable, so every record that names the same phrase shares them."""
+    node = ParseNode("NP", (ParseNode("DT", token="a"),
+                            *(ParseNode("JJ", token=w) for w in attr_words),
+                            ParseNode("NN", token=obj_word)))
+    skeleton = (SkeletonToken(obj_word, is_np_head=True, attributes=("a", *attr_words)),)
+    words = ("a", *attr_words, obj_word)
+    if relation is not None:
+        node = ParseNode("PP", (ParseNode("IN", token=relation), node))
+        skeleton = (SkeletonToken(relation), *skeleton)
+        words = (relation, *words)
+    return _Phrase(node, ParseTree(node).serialize(), skeleton, words)
 
 
 def _sample_scene(config: SynthConfig, rng: np.random.Generator):
@@ -234,44 +264,40 @@ def _sample_scene(config: SynthConfig, rng: np.random.Generator):
 
 
 def _scene_to_record(config: SynthConfig, placements, rng, image_id) -> CaptionRecord:
+    """The record of one sampled scene. Its tree and decomposition are put
+    together from the objects' phrases; ``load_records`` derives the same
+    from the bracket text with ``parse_bracketed`` and ``decompose``."""
     L, D = config.grid_size, config.feature_dim
     n_obj_words = len(config.objects)
     values = np.zeros((L, L, D), dtype=np.float64)
-    np_brackets = []
-    caption_parts = []
+    phrases = []
     layout = []
-    for k, (oi, attr_idxs, (ci, cj)) in enumerate(placements):
+    relation = None
+    for oi, attr_idxs, (ci, cj) in placements:
         values[ci, cj, oi] = 1.0
         for ai in attr_idxs:
             values[ci, cj, n_obj_words + ai] += 1.0
         obj_word = config.objects[oi]
         attr_words = tuple(config.attributes[ai] for ai in attr_idxs)
-        np_brackets.append(_np_bracket(attr_words, obj_word))
-        if k > 0:
-            prev_oi = placements[k - 1][0]
-            relation = config.relations[prev_oi % len(config.relations)]
-            caption_parts.append(relation)
-            np_brackets[-1] = f"(PP (IN {relation}) {np_brackets[-1]})"
-        caption_parts.extend(["a", *attr_words, obj_word])
+        phrases.append(_object_phrase(relation, obj_word, attr_words))
         layout.append(ObjectPlacement(obj_word, attr_words, (ci, cj)))
+        relation = config.relations[oi % len(config.relations)]
     if config.noise_sigma > 0:
         values += rng.normal(0.0, config.noise_sigma, size=values.shape)
-    if len(np_brackets) == 1:
-        tree_line = np_brackets[0]
+    if len(phrases) == 1:
+        root, tree_line = phrases[0].node, phrases[0].text
     else:
-        tree_line = "(S " + " ".join(np_brackets) + ")"
-    tree = parse_bracketed(tree_line)
-    d = decompose(tree)
-    caption = " ".join(caption_parts)
-    tokens = preprocess(caption)
-    assert tokens == fuse(d)
+        root = ParseNode("S", tuple(p.node for p in phrases))
+        tree_line = "(S " + " ".join(p.text for p in phrases) + ")"
+    words = [w for p in phrases for w in p.words]
     return CaptionRecord(
         image_id=image_id,
         features=FeatureGrid(values.astype(np.float32)),
-        raw=caption,
-        tokens=tokens,
-        tree=tree,
-        decomposition=d,
+        raw=" ".join(words),
+        tokens=words,
+        tree=ParseTree(root, tree_line),
+        decomposition=DecomposedCaption(tuple(t for p in phrases for t in p.skeleton),
+                                        len(words)),
         layout=layout,
     )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 
 import numpy as np
 
@@ -67,21 +68,26 @@ class Tensor:
             self.grad += g
 
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    """Whether ops record a tape, per thread: on until ``no_grad`` turns it off."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager disabling tape construction (inference mode)."""
+    """Context manager disabling tape construction (inference mode) in the
+    thread that enters it; other threads keep their own setting."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
@@ -99,7 +105,7 @@ def _data(x):
 
 def _taped(*operands):
     """Whether an op on ``operands`` must record a tape node."""
-    return _grad_enabled and any(isinstance(x, Tensor) for x in operands)
+    return _grad_mode.enabled and any(isinstance(x, Tensor) for x in operands)
 
 
 def _needs(*operands):

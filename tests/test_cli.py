@@ -109,6 +109,23 @@ def test_synth_invalid_config_writes_nothing(workspace, tmp_path, args):
     assert _tree_bytes(existing) == before
 
 
+@pytest.mark.parametrize("option,value,word", [
+    ("objects", "Dog,cat", "Dog"),
+    ("objects", "do(g,cat", "do(g"),
+    ("objects", "hot dog,cat", "hot dog"),
+    ("attributes", "red,big!", "big!"),
+    ("relations", "on,next)", "next)"),
+], ids=["capital", "bracket", "space", "punctuation", "relation-bracket"])
+def test_synth_bad_inventory_word(tmp_path, capsys, option, value, word):
+    # a word the caption or its tree cannot carry as itself exits 2 naming
+    # the inventory and the word, before --out is created
+    out = tmp_path / "d"
+    assert run("synth", "--out", str(out), "--count", "5", f"--{option}", value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: {word!r} is not a caption word")
+    assert not out.exists()
+
+
 # -- decompose ----------------------------------------------------------------
 
 def test_decompose_roundtrip_dump(workspace, tmp_path, capsys):
@@ -735,8 +752,8 @@ def test_config_file_key_of_another_command_accepted(tmp_path):
 
 # -- training outputs ----------------------------------------------------------
 
-_ECHO_KEYS = {"command", "seed", "epochs", "learning_rate", "batch_size", "feature_dim",
-              "hidden_size", "embed_size"}
+_ECHO_KEYS = {"command", "seed", "shuffle_seed", "epochs", "learning_rate", "batch_size",
+              "feature_dim", "hidden_size", "embed_size"}
 
 
 def test_train_echo_keys(workspace):
@@ -762,6 +779,44 @@ def test_train_skel_resume_echoes_loaded_model(workspace, tmp_path):
     assert echoed["epochs"] == 1
 
 
+def test_train_skel_resume_records_shuffle_seed(workspace, tmp_path):
+    # the checkpoint was initialised with seed 1; the resumed fit shuffles with 9
+    out = tmp_path / "resumed"
+    assert run("train-skel", "--data", str(workspace["data"]), "--out", str(out),
+               "--epochs", "1", "--batch-size", "16", "--skel-threshold", "1",
+               "--seed", "9", "--resume", str(workspace["skel"] / "skel.ckpt")) == 0
+    echoed = json.loads((out / "config.json").read_text())
+    assert (echoed["seed"], echoed["shuffle_seed"]) == (1, 9)
+
+
+@pytest.mark.parametrize("args,from_file,named", [
+    (("--hidden-size", "32"), {}, "--hidden-size"),
+    (("--embed-size", "4"), {}, "--embed-size"),
+    (("--attention-hidden", "6"), {}, "--attention-hidden"),
+    (("--no-attention",), {}, "--no-attention"),
+    ((), {"hidden-size": 16}, "config key 'hidden-size'"),
+    ((), {"no-attention": False}, "config key 'no-attention'"),
+    (("--embed-size", "8"), {"attention-hidden": 12},
+     "--embed-size, config key 'attention-hidden'"),
+], ids=["hidden-size", "embed-size", "attention-hidden", "no-attention", "file-hidden-size",
+        "file-no-attention", "flag-and-file"])
+def test_train_skel_resume_rejects_model_options(workspace, tmp_path, capsys, monkeypatch,
+                                                 args, from_file, named):
+    # a resumed run keeps its checkpoint's model: a model option given with
+    # --resume is a usage error naming it, raised before --out is created
+    monkeypatch.delenv("SKELCAP_CONFIG", raising=False)
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"epochs": 1, **from_file}))
+    out = tmp_path / "resumed"
+    with pytest.raises(SystemExit) as exc:
+        run("train-skel", "--config", str(config), "--data", str(workspace["data"]),
+            "--out", str(out), "--skel-threshold", "1", *args,
+            "--resume", str(workspace["skel"] / "skel.ckpt"))
+    assert exc.value.code == 1
+    assert f"{named} cannot be given with it" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["skel", "attr"])
 def test_failed_training_leaves_run_directory(workspace, tmp_path, monkeypatch, stage):
     # nothing is written until fit returns: a run resumed from its own output
@@ -776,7 +831,8 @@ def test_failed_training_leaves_run_directory(workspace, tmp_path, monkeypatch, 
                         "fit", broken)
     common = ("--data", str(workspace["data"]), "--out", str(run_dir), "--epochs", "1")
     if stage == "skel":
-        argv = ("train-skel", *common, *_SMALL_SKEL, "--resume", str(run_dir / "skel.ckpt"))
+        argv = ("train-skel", *common, "--batch-size", "16", "--skel-threshold", "1",
+                "--resume", str(run_dir / "skel.ckpt"))
     else:
         argv = ("train-attr", *common, "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
                 "--skel-vocab", str(workspace["skel"] / "skel.vocab"),

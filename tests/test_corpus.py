@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from skelcap.corpus import (BOS, EOS, UNK, CorpusError,
-                            FeatureGrid, SynthConfig, Vocabulary, build_vocab,
-                            load_records, preprocess, read_features,
+from skelcap import corpus
+from skelcap.corpus import (BOS, EOS, UNK, CaptionRecord, CorpusError,
+                            FeatureGrid, ObjectPlacement, SynthConfig, Vocabulary,
+                            build_vocab, load_records, preprocess, read_features,
                             read_manifest, strip_article, synth_generate,
                             write_captions, write_features, write_manifest,
                             write_trees)
-from skelcap.decompose import decompose
-from skelcap.treebank import leaves
+from skelcap.decompose import decompose, fuse
+from skelcap.treebank import leaves, parse_bracketed
 
 
 def test_preprocess_basic():
@@ -117,6 +118,81 @@ def test_synth_decomposition_matches_ground_truth():
             assert h.attributes == ("a", *p.attribute_words)
         assert rec.tokens == leaves(rec.tree)
         assert rec.decomposition == decompose(rec.tree)
+
+
+def reference_scene_to_record(config, placements, rng, image_id):
+    """The record of a sampled scene as the generator first built it: render
+    the bracket text, parse it back and decompose the parsed tree."""
+    L, D = config.grid_size, config.feature_dim
+    values = np.zeros((L, L, D), dtype=np.float64)
+    brackets, caption_parts, layout = [], [], []
+    for k, (oi, attr_idxs, (ci, cj)) in enumerate(placements):
+        values[ci, cj, oi] = 1.0
+        for ai in attr_idxs:
+            values[ci, cj, len(config.objects) + ai] += 1.0
+        obj_word = config.objects[oi]
+        attr_words = tuple(config.attributes[ai] for ai in attr_idxs)
+        bracket = "(NP " + " ".join(["(DT a)", *(f"(JJ {w})" for w in attr_words),
+                                     f"(NN {obj_word})"]) + ")"
+        if k > 0:
+            relation = config.relations[placements[k - 1][0] % len(config.relations)]
+            caption_parts.append(relation)
+            bracket = f"(PP (IN {relation}) {bracket})"
+        brackets.append(bracket)
+        caption_parts.extend(["a", *attr_words, obj_word])
+        layout.append(ObjectPlacement(obj_word, attr_words, (ci, cj)))
+    if config.noise_sigma > 0:
+        values += rng.normal(0.0, config.noise_sigma, size=values.shape)
+    line = brackets[0] if len(brackets) == 1 else "(S " + " ".join(brackets) + ")"
+    tree = parse_bracketed(line)
+    d = decompose(tree)
+    caption = " ".join(caption_parts)
+    tokens = preprocess(caption)
+    assert tokens == fuse(d)
+    return CaptionRecord(image_id=image_id, features=FeatureGrid(values.astype(np.float32)),
+                         raw=caption, tokens=tokens, tree=tree, decomposition=d,
+                         layout=layout)
+
+
+def reference_generate(config, seed, start_index=0):
+    records = []
+    for i in range(start_index, start_index + config.count):
+        rng = np.random.default_rng([seed, i])
+        placements = corpus._sample_scene(config, rng)
+        records.append(reference_scene_to_record(config, placements, rng,
+                                                 f"synth-{seed}-{i:06d}"))
+    return records
+
+
+@pytest.mark.parametrize("config, start_index", [
+    (SynthConfig(count=120), 0),
+    (SynthConfig(count=40, max_objects=1), 0),
+    (SynthConfig(count=40, max_attributes=0), 0),
+    (SynthConfig(count=40, noise_sigma=0.0), 0),
+    (SynthConfig(count=40, grid_size=2, feature_dim=8, objects=("dog", "cat", "cup"),
+                 attributes=("red", "big"), relations=("on",)), 0),
+    (SynthConfig(count=40, objects=("café", "x2", "mug", "pot"), attributes=("ünique",),
+                 relations=("beside", "atop"), max_attributes=1), 0),
+    (SynthConfig(count=40), 977),
+], ids=["default", "one-object", "no-attributes", "noiseless", "small-inventory",
+        "custom-inventory", "start-index"])
+@pytest.mark.parametrize("seed", [0, 5, 31])
+def test_synth_records_equal_parsed_reference(config, start_index, seed):
+    got = synth_generate(config, seed=seed, start_index=start_index).records
+    want = reference_generate(config, seed, start_index)
+    assert len(got) == len(want) == config.count
+    for g, w in zip(got, want):
+        assert g.image_id == w.image_id
+        assert g.tree == w.tree
+        assert g.tree.source_line == w.tree.source_line
+        assert g.decomposition == w.decomposition
+        assert g.tokens == w.tokens
+        assert g.raw == w.raw
+        assert g.layout == w.layout
+        assert g.features.values.dtype == w.features.values.dtype
+        assert g.features.values.tobytes() == w.features.values.tobytes()
+        assert g.tree == parse_bracketed(g.tree.source_line)
+        assert g.tree.serialize() == g.tree.source_line
 
 
 def test_synth_config_validation():

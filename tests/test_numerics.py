@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -209,6 +210,41 @@ def test_no_grad_blocks_tape():
     assert type(out) is np.ndarray and np.array_equal(out, [4.0])
     assert type(nm.tanh(np.array([0.5]))) is np.ndarray  # a constant operand
     assert isinstance(nm.tanh(x), Tensor)
+
+
+def test_no_grad_is_per_thread():
+    # A enters, B enters, A exits, then B: B records no tape until it exits,
+    # and afterwards every thread records one again
+    x = t64([0.5])
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_a():
+        with nm.no_grad():
+            a_in.set()
+            seen["a_waited"] = b_in.wait(10)
+        a_out.set()
+
+    def thread_b():
+        seen["b_waited"] = a_in.wait(10)
+        with nm.no_grad():
+            b_in.set()
+            seen["b_waited"] &= a_out.wait(10)
+            seen["b_inside"] = nm.tanh(x)
+        seen["b_after"] = nm.tanh(x)
+
+    threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30)
+    assert seen["a_waited"] and seen["b_waited"]
+    assert type(seen["b_inside"]) is np.ndarray
+    assert isinstance(seen["b_after"], Tensor)
+    out = nm.tanh(x)
+    assert isinstance(out, Tensor)
+    backward(nm.sum_(out))
+    assert np.allclose(x.grad, 1.0 - np.tanh(0.5) ** 2)
 
 
 def test_nonfinite_loss_detected():
