@@ -9,7 +9,7 @@ EOS, emitting the attribute phrase for that skeletal word (possibly empty).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -216,37 +216,55 @@ def check_conditioning(skel_model, hidden_tap: str, use_post_word_alpha: bool):
             "this one has use_attention=False")
 
 
-def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
-                      use_post_word_alpha: bool = False):
-    """The attribute decoder's conditioning for each skeletal word of one caption.
+class Conditioning(NamedTuple):
+    """The attribute decoder's conditioning, one row per skeletal word of a
+    ``TeacherTrace``."""
 
-    ``trace`` is a ``teacher_trace`` record: per skeleton step the pre-word
-    map ``alpha``, its context ``z``, the hidden state ``h`` after the step,
-    the state ``h_prev``/``c_prev`` entering it, its word ``logits`` and the
-    word in ``words`` it emitted. Returns per word (refined map (L, L) or
-    None, z (D,), word embedding, skeleton hidden state). Without refinement
-    z is the step's own context; with it, the step's map is refined post-word
-    from the step's own word distribution and the skeleton decoder's
+    post_alpha: Optional[np.ndarray]  # (N, L, L) refined maps, None without refinement
+    z: np.ndarray                     # (N, D) attended image contexts
+    skel_embed: np.ndarray            # (N, m_s) skeletal word embeddings
+    skel_hidden: np.ndarray           # (N, n_s) skeleton hidden states
+
+
+def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
+                      use_post_word_alpha: bool = False) -> Conditioning:
+    """The attribute decoder's conditioning for every skeletal word of a
+    ``teacher_trace``, as whole arrays.
+
+    ``trace`` is a ``TeacherTrace`` of R records: per skeleton step the
+    pre-word map ``alpha``, its context ``z``, the hidden state ``h`` after
+    the step, the state ``h_prev``/``c_prev`` entering it, its word
+    ``logits`` and the word in ``words`` it emitted, record r in rows
+    ``offsets[r]:offsets[r + 1]``. ``features`` holds the R records' feature
+    grids, read only for refinement. Without refinement z is the step's own
+    context; with it, the step's map is refined post-word from the step's
+    own word distribution and the skeleton decoder's
     ``per_location_distributions`` at the state entering the step, one call
-    for all words. The "current" tap is the state after word T, "previous"
-    the state entering it, "final" the state after the last word.
+    and one ``context`` call per record. The "current" tap is the state
+    after word T, "previous" the state entering it, "final" the state after
+    its record's last word.
     """
     check_conditioning(skel_model, hidden_tap, use_post_word_alpha)
-    words = [int(w) for w in trace["words"]]
-    if not words:
-        return []
-    z, posts = np.asarray(trace["z"], dtype=np.float32), [None] * len(words)
+    offsets = trace.offsets
+    z, posts = np.asarray(trace.z, dtype=np.float32), None
     if use_post_word_alpha:
-        entering = SkelState(h=np.asarray(trace["h_prev"]), c=np.asarray(trace["c_prev"]))
-        p_grid = skel_model.per_location_distributions(entering, [BOS] + words[:-1], features)
-        p_attend = nm.softmax(np.asarray(trace["logits"]), axis=-1)
-        posts = [refine_attention(p, grid, fallback=alpha)
-                 for p, grid, alpha in zip(p_attend, p_grid, trace["alpha"])]
-        z = skel_model.context(features, np.stack(posts)).astype(np.float32)
-    hidden = {"current": trace["h"], "previous": trace["h_prev"],
-              "final": [trace["h"][-1]] * len(words)}[hidden_tap]
-    return list(zip(posts, z, skel_model.embedding_of(np.asarray(words)),
-                    np.asarray(hidden)))
+        L = skel_model.grid_size
+        z, posts = np.empty_like(z), np.empty((len(z), L, L))
+        for lo, hi, grid in zip(offsets[:-1], offsets[1:], features):
+            if lo == hi:
+                continue
+            entering = SkelState(h=trace.h_prev[lo:hi], c=trace.c_prev[lo:hi])
+            prev = np.concatenate(([BOS], trace.words[lo:hi - 1]))
+            p_grid = skel_model.per_location_distributions(entering, prev, grid)
+            p_attend = nm.softmax(trace.logits[lo:hi], axis=-1)
+            posts[lo:hi] = [refine_attention(p, g, fallback=alpha)
+                            for p, g, alpha in zip(p_attend, p_grid, trace.alpha[lo:hi])]
+            z[lo:hi] = skel_model.context(grid, posts[lo:hi])
+    if hidden_tap == "final":
+        hidden = trace.h[np.repeat(offsets[1:] - 1, np.diff(offsets))]
+    else:
+        hidden = trace.h if hidden_tap == "current" else trace.h_prev
+    return Conditioning(posts, z, skel_model.embedding_of(trace.words), hidden)
 
 
 def build_training_items(records, skel_model, attr_vocab,
@@ -254,17 +272,17 @@ def build_training_items(records, skel_model, attr_vocab,
                          hidden_tap: str = "current") -> List[AttrTrainingItem]:
     """Precompute conditioning items from a frozen skeleton model.
 
-    Runs one teacher-forced skeleton pass per record, then emits one item per
-    skeleton token with its ``word_conditioning``. Non-head tokens get an
-    empty target so "no attributes" is learned.
+    Runs one batched teacher-forced skeleton pass over all records, then
+    emits one item per skeleton token, whose arrays are rows of their
+    ``word_conditioning``. Non-head tokens get an empty target so "no
+    attributes" is learned.
     """
-    traces = skel_model.teacher_trace(records)
-    items: List[AttrTrainingItem] = []
-    for record, trace in zip(records, traces):
-        conditioning = word_conditioning(skel_model, trace, record.features,
-                                         hidden_tap, use_post_word_alpha)
-        for tok, (_, z, embed, hidden) in zip(record.decomposition.skeleton, conditioning):
-            items.append(AttrTrainingItem(
-                z=z, skel_embed=embed, skel_hidden=hidden,
-                targets=[attr_vocab.encode(w) for w in tok.attributes]))
-    return items
+    trace = skel_model.teacher_trace(records)
+    cond = word_conditioning(skel_model, trace, [r.features for r in records],
+                             hidden_tap, use_post_word_alpha)
+    tokens = [tok for r in records for tok in r.decomposition.skeleton]
+    encode = attr_vocab.encode
+    # positional: keyword calls cost about twice as much per item
+    return [AttrTrainingItem(z, embed, hidden, [encode(w) for w in tok.attributes])
+            for tok, z, embed, hidden in zip(tokens, cond.z, cond.skel_embed,
+                                              cond.skel_hidden)]

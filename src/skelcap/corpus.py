@@ -200,12 +200,17 @@ class SynthConfig:
             raise CorpusError("object/attribute/relation inventories must be non-empty")
         # a word must reach the caption, its tree and its decomposition as itself
         for name in ("objects", "attributes", "relations"):
+            seen = set()
             for word in getattr(self, name):
                 if preprocess(word) != [word]:
                     raise CorpusError(
                         f"{name}: {word!r} is not a caption word: it must be one token "
                         f"that preprocessing keeps as is (lowercase, no spaces, "
                         f"punctuation or brackets)")
+                # an object or attribute word names one one-hot feature column
+                if word in seen and name != "relations":
+                    raise CorpusError(f"{name}: {word!r} is listed more than once")
+                seen.add(word)
         width = len(self.objects) + len(self.attributes)
         if self.feature_dim < width:
             raise CorpusError(

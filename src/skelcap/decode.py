@@ -17,6 +17,7 @@ import numpy as np
 from .attrnet import check_conditioning, word_conditioning
 from .corpus import BOS, EOS, FeatureGrid
 from .decompose import fuse_predicted
+from .skelnet import TeacherTrace
 
 log = logging.getLogger(__name__)
 
@@ -224,25 +225,30 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     if not best.tokens:
         log.warning("empty skeleton output; returning empty caption")
         return CaptionTrace([], [], [], [], [], empty=True)
-    # the teacher_trace record of the winning beam, indexed from the recorded
-    # rows: the states leaving the steps that emitted a skeleton word (a
-    # final EOS step is dropped) and the states entering them
-    stepped = best.states[:len(best.tokens)]
-    entering = (((init, 0),) + best.states)[:len(best.tokens)]
-    trace = {"alpha": [b.alpha[r] for b, r in stepped], "z": [b.z[r] for b, r in stepped],
-             "h": [b.h[r] for b, r in stepped], "h_prev": [b.h[r] for b, r in entering],
-             "c_prev": [b.c[r] for b, r in entering],
-             "logits": [b.logits[r] for b, r in stepped], "words": best.tokens}
-    conditioning = word_conditioning(skel_model, trace, features, attr_model.hidden_tap,
-                                     use_post_word_alpha)
+    # the winning beam as a one-record teacher trace, from the recorded rows:
+    # the states leaving the steps that emitted a skeleton word (a final EOS
+    # step is dropped) and the states entering them
+    S = len(best.tokens)
+    stepped = best.states[:S]
+    entering = (((init, 0),) + best.states)[:S]
+
+    def rows(key, recorded):
+        return np.stack([getattr(batch, key)[row] for batch, row in recorded])
+
+    trace = TeacherTrace(rows("alpha", stepped), rows("z", stepped), rows("h", stepped),
+                         rows("h", entering), rows("c", entering), rows("logits", stepped),
+                         words=np.asarray(best.tokens, dtype=np.int64),
+                         offsets=np.array([0, S]))
+    cond = word_conditioning(skel_model, trace, [features], attr_model.hidden_tap,
+                             use_post_word_alpha)
 
     L = skel_model.grid_size
-    post_alphas, *inputs = zip(*conditioning)
-    x_init = attr_model.init_input(*(np.stack(rows) for rows in inputs))
+    x_init = attr_model.init_input(cond.z, cond.skel_embed, cond.skel_hidden)
     attributes = attr_model.generate_attributes(x_init, max_len=max_attr_len,
                                                 beam_size=beam_attr, gamma=gamma_attr)
     skeleton_words = [skel_model.vocab.decode(i) for i in best.tokens]
     return CaptionTrace(skeleton_words=skeleton_words, attributes=attributes,
-                        alphas=[alpha.reshape(L, L).copy() for alpha in trace["alpha"]],
-                        post_alphas=list(post_alphas),
+                        alphas=list(trace.alpha.reshape(S, L, L)),
+                        post_alphas=[None] * S if cond.post_alpha is None
+                        else list(cond.post_alpha),
                         tokens=fuse_predicted(skeleton_words, attributes))

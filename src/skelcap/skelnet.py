@@ -27,7 +27,6 @@ class ConfigError(ValueError):
     pass
 
 
-_TRACE_KEYS = ("alpha", "z", "h", "h_prev", "c_prev", "logits")
 TRACE_BATCH = 128  # records per teacher-forced batch of ``teacher_trace``
 
 
@@ -39,6 +38,22 @@ class SkelState(LSTMState):
     alpha: Optional[np.ndarray] = None   # (K, L*L), maps used at this step
     z: Optional[np.ndarray] = None       # (K, D), context vectors used at this step
     logits: Optional[np.ndarray] = None  # (K, Q), word logits of this step
+
+
+class TeacherTrace(NamedTuple):
+    """Teacher-forced skeleton steps of many records, one row per gold
+    skeleton word (the EOS step excluded) of every record, in record order.
+    Record r owns rows ``offsets[r]:offsets[r + 1]``, none for an empty
+    skeleton."""
+
+    alpha: np.ndarray    # (N, P) pre-word maps
+    z: np.ndarray        # (N, D) their context vectors
+    h: np.ndarray        # (N, n) hidden states after each step
+    h_prev: np.ndarray   # (N, n) hidden states entering each step
+    c_prev: np.ndarray   # (N, n) cell states entering each step
+    logits: np.ndarray   # (N, Q) word logits of each step
+    words: np.ndarray    # (N,) gold word indices
+    offsets: np.ndarray  # (R + 1,) first row of each record, then N
 
 
 class _Grid(NamedTuple):
@@ -241,11 +256,18 @@ class SkeletonGenerator(RecurrentDecoder):
 
     # -- inference ------------------------------------------------------------
 
-    def _flat(self, features: FeatureGrid) -> np.ndarray:
-        if features.feature_dim != self.feature_dim or features.grid_size != self.grid_size:
+    def _check_grid(self, features: FeatureGrid, record=None):
+        """Raises ConfigError unless ``features`` is the model's grid; the
+        message starts with the image id of ``record``, if given."""
+        L, D = self.grid_size, self.feature_dim
+        if features.values.shape != (L, L, D):
+            where = f"{record.image_id}: " if record is not None else ""
             raise ConfigError(
-                f"feature grid {features.grid_size}x{features.grid_size}x{features.feature_dim} "
-                f"does not match model {self.grid_size}x{self.grid_size}x{self.feature_dim}")
+                f"{where}feature grid {features.grid_size}x{features.grid_size}x"
+                f"{features.feature_dim} does not match model {L}x{L}x{D}")
+
+    def _flat(self, features: FeatureGrid) -> np.ndarray:
+        self._check_grid(features)
         return features.flat()[None, :, :]
 
     def init_state(self, features: FeatureGrid) -> SkelState:
@@ -320,43 +342,59 @@ class SkeletonGenerator(RecurrentDecoder):
     def _encode_skeleton(self, record) -> List[int]:
         return [self.vocab.encode(t.surface) for t in record.decomposition.skeleton] + [EOS]
 
+    def _features(self, records, chunk):
+        """The feature grids of ``records[i]`` for i in ``chunk`` as one
+        (B, P, D) array, in one copy."""
+        values = np.concatenate([records[i].features.values for i in chunk])
+        return values.reshape(len(chunk), -1, self.feature_dim)
+
     def _batches(self, records, batch_size, shuffle_rng=None):
         """(features (B, P, D), seqs (B, S)) per chunk of equal skeleton length."""
+        for r in records:
+            self._check_grid(r.features, r)
         seqs = [self._encode_skeleton(r) for r in records]
         for chunk in length_batches([len(q) for q in seqs], batch_size, shuffle_rng):
-            yield (np.stack([records[i].features.flat() for i in chunk]),
-                   np.asarray([seqs[i] for i in chunk]))
+            yield self._features(records, chunk), np.asarray([seqs[i] for i in chunk])
 
     # -- traces for attribute conditioning ----------------------------------
 
-    def teacher_trace(self, records):
-        """Teacher-forced pass per record; returns per-record step traces.
+    def teacher_trace(self, records) -> TeacherTrace:
+        """Teacher-forced pass over ``records`` as one flat ``TeacherTrace``,
+        used to condition the attribute decoder.
 
-        Each trace is a dict with arrays over steps t = 0..S-1 (one per gold
-        skeleton word, EOS step excluded): ``alpha`` (S, P), ``z`` (S, D),
-        ``h`` (S, n) post-step hidden states, ``h_prev``/``c_prev`` (S, n)
-        states entering each step, ``logits`` (S, Q) the word logits of each
-        step, and ``words`` (S,) gold indices. Used to condition the
-        attribute decoder.
+        The records run in batches of up to ``TRACE_BATCH`` of one skeleton
+        length; each batch's steps are stacked and scattered into the
+        batch's rows with one assignment per array.
         """
-        traces = [None] * len(records)
+        for r in records:
+            self._check_grid(r.features, r)
         encoded = [self._encode_skeleton(r) for r in records]
-        for chunk in length_batches([len(q) for q in encoded], TRACE_BATCH):
+        lengths = [len(q) - 1 for q in encoded]  # skeleton words, EOS excluded
+        offsets = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        N, n = int(offsets[-1]), self.hidden_size
+        widths = (self.grid_size ** 2, self.feature_dim, n, n, n, len(self.vocab))
+        trace = TeacherTrace(*(np.empty((N, w), self.dtype) for w in widths),
+                             words=np.empty(N, np.int64), offsets=offsets)
+        for chunk in length_batches(lengths, TRACE_BATCH):
+            S = lengths[chunk[0]]
+            if S == 0:
+                continue
             seqs = np.asarray([encoded[i] for i in chunk])
-            B, S = seqs.shape
+            rows = offsets[chunk][:, None] + np.arange(S)  # (B, S)
             steps = []
             with np.errstate(over="ignore"):
-                grid, h, c = self._start((np.stack([records[i].features.flat() for i in chunk]),))
-                prev = np.full(B, BOS, dtype=np.int64)
-                for t in range(S - 1):  # exclude the EOS step
+                grid, h, c = self._start((self._features(records, chunk),))
+                prev = np.full(len(chunk), BOS, dtype=np.int64)
+                for t in range(S):
                     h_new, c_new, logits, alpha, z = self._step(grid, h, c, prev)
                     steps.append((alpha, z, h_new, h, c, logits))
                     h, c, prev = h_new, c_new, seqs[:, t]
-                stacked = [np.stack(arrs, axis=1) for arrs in zip(*steps)]
-                for b, i in enumerate(chunk):
-                    traces[i] = dict(zip(_TRACE_KEYS, (arr[b] for arr in stacked)),
-                                     words=seqs[b, :-1])
-        return traces
+            # alpha .. logits, the trace's first six arrays, in the order of steps
+            for flat, arrs in zip(trace, zip(*steps)):
+                flat[rows] = np.stack(arrs, axis=1)
+            trace.words[rows] = seqs[:, :-1]
+        return trace
 
     def embedding_of(self, word_index) -> np.ndarray:
         """Embedding (m,) of one word index, or a copy (T, m) for T indices."""

@@ -23,6 +23,9 @@ from test_metrics import (_random_corpus, oracle_bleu, oracle_cider,
                           oracle_rouge)
 
 
+pytestmark = pytest.mark.slow  # the module fixture fits both decoders on 20k records
+
+
 def _report(num, ok, detail):
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
@@ -78,19 +81,20 @@ def trained():
     # -- criterion 6 quantities: localization before/after refinement ---------
     L = cfg.grid_size
     pre_ok = post_ok = loc_n = 0
-    traces = skel.teacher_trace(test)
-    for rec, tr in zip(test, traces):
+    tr = skel.teacher_trace(test)
+    for rec, lo in zip(test, tr.offsets):
         step_fn = skel.make_step_fn(rec.features)
         heads = [i for i, t in enumerate(rec.decomposition.skeleton)
                  if t.is_np_head]
         for i, placement in zip(heads, rec.layout):
             gi = placement.cell[0] * L + placement.cell[1]
-            alpha = tr["alpha"][i]
+            alpha = tr.alpha[lo + i]
             loc_n += 1
             if int(np.argmax(alpha)) == gi:
                 pre_ok += 1
-            state = SkelState(h=tr["h_prev"][i:i + 1], c=tr["c_prev"][i:i + 1], t=i)
-            prev_w = int(tr["words"][i - 1]) if i else BOS
+            state = SkelState(h=tr.h_prev[lo + i:lo + i + 1],
+                              c=tr.c_prev[lo + i:lo + i + 1], t=i)
+            prev_w = int(tr.words[lo + i - 1]) if i else BOS
             p_grid = skel.per_location_distributions(state, prev_w,
                                                      rec.features)
             stepped, _ = step_fn(state, [prev_w])

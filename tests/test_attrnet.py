@@ -1,11 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from skelcap import numerics as nm
-from skelcap.attrnet import (AttrConfigError, AttributeGenerator,
-                             build_training_items)
+from skelcap.attrnet import (HIDDEN_TAPS, AttrConfigError, AttributeGenerator,
+                             AttrTrainingItem, build_training_items, check_conditioning)
 from skelcap.corpus import (BOS, EOS, SynthConfig, build_vocab, synth_generate)
-from skelcap.skelnet import SkeletonGenerator
+from skelcap.recurrent import length_batches
+from skelcap.skelnet import (TRACE_BATCH, SkeletonGenerator, SkelState,
+                             refine_attention)
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +244,97 @@ def test_build_training_items_bad_tap(tiny_data, skel_model, attr_vocab):
     _, recs = tiny_data
     with pytest.raises(AttrConfigError):
         build_training_items(recs[:1], skel_model, attr_vocab, hidden_tap="x")
+
+
+def reference_teacher_trace(skel, records):
+    """Per-record dicts of step arrays, each record's rows of its length
+    chunk's stacked steps: the trace before it became one flat array set."""
+    traces = [None] * len(records)
+    encoded = [skel._encode_skeleton(r) for r in records]
+    for chunk in length_batches([len(q) for q in encoded], TRACE_BATCH):
+        seqs = np.asarray([encoded[i] for i in chunk])
+        B, S = seqs.shape
+        steps = []
+        with np.errstate(over="ignore"):
+            grid, h, c = skel._start((np.stack([records[i].features.flat() for i in chunk]),))
+            prev = np.full(B, BOS, dtype=np.int64)
+            for t in range(S - 1):  # exclude the EOS step
+                h_new, c_new, logits, alpha, z = skel._step(grid, h, c, prev)
+                steps.append((alpha, z, h_new, h, c, logits))
+                h, c, prev = h_new, c_new, seqs[:, t]
+            stacked = [np.stack(arrs, axis=1) for arrs in zip(*steps)]
+            for b, i in enumerate(chunk):
+                traces[i] = dict(zip(("alpha", "z", "h", "h_prev", "c_prev", "logits"),
+                                     (arr[b] for arr in stacked)),
+                                 words=seqs[b, :-1])
+    return traces
+
+
+def reference_word_conditioning(skel, trace, features, hidden_tap, use_post_word_alpha):
+    """(refined map or None, z, embedding, hidden) per word of one record."""
+    check_conditioning(skel, hidden_tap, use_post_word_alpha)
+    words = [int(w) for w in trace["words"]]
+    if not words:
+        return []
+    z, posts = np.asarray(trace["z"], dtype=np.float32), [None] * len(words)
+    if use_post_word_alpha:
+        entering = SkelState(h=np.asarray(trace["h_prev"]), c=np.asarray(trace["c_prev"]))
+        p_grid = skel.per_location_distributions(entering, [BOS] + words[:-1], features)
+        p_attend = nm.softmax(np.asarray(trace["logits"]), axis=-1)
+        posts = [refine_attention(p, grid, fallback=alpha)
+                 for p, grid, alpha in zip(p_attend, p_grid, trace["alpha"])]
+        z = skel.context(features, np.stack(posts)).astype(np.float32)
+    hidden = {"current": trace["h"], "previous": trace["h_prev"],
+              "final": [trace["h"][-1]] * len(words)}[hidden_tap]
+    return list(zip(posts, z, skel.embedding_of(np.asarray(words)), np.asarray(hidden)))
+
+
+def reference_build_training_items(records, skel, attr_vocab, use_post_word_alpha,
+                                   hidden_tap):
+    """Items built record by record, each from its own trace dict."""
+    items = []
+    for record, trace in zip(records, reference_teacher_trace(skel, records)):
+        conditioning = reference_word_conditioning(skel, trace, record.features,
+                                                   hidden_tap, use_post_word_alpha)
+        for tok, (_, z, embed, hidden) in zip(record.decomposition.skeleton, conditioning):
+            items.append(AttrTrainingItem(
+                z=z, skel_embed=embed, skel_hidden=hidden,
+                targets=[attr_vocab.encode(w) for w in tok.attributes]))
+    return items
+
+
+@pytest.fixture(scope="module")
+def oracle_records(tiny_data):
+    # skeleton lengths 1, 3 and 5 interleaved in input order, more than
+    # TRACE_BATCH records of one length, and an empty skeleton in between
+    cfg, recs = tiny_data
+    more = synth_generate(SynthConfig(count=400, grid_size=cfg.grid_size,
+                                      feature_dim=cfg.feature_dim), seed=21).records
+    empty = SimpleNamespace(image_id="empty", features=more[0].features,
+                            decomposition=SimpleNamespace(skeleton=[]))
+    records = more[:7] + [empty] + more[7:]
+    lengths = [len(r.decomposition.skeleton) for r in records]
+    assert max(lengths.count(n) for n in set(lengths)) > TRACE_BATCH
+    assert {0, 1, 3, 5} <= set(lengths)
+    assert len(set(lengths[:8])) == 4
+    return records
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["pre-word", "post-word"])
+@pytest.mark.parametrize("tap", HIDDEN_TAPS)
+def test_build_training_items_matches_per_record_reference(oracle_records, skel_model,
+                                                           attr_vocab, tap, refine):
+    items = build_training_items(oracle_records, skel_model, attr_vocab,
+                                 use_post_word_alpha=refine, hidden_tap=tap)
+    expected = reference_build_training_items(oracle_records, skel_model, attr_vocab,
+                                              refine, tap)
+    assert len(items) == len(expected)
+    for k, (item, ref) in enumerate(zip(items, expected)):
+        for field in ("z", "skel_embed", "skel_hidden"):
+            got, want = getattr(item, field), getattr(ref, field)
+            assert got.dtype == want.dtype and got.shape == want.shape, (k, field)
+            assert got.tobytes() == want.tobytes(), (k, field)
+        assert item.targets == ref.targets, k
 
 
 def test_fit_reduces_loss(tiny_data, skel_model, attr_vocab):

@@ -126,6 +126,18 @@ def test_synth_bad_inventory_word(tmp_path, capsys, option, value, word):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option,value,word", [
+    ("objects", "dog,dog,cat", "dog"),
+    ("attributes", "red,big,red", "red"),
+], ids=["objects", "attributes"])
+def test_synth_repeated_inventory_word(tmp_path, capsys, option, value, word):
+    out = tmp_path / "d"
+    assert run("synth", "--out", str(out), "--count", "20", "--grid-size", "3",
+               "--feature-dim", "24", f"--{option}", value) == 2
+    assert capsys.readouterr().err == f"error: {option}: {word!r} is listed more than once\n"
+    assert not out.exists()
+
+
 # -- decompose ----------------------------------------------------------------
 
 def test_decompose_roundtrip_dump(workspace, tmp_path, capsys):
@@ -218,6 +230,24 @@ def test_train_attr_wrong_vocab(workspace, tmp_path):
                "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
                "--skel-vocab", str(workspace["attr"] / "attr.vocab"),
                "--epochs", "1") == 2
+
+
+@pytest.mark.parametrize("grid,dim", [("4", "24"), ("3", "30")], ids=["grid", "feature-dim"])
+def test_train_attr_feature_grid_mismatch(workspace, tmp_path, capsys, grid, dim):
+    # the checkpoint is a 3x3x24 model; other features fail before any compute,
+    # naming the first record
+    data = tmp_path / "data"
+    assert run("synth", "--out", str(data), "--count", "6", "--val-count", "0",
+               "--test-count", "0", "--grid-size", grid, "--feature-dim", dim) == 0
+    capsys.readouterr()
+    assert run("train-attr", "--data", str(data), "--out", str(tmp_path / "x"),
+               "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
+               "--skel-vocab", str(workspace["skel"] / "skel.vocab"),
+               "--epochs", "1", "--attr-threshold", "1") == 2
+    first = (data / "train.captions.tsv").read_text().split("\t", 1)[0]
+    assert capsys.readouterr().err == (f"error: {first}: feature grid {grid}x{grid}x{dim} "
+                                       f"does not match model 3x3x24\n")
+    assert not (tmp_path / "x" / "attr.ckpt").exists()
 
 
 # -- caption ------------------------------------------------------------------

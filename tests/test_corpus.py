@@ -206,6 +206,22 @@ def test_synth_config_validation():
         SynthConfig(count=0).validate()
 
 
+@pytest.mark.parametrize("name,words,word", [
+    ("objects", ("dog", "dog", "cat"), "dog"),
+    ("objects", ("dog", "cat", "horse", "cat"), "cat"),
+    ("attributes", ("red", "big", "red"), "red"),
+])
+def test_synth_config_rejects_repeated_word(name, words, word):
+    # each object and attribute word owns one one-hot feature column, so a
+    # repeated word would name two visual classes
+    with pytest.raises(CorpusError, match=f"^{name}: '{word}' is listed more than once$"):
+        SynthConfig(**{name: words}).validate()
+
+
+def test_synth_config_allows_repeated_relation():
+    SynthConfig(relations=("on", "on", "near")).validate()
+
+
 def test_synth_class_balance():
     cfg = SynthConfig(count=10000)
     counts = {w: 0 for w in cfg.objects}

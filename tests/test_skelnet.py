@@ -264,32 +264,51 @@ def test_fit_deterministic(tiny_data):
         assert np.array_equal(a[n], b[n]), n
 
 
+@pytest.mark.parametrize("call", ["fit", "evaluate_loss", "teacher_trace"])
+@pytest.mark.parametrize("grid,dim", [(4, 24), (3, 30)], ids=["grid", "feature-dim"])
+def test_training_rejects_other_feature_grid(model, tiny_data, call, grid, dim):
+    # records of another grid fail before any compute, naming the first one
+    other = synth_generate(SynthConfig(count=2, grid_size=grid, feature_dim=dim),
+                           seed=1).records
+    before = {n: model.store[n].data.copy() for n in model.store.names()}
+    steps = model.store.step_count
+    with pytest.raises(ConfigError, match=f"^{other[0].image_id}: feature grid "
+                                          f"{grid}x{grid}x{dim} does not match model 3x3x24$"):
+        getattr(model, call)(tiny_data[1][:3] + other)
+    assert model.store.step_count == steps
+    for n, value in before.items():
+        assert np.array_equal(model.store[n].data, value), n
+
+
 def test_teacher_trace_shapes(model, tiny_data):
     _, recs = tiny_data
-    traces = model.teacher_trace(recs[:5])
-    for rec, tr in zip(recs[:5], traces):
+    trace = model.teacher_trace(recs[:5])
+    assert trace.offsets[0] == 0 and trace.offsets[-1] == len(trace.words)
+    for rec, lo, hi in zip(recs[:5], trace.offsets[:-1], trace.offsets[1:]):
         S = len(rec.decomposition.skeleton)
-        assert tr["alpha"].shape == (S, 9)
-        assert np.allclose(tr["alpha"].sum(axis=-1), 1.0, atol=1e-5)
-        assert tr["z"].shape == (S, model.feature_dim)
-        assert tr["h"].shape == (S, model.hidden_size)
-        assert tr["h_prev"].shape == (S, model.hidden_size)
-        assert list(tr["words"]) == [
+        assert hi - lo == S
+        assert trace.alpha[lo:hi].shape == (S, 9)
+        assert np.allclose(trace.alpha[lo:hi].sum(axis=-1), 1.0, atol=1e-5)
+        assert trace.z[lo:hi].shape == (S, model.feature_dim)
+        assert trace.h[lo:hi].shape == (S, model.hidden_size)
+        assert trace.h_prev[lo:hi].shape == (S, model.hidden_size)
+        assert list(trace.words[lo:hi]) == [
             model.vocab.encode(t.surface) for t in rec.decomposition.skeleton]
 
 
 def test_teacher_trace_consistent_with_step(model, tiny_data):
     _, recs = tiny_data
     rec = recs[0]
-    tr = model.teacher_trace([rec])[0]
+    tr = model.teacher_trace([rec])
+    lo, hi = tr.offsets
     state = model.init_state(rec.features)
     prev = BOS
-    for t in range(len(tr["words"])):
-        assert np.allclose(state.h, tr["h_prev"][t], atol=1e-5)
+    for t in range(lo, hi):
+        assert np.allclose(state.h, tr.h_prev[t], atol=1e-5)
         state, _, alpha = _step(model, state, prev, rec.features)
-        assert np.allclose(alpha.reshape(-1), tr["alpha"][t], atol=1e-5)
-        assert np.allclose(state.h, tr["h"][t], atol=1e-5)
-        prev = int(tr["words"][t])
+        assert np.allclose(alpha.reshape(-1), tr.alpha[t], atol=1e-5)
+        assert np.allclose(state.h, tr.h[t], atol=1e-5)
+        prev = int(tr.words[t])
 
 
 # -- persistence --------------------------------------------------------------
