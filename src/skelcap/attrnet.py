@@ -16,7 +16,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import BOS, EOS, Vocabulary
 from .numerics import ParameterStore
-from .recurrent import LSTMState, RecurrentDecoder, add_grad, length_batches
+from .recurrent import LSTMState, RecurrentDecoder, length_batches
 from .skelnet import SkelState, refine_attention
 
 HIDDEN_TAPS = ("current", "previous", "final")
@@ -151,49 +151,106 @@ class AttributeGenerator(RecurrentDecoder):
         ``seqs`` is (B, S) whose last column is EOS. The fused init is
         consumed at step -1, then BOS, then the gold attribute words.
         ``fit`` trains through ``loss_and_grads``, which gives this loss and
-        the gradients ``nm.backward`` gives it.
+        the gradients ``nm.backward`` gives it up to rounding.
         """
         inputs = (np.ascontiguousarray(v, dtype=self.dtype) for v in (z, s_skel, h_skel))
         h, c = self._start_t(self._init_input_t(self._fused_t(*inputs)))
         return self._teacher_forced_t(np.asarray(seqs), h, c, self._word_step_t)
 
-    # -- the input step and initial state on the array kernels ----------------
+    # -- on the array kernels: the decode step's parts, the teacher-forced loop --
 
     def _start_cell(self, x_init):
-        """``_start_t`` on the array kernels: (h, c, cell cache)."""
+        """``_start_t`` on the array kernels, for decoding: (h, c, cell cache)."""
         zeros = np.zeros((x_init.shape[0], self.hidden_size), dtype=self.dtype)
         return nm.lstm_forward(x_init, zeros, zeros, self.store["lstm_W"].data,
                                self.store["lstm_b"].data)
 
-    def _start(self, batch):
-        inputs = [np.ascontiguousarray(v, dtype=self.dtype) for v in batch[:3]]
-        with nm.no_grad():
-            fused = self._fused_t(*inputs)
-            x_init = self._init_input_t(fused)
-        h, c, cell = self._start_cell(x_init)
-        return (inputs, fused, x_init, cell), h, c
-
-    def _start_backward(self, ctx, h0, c0, gh, gc, grads):
-        inputs, fused, x_init, cell = ctx
-        p = self.store
-        d_o, gc_h = nm.lstm_h_backward(gh, cell)
-        dx, _, _, dW, db = nm.lstm_backward(gc + gc_h, d_o, cell, (True, False, False, True, True))
-        add_grad(grads, "lstm_W", dW)
-        add_grad(grads, "lstm_b", db)
-        dfused, dW, db = nm.affine_backward(nm.tanh_backward(dx, x_init), fused,
-                                            p["fuse_W"].data, p["fuse_b"].data)
-        add_grad(grads, "fuse_W", dW)
-        add_grad(grads, "fuse_b", db)
-        for v, name in zip(inputs, ("W_I", "W_t", "W_h")):
-            _, dW = nm.matmul_backward(dfused, v, p[name].data, (False, True))
-            add_grad(grads, name, dW)
-
     def _input_step(self, ctx, h, prev):
         return nm.gather_rows(self.store["embed"].data, prev), prev
 
-    def _input_backward(self, ctx, prev, gx, grads):
-        add_grad(grads, "embed", nm.gather_rows_backward(gx, prev, self.store["embed"].data))
-        return None
+    def teacher_forced_loss(self, batch, grads=None):
+        """The loss of ``batch_loss`` on one batch from ``_batches``, as a
+        float; given a dict ``grads``, also fills it with the gradient of
+        every parameter.
+
+        Under teacher forcing every LSTM input is known before the first
+        step, so only ``h @ W_rec`` stays in the time loop (``lstm_W`` is
+        ``W_in`` over ``W_rec``, the rows for the input and for h). The
+        fused step -1 inputs and the word embeddings the steps read are
+        rows of one array X (see ``input_rows``), and ``X @ W_in + lstm_b``
+        is one product; the step -1 cell runs from the zero state on its
+        rows alone. The logits, the NLL and their backward are one product
+        each over all S·B rows. Backward, the gate gradients of all steps
+        give ``W_rec`` one ``H_prev.T @ DZ``; summed onto the rows of X,
+        they give ``W_in`` one ``X.T @ DZ`` and the inputs one ``DZ @
+        W_in.T``, whose word rows go into ``embed`` by
+        ``nm.gather_rows_backward``. These sums run in another order than
+        the tape's, so the loss and gradients equal the tape's to rounding,
+        not bit for bit.
+        """
+        p = self.store
+        seqs = np.asarray(batch[-1])
+        B, S = seqs.shape
+        m, n = self.embed_size, self.hidden_size
+        W, b, embed = p["lstm_W"].data, p["lstm_b"].data, p["embed"].data
+        W_in, W_rec = W[:m], W[m:]
+        out_W, out_b = p["out_W"].data, p["out_b"].data
+        words = np.empty((S, B), dtype=np.int64)  # each step's input word, BOS first
+        words[0] = BOS
+        words[1:] = seqs[:, :-1].T
+        rows, row_of = input_rows(words.reshape(-1), m)
+        inputs = [np.ascontiguousarray(v, dtype=self.dtype) for v in batch[:3]]
+        X = np.empty((B + len(rows), m), dtype=self.dtype)  # step -1's inputs, then the words'
+        H = np.empty((S + 1, B, n), dtype=self.dtype)  # h after steps -1 .. S-1
+        cells = []
+        with np.errstate(over="ignore"):
+            with nm.no_grad():
+                fused = self._fused_t(*inputs)
+                X[:B] = self._init_input_t(fused)
+            X[B:] = nm.gather_rows(embed, rows)
+            proj = nm.affine(X, W_in, b)
+            h, c, start = nm.lstm_gates(proj[:B], np.zeros_like(H[0]))
+            proj = (proj[B:] if row_of is None else proj[B:][row_of]).reshape(S, B, 4 * n)
+            H[0] = h
+            for t in range(S):
+                h, c, cell = nm.lstm_gates(nm.affine(h, W_rec, proj[t]), c)
+                H[t + 1] = h
+                cells.append(cell)
+            hs = H[1:].reshape(S * B, n)
+            # the sum over steps of batch means: S times the mean over all rows
+            loss, nll = nm.nll_forward(nm.affine(hs, out_W, out_b), seqs.T.reshape(-1))
+            loss = loss * S
+        if grads is None:
+            return float(loss)
+        dh_out, grads["out_W"], grads["out_b"] = nm.affine_backward(
+            nm.nll_backward(np.full_like(loss, S), nll), hs, out_W, out_b)
+        dh_out = dh_out.reshape(S, B, n)
+        DZ = np.empty((S + 1, B, 4 * n), dtype=self.dtype)  # gate gradients of steps -1 .. S-1
+        gh, gc = dh_out[-1], None
+        for t in reversed(range(S)):
+            d_o, gc_h = nm.lstm_h_backward(gh, cells[t])
+            gc = gc_h if gc is None else gc + gc_h
+            DZ[t + 1], gc = nm.lstm_gates_backward(gc, d_o, cells[t])
+            gh = np.matmul(DZ[t + 1], W_rec.T)
+            if t:
+                gh += dh_out[t - 1]
+        d_o, gc_h = nm.lstm_h_backward(gh, start)
+        DZ[0] = nm.lstm_gates_backward(gc + gc_h, d_o, start)[0]
+        dz = DZ.reshape(-1, 4 * n)
+        grads["lstm_b"] = dz.sum(axis=0)
+        W_rec_grad = np.matmul(H[:S].reshape(S * B, n).T, dz[B:])
+        if row_of is not None:  # sum the steps' gate gradients onto their word's row
+            by_row = np.zeros((len(rows), S * B), dtype=self.dtype)
+            by_row[row_of, np.arange(S * B)] = 1.0
+            dz = np.concatenate([DZ[0], np.matmul(by_row, dz[B:])])
+        grads["lstm_W"] = np.concatenate([np.matmul(X.T, dz), W_rec_grad])
+        dX = np.matmul(dz, W_in.T)
+        grads["embed"] = nm.gather_rows_backward(dX[B:], rows, embed)
+        dfused, grads["fuse_W"], grads["fuse_b"] = nm.affine_backward(
+            nm.tanh_backward(dX[:B], X[:B]), fused, p["fuse_W"].data, p["fuse_b"].data)
+        for v, name in zip(inputs, ("W_I", "W_t", "W_h")):
+            grads[name] = np.matmul(v.T, dfused)
+        return float(loss)
 
     def _batches(self, items: Sequence[AttrTrainingItem], batch_size, shuffle_rng=None):
         """(z, skel_embed, skel_hidden, seqs (B, S)) per chunk of equal target length."""
@@ -205,6 +262,25 @@ class AttributeGenerator(RecurrentDecoder):
                    np.asarray([items[i].targets + [EOS] for i in chunk]))
 
 
+def input_rows(words, embed_size):
+    """The rows of the input array X that the N teacher-forced inputs
+    ``words`` read: (the word of each row, the row of each input), the
+    latter None when each input has its own row.
+
+    The rows are the U distinct words when that is cheaper: their inputs'
+    gate gradients are then summed onto them by a one-hot product, U·N·4n
+    multiply-adds, which saves 3·(N - U)·m·4n in the input projection, its
+    weight gradient and its input gradient (m = ``embed_size``). So no cost
+    grows with the vocabulary, and a batch that reads few distinct words,
+    as attribute batches mostly do, projects only those.
+    """
+    rows, row_of = np.unique(words, return_inverse=True)
+    N, U, m = len(words), len(rows), embed_size
+    if U * (N + 3 * m) < 3 * N * m:
+        return rows, row_of
+    return words, None
+
+
 def check_conditioning(skel_model, hidden_tap: str, use_post_word_alpha: bool):
     """Raises AttrConfigError unless ``word_conditioning`` can condition on
     ``skel_model`` with this tap and refinement setting."""
@@ -214,6 +290,18 @@ def check_conditioning(skel_model, hidden_tap: str, use_post_word_alpha: bool):
         raise AttrConfigError(
             "post-word refinement needs a skeleton decoder with attention; "
             "this one has use_attention=False")
+
+
+def check_skeleton_sizes(attr_model, skel_model):
+    """Raises AttrConfigError unless ``attr_model`` was built for the
+    feature, word embedding and hidden sizes of ``skel_model``."""
+    for attr_key, skel_key in (("feature_dim", "feature_dim"),
+                               ("skel_embed_size", "embed_size"),
+                               ("skel_hidden_size", "hidden_size")):
+        want, have = getattr(attr_model, attr_key), getattr(skel_model, skel_key)
+        if want != have:
+            raise AttrConfigError(f"the attribute model's {attr_key} is {want}, "
+                                  f"the skeleton's {skel_key} is {have}")
 
 
 class Conditioning(NamedTuple):

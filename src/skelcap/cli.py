@@ -24,7 +24,8 @@ import numpy as np
 
 from . import corpus, metrics, treebank
 from .decompose import DecomposeError, decompose as decompose_tree, format_decomposition
-from .attrnet import AttributeGenerator, build_training_items
+from .attrnet import (AttrConfigError, AttributeGenerator, build_training_items,
+                      check_skeleton_sizes)
 from .corpus import SynthConfig, Vocabulary
 from .decode import caption as run_caption
 from .numerics import compare_gradients, NumericsError
@@ -283,6 +284,11 @@ def cmd_caption(cfg):
     attr_vocab = Vocabulary.load(cfg["attr-vocab"])
     skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"], skel_vocab)
     attr_model = AttributeGenerator.load(cfg["attr-checkpoint"], attr_vocab)
+    try:
+        check_skeleton_sizes(attr_model, skel_model)
+    except AttrConfigError as exc:
+        raise AttrConfigError(f"{cfg['attr-checkpoint']} does not fit "
+                              f"{cfg['skel-checkpoint']}: {exc}") from None
     wanted = None if cfg["ids"] in (None, "all") else set(_csv(cfg["ids"]))
     if wanted is not None:
         missing = wanted.difference(rec.image_id for rec in records)
@@ -383,12 +389,14 @@ def cmd_gradcheck(cfg):
                               skel_hidden_size=16, hidden_size=16, embed_size=8,
                               seed=4, dtype=np.float64)
     rng = np.random.default_rng(5)
-    z = rng.normal(size=(1, 8))
-    s = rng.normal(size=(1, 8))
-    h = rng.normal(size=(1, 16))
-    seq = np.asarray([[attr_vocab.encode("red"), corpus.EOS]])
-    report2 = _gradcheck(attr, (z, s, h, seq), cfg)
-    print(f"attr init+step: max rel err {report2['max_rel_error']:.3e} "
+    z = rng.normal(size=(3, 8))
+    s = rng.normal(size=(3, 8))
+    h = rng.normal(size=(3, 16))
+    # words repeated within and across rows: the gate gradients summed by word
+    red, big, eos = attr_vocab.encode("red"), attr_vocab.encode("big"), corpus.EOS
+    seqs = np.asarray([[red, red, big, eos], [big, red, red, eos], [red, big, big, eos]])
+    report2 = _gradcheck(attr, (z, s, h, seqs), cfg)
+    print(f"attr init+steps: max rel err {report2['max_rel_error']:.3e} "
           f"({'pass' if report2['passed'] else 'FAIL'})")
     ok = ok and report2["passed"]
     return 0 if ok else 2

@@ -211,6 +211,10 @@ class SynthConfig:
                 if word in seen and name != "relations":
                     raise CorpusError(f"{name}: {word!r} is listed more than once")
                 seen.add(word)
+        # and one word names one class: an object head or an attribute
+        both = [word for word in self.attributes if word in self.objects]
+        if both:
+            raise CorpusError(f"attributes: {both[0]!r} is also listed in objects")
         width = len(self.objects) + len(self.attributes)
         if self.feature_dim < width:
             raise CorpusError(

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .attrnet import check_conditioning, word_conditioning
+from .attrnet import check_conditioning, check_skeleton_sizes, word_conditioning
 from .corpus import BOS, EOS, FeatureGrid
 from .decompose import fuse_predicted
 from .skelnet import TeacherTrace
@@ -217,6 +217,7 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     if use_post_word_alpha is None:
         use_post_word_alpha = attr_model.use_post_word_alpha
     check_conditioning(skel_model, attr_model.hidden_tap, use_post_word_alpha)
+    check_skeleton_sizes(attr_model, skel_model)
     skel_cfg = BeamConfig(beam_size=beam_skel, gamma=gamma_skel, max_len=max_skel_len)
     step_fn = skel_model.make_step_fn(features)
     init = skel_model.initial_decode_state(features)

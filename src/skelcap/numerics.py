@@ -460,41 +460,56 @@ def nll_backward(g, cache):
     return d
 
 
-def lstm_forward(x, h, c, W, b):
-    """LSTM transition: gates [x, h] @ W + b split as (i, f, g, o),
-    c' = f*c + i*g and h' = o*tanh(c'); returns (h', c', cache)."""
-    n = h.shape[-1]
-    xh = np.concatenate([x, h], axis=-1)
-    z = _row_stable_matmul(xh, W) + b
+def lstm_gates(z, c):
+    """The LSTM gates from their pre-activations ``z`` (·, 4n), split as
+    (i, f, g, o): c' = f*c + i*g and h' = o*tanh(c'); returns (h', c', cache)."""
+    n = c.shape[-1]
     gates = 1.0 / (1.0 + np.exp(-z))  # elementwise, so the g columns are simply unused
     i, f, o = gates[..., :n], gates[..., n:2 * n], gates[..., 3 * n:]
     g = np.tanh(z[..., 2 * n:3 * n])
     c_new = f * c + i * g
     tc = np.tanh(c_new)
-    return o * tc, c_new, (x.shape[-1], xh, c, W, b.shape, i, f, g, o, tc)
+    return o * tc, c_new, (c, i, f, g, o, tc)
 
 
 def lstm_h_backward(gh, cache):
     """The h' half of the backward, given the gradient ``gh`` of h': the
     output gate's pre-activation gradient, and gh's share of the gradient
-    of c'."""
+    of c'. ``cache`` is that of ``lstm_gates`` or ``lstm_forward``."""
     *_, o, tc = cache
     return gh * tc * o * (1.0 - o), gh * o * (1.0 - tc * tc)
+
+
+def lstm_gates_backward(gc, d_o, cache):
+    """Gradients (dz, dc) of the pre-activations and of c, given the whole
+    gradient ``gc`` of c' and the output-gate gradient ``d_o`` from
+    ``lstm_h_backward`` (None when h' has no gradient)."""
+    c, i, f, g, o, tc = cache
+    dz = np.concatenate([gc * g * i * (1.0 - i), gc * c * f * (1.0 - f),
+                         gc * i * (1.0 - g * g), np.zeros_like(gc) if d_o is None else d_o],
+                        axis=-1)
+    return dz, _unbroadcast(gc * f, c.shape)
+
+
+def lstm_forward(x, h, c, W, b):
+    """LSTM transition: gates [x, h] @ W + b through ``lstm_gates``;
+    returns (h', c', cache), the cache extending that of the gates."""
+    xh = np.concatenate([x, h], axis=-1)
+    h_new, c_new, gates = lstm_gates(_row_stable_matmul(xh, W) + b, c)
+    return h_new, c_new, (x.shape[-1], xh, W, b.shape, *gates)
 
 
 def lstm_backward(gc, d_o, cache, need=(True,) * 5):
     """Gradients (dx, dh, dc, dW, db) given the whole gradient ``gc`` of c'
     and the output-gate gradient ``d_o`` from ``lstm_h_backward`` (None when
     h' has no gradient)."""
-    m, xh, c, W, b_shape, i, f, g, o, tc = cache
-    dz = np.concatenate([gc * g * i * (1.0 - i), gc * c * f * (1.0 - f),
-                         gc * i * (1.0 - g * g), np.zeros_like(gc) if d_o is None else d_o],
-                        axis=-1)
+    m, xh, W, b_shape = cache[:4]
+    dz, dc = lstm_gates_backward(gc, d_o, cache[4:])
     dx = dh = None
     if need[0] or need[1]:
         gxh = np.matmul(dz, np.swapaxes(W, -1, -2))
         dx, dh = gxh[..., :m] if need[0] else None, gxh[..., m:] if need[1] else None
-    return (dx, dh, _unbroadcast(gc * f, c.shape) if need[2] else None,
+    return (dx, dh, dc if need[2] else None,
             _unbroadcast(np.matmul(np.swapaxes(xh, -1, -2), dz), W.shape) if need[3] else None,
             _unbroadcast(dz, b_shape) if need[4] else None)
 

@@ -4,11 +4,11 @@ Both decoders are an LSTM with a linear output layer, trained with teacher
 forcing and Adagrad on length-bucketed batches and saved as a checkpoint
 tagged with their model kind and vocabulary hash. A subclass creates its
 own parameters and then the LSTM and output layer with
-``_build_lstm_and_output`` and makes batches in ``_batches``. Training runs
-``loss_and_grads``, backpropagation through time written out on the array
-kernels of ``numerics``; for it a subclass supplies its initial state
-(``_start`` / ``_start_backward``) and its input step (``_input_step`` /
-``_input_backward``). Its taped batch loss (``sequence_loss``,
+``_build_lstm_and_output`` and makes batches in ``_batches``. A decode step
+(``_advance``) runs the subclass's input step (``_input_step``) and the
+LSTM on the array kernels of ``numerics``. Training runs ``loss_and_grads``
+on the subclass's ``teacher_forced_loss``, its backpropagation through time
+written out on the same kernels; its taped batch loss (``sequence_loss``,
 ``batch_loss``) is the reference those gradients are tested against.
 """
 
@@ -45,15 +45,6 @@ def length_batches(lengths, batch_size, shuffle_rng=None):
     if shuffle_rng is not None:
         shuffle_rng.shuffle(chunks)
     return chunks
-
-
-def add_grad(grads, name, g):
-    """Adds ``g`` to ``grads[name]``; the first contribution is written as
-    ``g + 0.0``, as ``Tensor._accumulate`` writes it."""
-    if name in grads:
-        grads[name] += g
-    else:
-        grads[name] = g + 0.0
 
 
 @dataclass
@@ -131,58 +122,17 @@ class RecurrentDecoder:
         return h, c, nm.affine(h, p["out_W"].data, p["out_b"].data), inp, cell
 
     def teacher_forced_loss(self, batch, grads=None):
-        """The loss of ``_teacher_forced_t`` on one batch from ``_batches``,
-        as a float; given a dict ``grads``, also fills it with the gradient
-        of every parameter.
-
-        The gradients are those ``nm.backward`` gives the taped loss, bit for
-        bit, because they are summed in the tape's order: ``out_W`` and
-        ``out_b`` in step order, every other parameter in reverse step order,
-        a parameter's first contribution as ``g + 0.0``; the gradient of a
-        hidden state as its logits term, then its LSTM term, then its input
-        step's term.
-        """
-        seqs = np.asarray(batch[-1])
-        steps = []
-        with np.errstate(over="ignore"):
-            ctx, h0, c0 = self._start(batch)
-            h, c, loss = h0, c0, None
-            prev = np.full(seqs.shape[0], BOS, dtype=np.int64)
-            for t in range(seqs.shape[1]):
-                h, c, logits, inp, cell = self._advance(ctx, h, c, prev)
-                step_loss, nll = nm.nll_forward(logits, seqs[:, t])
-                loss = step_loss if loss is None else loss + step_loss
-                if grads is not None:
-                    steps.append((inp, cell, h, nll))
-                prev = seqs[:, t]
-        if grads is None:
-            return float(loss)
-        out_W, out_b = self.store["out_W"].data, self.store["out_b"].data
-        one = np.ones_like(loss)
-        gh_out = []  # the logits term of each step's h'
-        for _, _, h, nll in steps:
-            dh, dW, db = nm.affine_backward(nm.nll_backward(one, nll), h, out_W, out_b)
-            add_grad(grads, "out_W", dW)
-            add_grad(grads, "out_b", db)
-            gh_out.append(dh)
-        gh, gc = gh_out[-1], None
-        for t in reversed(range(len(steps))):
-            inp, cell = steps[t][:2]
-            d_o, gc_h = nm.lstm_h_backward(gh, cell)
-            gc = gc_h if gc is None else gc + gc_h
-            dx, dh, gc, dW, db = nm.lstm_backward(gc, d_o, cell)
-            add_grad(grads, "lstm_W", dW)
-            add_grad(grads, "lstm_b", db)
-            gh_in = self._input_backward(ctx, inp, dx, grads)
-            gh = dh if t == 0 else gh_out[t - 1] + dh
-            if gh_in is not None:
-                gh = gh + gh_in
-        self._start_backward(ctx, h0, c0, gh, gc, grads)
-        return float(loss)
+        """The loss of the decoder's taped batch loss on one batch from
+        ``_batches``, as a float, computed on the array kernels; given a dict
+        ``grads``, also fills it with the gradient of every parameter. Each
+        decoder writes its own backpropagation through time."""
+        raise NotImplementedError
 
     def loss_and_grads(self, batch):
         """(loss, gradients by parameter name) of one batch from ``_batches``:
-        the taped loss and what ``nm.backward`` gives it, without a tape."""
+        the taped loss and what ``nm.backward`` gives it, without a tape, as
+        each decoder's ``teacher_forced_loss`` computes them (the skeleton's
+        bit for bit, the attribute decoder's to rounding)."""
         grads = {}
         loss = self.teacher_forced_loss(batch, grads)
         return loss, grads

@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import BOS, EOS, FeatureGrid, Vocabulary
 from .numerics import ParameterStore
-from .recurrent import LSTMState, RecurrentDecoder, add_grad, length_batches
+from .recurrent import LSTMState, RecurrentDecoder, length_batches
 
 log = logging.getLogger(__name__)
 
@@ -54,6 +54,15 @@ class TeacherTrace(NamedTuple):
     logits: np.ndarray   # (N, Q) word logits of each step
     words: np.ndarray    # (N,) gold word indices
     offsets: np.ndarray  # (R + 1,) first row of each record, then N
+
+
+def add_grad(grads, name, g):
+    """Adds ``g`` to ``grads[name]``; the first contribution is written as
+    ``g + 0.0``, as ``Tensor._accumulate`` writes it."""
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g + 0.0
 
 
 class _Grid(NamedTuple):
@@ -253,6 +262,56 @@ class SkeletonGenerator(RecurrentDecoder):
                                            p[b].data, need_x=False)
             add_grad(grads, W, dW)
             add_grad(grads, b, db)
+
+    def teacher_forced_loss(self, batch, grads=None):
+        """The loss of ``sequence_loss`` on one batch from ``_batches``, as a
+        float; given a dict ``grads``, also fills it with the gradient of
+        every parameter.
+
+        The gradients are those ``nm.backward`` gives the taped loss, bit for
+        bit, because they are summed in the tape's order: ``out_W`` and
+        ``out_b`` in step order, every other parameter in reverse step order,
+        a parameter's first contribution as ``g + 0.0``; the gradient of a
+        hidden state as its logits term, then its LSTM term, then its input
+        step's term.
+        """
+        seqs = np.asarray(batch[-1])
+        steps = []
+        with np.errstate(over="ignore"):
+            grid, h0, c0 = self._start(batch)
+            h, c, loss = h0, c0, None
+            prev = np.full(seqs.shape[0], BOS, dtype=np.int64)
+            for t in range(seqs.shape[1]):
+                h, c, logits, inp, cell = self._advance(grid, h, c, prev)
+                step_loss, nll = nm.nll_forward(logits, seqs[:, t])
+                loss = step_loss if loss is None else loss + step_loss
+                if grads is not None:
+                    steps.append((inp, cell, h, nll))
+                prev = seqs[:, t]
+        if grads is None:
+            return float(loss)
+        out_W, out_b = self.store["out_W"].data, self.store["out_b"].data
+        one = np.ones_like(loss)
+        gh_out = []  # the logits term of each step's h'
+        for _, _, h, nll in steps:
+            dh, dW, db = nm.affine_backward(nm.nll_backward(one, nll), h, out_W, out_b)
+            add_grad(grads, "out_W", dW)
+            add_grad(grads, "out_b", db)
+            gh_out.append(dh)
+        gh, gc = gh_out[-1], None
+        for t in reversed(range(len(steps))):
+            inp, cell = steps[t][:2]
+            d_o, gc_h = nm.lstm_h_backward(gh, cell)
+            gc = gc_h if gc is None else gc + gc_h
+            dx, dh, gc, dW, db = nm.lstm_backward(gc, d_o, cell)
+            add_grad(grads, "lstm_W", dW)
+            add_grad(grads, "lstm_b", db)
+            gh_in = self._input_backward(grid, inp, dx, grads)
+            gh = dh if t == 0 else gh_out[t - 1] + dh
+            if gh_in is not None:
+                gh = gh + gh_in
+        self._start_backward(grid, h0, c0, gh, gc, grads)
+        return float(loss)
 
     # -- inference ------------------------------------------------------------
 

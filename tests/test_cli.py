@@ -138,6 +138,15 @@ def test_synth_repeated_inventory_word(tmp_path, capsys, option, value, word):
     assert not out.exists()
 
 
+def test_synth_word_both_object_and_attribute(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run("synth", "--out", str(out), "--objects", "dog,cat,red", "--attributes",
+               "red,big", "--count", "20", "--grid-size", "3", "--feature-dim", "24",
+               "--seed", "1") == 2
+    assert capsys.readouterr().err == "error: attributes: 'red' is also listed in objects\n"
+    assert not out.exists()
+
+
 # -- decompose ----------------------------------------------------------------
 
 def test_decompose_roundtrip_dump(workspace, tmp_path, capsys):
@@ -350,6 +359,30 @@ def test_caption_legacy_attribute_checkpoint_loads(workspace, tmp_path):
     assert run(*_caption_args(workspace, tmp_path / "a.tsv")) == 0
     assert run(*_with_attr_checkpoint(workspace, tmp_path / "b.tsv", ckpt)) == 0
     assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("key,skel_key,skel_size,size", [
+    ("feature_dim", "feature_dim", 24, 32),
+    ("skel_embed_size", "embed_size", 8, 12),
+    ("skel_hidden_size", "hidden_size", 16, 32),
+])
+def test_caption_checkpoint_pair_sizes_differ(workspace, tmp_path, capsys, key, skel_key,
+                                              skel_size, size):
+    # an attribute model conditioned on another skeleton's sizes exits 2
+    # naming both checkpoints, before any image is captioned
+    from skelcap.corpus import Vocabulary
+
+    sizes = {"feature_dim": 24, "skel_embed_size": 8, "skel_hidden_size": 16, key: size}
+    ckpt = tmp_path / "attr.ckpt"
+    AttributeGenerator(Vocabulary.load(workspace["attr"] / "attr.vocab"), hidden_size=16,
+                       embed_size=8, seed=1, **sizes).save(ckpt)
+    out = tmp_path / "c.tsv"
+    out.write_text("kept\n")
+    assert run(*_with_attr_checkpoint(workspace, out, ckpt)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt} does not fit {workspace['skel'] / 'skel.ckpt'}: the attribute "
+        f"model's {key} is {size}, the skeleton's {skel_key} is {skel_size}\n")
+    assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("edit", [

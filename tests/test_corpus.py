@@ -218,6 +218,13 @@ def test_synth_config_rejects_repeated_word(name, words, word):
         SynthConfig(**{name: words}).validate()
 
 
+def test_synth_config_rejects_word_both_object_and_attribute():
+    # "red" as an object and as an attribute would own two feature columns
+    # and make one caption word both an NP head and its own attribute
+    with pytest.raises(CorpusError, match="^attributes: 'red' is also listed in objects$"):
+        SynthConfig(objects=("dog", "cat", "red"), attributes=("red", "big")).validate()
+
+
 def test_synth_config_allows_repeated_relation():
     SynthConfig(relations=("on", "on", "near")).validate()
 

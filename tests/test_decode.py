@@ -531,6 +531,24 @@ def test_caption_empty_skeleton_path(pipeline, caplog):
     assert trace.tokens == [] and trace.skeleton_words == []
 
 
+@pytest.mark.parametrize("key", ["feature_dim", "skel_embed_size", "skel_hidden_size"])
+def test_caption_rejects_attribute_model_of_other_skeleton_sizes(pipeline, key):
+    # raised before the skeleton search, so also when the skeleton is empty
+    from skelcap.attrnet import AttrConfigError, AttributeGenerator
+    recs, skel, attr = pipeline
+    sizes = {k: getattr(attr, k) for k in ("feature_dim", "skel_embed_size",
+                                           "skel_hidden_size")}
+    sizes[key] += 1
+    other = AttributeGenerator(attr.vocab, hidden_size=10, embed_size=6, seed=1, **sizes)
+    saved = skel.store["out_b"].data.copy()
+    skel.store["out_b"].data[EOS] = 50.0
+    try:
+        with pytest.raises(AttrConfigError, match=f"attribute model's {key} is"):
+            caption(recs[0].features, skel, other, max_skel_len=6)
+    finally:
+        skel.store["out_b"].data[...] = saved
+
+
 def test_caption_render(pipeline):
     recs, skel, attr = pipeline
     trace = caption(recs[0].features, skel, attr, max_skel_len=6,

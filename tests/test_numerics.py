@@ -606,19 +606,55 @@ def _taped_loss_and_grads(model, batch):
 
 
 def _taped_teacher_forced_loss(model, batch, grads=None):
-    assert grads is None
-    with nm.no_grad():
-        return float(_taped_loss(model, batch))
+    """``teacher_forced_loss`` from the taped loss (and ``nm.backward``)."""
+    if grads is None:
+        with nm.no_grad():
+            return float(_taped_loss(model, batch))
+    loss, taped = _taped_loss_and_grads(model, batch)
+    grads.update(taped)
+    return loss
+
+
+# The attribute decoder's loss_and_grads sums its products in another order
+# than the tape (hoisted input projections, one product over all steps), so
+# it equals the tape to rounding: loss and every gradient within this share
+# of the tape's largest entry.
+TAPE_BOUND = {np.float64: 1e-10, np.float32: 1e-5}
+
+
+def _tape_error(loss, grads, ref_loss, ref):
+    """The largest deviation of ``loss`` and each gradient from the tape's,
+    over the tape's largest entry; checks names, dtypes and shapes."""
+    assert grads.keys() == ref.keys()
+    worst = abs(loss - ref_loss) / abs(ref_loss)
+    for name, g in grads.items():
+        assert g.dtype == ref[name].dtype and g.shape == ref[name].shape, name
+        worst = max(worst, np.abs(g - ref[name]).max() / np.abs(ref[name]).max())
+    return worst
 
 
 def test_decoders_train_bit_identical_with_composed_graphs(monkeypatch):
-    # fit on loss_and_grads against fit on the tape of the composed graphs,
-    # validation losses included
-    from skelcap.recurrent import RecurrentDecoder
+    # the skeleton decoder: fit on loss_and_grads against fit on the tape of
+    # the composed graphs, validation losses included, byte for byte. The
+    # attribute decoder fits on loss_and_grads in both, and there every loss
+    # it computes is checked against the composed graphs' tape at the same
+    # parameters, gradients included, within TAPE_BOUND.
+    from skelcap.attrnet import AttributeGenerator
+    from skelcap.skelnet import SkeletonGenerator
 
     bptt = _fit_both_decoders()
-    monkeypatch.setattr(RecurrentDecoder, "loss_and_grads", _taped_loss_and_grads)
-    monkeypatch.setattr(RecurrentDecoder, "teacher_forced_loss", _taped_teacher_forced_loss)
+    attr_loss = AttributeGenerator.teacher_forced_loss
+    errors = []
+
+    def checked_attr_loss(model, batch, grads=None):
+        loss = attr_loss(model, batch, grads)
+        ref = {}
+        ref_loss = _taped_teacher_forced_loss(model, batch, None if grads is None else ref)
+        errors.append(_tape_error(loss, grads or {}, ref_loss, ref))
+        return loss
+
+    monkeypatch.setattr(SkeletonGenerator, "teacher_forced_loss", _taped_teacher_forced_loss)
+    monkeypatch.setattr(AttributeGenerator, "teacher_forced_loss", checked_attr_loss)
     for name, ref in FUSED.items():
         monkeypatch.setattr(nm, name, ref)
     composed = _fit_both_decoders()
@@ -629,6 +665,8 @@ def test_decoders_train_bit_identical_with_composed_graphs(monkeypatch):
         assert len(hist_f["grad_norm"]) == len(hist_f["train_curve"])
     assert bptt[1] == composed[1]
     assert bptt[2] == composed[2]
+    assert len(errors) > len(bptt[0][1]["train_curve"])  # every step and validation batch
+    assert max(errors) <= TAPE_BOUND[np.float32]
 
 
 def _random_decoders(seed, use_attention, dtype):
@@ -653,6 +691,7 @@ def _random_decoders(seed, use_attention, dtype):
 @example(2, 3, 4, False, np.float32)   # no attention
 @example(3, 1, 1, False, np.float64)
 def test_loss_and_grads_bit_identical_to_tape(seed, B, S, use_attention, dtype):
+    # the skeleton decoder byte for byte; the attribute decoder within TAPE_BOUND
     from skelcap.corpus import EOS
 
     rng = np.random.default_rng(seed)
@@ -665,10 +704,80 @@ def test_loss_and_grads_bit_identical_to_tape(seed, B, S, use_attention, dtype):
     for model, batch in batches:
         loss, grads = model.loss_and_grads(batch)
         ref_loss, ref = _taped_loss_and_grads(model, batch)
-        assert loss == ref_loss == model.teacher_forced_loss(batch)
+        assert loss == model.teacher_forced_loss(batch)
         assert grads.keys() == ref.keys() == model.store.params.keys()
+        if model is attr:
+            assert _tape_error(loss, grads, ref_loss, ref) <= TAPE_BOUND[dtype]
+            continue
+        assert loss == ref_loss
         for name, g in grads.items():
             assert g.dtype == ref[name].dtype and g.tobytes() == ref[name].tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.integers(1, 5), st.integers(1, 3),
+       st.sampled_from([np.float32, np.float64]))
+@example(0, 1, 1, 1, np.float32)   # one EOS-only target: every product has one row
+@example(1, 5, 1, 1, np.float64)   # EOS-only targets
+@example(2, 6, 5, 1, np.float64)   # one attribute word at every step of every row
+@example(3, 1, 5, 2, np.float32)
+def test_attribute_loss_and_grads_match_tape(seed, B, S, n_words, dtype):
+    # the hoisted input projections and the one-hot sum by word against the
+    # tape, whose embedding gradient adds one row per step and occurrence
+    from skelcap.attrnet import AttributeGenerator
+    from skelcap.corpus import BOS, EOS, Vocabulary
+
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary([f"w{i}" for i in range(6)], {}, 1)
+    attr = AttributeGenerator(vocab, feature_dim=4, skel_embed_size=3, skel_hidden_size=5,
+                              hidden_size=6, embed_size=3, seed=seed % 1000, dtype=dtype)
+    words = rng.choice(np.arange(EOS + 1, len(vocab)), size=n_words, replace=False)
+    seqs = rng.choice(words, size=(B, S))
+    seqs[:, -1] = EOS
+    batch = (rng.normal(size=(B, 4)), rng.normal(size=(B, 3)), rng.normal(size=(B, 5)), seqs)
+    loss, grads = attr.loss_and_grads(batch)
+    ref_loss, ref = _taped_loss_and_grads(attr, batch)
+    assert loss == attr.teacher_forced_loss(batch)
+    assert grads.keys() == attr.store.params.keys()
+    assert _tape_error(loss, grads, ref_loss, ref) <= TAPE_BOUND[dtype]
+    unused = np.setdiff1d(np.arange(len(vocab)), np.append(seqs[:, :-1], BOS))
+    assert not grads["embed"][unused].any()  # rows of words never input stay zero
+
+
+def test_input_rows_one_per_distinct_word_only_when_cheaper():
+    from skelcap.attrnet import input_rows
+
+    words = np.array([5, 1, 5, 5, 7, 1] * 20)
+    rows, row_of = input_rows(words, 64)
+    assert rows.tolist() == [1, 5, 7] and (rows[row_of] == words).all()
+    distinct = np.arange(120)  # as many rows as inputs: the one-hot sum saves nothing
+    rows, row_of = input_rows(distinct, 64)
+    assert row_of is None and rows is distinct
+    rows, row_of = input_rows(np.array([3]), 64)
+    assert row_of is None and rows.tolist() == [3]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_words,one_per_input", [(2, False), (40, True)])
+def test_attribute_loss_and_grads_match_tape_either_input_rows(dtype, n_words, one_per_input):
+    # a 6 by 5 batch reading few words (one row per distinct word) or
+    # mostly different words of a larger vocabulary (one row per input)
+    from skelcap.attrnet import AttributeGenerator, input_rows
+    from skelcap.corpus import BOS, EOS, Vocabulary
+
+    rng = np.random.default_rng(n_words)
+    vocab = Vocabulary([f"w{i}" for i in range(40)], {}, 1)
+    attr = AttributeGenerator(vocab, feature_dim=4, skel_embed_size=3, skel_hidden_size=5,
+                              hidden_size=6, embed_size=3, seed=7, dtype=dtype)
+    words = rng.choice(np.arange(EOS + 1, len(vocab)), size=n_words, replace=False)
+    seqs = rng.choice(words, size=(6, 5))
+    seqs[:, -1] = EOS
+    inputs = np.concatenate([np.full(6, BOS), seqs[:, :-1].T.reshape(-1)])
+    assert (input_rows(inputs, attr.embed_size)[1] is None) == one_per_input
+    batch = (rng.normal(size=(6, 4)), rng.normal(size=(6, 3)), rng.normal(size=(6, 5)), seqs)
+    loss, grads = attr.loss_and_grads(batch)
+    ref_loss, ref = _taped_loss_and_grads(attr, batch)
+    assert _tape_error(loss, grads, ref_loss, ref) <= TAPE_BOUND[dtype]
 
 
 def _parameter_contributions(monkeypatch):
