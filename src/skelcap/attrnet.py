@@ -76,14 +76,15 @@ class AttributeGenerator(RecurrentDecoder):
         add("fuse_b", np.zeros(m, dtype=dt))
         self._build_lstm_and_output(rng, m)
 
-    def _fused_t(self, z, s_skel, h_skel):
-        """z @ W_I + s @ W_t + h @ W_h, the fused layer's input."""
-        return nm.add(nm.add(nm.matmul(z, self.store["W_I"]),
-                             nm.matmul(s_skel, self.store["W_t"])),
-                      nm.matmul(h_skel, self.store["W_h"]))
-
-    def _init_input_t(self, fused):
-        return nm.tanh(nm.add(nm.matmul(fused, self.store["fuse_W"]), self.store["fuse_b"]))
+    def _fused_input(self, z, s_skel, h_skel):
+        """(fused, x_init): the fused layer's input z @ W_I + s @ W_t + h @ W_h
+        and the step -1 input tanh(fused @ fuse_W + fuse_b), on the array
+        kernels."""
+        p = self.store
+        fused = (nm.row_stable_matmul(z, p["W_I"].data)
+                 + nm.row_stable_matmul(s_skel, p["W_t"].data)
+                 + nm.row_stable_matmul(h_skel, p["W_h"].data))
+        return fused, np.tanh(nm.affine(fused, p["fuse_W"].data, p["fuse_b"].data))
 
     def init_input(self, z: np.ndarray, s_skel: np.ndarray,
                    h_skel: np.ndarray) -> np.ndarray:
@@ -96,8 +97,7 @@ class AttributeGenerator(RecurrentDecoder):
                                    self.skel_hidden_size)):
             if vec.shape != (W, dim):
                 raise AttrConfigError(f"{name} has shape {vec.shape}, expected ({W}, {dim})")
-        with nm.no_grad():
-            return self._init_input_t(self._fused_t(*vecs))
+        return self._fused_input(*vecs)[1]
 
     def make_step_fn(self):
         """Batched beam-search step function: (a batch of K states, K tokens)
@@ -113,9 +113,14 @@ class AttributeGenerator(RecurrentDecoder):
 
     def initial_state(self, x_init: np.ndarray) -> LSTMState:
         """The batch of states after the LSTM consumed the fused step -1
-        inputs ``x_init`` (W, m) from zeros, one row per word."""
+        inputs ``x_init`` (W, m) from zeros, one row per word: the gates of
+        x_init @ W_in + lstm_b alone, as training's step -1 computes them."""
+        p = self.store
+        x_init = np.asarray(x_init, dtype=self.dtype)
+        zeros = np.zeros((len(x_init), self.hidden_size), dtype=self.dtype)
         with np.errstate(over="ignore"):
-            h, c, _ = self._start_cell(np.asarray(x_init, dtype=self.dtype))
+            h, c, _ = nm.lstm_gates(nm.affine(x_init, p["lstm_W"].data[:self.embed_size],
+                                              p["lstm_b"].data), zeros)
         return LSTMState(h, c, 0)
 
     def generate_attributes(self, x_init: np.ndarray, max_len: int = 4,
@@ -134,16 +139,6 @@ class AttributeGenerator(RecurrentDecoder):
 
     # -- training ------------------------------------------------------------
 
-    def _start_t(self, x_init):
-        """(h, c) after the LSTM consumed ``x_init`` (B, m) from zero state."""
-        shape = (x_init.shape[0], self.hidden_size)
-        return self._lstm_t(x_init, np.zeros(shape, dtype=self.dtype),
-                            np.zeros(shape, dtype=self.dtype))
-
-    def _word_step_t(self, h, c, words):
-        h, c = self._lstm_t(nm.lookup(self.store["embed"], words), h, c)
-        return h, c, self._logits_t(h)
-
     def batch_loss(self, z, s_skel, h_skel, seqs):
         """Teacher-forced loss over a batch of items with equal target length,
         on the tape.
@@ -153,17 +148,22 @@ class AttributeGenerator(RecurrentDecoder):
         ``fit`` trains through ``loss_and_grads``, which gives this loss and
         the gradients ``nm.backward`` gives it up to rounding.
         """
-        inputs = (np.ascontiguousarray(v, dtype=self.dtype) for v in (z, s_skel, h_skel))
-        h, c = self._start_t(self._init_input_t(self._fused_t(*inputs)))
-        return self._teacher_forced_t(np.asarray(seqs), h, c, self._word_step_t)
+        p = self.store
+        z, s_skel, h_skel = (np.ascontiguousarray(v, dtype=self.dtype)
+                             for v in (z, s_skel, h_skel))
+        fused = nm.add(nm.add(nm.matmul(z, p["W_I"]), nm.matmul(s_skel, p["W_t"])),
+                       nm.matmul(h_skel, p["W_h"]))
+        x_init = nm.tanh(nm.add(nm.matmul(fused, p["fuse_W"]), p["fuse_b"]))
+        zeros = np.zeros((len(z), self.hidden_size), dtype=self.dtype)
+        h, c = self._lstm_t(x_init, zeros, zeros)  # step -1, from the zero state
+
+        def step(h, c, words):
+            h, c = self._lstm_t(nm.lookup(p["embed"], words), h, c)
+            return h, c, self._logits_t(h)
+
+        return self._teacher_forced_t(np.asarray(seqs), h, c, step)
 
     # -- on the array kernels: the decode step's parts, the teacher-forced loop --
-
-    def _start_cell(self, x_init):
-        """``_start_t`` on the array kernels, for decoding: (h, c, cell cache)."""
-        zeros = np.zeros((x_init.shape[0], self.hidden_size), dtype=self.dtype)
-        return nm.lstm_forward(x_init, zeros, zeros, self.store["lstm_W"].data,
-                               self.store["lstm_b"].data)
 
     def _input_step(self, ctx, h, prev):
         return nm.gather_rows(self.store["embed"].data, prev), prev
@@ -204,9 +204,7 @@ class AttributeGenerator(RecurrentDecoder):
         H = np.empty((S + 1, B, n), dtype=self.dtype)  # h after steps -1 .. S-1
         cells = []
         with np.errstate(over="ignore"):
-            with nm.no_grad():
-                fused = self._fused_t(*inputs)
-                X[:B] = self._init_input_t(fused)
+            fused, X[:B] = self._fused_input(*inputs)
             X[B:] = nm.gather_rows(embed, rows)
             proj = nm.affine(X, W_in, b)
             h, c, start = nm.lstm_gates(proj[:B], np.zeros_like(H[0]))
@@ -344,7 +342,7 @@ def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
             entering = SkelState(h=trace.h_prev[lo:hi], c=trace.c_prev[lo:hi])
             prev = np.concatenate(([BOS], trace.words[lo:hi - 1]))
             p_grid = skel_model.per_location_distributions(entering, prev, grid)
-            p_attend = nm.softmax(trace.logits[lo:hi], axis=-1)
+            p_attend = nm.probs(trace.logits[lo:hi])
             posts[lo:hi] = [refine_attention(p, g, fallback=alpha)
                             for p, g, alpha in zip(p_attend, p_grid, trace.alpha[lo:hi])]
             z[lo:hi] = skel_model.context(grid, posts[lo:hi])

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -408,22 +409,24 @@ class Opt(NamedTuple):
     """One option of a command: the flag ``--<flag>`` and, if ``source`` is
     "file", the config file key ``<flag>``; a "flag" option comes from the
     command line only, and a "required" one must be given there. ``kind`` is
-    int, float, str, bool (an on switch) or a tuple of choices."""
+    int, float, str, bool (an on switch) or a tuple of choices. A
+    ``positive`` number must be above 0 (and finite)."""
     flag: str
     kind: object = str
     default: object = None
     help: str = ""
     source: str = "file"
+    positive: bool = False
 
 
 _TRAIN_COMMON = (
     Opt("data", help="dataset directory", source="required"),
     Opt("out", help="run directory", source="required"),
-    Opt("epochs", int, 10, "training epochs"),
-    Opt("learning-rate", float, 0.1, "Adagrad learning rate"),
+    Opt("epochs", int, 10, "training epochs", positive=True),
+    Opt("learning-rate", float, 0.1, "Adagrad learning rate", positive=True),
     Opt("seed", int, 0, "initialisation and shuffling seed"),
-    Opt("hidden-size", int, 128, "LSTM hidden size"),
-    Opt("embed-size", int, 64, "word embedding size"),
+    Opt("hidden-size", int, 128, "LSTM hidden size", positive=True),
+    Opt("embed-size", int, 64, "word embedding size", positive=True),
 )
 
 # command -> (function, summary, options): the one declaration of every option
@@ -449,8 +452,8 @@ COMMANDS = {
     )),
     "train-skel": (cmd_train_skel, "train the skeleton decoder", (
         *_TRAIN_COMMON,
-        Opt("batch-size", int, 64, "records per batch"),
-        Opt("attention-hidden", int, 128, "attention MLP size"),
+        Opt("batch-size", int, 64, "records per batch", positive=True),
+        Opt("attention-hidden", int, 128, "attention MLP size", positive=True),
         Opt("skel-threshold", int, 5, "minimum count of a vocabulary word"),
         Opt("no-attention", bool, False, "decode without attention"),
         Opt("resume", help="continue training this checkpoint", source="flag"),
@@ -459,7 +462,7 @@ COMMANDS = {
         *_TRAIN_COMMON,
         Opt("skel-checkpoint", help="trained skeleton checkpoint", source="required"),
         Opt("skel-vocab", help="its skeleton vocabulary", source="required"),
-        Opt("batch-size", int, 128, "items per batch"),
+        Opt("batch-size", int, 128, "items per batch", positive=True),
         Opt("attr-threshold", int, 3, "minimum count of a vocabulary word"),
         Opt("hidden-tap", ("current", "previous", "final"), "current",
             "skeleton hidden state to condition on"),
@@ -476,10 +479,10 @@ COMMANDS = {
         Opt("ids", help="comma-separated image ids, or 'all'", source="flag"),
         Opt("gamma-skel", float, 0.0, "skeleton length factor"),
         Opt("gamma-attr", float, 0.0, "attribute length factor"),
-        Opt("beam-skel", int, 3, "skeleton beam width"),
-        Opt("beam-attr", int, 2, "attribute beam width"),
-        Opt("max-skel-len", int, 16, "skeleton words at most"),
-        Opt("max-attr-len", int, 4, "attributes per word at most"),
+        Opt("beam-skel", int, 3, "skeleton beam width", positive=True),
+        Opt("beam-attr", int, 2, "attribute beam width", positive=True),
+        Opt("max-skel-len", int, 16, "skeleton words at most", positive=True),
+        Opt("max-attr-len", int, 4, "attributes per word at most", positive=True),
         Opt("post-word-alpha", bool, None, "refine attention (default: as trained)"),
         Opt("trace", help="write per-image attention traces here", source="flag"),
     )),
@@ -491,7 +494,7 @@ COMMANDS = {
         Opt("json", help="also write a machine-readable report here", source="flag"),
     )),
     "gradcheck": (cmd_gradcheck, "finite-difference gradient checks", (
-        Opt("step", float, 1e-3, "finite-difference step", source="flag"),
+        Opt("step", float, 1e-3, "finite-difference step", source="flag", positive=True),
         Opt("tol", float, 1e-4, "largest relative error that passes", source="flag"),
     )),
 }
@@ -522,8 +525,9 @@ RESUME_FIXED = ("hidden-size", "embed-size", "attention-hidden", "no-attention")
 def _configure(argv):
     """The function of the command ``argv`` names and its options: per option
     the flag, else the config file's value where a file can set it, else the
-    default, which an empty string also takes where there is one. A model
-    option given with ``--resume``, by flag or file, is a usage error."""
+    default, which an empty string also takes where there is one. A
+    ``positive`` option set to a number not above 0, or a model option given
+    with ``--resume``, by flag or file, is a usage error naming it."""
     parser = build_parser()
     args = parser.parse_args(argv)
     func, _, options = COMMANDS[args.command]
@@ -539,6 +543,8 @@ def _configure(argv):
             given[opt.flag] = f"config key {opt.flag!r}"
         if value in (None, "") and opt.default is not None:
             value = opt.default
+        if opt.positive and not 0 < value < math.inf:
+            parser.error(f"{given[opt.flag]} must be positive, not {value}")
         cfg[opt.flag] = value
     if cfg.get("resume"):
         fixed = [given[flag] for flag in RESUME_FIXED if flag in given]

@@ -354,7 +354,11 @@ def write_features(path, records: Sequence[CaptionRecord]):
 
 
 def read_features(path) -> Dict[str, FeatureGrid]:
+    """Image id -> feature grid of each record of ``path``; a malformed or
+    truncated record, or an image id that repeats, raises CorpusError naming
+    ``path`` and the record's byte offset."""
     grids: Dict[str, FeatureGrid] = {}
+    starts: Dict[str, int] = {}  # image id -> byte offset of its record
     with open(path, "rb") as fh:
         blob = fh.read()
     off = 0
@@ -369,6 +373,10 @@ def read_features(path) -> Dict[str, FeatureGrid]:
             off += 8
         except (struct.error, UnicodeDecodeError) as exc:
             raise CorpusError(f"{path}: bad record header at byte {start}: {exc}") from None
+        if image_id in starts:
+            raise CorpusError(f"{path}: record {image_id!r} at byte {start} repeats the image id "
+                              f"of the record at byte {starts[image_id]}")
+        starts[image_id] = start
         count = L * L * D
         if off + 4 * count > len(blob):
             raise CorpusError(

@@ -1,13 +1,15 @@
 """Dense tensor core: array kernels, reverse-mode autodiff, Adagrad, and a
 gradient checker.
 
-Everything is numpy-backed. The recurrent layers are array kernels, each a
-forward that returns its output and a cache and a backward that takes that
-cache; the decoders train by calling them directly. A forward computation on
-the tape ops builds a tape of Tensor nodes, the recurrent ones thin wrappers
-over the kernels; ``backward`` on a scalar loss walks the tape in reverse
-topological order. Default dtype is float32; pass ``dtype=np.float64`` when
-building parameters for gradient checking.
+Everything is numpy-backed. The decoders train and decode on the array
+kernels alone: plain-array functions, the recurrent layers each a forward
+that returns its output and a cache and a backward that takes that cache.
+The tape ops are the reference those hand-written gradients are tested
+against: an op records a Tensor node exactly when an operand is a Tensor,
+the recurrent ones as thin wrappers over the kernels, and ``backward`` on a
+scalar loss walks the tape in reverse topological order. Default dtype is
+float32; pass ``dtype=np.float64`` when building parameters for gradient
+checking.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 
 import numpy as np
 
@@ -68,34 +69,10 @@ class Tensor:
             self.grad += g
 
 
-class _GradMode(threading.local):
-    """Whether ops record a tape, per thread: on until ``no_grad`` turns it off."""
-
-    enabled = True
-
-
-_grad_mode = _GradMode()
-
-
-class no_grad:
-    """Context manager disabling tape construction (inference mode) in the
-    thread that enters it; other threads keep their own setting."""
-
-    def __enter__(self):
-        self._prev = _grad_mode.enabled
-        _grad_mode.enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _grad_mode.enabled = self._prev
-        return False
-
-
 # Every op takes Tensors or plain arrays and runs one forward on arrays. A Tensor
 # is a parameter or a tape node; a plain-array operand is a constant, which is
-# not a parent of the node and gets no gradient. When no tape is needed (grad
-# disabled, or every operand a constant) an op returns its array; otherwise it
-# defines its backward and returns a node.
+# not a parent of the node and gets no gradient. An op on constants alone
+# returns its array; otherwise it defines its backward and returns a node.
 
 
 def _data(x):
@@ -105,7 +82,7 @@ def _data(x):
 
 def _taped(*operands):
     """Whether an op on ``operands`` must record a tape node."""
-    return _grad_mode.enabled and any(isinstance(x, Tensor) for x in operands)
+    return any(isinstance(x, Tensor) for x in operands)
 
 
 def _needs(*operands):
@@ -165,19 +142,6 @@ def scale(a, s):
     return _node(y, (a,), bw)
 
 
-def _row_stable_matmul(a, b):
-    """``np.matmul`` whose rows do not depend on how many rows ``a`` holds.
-
-    BLAS multiplies a lone row with a matrix-vector kernel that sums in a
-    different order than the matrix-matrix kernel used for two or more rows,
-    so a lone 2-d row is doubled and multiplied as a pair. A decode step then
-    gives each hypothesis the same bits whatever else shares its batch.
-    """
-    if a.ndim == 2 and a.shape[0] == 1:
-        return np.matmul(np.concatenate([a, a]), b)[:1]
-    return np.matmul(a, b)
-
-
 def matmul(a, b):
     """Batched matrix product; both operands are at least 2-d."""
     ad, bd = _data(a), _data(b)
@@ -185,7 +149,7 @@ def matmul(a, b):
         raise ShapeError(f"matmul requires at least 2-d operands: {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    y = _row_stable_matmul(ad, bd)
+    y = row_stable_matmul(ad, bd)
     if not _taped(a, b):
         return y
 
@@ -212,19 +176,13 @@ def tanh(a):
     return _node(y, (a,), bw)
 
 
-def _softmax(x, axis):
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def _softmax_backward(g, y, axis):
     dot = (g * y).sum(axis=axis, keepdims=True)
     return y * (g - dot)
 
 
 def softmax(a, axis=-1):
-    y = _softmax(_data(a), axis)
+    y = probs(_data(a), axis)
     if not _taped(a):
         return y
 
@@ -268,8 +226,7 @@ def lookup(table, indices):
 
 
 def sum_(a, axis=None, keepdims=False):
-    ad = _data(a)
-    y = ad.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(ad.dtype)
+    y = sum64(_data(a), axis, keepdims)
     if not _taped(a):
         return y
 
@@ -384,10 +341,40 @@ def weighted_sum(alpha, feats):
 # decode with. A forward returns its output and a cache; a backward takes the
 # output's gradient and that cache, plus ``need``, one flag per forward
 # operand in order, and returns one gradient per operand (None where not
-# needed). Forward products go through ``_row_stable_matmul``, backward
+# needed). Forward products go through ``row_stable_matmul``, backward
 # products through plain ``np.matmul``. Kernels that take an exponential of
 # a pre-activation expect the caller to have entered
 # ``np.errstate(over="ignore")``: an overflow to inf gives the right 0.
+
+
+def row_stable_matmul(a, b):
+    """``np.matmul`` whose rows do not depend on how many rows ``a`` holds.
+
+    BLAS multiplies a lone row with a matrix-vector kernel that sums in a
+    different order than the matrix-matrix kernel used for two or more rows,
+    so a lone 2-d row is doubled and multiplied as a pair. A decode step then
+    gives each hypothesis the same bits whatever else shares its batch.
+    """
+    if a.ndim == 2 and a.shape[0] == 1:
+        return np.matmul(np.concatenate([a, a]), b)[:1]
+    return np.matmul(a, b)
+
+
+def sum64(x, axis=None, keepdims=False):
+    """Sum of ``x`` along ``axis`` in float64, rounded back to x's dtype."""
+    return x.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(x.dtype)
+
+
+def mean64(x, axis):
+    """Mean of ``x`` along ``axis``: ``sum64`` scaled by 1/n, as ``mean``."""
+    return sum64(x, axis) * (1.0 / x.shape[axis])
+
+
+def probs(x, axis=-1):
+    """Softmax of ``x`` along ``axis``."""
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_probs(x, axis=-1):
@@ -398,7 +385,7 @@ def log_probs(x, axis=-1):
 
 def affine(x, W, b):
     """``x @ W + b``."""
-    return _row_stable_matmul(x, W) + b
+    return row_stable_matmul(x, W) + b
 
 
 def matmul_backward(g, a, b, need=(True, True)):
@@ -443,7 +430,7 @@ def nll_forward(logits, targets):
     pick = (*np.indices(tgt.shape), tgt)
     picked = y[pick]
     n = picked.size
-    loss = picked.sum(dtype=np.float64).astype(y.dtype) * (1.0 / n) * -1.0
+    loss = sum64(picked) * (1.0 / n) * -1.0
     if not np.isfinite(loss):
         raise NonFiniteError("non-finite values in cross_entropy loss")
     return loss, (y, pick, n)
@@ -495,7 +482,7 @@ def lstm_forward(x, h, c, W, b):
     """LSTM transition: gates [x, h] @ W + b through ``lstm_gates``;
     returns (h', c', cache), the cache extending that of the gates."""
     xh = np.concatenate([x, h], axis=-1)
-    h_new, c_new, gates = lstm_gates(_row_stable_matmul(xh, W) + b, c)
+    h_new, c_new, gates = lstm_gates(row_stable_matmul(xh, W) + b, c)
     return h_new, c_new, (x.shape[-1], xh, W, b.shape, *gates)
 
 
@@ -522,11 +509,11 @@ def attention_forward(u, h, V, b, w):
     alpha (B, P) and the cache.
     """
     vh_shape = (h.shape[0], 1, V.shape[-1])
-    th = u + _row_stable_matmul(h, V).reshape(vh_shape)
+    th = u + row_stable_matmul(h, V).reshape(vh_shape)
     th += b
     np.tanh(th, out=th)
     scores = np.matmul(th, w)
-    alpha = _softmax(scores.reshape(scores.shape[:-1]), -1)
+    alpha = probs(scores.reshape(scores.shape[:-1]), -1)
     return alpha, (u.shape, h, V, b.shape, w, th, alpha)
 
 
@@ -553,7 +540,7 @@ def weighted_sum_forward(alpha, feats):
     float64; returns them and the cache."""
     a3 = alpha[..., None]
     prod = a3 * feats
-    return prod.sum(axis=1, dtype=np.float64).astype(prod.dtype), (a3, feats)
+    return sum64(prod, 1), (a3, feats)
 
 
 def weighted_sum_backward(gz, cache, need=(True, True)):

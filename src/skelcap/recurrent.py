@@ -4,12 +4,14 @@ Both decoders are an LSTM with a linear output layer, trained with teacher
 forcing and Adagrad on length-bucketed batches and saved as a checkpoint
 tagged with their model kind and vocabulary hash. A subclass creates its
 own parameters and then the LSTM and output layer with
-``_build_lstm_and_output`` and makes batches in ``_batches``. A decode step
-(``_advance``) runs the subclass's input step (``_input_step``) and the
-LSTM on the array kernels of ``numerics``. Training runs ``loss_and_grads``
-on the subclass's ``teacher_forced_loss``, its backpropagation through time
-written out on the same kernels; its taped batch loss (``sequence_loss``,
-``batch_loss``) is the reference those gradients are tested against.
+``_build_lstm_and_output`` and makes batches in ``_batches``. Training,
+decoding and everything between run on the array kernels of ``numerics``
+alone: a decode step (``_advance``) runs the subclass's input step
+(``_input_step``) and the LSTM, and ``loss_and_grads`` runs the subclass's
+``teacher_forced_loss``, its backpropagation through time written out on
+the same kernels. Each decoder's taped batch loss (``sequence_loss``,
+``batch_loss``), built from the tape helpers below, is the reference those
+gradients are tested against.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ def length_batches(lengths, batch_size, shuffle_rng=None):
     return chunks
 
 
+def _at_least_one(name, value):
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, not {value}")
+
+
 @dataclass
 class LSTMState:
     """LSTM states of a batch of hypotheses, one per row of the (K, n)
@@ -78,8 +85,6 @@ class RecurrentDecoder:
         return {k: getattr(self, k) for k in inspect.signature(type(self)).parameters
                 if k not in ("vocab", "dtype")}
 
-    # -- graph building blocks (batched; Tensors on the tape, else arrays) --
-
     def _build_lstm_and_output(self, rng, input_size):
         n, Q, dt = self.hidden_size, len(self.vocab), self.dtype
         self.store.add("lstm_W", nm.glorot_uniform(rng, input_size + n, 4 * n, dtype=dt))
@@ -88,6 +93,8 @@ class RecurrentDecoder:
         self.store.add("lstm_b", lstm_b)
         self.store.add("out_W", nm.glorot_uniform(rng, n, Q, dtype=dt))
         self.store.add("out_b", np.zeros(Q, dtype=dt))
+
+    # -- the taped references' building blocks (batched, on the tape) --------
 
     def _lstm_t(self, x, h, c):
         return nm.lstm_cell(x, h, c, self.store["lstm_W"], self.store["lstm_b"])
@@ -140,9 +147,13 @@ class RecurrentDecoder:
     # -- training -----------------------------------------------------------
 
     def evaluate_loss(self, records, batch_size=None) -> float:
-        """Mean per-sequence teacher-forced loss, no gradients."""
+        """Mean per-sequence teacher-forced loss, no gradients, in batches of
+        ``batch_size`` (default: twice the training batch)."""
+        if batch_size is None:
+            batch_size = 2 * self.default_batch_size
+        _at_least_one("batch_size", batch_size)
         total, count = 0.0, 0
-        for batch in self._batches(records, batch_size or 2 * self.default_batch_size):
+        for batch in self._batches(records, batch_size):
             n = batch[-1].shape[0]
             total += self.teacher_forced_loss(batch) * n
             count += n
@@ -160,8 +171,12 @@ class RecurrentDecoder:
         halved once, the first time the validation loss fails to improve for
         a full epoch. Returns a history dict with the loss curve as
         (step, loss) pairs and each step's gradient norm before clipping.
+        Raises ValueError for fewer than one epoch or a batch below one.
         """
-        batch_size = batch_size or self.default_batch_size
+        if batch_size is None:
+            batch_size = self.default_batch_size
+        _at_least_one("epochs", epochs)
+        _at_least_one("batch_size", batch_size)
         history = {"train_curve": [], "grad_norm": [], "val_loss": [], "learning_rate": []}
         lr = learning_rate
         best_val = float("inf")

@@ -146,62 +146,33 @@ class SkeletonGenerator(RecurrentDecoder):
         add("init_bc", np.zeros(n, dtype=dt))
         self._build_lstm_and_output(rng, m + D)
 
-    # -- graph building blocks (batched; Tensors on the tape, else arrays) --
-
-    def _init_state_t(self, mean_v):
-        """(h, c) entering step 0 from the mean feature vectors (B, D)."""
-        h = nm.tanh(nm.add(nm.matmul(mean_v, self.store["init_Wh"]), self.store["init_bh"]))
-        c = nm.tanh(nm.add(nm.matmul(mean_v, self.store["init_Wc"]), self.store["init_bc"]))
-        return h, c
-
-    def _project_t(self, feats):
-        """The time-invariant half of the attention MLP, feats @ U (None
-        without attention); ``_grid`` computes it once per batch or image."""
-        return nm.matmul(feats, self.store["att_U"]) if self.use_attention else None
-
-    # ``feats`` is (B, P, D), or (1, P, D) shared by a batch of B states
-
-    def _attend_t(self, feats, u, h):
-        if not self.use_attention:
-            P = feats.shape[1]
-            return np.full((h.shape[0], P), 1.0 / P, dtype=self.dtype)
-        return nm.attention(u, h, self.store["att_V"], self.store["att_b"], self.store["att_w"])
-
-    def _context_t(self, feats, alpha):
-        if not self.use_attention:
-            z = nm.mean(feats, axis=1)  # a constant grid's mean: an array
-            return np.broadcast_to(z, (alpha.shape[0], z.shape[-1]))
-        return nm.weighted_sum(alpha, feats)
-
-    def _cell_t(self, prev_idx, z, h, c):
-        """LSTM transition on input [embedding of ``prev_idx``, context ``z``];
-        returns (h, c, logits)."""
-        x = nm.concat([nm.lookup(self.store["embed"], prev_idx), z], axis=-1)
-        h_new, c_new = self._lstm_t(x, h, c)
-        return h_new, c_new, self._logits_t(h_new)
-
-    def _step_t(self, feats, u, h, c, prev_idx):
-        alpha = self._attend_t(feats, u, h)
-        z = self._context_t(feats, alpha)
-        return (*self._cell_t(prev_idx, z, h, c), alpha, z)
-
     def sequence_loss(self, feats_np: np.ndarray, seqs: np.ndarray):
-        """Teacher-forced loss on a batch, on the tape.
+        """Teacher-forced loss on a batch, on the tape: the reference for
+        ``teacher_forced_loss``, which ``fit`` trains through.
 
         ``feats_np`` is (B, P, D); ``seqs`` is (B, S) of targets whose last
         column is EOS. Returns the scalar loss (sum over steps of batch-mean
-        cross-entropy), a Tensor on the tape and an array under ``no_grad``.
-        ``fit`` trains through ``loss_and_grads``, which gives this loss and
-        the gradients ``nm.backward`` gives it.
+        cross-entropy) as a Tensor.
         """
+        p = self.store
         feats = np.ascontiguousarray(feats_np, dtype=self.dtype)  # a constant
-        h, c = self._init_state_t(nm.mean(feats, axis=1))
+        mean_v = nm.mean(feats, axis=1)
+        h = nm.tanh(nm.add(nm.matmul(mean_v, p["init_Wh"]), p["init_bh"]))
+        c = nm.tanh(nm.add(nm.matmul(mean_v, p["init_Wc"]), p["init_bc"]))
 
         def step(h, c, prev):
-            # projected at every step, not once per batch: one shared
-            # projection sums the gradient of att_U in another order, and
-            # the seeded training amplifies those low bits into its losses
-            return self._step_t(feats, self._project_t(feats), h, c, prev)[:3]
+            if self.use_attention:
+                # projected at every step, not once per batch: one shared
+                # projection sums the gradient of att_U in another order, and
+                # the seeded training amplifies those low bits into its losses
+                u = nm.matmul(feats, p["att_U"])
+                z = nm.weighted_sum(nm.attention(u, h, p["att_V"], p["att_b"], p["att_w"]),
+                                    feats)
+            else:
+                z = mean_v
+            x = nm.concat([nm.lookup(p["embed"], prev), z], axis=-1)
+            h, c = self._lstm_t(x, h, c)
+            return h, c, self._logits_t(h)
 
         return self._teacher_forced_t(np.asarray(seqs), h, c, step)
 
@@ -209,8 +180,14 @@ class SkeletonGenerator(RecurrentDecoder):
 
     def _grid(self, feats):
         p = self.store
-        return _Grid(feats, nm.mean(feats, axis=1),
+        return _Grid(feats, nm.mean64(feats, 1),
                      np.matmul(feats, p["att_U"].data) if self.use_attention else None)
+
+    def _init_state(self, mean):
+        """(h, c) entering step 0 from the mean feature vectors (B, D)."""
+        p = self.store
+        return (np.tanh(nm.affine(mean, p["init_Wh"].data, p["init_bh"].data)),
+                np.tanh(nm.affine(mean, p["init_Wc"].data, p["init_bc"].data)))
 
     def _input_step(self, grid, h, prev):
         """x = [embedding of ``prev``, context] and its ``_Input``."""
@@ -252,8 +229,7 @@ class SkeletonGenerator(RecurrentDecoder):
 
     def _start(self, batch):
         grid = self._grid(np.ascontiguousarray(batch[0], dtype=self.dtype))
-        with nm.no_grad():
-            return (grid, *self._init_state_t(grid.mean))
+        return (grid, *self._init_state(grid.mean))
 
     def _start_backward(self, grid, h0, c0, gh, gc, grads):
         p = self.store
@@ -332,8 +308,7 @@ class SkeletonGenerator(RecurrentDecoder):
     def init_state(self, features: FeatureGrid) -> SkelState:
         """State entering the first decode step, whose input word is BOS, as
         a batch of one row."""
-        with nm.no_grad():
-            h, c = self._init_state_t(nm.mean(self._flat(features), axis=1))
+        h, c = self._init_state(nm.mean64(self._flat(features), 1))
         return SkelState(h=h, c=c, t=0)
 
     def context(self, features: FeatureGrid, alpha: np.ndarray) -> np.ndarray:
@@ -352,7 +327,11 @@ class SkeletonGenerator(RecurrentDecoder):
             lead = a.shape[:-1]
         else:
             raise ConfigError(f"attention map of shape {a.shape} does not fit a {L}x{L} grid")
-        z = self._context_t(flat, a.reshape(-1, P))
+        a = a.reshape(-1, P)
+        if self.use_attention:
+            z = nm.weighted_sum_forward(a, flat)[0]
+        else:
+            z = np.broadcast_to(nm.mean64(flat, 1), (len(a), flat.shape[-1]))
         return z.reshape(*lead, -1)
 
     def per_location_distributions(self, state: SkelState, prev_word_index,
@@ -371,12 +350,14 @@ class SkeletonGenerator(RecurrentDecoder):
         words = np.asarray(prev_word_index)
         h = np.reshape(state.h, (-1, self.hidden_size))
         c = np.reshape(state.c, (-1, self.hidden_size))
-        P = flat.shape[0]
-        with nm.no_grad():
-            _, _, logits = self._cell_t(np.repeat(words.reshape(-1), P),
-                                        np.tile(flat, (h.shape[0], 1)),
-                                        np.repeat(h, P, axis=0), np.repeat(c, P, axis=0))
-        return nm.softmax(logits, axis=-1).reshape(*words.shape, self.grid_size, self.grid_size, -1)
+        P, p = flat.shape[0], self.store
+        x = np.concatenate([nm.gather_rows(p["embed"].data, np.repeat(words.reshape(-1), P)),
+                            np.tile(flat, (h.shape[0], 1))], axis=-1)
+        with np.errstate(over="ignore"):
+            h, _, _ = nm.lstm_forward(x, np.repeat(h, P, axis=0), np.repeat(c, P, axis=0),
+                                      p["lstm_W"].data, p["lstm_b"].data)
+            logits = nm.affine(h, p["out_W"].data, p["out_b"].data)
+        return nm.probs(logits).reshape(*words.shape, self.grid_size, self.grid_size, -1)
 
     # -- beam-search integration -------------------------------------------
 

@@ -408,6 +408,19 @@ def test_caption_truncated_features(workspace, tmp_path, capsys, cut):
     assert str(feats) in err and "byte" in err
 
 
+def test_caption_repeated_feature_id(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    feats = data / "test.features.bin"
+    blob = feats.read_bytes()
+    feats.write_bytes(blob + blob)  # every image id twice
+    ws = {**workspace, "data": data}
+    assert run(*_caption_args(ws, tmp_path / "c.tsv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {feats}: record ") and \
+        f"at byte {len(blob)} repeats the image id of the record at byte 0" in err
+
+
 def test_manifest_entry_before_split(workspace, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)
@@ -878,6 +891,48 @@ def test_train_skel_resume_rejects_model_options(workspace, tmp_path, capsys, mo
     assert exc.value.code == 1
     assert f"{named} cannot be given with it" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,args,from_file,named", [
+    ("train-skel", ("--batch-size", "0"), {}, "--batch-size must be positive, not 0"),
+    ("train-skel", ("--batch-size", "-5"), {}, "--batch-size must be positive, not -5"),
+    ("train-skel", ("--epochs", "0"), {}, "--epochs must be positive, not 0"),
+    ("train-skel", ("--epochs", "-1"), {}, "--epochs must be positive, not -1"),
+    ("train-skel", ("--hidden-size", "0"), {}, "--hidden-size must be positive, not 0"),
+    ("train-skel", ("--embed-size", "0"), {}, "--embed-size must be positive, not 0"),
+    ("train-skel", ("--attention-hidden", "0"), {},
+     "--attention-hidden must be positive, not 0"),
+    ("train-skel", ("--learning-rate", "-1"), {}, "--learning-rate must be positive, not -1.0"),
+    ("train-skel", ("--learning-rate", "nan"), {}, "--learning-rate must be positive, not nan"),
+    ("train-skel", (), {"epochs": 0}, "config key 'epochs' must be positive, not 0"),
+    ("train-attr", ("--batch-size", "0"), {}, "--batch-size must be positive, not 0"),
+    ("train-attr", (), {"learning-rate": 0},
+     "config key 'learning-rate' must be positive, not 0.0"),
+    ("caption", ("--beam-skel", "0"), {}, "--beam-skel must be positive, not 0"),
+    ("caption", ("--beam-attr", "-2"), {}, "--beam-attr must be positive, not -2"),
+    ("caption", ("--max-skel-len", "0"), {}, "--max-skel-len must be positive, not 0"),
+    ("caption", (), {"max-attr-len": 0}, "config key 'max-attr-len' must be positive, not 0"),
+    ("gradcheck", ("--step", "0"), {}, "--step must be positive, not 0.0"),
+], ids=["batch-size-0", "batch-size-negative", "epochs-0", "epochs-negative", "hidden-size",
+        "embed-size", "attention-hidden", "learning-rate-negative", "learning-rate-nan",
+        "file-epochs", "attr-batch-size", "file-learning-rate", "beam-skel", "beam-attr",
+        "max-skel-len", "file-max-attr-len", "gradcheck-step"])
+def test_non_positive_option_is_usage_error(tmp_path, capsys, monkeypatch, command, args,
+                                            from_file, named):
+    # rejected by the option table before any file is read: every path given,
+    # --data among them, names a directory that does not exist
+    monkeypatch.delenv("SKELCAP_CONFIG", raising=False)
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(from_file))
+    missing = tmp_path / "missing"
+    _, _, options = cli.COMMANDS[command]
+    required = [arg for o in options if o.source == "required"
+                for arg in (f"--{o.flag}", str(missing / o.flag))]
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--config", str(config), *required, *args)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: {named}\n")
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("stage", ["skel", "attr"])

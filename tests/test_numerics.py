@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -200,51 +199,6 @@ def test_narrow_backward():
     expected = np.zeros((3, 4))
     expected[:, 1:3] = 1.0
     assert np.allclose(x.grad, expected)
-
-
-def test_no_grad_blocks_tape():
-    # without a tape an op returns its plain array: no node, no backward
-    x = t64([2.0])
-    with nm.no_grad():
-        out = mul(x, x)
-    assert type(out) is np.ndarray and np.array_equal(out, [4.0])
-    assert type(nm.tanh(np.array([0.5]))) is np.ndarray  # a constant operand
-    assert isinstance(nm.tanh(x), Tensor)
-
-
-def test_no_grad_is_per_thread():
-    # A enters, B enters, A exits, then B: B records no tape until it exits,
-    # and afterwards every thread records one again
-    x = t64([0.5])
-    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
-    seen = {}
-
-    def thread_a():
-        with nm.no_grad():
-            a_in.set()
-            seen["a_waited"] = b_in.wait(10)
-        a_out.set()
-
-    def thread_b():
-        seen["b_waited"] = a_in.wait(10)
-        with nm.no_grad():
-            b_in.set()
-            seen["b_waited"] &= a_out.wait(10)
-            seen["b_inside"] = nm.tanh(x)
-        seen["b_after"] = nm.tanh(x)
-
-    threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(30)
-    assert seen["a_waited"] and seen["b_waited"]
-    assert type(seen["b_inside"]) is np.ndarray
-    assert isinstance(seen["b_after"], Tensor)
-    out = nm.tanh(x)
-    assert isinstance(out, Tensor)
-    backward(nm.sum_(out))
-    assert np.allclose(x.grad, 1.0 - np.tanh(0.5) ** 2)
 
 
 def test_nonfinite_loss_detected():
@@ -608,8 +562,7 @@ def _taped_loss_and_grads(model, batch):
 def _taped_teacher_forced_loss(model, batch, grads=None):
     """``teacher_forced_loss`` from the taped loss (and ``nm.backward``)."""
     if grads is None:
-        with nm.no_grad():
-            return float(_taped_loss(model, batch))
+        return _taped_loss(model, batch).item()
     loss, taped = _taped_loss_and_grads(model, batch)
     grads.update(taped)
     return loss
@@ -822,7 +775,7 @@ def test_fused_graphs_add_parameter_gradients_in_composed_order(monkeypatch):
 # -- plain-array mode -------------------------------------------------------------
 
 def _decode_ops(rng, B, m, n, P, A):
-    """Every op a caption reaches, each with its input arrays (float32)."""
+    """Every op the taped losses build on, each with its input arrays (float32)."""
     idx = rng.integers(0, n + 1, size=B)
     f32 = [np.asarray(a, dtype=np.float32) for a in
            _lstm_inputs(rng, B, m, n, np.float32) + _attention_inputs(rng, B, n, P, A, B > 1)
@@ -856,13 +809,10 @@ def test_ops_return_the_tape_bits_as_plain_arrays(seed, B, m, n, P, A):
     for name, (op, arrays) in _decode_ops(rng, B, m, n, P, A).items():
         taped = _outputs(op(*(Tensor(a.copy()) for a in arrays)))
         plain = _outputs(op(*arrays))
-        with nm.no_grad():
-            no_grad = _outputs(op(*(Tensor(a.copy()) for a in arrays)))
-        for t, p, q in zip(taped, plain, no_grad):
+        for t, p in zip(taped, plain):
             assert isinstance(t, Tensor) and t._parents, name
-            assert type(p) is np.ndarray and type(q) is np.ndarray, name
-            for arr in (p, q):
-                assert arr.dtype == t.data.dtype and np.array_equal(arr, t.data), name
+            assert type(p) is np.ndarray, name
+            assert p.dtype == t.data.dtype and np.array_equal(p, t.data), name
 
 
 # -- adagrad against the formula it replaced ---------------------------------------

@@ -112,3 +112,16 @@ def test_vocabulary_blank_line_named(valid_files, tmp_path, data):
     path.write_bytes("".join([*lines[:at], blank, *lines[at:]]).encode("utf-8"))
     with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:{at + 1}: blank line"):
         Vocabulary.load(path)
+
+
+def test_features_repeated_image_id_named(tmp_path):
+    # a second record of one image id would silently replace the first grid
+    first, second = _records()
+    path = tmp_path / "f.bin"
+    corpus.write_features(path, [first, second])
+    repeat_at = len(path.read_bytes())
+    corpus.write_features(path, [first, second, first])
+    message = (f"{path}: record {first.image_id!r} at byte {repeat_at} repeats the image id "
+               f"of the record at byte 0")
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        corpus.read_features(path)
