@@ -8,7 +8,6 @@ EOS, emitting the attribute phrase for that skeletal word (possibly empty).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import BOS, EOS, Vocabulary
 from .numerics import ParameterStore
-from .recurrent import LSTMState, RecurrentDecoder, length_batches
+from .recurrent import BatchTable, LSTMState, RecurrentDecoder
 from .skelnet import SkelState, refine_attention
 
 HIDDEN_TAPS = ("current", "previous", "final")
@@ -26,14 +25,63 @@ class AttrConfigError(ValueError):
     pass
 
 
-@dataclass
 class AttrTrainingItem:
-    """One conditioning context plus its gold attribute target sequence."""
+    """One conditioning context plus its gold attribute target sequence: row
+    ``row`` of a ``BatchTable`` whose inputs are the (N, D) attended image
+    contexts, the (N, m_s) skeleton word embeddings and the (N, n_s)
+    skeleton hidden states. ``z``, ``skel_embed``, ``skel_hidden`` and
+    ``targets`` (attribute indices, EOS excluded) read that row. An item
+    built from these four values is a one-row table of its own."""
 
-    z: np.ndarray          # (D,) attended image context at the skeletal word
-    skel_embed: np.ndarray  # (m_s,) skeleton word embedding
-    skel_hidden: np.ndarray  # (n_s,) skeleton hidden state
-    targets: List[int]     # attribute indices, EOS excluded
+    __slots__ = ("table", "row")
+
+    def __init__(self, z, skel_embed, skel_hidden, targets):
+        self.table = BatchTable.of([np.asarray(v)[None] for v in (z, skel_embed, skel_hidden)],
+                                   [[*targets, EOS]])
+        self.row = 0
+
+    @classmethod
+    def rows(cls, table: BatchTable) -> List["AttrTrainingItem"]:
+        """One item per row of ``table``, in order."""
+        items = [cls.__new__(cls) for _ in range(len(table))]
+        for row, item in enumerate(items):
+            item.table, item.row = table, row
+        return items
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.table.inputs[0][self.row]
+
+    @property
+    def skel_embed(self) -> np.ndarray:
+        return self.table.inputs[1][self.row]
+
+    @property
+    def skel_hidden(self) -> np.ndarray:
+        return self.table.inputs[2][self.row]
+
+    @property
+    def targets(self) -> List[int]:
+        return self.table.seqs[self.row, :self.table.lengths[self.row] - 1].tolist()
+
+
+def item_table(items: Sequence[AttrTrainingItem]) -> BatchTable:
+    """The rows of ``items``, in their order, as one ``BatchTable``: their
+    own table when they are all its rows in order, otherwise their tables
+    concatenated once and taken by one fancy index per array."""
+    tables = [item.table for item in items]
+    if not tables:
+        return BatchTable.of([], [])
+    unique = list(dict.fromkeys(tables))
+    table = BatchTable.concatenate(unique)
+    rows = np.fromiter([item.row for item in items], np.int64, len(items))
+    if len(unique) > 1:
+        starts = np.cumsum([0] + [len(t) for t in unique[:-1]]).tolist()
+        rows += np.fromiter(map(dict(zip(unique, starts)).__getitem__, tables), np.int64,
+                            len(items))
+    if len(rows) == len(table) and (rows == np.arange(len(rows))).all():
+        return table
+    return table.take(rows)
 
 
 class AttributeGenerator(RecurrentDecoder):
@@ -250,14 +298,8 @@ class AttributeGenerator(RecurrentDecoder):
             grads[name] = np.matmul(v.T, dfused)
         return float(loss)
 
-    def _batches(self, items: Sequence[AttrTrainingItem], batch_size, shuffle_rng=None):
-        """(z, skel_embed, skel_hidden, seqs (B, S)) per chunk of equal target length."""
-        for chunk in length_batches([len(it.targets) for it in items], batch_size,
-                                    shuffle_rng):
-            yield (np.stack([items[i].z for i in chunk]),
-                   np.stack([items[i].skel_embed for i in chunk]),
-                   np.stack([items[i].skel_hidden for i in chunk]),
-                   np.asarray([items[i].targets + [EOS] for i in chunk]))
+    def _table(self, items: Sequence[AttrTrainingItem]) -> BatchTable:
+        return item_table(items)
 
 
 def input_rows(words, embed_size):
@@ -359,16 +401,15 @@ def build_training_items(records, skel_model, attr_vocab,
     """Precompute conditioning items from a frozen skeleton model.
 
     Runs one batched teacher-forced skeleton pass over all records, then
-    emits one item per skeleton token, whose arrays are rows of their
-    ``word_conditioning``. Non-head tokens get an empty target so "no
-    attributes" is learned.
+    emits one item per skeleton token, the rows of one ``BatchTable`` whose
+    inputs are the arrays of their ``word_conditioning``, uncopied.
+    Non-head tokens get an empty target so "no attributes" is learned.
     """
     trace = skel_model.teacher_trace(records)
     cond = word_conditioning(skel_model, trace, [r.features for r in records],
                              hidden_tap, use_post_word_alpha)
-    tokens = [tok for r in records for tok in r.decomposition.skeleton]
     encode = attr_vocab.encode
-    # positional: keyword calls cost about twice as much per item
-    return [AttrTrainingItem(z, embed, hidden, [encode(w) for w in tok.attributes])
-            for tok, z, embed, hidden in zip(tokens, cond.z, cond.skel_embed,
-                                              cond.skel_hidden)]
+    targets = [[*map(encode, tok.attributes), EOS]
+               for r in records for tok in r.decomposition.skeleton]
+    return AttrTrainingItem.rows(BatchTable.of((cond.z, cond.skel_embed, cond.skel_hidden),
+                                               targets))

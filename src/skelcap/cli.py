@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import logging
 import math
@@ -173,7 +174,11 @@ def _load_split(data_dir: Path, split: str, required: bool = True):
     if missing:
         raise corpus.CorpusError(f"{manifest}: split {split!r} has no entry for "
                                  f"{', '.join(missing)}")
-    return corpus.load_records(*(data_dir / info[key] for key in files))
+    records = corpus.load_records(*(data_dir / info[key] for key in files))
+    if "count" in info and len(records) != info["count"]:
+        raise corpus.CorpusError(f"{manifest}: split {split!r} lists count {info['count']}, "
+                                 f"its files hold {len(records)} records")
+    return records
 
 
 # -- decompose ---------------------------------------------------------------
@@ -269,7 +274,7 @@ def cmd_train_attr(cfg):
                                     use_post_word_alpha=model.use_post_word_alpha,
                                     hidden_tap=model.hidden_tap)
 
-    history = model.fit(items(train), items(val) if val else None, epochs=cfg["epochs"],
+    history = model.fit(items(train), None if val is None else items(val), epochs=cfg["epochs"],
                         learning_rate=cfg["learning-rate"], batch_size=cfg["batch-size"],
                         shuffle_seed=cfg["seed"])
     _save_training(out_dir, cfg, "attr", model, attr_vocab, history["train_curve"])
@@ -554,7 +559,27 @@ def _configure(argv):
     return func, cfg
 
 
+MALLOC_THRESHOLD = 32 << 20
+
+
+def _pin_allocator():
+    """Fixes glibc malloc's mmap and trim thresholds at MALLOC_THRESHOLD.
+
+    glibc moves its mmap threshold as blocks are freed, so whether numpy's
+    larger temporaries get fresh, page-faulting mappings or reused heap
+    depends on the process's allocation history. Fixed thresholds give every
+    run the allocator policy the benchmark measures under. A no-op where the
+    C library has no mallopt.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+        mallopt(M_MMAP_THRESHOLD, MALLOC_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, MALLOC_THRESHOLD)
+
+
 def main(argv=None):
+    _pin_allocator()
     logging.basicConfig(level=os.environ.get("SKELCAP_LOGLEVEL", "WARNING"))
     try:
         func, cfg = _configure(argv)

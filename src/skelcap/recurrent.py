@@ -4,7 +4,9 @@ Both decoders are an LSTM with a linear output layer, trained with teacher
 forcing and Adagrad on length-bucketed batches and saved as a checkpoint
 tagged with their model kind and vocabulary hash. A subclass creates its
 own parameters and then the LSTM and output layer with
-``_build_lstm_and_output`` and makes batches in ``_batches``. Training,
+``_build_lstm_and_output`` and turns its training data into one
+``BatchTable`` in ``_table``, once per fit; every batch of every epoch is
+one fancy index per array of that table. Training,
 decoding and everything between run on the array kernels of ``numerics``
 alone: a decode step (``_advance``) runs the subclass's input step
 (``_input_step``) and the LSTM, and ``loss_and_grads`` runs the subclass's
@@ -19,11 +21,12 @@ from __future__ import annotations
 import inspect
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import numerics as nm
-from .corpus import BOS
+from .corpus import BOS, EOS
 from .numerics import NumericsError, ParameterStore
 
 log = logging.getLogger(__name__)
@@ -47,6 +50,59 @@ def length_batches(lengths, batch_size, shuffle_rng=None):
     if shuffle_rng is not None:
         shuffle_rng.shuffle(chunks)
     return chunks
+
+
+@dataclass(eq=False)
+class BatchTable:
+    """A decoder's training data as whole arrays, one row per sequence: the
+    leading arrays of every batch (``inputs``), the EOS-terminated target
+    sequences padded with EOS to the longest (``seqs``), and their lengths,
+    EOS included. A batch is one fancy index per array."""
+
+    inputs: tuple        # (N, ...) arrays
+    seqs: np.ndarray     # (N, S_max) int64
+    lengths: np.ndarray  # (N,) int64
+
+    @classmethod
+    def of(cls, inputs, seqs):
+        """The table of ``inputs`` and the N EOS-terminated word lists ``seqs``."""
+        lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+        padded = np.full((len(seqs), lengths.max(initial=0)), EOS, dtype=np.int64)
+        padded[np.arange(padded.shape[1]) < lengths[:, None]] = np.fromiter(
+            chain.from_iterable(seqs), np.int64, lengths.sum())
+        return cls(tuple(inputs), padded, lengths)
+
+    @classmethod
+    def concatenate(cls, tables):
+        """The rows of ``tables`` in order, as one table."""
+        if len(tables) == 1:
+            return tables[0]
+        seqs = np.full((sum(len(t) for t in tables), max(t.seqs.shape[1] for t in tables)),
+                       EOS, dtype=np.int64)
+        lo = 0
+        for t in tables:
+            seqs[lo:lo + len(t), :t.seqs.shape[1]] = t.seqs
+            lo += len(t)
+        return cls(tuple(np.concatenate(arrs) for arrs in zip(*(t.inputs for t in tables))),
+                   seqs, np.concatenate([t.lengths for t in tables]))
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def take(self, rows):
+        """The table of ``rows`` (an index array), in their order."""
+        return type(self)(tuple(a[rows] for a in self.inputs), self.seqs[rows],
+                          self.lengths[rows])
+
+    def batch(self, rows):
+        """(*inputs, seqs (B, S)) of ``rows``, an index array of sequences of
+        one length S."""
+        return (*(a[rows] for a in self.inputs), self.seqs[rows, :self.lengths[rows[0]]])
+
+    def batches(self, batch_size, shuffle_rng=None):
+        """One ``batch`` per chunk of ``length_batches``."""
+        for chunk in length_batches(self.lengths.tolist(), batch_size, shuffle_rng):
+            yield self.batch(np.array(chunk))
 
 
 def _at_least_one(name, value):
@@ -128,6 +184,15 @@ class RecurrentDecoder:
         h, c, cell = nm.lstm_forward(x, h, c, p["lstm_W"].data, p["lstm_b"].data)
         return h, c, nm.affine(h, p["out_W"].data, p["out_b"].data), inp, cell
 
+    def _table(self, records) -> BatchTable:
+        """The ``BatchTable`` of ``records``: caption records for the skeleton
+        decoder, conditioning items for the attribute decoder."""
+        raise NotImplementedError
+
+    def _batches(self, records, batch_size, shuffle_rng=None):
+        """The batches of ``records``, from their ``_table``."""
+        return self._table(records).batches(batch_size, shuffle_rng)
+
     def teacher_forced_loss(self, batch, grads=None):
         """The loss of the decoder's taped batch loss on one batch from
         ``_batches``, as a float, computed on the array kernels; given a dict
@@ -148,42 +213,52 @@ class RecurrentDecoder:
 
     def evaluate_loss(self, records, batch_size=None) -> float:
         """Mean per-sequence teacher-forced loss, no gradients, in batches of
-        ``batch_size`` (default: twice the training batch)."""
+        ``batch_size`` (default: twice the training batch). Raises ValueError
+        for empty ``records``, whose mean loss does not exist."""
         if batch_size is None:
             batch_size = 2 * self.default_batch_size
         _at_least_one("batch_size", batch_size)
-        total, count = 0.0, 0
-        for batch in self._batches(records, batch_size):
-            n = batch[-1].shape[0]
-            total += self.teacher_forced_loss(batch) * n
-            count += n
-        return total / max(count, 1)
+        return self._mean_loss(self._table(records), batch_size)
+
+    def _mean_loss(self, table, batch_size):
+        if not len(table):
+            raise ValueError("no sequence to evaluate a loss on")
+        total = 0.0
+        for batch in table.batches(batch_size):
+            total += self.teacher_forced_loss(batch) * batch[-1].shape[0]
+        return total / len(table)
 
     def fit(self, train_records, val_records=None, epochs: int = 10,
             learning_rate: float = 0.1, batch_size=None, shuffle_seed: int = 0,
             progress=None):
         """Adagrad training with teacher forcing.
 
-        The records are what ``_batches`` takes: caption records for the
-        skeleton decoder, conditioning items for the attribute decoder. Each
-        step takes its gradients from ``loss_and_grads`` and clips their
-        global norm to 5 (``adagrad_step``'s defaults). The learning rate is
+        The records are what ``_table`` takes: caption records for the
+        skeleton decoder, conditioning items for the attribute decoder, each
+        set made one ``BatchTable`` before the first step. Each step takes
+        its gradients from ``loss_and_grads`` and clips their global norm to
+        5 (``adagrad_step``'s defaults). The learning rate is
         halved once, the first time the validation loss fails to improve for
         a full epoch. Returns a history dict with the loss curve as
         (step, loss) pairs and each step's gradient norm before clipping.
-        Raises ValueError for fewer than one epoch or a batch below one.
+        Raises ValueError for fewer than one epoch, a batch below one or
+        empty ``val_records``, before the first step.
         """
         if batch_size is None:
             batch_size = self.default_batch_size
         _at_least_one("epochs", epochs)
         _at_least_one("batch_size", batch_size)
+        train = self._table(train_records)
+        val = None if val_records is None else self._table(val_records)
+        if val is not None and not len(val):
+            raise ValueError("the validation set is empty, so it has no loss")
         history = {"train_curve": [], "grad_norm": [], "val_loss": [], "learning_rate": []}
         lr = learning_rate
         best_val = float("inf")
         halved = False
         for epoch in range(epochs):
             rng = np.random.default_rng([shuffle_seed, epoch])
-            for batch in self._batches(train_records, batch_size, shuffle_rng=rng):
+            for batch in train.batches(batch_size, shuffle_rng=rng):
                 self.store.zero_grad()
                 loss, grads = self.loss_and_grads(batch)
                 for name, g in grads.items():
@@ -191,8 +266,8 @@ class RecurrentDecoder:
                 history["grad_norm"].append(self.store.adagrad_step(lr))
                 history["train_curve"].append((self.store.step_count, loss))
             history["learning_rate"].append(lr)
-            if val_records is not None:
-                val_loss = self.evaluate_loss(val_records, batch_size)
+            if val is not None:
+                val_loss = self._mean_loss(val, batch_size)
                 history["val_loss"].append(val_loss)
                 if val_loss < best_val - 1e-6:
                     best_val = val_loss

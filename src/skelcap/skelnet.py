@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import BOS, EOS, FeatureGrid, Vocabulary
 from .numerics import ParameterStore
-from .recurrent import LSTMState, RecurrentDecoder, length_batches
+from .recurrent import BatchTable, LSTMState, RecurrentDecoder, length_batches
 
 log = logging.getLogger(__name__)
 
@@ -382,19 +382,15 @@ class SkeletonGenerator(RecurrentDecoder):
     def _encode_skeleton(self, record) -> List[int]:
         return [self.vocab.encode(t.surface) for t in record.decomposition.skeleton] + [EOS]
 
-    def _features(self, records, chunk):
-        """The feature grids of ``records[i]`` for i in ``chunk`` as one
-        (B, P, D) array, in one copy."""
-        values = np.concatenate([records[i].features.values for i in chunk])
-        return values.reshape(len(chunk), -1, self.feature_dim)
-
-    def _batches(self, records, batch_size, shuffle_rng=None):
-        """(features (B, P, D), seqs (B, S)) per chunk of equal skeleton length."""
+    def _table(self, records) -> BatchTable:
+        """The records' feature grids (N, P, D) and EOS-terminated skeletons
+        as one ``BatchTable``; raises ConfigError naming the first record
+        whose grid is not the model's."""
         for r in records:
             self._check_grid(r.features, r)
-        seqs = [self._encode_skeleton(r) for r in records]
-        for chunk in length_batches([len(q) for q in seqs], batch_size, shuffle_rng):
-            yield self._features(records, chunk), np.asarray([seqs[i] for i in chunk])
+        feats = np.array([r.features.values for r in records])
+        feats = feats.reshape(len(records), self.grid_size ** 2, self.feature_dim)
+        return BatchTable.of((feats,), [self._encode_skeleton(r) for r in records])
 
     # -- traces for attribute conditioning ----------------------------------
 
@@ -402,14 +398,12 @@ class SkeletonGenerator(RecurrentDecoder):
         """Teacher-forced pass over ``records`` as one flat ``TeacherTrace``,
         used to condition the attribute decoder.
 
-        The records run in batches of up to ``TRACE_BATCH`` of one skeleton
-        length; each batch's steps are stacked and scattered into the
-        batch's rows with one assignment per array.
+        The records run as batches of their ``_table``, up to ``TRACE_BATCH``
+        of one skeleton length; each batch's steps are stacked and scattered
+        into the batch's rows with one assignment per array.
         """
-        for r in records:
-            self._check_grid(r.features, r)
-        encoded = [self._encode_skeleton(r) for r in records]
-        lengths = [len(q) - 1 for q in encoded]  # skeleton words, EOS excluded
+        table = self._table(records)
+        lengths = (table.lengths - 1).tolist()  # skeleton words, EOS excluded
         offsets = np.zeros(len(records) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         N, n = int(offsets[-1]), self.hidden_size
@@ -420,11 +414,11 @@ class SkeletonGenerator(RecurrentDecoder):
             S = lengths[chunk[0]]
             if S == 0:
                 continue
-            seqs = np.asarray([encoded[i] for i in chunk])
+            feats, seqs = table.batch(np.array(chunk))
             rows = offsets[chunk][:, None] + np.arange(S)  # (B, S)
             steps = []
             with np.errstate(over="ignore"):
-                grid, h, c = self._start((self._features(records, chunk),))
+                grid, h, c = self._start((feats,))
                 prev = np.full(len(chunk), BOS, dtype=np.int64)
                 for t in range(S):
                     h_new, c_new, logits, alpha, z = self._step(grid, h, c, prev)

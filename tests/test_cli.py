@@ -259,6 +259,58 @@ def test_train_attr_feature_grid_mismatch(workspace, tmp_path, capsys, grid, dim
     assert not (tmp_path / "x" / "attr.ckpt").exists()
 
 
+def _rewrite_split(data, split, keep):
+    """Rewrites ``split``'s three files to hold its first ``keep`` records."""
+    from skelcap import corpus
+    paths = [data / f"{split}.{name}" for name in ("captions.tsv", "trees.txt", "features.bin")]
+    records = corpus.load_records(*paths)[:keep]
+    for write, path in zip((corpus.write_captions, corpus.write_trees,
+                            corpus.write_features), paths):
+        write(path, records)
+
+
+def _training_args(workspace, command, data, out):
+    if command == "train-skel":
+        return (command, "--data", str(data), "--out", str(out), "--epochs", "2",
+                "--skel-threshold", "1")
+    return (command, "--data", str(data), "--out", str(out), "--epochs", "2",
+            "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
+            "--skel-vocab", str(workspace["skel"] / "skel.vocab"), "--attr-threshold", "1")
+
+
+@pytest.mark.parametrize("keep", [30, 0])
+@pytest.mark.parametrize("command", ["train-skel", "train-attr"])
+def test_training_split_not_its_manifest_count(workspace, tmp_path, capsys, command, keep):
+    data = tmp_path / "data"
+    assert run("synth", "--out", str(data), "--count", "40", "--val-count", "0",
+               "--test-count", "0", "--grid-size", "3", "--feature-dim", "24",
+               "--seed", "3") == 0
+    _rewrite_split(data, "train", keep)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(*_training_args(workspace, command, data, out)) == 2
+    assert capsys.readouterr().err == (f"error: {data / 'manifest.txt'}: split 'train' "
+                                       f"lists count 40, its files hold {keep} records\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-skel", "train-attr"])
+def test_training_empty_validation_split(workspace, tmp_path, capsys, command):
+    # a val split of count 0 holds no records, so it has no validation loss
+    data = tmp_path / "data"
+    assert run("synth", "--out", str(data), "--count", "20", "--val-count", "5",
+               "--test-count", "0", "--grid-size", "3", "--feature-dim", "24",
+               "--seed", "3") == 0
+    _rewrite_split(data, "val", 0)
+    manifest = data / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("  count: 5", "  count: 0"))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(*_training_args(workspace, command, data, out)) == 2
+    assert capsys.readouterr().err == "error: the validation set is empty, so it has no loss\n"
+    assert list(out.iterdir()) == []
+
+
 # -- caption ------------------------------------------------------------------
 
 def test_caption_writes_all_ids(workspace, tmp_path):
