@@ -154,7 +154,8 @@ class AttributeGenerator(RecurrentDecoder):
 
         def step_fn(states, tokens):
             with np.errstate(over="ignore"):
-                h, c, logits, _, _ = self._advance(None, states.h, states.c, np.asarray(tokens))
+                x = nm.gather_rows(self.store["embed"].data, np.asarray(tokens))
+                h, c, logits, _ = self._cell(x, states.h, states.c)
                 return LSTMState(h, c, states.t + 1), nm.log_probs(logits)
 
         return step_fn
@@ -211,13 +212,10 @@ class AttributeGenerator(RecurrentDecoder):
 
         return self._teacher_forced_t(np.asarray(seqs), h, c, step)
 
-    # -- on the array kernels: the decode step's parts, the teacher-forced loop --
-
-    def _input_step(self, ctx, h, prev):
-        return nm.gather_rows(self.store["embed"].data, prev), prev
+    # -- the teacher-forced loop on the array kernels ---------------------------
 
     def teacher_forced_loss(self, batch, grads=None):
-        """The loss of ``batch_loss`` on one batch from ``_batches``, as a
+        """The loss of ``batch_loss`` on one batch of ``_table``, as a
         float; given a dict ``grads``, also fills it with the gradient of
         every parameter.
 

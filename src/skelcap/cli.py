@@ -339,21 +339,18 @@ def cmd_eval(cfg):
     cands = _read_caption_file(cfg["candidates"])
     refs = _read_caption_file(cfg["references"])
     pairs = []
-    gen = []
     for image_id, cand_list in sorted(cands.items()):
         if image_id not in refs:
             raise metrics.MetricsError(f"no references for image {image_id!r}")
         for cand in cand_list:
             pairs.append(metrics.EvalPair(tuple(cand),
                                           tuple(tuple(r) for r in refs[image_id])))
-            gen.append(cand)
     training = None
     if cfg["uniqueness"]:
         training = [toks for lst in _read_caption_file(cfg["uniqueness"]).values()
                     for toks in lst]
     report = metrics.evaluate(pairs, apply_without_a=cfg["without-a"],
-                              training_captions=training,
-                              generated_for_uniqueness=gen if training else None)
+                              training_captions=training)
     print(report.render_table())
     if cfg["json"]:
         with _text_replaced_on_success(Path(cfg["json"])) as fh:

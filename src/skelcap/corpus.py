@@ -95,6 +95,8 @@ class Vocabulary:
                     threshold = _integer(line.split("threshold=")[1], path, lineno, "threshold")
                 continue
             tok, _, cnt = line.partition("\t")
+            if tok.split() != [tok]:
+                raise CorpusError(f"{path}:{lineno}: token {tok!r} is empty or holds whitespace")
             if tok in counts or tok in SPECIALS:
                 raise CorpusError(f"{path}:{lineno}: duplicate token {tok!r}")
             tokens.append(tok)
@@ -478,6 +480,8 @@ def read_manifest(path):
             seed = _integer(line.split(":", 1)[1], path, lineno, "seed")
         elif line.startswith("split:"):
             current = line.split(":", 1)[1].strip()
+            if current in splits:
+                raise CorpusError(f"{path}:{lineno}: split {current!r} repeated")
             splits[current] = {}
         elif line.startswith("  "):
             if current is None:

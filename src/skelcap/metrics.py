@@ -15,6 +15,10 @@ from .corpus import strip_article
 log = logging.getLogger(__name__)
 
 UNSUPPORTED_METRICS = ("METEOR", "SPICE")
+MAX_N = 4             # BLEU-1..4 and CIDEr over 1- to 4-grams
+ROUGE_BETA = 1.2      # ROUGE-L's recall weight
+CIDER_SIGMA = 6.0     # CIDEr-D's Gaussian length penalty
+CIDER_SCALE = 10.0    # and its overall factor
 
 
 class MetricsError(ValueError):
@@ -47,27 +51,27 @@ def _ngrams(tokens: Sequence[str], n: int) -> Dict[Tuple[str, ...], int]:
     return counts
 
 
-def _ngram_tables(pairs: Sequence[EvalPair], max_n: int):
-    """Per pair: the candidate's n-gram counts for n = 1..max_n, and each
+def _ngram_tables(pairs: Sequence[EvalPair]):
+    """Per pair: the candidate's n-gram counts for n = 1..MAX_N, and each
     reference's. Built once per call, so BLEU's clipping and CIDEr's df and
     tf-idf passes all read the same counts."""
     def table(tokens):
-        return [_ngrams(tokens, n) for n in range(1, max_n + 1)]
+        return [_ngrams(tokens, n) for n in range(1, MAX_N + 1)]
     return [(table(p.candidate), [table(r) for r in p.references]) for p in pairs]
 
 
-def bleu(pairs: Sequence[EvalPair], max_n: int = 4) -> Dict[str, float]:
+def bleu(pairs: Sequence[EvalPair]) -> Dict[str, float]:
     """Corpus-level BLEU with clipped precision and brevity penalty.
 
     The effective reference length per pair is the closest to the candidate
-    length (shorter on ties). Returns {"B-1": ..., ..., f"B-{max_n}": ...}.
+    length (shorter on ties). Returns {"B-1": ..., "B-4": ...}.
     """
-    return _bleu(pairs, _ngram_tables(pairs, max_n), max_n)
+    return _bleu(pairs, _ngram_tables(pairs))
 
 
-def _bleu(pairs, tables, max_n):
-    matched = [0] * max_n
-    total = [0] * max_n
+def _bleu(pairs, tables):
+    matched = [0] * MAX_N
+    total = [0] * MAX_N
     cand_len = 0
     ref_len = 0
     for pair, (cand, refs) in zip(pairs, tables):
@@ -75,7 +79,7 @@ def _bleu(pairs, tables, max_n):
         cand_len += len(c)
         ref_len += min((len(r) for r in pair.references),
                        key=lambda rl: (abs(rl - len(c)), rl))
-        for k in range(min(max_n, len(c))):
+        for k in range(min(MAX_N, len(c))):
             ref_counts = [r[k] for r in refs]
             total[k] += len(c) - k
             for g, v in cand[k].items():
@@ -87,7 +91,7 @@ def _bleu(pairs, tables, max_n):
                 matched[k] += min(v, clip)
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len) if cand_len else 0.0
     scores = {}
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         precisions = [matched[k] / total[k] if total[k] else 0.0 for k in range(n)]
         if any(p == 0.0 for p in precisions):
             scores[f"B-{n}"] = 0.0
@@ -113,7 +117,7 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(b) - s.bit_count()
 
 
-def rouge_l(pairs: Sequence[EvalPair], beta: float = 1.2) -> float:
+def rouge_l(pairs: Sequence[EvalPair]) -> float:
     """Mean over pairs of the max-over-references LCS F-measure."""
     total = 0.0
     for pair in pairs:
@@ -124,29 +128,28 @@ def rouge_l(pairs: Sequence[EvalPair], beta: float = 1.2) -> float:
                 continue
             p = lcs / len(pair.candidate)
             r = lcs / len(ref)
-            best = max(best, (1 + beta ** 2) * p * r / (r + beta ** 2 * p))
+            best = max(best, (1 + ROUGE_BETA ** 2) * p * r / (r + ROUGE_BETA ** 2 * p))
         total += best
     return total / len(pairs) if pairs else 0.0
 
 
-def cider(pairs: Sequence[EvalPair], max_n: int = 4, sigma: float = 6.0,
-          scale: float = 10.0) -> float:
+def cider(pairs: Sequence[EvalPair]) -> float:
     """CIDEr-D style score: tf-idf n-gram similarity with clipping and a
-    Gaussian length penalty, averaged over n = 1..max_n and over the corpus.
+    Gaussian length penalty, averaged over n = 1..MAX_N and over the corpus.
 
     The idf statistics come from the reference corpus itself (df = number of
     images whose references contain the n-gram).
     """
     if not pairs:
         raise MetricsError("cider needs at least one pair")
-    return _cider(pairs, _ngram_tables(pairs, max_n), max_n, sigma, scale)
+    return _cider(pairs, _ngram_tables(pairs))
 
 
-def _cider(pairs, tables, max_n, sigma, scale):
+def _cider(pairs, tables):
     n_images = len(pairs)
     if n_images == 1:
         log.warning("cider: single-image corpus yields degenerate idf statistics")
-    doc_freq = [Counter() for _ in range(max_n)]
+    doc_freq = [Counter() for _ in range(MAX_N)]
     for _, refs in tables:
         for k, df in enumerate(doc_freq):
             df.update(set().union(*[r[k] for r in refs]))
@@ -164,10 +167,10 @@ def _cider(pairs, tables, max_n, sigma, scale):
     total = 0.0
     for pair, (cand, refs) in zip(pairs, tables):
         c_len = len(pair.candidate)
-        penalties = [math.exp(-((c_len - len(ref)) ** 2) / (2 * sigma ** 2))
+        penalties = [math.exp(-((c_len - len(ref)) ** 2) / (2 * CIDER_SIGMA ** 2))
                      for ref in pair.references]
-        score_n = [0.0] * max_n
-        for k in range(max_n):
+        score_n = [0.0] * MAX_N
+        for k in range(MAX_N):
             cvec, cnorm = tfidf(cand[k], c_len - k, idf[k])
             for rt, ref, penalty in zip(refs, pair.references, penalties):
                 rvec, rnorm = tfidf(rt[k], len(ref) - k, idf[k])
@@ -178,8 +181,8 @@ def _cider(pairs, tables, max_n, sigma, scale):
                 else:
                     sim = 0.0
                 score_n[k] += sim * penalty
-            score_n[k] *= scale / len(pair.references)
-        total += sum(score_n) / max_n
+            score_n[k] *= CIDER_SCALE / len(pair.references)
+        total += sum(score_n) / MAX_N
     return total / n_images
 
 
@@ -237,26 +240,21 @@ class EvalReport:
 
 
 def evaluate(pairs: Sequence[EvalPair], apply_without_a: bool = False,
-             training_captions: Optional[Sequence[Sequence[str]]] = None,
-             generated_for_uniqueness: Optional[Sequence[Sequence[str]]] = None
-             ) -> EvalReport:
-    """Run every supported metric over ``pairs`` and assemble a report."""
+             training_captions: Optional[Sequence[Sequence[str]]] = None) -> EvalReport:
+    """Run every supported metric over ``pairs`` and assemble a report; given
+    ``training_captions``, also the uniqueness of the pairs' candidates."""
     if not pairs:
         raise MetricsError("evaluate needs at least one pair")
     if apply_without_a:
         pairs = without_a(pairs)
-    tables = _ngram_tables(pairs, 4)  # read by both BLEU and CIDEr
-    scores = _bleu(pairs, tables, max_n=4)
+    tables = _ngram_tables(pairs)  # read by both BLEU and CIDEr
+    scores = _bleu(pairs, tables)
     scores["ROUGE-L"] = rouge_l(pairs)
-    scores["CIDEr"] = _cider(pairs, tables, max_n=4, sigma=6.0, scale=10.0)
+    scores["CIDEr"] = _cider(pairs, tables)
     uniq = None
     if training_captions is not None:
-        gen = generated_for_uniqueness
-        if gen is None:
-            gen = [p.candidate for p in pairs]
         if apply_without_a:
-            gen = [strip_article(g) for g in gen]
             training_captions = [strip_article(t) for t in training_captions]
-        uniq = uniqueness_stats(gen, training_captions)
+        uniq = uniqueness_stats([p.candidate for p in pairs], training_captions)
     return EvalReport(scores=scores, pair_count=len(pairs), uniqueness=uniq,
                       without_a_applied=apply_without_a)

@@ -23,6 +23,8 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 
 CHECKPOINT_MAGIC = "skelcap-checkpoint-v1"
+ADAGRAD_EPSILON = 1e-8
+CLIP_NORM = 5.0  # the global gradient norm ``adagrad_step`` clips to
 
 
 class NumericsError(RuntimeError):
@@ -580,11 +582,9 @@ def backward(loss):
         node._parents = ()
 
 
-def glorot_uniform(rng, fan_in, fan_out, shape=None, dtype=DEFAULT_DTYPE):
+def glorot_uniform(rng, fan_in, fan_out, dtype=DEFAULT_DTYPE):
     r = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-r, r, size=shape).astype(dtype)
+    return rng.uniform(-r, r, size=(fan_in, fan_out)).astype(dtype)
 
 
 class ParameterStore:
@@ -623,10 +623,10 @@ class ParameterStore:
                    for name, t in self.params.items() if t.grad is not None}
         return squares, np.sqrt(sum(float(np.sum(sq)) for sq in squares.values()))
 
-    def adagrad_step(self, learning_rate, epsilon=1e-8, clip_norm=5.0):
-        """acc += g^2; w -= lr * g / (sqrt(acc) + eps), after clipping the
-        global gradient norm to ``clip_norm``; returns that norm before
-        clipping. Every gradient is checked before anything is updated."""
+    def adagrad_step(self, learning_rate):
+        """acc += g^2; w -= lr * g / (sqrt(acc) + ADAGRAD_EPSILON), after
+        clipping the global gradient norm to ``CLIP_NORM``; returns that norm
+        before clipping. Every gradient is checked before anything is updated."""
         squares, norm = self._squared_gradients()
         if not squares:
             raise NumericsError("adagrad_step called with no gradients populated")
@@ -634,16 +634,16 @@ class ParameterStore:
             for name in squares:
                 if not np.all(np.isfinite(self.params[name].grad)):
                     raise NonFiniteError(f"non-finite gradient for {name!r}")
-        clipped = clip_norm is not None and norm > clip_norm > 0
+        clipped = norm > CLIP_NORM
         for name, sq in squares.items():
             t = self.params[name]
             g = t.grad
             if clipped:
-                g *= clip_norm / norm
+                g *= CLIP_NORM / norm
                 np.square(g, out=sq, dtype=np.float64)
             self.accumulators[name] += sq
             denom = np.sqrt(self.accumulators[name], out=sq)
-            denom += epsilon
+            denom += ADAGRAD_EPSILON
             # lr * g in g's dtype, divided in float64 and rounded back to it
             step = learning_rate * g
             t.data -= np.divide(step, denom, out=step)
@@ -731,6 +731,7 @@ class ParameterStore:
                     raise NumericsError(
                         f"{path}: vocabulary hash mismatch for {key!r} "
                         f"(checkpoint {vocab_hashes.get(key)}, expected {value})")
+        tensors, accumulators = {}, {}  # name -> (header line, array)
         for lineno, kind, name, shape, off in entries:
             dt = "<f4" if kind == "tensor" else "<f8"
             count = math.prod(shape)
@@ -745,12 +746,21 @@ class ParameterStore:
                 raise NumericsError(f"{path}:{lineno}: {kind} {name!r}: {exc}") from None
             if not np.isfinite(arr).all():
                 raise NumericsError(f"{path}:{lineno}: {kind} {name!r} holds non-finite values")
-            if kind == "accumulator":
-                store.accumulators[name] = arr.astype(np.float64)
-            elif name in store:
-                raise NumericsError(f"{path}:{lineno}: duplicate tensor {name!r}")
-            else:
-                store.add(name, arr.astype(np.float32))
+            found = tensors if kind == "tensor" else accumulators
+            if name in found:
+                raise NumericsError(f"{path}:{lineno}: duplicate {kind} {name!r}")
+            found[name] = (lineno, arr)
+        for name, (lineno, arr) in tensors.items():
+            if name not in accumulators:
+                raise NumericsError(f"{path}:{lineno}: tensor {name!r} has no accumulator")
+            acc_line, acc = accumulators.pop(name)
+            if acc.shape != arr.shape:
+                raise NumericsError(f"{path}:{acc_line}: accumulator {name!r} is shaped "
+                                    f"{acc.shape}, its tensor {arr.shape}")
+            store.add(name, arr.astype(np.float32))
+            store.accumulators[name] = acc.astype(np.float64)
+        for name, (lineno, _) in accumulators.items():
+            raise NumericsError(f"{path}:{lineno}: accumulator {name!r} has no tensor")
         store.meta = meta
         store.vocab_hashes = vocab_hashes
         return store

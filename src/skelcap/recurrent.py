@@ -8,8 +8,8 @@ own parameters and then the LSTM and output layer with
 ``BatchTable`` in ``_table``, once per fit; every batch of every epoch is
 one fancy index per array of that table. Training,
 decoding and everything between run on the array kernels of ``numerics``
-alone: a decode step (``_advance``) runs the subclass's input step
-(``_input_step``) and the LSTM, and ``loss_and_grads`` runs the subclass's
+alone: every decode step runs ``_cell``, the LSTM and the output layer, on
+the decoder's own input, and ``loss_and_grads`` runs the subclass's
 ``teacher_forced_loss``, its backpropagation through time written out on
 the same kernels. Each decoder's taped batch loss (``sequence_loss``,
 ``batch_loss``), built from the tape helpers below, is the reference those
@@ -173,35 +173,30 @@ class RecurrentDecoder:
             prev = seqs[:, t]
         return loss
 
-    # -- the same loop on the array kernels -----------------------------------
+    # -- the step and the loop on the array kernels ---------------------------
 
-    def _advance(self, ctx, h, c, prev):
-        """One step of a batch on the array kernels, under the caller's
-        ``np.errstate(over="ignore")``: (h', c', logits, input cache, cell
-        cache) given the previous words ``prev``."""
+    def _cell(self, x, h, c):
+        """The LSTM and the output layer on a batch of inputs ``x``, on the
+        array kernels under the caller's ``np.errstate(over="ignore")``:
+        (h', c', logits, the LSTM's cache)."""
         p = self.store
-        x, inp = self._input_step(ctx, h, prev)
         h, c, cell = nm.lstm_forward(x, h, c, p["lstm_W"].data, p["lstm_b"].data)
-        return h, c, nm.affine(h, p["out_W"].data, p["out_b"].data), inp, cell
+        return h, c, nm.affine(h, p["out_W"].data, p["out_b"].data), cell
 
     def _table(self, records) -> BatchTable:
         """The ``BatchTable`` of ``records``: caption records for the skeleton
         decoder, conditioning items for the attribute decoder."""
         raise NotImplementedError
 
-    def _batches(self, records, batch_size, shuffle_rng=None):
-        """The batches of ``records``, from their ``_table``."""
-        return self._table(records).batches(batch_size, shuffle_rng)
-
     def teacher_forced_loss(self, batch, grads=None):
-        """The loss of the decoder's taped batch loss on one batch from
-        ``_batches``, as a float, computed on the array kernels; given a dict
+        """The loss of the decoder's taped batch loss on one batch of its
+        ``_table``, as a float, computed on the array kernels; given a dict
         ``grads``, also fills it with the gradient of every parameter. Each
         decoder writes its own backpropagation through time."""
         raise NotImplementedError
 
     def loss_and_grads(self, batch):
-        """(loss, gradients by parameter name) of one batch from ``_batches``:
+        """(loss, gradients by parameter name) of one batch of ``_table``:
         the taped loss and what ``nm.backward`` gives it, without a tape, as
         each decoder's ``teacher_forced_loss`` computes them (the skeleton's
         bit for bit, the attribute decoder's to rounding)."""
@@ -211,14 +206,11 @@ class RecurrentDecoder:
 
     # -- training -----------------------------------------------------------
 
-    def evaluate_loss(self, records, batch_size=None) -> float:
+    def evaluate_loss(self, records) -> float:
         """Mean per-sequence teacher-forced loss, no gradients, in batches of
-        ``batch_size`` (default: twice the training batch). Raises ValueError
-        for empty ``records``, whose mean loss does not exist."""
-        if batch_size is None:
-            batch_size = 2 * self.default_batch_size
-        _at_least_one("batch_size", batch_size)
-        return self._mean_loss(self._table(records), batch_size)
+        twice the default training batch. Raises ValueError for empty
+        ``records``, whose mean loss does not exist."""
+        return self._mean_loss(self._table(records), 2 * self.default_batch_size)
 
     def _mean_loss(self, table, batch_size):
         if not len(table):
@@ -237,7 +229,7 @@ class RecurrentDecoder:
         skeleton decoder, conditioning items for the attribute decoder, each
         set made one ``BatchTable`` before the first step. Each step takes
         its gradients from ``loss_and_grads`` and clips their global norm to
-        5 (``adagrad_step``'s defaults). The learning rate is
+        ``nm.CLIP_NORM`` (in ``adagrad_step``). The learning rate is
         halved once, the first time the validation loss fails to improve for
         a full epoch. Returns a history dict with the loss curve as
         (step, loss) pairs and each step's gradient norm before clipping.
@@ -305,6 +297,6 @@ class RecurrentDecoder:
             if name not in store or store[name].data.shape != model.store[name].data.shape:
                 raise NumericsError(f"{path}: tensor {name!r} missing or not shaped as its config")
             model.store[name].data[...] = store[name].data
-            model.store.accumulators[name][...] = store.accumulators[name]
+            model.store.accumulators[name] = store.accumulators[name]  # its tensor's shape
         model.store.step_count = store.step_count
         return model

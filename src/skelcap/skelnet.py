@@ -75,9 +75,10 @@ class _Grid(NamedTuple):
 
 
 class _Input(NamedTuple):
-    """One input step: the previous words, the attention maps and context
-    vectors, and the kernel caches (None without attention)."""
+    """One input step: its grid, the previous words, the attention maps and
+    context vectors, and the kernel caches (None without attention)."""
 
+    grid: _Grid
     prev: np.ndarray
     alpha: np.ndarray
     z: np.ndarray
@@ -189,7 +190,7 @@ class SkeletonGenerator(RecurrentDecoder):
         return (np.tanh(nm.affine(mean, p["init_Wh"].data, p["init_bh"].data)),
                 np.tanh(nm.affine(mean, p["init_Wc"].data, p["init_bc"].data)))
 
-    def _input_step(self, grid, h, prev):
+    def _input(self, grid, h, prev):
         """x = [embedding of ``prev``, context] and its ``_Input``."""
         p = self.store
         e = nm.gather_rows(p["embed"].data, prev)
@@ -198,13 +199,13 @@ class SkeletonGenerator(RecurrentDecoder):
             P, D = grid.feats.shape[1:]
             alpha = np.full((B, P), 1.0 / P, dtype=self.dtype)
             z = np.broadcast_to(grid.mean, (B, D))
-            return np.concatenate([e, z], axis=-1), _Input(prev, alpha, z, None, None)
+            return np.concatenate([e, z], axis=-1), _Input(grid, prev, alpha, z, None, None)
         alpha, att = nm.attention_forward(grid.u, h, p["att_V"].data, p["att_b"].data,
                                           p["att_w"].data)
         z, ws = nm.weighted_sum_forward(alpha, grid.feats)
-        return np.concatenate([e, z], axis=-1), _Input(prev, alpha, z, att, ws)
+        return np.concatenate([e, z], axis=-1), _Input(grid, prev, alpha, z, att, ws)
 
-    def _input_backward(self, grid, inp, gx, grads):
+    def _input_backward(self, inp, gx, grads):
         """Adds the input step's parameter gradients given the gradient ``gx``
         of x; returns the attention term of the gradient of h (None without
         attention). ``att_U`` takes one (B, D, A) sum per step, as the tape
@@ -216,20 +217,26 @@ class SkeletonGenerator(RecurrentDecoder):
             return None
         dalpha, _ = nm.weighted_sum_backward(gx[:, m:], inp.ws, (True, False))
         du, dh, dV, db, dw = nm.attention_backward(dalpha, inp.att)
-        _, dU = nm.matmul_backward(du, grid.feats, self.store["att_U"].data, (False, True))
+        _, dU = nm.matmul_backward(du, inp.grid.feats, self.store["att_U"].data, (False, True))
         for name, g in (("att_U", dU), ("att_V", dV), ("att_b", db), ("att_w", dw)):
             add_grad(grads, name, g)
         return dh
 
-    def _step(self, grid, h, c, prev):
-        """``_advance`` without its caches, which outside training would only
-        keep the step's temporaries alive: (h', c', logits, alpha, z)."""
-        h, c, logits, inp, _ = self._advance(grid, h, c, prev)
-        return h, c, logits, inp.alpha, inp.z
-
-    def _start(self, batch):
+    def _teacher_steps(self, batch, S):
+        """The first ``S`` teacher-forced steps of ``batch`` (feature grids
+        (B, P, D), gold words (B, ≥ S)), BOS first, on the array kernels under
+        the caller's ``np.errstate(over="ignore")``. Yields per step (h, c
+        entering it, h', c', logits, its ``_Input``, the LSTM's cache); a
+        consumer keeps only what it needs."""
+        seqs = batch[-1]
         grid = self._grid(np.ascontiguousarray(batch[0], dtype=self.dtype))
-        return (grid, *self._init_state(grid.mean))
+        h, c = self._init_state(grid.mean)
+        prev = np.full(len(seqs), BOS, dtype=np.int64)
+        for t in range(S):
+            x, inp = self._input(grid, h, prev)
+            h_new, c_new, logits, cell = self._cell(x, h, c)
+            yield h, c, h_new, c_new, logits, inp, cell
+            h, c, prev = h_new, c_new, seqs[:, t]
 
     def _start_backward(self, grid, h0, c0, gh, gc, grads):
         p = self.store
@@ -240,7 +247,7 @@ class SkeletonGenerator(RecurrentDecoder):
             add_grad(grads, b, db)
 
     def teacher_forced_loss(self, batch, grads=None):
-        """The loss of ``sequence_loss`` on one batch from ``_batches``, as a
+        """The loss of ``sequence_loss`` on one batch of ``_table``, as a
         float; given a dict ``grads``, also fills it with the gradient of
         every parameter.
 
@@ -252,41 +259,38 @@ class SkeletonGenerator(RecurrentDecoder):
         step's term.
         """
         seqs = np.asarray(batch[-1])
-        steps = []
+        loss, steps = None, []
         with np.errstate(over="ignore"):
-            grid, h0, c0 = self._start(batch)
-            h, c, loss = h0, c0, None
-            prev = np.full(seqs.shape[0], BOS, dtype=np.int64)
-            for t in range(seqs.shape[1]):
-                h, c, logits, inp, cell = self._advance(grid, h, c, prev)
+            for t, (h_prev, c_prev, h, _, logits, inp, cell) in enumerate(
+                    self._teacher_steps(batch, seqs.shape[1])):
                 step_loss, nll = nm.nll_forward(logits, seqs[:, t])
                 loss = step_loss if loss is None else loss + step_loss
                 if grads is not None:
-                    steps.append((inp, cell, h, nll))
-                prev = seqs[:, t]
+                    steps.append((h_prev, c_prev, h, inp, cell, nll))
         if grads is None:
             return float(loss)
         out_W, out_b = self.store["out_W"].data, self.store["out_b"].data
         one = np.ones_like(loss)
         gh_out = []  # the logits term of each step's h'
-        for _, _, h, nll in steps:
+        for _, _, h, _, _, nll in steps:
             dh, dW, db = nm.affine_backward(nm.nll_backward(one, nll), h, out_W, out_b)
             add_grad(grads, "out_W", dW)
             add_grad(grads, "out_b", db)
             gh_out.append(dh)
         gh, gc = gh_out[-1], None
         for t in reversed(range(len(steps))):
-            inp, cell = steps[t][:2]
+            inp, cell = steps[t][3:5]
             d_o, gc_h = nm.lstm_h_backward(gh, cell)
             gc = gc_h if gc is None else gc + gc_h
             dx, dh, gc, dW, db = nm.lstm_backward(gc, d_o, cell)
             add_grad(grads, "lstm_W", dW)
             add_grad(grads, "lstm_b", db)
-            gh_in = self._input_backward(grid, inp, dx, grads)
+            gh_in = self._input_backward(inp, dx, grads)
             gh = dh if t == 0 else gh_out[t - 1] + dh
             if gh_in is not None:
                 gh = gh + gh_in
-        self._start_backward(grid, h0, c0, gh, gc, grads)
+        h0, c0, _, inp = steps[0][:4]
+        self._start_backward(inp.grid, h0, c0, gh, gc, grads)
         return float(loss)
 
     # -- inference ------------------------------------------------------------
@@ -350,13 +354,11 @@ class SkeletonGenerator(RecurrentDecoder):
         words = np.asarray(prev_word_index)
         h = np.reshape(state.h, (-1, self.hidden_size))
         c = np.reshape(state.c, (-1, self.hidden_size))
-        P, p = flat.shape[0], self.store
-        x = np.concatenate([nm.gather_rows(p["embed"].data, np.repeat(words.reshape(-1), P)),
+        P, embed = flat.shape[0], self.store["embed"].data
+        x = np.concatenate([nm.gather_rows(embed, np.repeat(words.reshape(-1), P)),
                             np.tile(flat, (h.shape[0], 1))], axis=-1)
         with np.errstate(over="ignore"):
-            h, _, _ = nm.lstm_forward(x, np.repeat(h, P, axis=0), np.repeat(c, P, axis=0),
-                                      p["lstm_W"].data, p["lstm_b"].data)
-            logits = nm.affine(h, p["out_W"].data, p["out_b"].data)
+            logits = self._cell(x, np.repeat(h, P, axis=0), np.repeat(c, P, axis=0))[2]
         return nm.probs(logits).reshape(*words.shape, self.grid_size, self.grid_size, -1)
 
     # -- beam-search integration -------------------------------------------
@@ -372,8 +374,10 @@ class SkeletonGenerator(RecurrentDecoder):
 
         def step_fn(states, tokens):
             with np.errstate(over="ignore"):
-                h, c, logits, alpha, z = self._step(grid, states.h, states.c, np.asarray(tokens))
-                return SkelState(h, c, states.t + 1, alpha, z, logits), nm.log_probs(logits)
+                x, inp = self._input(grid, states.h, np.asarray(tokens))
+                h, c, logits, _ = self._cell(x, states.h, states.c)
+                return (SkelState(h, c, states.t + 1, inp.alpha, inp.z, logits),
+                        nm.log_probs(logits))
 
         return step_fn
 
@@ -398,9 +402,10 @@ class SkeletonGenerator(RecurrentDecoder):
         """Teacher-forced pass over ``records`` as one flat ``TeacherTrace``,
         used to condition the attribute decoder.
 
-        The records run as batches of their ``_table``, up to ``TRACE_BATCH``
-        of one skeleton length; each batch's steps are stacked and scattered
-        into the batch's rows with one assignment per array.
+        The records run through ``_teacher_steps`` as batches of ``_table``,
+        up to ``TRACE_BATCH`` of one skeleton length; each batch's steps, not
+        their caches, are stacked and scattered into its rows, one assignment
+        per array.
         """
         table = self._table(records)
         lengths = (table.lengths - 1).tolist()  # skeleton words, EOS excluded
@@ -414,20 +419,15 @@ class SkeletonGenerator(RecurrentDecoder):
             S = lengths[chunk[0]]
             if S == 0:
                 continue
-            feats, seqs = table.batch(np.array(chunk))
+            batch = table.batch(np.array(chunk))
             rows = offsets[chunk][:, None] + np.arange(S)  # (B, S)
-            steps = []
             with np.errstate(over="ignore"):
-                grid, h, c = self._start((feats,))
-                prev = np.full(len(chunk), BOS, dtype=np.int64)
-                for t in range(S):
-                    h_new, c_new, logits, alpha, z = self._step(grid, h, c, prev)
-                    steps.append((alpha, z, h_new, h, c, logits))
-                    h, c, prev = h_new, c_new, seqs[:, t]
+                steps = [(inp.alpha, inp.z, h, h_prev, c_prev, logits)
+                         for h_prev, c_prev, h, _, logits, inp, _ in self._teacher_steps(batch, S)]
             # alpha .. logits, the trace's first six arrays, in the order of steps
             for flat, arrs in zip(trace, zip(*steps)):
                 flat[rows] = np.stack(arrs, axis=1)
-            trace.words[rows] = seqs[:, :-1]
+            trace.words[rows] = batch[-1][:, :-1]
         return trace
 
     def embedding_of(self, word_index) -> np.ndarray:

@@ -256,11 +256,14 @@ def reference_teacher_trace(skel, records):
         B, S = seqs.shape
         steps = []
         with np.errstate(over="ignore"):
-            grid, h, c = skel._start((np.stack([records[i].features.flat() for i in chunk]),))
+            feats = np.stack([records[i].features.flat() for i in chunk])
+            grid = skel._grid(feats.astype(skel.dtype, copy=False))
+            h, c = skel._init_state(grid.mean)
             prev = np.full(B, BOS, dtype=np.int64)
             for t in range(S - 1):  # exclude the EOS step
-                h_new, c_new, logits, alpha, z = skel._step(grid, h, c, prev)
-                steps.append((alpha, z, h_new, h, c, logits))
+                x, inp = skel._input(grid, h, prev)
+                h_new, c_new, logits, _ = skel._cell(x, h, c)
+                steps.append((inp.alpha, inp.z, h_new, h, c, logits))
                 h, c, prev = h_new, c_new, seqs[:, t]
             stacked = [np.stack(arrs, axis=1) for arrs in zip(*steps)]
             for b, i in enumerate(chunk):

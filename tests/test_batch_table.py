@@ -94,7 +94,7 @@ def test_attr_table_batches_match_per_item_stacking(skel, attr_vocab, item_pool,
     def rng():
         return None if seed is None else np.random.default_rng(seed)
 
-    assert_same_batches(attr._batches(items, batch_size, rng()),
+    assert_same_batches(attr._table(items).batches(batch_size, rng()),
                         reference_attr_batches(items, batch_size, rng()))
 
 
@@ -108,13 +108,13 @@ def test_skel_table_batches_match_per_record_stacking(records, skel, picks, batc
     def rng():
         return None if seed is None else np.random.default_rng(seed)
 
-    assert_same_batches(skel._batches(recs, batch_size, rng()),
+    assert_same_batches(skel._table(recs).batches(batch_size, rng()),
                         reference_skel_batches(skel, recs, batch_size, rng()))
 
 
 def test_empty_list_gives_no_batch(skel, attr_vocab):
-    assert list(skel._batches([], 4)) == []
-    assert list(_attr(skel, attr_vocab)._batches([], 4)) == []
+    assert list(skel._table([]).batches(4)) == []
+    assert list(_attr(skel, attr_vocab)._table([]).batches(4)) == []
 
 
 def test_built_items_read_one_table_uncopied(records, skel, attr_vocab):

@@ -1,14 +1,16 @@
 """What the traced benchmark (``perfbench/``) needs of the package.
 
 ``perfbench/tracing.py`` times decoding through proxies that forward named
-model methods, and its training probe tapes ``sequence_loss`` and runs
-``nm.backward`` on it. Renaming or deleting any of those breaks the traced
+model methods, and its training probe tapes ``sequence_loss`` and
+``batch_loss``, runs ``nm.backward`` on them and steps Adagrad. Renaming or
+deleting any of those, or changing how they are called, breaks the traced
 run, which the untraced one cannot show; these tests can.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from skelcap import numerics as nm
@@ -70,10 +72,22 @@ def test_captions_through_the_proxies(tracing, fitted):
 
 
 def test_training_probe_tapes_and_backpropagates(tracing, fitted):
-    recs, skel, _ = fitted
-    fresh = SkeletonGenerator(skel.vocab, **skel.get_params())
-    feats, seqs = next(fresh._batches(recs, 8))
-    loss = fresh.sequence_loss(feats, seqs)
-    assert tracing.tape_nodes(loss) > 1
-    nm.backward(loss)
-    assert fresh.store["att_U"].grad is not None
+    # the probe's whole step for each decoder, called as ``probe_training``
+    # calls it: zero_grad, the taped loss, backward, then Adagrad given only
+    # the learning rate, positionally
+    recs, skel, attr = fitted
+    items = build_training_items(recs, skel, attr.vocab)
+    for model, records, taped_loss in (
+            (SkeletonGenerator(skel.vocab, **skel.get_params()), recs, "sequence_loss"),
+            (AttributeGenerator(attr.vocab, **attr.get_params()), items, "batch_loss")):
+        before = {name: model.store[name].data.copy() for name in model.store.names()}
+        model.store.zero_grad()
+        loss = getattr(model, taped_loss)(*next(model._table(records).batches(8)))
+        assert tracing.tape_nodes(loss) > 1
+        nm.backward(loss)
+        assert model.store["lstm_W"].grad is not None
+        model.store.adagrad_step(0.1)
+        assert model.store.step_count == 1
+        assert all(model.store[name].grad is None for name in before)
+        assert any(not np.array_equal(model.store[name].data, value)
+                   for name, value in before.items())

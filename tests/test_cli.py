@@ -218,6 +218,21 @@ def test_train_skel_resume_continues_steps(workspace, tmp_path):
     assert after > before
 
 
+def test_train_skel_resume_without_accumulator(workspace, tmp_path, capsys):
+    # an accumulator line removed from the header would restart Adagrad from
+    # zero; the checkpoint is refused, naming it, and nothing is written
+    head, _, payload = (workspace["skel"] / "skel.ckpt").read_bytes().partition(b"end-header\n")
+    lines = head.decode("utf-8").splitlines()
+    ckpt = tmp_path / "skel.ckpt"
+    ckpt.write_bytes("\n".join(line for line in lines if not line.startswith("accumulator out_W "))
+                     .encode("utf-8") + b"\nend-header\n" + payload)
+    out = tmp_path / "resumed"
+    assert run("train-skel", "--data", str(workspace["data"]), "--out", str(out),
+               "--epochs", "1", "--skel-threshold", "1", "--resume", str(ckpt)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}:")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_train_skel_missing_data(tmp_path):
     assert run("train-skel", "--data", str(tmp_path / "none"), "--out",
                str(tmp_path / "out")) == 2

@@ -63,7 +63,7 @@ def test_tape_ops_found():
 def test_guard_blocks_the_taped_losses(data, no_tape):
     _, recs, _, _ = data
     skel, _ = _models(data)
-    feats, seqs = next(skel._batches(recs, 4))
+    feats, seqs = next(skel._table(recs).batches(4))
     with pytest.raises(AssertionError, match="outside the taped reference"):
         skel.sequence_loss(feats, seqs)
 

@@ -258,31 +258,31 @@ def _store_with(w, g):
 
 def test_adagrad_first_step():
     store, t = _store_with([0.0], [1.0])
-    store.adagrad_step(0.1, epsilon=1e-8, clip_norm=None)
+    store.adagrad_step(0.1)
     assert math.isclose(t.data[0], -0.1, rel_tol=1e-5)
 
 
 def test_adagrad_zero_grad_no_change():
     store, t = _store_with([1.5], [0.0])
-    store.adagrad_step(0.1, clip_norm=None)
+    store.adagrad_step(0.1)
     assert t.data[0] == 1.5
 
 
 def test_adagrad_second_step_scaled():
     store, t = _store_with([0.0], [1.0])
-    store.adagrad_step(0.1, epsilon=1e-8, clip_norm=None)
+    store.adagrad_step(0.1)
     t.grad = np.asarray([1.0], dtype=np.float32)
     before = float(t.data[0])
-    store.adagrad_step(0.1, epsilon=1e-8, clip_norm=None)
+    store.adagrad_step(0.1)
     assert math.isclose(before - t.data[0], 0.1 / math.sqrt(2), rel_tol=1e-4)
 
 
 def test_adagrad_accumulator_monotone():
     store, t = _store_with([0.0], [2.0])
-    store.adagrad_step(0.1, clip_norm=None)
+    store.adagrad_step(0.1)
     first = store.accumulators["w"].copy()
     t.grad = np.asarray([0.5], dtype=np.float32)
-    store.adagrad_step(0.1, clip_norm=None)
+    store.adagrad_step(0.1)
     assert np.all(store.accumulators["w"] >= first)
 
 
@@ -297,7 +297,7 @@ def test_gradient_clipping():
     # the norm 20 is clipped to 5: each entry 10 becomes 2.5 before it is
     # accumulated and applied
     store, t = _store_with(np.zeros(4), np.full(4, 10.0))
-    norm = store.adagrad_step(0.1, clip_norm=5.0)
+    norm = store.adagrad_step(0.1)
     assert norm == pytest.approx(20.0)
     assert np.sqrt(store.accumulators["w"].sum()) == pytest.approx(5.0, rel=1e-5)
 
@@ -351,7 +351,7 @@ def test_vocab_hash_stable():
 
 def test_adagrad_step_returns_norm_before_clipping():
     store, t = _store_with(np.zeros(4), np.full(4, 10.0))
-    assert store.adagrad_step(0.1, clip_norm=5.0) == pytest.approx(20.0)
+    assert store.adagrad_step(0.1) == pytest.approx(20.0)
 
 
 def test_matmul_constant_operand_gets_no_gradient():
@@ -749,9 +749,9 @@ def _parameter_contributions(monkeypatch):
             seen[params[id(self)]].append(np.array(g, copy=True).tobytes())
         accumulate(self, g)
 
-    batch = next(b for b in skel._batches(recs, 8) if b[1].shape[1] >= 4)
+    batch = next(b for b in skel._table(recs).batches(8) if b[1].shape[1] >= 4)
     items = build_training_items(recs, skel, attr.vocab)
-    attr_batch = next(b for b in attr._batches(items, 8) if b[-1].shape[1] >= 3)
+    attr_batch = next(b for b in attr._table(items).batches(8) if b[-1].shape[1] >= 3)
     with monkeypatch.context() as mp:
         mp.setattr(Tensor, "_accumulate", spy)
         backward(skel.sequence_loss(*batch))
@@ -818,14 +818,14 @@ def test_ops_return_the_tape_bits_as_plain_arrays(seed, B, m, n, P, A):
 # -- adagrad against the formula it replaced ---------------------------------------
 
 def _adagrad_reference(store, learning_rate, epsilon=1e-8, clip_norm=5.0):
-    """The earlier multi-pass update: global norm, clip, then per parameter a
-    finite check, acc += g^2 and w -= lr * g / (sqrt(acc) + eps)."""
+    """The earlier multi-pass update: global norm, clip to 5, then per
+    parameter a finite check, acc += g^2 and w -= lr * g / (sqrt(acc) + eps)."""
     sq = 0.0
     for t in store.params.values():
         if t.grad is not None:
             sq += float(np.sum(t.grad.astype(np.float64) ** 2))
     norm = np.sqrt(sq)
-    if clip_norm is not None and norm > clip_norm > 0:
+    if norm > clip_norm:
         factor = clip_norm / norm
         for t in store.params.values():
             if t.grad is not None:
@@ -850,8 +850,7 @@ def _bytes(store):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("clip_norm", [None, 5.0])
-def test_adagrad_step_bit_identical_to_reference(dtype, clip_norm):
+def test_adagrad_step_bit_identical_to_reference(dtype):
     rng = np.random.default_rng(8)
     shapes = {"W": (30, 40), "b": (40,), "E": (7, 3, 2), "unused": (3,)}
     stores = [ParameterStore(), ParameterStore()]
@@ -866,13 +865,12 @@ def test_adagrad_step_bit_identical_to_reference(dtype, clip_norm):
         for store in stores:
             for name, g in grads.items():
                 store[name].grad = g.copy()
-        norm = stores[0].adagrad_step(0.1, clip_norm=clip_norm)
-        assert norm == _adagrad_reference(stores[1], 0.1, clip_norm=clip_norm)
-        clipped.append(clip_norm is not None and norm > clip_norm)
+        norm = stores[0].adagrad_step(0.1)
+        assert norm == _adagrad_reference(stores[1], 0.1)
+        clipped.append(norm > 5.0)
         assert _bytes(stores[0]) == _bytes(stores[1])
     assert stores[0].step_count == stores[1].step_count == 20
-    if clip_norm is not None:  # both branches were taken
-        assert any(clipped) and not all(clipped)
+    assert any(clipped) and not all(clipped)  # both branches were taken
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -886,7 +884,7 @@ def test_adagrad_non_finite_gradient_changes_nothing(bad):
     before = _bytes(store)
     grads = [store[n].grad.tobytes() for n in ("a", "b")]
     with pytest.raises(NonFiniteError, match="'b'"):
-        store.adagrad_step(0.1, clip_norm=5.0)
+        store.adagrad_step(0.1)
     assert _bytes(store) == before
     assert store.step_count == 0
     assert [store[n].grad.tobytes() for n in ("a", "b")] == grads

@@ -125,3 +125,77 @@ def test_features_repeated_image_id_named(tmp_path):
                f"of the record at byte 0")
     with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
         corpus.read_features(path)
+
+
+def _checkpoint_lines(path):
+    """A two-tensor checkpoint at ``path`` whose accumulators are not zero,
+    and its header lines (the payload follows the last)."""
+    store = ParameterStore()
+    store.add("b", np.zeros(3, dtype=np.float32))
+    store.add("w", np.ones((2, 3), dtype=np.float32))
+    store.accumulators["b"][:] = [1.0, 2.0, 3.0]
+    store.accumulators["w"][:] = 4.0
+    store.save(path)
+    head, _, payload = path.read_bytes().partition(b"end-header\n")
+    return store, head.decode("utf-8").splitlines(), payload
+
+
+def _rewrite(path, lines, payload):
+    path.write_bytes(("\n".join(lines) + "\nend-header\n").encode("utf-8") + payload)
+
+
+def test_checkpoint_accumulator_before_its_tensor_loads(tmp_path):
+    path = tmp_path / "c.ckpt"
+    store, lines, payload = _checkpoint_lines(path)
+    at = lines.index(next(line for line in lines if line.startswith("tensor b ")))
+    lines[at], lines[at + 1] = lines[at + 1], lines[at]
+    _rewrite(path, lines, payload)
+    loaded = ParameterStore.load(path)
+    for name in ("b", "w"):
+        assert np.array_equal(loaded.accumulators[name], store.accumulators[name]), name
+        assert np.array_equal(loaded[name].data, store[name].data), name
+
+
+@pytest.mark.parametrize("edit,shift,message", [
+    (lambda line: [line.replace(" 3 ", " scalar ")], 0,
+     "accumulator 'b' is shaped (), its tensor (3,)"),
+    (lambda line: [line.replace(" 3 ", " 2 ")], 0,
+     "accumulator 'b' is shaped (2,), its tensor (3,)"),
+    (lambda line: [], -1, "tensor 'b' has no accumulator"),
+    (lambda line: [line, line], 1, "duplicate accumulator 'b'"),
+    (lambda line: [line, line.replace(" b ", " c ")], 1, "accumulator 'c' has no tensor"),
+], ids=["scalar", "other-shape", "missing", "repeated", "orphan"])
+def test_checkpoint_accumulator_fault_named(tmp_path, edit, shift, message):
+    # each tensor has exactly one accumulator of its shape; a missing one
+    # would silently restart Adagrad on --resume. The fault is named at the
+    # accumulator's line, moved by ``shift`` lines (-1: its tensor's line)
+    path = tmp_path / "c.ckpt"
+    _, lines, payload = _checkpoint_lines(path)
+    at = lines.index(next(line for line in lines if line.startswith("accumulator b ")))
+    lines[at:at + 1] = edit(lines[at])
+    _rewrite(path, lines, payload)
+    named = at + 1 + shift
+    with pytest.raises(NumericsError, match=f"^{re.escape(f'{path}:{named}: {message}')}$"):
+        ParameterStore.load(path)
+
+
+@pytest.mark.parametrize("line", ["\t3", " \t3", "big dog\t3", "dog \t3", "\u00a0dog\t1"],
+                         ids=["empty", "space", "inner-space", "trailing-space", "nbsp"])
+def test_vocabulary_token_without_text_named(valid_files, tmp_path, line):
+    # such a token can never come out of preprocessing, which splits on whitespace
+    lines = valid_files["vocabulary"].decode("utf-8").splitlines(keepends=True)
+    path = tmp_path / "bad.vocab"
+    path.write_text("".join([*lines[:2], line + "\n", *lines[2:]]), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: token .* is empty or "
+                                          f"holds whitespace$"):
+        Vocabulary.load(path)
+
+
+def test_manifest_repeated_split_named(tmp_path):
+    # a second "split: train" would silently replace the first, count and all
+    path = tmp_path / "m.txt"
+    corpus.write_manifest(path, {"train": {"captions": "t.tsv", "count": 2},
+                                 "val": {"captions": "v.tsv", "count": 1}})
+    path.write_text(path.read_text() + "split: train\n  count: 5\n")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:8: split 'train' repeated$"):
+        corpus.read_manifest(path)

@@ -58,7 +58,4 @@ def test_fit_rejects_fewer_than_one(kwargs, message):
                               attention_hidden=4)
     with pytest.raises(ValueError, match=f"^{message}$"):
         model.fit(recs, **kwargs)
-    if "batch_size" in kwargs:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            model.evaluate_loss(recs, kwargs["batch_size"])
     assert model.store.step_count == 0
