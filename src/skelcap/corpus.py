@@ -48,6 +48,9 @@ def strip_article(tokens: Sequence[str]) -> List[str]:
     return [t for t in tokens if t != "a"]
 
 
+VOCAB_HEADER = "# vocabulary threshold="  # line 1 of a vocabulary file, then N
+
+
 class Vocabulary:
     """Token/index bijection with BOS=0, EOS=1, UNK=2 and a count threshold."""
 
@@ -76,31 +79,38 @@ class Vocabulary:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# vocabulary threshold={self.threshold}\n")
+            fh.write(f"{VOCAB_HEADER}{self.threshold}\n")
             for tok in self.index_to_token[len(SPECIALS):]:
                 fh.write(f"{tok}\t{self.counts.get(tok, 0)}\n")
 
     @classmethod
     def load(cls, path):
-        """Read a file written by ``save``; a fault raises ``CorpusError``
-        naming ``path:line``."""
+        """Read a file written by ``save``: the header line ``# vocabulary
+        threshold=N``, then one ``token<TAB>count`` line per token. A fault
+        raises ``CorpusError`` naming ``path:line``."""
         tokens, counts = [], {}
-        threshold = 1
+        threshold = None
         for lineno, line in treebank.read_lines(path, CorpusError):
             line = line.rstrip("\n")
             if not line:
                 raise CorpusError(f"{path}:{lineno}: blank line")
-            if line.startswith("#"):
-                if "threshold=" in line:
-                    threshold = _integer(line.split("threshold=")[1], path, lineno, "threshold")
+            if lineno == 1:
+                if not line.startswith(VOCAB_HEADER):
+                    raise CorpusError(f"{path}:1: expected the header '{VOCAB_HEADER}N', "
+                                      f"got {line!r}")
+                threshold = _integer(line[len(VOCAB_HEADER):], path, 1, "threshold")
                 continue
-            tok, _, cnt = line.partition("\t")
+            tok, tab, cnt = line.partition("\t")
+            if not tab:
+                raise CorpusError(f"{path}:{lineno}: expected 'token<TAB>count', got {line!r}")
             if tok.split() != [tok]:
                 raise CorpusError(f"{path}:{lineno}: token {tok!r} is empty or holds whitespace")
             if tok in counts or tok in SPECIALS:
                 raise CorpusError(f"{path}:{lineno}: duplicate token {tok!r}")
             tokens.append(tok)
-            counts[tok] = _integer(cnt or "0", path, lineno, "count")
+            counts[tok] = _integer(cnt, path, lineno, "count")
+        if threshold is None:
+            raise CorpusError(f"{path}:1: empty file, expected the header '{VOCAB_HEADER}N'")
         return cls(tokens, counts, threshold)
 
 
@@ -490,6 +500,9 @@ def read_manifest(path):
             if key not in MANIFEST_KEYS:
                 raise CorpusError(f"{path}:{lineno}: unknown split entry {key!r}, "
                                   f"expected one of {', '.join(MANIFEST_KEYS)}")
+            if key in splits[current]:
+                raise CorpusError(f"{path}:{lineno}: entry {key!r} repeated in split "
+                                  f"{current!r}")
             splits[current][key] = (_integer(value, path, lineno, "count") if key == "count"
                                     else value)
         else:

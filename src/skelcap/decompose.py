@@ -105,36 +105,3 @@ def format_decomposition(d: DecomposedCaption) -> str:
         if tok.attributes:
             parts.append("{" + " ".join(tok.attributes) + "}")
     return " ".join(parts)
-
-
-def parse_decomposition(line: str) -> DecomposedCaption:
-    """Inverse of format_decomposition.
-
-    Heads with empty attribute lists are indistinguishable from plain skeleton
-    words in this format, so reparsed tokens are NP heads iff they carry
-    attributes.
-    """
-    tokens: List[SkeletonToken] = []
-    parts = line.split()
-    i = 0
-    while i < len(parts):
-        word = parts[i]
-        if word.startswith("{"):
-            raise DecomposeError(f"attribute group without a preceding word: {line!r}")
-        i += 1
-        attrs: List[str] = []
-        if i < len(parts) and parts[i].startswith("{"):
-            group = []
-            while i < len(parts):
-                group.append(parts[i])
-                i += 1
-                if group[-1].endswith("}"):
-                    break
-            else:
-                raise DecomposeError(f"unterminated attribute group: {line!r}")
-            raw = " ".join(group)[1:-1].strip()
-            attrs = raw.split() if raw else []
-        tokens.append(SkeletonToken(surface=word, is_np_head=bool(attrs),
-                                    attributes=tuple(attrs)))
-    length = sum(1 + len(t.attributes) for t in tokens)
-    return DecomposedCaption(skeleton=tuple(tokens), original_length=length)

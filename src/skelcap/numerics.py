@@ -5,9 +5,9 @@ Everything is numpy-backed. The decoders train and decode on the array
 kernels alone: plain-array functions, the recurrent layers each a forward
 that returns its output and a cache and a backward that takes that cache.
 The tape ops are the reference those hand-written gradients are tested
-against: an op records a Tensor node exactly when an operand is a Tensor,
-the recurrent ones as thin wrappers over the kernels, and ``backward`` on a
-scalar loss walks the tape in reverse topological order. Default dtype is
+against: each records one Tensor node, whatever its operands, through one
+builder over its kernel's backward, and ``backward`` on a scalar loss walks
+the tape in reverse topological order. Default dtype is
 float32; pass ``dtype=np.float64`` when building parameters for gradient
 checking.
 """
@@ -71,10 +71,10 @@ class Tensor:
             self.grad += g
 
 
-# Every op takes Tensors or plain arrays and runs one forward on arrays. A Tensor
-# is a parameter or a tape node; a plain-array operand is a constant, which is
-# not a parent of the node and gets no gradient. An op on constants alone
-# returns its array; otherwise it defines its backward and returns a node.
+# Every op takes Tensors or plain arrays, runs one forward on arrays and
+# records one node. A Tensor is a parameter or a tape node; a plain-array
+# operand is a constant, which is not a parent of the node and gets no
+# gradient.
 
 
 def _data(x):
@@ -82,29 +82,26 @@ def _data(x):
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
-def _taped(*operands):
-    """Whether an op on ``operands`` must record a tape node."""
-    return any(isinstance(x, Tensor) for x in operands)
-
-
-def _needs(*operands):
-    """Which ``operands`` take a gradient: Tensors, not constants; the
-    ``need`` flags of a kernel backward."""
-    return tuple(isinstance(x, Tensor) for x in operands)
-
-
-def _accumulate_all(operands, grads):
-    """Accumulates each gradient of a kernel backward into its operand."""
-    for x, g in zip(operands, grads):
-        if g is not None:
-            x._accumulate(g)
-
-
 def _node(data, operands, backward_fn):
     out = Tensor(data)
     out._parents = tuple(x for x in operands if isinstance(x, Tensor))
     out._backward = backward_fn
     return out
+
+
+def _kernel_node(y, cache, operands, kernel_backward):
+    """The node of an op whose forward gave ``y`` and ``cache``. Its backward
+    calls ``kernel_backward(grad, cache, need)``, ``need`` holding one flag
+    per operand, true for a Tensor, and adds each returned gradient to its
+    Tensor operand, in operand order."""
+    need = tuple(isinstance(x, Tensor) for x in operands)
+
+    def bw(out):
+        for x, needed, g in zip(operands, need, kernel_backward(out.grad, cache, need)):
+            if needed:
+                x._accumulate(g)
+
+    return _node(y, operands, bw)
 
 
 def _unbroadcast(grad, shape):
@@ -119,29 +116,15 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    y = _data(a) + _data(b)
-    if not _taped(a, b):
-        return y
-
-    def bw(out):
-        g = out.grad
-        for x in (a, b):
-            if isinstance(x, Tensor):
-                x._accumulate(_unbroadcast(g, x.data.shape))
-
-    return _node(y, (a, b), bw)
+    ad, bd = _data(a), _data(b)
+    return _kernel_node(ad + bd, (ad.shape, bd.shape), (a, b),
+                        lambda g, shapes, need: [_unbroadcast(g, s) if n else None
+                                                 for s, n in zip(shapes, need)])
 
 
 def scale(a, s):
     s = float(s)
-    y = _data(a) * s
-    if not _taped(a):
-        return y
-
-    def bw(out):
-        a._accumulate(out.grad * s)
-
-    return _node(y, (a,), bw)
+    return _kernel_node(_data(a) * s, s, (a,), lambda g, s, need: (g * s,))
 
 
 def matmul(a, b):
@@ -151,31 +134,13 @@ def matmul(a, b):
         raise ShapeError(f"matmul requires at least 2-d operands: {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    y = row_stable_matmul(ad, bd)
-    if not _taped(a, b):
-        return y
-
-    def bw(out):
-        _matmul_backward(out.grad, a, b)
-
-    return _node(y, (a, b), bw)
-
-
-def _matmul_backward(g, a, b):
-    """Accumulates the gradients of ``a @ b`` given the output gradient
-    ``g``; a constant operand gets none."""
-    _accumulate_all((a, b), matmul_backward(g, _data(a), _data(b), _needs(a, b)))
+    return _kernel_node(row_stable_matmul(ad, bd), (ad, bd), (a, b),
+                        lambda g, ab, need: matmul_backward(g, *ab, need))
 
 
 def tanh(a):
     y = np.tanh(_data(a))
-    if not _taped(a):
-        return y
-
-    def bw(out):
-        a._accumulate(tanh_backward(out.grad, out.data))
-
-    return _node(y, (a,), bw)
+    return _kernel_node(y, y, (a,), lambda g, y, need: (tanh_backward(g, y),))
 
 
 def _softmax_backward(g, y, axis):
@@ -185,60 +150,32 @@ def _softmax_backward(g, y, axis):
 
 def softmax(a, axis=-1):
     y = probs(_data(a), axis)
-    if not _taped(a):
-        return y
-
-    def bw(out):
-        a._accumulate(_softmax_backward(out.grad, out.data, axis))
-
-    return _node(y, (a,), bw)
+    return _kernel_node(y, y, (a,), lambda g, y, need: (_softmax_backward(g, y, axis),))
 
 
 def concat(tensors, axis=-1):
-    y = np.concatenate([_data(t) for t in tensors], axis=axis)
-    if not _taped(*tensors):
-        return y
-
-    def bw(out):
-        g = out.grad
-        idx = [slice(None)] * g.ndim
-        ax = axis % g.ndim
-        lo = 0
-        for t in tensors:
-            hi = lo + _data(t).shape[ax]
-            if isinstance(t, Tensor):
-                idx[ax] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-            lo = hi
-
-    return _node(y, tensors, bw)
+    arrays = [_data(t) for t in tensors]
+    ends = np.cumsum([x.shape[axis] for x in arrays])[:-1]
+    return _kernel_node(np.concatenate(arrays, axis=axis), ends, tensors,
+                        lambda g, ends, need: np.split(g, ends, axis=axis))
 
 
 def lookup(table, indices):
     """Embedding lookup: rows of ``table`` selected by integer ``indices``."""
-    idx = np.asarray(indices)
-    y = gather_rows(_data(table), idx)
-    if not _taped(table):
-        return y
-
-    def bw(out):
-        table._accumulate(gather_rows_backward(out.grad, idx, table.data))
-
-    return _node(y, (table,), bw)
+    idx, td = np.asarray(indices), _data(table)
+    return _kernel_node(gather_rows(td, idx), (idx, td), (table,),
+                        lambda g, cache, need: (gather_rows_backward(g, *cache),))
 
 
 def sum_(a, axis=None, keepdims=False):
-    y = sum64(_data(a), axis, keepdims)
-    if not _taped(a):
-        return y
+    ad = _data(a)
 
-    def bw(out):
-        g = out.grad
+    def bw(g, shape, need):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        return (np.broadcast_to(g, shape).copy(),)
 
-    return _node(y, (a,), bw)
+    return _kernel_node(sum64(ad, axis, keepdims), ad.shape, (a,), bw)
 
 
 def mean(a, axis=None, keepdims=False):
@@ -248,28 +185,15 @@ def mean(a, axis=None, keepdims=False):
 
 def log_softmax(a, axis=-1):
     y = log_probs(_data(a), axis)
-    if not _taped(a):
-        return y
-
-    def bw(out):
-        g = out.grad
-        p = np.exp(out.data)
-        a._accumulate(g - p * g.sum(axis=axis, keepdims=True))
-
-    return _node(y, (a,), bw)
+    return _kernel_node(y, y, (a,), lambda g, y, need:
+                        (g - np.exp(y) * g.sum(axis=axis, keepdims=True),))
 
 
 def cross_entropy(logits, targets):
     """Mean negative log-likelihood of integer ``targets`` (B,) under ``logits``
     (B, Q), as one node over ``nll_forward``."""
     loss, cache = nll_forward(_data(logits), targets)
-    if not _taped(logits):
-        return loss
-
-    def bw(out):
-        logits._accumulate(nll_backward(out.grad, cache))
-
-    return _node(loss, (logits,), bw)
+    return _kernel_node(loss, cache, (logits,), lambda g, cache, need: (nll_backward(g, cache),))
 
 
 # -- fused recurrent ops ------------------------------------------------------------
@@ -291,17 +215,11 @@ def lstm_cell(x, h, c, W, b):
     operands = (x, h, c, W, b)
     with np.errstate(over="ignore"):
         h_new, c_new, cache = lstm_forward(*(_data(v) for v in operands))
-    if not _taped(*operands):
-        return h_new, c_new
     d_o = []  # the output-gate gradient, from the h' node
-
-    def bw_c(out):
-        _accumulate_all(operands, lstm_backward(out.grad, d_o.pop() if d_o else None, cache,
-                                                _needs(*operands)))
-
     # x last: the tape reaches x's own inputs (a step's word lookup) after
     # the history in h and c, as it did through the composed graph's concat
-    c_out = _node(c_new, operands, bw_c)
+    c_out = _kernel_node(c_new, cache, operands, lambda gc, cache, need:
+                         lstm_backward(gc, d_o.pop() if d_o else None, cache, need))
 
     def bw_h(out):
         do, gc = lstm_h_backward(out.grad, cache)
@@ -314,27 +232,14 @@ def lstm_cell(x, h, c, W, b):
 def attention(u, h, V, b, w):
     """Soft-attention maps ``attention_forward`` as one node."""
     operands = (u, h, V, b, w)
-    alpha, cache = attention_forward(*(_data(v) for v in operands))
-    if not _taped(*operands):
-        return alpha
-
-    def bw(out):
-        _accumulate_all(operands, attention_backward(out.grad, cache, _needs(*operands)))
-
-    return _node(alpha, operands, bw)
+    return _kernel_node(*attention_forward(*(_data(v) for v in operands)), operands,
+                        attention_backward)
 
 
 def weighted_sum(alpha, feats):
     """Context vectors ``weighted_sum_forward`` as one node."""
-    z, cache = weighted_sum_forward(_data(alpha), _data(feats))
-    if not _taped(alpha, feats):
-        return z
-
-    def bw(out):
-        _accumulate_all((alpha, feats), weighted_sum_backward(out.grad, cache,
-                                                               _needs(alpha, feats)))
-
-    return _node(z, (alpha, feats), bw)
+    return _kernel_node(*weighted_sum_forward(_data(alpha), _data(feats)), (alpha, feats),
+                        weighted_sum_backward)
 
 
 # -- array kernels ------------------------------------------------------------------

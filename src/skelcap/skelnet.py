@@ -157,7 +157,7 @@ class SkeletonGenerator(RecurrentDecoder):
         """
         p = self.store
         feats = np.ascontiguousarray(feats_np, dtype=self.dtype)  # a constant
-        mean_v = nm.mean(feats, axis=1)
+        mean_v = nm.mean64(feats, 1)
         h = nm.tanh(nm.add(nm.matmul(mean_v, p["init_Wh"]), p["init_bh"]))
         c = nm.tanh(nm.add(nm.matmul(mean_v, p["init_Wc"]), p["init_bc"]))
 

@@ -98,7 +98,7 @@ def trained():
             p_grid = skel.per_location_distributions(state, prev_w,
                                                      rec.features)
             stepped, _ = step_fn(state, [prev_w])
-            p_attend = nm.softmax(stepped.logits, axis=-1)[0]
+            p_attend = nm.probs(stepped.logits, axis=-1)[0]
             post = refine_attention(p_attend,
                                     p_grid.reshape(-1, p_grid.shape[-1]),
                                     fallback=alpha)

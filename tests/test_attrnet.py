@@ -283,7 +283,7 @@ def reference_word_conditioning(skel, trace, features, hidden_tap, use_post_word
     if use_post_word_alpha:
         entering = SkelState(h=np.asarray(trace["h_prev"]), c=np.asarray(trace["c_prev"]))
         p_grid = skel.per_location_distributions(entering, [BOS] + words[:-1], features)
-        p_attend = nm.softmax(np.asarray(trace["logits"]), axis=-1)
+        p_attend = nm.probs(np.asarray(trace["logits"]), axis=-1)
         posts = [refine_attention(p, grid, fallback=alpha)
                  for p, grid, alpha in zip(p_attend, p_grid, trace["alpha"])]
         z = skel.context(features, np.stack(posts)).astype(np.float32)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from skelcap import corpus
 from skelcap.corpus import (BOS, EOS, UNK, CaptionRecord, CorpusError,
@@ -73,6 +74,26 @@ def test_vocab_save_load(tmp_path):
     v2 = Vocabulary.load(p)
     assert v2.index_to_token == v.index_to_token
     assert v2.threshold == v.threshold
+    assert v2.content_hash() == v.content_hash()
+
+
+# a token is any non-empty text without whitespace, "#" first or not
+_token = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+    lambda t: t.split() == [t] and t not in corpus.SPECIALS)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(_token, _token.map("#".__add__)), unique=True, max_size=12),
+       st.lists(st.integers(0, 10 ** 9), min_size=12, max_size=12), st.integers(1, 10 ** 6))
+@example(["a", "#red", "dog"], [1] * 12, 1)
+def test_vocab_save_load_roundtrip(tmp_path, tokens, counts, threshold):
+    v = Vocabulary(tokens, dict(zip(tokens, counts)), threshold)
+    p = tmp_path / "v.vocab"
+    v.save(p)
+    v2 = Vocabulary.load(p)
+    assert v2.index_to_token == v.index_to_token
+    assert v2.counts == v.counts and v2.threshold == v.threshold
     assert v2.content_hash() == v.content_hash()
 
 

@@ -4,6 +4,7 @@ replaced by a function that raises, each still runs. The taped losses are
 only the reference the kernels are tested against."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from skelcap.corpus import EOS, SynthConfig, build_vocab, synth_generate
 from skelcap.decode import caption
 from skelcap.skelnet import SkeletonGenerator
 
-# every op that can record a tape node, found by its call of ``_taped``; ``mean``
-# composes two of them and ``backward`` walks the tape
+# every op that records a tape node, found by its call of ``_kernel_node`` or
+# ``_node``; ``mean`` composes two of them and ``backward`` walks the tape
 TAPE_OPS = sorted([name for name, f in vars(nm).items()
-                   if inspect.isfunction(f) and "_taped(" in inspect.getsource(f)]
+                   if inspect.isfunction(f) and not name.startswith("_")
+                   and re.search(r"\b_(kernel_)?node\(", inspect.getsource(f))]
                   + ["mean", "backward"])
 
 
@@ -56,8 +58,10 @@ def no_tape(monkeypatch):
 
 
 def test_tape_ops_found():
-    assert {"add", "matmul", "tanh", "softmax", "concat", "lookup", "sum_", "log_softmax",
-            "cross_entropy", "lstm_cell", "attention", "weighted_sum"} <= set(TAPE_OPS)
+    # the whole set: an op added to the tape must be added here too
+    assert TAPE_OPS == sorted(["add", "scale", "matmul", "tanh", "softmax", "concat", "lookup",
+                               "sum_", "mean", "log_softmax", "cross_entropy", "lstm_cell",
+                               "attention", "weighted_sum", "backward"])
 
 
 def test_guard_blocks_the_taped_losses(data, no_tape):

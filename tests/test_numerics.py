@@ -17,8 +17,6 @@ def t64(data):
 
 def mul(a, b):
     y = nm._data(a) * nm._data(b)
-    if not nm._taped(a, b):
-        return y
 
     def bw(out):
         g = out.grad
@@ -33,8 +31,6 @@ def mul(a, b):
 def sigmoid(a):
     with np.errstate(over="ignore"):
         y = 1.0 / (1.0 + np.exp(-nm._data(a)))
-    if not nm._taped(a):
-        return y
 
     def bw(out):
         a._accumulate(out.grad * out.data * (1.0 - out.data))
@@ -44,8 +40,6 @@ def sigmoid(a):
 
 def reshape(a, shape):
     y = nm._data(a).reshape(shape)
-    if not nm._taped(a):
-        return y
 
     def bw(out):
         a._accumulate(out.grad.reshape(a.data.shape))
@@ -57,8 +51,6 @@ def lookup_rows(a, indices):
     """Select one entry per row along the last axis."""
     pick = (*np.indices(np.shape(indices)), np.asarray(indices))
     y = nm._data(a)[pick]
-    if not nm._taped(a):
-        return y
 
     def bw(out):
         g = np.zeros_like(a.data)
@@ -74,8 +66,6 @@ def narrow(a, axis, start, length):
     idx = [slice(None)] * ad.ndim
     idx[axis % ad.ndim] = slice(start, start + length)
     idx = tuple(idx)
-    if not nm._taped(a):
-        return ad[idx]
 
     def bw(out):
         g = np.zeros_like(a.data)
@@ -86,21 +76,21 @@ def narrow(a, axis, start, length):
 
 
 def test_softmax_uniform():
-    out = nm.softmax(np.zeros(3))
+    out = nm.probs(np.zeros(3))
     assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_softmax_sums_to_one():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 7))
-    out = nm.softmax(x, axis=-1)
+    out = nm.probs(x, axis=-1)
     assert np.all(out >= 0)
     assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_matmul_identity():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = nm.matmul(np.eye(2), x)
+    out = nm.row_stable_matmul(np.eye(2), x)
     assert np.allclose(out, x)
 
 
@@ -118,11 +108,11 @@ def test_matmul_row_same_alone_and_in_a_batch(dtype):
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 224)).astype(dtype)
     b = rng.normal(size=(224, 512)).astype(dtype)
-    batch = nm.matmul(a, b)
+    batch = nm.row_stable_matmul(a, b)
     for k in range(1, 6):
-        assert np.array_equal(nm.matmul(a[:k], b), batch[:k])
+        assert np.array_equal(nm.row_stable_matmul(a[:k], b), batch[:k])
     for i in range(5):
-        assert np.array_equal(nm.matmul(a[i:i + 1], b)[0], batch[i])
+        assert np.array_equal(nm.row_stable_matmul(a[i:i + 1], b)[0], batch[i])
 
 
 def test_cross_entropy_uniform():
@@ -772,29 +762,32 @@ def test_fused_graphs_add_parameter_gradients_in_composed_order(monkeypatch):
     assert max(len(v) for v in fused.values()) >= 4
 
 
-# -- plain-array mode -------------------------------------------------------------
+# -- every op is its kernel's forward, recorded as a node ------------------------
 
-def _decode_ops(rng, B, m, n, P, A):
-    """Every op the taped losses build on, each with its input arrays (float32)."""
+def _taped_ops(rng, B, m, n, P, A):
+    """Every op the taped losses build on: the op, the kernel forward whose
+    outputs its nodes hold, and its input arrays (float32)."""
     idx = rng.integers(0, n + 1, size=B)
+    tgt = rng.integers(0, n, size=B)
     f32 = [np.asarray(a, dtype=np.float32) for a in
            _lstm_inputs(rng, B, m, n, np.float32) + _attention_inputs(rng, B, n, P, A, B > 1)
            + _weighted_sum_inputs(rng, B, P, m)]
     lstm, att, ws = f32[:5], f32[5:10], f32[10:]
     x = rng.normal(size=(B, n)).astype(np.float32)
     return {
-        "matmul": (nm.matmul, [x, rng.normal(size=(n, m)).astype(np.float32)]),
-        "add": (nm.add, [x, rng.normal(size=n).astype(np.float32)]),
-        "tanh": (nm.tanh, [x]),
-        "softmax": (lambda a: nm.softmax(a, axis=-1), [x]),
-        "log_softmax": (lambda a: nm.log_softmax(a, axis=-1), [x]),
-        "concat": (lambda a, b: nm.concat([a, b], axis=-1), [x, lstm[0]]),
-        "lookup": (lambda table: nm.lookup(table, idx),
+        "matmul": (nm.matmul, nm.row_stable_matmul,
+                   [x, rng.normal(size=(n, m)).astype(np.float32)]),
+        "add": (nm.add, np.add, [x, rng.normal(size=n).astype(np.float32)]),
+        "tanh": (nm.tanh, np.tanh, [x]),
+        "concat": (lambda a, b: nm.concat([a, b], axis=-1),
+                   lambda a, b: np.concatenate([a, b], axis=-1), [x, lstm[0]]),
+        "lookup": (lambda table: nm.lookup(table, idx), lambda table: nm.gather_rows(table, idx),
                    [rng.normal(size=(n + 1, m)).astype(np.float32)]),
-        "mean": (lambda a: nm.mean(a, axis=1), [ws[1]]),
-        "lstm_cell": (nm.lstm_cell, lstm),
-        "attention": (nm.attention, att),
-        "weighted_sum": (nm.weighted_sum, ws),
+        "cross_entropy": (lambda a: nm.cross_entropy(a, tgt),
+                          lambda a: nm.nll_forward(a, tgt)[0], [x]),
+        "lstm_cell": (nm.lstm_cell, lambda *a: nm.lstm_forward(*a)[:2], lstm),
+        "attention": (nm.attention, lambda *a: nm.attention_forward(*a)[0], att),
+        "weighted_sum": (nm.weighted_sum, lambda *a: nm.weighted_sum_forward(*a)[0], ws),
     }
 
 
@@ -804,15 +797,20 @@ def _outputs(out):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), dims, dims, dims, dims)
-def test_ops_return_the_tape_bits_as_plain_arrays(seed, B, m, n, P, A):
+def test_ops_record_their_kernel_bits_as_nodes(seed, B, m, n, P, A):
+    # one mode: on Tensors an op's nodes hold its kernel's forward bit for
+    # bit, and on constants alone it records nodes all the same
     rng = np.random.default_rng(seed)
-    for name, (op, arrays) in _decode_ops(rng, B, m, n, P, A).items():
+    for name, (op, kernel, arrays) in _taped_ops(rng, B, m, n, P, A).items():
+        with np.errstate(over="ignore"):
+            want = [np.asarray(w) for w in _outputs(kernel(*arrays))]
         taped = _outputs(op(*(Tensor(a.copy()) for a in arrays)))
-        plain = _outputs(op(*arrays))
-        for t, p in zip(taped, plain):
+        assert len(taped) == len(want), name
+        for t, w in zip(taped, want):
             assert isinstance(t, Tensor) and t._parents, name
-            assert type(p) is np.ndarray, name
-            assert p.dtype == t.data.dtype and np.array_equal(p, t.data), name
+            assert t.data.dtype == w.dtype and np.array_equal(t.data, w), name
+        for t, w in zip(_outputs(op(*arrays)), want):
+            assert isinstance(t, Tensor) and np.array_equal(t.data, w), name
 
 
 # -- adagrad against the formula it replaced ---------------------------------------

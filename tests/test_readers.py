@@ -199,3 +199,28 @@ def test_manifest_repeated_split_named(tmp_path):
     path.write_text(path.read_text() + "split: train\n  count: 5\n")
     with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:8: split 'train' repeated$"):
         corpus.read_manifest(path)
+
+
+def test_manifest_repeated_entry_named(tmp_path):
+    # a second "count:" in one split would silently replace the first
+    path = tmp_path / "m.txt"
+    corpus.write_manifest(path, {"train": {"captions": "t.tsv", "count": 80}})
+    path.write_text(path.read_text() + "  count: 5\n")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:5: entry 'count' "
+                                          f"repeated in split 'train'$"):
+        corpus.read_manifest(path)
+
+
+@pytest.mark.parametrize("at,line,message", [
+    (0, "dog\t3", "expected the header '# vocabulary threshold=N', got 'dog\\t3'"),
+    (1, "# vocabulary threshold=2", "expected 'token<TAB>count', got '# vocabulary threshold=2'"),
+    (2, "dog", "expected 'token<TAB>count', got 'dog'"),
+], ids=["no-header", "second-header", "no-count"])
+def test_vocabulary_line_not_as_saved_named(valid_files, tmp_path, at, line, message):
+    # only what ``Vocabulary.save`` writes loads: a "#" line after the header
+    # is a token line like any other
+    lines = valid_files["vocabulary"].decode("utf-8").splitlines(keepends=True)
+    path = tmp_path / "bad.vocab"
+    path.write_text("".join([*lines[:at], line + "\n", *lines[at:]]), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{re.escape(f'{path}:{at + 1}: {message}')}$"):
+        Vocabulary.load(path)

@@ -32,7 +32,7 @@ def _step(model, state, word, features):
     state, word distribution (Q,), attention map (L, L))."""
     new, _ = model.make_step_fn(features)(state, [word])
     L = model.grid_size
-    return new, nm.softmax(new.logits, axis=-1)[0], new.alpha.reshape(L, L)
+    return new, nm.probs(new.logits, axis=-1)[0], new.alpha.reshape(L, L)
 
 
 # -- refine_attention ---------------------------------------------------------
