@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import re
 import string
 import struct
 from dataclasses import dataclass
@@ -342,16 +343,41 @@ def synth_generate(config: SynthConfig, seed: int, split: str = "train",
 
 # -- corpus / tree / feature files ----------------------------------------
 
+# What would split one written line into two when read back: ``read_lines``
+# ends a line at ``\n`` or ``\r``; a caption line's image id also ends at a tab.
+_LINE_BREAKS = re.compile("[\n\r]")
+_ID_BREAKS = re.compile("[\t\n\r]")
+
+
 def write_captions(path, records: Sequence[CaptionRecord]):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(f"{rec.image_id}\t{rec.raw}\n")
+    """One line ``image_id<TAB>caption`` per record, which ``read_captions``
+    reads back as the same pairs. An image id that is blank or holds a tab
+    or a line break, or a caption holding a line break, raises CorpusError
+    naming the image id before ``path`` is opened."""
+    lines = []
+    for rec in records:
+        if not rec.image_id.strip() or _ID_BREAKS.search(rec.image_id):
+            raise CorpusError(f"image id {rec.image_id!r} is blank or holds a tab or a line "
+                              f"break")
+        if _LINE_BREAKS.search(rec.raw):
+            raise CorpusError(f"{rec.image_id}: caption {rec.raw!r} holds a line break")
+        lines.append(f"{rec.image_id}\t{rec.raw}\n")
+    _write_utf8(path, "".join(lines))
 
 
 def write_trees(path, records: Sequence[CaptionRecord]):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.tree.serialize() + "\n")
+    """One serialized tree per line; a tree ``serialize`` rejects raises
+    its TreeParseError before ``path`` is opened."""
+    _write_utf8(path, "".join(rec.tree.serialize() + "\n" for rec in records))
+
+
+def _write_utf8(path, text):
+    """Writes ``text`` to ``path`` as UTF-8, encoded before the file is
+    opened, so text that cannot be encoded (a lone surrogate) leaves an
+    existing file as it was."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def write_features(path, records: Sequence[CaptionRecord]):
@@ -461,17 +487,40 @@ MANIFEST_MAGIC = "skelcap-manifest-v1"
 MANIFEST_KEYS = ("captions", "trees", "features", "count")
 
 
+def _check_manifest_text(what, text):
+    if not isinstance(text, str) or not text or text != text.strip() or _LINE_BREAKS.search(text):
+        raise CorpusError(f"manifest {what} {text!r} is not a non-empty string without "
+                          f"surrounding whitespace or line breaks")
+
+
+def _check_manifest_int(what, value):
+    if type(value) is not int:
+        raise CorpusError(f"manifest {what} {value!r} is not an int")
+
+
 def write_manifest(path, splits: Dict[str, Dict[str, object]], seed=None):
-    """Human-readable manifest listing per-split file paths and counts."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(MANIFEST_MAGIC + "\n")
-        if seed is not None:
-            fh.write(f"seed: {seed}\n")
-        for split, info in splits.items():
-            fh.write(f"split: {split}\n")
-            for key in MANIFEST_KEYS:
-                if key in info:
-                    fh.write(f"  {key}: {info[key]}\n")
+    """Human-readable manifest listing per-split file paths and counts, which
+    ``read_manifest`` reads back as ``(splits, seed)``. A split name or file
+    entry that is not a non-empty string without surrounding whitespace or
+    line breaks, a key outside ``MANIFEST_KEYS``, or a count or seed that is
+    not an int raises CorpusError before ``path`` is opened."""
+    lines = [MANIFEST_MAGIC]
+    if seed is not None:
+        _check_manifest_int("seed", seed)
+        lines.append(f"seed: {seed}")
+    for split, info in splits.items():
+        _check_manifest_text("split name", split)
+        for key, value in info.items():
+            if key not in MANIFEST_KEYS:
+                raise CorpusError(f"manifest split {split!r}: unknown entry {key!r}, "
+                                  f"expected one of {', '.join(MANIFEST_KEYS)}")
+            if key == "count":
+                _check_manifest_int(f"split {split!r} count", value)
+            else:
+                _check_manifest_text(f"split {split!r} {key}", value)
+        lines.append(f"split: {split}")
+        lines.extend(f"  {key}: {info[key]}" for key in MANIFEST_KEYS if key in info)
+    _write_utf8(path, "".join(line + "\n" for line in lines))
 
 
 def read_manifest(path):

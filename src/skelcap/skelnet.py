@@ -345,20 +345,31 @@ class SkeletonGenerator(RecurrentDecoder):
         The recurrent state is held fixed: the LSTM transition is recomputed
         with the same (h, c) and previous word, only the context differs.
         ``state`` may also hold T rows ((T, n) ``h`` and ``c``) given with T
-        previous words; the result is then (T, L, L, Q), from one LSTM call
-        over all T * P rows.
+        previous words; the result is then (T, L, L, Q).
+
+        The gate pre-activations [e_t, v_p, h_t] @ lstm_W + lstm_b of the
+        T * P (word, cell) pairs are summed from their parts: a word part
+        e_t @ W_e + h_t @ W_h, two (T, ·) products, and a cell part
+        v_p @ W_v + lstm_b, one (P, D) product, broadcast against each
+        other. The T * P rows then cost only the gates, the output layer and
+        the softmax. The probabilities equal those of the concatenated rows
+        to rounding, not bit for bit.
         """
         if not self.use_attention:
             raise ConfigError("per-location distributions are disabled without attention")
         flat = self._flat(features)[0]  # (P, D): each cell's features as a context
         words = np.asarray(prev_word_index)
-        h = np.reshape(state.h, (-1, self.hidden_size))
-        c = np.reshape(state.c, (-1, self.hidden_size))
-        P, embed = flat.shape[0], self.store["embed"].data
-        x = np.concatenate([nm.gather_rows(embed, np.repeat(words.reshape(-1), P)),
-                            np.tile(flat, (h.shape[0], 1))], axis=-1)
+        m, D, n = self.embed_size, self.feature_dim, self.hidden_size
+        h = np.reshape(state.h, (-1, n))
+        c = np.reshape(state.c, (-1, n))
+        p = self.store
+        W = p["lstm_W"].data  # rows: embedding, context, hidden state
+        e = nm.gather_rows(p["embed"].data, words.reshape(-1))
+        word = nm.row_stable_matmul(e, W[:m]) + nm.row_stable_matmul(h, W[m + D:])  # (T, 4n)
+        cell = nm.row_stable_matmul(flat, W[m:m + D]) + p["lstm_b"].data               # (P, 4n)
         with np.errstate(over="ignore"):
-            logits = self._cell(x, np.repeat(h, P, axis=0), np.repeat(c, P, axis=0))[2]
+            h_cells = nm.lstm_gates(word[:, None, :] + cell, c[:, None, :])[0]  # (T, P, n)
+            logits = nm.affine(h_cells.reshape(-1, n), p["out_W"].data, p["out_b"].data)
         return nm.probs(logits).reshape(*words.shape, self.grid_size, self.grid_size, -1)
 
     # -- beam-search integration -------------------------------------------

@@ -64,20 +64,35 @@ class ParseTree:
         return serialize(self)
 
 
-def _serialize_node(node: ParseNode) -> str:
+def _serialize_node(node: ParseNode, depth: int) -> str:
+    if depth > MAX_DEPTH:
+        raise TreeParseError(f"cannot serialize node {node.label!r}: tree nested deeper "
+                             f"than {MAX_DEPTH} levels")
+    for what, text in (("label", node.label), ("token", node.token)):
+        if text is not None and (not text or _UNWRITABLE.search(text)):
+            raise TreeParseError(f"cannot serialize node {node.label!r}: {what} {text!r} is "
+                                 f"empty or holds whitespace or a bracket")
     if node.is_leaf:
         return f"({node.label} {node.token})"
-    return "(" + node.label + " " + " ".join(_serialize_node(c) for c in node.children) + ")"
+    return ("(" + node.label + " "
+            + " ".join(_serialize_node(c, depth + 1) for c in node.children) + ")")
 
 
 def serialize(tree: ParseTree) -> str:
-    return _serialize_node(tree.root)
+    """The one-line bracketed text of ``tree``, which ``parse_bracketed``
+    reads back as the same nodes. A label or token that is empty or holds
+    whitespace or a bracket, or nesting deeper than ``MAX_DEPTH``, raises
+    ``TreeParseError`` naming the node."""
+    return _serialize_node(tree.root, 1)
 
 
 # One token of a bracketed tree: a bracket, or a maximal run of characters
 # that are neither whitespace nor brackets (a label or a word). ``\s``
 # matches exactly the characters ``str.isspace`` accepts.
 _TOKEN = re.compile(r"[()]|[^\s()]+")
+
+# A label or word that would not come back from ``_TOKEN`` as one token.
+_UNWRITABLE = re.compile(r"[\s()]")
 
 # Deepest nesting a tree may have, counting the root and the leaves as
 # levels. ``serialize`` and ``lowest_nps`` take up to three stack frames per

@@ -1,13 +1,16 @@
 """Property tests: every file reader, given arbitrary bytes, either returns or
-raises its module's own error naming the file."""
+raises its module's own error naming the file; and the trees, captions and
+manifest writers either refuse a value, leaving the file as it was, or write
+what their reader reads back as the same value."""
 
 import functools
 import json
 import re
+import types
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from skelcap import cli, corpus, treebank
 from skelcap.corpus import CorpusError, Vocabulary
@@ -224,3 +227,146 @@ def test_vocabulary_line_not_as_saved_named(valid_files, tmp_path, at, line, mes
     path.write_text("".join([*lines[:at], line + "\n", *lines[at:]]), encoding="utf-8")
     with pytest.raises(CorpusError, match=f"^{re.escape(f'{path}:{at + 1}: {message}')}$"):
         Vocabulary.load(path)
+
+
+# -- writers: what a writer accepts, its reader reads back as written ----------
+
+# Text that often holds what a line-based format cannot carry: whitespace of
+# every kind, brackets, tabs and line breaks.
+_AWKWARD = st.text(alphabet=st.sampled_from("ab()\t\n\r   \x0b\x85é"), max_size=6)
+_TEXT = st.one_of(_AWKWARD, st.text(max_size=6))
+
+
+_node = treebank.ParseNode
+
+
+def _writable(text):
+    """Whether a tree label or token comes back from the tokenizer as itself."""
+    return bool(text) and not any(ch.isspace() or ch in "()" for ch in text)
+
+
+def _nodes():
+    # labels only avoid what ``ParseNode`` itself rejects: " ", tab and brackets
+    labels = _TEXT.filter(lambda s: s and not set(s) & set(" \t()"))
+    leaves = st.builds(lambda label, token: _node(label, token=token), labels, _TEXT)
+    return st.recursive(leaves, lambda kids: st.builds(
+        lambda label, children: _node(label, children=tuple(children)),
+        labels, st.lists(kids, min_size=1, max_size=3)), max_leaves=8)
+
+
+def _all_writable(node):
+    return (_writable(node.label)
+            and (_writable(node.token) if node.is_leaf
+                 else all(map(_all_writable, node.children))))
+
+
+@FUZZ
+@given(root=_nodes())
+@example(root=_node("NN", token="a b"))
+@example(root=_node("NN", token=""))
+@example(root=_node("NN", token="a)"))
+@example(root=_node("N\u00a0P", token="dog"))
+@example(root=_node("NP", children=(_node("DT", token="a\nb"),)))
+def test_trees_round_trip(root):
+    # serialize rejects, naming the node, what parse_bracketed would split,
+    # drop or misread; what it accepts parses back as the same nodes
+    tree = treebank.ParseTree(root)
+    if not _all_writable(root):
+        with pytest.raises(TreeParseError, match="^cannot serialize node "):
+            treebank.serialize(tree)
+        return
+    assert treebank.parse_bracketed(treebank.serialize(tree)).root == root
+
+
+@pytest.mark.parametrize("depth", [treebank.MAX_DEPTH, treebank.MAX_DEPTH + 1])
+def test_trees_nesting_round_trip(depth):
+    # parse_bracketed rejects nesting deeper than MAX_DEPTH, so serialize does
+    root = _node("NN", token="dog")
+    for _ in range(depth - 1):
+        root = _node("NP", children=(root,))
+    tree = treebank.ParseTree(root)
+    if depth > treebank.MAX_DEPTH:
+        with pytest.raises(TreeParseError, match="^cannot serialize node 'NN': tree nested "):
+            treebank.serialize(tree)
+    else:
+        assert treebank.parse_bracketed(treebank.serialize(tree)).root == root
+
+
+def _write_or_keep(write, path, *args):
+    """``write(path, *args)``, or its CorpusError, after checking that a
+    rejected write left the file at ``path`` as it was."""
+    path.write_text("before\n", encoding="utf-8")
+    try:
+        write(path, *args)
+    except CorpusError as exc:
+        assert path.read_text(encoding="utf-8") == "before\n"
+        return exc
+    return None
+
+
+@FUZZ
+@given(pairs=st.lists(st.tuples(_TEXT, _TEXT), max_size=4))
+@example(pairs=[("img-1", "x\ry")])
+@example(pairs=[("img\t1", "a dog")])
+def test_captions_round_trip(tmp_path, pairs):
+    # read_captions ends a line at \n or \r and an image id at the first tab
+    writable = all(i.strip() and not set(i) & set("\t\n\r") and not set(raw) & set("\n\r")
+                   for i, raw in pairs)
+    records = [types.SimpleNamespace(image_id=i, raw=raw) for i, raw in pairs]
+    path = tmp_path / "c.tsv"
+    error = _write_or_keep(corpus.write_captions, path, records)
+    assert (error is None) == writable, error
+    if writable:
+        assert corpus.read_captions(path) == pairs
+
+
+def _split_entries():
+    keys = st.sampled_from([*corpus.MANIFEST_KEYS, "caption", " count"])
+    values = st.one_of(_TEXT, st.integers(-10**6, 10**6), st.booleans())
+    return st.dictionaries(keys, values, max_size=4)
+
+
+def _manifest_writable(splits, seed):
+    def text_ok(t):
+        return isinstance(t, str) and t and t == t.strip() and not set(t) & set("\n\r")
+
+    def value_ok(key, value):
+        if key == "count":
+            return type(value) is int
+        return key in corpus.MANIFEST_KEYS and text_ok(value)
+
+    return ((seed is None or type(seed) is int)
+            and all(text_ok(name) and all(value_ok(k, v) for k, v in info.items())
+                    for name, info in splits.items()))
+
+
+@FUZZ
+@given(splits=st.dictionaries(_TEXT, _split_entries(), max_size=3),
+       seed=st.one_of(st.none(), st.integers(-10**6, 10**6), st.booleans()))
+@example(splits={"train": {"trees": "t.txt\n  count: 5"}}, seed=None)
+@example(splits={"train": {"captions": ""}}, seed=None)
+@example(splits={" train": {"count": 2}}, seed=1)
+@example(splits={"train": {"counts": 2}}, seed=1)
+def test_manifest_round_trip(tmp_path, splits, seed):
+    path = tmp_path / "m.txt"
+    error = _write_or_keep(corpus.write_manifest, path, splits, seed)
+    assert (error is None) == _manifest_writable(splits, seed), error
+    if error is None:
+        assert corpus.read_manifest(path) == (splits, seed)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: corpus.write_captions(path, [types.SimpleNamespace(image_id="a", raw="ok"),
+                                              types.SimpleNamespace(image_id="b", raw="\ud800")]),
+    lambda path: corpus.write_trees(path, [types.SimpleNamespace(tree=treebank.ParseTree(
+        _node("NN", token=token))) for token in ("dog", "\ud800")]),
+    lambda path: corpus.write_manifest(path, {"train": {"count": 1}, "\ud800": {}}),
+], ids=["captions", "trees", "manifest"])
+def test_writer_leaves_file_on_text_it_cannot_encode(tmp_path, write):
+    # a lone surrogate has no UTF-8 form: the writer fails before the file
+    # is opened, not after writing the lines before it
+    path = tmp_path / "out.txt"
+    path.write_text("before\n", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        write(path)
+    assert path.read_text(encoding="utf-8") == "before\n"

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skelcap.corpus import (BOS, FeatureGrid, SynthConfig, build_vocab,
                             synth_generate)
-from skelcap.skelnet import (ConfigError, SkeletonGenerator,
+from skelcap.skelnet import (ConfigError, SkeletonGenerator, SkelState,
                              refine_attention)
 from skelcap import numerics as nm
 
@@ -208,6 +211,74 @@ def test_per_location_constant_grid_matches_step(model):
     dists = model.per_location_distributions(state, BOS, g)
     for cell in dists.reshape(-1, dists.shape[-1]):
         assert np.allclose(cell, probs, atol=1e-5)
+
+
+def _concatenated_reference(model, state, words, features):
+    """Per-location distributions from the T * P concatenated rows
+    [e_t, v_p, h_t] through ``_cell``, then ``probs``: the unfactored form."""
+    flat = model._flat(features)[0]
+    words = np.asarray(words)
+    h = np.reshape(state.h, (-1, model.hidden_size))
+    c = np.reshape(state.c, (-1, model.hidden_size))
+    P = flat.shape[0]
+    x = np.concatenate([model.store["embed"].data[np.repeat(words.reshape(-1), P)],
+                        np.tile(flat, (len(h), 1))], axis=-1)
+    with np.errstate(over="ignore"):
+        logits = model._cell(x, np.repeat(h, P, axis=0), np.repeat(c, P, axis=0))[2]
+    L = model.grid_size
+    return nm.probs(logits).reshape(*words.shape, L, L, -1)
+
+
+@functools.cache
+def _refinement_model(L, dtype):
+    vocab = build_vocab([[f"w{i}" for i in range(9)]], 1)
+    return SkeletonGenerator(vocab, feature_dim=6, grid_size=L, hidden_size=5, embed_size=4,
+                             attention_hidden=3, seed=L, dtype=dtype)
+
+
+def _refinement_case(L, T, dtype, seed):
+    """(model, T-row state, T previous words, feature grid) drawn from ``seed``."""
+    model = _refinement_model(L, dtype)
+    rng = np.random.default_rng(seed)
+    n = model.hidden_size
+    state = SkelState(h=np.tanh(rng.normal(size=(T, n))).astype(dtype),
+                      c=rng.normal(scale=2.0, size=(T, n)).astype(dtype))
+    words = rng.integers(0, len(model.vocab), size=T)
+    return model, state, words, _grid(rng, L, model.feature_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 8), L=st.integers(2, 4), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_per_location_equals_concatenated_rows(T, L, dtype, seed):
+    # the factored pre-activations sum the same products in another order
+    tol = 64 * np.finfo(dtype).eps
+    model, state, words, g = _refinement_case(L, T, dtype, seed)
+    got = model.per_location_distributions(state, words, g)
+    want = _concatenated_reference(model, state, words, g)
+    assert got.shape == want.shape == (T, L, L, len(model.vocab))
+    assert got.dtype == want.dtype == dtype
+    assert np.max(np.abs(got - want)) <= tol
+
+
+def test_per_location_makes_no_product_per_grid_cell(monkeypatch):
+    # the (T, P, 4n) pre-activations come from (T, ·) and (P, D) products;
+    # no product against lstm_W rows may have one row per (word, cell) pair
+    T, L = 3, 3
+    model, state, words, g = _refinement_case(L, T, np.float32, 0)
+    W = model.store["lstm_W"].data
+    rows = []
+    matmul = nm.row_stable_matmul
+
+    def recording(a, b):
+        if np.shares_memory(b, W):
+            rows.append(a.shape[0])
+        return matmul(a, b)
+
+    monkeypatch.setattr(nm, "row_stable_matmul", recording)
+    model.per_location_distributions(state, words, g)
+    assert rows, "no product against lstm_W was recorded"
+    assert T * L * L not in rows, rows
 
 
 def test_per_location_disabled_without_attention():
