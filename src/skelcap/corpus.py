@@ -381,14 +381,28 @@ def _write_utf8(path, text):
 
 
 def write_features(path, records: Sequence[CaptionRecord]):
-    """Binary feature file: per record image_id, L, D, then L*L*D LE float32."""
-    with open(path, "wb") as fh:
-        for rec in records:
+    """Binary feature file: per record image_id, L, D, then L*L*D LE float32,
+    which ``read_features`` reads back as the same ids and grids. An image id
+    that is not UTF-8 text of at most 65535 bytes, or that repeats, raises
+    CorpusError naming it before ``path`` is opened."""
+    chunks = []
+    seen = set()
+    for rec in records:
+        try:
             ident = rec.image_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(ident)))
-            fh.write(ident)
-            fh.write(struct.pack("<II", rec.features.grid_size, rec.features.feature_dim))
-            fh.write(np.ascontiguousarray(rec.features.values, dtype="<f4").tobytes())
+        except UnicodeEncodeError:
+            raise CorpusError(f"image id {rec.image_id!r} has no UTF-8 form") from None
+        if len(ident) > 0xFFFF:
+            raise CorpusError(f"image id {rec.image_id[:40]!r}... is {len(ident)} UTF-8 "
+                              f"bytes long, at most 65535 fit")
+        if rec.image_id in seen:
+            raise CorpusError(f"image id {rec.image_id!r} repeats")
+        seen.add(rec.image_id)
+        chunks += (struct.pack("<H", len(ident)), ident,
+                   struct.pack("<II", rec.features.grid_size, rec.features.feature_dim),
+                   np.ascontiguousarray(rec.features.values, dtype="<f4").tobytes())
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def read_features(path) -> Dict[str, FeatureGrid]:

@@ -10,7 +10,7 @@ skeletal word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .treebank import ParseTree, base_label
 
@@ -19,15 +19,28 @@ class DecomposeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SkeletonToken:
+class _TokenFields(NamedTuple):
     surface: str
     is_np_head: bool = False
     attributes: Tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.attributes and not self.is_np_head:
+
+class SkeletonToken(_TokenFields):
+    """One skeleton word: an immutable tuple of (surface, is_np_head,
+    attributes). The constructor rejects attributes on a word that is not an
+    NP head; ``decompose`` builds its tokens with ``tuple.__new__``, since it
+    gives attributes only to NP heads."""
+
+    __slots__ = ()
+
+    def __new__(cls, surface, is_np_head=False, attributes=()):
+        if attributes and not is_np_head:
             raise DecomposeError("only NP heads may carry attributes")
+        return tuple.__new__(cls, (surface, is_np_head, attributes))
+
+    @classmethod
+    def _make(cls, iterable):  # so ``_replace`` checks too
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,11 @@ def _walk(node, words, spans):
     return True
 
 
+# Builds a token without ``SkeletonToken``'s check: ``decompose`` gives
+# attributes only to NP heads.
+_new = tuple.__new__
+
+
 def decompose(tree: ParseTree) -> DecomposedCaption:
     """Apply the lowest-NP head/attribute split to a parse tree, in one walk."""
     words: List[str] = []
@@ -67,11 +85,10 @@ def decompose(tree: ParseTree) -> DecomposedCaption:
     tokens: List[SkeletonToken] = []
     pos = 0
     for start, end in spans:
-        tokens.extend(SkeletonToken(surface=w) for w in words[pos:start])
-        tokens.append(SkeletonToken(surface=words[end - 1], is_np_head=True,
-                                    attributes=tuple(words[start:end - 1])))
+        tokens.extend(_new(SkeletonToken, (w, False, ())) for w in words[pos:start])
+        tokens.append(_new(SkeletonToken, (words[end - 1], True, tuple(words[start:end - 1]))))
         pos = end
-    tokens.extend(SkeletonToken(surface=w) for w in words[pos:])
+    tokens.extend(_new(SkeletonToken, (w, False, ())) for w in words[pos:])
     return DecomposedCaption(skeleton=tuple(tokens), original_length=len(words))
 
 

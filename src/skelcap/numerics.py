@@ -559,28 +559,66 @@ class ParameterStore:
     # -- checkpoint I/O ----------------------------------------------------
 
     def save(self, path, meta=None, vocab_hashes=None):
-        """Write a text manifest header followed by a raw little-endian payload."""
-        names = sorted(self.params)
-        header = [CHECKPOINT_MAGIC]
-        header.append(f"step_count {self.step_count}")
-        for key, value in sorted((vocab_hashes or {}).items()):
+        """Write a text manifest header followed by a raw little-endian
+        payload, which ``load`` reads back as the same step count, meta,
+        vocabulary hashes, tensors (rounded to float32) and accumulators.
+        What ``load`` would reject or read back otherwise raises NumericsError
+        naming the entry before ``path`` is opened: a step count that is not
+        an int; a name, key or hash that is not UTF-8 text or holds a line
+        break, or a meta or vocabulary key holding a space; meta that JSON
+        does not give back equal; a tensor non-finite in float32; an
+        accumulator that is missing, orphaned, shaped otherwise than its
+        tensor or non-finite."""
+        meta, vocab_hashes = meta or {}, vocab_hashes or {}
+        if type(self.step_count) is not int:
+            raise NumericsError(f"step count {self.step_count!r} is not an int")
+        header = [CHECKPOINT_MAGIC, f"step_count {self.step_count}"]
+        for key in vocab_hashes:
+            _check_header_text("vocabulary hash key", key, spaces=False)
+            _check_header_text(f"vocabulary hash for {key!r}", vocab_hashes[key])
+        for key, value in sorted(vocab_hashes.items()):
             header.append(f"vocab_hash {key} {value}")
-        for key, value in sorted((meta or {}).items()):
-            header.append(f"meta {key} {json.dumps(value, separators=(',', ':'), sort_keys=True)}")
+        for key in meta:
+            _check_header_text("meta key", key, spaces=False)
+        for key, value in sorted(meta.items()):
+            try:
+                text = json.dumps(value, separators=(',', ':'), sort_keys=True)
+                same = json.loads(text) == value
+            except (TypeError, ValueError):
+                same = False
+            if not same:
+                raise NumericsError(f"meta {key!r}: {value!r} does not read back from JSON "
+                                    f"as itself")
+            header.append(f"meta {key} {text}")
+        for name in self.params:
+            _check_header_text("tensor name", name)
+        for name in self.accumulators:
+            if name not in self.params:
+                raise NumericsError(f"accumulator {name!r} has no tensor")
         offset = 0
         payload = []
-        for name in names:
-            for kind, arr in (("tensor", self.params[name].data),
-                              ("accumulator", self.accumulators[name])):
-                flat = np.ascontiguousarray(arr, dtype="<f4" if kind == "tensor" else "<f8")
-                shape = ",".join(str(s) for s in arr.shape) or "scalar"
+        for name in sorted(self.params):
+            data = self.params[name].data
+            acc = self.accumulators.get(name)
+            if acc is None or np.shape(acc) != data.shape:
+                raise NumericsError(f"accumulator of tensor {name!r} is missing or not shaped "
+                                    f"{data.shape}")
+            with np.errstate(over="ignore"):  # out of float32's range: caught below
+                flats = (("tensor", np.ascontiguousarray(data, dtype="<f4")),
+                         ("accumulator", np.ascontiguousarray(acc, dtype="<f8")))
+            for kind, flat in flats:
+                if not np.isfinite(flat).all():
+                    raise NumericsError(f"{kind} {name!r} holds values that are non-finite "
+                                        f"as {flat.dtype.name}")
+                shape = ",".join(str(s) for s in data.shape) or "scalar"
                 header.append(f"{kind} {name} {shape} {offset}")
                 raw = flat.tobytes()
                 payload.append(raw)
                 offset += len(raw)
         header.append("end-header")
+        head = ("\n".join(header) + "\n").encode("utf-8")
         with open(path, "wb") as fh:
-            fh.write(("\n".join(header) + "\n").encode("utf-8"))
+            fh.write(head)
             for raw in payload:
                 fh.write(raw)
 
@@ -669,6 +707,19 @@ class ParameterStore:
         store.meta = meta
         store.vocab_hashes = vocab_hashes
         return store
+
+
+def _check_header_text(what, text, spaces=True):
+    """Raises NumericsError unless ``text`` is a str that UTF-8 encodes,
+    holds no line break and, unless ``spaces``, no space."""
+    if isinstance(text, str) and "\n" not in text and (spaces or " " not in text):
+        try:
+            text.encode("utf-8")
+            return
+        except UnicodeEncodeError:
+            pass
+    raise NumericsError(f"checkpoint {what} {text!r} is not UTF-8 text without line breaks"
+                        + ("" if spaces else " or spaces"))
 
 
 def vocab_hash(tokens):

@@ -6,7 +6,7 @@ import io
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 
 class TreeParseError(ValueError):
@@ -35,17 +35,32 @@ def read_lines(path, error):
 _LABEL_FORBIDDEN = frozenset(" \t()")
 
 
-@dataclass(frozen=True)
-class ParseNode:
+class _NodeFields(NamedTuple):
     label: str
     children: Tuple["ParseNode", ...] = ()
     token: Optional[str] = None
 
-    def __post_init__(self):
-        if (self.token is None) == (len(self.children) == 0):
+
+class ParseNode(_NodeFields):
+    """One tree node: a leaf holds a token and no children, any other node
+    children and no token. An immutable tuple of (label, children, token);
+    the constructor rejects a node with both or neither, and a label that is
+    empty or holds a space, a tab or a bracket. ``parse_bracketed`` builds
+    its nodes with ``tuple.__new__``, since its tokenizer and stack already
+    guarantee all of that."""
+
+    __slots__ = ()
+
+    def __new__(cls, label, children=(), token=None):
+        if (token is None) == (len(children) == 0):
             raise ValueError("a node must have a token iff it has no children")
-        if not self.label or not _LABEL_FORBIDDEN.isdisjoint(self.label):
-            raise ValueError(f"bad node label {self.label!r}")
+        if not label or not _LABEL_FORBIDDEN.isdisjoint(label):
+            raise ValueError(f"bad node label {label!r}")
+        return tuple.__new__(cls, (label, children, token))
+
+    @classmethod
+    def _make(cls, iterable):  # so ``_replace`` checks too
+        return cls(*iterable)
 
     @property
     def is_leaf(self):
@@ -100,6 +115,12 @@ _UNWRITABLE = re.compile(r"[\s()]")
 # limit of 1000, which leaves the caller room for its own.
 MAX_DEPTH = 200
 
+# Builds a node without ``ParseNode``'s checks: a label from ``_TOKEN``
+# follows "(" and is neither bracket, so it is non-empty and free of
+# whitespace and brackets; a leaf gets exactly one word token, any other
+# node at least one child and no word.
+_new = tuple.__new__
+
 
 def _token_offset(text, index, end=False):
     """Character offset where token ``index`` of ``text`` starts (or ends);
@@ -148,9 +169,9 @@ def parse_bracketed(text: str) -> ParseTree:
             if len(words) > 1:
                 raise TreeParseError("leaf with more than one token",
                                      _token_offset(text, words[1], end=True))
-            node = ParseNode(label, token=tokens[words[0]])
+            node = _new(ParseNode, (label, (), tokens[words[0]]))
         elif children:
-            node = ParseNode(label, children=tuple(children))
+            node = _new(ParseNode, (label, tuple(children), None))
         else:
             raise TreeParseError("empty node", _token_offset(text, k, end=True))
         k += 1

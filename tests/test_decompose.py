@@ -185,3 +185,34 @@ def test_decompose_matches_reference(root):
     d = decompose(t)
     assert d == _reference_decompose(t)
     assert fuse(d) == leaves(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node)
+def test_decompose_tokens_equal_checked_tokens(root):
+    # decompose builds its tokens without SkeletonToken's check; rebuilt
+    # through it they are equal, hash and print the same
+    for tok in decompose(ParseTree(root)).skeleton:
+        checked = SkeletonToken(tok.surface, is_np_head=tok.is_np_head,
+                                attributes=tok.attributes)
+        assert type(tok) is SkeletonToken
+        assert (tok, hash(tok), repr(tok)) == (checked, hash(checked), repr(checked))
+
+
+def test_skeleton_token_fields_cannot_be_set():
+    tok = _skeleton("(NP (DT a) (NN dog))").skeleton[0]
+    assert repr(tok) == "SkeletonToken(surface='dog', is_np_head=True, attributes=('a',))"
+    for field in ("surface", "is_np_head", "attributes"):
+        with pytest.raises(AttributeError):
+            setattr(tok, field, ())
+    with pytest.raises(AttributeError):
+        tok.extra = 1
+    with pytest.raises(DecomposeError):
+        SkeletonToken("dog", False, ("a",))
+
+
+def test_skeleton_token_replace_checks_as_the_constructor():
+    tok = _skeleton("(NP (DT a) (NN dog))").skeleton[0]
+    assert tok._replace(surface="cat") == SkeletonToken("cat", True, ("a",))
+    with pytest.raises(DecomposeError):
+        tok._replace(is_np_head=False)

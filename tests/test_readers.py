@@ -1,7 +1,7 @@
 """Property tests: every file reader, given arbitrary bytes, either returns or
-raises its module's own error naming the file; and the trees, captions and
-manifest writers either refuse a value, leaving the file as it was, or write
-what their reader reads back as the same value."""
+raises its module's own error naming the file; and the trees, captions,
+manifest, features and checkpoint writers either refuse a value, leaving the
+file as it was, or write what their reader reads back as the same value."""
 
 import functools
 import json
@@ -11,6 +11,7 @@ import types
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skelcap import cli, corpus, treebank
 from skelcap.corpus import CorpusError, Vocabulary
@@ -119,11 +120,14 @@ def test_vocabulary_blank_line_named(valid_files, tmp_path, data):
 
 def test_features_repeated_image_id_named(tmp_path):
     # a second record of one image id would silently replace the first grid
+    # (write_features refuses it, so the file is two written files joined)
     first, second = _records()
     path = tmp_path / "f.bin"
     corpus.write_features(path, [first, second])
-    repeat_at = len(path.read_bytes())
-    corpus.write_features(path, [first, second, first])
+    blob = path.read_bytes()
+    repeat_at = len(blob)
+    corpus.write_features(path, [first])
+    path.write_bytes(blob + path.read_bytes())
     message = (f"{path}: record {first.image_id!r} at byte {repeat_at} repeats the image id "
                f"of the record at byte 0")
     with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
@@ -370,3 +374,167 @@ def test_writer_leaves_file_on_text_it_cannot_encode(tmp_path, write):
     with pytest.raises(UnicodeEncodeError):
         write(path)
     assert path.read_text(encoding="utf-8") == "before\n"
+
+
+_FINITE32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+def _grid(L, D, value=0.5):
+    return corpus.FeatureGrid(np.full((L, L, D), value, dtype=np.float32))
+
+
+def _first_unwritable_id(ids):
+    """The first image id ``read_features`` could not read back as written:
+    one without a UTF-8 form, longer than 65535 UTF-8 bytes, or repeated."""
+    seen = set()
+    for image_id in ids:
+        try:
+            size = len(image_id.encode("utf-8"))
+        except UnicodeEncodeError:
+            return image_id
+        if size > 65535 or image_id in seen:
+            return image_id
+        seen.add(image_id)
+    return None
+
+
+@FUZZ
+@given(items=st.lists(st.tuples(_TEXT, st.integers(0, 2).flatmap(
+    lambda L: st.integers(0, 3).flatmap(
+        lambda D: hnp.arrays(np.float32, (L, L, D), elements=_FINITE32)))), max_size=4))
+@example(items=[("a", _grid(1, 2).values), ("x" * 70000, _grid(1, 2).values)])
+@example(items=[("a", _grid(1, 2).values), ("b\ud800", _grid(2, 1).values)])
+@example(items=[("a", _grid(1, 2).values), ("a", _grid(1, 2, -0.0).values)])
+def test_features_round_trip(tmp_path, items):
+    records = [types.SimpleNamespace(image_id=i, features=corpus.FeatureGrid(values))
+               for i, values in items]
+    path = tmp_path / "f.bin"
+    error = _write_or_keep(corpus.write_features, path, records)
+    bad = _first_unwritable_id([i for i, _ in items])
+    assert (error is None) == (bad is None), error
+    if error is not None:
+        assert repr(bad[:40])[:-1] in str(error), str(error)
+        return
+    grids = corpus.read_features(path)
+    assert list(grids) == [i for i, _ in items]
+    for image_id, values in items:
+        got = grids[image_id].values
+        assert got.dtype == np.float32 and got.shape == values.shape
+        assert got.tobytes() == values.tobytes(), image_id
+
+
+def _json_stable(value):
+    """Whether JSON gives ``value`` back equal: no tuples, NaNs or non-str keys."""
+    if isinstance(value, float):
+        return value == value
+    if isinstance(value, list):
+        return all(map(_json_stable, value))
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _json_stable(v) for k, v in value.items())
+    return value is None or isinstance(value, (bool, int, str))
+
+
+def _header_text(text, spaces=True):
+    """Whether a checkpoint header can hold ``text`` as one field."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return "\n" not in text and (spaces or " " not in text)
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+                     | _TEXT, lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(_TEXT, kids, max_size=3), max_leaves=6)
+_CHECKPOINT_ENTRY = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3).flatmap(
+    lambda shape: st.tuples(hnp.arrays(np.float32, shape, elements=_FINITE32),
+                            hnp.arrays(np.float64, shape, elements=st.floats(0, 1e300))))
+
+
+@FUZZ
+@given(tensors=st.dictionaries(_TEXT, _CHECKPOINT_ENTRY, max_size=3),
+       step_count=st.integers(-10**6, 10**12),
+       meta=st.dictionaries(_TEXT, _JSON, max_size=3),
+       vocab_hashes=st.dictionaries(_TEXT, _TEXT, max_size=2))
+@example(tensors={"a\nb": (np.ones(2, np.float32), np.zeros(2))}, step_count=0, meta={},
+         vocab_hashes={})
+@example(tensors={"\ud800": (np.ones(2, np.float32), np.zeros(2))}, step_count=0, meta={},
+         vocab_hashes={})
+@example(tensors={}, step_count=0, meta={}, vocab_hashes={"a b": "x y"})
+@example(tensors={}, step_count=0, meta={"a b": 1}, vocab_hashes={})
+@example(tensors={}, step_count=0, meta={"config": {"sizes": (1, 2)}}, vocab_hashes={})
+@example(tensors={}, step_count=0, meta={"loss": float("nan")}, vocab_hashes={})
+@example(tensors={}, step_count=0, meta={"ids": {"\ud800": [1e308, -0.0]}}, vocab_hashes={})
+@example(tensors={"": (np.float32(-0.0), np.float64(2.5)),
+                  "w x": (np.ones((0, 2), np.float32), np.ones((0, 2)))},
+         step_count=7, meta={"": "", "model": "skeleton"}, vocab_hashes={"": ""})
+def test_checkpoint_round_trip(tmp_path, tensors, step_count, meta, vocab_hashes):
+    store = ParameterStore()
+    for name, (data, acc) in tensors.items():
+        store.add(name, np.asarray(data))
+        store.accumulators[name] = np.asarray(acc)
+    store.step_count = step_count
+    writable = (all(_header_text(name) for name in tensors)
+                and all(_header_text(key, spaces=False) and _header_text(value)
+                        for key, value in vocab_hashes.items())
+                and all(_header_text(key, spaces=False) and _json_stable(value)
+                        for key, value in meta.items()))
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(b"before")
+    try:
+        store.save(path, meta=meta, vocab_hashes=vocab_hashes)
+    except NumericsError as exc:
+        assert path.read_bytes() == b"before"
+        assert not writable, exc
+        return
+    assert writable
+    loaded = ParameterStore.load(path)
+    assert (loaded.step_count, loaded.meta, loaded.vocab_hashes) == (step_count, meta,
+                                                                     vocab_hashes)
+    assert sorted(loaded.names()) == sorted(tensors)
+    for name, (data, acc) in tensors.items():
+        for got, want in ((loaded[name].data, np.asarray(data)),
+                          (loaded.accumulators[name], np.asarray(acc))):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def _store(**tensors):
+    store = ParameterStore()
+    for name, data in tensors.items():
+        store.add(name, data)
+    return store
+
+
+@pytest.mark.parametrize("store, save, named", [
+    (_store(**{"a\nb": np.ones(2, np.float32)}), {}, "'a\\nb'"),
+    (_store(w=np.ones(2, np.float32)), {"vocab_hashes": {"a b": "x y"}}, "'a b'"),
+    (_store(w=np.ones(2, np.float32)), {"meta": {"a b": 1}}, "'a b'"),
+    (_store(w=np.array([1.0, 1e39])), {}, "tensor 'w'"),
+    (_store(w=np.ones(2, np.float32)), {"meta": {"config": {"sizes": (1, 2)}}}, "'config'"),
+], ids=["tensor-line-break", "vocab-key-space", "meta-key-space", "float32-overflow",
+        "meta-tuple"])
+def test_checkpoint_refusal_names_the_entry(tmp_path, store, save, named):
+    # each of these saved before, then failed to load or loaded otherwise
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(b"before")
+    with pytest.raises(NumericsError, match=re.escape(named)):
+        store.save(path, **save)
+    assert path.read_bytes() == b"before"
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda store: store.accumulators.pop("w"), "tensor 'w'"),
+    (lambda store: store.accumulators.update(v=np.zeros(2)), "accumulator 'v'"),
+    (lambda store: store.accumulators.update(w=np.zeros(3)), "tensor 'w'"),
+    (lambda store: store.accumulators["w"].fill(np.inf), "accumulator 'w'"),
+    (lambda store: setattr(store, "step_count", 2.0), "step count 2.0"),
+], ids=["missing", "orphan", "misshapen", "non-finite", "float-step-count"])
+def test_checkpoint_accumulator_refusal_names_the_entry(tmp_path, edit, named):
+    store = _store(w=np.ones(2, np.float32))
+    edit(store)
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(b"before")
+    with pytest.raises(NumericsError, match=re.escape(named)):
+        store.save(path)
+    assert path.read_bytes() == b"before"

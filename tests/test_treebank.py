@@ -246,3 +246,77 @@ def test_depth_bound_rejects_deeper(tmp_path):
     path.write_text("(NN ok)\n" + _nested(MAX_DEPTH + 1) + "\n", encoding="utf-8")
     with pytest.raises(TreeParseError, match=f"^{re.escape(str(path))}:2: tree nested too deeply$"):
         list(read_trees(path))
+
+
+# -- nodes are tuples: parsed nodes match nodes built through the checks ------
+
+def _checked(node):
+    """``node`` rebuilt through ``ParseNode``'s checking constructor."""
+    if node.is_leaf:
+        return ParseNode(node.label, token=node.token)
+    return ParseNode(node.label, children=tuple(map(_checked, node.children)))
+
+
+def _nodes_of(node):
+    yield node
+    for child in node.children:
+        yield from _nodes_of(child)
+
+
+# labels and words the tokenizer keeps whole: no whitespace, no brackets
+_ATOM = st.text(alphabet=st.sampled_from("aNP-=.\u00e9\u200b_"), min_size=1, max_size=4)
+_checked_nodes = st.recursive(
+    st.builds(lambda label, word: ParseNode(label, token=word), _ATOM, _ATOM),
+    lambda kids: st.builds(lambda label, cs: ParseNode(label, children=tuple(cs)),
+                           _ATOM, st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_well_formed.map(lambda text: (text, None)),
+                 _checked_nodes.map(lambda root: (serialize(ParseTree(root)),) * 2)))
+def test_parsed_nodes_equal_checked_nodes(case):
+    # text, and the one-line form it serializes back to where that is known
+    text, written = case
+    tree = parse_bracketed(text)
+    rebuilt = _checked(tree.root)
+    assert tree.root == rebuilt
+    assert hash(tree.root) == hash(rebuilt)
+    assert repr(tree.root) == repr(rebuilt)
+    assert all(type(node) is ParseNode for node in _nodes_of(tree.root))
+    assert serialize(tree) == serialize(ParseTree(rebuilt)) == (written or serialize(tree))
+    assert parse_bracketed(serialize(tree)).root == rebuilt
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    (("X",), {}),                                        # neither token nor children
+    (("X",), {"token": "x", "children": (ParseNode("NN", token="y"),)}),   # both
+    (("",), {"token": "x"}),
+    (("N P",), {"token": "x"}),
+    (("N\tP",), {"token": "x"}),
+    (("N(P",), {"token": "x"}),
+    (("NP)",), {"token": "x"}),
+], ids=["neither", "both", "empty-label", "space", "tab", "open-bracket", "close-bracket"])
+def test_node_constructor_rejects_each_broken_invariant(args, kwargs):
+    with pytest.raises(ValueError):
+        ParseNode(*args, **kwargs)
+
+
+def test_node_fields_cannot_be_set():
+    node = parse_bracketed("(NP (NN dog))").root
+    for field in ("label", "children", "token"):
+        with pytest.raises(AttributeError):
+            setattr(node, field, "x")
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert ParseNode("NN", token="dog") == ParseNode(label="NN", children=(), token="dog")
+    assert repr(node.children[0]) == "ParseNode(label='NN', children=(), token='dog')"
+
+
+def test_node_replace_checks_as_the_constructor():
+    node = parse_bracketed("(NP (NN dog))").root
+    assert node._replace(label="S") == ParseNode("S", children=node.children)
+    with pytest.raises(ValueError):
+        node._replace(label="N P")
+    with pytest.raises(ValueError):
+        node._replace(token="dog")
