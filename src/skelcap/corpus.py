@@ -385,7 +385,7 @@ def write_features(path, records: Sequence[CaptionRecord]):
     which ``read_features`` reads back as the same ids and grids. An image id
     that is not UTF-8 text of at most 65535 bytes, or that repeats, raises
     CorpusError naming it before ``path`` is opened."""
-    chunks = []
+    idents = []
     seen = set()
     for rec in records:
         try:
@@ -398,11 +398,13 @@ def write_features(path, records: Sequence[CaptionRecord]):
         if rec.image_id in seen:
             raise CorpusError(f"image id {rec.image_id!r} repeats")
         seen.add(rec.image_id)
-        chunks += (struct.pack("<H", len(ident)), ident,
-                   struct.pack("<II", rec.features.grid_size, rec.features.feature_dim),
-                   np.ascontiguousarray(rec.features.values, dtype="<f4").tobytes())
+        idents.append(ident)
     with open(path, "wb") as fh:
-        fh.writelines(chunks)
+        for rec, ident in zip(records, idents):
+            fh.write(struct.pack("<H", len(ident)))
+            fh.write(ident)
+            fh.write(struct.pack("<II", rec.features.grid_size, rec.features.feature_dim))
+            fh.write(np.ascontiguousarray(rec.features.values, dtype="<f4").tobytes())
 
 
 def read_features(path) -> Dict[str, FeatureGrid]:

@@ -111,11 +111,7 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
         if not active:
             break
         new_states, logps = step_fn(states, tokens)
-        # float32 log-probabilities are selected from as they are: widening
-        # them to float64 is exact and keeps their order, so changes nothing
-        logps = np.asarray(logps)
-        if logps.dtype != np.float32:
-            logps = logps.astype(np.float64, copy=False)
+        logps = np.asarray(logps, dtype=np.float64)
         K = len(tokens)
         if logps.ndim != 2 or logps.shape[0] != K or \
                 (vocab_size is not None and logps.shape[1] != vocab_size):

@@ -452,49 +452,6 @@ def test_live_states_carry_the_beam_step():
         assert 1 <= k <= 2 and prefix_lengths == [t] * k
 
 
-def make_float32_lm(vocab_size, seed, tied):
-    """Batched toy language over (search id, prefix) states returning (K, V)
-    float32 log-probabilities; ``tied`` draws their logits from four values,
-    so exact ties are common."""
-
-    def step(batch, tokens):
-        states, rows = [], []
-        for (search, prefix), token in zip(batch.states, tokens):
-            new = prefix + (int(token),)
-            rng = np.random.default_rng([seed, search, len(new), *new])
-            logits = (-0.5 * rng.integers(0, 4, size=vocab_size) if tied
-                      else 2.0 * rng.normal(size=vocab_size)).astype(np.float32)
-            states.append((search, new))
-            rows.append(logits - np.log(np.exp(logits).sum(dtype=np.float32)))
-        return Rows(states, batch.t + 1), np.array(rows, dtype=np.float32)
-
-    return step
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_float32_log_probs_select_as_their_float64_cast(data):
-    # selection runs on float32 log-probabilities as they come; their exact
-    # float64 cast keeps the same winners with bit-equal scores
-    V = data.draw(st.integers(2, 40), label="vocab_size")
-    config = BeamConfig(beam_size=data.draw(st.integers(1, 5), label="beam_size"),
-                        gamma=data.draw(st.sampled_from([-0.5, 0.0, 0.3, 1.5]), label="gamma"),
-                        max_len=data.draw(st.integers(1, 6), label="max_len"))
-    step32 = make_float32_lm(V, data.draw(st.integers(0, 2**16), label="seed"),
-                             data.draw(st.booleans(), label="tied"))
-
-    def step64(batch, tokens):
-        states, logps = step32(batch, tokens)
-        return states, logps.astype(np.float64)
-
-    inits = Rows([(i, ()) for i in range(data.draw(st.integers(1, 3), label="searches"))])
-    won32, won64 = (joint_beam_search(step, inits, config, vocab_size=V, record_states=True)
-                    for step in (step32, step64))
-    assert _summary(won32, _state) == _summary(won64, _state)
-    for hyp in won32:
-        assert type(hyp.raw_logp) is float and type(hyp.adjusted_logp) is float
-
-
 # -- coarse-to-fine pipeline --------------------------------------------------
 
 def _pipeline():
