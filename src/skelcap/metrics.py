@@ -6,8 +6,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .corpus import strip_article
@@ -43,21 +43,30 @@ def make_pairs(candidates: Sequence[Sequence[str]],
             for c, refs in zip(candidates, references)]
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Dict[Tuple[str, ...], int]:
-    """Counts of the n-grams of ``tokens``, keyed in order of first occurrence."""
-    counts: Dict[Tuple[str, ...], int] = {}
-    for g in zip(*(tokens[i:] for i in range(n))):
-        counts[g] = counts.get(g, 0) + 1
-    return counts
+class _Corpus:
+    """One call's pairs over their distinct sentences, each held once; a pair
+    keeps the indices of its candidate and references. ``grams`` holds each
+    sentence's 1..MAX_N-gram counts in order of first occurrence. No pairs
+    is a MetricsError naming the calling function."""
 
+    def __init__(self, pairs: Sequence[EvalPair], caller: str):
+        if not pairs:
+            raise MetricsError(f"{caller} needs at least one pair")
+        index: Dict[Tuple[str, ...], int] = {}  # sentence -> its index
+        intern = index.setdefault  # called with len(index): a new sentence's index
+        self.pairs = [(intern(tuple(p.candidate), len(index)),
+                       [intern(tuple(r), len(index)) for r in p.references]) for p in pairs]
+        self.sentences = list(index)
 
-def _ngram_tables(pairs: Sequence[EvalPair]):
-    """Per pair: the candidate's n-gram counts for n = 1..MAX_N, and each
-    reference's. Built once per call, so BLEU's clipping and CIDEr's df and
-    tf-idf passes all read the same counts."""
-    def table(tokens):
-        return [_ngrams(tokens, n) for n in range(1, MAX_N + 1)]
-    return [(table(p.candidate), [table(r) for r in p.references]) for p in pairs]
+    @cached_property
+    def grams(self) -> List[List[Dict[Tuple[str, ...], int]]]:
+        tables = [[{} for _ in range(MAX_N)] for _ in self.sentences]
+        for tokens, table in zip(self.sentences, tables):
+            for n, counts in enumerate(table, 1):
+                for i in range(len(tokens) - n + 1):
+                    g = tokens[i:i + n]
+                    counts[g] = counts.get(g, 0) + 1
+        return tables
 
 
 def bleu(pairs: Sequence[EvalPair]) -> Dict[str, float]:
@@ -66,29 +75,35 @@ def bleu(pairs: Sequence[EvalPair]) -> Dict[str, float]:
     The effective reference length per pair is the closest to the candidate
     length (shorter on ties). Returns {"B-1": ..., "B-4": ...}.
     """
-    return _bleu(pairs, _ngram_tables(pairs))
+    return _bleu(_Corpus(pairs, "bleu"))
 
 
-def _bleu(pairs, tables):
+def _bleu(corpus):
+    sentences, grams = corpus.sentences, corpus.grams
     matched = [0] * MAX_N
     total = [0] * MAX_N
     cand_len = 0
     ref_len = 0
-    for pair, (cand, refs) in zip(pairs, tables):
-        c = pair.candidate
-        cand_len += len(c)
-        ref_len += min((len(r) for r in pair.references),
-                       key=lambda rl: (abs(rl - len(c)), rl))
-        for k in range(min(MAX_N, len(c))):
-            ref_counts = [r[k] for r in refs]
-            total[k] += len(c) - k
+    for ci, refs in corpus.pairs:
+        c_len = len(sentences[ci])
+        cand_len += c_len
+        ref_len += min((abs(len(sentences[r]) - c_len), len(sentences[r])) for r in refs)[1]
+        cand = grams[ci]
+        ref_tables = [grams[r] for r in dict.fromkeys(refs)]
+        for k in range(min(MAX_N, c_len)):
+            ref_counts = [r[k] for r in ref_tables]
+            total[k] += c_len - k
+            hits = 0
             for g, v in cand[k].items():
                 clip = 0
                 for rc in ref_counts:
-                    clip = max(clip, rc.get(g, 0))
-                    if clip >= v:
-                        break
-                matched[k] += min(v, clip)
+                    r = rc.get(g, 0)
+                    if r > clip:
+                        clip = r
+                        if clip >= v:
+                            break
+                hits += v if v < clip else clip
+            matched[k] += hits
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len) if cand_len else 0.0
     scores = {}
     for n in range(1, MAX_N + 1):
@@ -96,17 +111,29 @@ def _bleu(pairs, tables):
         if any(p == 0.0 for p in precisions):
             scores[f"B-{n}"] = 0.0
         else:
-            scores[f"B-{n}"] = bp * math.exp(sum(math.log(p) for p in precisions) / n)
+            log_sum = 0.0  # left to right: the builtin sum compensates since 3.12
+            for p in precisions:
+                log_sum += math.log(p)
+            scores[f"B-{n}"] = bp * math.exp(log_sum / n)
     return scores
 
 
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length by the bit-parallel recurrence
-    (Allison & Dix 1986): bit j of ``s`` stands for token j of ``b``, and
-    each token of ``a`` updates all of them in a few big-int operations."""
+def _token_masks(b: Sequence[str]) -> Dict[str, int]:
+    """Per token of ``b``, the int whose bit j is set where token j is it."""
     masks: Dict[str, int] = {}
     for j, y in enumerate(b):
         masks[y] = masks.get(y, 0) | (1 << j)
+    return masks
+
+
+def _lcs_length(a: Sequence[str], b: Sequence[str],
+                masks: Optional[Dict[str, int]] = None) -> int:
+    """Longest common subsequence length by the bit-parallel recurrence
+    (Allison & Dix 1986): bit j of ``s`` stands for token j of ``b``, and
+    each token of ``a`` updates all of them in a few big-int operations.
+    ``masks`` is ``_token_masks(b)``, for a caller that has it."""
+    if masks is None:
+        masks = _token_masks(b)
     full = (1 << len(b)) - 1
     s = full
     for x in a:
@@ -119,18 +146,33 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
 
 def rouge_l(pairs: Sequence[EvalPair]) -> float:
     """Mean over pairs of the max-over-references LCS F-measure."""
+    return _rouge_l(_Corpus(pairs, "rouge_l"))
+
+
+def _rouge_l(corpus):
+    sentences = corpus.sentences
+    size = len(sentences)
+    f_scores: Dict[int, float] = {}  # per distinct (candidate, reference)
     total = 0.0
-    for pair in pairs:
+    for ci, refs in corpus.pairs:
+        cand = sentences[ci]
+        masks = _token_masks(cand)  # the LCS is symmetric: scan each reference
         best = 0.0
-        for ref in pair.references:
-            lcs = _lcs_length(pair.candidate, ref)
-            if lcs == 0:
-                continue
-            p = lcs / len(pair.candidate)
-            r = lcs / len(ref)
-            best = max(best, (1 + ROUGE_BETA ** 2) * p * r / (r + ROUGE_BETA ** 2 * p))
+        for ri in refs:
+            f = f_scores.get(ci * size + ri)
+            if f is None:
+                ref = sentences[ri]
+                lcs = _lcs_length(ref, cand, masks)
+                f = 0.0
+                if lcs:
+                    p = lcs / len(cand)
+                    r = lcs / len(ref)
+                    f = (1 + ROUGE_BETA ** 2) * p * r / (r + ROUGE_BETA ** 2 * p)
+                f_scores[ci * size + ri] = f
+            if f > best:
+                best = f
         total += best
-    return total / len(pairs) if pairs else 0.0
+    return total / len(corpus.pairs)
 
 
 def cider(pairs: Sequence[EvalPair]) -> float:
@@ -140,49 +182,56 @@ def cider(pairs: Sequence[EvalPair]) -> float:
     The idf statistics come from the reference corpus itself (df = number of
     images whose references contain the n-gram).
     """
-    if not pairs:
-        raise MetricsError("cider needs at least one pair")
-    return _cider(pairs, _ngram_tables(pairs))
+    return _cider(_Corpus(pairs, "cider"))
 
 
-def _cider(pairs, tables):
-    n_images = len(pairs)
+def _cider(corpus):
+    sentences, grams = corpus.sentences, corpus.grams
+    n_images = len(corpus.pairs)
     if n_images == 1:
         log.warning("cider: single-image corpus yields degenerate idf statistics")
-    doc_freq = [Counter() for _ in range(MAX_N)]
-    for _, refs in tables:
+    doc_freq: List[Dict[Tuple[str, ...], int]] = [{} for _ in range(MAX_N)]
+    for _, refs in corpus.pairs:
         for k, df in enumerate(doc_freq):
-            df.update(set().union(*[r[k] for r in refs]))
+            for g in set().union(*[grams[r][k] for r in refs]):
+                df[g] = df.get(g, 0) + 1
     # an n-gram no reference has gets df 1, so its idf is log(N) - log(1)
     log_n = math.log(n_images)
     idf = [{g: log_n - math.log(d) for g, d in df.items()} for df in doc_freq]
 
-    def tfidf(counts, length, idf_k):
-        vec = {g: (c / length) * idf_k.get(g, log_n) for g, c in counts.items()}
-        norm = 0.0
-        for w in vec.values():
-            norm += w * w
-        return vec, math.sqrt(norm)
-
-    total = 0.0
-    for pair, (cand, refs) in zip(pairs, tables):
-        c_len = len(pair.candidate)
-        penalties = [math.exp(-((c_len - len(ref)) ** 2) / (2 * CIDER_SIGMA ** 2))
-                     for ref in pair.references]
-        score_n = [0.0] * MAX_N
-        for k in range(MAX_N):
-            cvec, cnorm = tfidf(cand[k], c_len - k, idf[k])
-            for rt, ref, penalty in zip(refs, pair.references, penalties):
-                rvec, rnorm = tfidf(rt[k], len(ref) - k, idf[k])
+    penalties = [[math.exp(-((len(sentences[c]) - len(sentences[r])) ** 2)
+                           / (2 * CIDER_SIGMA ** 2)) for r in refs]
+                 for c, refs in corpus.pairs]
+    scores = [0.0] * n_images  # per pair, the sum of its per-n scores, left to right
+    for k, idf_k in enumerate(idf):
+        vectors = []  # each distinct sentence's tf-idf vector and norm for this n
+        for tokens, table in zip(sentences, grams):
+            length = len(tokens) - k
+            vec = {g: (c / length) * idf_k.get(g, log_n) for g, c in table[k].items()}
+            norm = 0.0
+            for w in vec.values():
+                norm += w * w
+            vectors.append((vec, math.sqrt(norm)))
+        for i, (ci, refs) in enumerate(corpus.pairs):
+            cvec, cnorm = vectors[ci]
+            score_k = 0.0
+            for ri, penalty in zip(refs, penalties[i]):
+                rvec, rnorm = vectors[ri]
+                sim = 0.0
                 if cnorm > 0 and rnorm > 0:
-                    # an n-gram the candidate lacks adds an exact 0.0: skipped
-                    num = sum(min(cvec[g], w) * w for g, w in rvec.items() if g in cvec)
+                    # min(cw, w) * w in the reference's order; an n-gram the
+                    # candidate lacks would add an exact 0.0: skipped
+                    num = 0.0
+                    for g, w in rvec.items():
+                        cw = cvec.get(g)
+                        if cw is not None:
+                            num += (w if w < cw else cw) * w
                     sim = num / (cnorm * rnorm)
-                else:
-                    sim = 0.0
-                score_n[k] += sim * penalty
-            score_n[k] *= CIDER_SCALE / len(pair.references)
-        total += sum(score_n) / MAX_N
+                score_k += sim * penalty
+            scores[i] += score_k * (CIDER_SCALE / len(refs))
+    total = 0.0
+    for score in scores:
+        total += score / MAX_N
     return total / n_images
 
 
@@ -243,14 +292,12 @@ def evaluate(pairs: Sequence[EvalPair], apply_without_a: bool = False,
              training_captions: Optional[Sequence[Sequence[str]]] = None) -> EvalReport:
     """Run every supported metric over ``pairs`` and assemble a report; given
     ``training_captions``, also the uniqueness of the pairs' candidates."""
-    if not pairs:
-        raise MetricsError("evaluate needs at least one pair")
     if apply_without_a:
         pairs = without_a(pairs)
-    tables = _ngram_tables(pairs)  # read by both BLEU and CIDEr
-    scores = _bleu(pairs, tables)
-    scores["ROUGE-L"] = rouge_l(pairs)
-    scores["CIDEr"] = _cider(pairs, tables)
+    corpus = _Corpus(pairs, "evaluate")  # its n-gram tables serve BLEU and CIDEr
+    scores = _bleu(corpus)
+    scores["ROUGE-L"] = _rouge_l(corpus)
+    scores["CIDEr"] = _cider(corpus)
     uniq = None
     if training_captions is not None:
         if apply_without_a:

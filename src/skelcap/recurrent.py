@@ -274,6 +274,12 @@ class RecurrentDecoder:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path):
+        """Write the model's checkpoint. A checkpoint holds float32 tensors,
+        so a model of another dtype raises NumericsError before ``path`` is
+        opened, rather than reloading as a rounded float32 model."""
+        if np.dtype(self.dtype) != np.float32:
+            raise NumericsError(f"{path}: cannot save a {np.dtype(self.dtype).name} model; "
+                                "checkpoints hold float32 tensors")
         self.store.save(path, meta={"model": self.model_kind, "config": self.get_params()},
                         vocab_hashes={self.vocab_key: self.vocab.content_hash()})
 

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -378,6 +379,15 @@ def test_save_load_roundtrip(attr_vocab, skel_model, tmp_path):
     s = rng.normal(size=(1, m.skel_embed_size))
     h = rng.normal(size=(1, m.skel_hidden_size))
     assert np.array_equal(m.init_input(z, s, h), loaded.init_input(z, s, h))
+
+
+def test_save_rejects_float64_model(attr_vocab, skel_model, tmp_path):
+    m = _make(attr_vocab, skel_model, dtype=np.float64)
+    p = tmp_path / "attr.ckpt"
+    p.write_bytes(b"an earlier checkpoint")
+    with pytest.raises(nm.NumericsError, match=rf"{re.escape(str(p))}: .*float64 model"):
+        m.save(p)
+    assert p.read_bytes() == b"an earlier checkpoint"
 
 
 def test_load_rejects_wrong_vocab(attr_vocab, skel_model, tmp_path):

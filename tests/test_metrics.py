@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from skelcap.metrics import (EvalPair, MetricsError, _lcs_length, bleu, cider,
-                             evaluate, make_pairs, rouge_l, uniqueness_stats,
+from skelcap import metrics
+from skelcap.metrics import (EvalPair, MetricsError, _lcs_length, _token_masks, bleu,
+                             cider, evaluate, make_pairs, rouge_l, uniqueness_stats,
                              without_a)
 
 
@@ -186,6 +187,13 @@ def _sentences(alphabet, max_size):
 def test_lcs_length_matches_oracle(a, b):
     # a side longer than 64 or 128 tokens spans several machine words
     assert _lcs_length(a, b) == oracle_lcs(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_sentences(list("abcd"), 80), b=_sentences(list("abcd"), 80))
+def test_lcs_length_symmetric_with_given_masks(a, b):
+    # rouge_l scans each reference against its candidate's masks
+    assert _lcs_length(b, a, _token_masks(a)) == _lcs_length(a, b)
 
 
 def test_rouge_identical():
@@ -419,3 +427,157 @@ def test_evaluate_keeps_no_state():
 def test_evaluate_empty_rejected():
     with pytest.raises(MetricsError):
         evaluate([])
+
+
+@pytest.mark.parametrize("fn", [bleu, rouge_l, cider, evaluate])
+def test_empty_corpus_rejected_naming_function(fn):
+    with pytest.raises(MetricsError, match=f"^{fn.__name__} needs at least one pair"):
+        fn([])
+
+
+# -- the per-pair scorer the interned one replaced ----------------------------
+#
+# Bit-exact reference: n-gram tables and tf-idf vectors built afresh for every
+# sentence of every pair, and the LCS for every (candidate, reference). Its
+# float sums run left to right, as the builtin sum did before Python 3.12.
+
+def _left_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _ref_ngram_tables(pairs):
+    def table(tokens):
+        return [_count_ngrams(tokens, n) for n in range(1, 5)]
+    return [(table(p.candidate), [table(r) for r in p.references]) for p in pairs]
+
+
+def _ref_bleu(pairs, tables):
+    matched, total, cand_len, ref_len = [0] * 4, [0] * 4, 0, 0
+    for pair, (cand, refs) in zip(pairs, tables):
+        c = pair.candidate
+        cand_len += len(c)
+        ref_len += min((len(r) for r in pair.references),
+                       key=lambda rl: (abs(rl - len(c)), rl))
+        for k in range(min(4, len(c))):
+            total[k] += len(c) - k
+            for g, v in cand[k].items():
+                matched[k] += min(v, max(r[k].get(g, 0) for r in refs))
+    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len) if cand_len else 0.0
+    scores = {}
+    for n in range(1, 5):
+        precisions = [matched[k] / total[k] if total[k] else 0.0 for k in range(n)]
+        if any(p == 0.0 for p in precisions):
+            scores[f"B-{n}"] = 0.0
+        else:
+            scores[f"B-{n}"] = bp * math.exp(_left_sum(math.log(p) for p in precisions) / n)
+    return scores
+
+
+def _ref_rouge_l(pairs):
+    total = 0.0
+    for pair in pairs:
+        best = 0.0
+        for ref in pair.references:
+            lcs = _lcs_length(pair.candidate, ref)
+            if lcs == 0:
+                continue
+            p = lcs / len(pair.candidate)
+            r = lcs / len(ref)
+            best = max(best, (1 + 1.2 ** 2) * p * r / (r + 1.2 ** 2 * p))
+        total += best
+    return total / len(pairs)
+
+
+def _ref_cider(pairs, tables):
+    log_n = math.log(len(pairs))
+    doc_freq = [{} for _ in range(4)]
+    for _, refs in tables:
+        for k, df in enumerate(doc_freq):
+            for g in set().union(*[r[k] for r in refs]):
+                df[g] = df.get(g, 0) + 1
+    idf = [{g: log_n - math.log(d) for g, d in df.items()} for df in doc_freq]
+
+    def tfidf(counts, length, idf_k):
+        vec = {g: (c / length) * idf_k.get(g, log_n) for g, c in counts.items()}
+        return vec, math.sqrt(_left_sum(w * w for w in vec.values()))
+
+    total = 0.0
+    for pair, (cand, refs) in zip(pairs, tables):
+        c_len = len(pair.candidate)
+        penalties = [math.exp(-((c_len - len(ref)) ** 2) / (2 * 6.0 ** 2))
+                     for ref in pair.references]
+        score_n = [0.0] * 4
+        for k in range(4):
+            cvec, cnorm = tfidf(cand[k], c_len - k, idf[k])
+            for rt, ref, penalty in zip(refs, pair.references, penalties):
+                rvec, rnorm = tfidf(rt[k], len(ref) - k, idf[k])
+                if cnorm > 0 and rnorm > 0:
+                    num = _left_sum(min(cvec[g], w) * w for g, w in rvec.items() if g in cvec)
+                    sim = num / (cnorm * rnorm)
+                else:
+                    sim = 0.0
+                score_n[k] += sim * penalty
+            score_n[k] *= 10.0 / len(pair.references)
+        total += _left_sum(score_n) / 4
+    return total / len(pairs)
+
+
+def _ref_scores(pairs):
+    tables = _ref_ngram_tables(pairs)
+    return {**_ref_bleu(pairs, tables), "ROUGE-L": _ref_rouge_l(pairs),
+            "CIDEr": _ref_cider(pairs, tables)}
+
+
+# A small pool, so that sentences repeat within and across pairs, a candidate
+# equals a reference and a pair repeats a reference; it holds the empty
+# sentence, every length from 0 to 3 and sentences with and without "a".
+SENTENCE_POOL = [(), ("a",), ("dog",), ("a", "dog"), ("dog", "a"), ("red", "dog", "runs"),
+                 ("a", "red", "dog"), ("a", "dog", "runs", "on", "a", "tree"),
+                 ("the", "dog", "runs", "on", "the", "grass"), ("a", "a", "cat", "a", "cat"),
+                 ("big", "red", "dog", "sits", "near", "a", "big", "red", "car"),
+                 ("a", "small", "red", "car", "near", "a", "big", "dog", "on", "the", "grass"),
+                 ("the", "big", "dog", "sits", "on", "a", "small", "red", "car", "near", "a",
+                  "tree")]
+
+
+def _pooled_pair():
+    sentence = st.sampled_from(SENTENCE_POOL)
+    return st.builds(EvalPair, sentence, st.lists(sentence, min_size=1, max_size=4).map(tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(_pooled_pair(), min_size=1, max_size=8), strip_a=st.booleans())
+@example(pairs=[EvalPair(("a", "dog"), (("a", "dog"),))], strip_a=False)
+@example(pairs=[EvalPair((), ((),)), EvalPair(SENTENCE_POOL[-2], (SENTENCE_POOL[-1],))],
+         strip_a=False)  # the longest sentences: a dot product taken in another order shows
+@example(pairs=[EvalPair((), (("dog",), ("dog",))), EvalPair(("dog",), (("dog",), ()))],
+         strip_a=True)
+def test_interned_scores_equal_per_pair_reference(pairs, strip_a):
+    want = {k: repr(v) for k, v in _ref_scores(without_a(pairs) if strip_a else pairs).items()}
+    assert {k: repr(v) for k, v in evaluate(pairs, apply_without_a=strip_a).scores.items()} == want
+    scored = without_a(pairs) if strip_a else pairs
+    got = {**bleu(scored), "ROUGE-L": rouge_l(scored), "CIDEr": cider(scored)}
+    assert {k: repr(v) for k, v in got.items()} == want
+
+
+def _neumaier_sum(values, start=0):
+    """The compensated sum the builtin sum does on floats since Python 3.12."""
+    total, compensation = start, 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+def test_scores_independent_of_builtin_sum(monkeypatch):
+    monkeypatch.setattr(metrics, "sum", _neumaier_sum, raising=False)
+    test_evaluate_golden_scores(False)
+    test_evaluate_golden_scores(True)
+    test_evaluate_golden_window_scores()

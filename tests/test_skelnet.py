@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -397,6 +398,19 @@ def test_save_load_roundtrip(model, tiny_data, tmp_path):
     _, p2, a2 = _step(loaded, s2, BOS, g)
     assert np.array_equal(p1, p2)
     assert np.array_equal(a1, a2)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, "float16"])
+def test_save_rejects_non_float32_model(tiny_data, tmp_path, dtype):
+    cfg, recs = tiny_data
+    vocab = build_vocab([r.decomposition.skeleton_words for r in recs], 1)
+    wide = SkeletonGenerator(vocab, feature_dim=cfg.feature_dim, grid_size=cfg.grid_size,
+                             hidden_size=8, embed_size=4, attention_hidden=6, dtype=dtype)
+    p = tmp_path / "skel.ckpt"
+    p.write_bytes(b"an earlier checkpoint")
+    with pytest.raises(nm.NumericsError, match=rf"{re.escape(str(p))}: .*{np.dtype(dtype).name} model"):
+        wide.save(p)
+    assert p.read_bytes() == b"an earlier checkpoint"
 
 
 def test_load_rejects_wrong_vocab(model, tmp_path):
