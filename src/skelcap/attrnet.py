@@ -15,7 +15,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import BOS, EOS, Vocabulary
 from .numerics import ParameterStore
-from .recurrent import BatchTable, LSTMState, RecurrentDecoder
+from .recurrent import BatchTable, LSTMState, RecurrentDecoder, cell_forward
 from .skelnet import SkelState, refine_attention
 
 HIDDEN_TAPS = ("current", "previous", "final")
@@ -150,13 +150,15 @@ class AttributeGenerator(RecurrentDecoder):
     def make_step_fn(self):
         """Batched beam-search step function: (a batch of K states, K tokens)
         -> (the batch of K new states, log-probabilities (K, V)), one step of
-        the array kernels for all K."""
+        the array kernels for all K, run under the caller's
+        ``np.errstate(over="ignore")`` as ``decode.joint_beam_search`` enters
+        it. The parameter arrays are looked up once, here."""
+        embed, weights = self.store["embed"].data, self._cell_weights()
 
         def step_fn(states, tokens):
-            with np.errstate(over="ignore"):
-                x = nm.gather_rows(self.store["embed"].data, np.asarray(tokens))
-                h, c, logits, _ = self._cell(x, states.h, states.c)
-                return LSTMState(h, c, states.t + 1), nm.log_probs(logits)
+            x = nm.gather_rows(embed, np.asarray(tokens))
+            h, c, logits, _ = cell_forward(x, states.h, states.c, *weights)
+            return LSTMState(h, c, states.t + 1), nm.log_probs(logits)
 
         return step_fn
 
@@ -176,10 +178,13 @@ class AttributeGenerator(RecurrentDecoder):
                             beam_size: int = 1, gamma: float = 0.0) -> List[List[str]]:
         """Decode the attribute phrase (possibly empty) of every skeletal word
         of one caption, from their fused inputs ``x_init`` (W, m), in one
-        joint beam search; returns W phrases."""
-        from .decode import BeamConfig, joint_beam_search
+        joint beam search; returns W phrases, all empty when ``max_len`` is
+        0. A negative ``max_len`` is a ``BeamError``."""
+        from .decode import BeamConfig, BeamError, joint_beam_search
+        if max_len < 0:
+            raise BeamError(f"max_len must be >= 0, got {max_len}")
         states = self.initial_state(x_init)
-        if max_len <= 0:
+        if max_len == 0:
             return [[] for _ in range(len(states))]
         config = BeamConfig(beam_size=beam_size, gamma=gamma, max_len=max_len)
         winners = joint_beam_search(self.make_step_fn(), states, config,
@@ -362,16 +367,22 @@ def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
     the step, the state ``h_prev``/``c_prev`` entering it, its word
     ``logits`` and the word in ``words`` it emitted, record r in rows
     ``offsets[r]:offsets[r + 1]``. ``features`` holds the R records' feature
-    grids, read only for refinement. Without refinement z is the step's own
-    context; with it, the step's map is refined post-word from the step's
-    own word distribution and the skeleton decoder's
+    grids, one per record, read only for refinement. Without refinement z is
+    the step's own context; with it, the step's map is refined post-word
+    from the step's own word distribution and the skeleton decoder's
     ``per_location_distributions`` at the state entering the step, one call
-    and one ``context`` call per record. The "current" tap is the state
-    after word T, "previous" the state entering it, "final" the state after
-    its record's last word.
+    and one ``context`` call per record. A record's T maps are the
+    ``refine_attention`` of its T words, from one float64 product (T, P, Q)
+    @ (T, Q, 1) and one row sum; a record in which some word's similarities
+    sum to 0 or less is refined word by word, so that word keeps its
+    pre-word map. The "current" tap is the state after word T, "previous"
+    the state entering it, "final" the state after its record's last word.
     """
     check_conditioning(skel_model, hidden_tap, use_post_word_alpha)
     offsets = trace.offsets
+    if len(features) != len(offsets) - 1:
+        raise AttrConfigError(f"{len(features)} feature grids given for a trace of "
+                              f"{len(offsets) - 1} records")
     z, posts = np.asarray(trace.z, dtype=np.float32), None
     if use_post_word_alpha:
         L = skel_model.grid_size
@@ -383,8 +394,15 @@ def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
             prev = np.concatenate(([BOS], trace.words[lo:hi - 1]))
             p_grid = skel_model.per_location_distributions(entering, prev, grid)
             p_attend = nm.probs(trace.logits[lo:hi])
-            posts[lo:hi] = [refine_attention(p, g, fallback=alpha)
-                            for p, g, alpha in zip(p_attend, p_grid, trace.alpha[lo:hi])]
+            # refine_attention's product and sum for all T words at once
+            scores = np.matmul(p_grid.reshape(hi - lo, L * L, -1).astype(np.float64),
+                               p_attend.astype(np.float64)[:, :, None])[:, :, 0]
+            totals = scores.sum(axis=1)
+            if (totals > 0.0).all():
+                posts[lo:hi] = (scores / totals[:, None]).reshape(hi - lo, L, L)
+            else:
+                posts[lo:hi] = [refine_attention(p, g, fallback=alpha)
+                                for p, g, alpha in zip(p_attend, p_grid, trace.alpha[lo:hi])]
             z[lo:hi] = skel_model.context(grid, posts[lo:hi])
     if hidden_tap == "final":
         hidden = trace.h[np.repeat(offsets[1:] - 1, np.diff(offsets))]

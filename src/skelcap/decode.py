@@ -89,6 +89,11 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
     hypothesis a pool of ``beam_size`` finished ones would rank first. Returns
     per search its winner, the finished hypothesis of highest adjusted score;
     ties break toward shorter, then lexicographically smaller token sequences.
+
+    Every ``step_fn`` call runs under one ``np.errstate(over="ignore")``,
+    entered once per search: the decoders' step functions expect it, as the
+    ``numerics`` kernels do, so an exponential that overflows to inf gives
+    its limit without a warning.
     """
     gamma, width = config.gamma, config.beam_size
     bonus = max(gamma, 0.0)
@@ -107,62 +112,63 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
     best: list = [None] * len(live)
     active = list(range(len(live)))
     states, tokens = init_states, np.full(len(live), BOS, dtype=np.int64)
-    for step in range(config.max_len):
-        if not active:
-            break
-        new_states, logps = step_fn(states, tokens)
-        logps = np.asarray(logps, dtype=np.float64)
-        K = len(tokens)
-        if logps.ndim != 2 or logps.shape[0] != K or \
-                (vocab_size is not None and logps.shape[1] != vocab_size):
-            raise BeamError(f"step_fn returned log-probs of shape {logps.shape}, expected "
-                            f"({K}, {vocab_size if vocab_size is not None else 'V'})")
-        n_keep = min(width + 1, logps.shape[1])
-        tops = np.argpartition(-logps, n_keep - 1, axis=1)[:, :n_keep]
-        kept = logps[np.arange(K)[:, None], tops].tolist()
-        tops = tops.tolist()
-        remaining = config.max_len - (step + 1)
-        still_active, rows, next_tokens = [], [], []
-        k = 0  # the parent's row in new_states
-        for i in active:
-            # candidates are live tuples, adjusted as in score_adjust; ended
-            # is the best EOS candidate, which keeps its parent's tokens
-            candidates, ended = [], None
-            for _, n, parent_tokens, parent_raw, _, history in live[i]:
-                for tok, logp in zip(tops[k], kept[k]):
-                    raw = parent_raw + logp
-                    if tok != EOS:
-                        candidates.append((-(raw + gamma * (n + 1)), n + 1,
-                                           parent_tokens + (tok,), raw, k, history))
-                    else:
-                        cand = (-(raw + gamma * n), n, parent_tokens, raw, k, history)
-                        if ended is None or cand < ended:
-                            ended = cand
-                k += 1
-            if ended is not None and (best[i] is None or ended < best[i]):
-                neg_adj, n, toks, raw, row, history = ended
-                ref = (new_states, row)
-                best[i] = (neg_adj, n, toks, raw, ref,
-                           history + (ref,) if record_states else history)
-            candidates.sort()
-            del candidates[width:]
-            if record_states:
-                candidates = [(neg_adj, n, toks, raw, row, history + ((new_states, row),))
-                              for neg_adj, n, toks, raw, row, history in candidates]
-            live[i] = candidates
-            if not candidates:
-                continue
-            # the best live hypothesis cannot beat the winner
-            if best[i] is not None and -candidates[0][0] + bonus * remaining < -best[i][0]:
-                continue
-            still_active.append(i)
-            for hyp in candidates:
-                rows.append(hyp[4])
-                next_tokens.append(hyp[2][-1])
-        active = still_active
-        if active and step + 1 < config.max_len:
-            states = new_states.take(np.asarray(rows))
-            tokens = np.asarray(next_tokens, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        for step in range(config.max_len):
+            if not active:
+                break
+            new_states, logps = step_fn(states, tokens)
+            logps = np.asarray(logps, dtype=np.float64)
+            K = len(tokens)
+            if logps.ndim != 2 or logps.shape[0] != K or \
+                    (vocab_size is not None and logps.shape[1] != vocab_size):
+                raise BeamError(f"step_fn returned log-probs of shape {logps.shape}, expected "
+                                f"({K}, {vocab_size if vocab_size is not None else 'V'})")
+            n_keep = min(width + 1, logps.shape[1])
+            tops = np.argpartition(-logps, n_keep - 1, axis=1)[:, :n_keep]
+            kept = logps[np.arange(K)[:, None], tops].tolist()
+            tops = tops.tolist()
+            remaining = config.max_len - (step + 1)
+            still_active, rows, next_tokens = [], [], []
+            k = 0  # the parent's row in new_states
+            for i in active:
+                # candidates are live tuples, adjusted as in score_adjust; ended
+                # is the best EOS candidate, which keeps its parent's tokens
+                candidates, ended = [], None
+                for _, n, parent_tokens, parent_raw, _, history in live[i]:
+                    for tok, logp in zip(tops[k], kept[k]):
+                        raw = parent_raw + logp
+                        if tok != EOS:
+                            candidates.append((-(raw + gamma * (n + 1)), n + 1,
+                                               parent_tokens + (tok,), raw, k, history))
+                        else:
+                            cand = (-(raw + gamma * n), n, parent_tokens, raw, k, history)
+                            if ended is None or cand < ended:
+                                ended = cand
+                    k += 1
+                if ended is not None and (best[i] is None or ended < best[i]):
+                    neg_adj, n, toks, raw, row, history = ended
+                    ref = (new_states, row)
+                    best[i] = (neg_adj, n, toks, raw, ref,
+                               history + (ref,) if record_states else history)
+                candidates.sort()
+                del candidates[width:]
+                if record_states:
+                    candidates = [(neg_adj, n, toks, raw, row, history + ((new_states, row),))
+                                  for neg_adj, n, toks, raw, row, history in candidates]
+                live[i] = candidates
+                if not candidates:
+                    continue
+                # the best live hypothesis cannot beat the winner
+                if best[i] is not None and -candidates[0][0] + bonus * remaining < -best[i][0]:
+                    continue
+                still_active.append(i)
+                for hyp in candidates:
+                    rows.append(hyp[4])
+                    next_tokens.append(hyp[2][-1])
+            active = still_active
+            if active and step + 1 < config.max_len:
+                states = new_states.take(np.asarray(rows))
+                tokens = np.asarray(next_tokens, dtype=np.int64)
     for i in active:  # searches that ran to max_len
         neg_adj, n, toks, raw, row, history = live[i][0]
         if best[i] is None or live[i][0] < best[i]:
@@ -212,13 +218,18 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     recorded states, through the ``word_conditioning`` training uses, and
     decodes the attribute phrases of all skeleton tokens in one joint beam
     search. The fused caption interleaves attributes before their skeletal
-    words.
+    words. Every beam setting is checked before the skeleton search starts;
+    ``max_attr_len=0`` decodes no attributes.
     """
     if use_post_word_alpha is None:
         use_post_word_alpha = attr_model.use_post_word_alpha
     check_conditioning(skel_model, attr_model.hidden_tap, use_post_word_alpha)
     check_skeleton_sizes(attr_model, skel_model)
     skel_cfg = BeamConfig(beam_size=beam_skel, gamma=gamma_skel, max_len=max_skel_len)
+    if beam_attr < 1:
+        raise BeamError(f"beam_attr must be >= 1, got {beam_attr}")
+    if max_attr_len < 0:
+        raise BeamError(f"max_attr_len must be >= 0, got {max_attr_len}")
     step_fn = skel_model.make_step_fn(features)
     init = skel_model.initial_decode_state(features)
     best = joint_beam_search(step_fn, init, skel_cfg, vocab_size=len(skel_model.vocab),
@@ -234,7 +245,7 @@ def caption(features: FeatureGrid, skel_model, attr_model,
     entering = (((init, 0),) + best.states)[:S]
 
     def rows(key, recorded):
-        return np.stack([getattr(batch, key)[row] for batch, row in recorded])
+        return np.array([getattr(batch, key)[row] for batch, row in recorded])
 
     trace = TeacherTrace(rows("alpha", stepped), rows("z", stepped), rows("h", stepped),
                          rows("h", entering), rows("c", entering), rows("logits", stepped),

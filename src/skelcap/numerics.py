@@ -278,16 +278,20 @@ def mean64(x, axis):
 
 
 def probs(x, axis=-1):
-    """Softmax of ``x`` along ``axis``."""
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax of ``x`` along ``axis``: ``exp(x - max)`` over its sum, each
+    step written into the one temporary ``x - max``."""
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def log_probs(x, axis=-1):
-    """Log-softmax of ``x`` along ``axis``."""
+    """Log-softmax of ``x`` along ``axis``: ``x - max`` minus the log of its
+    exponentials' sum, subtracted in place."""
     s = x - x.max(axis=axis, keepdims=True)
-    return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
+    s -= np.log(np.exp(s).sum(axis=axis, keepdims=True))
+    return s
 
 
 def affine(x, W, b):
@@ -313,10 +317,16 @@ def tanh_backward(g, y):
 
 
 def gather_rows(table, indices):
-    """Rows of ``table`` selected by integer ``indices``, which must be in range."""
-    if indices.size and (indices.min() < 0 or indices.max() >= table.shape[0]):
+    """Rows of ``table`` selected by integer ``indices``, which must be in
+    range: a negative index is caught by one ``min``, one past the end by
+    ``take``'s own bounds check."""
+    if indices.size and indices.min() < 0:
         raise ShapeError(f"lookup index out of range for table with {table.shape[0]} rows")
-    return table[indices]
+    try:
+        return table.take(indices, axis=0)
+    except IndexError:
+        raise ShapeError(
+            f"lookup index out of range for table with {table.shape[0]} rows") from None
 
 
 def gather_rows_backward(g, indices, table):
@@ -356,9 +366,13 @@ def nll_backward(g, cache):
 
 def lstm_gates(z, c):
     """The LSTM gates from their pre-activations ``z`` (·, 4n), split as
-    (i, f, g, o): c' = f*c + i*g and h' = o*tanh(c'); returns (h', c', cache)."""
+    (i, f, g, o): c' = f*c + i*g and h' = o*tanh(c'); returns (h', c', cache).
+    The sigmoid 1 / (1 + exp(-z)) runs its four operations in one buffer."""
     n = c.shape[-1]
-    gates = 1.0 / (1.0 + np.exp(-z))  # elementwise, so the g columns are simply unused
+    gates = np.negative(z)  # elementwise, so the g columns are simply unused
+    np.exp(gates, out=gates)
+    gates += 1.0
+    np.divide(1.0, gates, out=gates)
     i, f, o = gates[..., :n], gates[..., n:2 * n], gates[..., 3 * n:]
     g = np.tanh(z[..., 2 * n:3 * n])
     c_new = f * c + i * g

@@ -8,8 +8,8 @@ own parameters and then the LSTM and output layer with
 ``BatchTable`` in ``_table``, once per fit; every batch of every epoch is
 one fancy index per array of that table. Training,
 decoding and everything between run on the array kernels of ``numerics``
-alone: every decode step runs ``_cell``, the LSTM and the output layer, on
-the decoder's own input, and ``loss_and_grads`` runs the subclass's
+alone: every decode step runs ``cell_forward``, the LSTM and the output
+layer, on the decoder's own input, and ``loss_and_grads`` runs the subclass's
 ``teacher_forced_loss``, its backpropagation through time written out on
 the same kernels. Each decoder's taped batch loss (``sequence_loss``,
 ``batch_loss``), built from the tape helpers below, is the reference those
@@ -105,6 +105,14 @@ class BatchTable:
             yield self.batch(np.array(chunk))
 
 
+def cell_forward(x, h, c, W, b, out_W, out_b):
+    """The LSTM and the output layer on a batch of inputs ``x``, on the
+    array kernels under the caller's ``np.errstate(over="ignore")``:
+    (h', c', logits, the LSTM's cache)."""
+    h, c, cell = nm.lstm_forward(x, h, c, W, b)
+    return h, c, nm.affine(h, out_W, out_b), cell
+
+
 def _at_least_one(name, value):
     if value < 1:
         raise ValueError(f"{name} must be at least 1, not {value}")
@@ -175,13 +183,15 @@ class RecurrentDecoder:
 
     # -- the step and the loop on the array kernels ---------------------------
 
-    def _cell(self, x, h, c):
-        """The LSTM and the output layer on a batch of inputs ``x``, on the
-        array kernels under the caller's ``np.errstate(over="ignore")``:
-        (h', c', logits, the LSTM's cache)."""
+    def _cell_weights(self):
+        """The arrays ``cell_forward`` reads: (lstm_W, lstm_b, out_W, out_b).
+        A loop looks them up once and passes them to every step."""
         p = self.store
-        h, c, cell = nm.lstm_forward(x, h, c, p["lstm_W"].data, p["lstm_b"].data)
-        return h, c, nm.affine(h, p["out_W"].data, p["out_b"].data), cell
+        return p["lstm_W"].data, p["lstm_b"].data, p["out_W"].data, p["out_b"].data
+
+    def _cell(self, x, h, c):
+        """``cell_forward`` with the decoder's own weights."""
+        return cell_forward(x, h, c, *self._cell_weights())
 
     def _table(self, records) -> BatchTable:
         """The ``BatchTable`` of ``records``: caption records for the skeleton

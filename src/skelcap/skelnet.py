@@ -18,7 +18,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import BOS, EOS, FeatureGrid, Vocabulary
 from .numerics import ParameterStore
-from .recurrent import BatchTable, LSTMState, RecurrentDecoder, length_batches
+from .recurrent import BatchTable, LSTMState, RecurrentDecoder, cell_forward, length_batches
 
 log = logging.getLogger(__name__)
 
@@ -66,12 +66,16 @@ def add_grad(grads, name, g):
 
 
 class _Grid(NamedTuple):
-    """What the input step reads of a batch's feature grid (B, P, D), or of
-    one image's (1, P, D) shared by a batch of hypotheses."""
+    """What the input step reads besides the states and the previous words:
+    a batch's feature grid (B, P, D), or one image's (1, P, D) shared by a
+    batch of hypotheses, and the parameter arrays, looked up once per batch
+    or search."""
 
     feats: np.ndarray
     mean: np.ndarray           # (B, D) or (1, D), the context without attention
     u: Optional[np.ndarray]    # feats @ att_U, None without attention
+    embed: np.ndarray          # the word embedding table
+    att: Optional[tuple]       # (att_V, att_b, att_w), None without attention
 
 
 class _Input(NamedTuple):
@@ -181,8 +185,10 @@ class SkeletonGenerator(RecurrentDecoder):
 
     def _grid(self, feats):
         p = self.store
-        return _Grid(feats, nm.mean64(feats, 1),
-                     np.matmul(feats, p["att_U"].data) if self.use_attention else None)
+        if not self.use_attention:
+            return _Grid(feats, nm.mean64(feats, 1), None, p["embed"].data, None)
+        return _Grid(feats, nm.mean64(feats, 1), np.matmul(feats, p["att_U"].data),
+                     p["embed"].data, (p["att_V"].data, p["att_b"].data, p["att_w"].data))
 
     def _init_state(self, mean):
         """(h, c) entering step 0 from the mean feature vectors (B, D)."""
@@ -192,16 +198,14 @@ class SkeletonGenerator(RecurrentDecoder):
 
     def _input(self, grid, h, prev):
         """x = [embedding of ``prev``, context] and its ``_Input``."""
-        p = self.store
-        e = nm.gather_rows(p["embed"].data, prev)
+        e = nm.gather_rows(grid.embed, prev)
         B = len(prev)
         if not self.use_attention:
             P, D = grid.feats.shape[1:]
             alpha = np.full((B, P), 1.0 / P, dtype=self.dtype)
             z = np.broadcast_to(grid.mean, (B, D))
             return np.concatenate([e, z], axis=-1), _Input(grid, prev, alpha, z, None, None)
-        alpha, att = nm.attention_forward(grid.u, h, p["att_V"].data, p["att_b"].data,
-                                          p["att_w"].data)
+        alpha, att = nm.attention_forward(grid.u, h, *grid.att)
         z, ws = nm.weighted_sum_forward(alpha, grid.feats)
         return np.concatenate([e, z], axis=-1), _Input(grid, prev, alpha, z, att, ws)
 
@@ -232,9 +236,10 @@ class SkeletonGenerator(RecurrentDecoder):
         grid = self._grid(np.ascontiguousarray(batch[0], dtype=self.dtype))
         h, c = self._init_state(grid.mean)
         prev = np.full(len(seqs), BOS, dtype=np.int64)
+        weights = self._cell_weights()
         for t in range(S):
             x, inp = self._input(grid, h, prev)
-            h_new, c_new, logits, cell = self._cell(x, h, c)
+            h_new, c_new, logits, cell = cell_forward(x, h, c, *weights)
             yield h, c, h_new, c_new, logits, inp, cell
             h, c, prev = h_new, c_new, seqs[:, t]
 
@@ -380,15 +385,15 @@ class SkeletonGenerator(RecurrentDecoder):
         """Batched decode step function: (a batch of K states, K previous
         words) -> (the batch of K new states, holding the step's alpha, z and
         logits, and log-probabilities (K, Q)), one step of the array kernels
-        for all K. The attention projection feats @ U is computed once, here."""
-        grid = self._grid(self._flat(features))
+        for all K, run under the caller's ``np.errstate(over="ignore")`` as
+        ``decode.joint_beam_search`` enters it. The attention projection
+        feats @ U and the parameter lookups are done once, here."""
+        grid, weights = self._grid(self._flat(features)), self._cell_weights()
 
         def step_fn(states, tokens):
-            with np.errstate(over="ignore"):
-                x, inp = self._input(grid, states.h, np.asarray(tokens))
-                h, c, logits, _ = self._cell(x, states.h, states.c)
-                return (SkelState(h, c, states.t + 1, inp.alpha, inp.z, logits),
-                        nm.log_probs(logits))
+            x, inp = self._input(grid, states.h, np.asarray(tokens))
+            h, c, logits, _ = cell_forward(x, states.h, states.c, *weights)
+            return SkelState(h, c, states.t + 1, inp.alpha, inp.z, logits), nm.log_probs(logits)
 
         return step_fn
 

@@ -882,3 +882,142 @@ def test_benchmark_tracer_counts_match_the_untraced_run(pipeline, monkeypatch):
     full_pool_steps = sum(reference_steps(*pair, False) for pair in zip(images, inits))
     assert tracer.counts["decode.searches"] == 2 * len(images)
     assert tracer.counts["decode.beam_steps"] == beam_steps <= full_pool_steps
+
+
+# -- attribute settings, batched refinement and the search's errstate -----------
+
+@pytest.mark.parametrize("bad", [dict(beam_attr=0), dict(max_attr_len=-3)])
+def test_caption_checks_attribute_settings_before_the_skeleton_search(pipeline, monkeypatch,
+                                                                      bad):
+    recs, skel, attr = pipeline
+    made = []
+    for model in (skel, attr):
+        monkeypatch.setattr(model, "make_step_fn", lambda *args: made.append(args))
+    with pytest.raises(BeamError, match=f"{next(iter(bad))} must be >= "):
+        caption(recs[0].features, skel, attr, **bad)
+    assert made == []
+
+
+def test_generate_attributes_rejects_negative_max_len(pipeline):
+    _, _, attr = pipeline
+    with pytest.raises(BeamError, match="max_len must be >= 0"):
+        attr.generate_attributes(np.zeros((2, attr.embed_size)), max_len=-1)
+
+
+@pytest.mark.parametrize("grids", [2, 5])
+def test_word_conditioning_needs_one_grid_per_record(pipeline, grids):
+    from skelcap.attrnet import AttrConfigError, word_conditioning
+    recs, skel, _ = pipeline
+    trace = skel.teacher_trace(recs[:4])
+    with pytest.raises(AttrConfigError, match=f"{grids} feature grids given for a trace "
+                                              f"of 4 records"):
+        word_conditioning(skel, trace, [r.features for r in recs[:grids]],
+                          use_post_word_alpha=True)
+
+
+def _per_word_refinement(skel, trace, features):
+    """Refined maps (N, L, L) and their contexts, one ``refine_attention``
+    per word: the loop ``word_conditioning`` batches per record."""
+    from skelcap import numerics as nm
+    from skelcap.skelnet import SkelState, refine_attention
+    L = skel.grid_size
+    posts, z = np.empty((len(trace.words), L, L)), np.empty_like(trace.z)
+    for lo, hi, grid in zip(trace.offsets[:-1], trace.offsets[1:], features):
+        if lo == hi:
+            continue
+        entering = SkelState(h=trace.h_prev[lo:hi], c=trace.c_prev[lo:hi])
+        prev = np.concatenate(([BOS], trace.words[lo:hi - 1]))
+        p_grid = skel.per_location_distributions(entering, prev, grid)
+        posts[lo:hi] = [refine_attention(p, g, fallback=alpha) for p, g, alpha in
+                        zip(nm.probs(trace.logits[lo:hi]), p_grid, trace.alpha[lo:hi])]
+        z[lo:hi] = skel.context(grid, posts[lo:hi])
+    return posts, z
+
+
+def test_batched_refinement_matches_per_word_refinement(monkeypatch, caplog):
+    import skelcap.attrnet as attrnet
+    recs, skel, _ = _pipeline()
+    records = recs[:8]
+    features = [r.features for r in records]
+    trace = skel.teacher_trace(records)
+    # one word of a record of several words gets similarities summing to 0:
+    # its distribution is one-hot on a word whose logit no grid cell can
+    # lift above exp's underflow
+    lo, hi = next((lo, hi) for lo, hi in zip(trace.offsets[:-1], trace.offsets[1:])
+                  if hi - lo >= 2)
+    row, word = lo + 1, len(skel.vocab) - 1
+    skel.store["out_b"].data[word] = -1e4
+    trace.logits[row] = -1e4
+    trace.logits[row, word] = 0.0
+    per_word = []
+
+    real_refine = attrnet.refine_attention
+
+    def counting(*args, **kwargs):
+        per_word.append(args)
+        return real_refine(*args, **kwargs)
+
+    monkeypatch.setattr(attrnet, "refine_attention", counting)
+    cond = attrnet.word_conditioning(skel, trace, features, use_post_word_alpha=True)
+    assert len(per_word) == hi - lo  # only the record holding that word, word by word
+    assert "keeping pre-word map" in caplog.text
+    posts, z = _per_word_refinement(skel, trace, features)
+    for got, want in ((cond.post_alpha, posts), (cond.z, z)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(posts[row].reshape(-1), trace.alpha[row])
+
+
+def _overflowing_pipeline():
+    """The pipeline with its LSTM weights scaled so that the gates'
+    exponentials overflow float32, and a skeleton decoder that says words."""
+    recs, skel, attr = _pipeline()
+    for model in (skel, attr):
+        model.store["lstm_W"].data *= 1e3
+    skel.store["out_b"].data[EOS] = -5.0
+    return recs, skel, attr
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    dict(beam_skel=5, beam_attr=3, gamma_skel=0.5, gamma_attr=0.5, use_post_word_alpha=True),
+], ids=["default", "refined"])
+def test_caption_with_overflowing_gates_warns_nothing(settings):
+    import warnings
+    recs, skel, attr = _overflowing_pipeline()
+    features = recs[0].features
+    skel_state = skel.initial_decode_state(features)
+    attr_state = attr.initial_state(np.ones((1, attr.embed_size), dtype=np.float32))
+    # the step functions leave overflow to their caller's errstate
+    for step, state in ((skel.make_step_fn(features), skel_state),
+                        (attr.make_step_fn(), attr_state)):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            step(state, [BOS])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = caption(features, skel, attr, **settings)
+    assert trace.skeleton_words
+
+
+def test_default_caption_enters_errstate_at_most_three_times(pipeline, monkeypatch):
+    # once per beam search and once in the attribute decoder's initial state,
+    # not once per step
+    recs, skel, attr = pipeline
+    entered, steps = [], []
+    real_errstate = np.errstate
+
+    def counting(**kwargs):
+        entered.append(kwargs)
+        return real_errstate(**kwargs)
+
+    monkeypatch.setattr(skel, "make_step_fn", _counting(skel.make_step_fn, steps))
+    monkeypatch.setattr(attr, "make_step_fn", _counting(attr.make_step_fn, steps))
+    saved = skel.store["out_b"].data.copy()
+    skel.store["out_b"].data[EOS] = -5.0  # the untrained decoder says several words
+    monkeypatch.setattr(np, "errstate", counting)
+    try:
+        trace = caption(recs[0].features, skel, attr)
+    finally:
+        skel.store["out_b"].data[...] = saved
+    assert len(trace.skeleton_words) >= 2 and len(steps) > 3
+    assert 1 <= len(entered) <= 3

@@ -886,3 +886,66 @@ def test_adagrad_non_finite_gradient_changes_nothing(bad):
     assert _bytes(store) == before
     assert store.step_count == 0
     assert [store[n].grad.tobytes() for n in ("a", "b")] == grads
+
+
+# -- softmax and gate kernels against their out-of-place formulas ----------------
+#
+# ``probs``, ``log_probs`` and ``lstm_gates`` write their temporaries in
+# place. These are the formulas they replaced, each operation on a fresh
+# array; the kernels must give the same bytes.
+
+def ref_probs(x, axis=-1):
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def ref_log_probs(x, axis=-1):
+    s = x - x.max(axis=axis, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
+
+
+def ref_lstm_gates(z, c):
+    n = c.shape[-1]
+    gates = 1.0 / (1.0 + np.exp(-z))
+    i, f, o = gates[..., :n], gates[..., n:2 * n], gates[..., 3 * n:]
+    g = np.tanh(z[..., 2 * n:3 * n])
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (c, i, f, g, o, tc)
+
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+@FUZZ
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 130), st.integers(16, 512),
+       st.sampled_from([0, 2, 4]), st.sampled_from([1.0, 20.0, 200.0]),
+       st.sampled_from([np.float32, np.float64]), st.booleans())
+@example(0, 1, 16, 0, 200.0, np.float32, False)   # one row
+@example(1, 130, 512, 0, 200.0, np.float32, False)
+@example(2, 7, 131, 3, 200.0, np.float64, True)   # 3-d, cell state broadcast
+def test_softmax_and_gate_kernels_bit_identical_to_out_of_place(seed, rows, cols, depth,
+                                                                 scale, dtype, shared_c):
+    # values up to +-200 overflow float32's exp, as the callers' errstate allows
+    rng = np.random.default_rng(seed)
+    lead = (depth, rows) if depth else (rows,)
+    x = rng.uniform(-scale, scale, size=(*lead, cols)).astype(dtype)
+    n = cols // 4
+    z = rng.uniform(-scale, scale, size=(*lead, 4 * n)).astype(dtype)
+    c_lead = (depth, 1) if depth and shared_c else lead
+    c = rng.uniform(-2.0, 2.0, size=(*c_lead, n)).astype(dtype)
+    with np.errstate(over="ignore"):
+        for axis in ((-1, 0) if depth else (-1,)):
+            _assert_same_bytes([nm.probs(x, axis), nm.log_probs(x, axis)],
+                               [ref_probs(x, axis), ref_log_probs(x, axis)])
+        h, c_new, cache = nm.lstm_gates(z, c)
+        ref_h, ref_c, ref_cache = ref_lstm_gates(z, c)
+    _assert_same_bytes([h, c_new, *cache], [ref_h, ref_c, *ref_cache])
