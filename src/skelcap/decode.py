@@ -124,7 +124,7 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
                 raise BeamError(f"step_fn returned log-probs of shape {logps.shape}, expected "
                                 f"({K}, {vocab_size if vocab_size is not None else 'V'})")
             n_keep = min(width + 1, logps.shape[1])
-            tops = np.argpartition(-logps, n_keep - 1, axis=1)[:, :n_keep]
+            tops = (-logps).argpartition(n_keep - 1, axis=1)[:, :n_keep]
             kept = logps[np.arange(K)[:, None], tops].tolist()
             tops = tops.tolist()
             remaining = config.max_len - (step + 1)
