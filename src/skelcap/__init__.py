@@ -6,13 +6,13 @@ from .corpus import (CaptionRecord, DatasetManifest, FeatureGrid, SynthConfig,
                      synth_generate)
 from .decompose import (DecomposedCaption, SkeletonToken, decompose, fuse,
                         fuse_predicted)
-from .treebank import ParseNode, ParseTree, leaves, lowest_nps, parse_bracketed
+from .treebank import ParseNode, ParseTree, parse_bracketed
 
 __all__ = [
     "CaptionRecord", "DatasetManifest", "FeatureGrid", "SynthConfig",
     "Vocabulary", "build_vocab", "preprocess", "strip_article", "synth_generate",
     "DecomposedCaption", "SkeletonToken", "decompose", "fuse", "fuse_predicted",
-    "ParseNode", "ParseTree", "leaves", "lowest_nps", "parse_bracketed",
+    "ParseNode", "ParseTree", "parse_bracketed",
 ]
 
 __version__ = "0.1.0"

@@ -30,15 +30,9 @@ class AttrTrainingItem:
     ``row`` of a ``BatchTable`` whose inputs are the (N, D) attended image
     contexts, the (N, m_s) skeleton word embeddings and the (N, n_s)
     skeleton hidden states. ``z``, ``skel_embed``, ``skel_hidden`` and
-    ``targets`` (attribute indices, EOS excluded) read that row. An item
-    built from these four values is a one-row table of its own."""
+    ``targets`` (attribute indices, EOS excluded) read that row."""
 
     __slots__ = ("table", "row")
-
-    def __init__(self, z, skel_embed, skel_hidden, targets):
-        self.table = BatchTable.of([np.asarray(v)[None] for v in (z, skel_embed, skel_hidden)],
-                                   [[*targets, EOS]])
-        self.row = 0
 
     @classmethod
     def rows(cls, table: BatchTable) -> List["AttrTrainingItem"]:
@@ -81,7 +75,7 @@ def item_table(items: Sequence[AttrTrainingItem]) -> BatchTable:
                             len(items))
     if len(rows) == len(table) and (rows == np.arange(len(rows))).all():
         return table
-    return table.take(rows)
+    return BatchTable(tuple(a[rows] for a in table.inputs), table.seqs[rows], table.lengths[rows])
 
 
 class AttributeGenerator(RecurrentDecoder):

@@ -285,6 +285,9 @@ def cmd_train_attr(cfg):
 # -- caption -----------------------------------------------------------------
 
 def cmd_caption(cfg):
+    wanted = None if cfg["ids"] in (None, "all") else set(_csv(cfg["ids"]))
+    if wanted == set():
+        build_parser().error(f"--ids {cfg['ids']!r} names no image id")
     records = _load_split(Path(cfg["data"]), cfg["split"])
     skel_vocab = Vocabulary.load(cfg["skel-vocab"])
     attr_vocab = Vocabulary.load(cfg["attr-vocab"])
@@ -295,7 +298,6 @@ def cmd_caption(cfg):
     except AttrConfigError as exc:
         raise AttrConfigError(f"{cfg['attr-checkpoint']} does not fit "
                               f"{cfg['skel-checkpoint']}: {exc}") from None
-    wanted = None if cfg["ids"] in (None, "all") else set(_csv(cfg["ids"]))
     if wanted is not None:
         missing = wanted.difference(rec.image_id for rec in records)
         if missing:

@@ -79,10 +79,19 @@ class Vocabulary:
         return vocab_hash(self.index_to_token)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{VOCAB_HEADER}{self.threshold}\n")
-            for tok in self.index_to_token[len(SPECIALS):]:
-                fh.write(f"{tok}\t{self.counts.get(tok, 0)}\n")
+        """Write the file ``load`` reads back as this vocabulary. A token that
+        is empty or holds whitespace, or a threshold or count that is not an
+        int, raises CorpusError, and a token without a UTF-8 form
+        UnicodeEncodeError, before ``path`` is opened."""
+        _check_int("vocabulary threshold", self.threshold)
+        lines = [f"{VOCAB_HEADER}{self.threshold}\n"]
+        for tok in self.index_to_token[len(SPECIALS):]:
+            count = self.counts.get(tok, 0)
+            if tok.split() != [tok]:
+                raise CorpusError(f"vocabulary token {tok!r} is empty or holds whitespace")
+            _check_int(f"vocabulary count of {tok!r}", count)
+            lines.append(f"{tok}\t{count}\n")
+        _write_utf8(path, "".join(lines))
 
     @classmethod
     def load(cls, path):
@@ -268,7 +277,7 @@ def _object_phrase(relation: Optional[str], obj_word: str,
         node = ParseNode("PP", (ParseNode("IN", token=relation), node))
         skeleton = (SkeletonToken(relation), *skeleton)
         words = (relation, *words)
-    return _Phrase(node, ParseTree(node).serialize(), skeleton, words)
+    return _Phrase(node, treebank.serialize(ParseTree(node)), skeleton, words)
 
 
 def _sample_scene(config: SynthConfig, rng: np.random.Generator):
@@ -368,7 +377,7 @@ def write_captions(path, records: Sequence[CaptionRecord]):
 def write_trees(path, records: Sequence[CaptionRecord]):
     """One serialized tree per line; a tree ``serialize`` rejects raises
     its TreeParseError before ``path`` is opened."""
-    _write_utf8(path, "".join(rec.tree.serialize() + "\n" for rec in records))
+    _write_utf8(path, "".join(treebank.serialize(rec.tree) + "\n" for rec in records))
 
 
 def _write_utf8(path, text):
@@ -509,9 +518,9 @@ def _check_manifest_text(what, text):
                           f"surrounding whitespace or line breaks")
 
 
-def _check_manifest_int(what, value):
+def _check_int(what, value):
     if type(value) is not int:
-        raise CorpusError(f"manifest {what} {value!r} is not an int")
+        raise CorpusError(f"{what} {value!r} is not an int")
 
 
 def write_manifest(path, splits: Dict[str, Dict[str, object]], seed=None):
@@ -522,7 +531,7 @@ def write_manifest(path, splits: Dict[str, Dict[str, object]], seed=None):
     not an int raises CorpusError before ``path`` is opened."""
     lines = [MANIFEST_MAGIC]
     if seed is not None:
-        _check_manifest_int("seed", seed)
+        _check_int("manifest seed", seed)
         lines.append(f"seed: {seed}")
     for split, info in splits.items():
         _check_manifest_text("split name", split)
@@ -531,7 +540,7 @@ def write_manifest(path, splits: Dict[str, Dict[str, object]], seed=None):
                 raise CorpusError(f"manifest split {split!r}: unknown entry {key!r}, "
                                   f"expected one of {', '.join(MANIFEST_KEYS)}")
             if key == "count":
-                _check_manifest_int(f"split {split!r} count", value)
+                _check_int(f"manifest split {split!r} count", value)
             else:
                 _check_manifest_text(f"split {split!r} {key}", value)
         lines.append(f"split: {split}")

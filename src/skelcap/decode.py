@@ -54,17 +54,6 @@ class Hypothesis:
     finished: bool = False
     states: Tuple[object, ...] = ()
 
-    @property
-    def length(self):
-        return len(self.tokens)
-
-
-def score_adjust(raw_logp: float, length: int, gamma: float) -> float:
-    """log P-hat = log P + gamma * l."""
-    if length < 0:
-        raise BeamError("length must be >= 0")
-    return raw_logp + gamma * length
-
 
 def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
                       vocab_size: Optional[int] = None,
@@ -131,8 +120,8 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
             still_active, rows, next_tokens = [], [], []
             k = 0  # the parent's row in new_states
             for i in active:
-                # candidates are live tuples, adjusted as in score_adjust; ended
-                # is the best EOS candidate, which keeps its parent's tokens
+                # candidates are live tuples scored raw + gamma * (non-EOS tokens);
+                # ended is the best EOS candidate, which keeps its parent's tokens
                 candidates, ended = [], None
                 for _, n, parent_tokens, parent_raw, _, history in live[i]:
                     for tok, logp in zip(tops[k], kept[k]):

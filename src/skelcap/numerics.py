@@ -122,11 +122,6 @@ def add(a, b):
                                                  for s, n in zip(shapes, need)])
 
 
-def scale(a, s):
-    s = float(s)
-    return _kernel_node(_data(a) * s, s, (a,), lambda g, s, need: (g * s,))
-
-
 def matmul(a, b):
     """Batched matrix product; both operands are at least 2-d."""
     ad, bd = _data(a), _data(b)
@@ -143,16 +138,6 @@ def tanh(a):
     return _kernel_node(y, y, (a,), lambda g, y, need: (tanh_backward(g, y),))
 
 
-def _softmax_backward(g, y, axis):
-    dot = (g * y).sum(axis=axis, keepdims=True)
-    return y * (g - dot)
-
-
-def softmax(a, axis=-1):
-    y = probs(_data(a), axis)
-    return _kernel_node(y, y, (a,), lambda g, y, need: (_softmax_backward(g, y, axis),))
-
-
 def concat(tensors, axis=-1):
     arrays = [_data(t) for t in tensors]
     ends = np.cumsum([x.shape[axis] for x in arrays])[:-1]
@@ -165,28 +150,6 @@ def lookup(table, indices):
     idx, td = np.asarray(indices), _data(table)
     return _kernel_node(gather_rows(td, idx), (idx, td), (table,),
                         lambda g, cache, need: (gather_rows_backward(g, *cache),))
-
-
-def sum_(a, axis=None, keepdims=False):
-    ad = _data(a)
-
-    def bw(g, shape, need):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _kernel_node(sum64(ad, axis, keepdims), ad.shape, (a,), bw)
-
-
-def mean(a, axis=None, keepdims=False):
-    n = _data(a).size if axis is None else _data(a).shape[axis]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def log_softmax(a, axis=-1):
-    y = log_probs(_data(a), axis)
-    return _kernel_node(y, y, (a,), lambda g, y, need:
-                        (g - np.exp(y) * g.sum(axis=axis, keepdims=True),))
 
 
 def cross_entropy(logits, targets):
@@ -267,13 +230,13 @@ def row_stable_matmul(a, b):
     return np.matmul(a, b)
 
 
-def sum64(x, axis=None, keepdims=False):
+def sum64(x, axis=None):
     """Sum of ``x`` along ``axis`` in float64, rounded back to x's dtype."""
-    return x.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(x.dtype)
+    return x.sum(axis=axis, dtype=np.float64).astype(x.dtype)
 
 
 def mean64(x, axis):
-    """Mean of ``x`` along ``axis``: ``sum64`` scaled by 1/n, as ``mean``."""
+    """Mean of ``x`` along ``axis``: ``sum64`` scaled by 1/n."""
     return sum64(x, axis) * (1.0 / x.shape[axis])
 
 
@@ -441,7 +404,8 @@ def attention_forward(u, h, V, b, w):
 def attention_backward(galpha, cache, need=(True,) * 5):
     """Gradients (du, dh, dV, db, dw) given the gradient of alpha."""
     u_shape, h, V, b_shape, w, th, alpha = cache
-    gs = _softmax_backward(galpha, alpha, -1).reshape(*alpha.shape, 1)
+    dot = (galpha * alpha).sum(axis=-1, keepdims=True)
+    gs = (alpha * (galpha - dot)).reshape(*alpha.shape, 1)  # the softmax's backward
     dw = _unbroadcast(np.matmul(np.swapaxes(th, -1, -2), gs), w.shape) if need[4] else None
     # (gs @ w.T) * (1 - th*th), in place; gs @ w.T sums one product per entry
     d_pre = th * th
@@ -742,25 +706,6 @@ def vocab_hash(tokens):
         h.update(tok.encode("utf-8"))
         h.update(b"\x00")
     return h.hexdigest()[:16]
-
-
-def grad_check(fn, params, h=1e-3, tol=1e-4):
-    """Compare the tape's gradients of ``fn`` against central finite differences.
-
-    ``fn`` takes no arguments, reads the tensors in ``params`` (a dict
-    name -> Tensor) and returns a scalar loss Tensor. Parameters should be
-    float64 for a meaningful comparison. Returns ``compare_gradients``'s report.
-    """
-    for t in params.values():
-        t.grad = None
-    loss = fn()
-    backward(loss)
-    analytic = {n: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-                for n, t in params.items()}
-    for t in params.values():
-        t.grad = None
-    return compare_gradients(analytic, lambda: fn().item(),
-                             {n: t.data for n, t in params.items()}, h, tol)
 
 
 def compare_gradients(analytic, loss, arrays, h=1e-3, tol=1e-4):

@@ -89,11 +89,6 @@ class BatchTable:
     def __len__(self):
         return len(self.lengths)
 
-    def take(self, rows):
-        """The table of ``rows`` (an index array), in their order."""
-        return type(self)(tuple(a[rows] for a in self.inputs), self.seqs[rows],
-                          self.lengths[rows])
-
     def batch(self, rows):
         """(*inputs, seqs (B, S)) of ``rows``, an index array of sequences of
         one length S."""
@@ -138,11 +133,11 @@ class LSTMState:
 
 
 class RecurrentDecoder:
-    """Estimator-style LSTM decoder: ``fit`` / ``evaluate_loss`` / ``save`` / ``load``."""
+    """Estimator-style LSTM decoder: ``fit`` / ``save`` / ``load``."""
 
     model_kind: str          # "meta model" line of the checkpoint
     vocab_key: str           # name of the vocabulary hash in the checkpoint
-    default_batch_size: int  # training batch; evaluation batches are twice as large
+    default_batch_size: int  # training batch when ``fit`` is given none
 
     def get_params(self) -> dict:
         """Constructor keywords except ``vocab`` and ``dtype``; saved as the config."""
@@ -189,10 +184,6 @@ class RecurrentDecoder:
         p = self.store
         return p["lstm_W"].data, p["lstm_b"].data, p["out_W"].data, p["out_b"].data
 
-    def _cell(self, x, h, c):
-        """``cell_forward`` with the decoder's own weights."""
-        return cell_forward(x, h, c, *self._cell_weights())
-
     def _table(self, records) -> BatchTable:
         """The ``BatchTable`` of ``records``: caption records for the skeleton
         decoder, conditioning items for the attribute decoder."""
@@ -216,15 +207,7 @@ class RecurrentDecoder:
 
     # -- training -----------------------------------------------------------
 
-    def evaluate_loss(self, records) -> float:
-        """Mean per-sequence teacher-forced loss, no gradients, in batches of
-        twice the default training batch. Raises ValueError for empty
-        ``records``, whose mean loss does not exist."""
-        return self._mean_loss(self._table(records), 2 * self.default_batch_size)
-
     def _mean_loss(self, table, batch_size):
-        if not len(table):
-            raise ValueError("no sequence to evaluate a loss on")
         total = 0.0
         for batch in table.batches(batch_size):
             total += self.teacher_forced_loss(batch) * batch[-1].shape[0]

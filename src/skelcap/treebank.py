@@ -1,4 +1,4 @@
-"""Bracketed constituency trees: parsing, serialization, and NP queries."""
+"""Bracketed constituency trees: parsing and serialization."""
 
 from __future__ import annotations
 
@@ -72,12 +72,6 @@ class ParseTree:
     root: ParseNode
     source_line: str = ""
 
-    def leaves(self):
-        return leaves(self)
-
-    def serialize(self):
-        return serialize(self)
-
 
 def _serialize_node(node: ParseNode, depth: int) -> str:
     if depth > MAX_DEPTH:
@@ -110,9 +104,9 @@ _TOKEN = re.compile(r"[()]|[^\s()]+")
 _UNWRITABLE = re.compile(r"[\s()]")
 
 # Deepest nesting a tree may have, counting the root and the leaves as
-# levels. ``serialize`` and ``lowest_nps`` take up to three stack frames per
-# level, so an accepted tree needs at most about 600 of Python's default
-# limit of 1000, which leaves the caller room for its own.
+# levels. ``serialize`` takes up to three stack frames per level, so an
+# accepted tree needs at most about 600 of Python's default limit of 1000,
+# which leaves the caller room for its own.
 MAX_DEPTH = 200
 
 # Builds a node without ``ParseNode``'s checks: a label from ``_TOKEN``
@@ -183,19 +177,6 @@ def parse_bracketed(text: str) -> ParseTree:
     raise TreeParseError("unbalanced", len(text))
 
 
-def leaves(tree: ParseTree) -> list:
-    """Left-to-right leaf tokens."""
-    out = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            out.append(node.token)
-        else:
-            stack.extend(reversed(node.children))
-    return out
-
-
 def base_label(label: str) -> str:
     """Strip functional-tag suffixes (after ``-`` or ``=``), keeping the base category."""
     for sep in "-=":
@@ -203,31 +184,6 @@ def base_label(label: str) -> str:
         if idx > 0:
             label = label[:idx]
     return label
-
-
-def _is_np(node: ParseNode) -> bool:
-    return not node.is_leaf and base_label(node.label) == "NP"
-
-
-def _contains_np(node: ParseNode) -> bool:
-    return any(_is_np(c) or _contains_np(c) for c in node.children)
-
-
-def lowest_nps(tree: ParseTree) -> list:
-    """NP nodes with no NP descendant, in left-to-right leaf order."""
-    out = []
-
-    def walk(node):
-        if node.is_leaf:
-            return
-        if _is_np(node) and not _contains_np(node):
-            out.append(node)
-            return
-        for c in node.children:
-            walk(c)
-
-    walk(tree.root)
-    return out
 
 
 def read_trees(path) -> Iterator[Tuple[int, ParseTree]]:

@@ -13,12 +13,14 @@ import pytest
 from skelcap import numerics as nm
 from skelcap.attrnet import AttributeGenerator, build_training_items
 from skelcap.corpus import (BOS, EOS, SynthConfig, build_vocab, synth_generate)
-from skelcap.decode import BeamConfig, caption, joint_beam_search, score_adjust
+from skelcap.decode import BeamConfig, caption, joint_beam_search
 from skelcap.decompose import decompose, fuse
 from skelcap.skelnet import SkeletonGenerator, SkelState, refine_attention
-from skelcap.treebank import leaves, parse_bracketed
+from skelcap.treebank import parse_bracketed
 
-from test_decode import Rows, batched, brute_force, make_toy_lm, _full_width
+from test_decompose import leaves
+from test_decode import Rows, batched, brute_force, make_toy_lm, score_adjust, _full_width
+from test_numerics import grad_check
 from test_metrics import (_random_corpus, oracle_bleu, oracle_cider,
                           oracle_rouge)
 
@@ -169,8 +171,8 @@ def test_criterion_2_gradient_fidelity():
                              seed=3, dtype=np.float64)
     feats = records[0].features.flat()[None].astype(np.float64)
     seqs = np.asarray([skel._encode_skeleton(records[0])])
-    r1 = nm.grad_check(lambda: skel.sequence_loss(feats, seqs),
-                       skel.store.params, h=1e-5, tol=1e-4)
+    r1 = grad_check(lambda: skel.sequence_loss(feats, seqs),
+                    skel.store.params, h=1e-5, tol=1e-4)
 
     attr = AttributeGenerator(attr_vocab, feature_dim=8, skel_embed_size=8,
                               skel_hidden_size=16, hidden_size=16,
@@ -180,8 +182,8 @@ def test_criterion_2_gradient_fidelity():
     z = rng.normal(size=(1, 8))
     s = rng.normal(size=(1, 8))
     h = rng.normal(size=(1, 16))
-    r2 = nm.grad_check(lambda: attr.batch_loss(z, s, h, seq),
-                       attr.store.params, h=1e-5, tol=1e-4)
+    r2 = grad_check(lambda: attr.batch_loss(z, s, h, seq),
+                    attr.store.params, h=1e-5, tol=1e-4)
     elapsed = time.time() - t0
     ok = r1["passed"] and r2["passed"] and elapsed < 60.0
     _report(2, ok,

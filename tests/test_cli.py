@@ -368,6 +368,22 @@ def test_caption_ids_not_in_split(workspace, tmp_path, capsys):
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("ids", ["", ","], ids=["empty", "comma"])
+def test_caption_ids_naming_no_image_is_usage_error(workspace, tmp_path, capsys, ids):
+    # an --ids value that names no image id is a usage error raised before
+    # any file is opened: the missing data directory is never read, and an
+    # existing output file is kept
+    out = tmp_path / "caps.tsv"
+    out.write_text("kept\n")
+    args = list(_caption_args(workspace, out, "--ids", ids))
+    args[args.index("--data") + 1] = str(tmp_path / "no-such-dir")
+    with pytest.raises(SystemExit) as exc:
+        run(*args)
+    assert exc.value.code == 1
+    assert "--ids" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
 def test_caption_bit_identical_rerun(workspace, tmp_path):
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     extra = ("--gamma-skel", "0.5", "--gamma-attr", "-0.5", "--beam-skel", "2")

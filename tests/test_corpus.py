@@ -10,7 +10,9 @@ from skelcap.corpus import (BOS, EOS, UNK, CaptionRecord, CorpusError,
                             write_captions, write_features, write_manifest,
                             write_trees)
 from skelcap.decompose import decompose, fuse
-from skelcap.treebank import leaves, parse_bracketed
+from skelcap.treebank import parse_bracketed, serialize
+
+from test_decompose import leaves
 
 
 def test_preprocess_basic():
@@ -95,6 +97,51 @@ def test_vocab_save_load_roundtrip(tmp_path, tokens, counts, threshold):
     assert v2.index_to_token == v.index_to_token
     assert v2.counts == v.counts and v2.threshold == v.threshold
     assert v2.content_hash() == v.content_hash()
+
+
+def _vocab_writable(tokens, counts, threshold):
+    """Whether ``Vocabulary.load`` reads these back as themselves."""
+    def text_ok(tok):
+        try:
+            tok.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return tok.split() == [tok]
+
+    return (type(threshold) is int and all(map(text_ok, tokens))
+            and all(type(counts.get(tok, 0)) is int for tok in tokens))
+
+
+_count = st.one_of(st.integers(-5, 10 ** 9), st.booleans(),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(_token, st.text(max_size=3)), unique=True, max_size=5),
+       st.lists(_count, min_size=5, max_size=5), st.one_of(st.integers(1, 9), st.booleans()))
+@example(["a b"], [1] * 5, 1)
+@example(["dog"], [1.5] * 5, 1)
+@example(["dog"], [True] * 5, 1)
+@example(["dog", "\ud800"], [1] * 5, 1)
+def test_vocab_save_refuses_what_load_rejects(tmp_path, tokens, counts, threshold):
+    # save either writes a file load reads back as the same vocabulary, or
+    # refuses before the file is opened, leaving it as it was
+    tokens = [t for t in tokens if t not in corpus.SPECIALS]
+    counts = dict(zip(tokens, counts))
+    v = Vocabulary(tokens, counts, threshold)
+    p = tmp_path / "v.vocab"
+    p.write_text("before\n", encoding="utf-8")
+    try:
+        v.save(p)
+    except (CorpusError, UnicodeEncodeError):
+        assert not _vocab_writable(tokens, counts, threshold)
+        assert p.read_text(encoding="utf-8") == "before\n"
+        return
+    assert _vocab_writable(tokens, counts, threshold)
+    v2 = Vocabulary.load(p)
+    assert v2.index_to_token == v.index_to_token
+    assert v2.counts == v.counts and v2.threshold == v.threshold
 
 
 def test_feature_grid_shape_checks():
@@ -213,7 +260,7 @@ def test_synth_records_equal_parsed_reference(config, start_index, seed):
         assert g.features.values.dtype == w.features.values.dtype
         assert g.features.values.tobytes() == w.features.values.tobytes()
         assert g.tree == parse_bracketed(g.tree.source_line)
-        assert g.tree.serialize() == g.tree.source_line
+        assert serialize(g.tree) == g.tree.source_line
 
 
 def test_synth_config_validation():
@@ -290,7 +337,7 @@ def test_corpus_files_roundtrip(tmp_path):
 def test_load_records_drops_mismatches(tmp_path, caplog):
     recs = synth_generate(SynthConfig(count=3), seed=2).records
     write_captions(tmp_path / "c.tsv", recs)
-    lines = [r.tree.serialize() for r in recs]
+    lines = [serialize(r.tree) for r in recs]
     lines[1] = "(NN bogus)"  # leaves disagree with caption
     (tmp_path / "t.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     loaded = load_records(tmp_path / "c.tsv", tmp_path / "t.txt")

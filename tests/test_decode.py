@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelcap.corpus import (BOS, EOS, SynthConfig, build_vocab, synth_generate)
-from skelcap.decode import (BeamConfig, BeamError, Hypothesis, caption,
-                            joint_beam_search, score_adjust)
+from skelcap.decode import BeamConfig, BeamError, Hypothesis, caption, joint_beam_search
 from skelcap.decompose import fuse_predicted
 
 
 # -- toy language + brute-force oracle ----------------------------------------
+
+def score_adjust(raw_logp, length, gamma):
+    """log P-hat = log P + gamma * l: the length-factor score the beam ranks by."""
+    if length < 0:
+        raise BeamError("length must be >= 0")
+    return raw_logp + gamma * length
+
 
 class Rows:
     """Per-hypothesis toy states as a state batch of the beam protocol."""
@@ -87,7 +93,7 @@ def _full_width(vocab_size, max_len):
 
 
 def _sort_key(h):
-    return (-h.adjusted_logp, h.length, h.tokens)
+    return (-h.adjusted_logp, len(h.tokens), h.tokens)
 
 
 def reference_beam_search(step_fn, init_state, config, vocab_size=None, record_states=False,
@@ -124,7 +130,7 @@ def reference_beam_search(step_fn, init_state, config, vocab_size=None, record_s
                 if tok == EOS:
                     candidates.append(Hypothesis(
                         tokens=hyp.tokens, raw_logp=raw,
-                        adjusted_logp=score_adjust(raw, hyp.length, gamma),
+                        adjusted_logp=score_adjust(raw, len(hyp.tokens), gamma),
                         state=new_state, finished=True, states=states))
                 else:
                     tokens = hyp.tokens + (tok,)

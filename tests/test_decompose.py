@@ -4,7 +4,20 @@ from hypothesis import given, settings, strategies as st
 from skelcap.decompose import (DecomposeError, DecomposedCaption, SkeletonToken,
                                decompose, format_decomposition, fuse,
                                fuse_predicted)
-from skelcap.treebank import ParseNode, ParseTree, leaves, lowest_nps, parse_bracketed
+from skelcap.treebank import ParseNode, ParseTree, base_label, parse_bracketed
+
+
+def leaves(tree):
+    """Left-to-right leaf tokens."""
+    out = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            out.append(node.token)
+        else:
+            stack.extend(reversed(node.children))
+    return out
 
 
 def _skeleton(tree_src):
@@ -127,6 +140,31 @@ def test_roundtrip_random_trees(src):
 
 
 # -- the two-walk decomposition, kept as the reference ------------------------
+
+def _is_np(node):
+    return not node.is_leaf and base_label(node.label) == "NP"
+
+
+def _contains_np(node):
+    return any(_is_np(c) or _contains_np(c) for c in node.children)
+
+
+def lowest_nps(tree):
+    """NP nodes with no NP descendant, in left-to-right leaf order."""
+    out = []
+
+    def walk(node):
+        if node.is_leaf:
+            return
+        if _is_np(node) and not _contains_np(node):
+            out.append(node)
+            return
+        for c in node.children:
+            walk(c)
+
+    walk(tree.root)
+    return out
+
 
 def _leaf_nodes(node, out):
     if node.is_leaf:

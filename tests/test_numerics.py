@@ -6,14 +6,70 @@ from hypothesis import example, given, settings, strategies as st
 
 from skelcap import numerics as nm
 from skelcap.numerics import (NonFiniteError, NumericsError, ParameterStore,
-                              ShapeError, Tensor, backward, grad_check)
+                              ShapeError, Tensor, backward, compare_gradients)
 
 
 def t64(data):
     return Tensor(np.asarray(data, dtype=np.float64))
 
 
+def grad_check(fn, params, h=1e-3, tol=1e-4):
+    """Compare the tape's gradients of ``fn`` against central finite differences.
+
+    ``fn`` takes no arguments, reads the tensors in ``params`` (a dict
+    name -> Tensor) and returns a scalar loss Tensor. Parameters should be
+    float64 for a meaningful comparison. Returns ``compare_gradients``'s report.
+    """
+    for t in params.values():
+        t.grad = None
+    loss = fn()
+    backward(loss)
+    analytic = {n: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+                for n, t in params.items()}
+    for t in params.values():
+        t.grad = None
+    return compare_gradients(analytic, lambda: fn().item(),
+                             {n: t.data for n, t in params.items()}, h, tol)
+
+
 # -- tape ops that only the composed references below use ------------------------
+
+def scale(a, s):
+    s = float(s)
+    return nm._kernel_node(nm._data(a) * s, s, (a,), lambda g, s, need: (g * s,))
+
+
+def softmax(a, axis=-1):
+    y = nm.probs(nm._data(a), axis)
+
+    def bw(g, y, need):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        return (y * (g - dot),)
+
+    return nm._kernel_node(y, y, (a,), bw)
+
+
+def log_softmax(a, axis=-1):
+    y = nm.log_probs(nm._data(a), axis)
+    return nm._kernel_node(y, y, (a,), lambda g, y, need:
+                           (g - np.exp(y) * g.sum(axis=axis, keepdims=True),))
+
+
+def sum_(a, axis=None):
+    ad = nm._data(a)
+
+    def bw(g, shape, need):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).copy(),)
+
+    return nm._kernel_node(nm.sum64(ad, axis), ad.shape, (a,), bw)
+
+
+def mean(a, axis=None):
+    n = nm._data(a).size if axis is None else nm._data(a).shape[axis]
+    return scale(sum_(a, axis=axis), 1.0 / n)
+
 
 def mul(a, b):
     y = nm._data(a) * nm._data(b)
@@ -124,13 +180,13 @@ def test_cross_entropy_uniform():
 
 def test_backward_sum_gives_ones():
     x = t64([[1.0, 2.0], [3.0, 4.0]])
-    backward(nm.sum_(x))
+    backward(sum_(x))
     assert np.allclose(x.grad, 1.0)
 
 
 def test_backward_square():
     x = t64([3.0])
-    backward(nm.sum_(mul(x, x)))
+    backward(sum_(mul(x, x)))
     assert np.allclose(x.grad, [6.0])
 
 
@@ -143,7 +199,7 @@ def test_backward_requires_scalar():
 def test_broadcast_add_backward():
     x = t64(np.ones((3, 4)))
     b = t64(np.ones(4))
-    backward(nm.sum_(nm.add(x, b)))
+    backward(sum_(nm.add(x, b)))
     assert np.allclose(b.grad, 3.0)
     assert np.allclose(x.grad, 1.0)
 
@@ -153,7 +209,7 @@ def test_concat_backward():
     b = t64(np.ones((2, 3)))
     out = nm.concat([a, b], axis=-1)
     assert out.data.shape == (2, 5)
-    backward(nm.sum_(mul(out, out)))
+    backward(sum_(mul(out, out)))
     assert a.grad.shape == (2, 2) and b.grad.shape == (2, 3)
 
 
@@ -162,7 +218,7 @@ def test_concat_middle_axis_backward():
     out = nm.concat(parts, axis=1)
     assert out.data.shape == (2, 6, 3)
     weights = np.arange(36.0).reshape(2, 6, 3)
-    backward(nm.sum_(mul(out, weights)))
+    backward(sum_(mul(out, weights)))
     for part, lo, hi in zip(parts, (0, 1, 4), (1, 4, 6)):
         assert np.array_equal(part.grad, weights[:, lo:hi])
 
@@ -170,7 +226,7 @@ def test_concat_middle_axis_backward():
 def test_lookup_backward_accumulates():
     table = t64(np.ones((4, 3)))
     out = nm.lookup(table, np.array([1, 1, 2]))
-    backward(nm.sum_(out))
+    backward(sum_(out))
     assert np.allclose(table.grad[1], 2.0)
     assert np.allclose(table.grad[2], 1.0)
     assert np.allclose(table.grad[0], 0.0)
@@ -185,7 +241,7 @@ def test_narrow_backward():
     x = t64(np.arange(12.0).reshape(3, 4))
     out = narrow(x, -1, 1, 2)
     assert np.allclose(out.data, x.data[:, 1:3])
-    backward(nm.sum_(out))
+    backward(sum_(out))
     expected = np.zeros((3, 4))
     expected[:, 1:3] = 1.0
     assert np.allclose(x.grad, expected)
@@ -231,7 +287,7 @@ def test_three_layer_net_grad_check():
         h = x
         for i in range(3):
             h = nm.tanh(nm.add(nm.matmul(h, params[f"W{i}"]), params[f"b{i}"]))
-        return nm.mean(mul(h, h))
+        return mean(mul(h, h))
 
     report = grad_check(f, params, h=1e-3, tol=1e-4)
     assert report["passed"], report
@@ -350,7 +406,7 @@ def test_matmul_constant_operand_gets_no_gradient():
     W = t64(rng.normal(size=(4, 5)))
     out = nm.matmul(x, W)
     assert out._parents == (W,)  # the constant is not on the tape
-    backward(nm.sum_(out))
+    backward(sum_(out))
     assert np.allclose(W.grad, x.sum(axis=(0, 1))[:, None])
 
 
@@ -373,16 +429,16 @@ def ref_lstm_cell(x, h, c, W, b):
 def ref_attention(u, h, V, b, w):
     vh = reshape(nm.matmul(h, V), (h.data.shape[0], 1, -1))
     scores = nm.matmul(nm.tanh(nm.add(nm.add(u, vh), b)), w)
-    return nm.softmax(reshape(scores, scores.data.shape[:-1]), axis=-1)
+    return softmax(reshape(scores, scores.data.shape[:-1]), axis=-1)
 
 
 def ref_weighted_sum(alpha, feats):
     B, P = alpha.data.shape
-    return nm.sum_(mul(reshape(alpha, (B, P, 1)), feats), axis=1)
+    return sum_(mul(reshape(alpha, (B, P, 1)), feats), axis=1)
 
 
 def ref_cross_entropy(logits, targets):
-    loss = nm.scale(nm.mean(lookup_rows(nm.log_softmax(logits, axis=-1), targets)), -1.0)
+    loss = scale(mean(lookup_rows(log_softmax(logits, axis=-1), targets)), -1.0)
     if not np.all(np.isfinite(nm._data(loss))):
         raise NonFiniteError("non-finite values in cross_entropy loss")
     return loss
@@ -418,7 +474,7 @@ def _run(op, arrays, const, upstream, dtype):
     loss = None
     for out, up in zip(outs, upstream):
         if up is not None:
-            term = nm.sum_(mul(out, np.asarray(up, dtype=dtype)))
+            term = sum_(mul(out, np.asarray(up, dtype=dtype)))
             loss = term if loss is None else nm.add(loss, term)
     backward(loss)
     return [o.data for o in outs] + [t.grad for t in inputs if isinstance(t, Tensor)]
@@ -494,7 +550,7 @@ def test_fused_op_matches_finite_differences(name, arrays, upstream):
     def f():
         outs = op(*params.values())
         outs = outs if isinstance(outs, tuple) else (outs,)
-        terms = [nm.sum_(mul(o, u)) for o, u in zip(outs, ups)]
+        terms = [sum_(mul(o, u)) for o, u in zip(outs, ups)]
         return terms[0] if len(terms) == 1 else nm.add(*terms)
 
     report = grad_check(f, params, h=1e-5, tol=1e-6)

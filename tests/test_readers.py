@@ -365,7 +365,8 @@ def test_manifest_round_trip(tmp_path, splits, seed):
     lambda path: corpus.write_trees(path, [types.SimpleNamespace(tree=treebank.ParseTree(
         _node("NN", token=token))) for token in ("dog", "\ud800")]),
     lambda path: corpus.write_manifest(path, {"train": {"count": 1}, "\ud800": {}}),
-], ids=["captions", "trees", "manifest"])
+    lambda path: Vocabulary(["dog", "\ud800"], {"dog": 1, "\ud800": 1}, 1).save(path),
+], ids=["captions", "trees", "manifest", "vocabulary"])
 def test_writer_leaves_file_on_text_it_cannot_encode(tmp_path, write):
     # a lone surrogate has no UTF-8 form: the writer fails before the file
     # is opened, not after writing the lines before it

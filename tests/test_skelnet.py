@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from skelcap.corpus import (BOS, FeatureGrid, SynthConfig, build_vocab,
                             synth_generate)
+from skelcap.recurrent import cell_forward
 from skelcap.skelnet import (ConfigError, SkeletonGenerator, SkelState,
                              refine_attention)
 from skelcap import numerics as nm
+
+from test_numerics import grad_check
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +219,7 @@ def test_per_location_constant_grid_matches_step(model):
 
 def _concatenated_reference(model, state, words, features):
     """Per-location distributions from the T * P concatenated rows
-    [e_t, v_p, h_t] through ``_cell``, then ``probs``: the unfactored form."""
+    [e_t, v_p, h_t] through ``cell_forward``, then ``probs``: the unfactored form."""
     flat = model._flat(features)[0]
     words = np.asarray(words)
     h = np.reshape(state.h, (-1, model.hidden_size))
@@ -225,7 +228,8 @@ def _concatenated_reference(model, state, words, features):
     x = np.concatenate([model.store["embed"].data[np.repeat(words.reshape(-1), P)],
                         np.tile(flat, (len(h), 1))], axis=-1)
     with np.errstate(over="ignore"):
-        logits = model._cell(x, np.repeat(h, P, axis=0), np.repeat(c, P, axis=0))[2]
+        logits = cell_forward(x, np.repeat(h, P, axis=0), np.repeat(c, P, axis=0),
+                              *model._cell_weights())[2]
     L = model.grid_size
     return nm.probs(logits).reshape(*words.shape, L, L, -1)
 
@@ -301,8 +305,8 @@ def test_sequence_loss_gradients_match_finite_differences(tiny_data):
     feats = np.stack([r.features.flat() for r in recs[:2]])
     seqs = np.asarray([m._encode_skeleton(r)[:2] for r in recs[:2]])
     params = {n: m.store[n] for n in m.store.names()}
-    report = nm.grad_check(lambda: m.sequence_loss(feats, seqs), params,
-                           h=1e-5, tol=1e-4)
+    report = grad_check(lambda: m.sequence_loss(feats, seqs), params,
+                        h=1e-5, tol=1e-4)
     assert report["passed"], report["max_rel_error"]
 
 
@@ -312,11 +316,10 @@ def test_fit_reduces_loss(tiny_data):
     m = SkeletonGenerator(vocab, feature_dim=cfg.feature_dim,
                           grid_size=cfg.grid_size, hidden_size=16,
                           embed_size=8, seed=0)
-    before = m.evaluate_loss(recs)
     history = m.fit(recs, val_records=recs, epochs=3, learning_rate=0.1,
                     batch_size=16)
-    assert m.evaluate_loss(recs) < before
     assert len(history["val_loss"]) == 3
+    assert history["val_loss"][-1] < history["val_loss"][0]
     assert history["train_curve"][0][0] == 1  # step numbering starts at 1
 
 
@@ -336,7 +339,7 @@ def test_fit_deterministic(tiny_data):
         assert np.array_equal(a[n], b[n]), n
 
 
-@pytest.mark.parametrize("call", ["fit", "evaluate_loss", "teacher_trace"])
+@pytest.mark.parametrize("call", ["fit", "validation", "teacher_trace"])
 @pytest.mark.parametrize("grid,dim", [(4, 24), (3, 30)], ids=["grid", "feature-dim"])
 def test_training_rejects_other_feature_grid(model, tiny_data, call, grid, dim):
     # records of another grid fail before any compute, naming the first one
@@ -346,7 +349,10 @@ def test_training_rejects_other_feature_grid(model, tiny_data, call, grid, dim):
     steps = model.store.step_count
     with pytest.raises(ConfigError, match=f"^{other[0].image_id}: feature grid "
                                           f"{grid}x{grid}x{dim} does not match model 3x3x24$"):
-        getattr(model, call)(tiny_data[1][:3] + other)
+        if call == "validation":
+            model.fit(tiny_data[1][:3], tiny_data[1][:3] + other)
+        else:
+            getattr(model, call)(tiny_data[1][:3] + other)
     assert model.store.step_count == steps
     for n, value in before.items():
         assert np.array_equal(model.store[n].data, value), n

@@ -3,9 +3,11 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skelcap.decompose import decompose
+from skelcap.decompose import SkeletonToken, decompose
 from skelcap.treebank import (MAX_DEPTH, ParseNode, ParseTree, TreeParseError, base_label,
-                              leaves, lowest_nps, parse_bracketed, read_trees, serialize)
+                              parse_bracketed, read_trees, serialize)
+
+from test_decompose import leaves
 
 
 def test_parse_simple():
@@ -65,42 +67,43 @@ def test_roundtrip_serialize():
     assert parse_bracketed(serialize(t)).root == t.root
 
 
+# -- the lowest NPs ``decompose`` splits, one NP head each ---------------------
+
+def _np_heads(src):
+    """The NP-head tokens of ``decompose``, one per lowest NP, left to right."""
+    return [tok for tok in decompose(parse_bracketed(src)).skeleton if tok.is_np_head]
+
+
 def test_lowest_nps_nested():
-    t = parse_bracketed("(NP (NP (NN coffee) (NN cup)) (PP (IN on) (NP (NN table))))")
-    nps = lowest_nps(t)
-    assert len(nps) == 2
-    assert [n.children[-1].token for n in nps] == ["cup", "table"]
+    heads = _np_heads("(NP (NP (NN coffee) (NN cup)) (PP (IN on) (NP (NN table))))")
+    assert heads == [SkeletonToken("cup", True, ("coffee",)), SkeletonToken("table", True)]
 
 
 def test_lowest_nps_none():
-    assert lowest_nps(parse_bracketed("(VP (VBZ runs))")) == []
+    assert _np_heads("(VP (VBZ runs))") == []
 
 
 def test_lowest_nps_flat():
-    t = parse_bracketed("(NP (DT a) (JJ red) (NN hat))")
-    nps = lowest_nps(t)
-    assert len(nps) == 1
-    assert nps[0] is t.root
+    # the root is the one lowest NP: every word before its last is an attribute
+    assert _np_heads("(NP (DT a) (JJ red) (NN hat))") == [
+        SkeletonToken("hat", True, ("a", "red"))]
 
 
 def test_functional_tags_stripped():
-    t = parse_bracketed("(S (NP-TMP (NN today)) (NP=2 (NN cat)))")
-    assert len(lowest_nps(t)) == 2
+    heads = _np_heads("(S (NP-TMP (NN today)) (NP=2 (NN cat)))")
+    assert [tok.surface for tok in heads] == ["today", "cat"]
 
 
 def test_np_prefix_labels_not_matched():
     # NPP is not NP; only the base category NP counts
-    assert lowest_nps(parse_bracketed("(NPP (NN x))")) == []
+    assert _np_heads("(NPP (NN x))") == []
     assert base_label("NP-SBJ") == "NP"
     assert base_label("NP") == "NP"
 
 
 def test_lowest_nps_disjoint_and_ordered():
-    t = parse_bracketed(
-        "(S (NP (NN a1)) (VP (VBZ v) (NP (NP (NN b1)) (CC and) (NP (NN c1)))))")
-    nps = lowest_nps(t)
-    heads = [n.children[-1].token for n in nps]
-    assert heads == ["a1", "b1", "c1"]
+    heads = _np_heads("(S (NP (NN a1)) (VP (VBZ v) (NP (NP (NN b1)) (CC and) (NP (NN c1)))))")
+    assert [tok.surface for tok in heads] == ["a1", "b1", "c1"]
 
 
 def test_node_invariants():
@@ -235,8 +238,6 @@ def test_depth_bound_accepts_max_depth(tmp_path):
     path.write_text(_nested(MAX_DEPTH) + "\n", encoding="utf-8")
     [(_, tree)] = read_trees(path)
     assert serialize(tree) == _nested(MAX_DEPTH)
-    assert leaves(tree) == ["w"]
-    assert len(lowest_nps(tree)) == 1
     assert decompose(tree).skeleton_words == ["w"]
     assert tree == _reference_parse(_nested(MAX_DEPTH))
 
