@@ -8,6 +8,7 @@ EOS, emitting the attribute phrase for that skeletal word (possibly empty).
 
 from __future__ import annotations
 
+import logging
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -16,7 +17,9 @@ from . import numerics as nm
 from .corpus import BOS, EOS, Vocabulary
 from .numerics import ParameterStore
 from .recurrent import BatchTable, LSTMState, RecurrentDecoder, cell_forward
-from .skelnet import SkelState, refine_attention
+from .skelnet import SkelState
+
+log = logging.getLogger(__name__)
 
 HIDDEN_TAPS = ("current", "previous", "final")
 
@@ -365,12 +368,12 @@ def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
     the step's own context; with it, the step's map is refined post-word
     from the step's own word distribution and the skeleton decoder's
     ``per_location_distributions`` at the state entering the step, one call
-    and one ``context`` call per record. A record's T maps are the
-    ``refine_attention`` of its T words, from one float64 product (T, P, Q)
-    @ (T, Q, 1) and one row sum; a record in which some word's similarities
-    sum to 0 or less is refined word by word, so that word keeps its
-    pre-word map. The "current" tap is the state after word T, "previous"
-    the state entering it, "final" the state after its record's last word.
+    and one ``context`` call per record. A record's T maps are its words'
+    similarities <p_attend, p_ij>, normalised to sum to 1, from one float64
+    product (T, P, Q) @ (T, Q, 1) and one row sum; a word whose
+    similarities sum to 0 or less keeps its pre-word map, with a warning.
+    The "current" tap is the state after word T, "previous" the state
+    entering it, "final" the state after its record's last word.
     """
     check_conditioning(skel_model, hidden_tap, use_post_word_alpha)
     offsets = trace.offsets
@@ -388,15 +391,15 @@ def word_conditioning(skel_model, trace, features, hidden_tap: str = "current",
             prev = np.concatenate(([BOS], trace.words[lo:hi - 1]))
             p_grid = skel_model.per_location_distributions(entering, prev, grid)
             p_attend = nm.probs(trace.logits[lo:hi])
-            # refine_attention's product and sum for all T words at once
             scores = np.matmul(p_grid.reshape(hi - lo, L * L, -1).astype(np.float64),
                                p_attend.astype(np.float64)[:, :, None])[:, :, 0]
             totals = scores.sum(axis=1)
-            if (totals > 0.0).all():
-                posts[lo:hi] = (scores / totals[:, None]).reshape(hi - lo, L, L)
-            else:
-                posts[lo:hi] = [refine_attention(p, g, fallback=alpha)
-                                for p, g, alpha in zip(p_attend, p_grid, trace.alpha[lo:hi])]
+            keep = totals <= 0.0
+            if keep.any():
+                log.warning("post-word refinement: all similarities zero for %d word(s), "
+                            "keeping pre-word map", keep.sum())
+                scores[keep], totals[keep] = trace.alpha[lo:hi][keep], 1.0
+            posts[lo:hi] = (scores / totals[:, None]).reshape(hi - lo, L, L)
             z[lo:hi] = skel_model.context(grid, posts[lo:hi])
     if hidden_tap == "final":
         hidden = trace.h[np.repeat(offsets[1:] - 1, np.diff(offsets))]

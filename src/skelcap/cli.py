@@ -134,6 +134,9 @@ def cmd_synth(cfg):
     counts = {"train": cfg["count"], "val": cfg["val-count"], "test": cfg["test-count"]}
     if counts["train"] < 1:
         raise corpus.CorpusError("train count must be >= 1")
+    for split in ("val", "test"):
+        if counts[split] < 0:
+            raise corpus.CorpusError(f"{split}-count must be >= 0, got {counts[split]}")
     # every split's config is checked before --out is touched
     configs = {split: SynthConfig(count=count, **base)
                for split, count in counts.items() if count >= 1}
@@ -156,7 +159,7 @@ def cmd_synth(cfg):
             "count": sc.count,
         }
     corpus.write_manifest(out_dir / "manifest.txt", manifest_entries, seed=seed)
-    print(f"wrote {sum(counts.values())} records to {out_dir}")
+    print(f"wrote {start} records to {out_dir}")
     return 0
 
 
@@ -228,8 +231,8 @@ def cmd_train_skel(cfg):
     data_dir = Path(cfg["data"])
     train = _load_split(data_dir, "train")
     val = _load_split(data_dir, "val", required=False)
-    vocab = corpus.build_vocab(
-        [[t.surface for t in r.decomposition.skeleton] for r in train], cfg["skel-threshold"])
+    vocab = corpus.build_vocab([r.decomposition.skeleton_words for r in train],
+                               cfg["skel-threshold"])
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before training
     if cfg["resume"]:
@@ -340,13 +343,12 @@ def _read_caption_file(path):
 def cmd_eval(cfg):
     cands = _read_caption_file(cfg["candidates"])
     refs = _read_caption_file(cfg["references"])
-    pairs = []
-    for image_id, cand_list in sorted(cands.items()):
+    ids = sorted(cands)
+    for image_id in ids:
         if image_id not in refs:
             raise metrics.MetricsError(f"no references for image {image_id!r}")
-        for cand in cand_list:
-            pairs.append(metrics.EvalPair(tuple(cand),
-                                          tuple(tuple(r) for r in refs[image_id])))
+    pairs = metrics.make_pairs([cand for i in ids for cand in cands[i]],
+                               [refs[i] for i in ids for _ in cands[i]])
     training = None
     if cfg["uniqueness"]:
         training = [toks for lst in _read_caption_file(cfg["uniqueness"]).values()
@@ -377,8 +379,7 @@ def cmd_gradcheck(cfg):
                      attributes=("red", "big"), relations=("on",),
                      noise_sigma=0.2, count=2)
     records = synth_generate(sc, seed=1).records
-    skel_vocab = corpus.build_vocab(
-        [[t.surface for t in r.decomposition.skeleton] for r in records], 1)
+    skel_vocab = corpus.build_vocab([r.decomposition.skeleton_words for r in records], 1)
     attr_vocab = corpus.build_vocab(
         [list(t.attributes) for r in records for t in r.decomposition.skeleton], 1)
     skel = SkeletonGenerator(skel_vocab, feature_dim=8, grid_size=2, hidden_size=16,

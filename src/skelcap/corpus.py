@@ -243,6 +243,12 @@ class SynthConfig:
                 f"feature_dim {self.feature_dim} too small for one-hot width {width}")
         if self.count < 1:
             raise CorpusError("count must be >= 1")
+        if self.max_objects < 1:
+            raise CorpusError(f"max_objects must be >= 1, got {self.max_objects}")
+        if self.max_attributes < 0:
+            raise CorpusError(f"max_attributes must be >= 0, got {self.max_attributes}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise CorpusError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.max_objects > self.grid_size * self.grid_size:
             raise CorpusError("more objects than grid cells")
         if self.max_objects > len(self.objects):
@@ -255,7 +261,6 @@ class _Phrase(NamedTuple):
     """One object's share of a synthetic record."""
 
     node: ParseNode                    # (NP ...), or (PP (IN relation) (NP ...))
-    text: str                          # that node as bracket text
     skeleton: Tuple[SkeletonToken, ...]
     words: Tuple[str, ...]             # caption words
 
@@ -277,7 +282,7 @@ def _object_phrase(relation: Optional[str], obj_word: str,
         node = ParseNode("PP", (ParseNode("IN", token=relation), node))
         skeleton = (SkeletonToken(relation), *skeleton)
         words = (relation, *words)
-    return _Phrase(node, treebank.serialize(ParseTree(node)), skeleton, words)
+    return _Phrase(node, skeleton, words)
 
 
 def _sample_scene(config: SynthConfig, rng: np.random.Generator):
@@ -315,18 +320,14 @@ def _scene_to_record(config: SynthConfig, placements, rng, image_id) -> CaptionR
         relation = config.relations[oi % len(config.relations)]
     if config.noise_sigma > 0:
         values += rng.normal(0.0, config.noise_sigma, size=values.shape)
-    if len(phrases) == 1:
-        root, tree_line = phrases[0].node, phrases[0].text
-    else:
-        root = ParseNode("S", tuple(p.node for p in phrases))
-        tree_line = "(S " + " ".join(p.text for p in phrases) + ")"
+    root = phrases[0].node if len(phrases) == 1 else ParseNode("S", tuple(p.node for p in phrases))
     words = [w for p in phrases for w in p.words]
     return CaptionRecord(
         image_id=image_id,
         features=FeatureGrid(values.astype(np.float32)),
         raw=" ".join(words),
         tokens=words,
-        tree=ParseTree(root, tree_line),
+        tree=ParseTree(root),
         decomposition=DecomposedCaption(tuple(t for p in phrases for t in p.skeleton),
                                         len(words)),
         layout=layout,

@@ -9,7 +9,6 @@ the emitted word distribution and per-location word distributions.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -19,8 +18,6 @@ from . import numerics as nm
 from .corpus import BOS, EOS, FeatureGrid, Vocabulary
 from .numerics import ParameterStore
 from .recurrent import BatchTable, LSTMState, RecurrentDecoder, cell_forward, length_batches
-
-log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -88,27 +85,6 @@ class _Input(NamedTuple):
     z: np.ndarray
     att: Optional[tuple]
     ws: Optional[tuple]
-
-
-def refine_attention(p_attend: np.ndarray, p_grid: np.ndarray,
-                     fallback: Optional[np.ndarray] = None) -> np.ndarray:
-    """Post-word attention: weights proportional to <p_attend, p_ij>.
-
-    ``p_attend`` is (Q,), ``p_grid`` is (L, L, Q) or (P, Q). Returns a map
-    with the same leading shape as ``p_grid``. Falls back to the pre-word map
-    when every dot product is zero.
-    """
-    grid = np.asarray(p_grid, dtype=np.float64)
-    lead = grid.shape[:-1]
-    flat = grid.reshape(-1, grid.shape[-1])
-    scores = flat @ np.asarray(p_attend, dtype=np.float64)
-    total = scores.sum()
-    if total <= 0.0:
-        if fallback is None:
-            raise ValueError("all similarities zero and no fallback map given")
-        log.warning("refine_attention: all similarities zero, keeping pre-word map")
-        return np.asarray(fallback, dtype=np.float64).reshape(lead)
-    return (scores / total).reshape(lead)
 
 
 class SkeletonGenerator(RecurrentDecoder):
@@ -321,27 +297,12 @@ class SkeletonGenerator(RecurrentDecoder):
         return SkelState(h=h, c=c, t=0)
 
     def context(self, features: FeatureGrid, alpha: np.ndarray) -> np.ndarray:
-        """Context vectors z = sum_ij alpha_ij v_ij.
-
-        ``alpha`` is one map, as (L, L) or flattened (P,), or maps stacked
-        along leading axes, (..., L, L) or (..., P); returns (..., D), all
-        maps in one call.
-        """
-        flat = self._flat(features)
-        L, P = self.grid_size, flat.shape[1]
-        a = np.asarray(alpha)
-        if a.shape[-2:] == (L, L):
-            lead = a.shape[:-2]
-        elif a.shape[-1:] == (P,):
-            lead = a.shape[:-1]
-        else:
-            raise ConfigError(f"attention map of shape {a.shape} does not fit a {L}x{L} grid")
-        a = a.reshape(-1, P)
-        if self.use_attention:
-            z = nm.weighted_sum_forward(a, flat)[0]
-        else:
-            z = np.broadcast_to(nm.mean64(flat, 1), (len(a), flat.shape[-1]))
-        return z.reshape(*lead, -1)
+        """Context vectors z = sum_ij alpha_ij v_ij (T, D) of T maps (T, L, L),
+        in one call."""
+        flat, L = self._flat(features), self.grid_size
+        if alpha.shape[1:] != (L, L):
+            raise ConfigError(f"attention maps of shape {alpha.shape} are not (T, {L}, {L})")
+        return nm.weighted_sum_forward(alpha.reshape(len(alpha), -1), flat)[0]
 
     def per_location_distributions(self, state: SkelState, prev_word_index,
                                    features: FeatureGrid) -> np.ndarray:

@@ -70,7 +70,6 @@ class ParseNode(_NodeFields):
 @dataclass(frozen=True)
 class ParseTree:
     root: ParseNode
-    source_line: str = ""
 
 
 def _serialize_node(node: ParseNode, depth: int) -> str:
@@ -172,7 +171,7 @@ def parse_bracketed(text: str) -> ParseTree:
         if not stack:
             if k < m:
                 raise TreeParseError("trailing content after tree", _token_offset(text, k))
-            return ParseTree(root=node, source_line=text)
+            return ParseTree(root=node)
         stack[-1][1].append(node)
     raise TreeParseError("unbalanced", len(text))
 

@@ -10,17 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from skelcap import numerics as nm
-from skelcap.attrnet import AttributeGenerator, build_training_items
-from skelcap.corpus import (BOS, EOS, SynthConfig, build_vocab, synth_generate)
+from skelcap.attrnet import AttributeGenerator, build_training_items, word_conditioning
+from skelcap.corpus import EOS, SynthConfig, build_vocab, synth_generate
 from skelcap.decode import BeamConfig, caption, joint_beam_search
 from skelcap.decompose import decompose, fuse
-from skelcap.skelnet import SkeletonGenerator, SkelState, refine_attention
+from skelcap.skelnet import SkeletonGenerator
 from skelcap.treebank import parse_bracketed
 
 from test_decompose import leaves
 from test_decode import Rows, batched, brute_force, make_toy_lm, score_adjust, _full_width
 from test_numerics import grad_check
+from test_skelnet import refine_attention
 from test_metrics import (_random_corpus, oracle_bleu, oracle_cider,
                           oracle_rouge)
 
@@ -81,30 +81,22 @@ def trained():
             f1_n += 1
 
     # -- criterion 6 quantities: localization before/after refinement ---------
+    # the post-word maps of the gold skeleton words, as training and caption
+    # refine them
     L = cfg.grid_size
     pre_ok = post_ok = loc_n = 0
     tr = skel.teacher_trace(test)
+    posts = word_conditioning(skel, tr, [r.features for r in test],
+                              use_post_word_alpha=True).post_alpha
     for rec, lo in zip(test, tr.offsets):
-        step_fn = skel.make_step_fn(rec.features)
         heads = [i for i, t in enumerate(rec.decomposition.skeleton)
                  if t.is_np_head]
         for i, placement in zip(heads, rec.layout):
             gi = placement.cell[0] * L + placement.cell[1]
-            alpha = tr.alpha[lo + i]
             loc_n += 1
-            if int(np.argmax(alpha)) == gi:
+            if int(np.argmax(tr.alpha[lo + i])) == gi:
                 pre_ok += 1
-            state = SkelState(h=tr.h_prev[lo + i:lo + i + 1],
-                              c=tr.c_prev[lo + i:lo + i + 1], t=i)
-            prev_w = int(tr.words[lo + i - 1]) if i else BOS
-            p_grid = skel.per_location_distributions(state, prev_w,
-                                                     rec.features)
-            stepped, _ = step_fn(state, [prev_w])
-            p_attend = nm.probs(stepped.logits, axis=-1)[0]
-            post = refine_attention(p_attend,
-                                    p_grid.reshape(-1, p_grid.shape[-1]),
-                                    fallback=alpha)
-            if int(np.argmax(post)) == gi:
+            if int(np.argmax(posts[lo + i])) == gi:
                 post_ok += 1
 
     # -- criterion 7 quantities: gamma sweeps over a fixed subset -------------

@@ -9,10 +9,10 @@ from skelcap.attrnet import (HIDDEN_TAPS, AttrConfigError, AttributeGenerator,
                              AttrTrainingItem, build_training_items, check_conditioning)
 from skelcap.corpus import (BOS, EOS, SynthConfig, build_vocab, synth_generate)
 from skelcap.recurrent import BatchTable, cell_forward, length_batches
-from skelcap.skelnet import (TRACE_BATCH, SkeletonGenerator, SkelState,
-                             refine_attention)
+from skelcap.skelnet import TRACE_BATCH, SkeletonGenerator, SkelState
 
 from test_numerics import grad_check
+from test_skelnet import refine_attention
 
 
 @pytest.fixture(scope="module")

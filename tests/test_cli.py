@@ -109,6 +109,33 @@ def test_synth_invalid_config_writes_nothing(workspace, tmp_path, args):
     assert _tree_bytes(existing) == before
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("val-count", "-5", "val-count must be >= 0, got -5"),
+    ("test-count", "-3", "test-count must be >= 0, got -3"),
+    ("max-objects", "0", "max_objects must be >= 1, got 0"),
+    ("max-objects", "-2", "max_objects must be >= 1, got -2"),
+    ("max-attributes", "-1", "max_attributes must be >= 0, got -1"),
+    ("noise-sigma", "-1", "noise_sigma must be finite and >= 0, got -1.0"),
+    ("noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
+    ("noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
+])
+def test_synth_refuses_setting_it_cannot_honour(tmp_path, capsys, option, value, message):
+    # exit 2 naming the option, before --out is created
+    out = tmp_path / "d"
+    assert run("synth", "--out", str(out), "--count", "20", f"--{option}", value) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_synth_summary_counts_records_written(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run("synth", "--out", str(out), "--count", "20", "--val-count", "0",
+               "--test-count", "3") == 0
+    assert capsys.readouterr().out == f"wrote 23 records to {out}\n"
+    assert sum(len((out / f"{split}.captions.tsv").read_text().splitlines())
+               for split in ("train", "test")) == 23
+
+
 @pytest.mark.parametrize("option,value,word", [
     ("objects", "Dog,cat", "Dog"),
     ("objects", "do(g,cat", "do(g"),

@@ -252,15 +252,13 @@ def test_synth_records_equal_parsed_reference(config, start_index, seed):
     for g, w in zip(got, want):
         assert g.image_id == w.image_id
         assert g.tree == w.tree
-        assert g.tree.source_line == w.tree.source_line
         assert g.decomposition == w.decomposition
         assert g.tokens == w.tokens
         assert g.raw == w.raw
         assert g.layout == w.layout
         assert g.features.values.dtype == w.features.values.dtype
         assert g.features.values.tobytes() == w.features.values.tobytes()
-        assert g.tree == parse_bracketed(g.tree.source_line)
-        assert serialize(g.tree) == g.tree.source_line
+        assert g.tree == parse_bracketed(serialize(g.tree))
 
 
 def test_synth_config_validation():

@@ -925,7 +925,8 @@ def _per_word_refinement(skel, trace, features):
     """Refined maps (N, L, L) and their contexts, one ``refine_attention``
     per word: the loop ``word_conditioning`` batches per record."""
     from skelcap import numerics as nm
-    from skelcap.skelnet import SkelState, refine_attention
+    from skelcap.skelnet import SkelState
+    from test_skelnet import refine_attention
     L = skel.grid_size
     posts, z = np.empty((len(trace.words), L, L)), np.empty_like(trace.z)
     for lo, hi, grid in zip(trace.offsets[:-1], trace.offsets[1:], features):
@@ -940,7 +941,7 @@ def _per_word_refinement(skel, trace, features):
     return posts, z
 
 
-def test_batched_refinement_matches_per_word_refinement(monkeypatch, caplog):
+def test_batched_refinement_matches_per_word_refinement(caplog):
     import skelcap.attrnet as attrnet
     recs, skel, _ = _pipeline()
     records = recs[:8]
@@ -955,23 +956,64 @@ def test_batched_refinement_matches_per_word_refinement(monkeypatch, caplog):
     skel.store["out_b"].data[word] = -1e4
     trace.logits[row] = -1e4
     trace.logits[row, word] = 0.0
-    per_word = []
-
-    real_refine = attrnet.refine_attention
-
-    def counting(*args, **kwargs):
-        per_word.append(args)
-        return real_refine(*args, **kwargs)
-
-    monkeypatch.setattr(attrnet, "refine_attention", counting)
     cond = attrnet.word_conditioning(skel, trace, features, use_post_word_alpha=True)
-    assert len(per_word) == hi - lo  # only the record holding that word, word by word
-    assert "keeping pre-word map" in caplog.text
+    # one warning, for the record holding that word
+    assert [r.getMessage() for r in caplog.records] == [
+        "post-word refinement: all similarities zero for 1 word(s), keeping pre-word map"]
     posts, z = _per_word_refinement(skel, trace, features)
     for got, want in ((cond.post_alpha, posts), (cond.z, z)):
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(posts[row].reshape(-1), trace.alpha[row])
+
+
+class _GridModel:
+    """A stand-in skeleton decoder whose per-location distributions are
+    given arrays, one (T, L, L, Q) per record, and whose contexts are zero."""
+
+    use_attention = True
+
+    def __init__(self, L, p_grids):
+        self.grid_size, self.p_grids = L, iter(p_grids)
+
+    def per_location_distributions(self, state, prev, grid):
+        return next(self.p_grids)
+
+    def context(self, grid, alpha):
+        return np.zeros((len(alpha), 1))
+
+    def embedding_of(self, words):
+        return np.zeros((len(words), 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=4), st.integers(2, 5),
+       st.integers(5, 199), st.integers(0, 2 ** 32 - 1))
+def test_batched_refinement_matches_refine_attention_at_random_shapes(lengths, L, Q, seed):
+    # random grids and word distributions, about one word in four with
+    # similarities summing to 0; every map equals the one-word oracle bit
+    # for bit, a zero-similarity word's map being its pre-word map
+    from skelcap import numerics as nm
+    from skelcap.attrnet import word_conditioning
+    from skelcap.skelnet import TeacherTrace
+    from test_skelnet import refine_attention
+    rng = np.random.default_rng(seed)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    N, P = int(offsets[-1]), L * L
+    alpha = rng.random((N, P)).astype(np.float32)
+    logits = (rng.normal(size=(N, Q)) * 3).astype(np.float32)
+    p_grid = rng.random((N, L, L, Q)).astype(np.float32)
+    p_grid[rng.random(N) < 0.25] = 0.0
+    states = np.zeros((N, 1), dtype=np.float32)
+    trace = TeacherTrace(alpha, np.zeros((N, 1), np.float32), states, states, states,
+                         logits, np.zeros(N, np.int64), offsets)
+    grids = [p_grid[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]) if hi > lo]
+    posts = word_conditioning(_GridModel(L, grids), trace, [None] * len(lengths),
+                              use_post_word_alpha=True).post_alpha
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        for row, p in zip(range(lo, hi), nm.probs(logits[lo:hi])):
+            want = refine_attention(p, p_grid[row], fallback=alpha[row].reshape(L, L))
+            assert posts[row].tobytes() == want.tobytes()
 
 
 def _overflowing_pipeline():

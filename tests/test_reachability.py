@@ -43,15 +43,11 @@ ALLOWED = {
     "cli._Parser.error": (ERROR_PATH, None),
     "treebank.TreeParseError.__init__": (ERROR_PATH, None),
     "treebank._token_offset": (ERROR_PATH, None),
-    # the fallback for a word whose similarities sum to 0 or less
-    "skelnet.refine_attention": (ERROR_PATH, None),
     "treebank.ParseNode._make": (REPLACE_HOOK, None),
     "decompose.SkeletonToken._make": (REPLACE_HOOK, None),
     "recurrent.RecurrentDecoder._table": (ABSTRACT, None),
     "recurrent.RecurrentDecoder.teacher_forced_loss": (ABSTRACT, None),
     "corpus.Vocabulary.__contains__": perfbench("not in job.skel_vocab"),
-    "decompose.DecomposedCaption.skeleton_words": perfbench(".skeleton_words"),
-    "metrics.make_pairs": perfbench("metrics.make_pairs("),
     "metrics.bleu": perfbench("metrics.bleu"),
     "metrics.rouge_l": perfbench("metrics.rouge_l"),
     "metrics.cider": perfbench("metrics.cider"),

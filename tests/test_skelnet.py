@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from skelcap.corpus import (BOS, FeatureGrid, SynthConfig, build_vocab,
                             synth_generate)
 from skelcap.recurrent import cell_forward
-from skelcap.skelnet import (ConfigError, SkeletonGenerator, SkelState,
-                             refine_attention)
+from skelcap.skelnet import ConfigError, SkeletonGenerator, SkelState
 from skelcap import numerics as nm
 
 from test_numerics import grad_check
@@ -43,6 +42,25 @@ def _step(model, state, word, features):
 
 
 # -- refine_attention ---------------------------------------------------------
+
+def refine_attention(p_attend, p_grid, fallback=None):
+    """Post-word attention of one word, the oracle of ``word_conditioning``'s
+    batched refinement: weights proportional to <p_attend, p_ij>.
+
+    ``p_attend`` is (Q,), ``p_grid`` is (L, L, Q) or (P, Q). Returns a map
+    with the same leading shape as ``p_grid``, or the pre-word map
+    ``fallback`` when the similarities sum to 0 or less.
+    """
+    grid = np.asarray(p_grid, dtype=np.float64)
+    lead = grid.shape[:-1]
+    scores = grid.reshape(-1, grid.shape[-1]) @ np.asarray(p_attend, dtype=np.float64)
+    total = scores.sum()
+    if total <= 0.0:
+        if fallback is None:
+            raise ValueError("all similarities zero and no fallback map given")
+        return np.asarray(fallback, dtype=np.float64).reshape(lead)
+    return (scores / total).reshape(lead)
+
 
 def test_refine_two_location_hand_case():
     p_grid = np.array([[[0.9, 0.1]], [[0.1, 0.9]]])  # (2, 1, 2) -> treat flat
@@ -119,10 +137,9 @@ def test_no_attention_uniform_context():
     rng = np.random.default_rng(2)
     g = _grid(rng, 2, 4)
     state = m.init_state(g)
-    _, _, alpha = _step(m, state, BOS, g)
+    new, _, alpha = _step(m, state, BOS, g)
     assert np.allclose(alpha, 0.25)
-    z = m.context(g, alpha)
-    assert np.allclose(z, g.flat().mean(axis=0), atol=1e-6)
+    assert np.allclose(new.z[0], g.flat().mean(axis=0), atol=1e-6)
 
 
 def test_single_cell_grid():
@@ -134,17 +151,17 @@ def test_single_cell_grid():
     state = m.init_state(g)
     _, _, alpha = _step(m, state, BOS, g)
     assert np.allclose(alpha, [[1.0]])
-    assert np.allclose(m.context(g, alpha), g.values[0, 0], atol=1e-6)
+    assert np.allclose(m.context(g, alpha[None])[0], g.values[0, 0], atol=1e-6)
 
 
 def test_context_is_weighted_sum(model, tiny_data):
     _, recs = tiny_data
     g = recs[0].features
     rng = np.random.default_rng(4)
-    alpha = rng.random((3, 3))
-    alpha /= alpha.sum()
+    alpha = rng.random((2, 3, 3))
+    alpha /= alpha.sum(axis=(1, 2), keepdims=True)
     z = model.context(g, alpha)
-    expected = np.einsum("p,pd->d", alpha.reshape(-1), g.flat())
+    expected = np.einsum("tp,pd->td", alpha.reshape(2, -1), g.flat())
     assert np.allclose(z, expected, atol=1e-6)
 
 
@@ -152,6 +169,13 @@ def test_context_shape_mismatch(model):
     with pytest.raises(ConfigError):
         model.context(FeatureGrid(np.zeros((3, 3, 24), dtype=np.float32)),
                       np.ones(4) / 4)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (9,), (1, 9), (1, 2, 2), (1, 3, 3, 1)])
+def test_context_takes_stacked_maps_only(model, shape):
+    # one (L, L) map, a flat map and maps of another grid are refused
+    with pytest.raises(ConfigError, match=re.escape(f"attention maps of shape {shape} are not")):
+        model.context(FeatureGrid(np.zeros((3, 3, 24), dtype=np.float32)), np.ones(shape))
 
 
 def test_feature_grid_mismatch_rejected(model):

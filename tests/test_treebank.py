@@ -183,7 +183,7 @@ def _reference_parse(text):
     i = skip_ws(i)
     if i < n:
         raise TreeParseError("trailing content after tree", i)
-    return ParseTree(root=root, source_line=text)
+    return ParseTree(root=root)
 
 
 def _outcome(parse, text):
