@@ -390,6 +390,11 @@ def _write_utf8(path, text):
         fh.write(data)
 
 
+# A feature record's header: the image id's UTF-8 length, then L and D.
+_ID_LEN = struct.Struct("<H")
+_GRID_SHAPE = struct.Struct("<II")
+
+
 def write_features(path, records: Sequence[CaptionRecord]):
     """Binary feature file: per record image_id, L, D, then L*L*D LE float32,
     which ``read_features`` reads back as the same ids and grids. An image id
@@ -411,48 +416,85 @@ def write_features(path, records: Sequence[CaptionRecord]):
         idents.append(ident)
     with open(path, "wb") as fh:
         for rec, ident in zip(records, idents):
-            fh.write(struct.pack("<H", len(ident)))
+            fh.write(_ID_LEN.pack(len(ident)))
             fh.write(ident)
-            fh.write(struct.pack("<II", rec.features.grid_size, rec.features.feature_dim))
+            fh.write(_GRID_SHAPE.pack(rec.features.grid_size, rec.features.feature_dim))
             fh.write(np.ascontiguousarray(rec.features.values, dtype="<f4").tobytes())
 
 
+# Builds a grid without ``FeatureGrid``'s checks: ``read_features`` gives it
+# a float32 (L, L, D) row of an array whose finiteness it has checked.
+_new_grid = object.__new__
+
+
 def read_features(path) -> Dict[str, FeatureGrid]:
-    """Image id -> feature grid of each record of ``path``; a malformed or
-    truncated record, or an image id that repeats, raises CorpusError naming
-    ``path`` and the record's byte offset."""
-    grids: Dict[str, FeatureGrid] = {}
-    starts: Dict[str, int] = {}  # image id -> byte offset of its record
+    """Image id -> feature grid of each record of ``path``, in file order; a
+    malformed or truncated record, an image id that repeats, or a non-finite
+    value raises CorpusError naming ``path`` and the byte offset of the
+    first such record.
+
+    One pass reads the record headers. The values of the records of one grid
+    shape are then copied into one (n, L, L, D) float32 array, checked for
+    finiteness at once, and each grid is a row of it."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    view = memoryview(blob)
+    starts: Dict[str, int] = {}  # image id -> byte offset of its record, in file order
+    grids: List[Optional[FeatureGrid]] = []
+    shapes: Dict[Tuple[int, int], Tuple[List[int], list]] = {}  # (L, D) -> records, bytes
+    fault = None  # the header pass's first fault; the values before it are still checked
     off = 0
     while off < len(blob):
         start = off
         try:
-            (id_len,) = struct.unpack_from("<H", blob, off)
+            (id_len,) = _ID_LEN.unpack_from(blob, off)
             off += 2
             image_id = blob[off:off + id_len].decode("utf-8")
             off += id_len
-            L, D = struct.unpack_from("<II", blob, off)
+            L, D = _GRID_SHAPE.unpack_from(blob, off)
             off += 8
         except (struct.error, UnicodeDecodeError) as exc:
-            raise CorpusError(f"{path}: bad record header at byte {start}: {exc}") from None
+            fault = f"bad record header at byte {start}: {exc}"
+            break
         if image_id in starts:
-            raise CorpusError(f"{path}: record {image_id!r} at byte {start} repeats the image id "
-                              f"of the record at byte {starts[image_id]}")
+            fault = (f"record {image_id!r} at byte {start} repeats the image id of the "
+                     f"record at byte {starts[image_id]}")
+            break
+        size = 4 * L * L * D
+        if off + size > len(blob):
+            fault = (f"record {image_id!r} at byte {start} needs {size} feature bytes from "
+                     f"byte {off}, file ends at byte {len(blob)}")
+            break
+        if not size:  # no values, so the file's length does not bound its shape
+            try:
+                grids.append(FeatureGrid(np.zeros((L, L, D), dtype=np.float32)))
+            except ValueError:
+                fault = f"record {image_id!r} at byte {start}: a {L}x{L}x{D} grid is too large"
+                break
+        else:
+            members, chunks = shapes.setdefault((L, D), ([], []))
+            members.append(len(grids))
+            chunks.append(view[off:off + size])
+            grids.append(None)
         starts[image_id] = start
-        count = L * L * D
-        if off + 4 * count > len(blob):
-            raise CorpusError(
-                f"{path}: record {image_id!r} at byte {start} needs {4 * count} feature "
-                f"bytes from byte {off}, file ends at byte {len(blob)}")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-        off += 4 * count
-        try:
-            grids[image_id] = FeatureGrid(arr.reshape(L, L, D).astype(np.float32))
-        except CorpusError as exc:
-            raise CorpusError(f"{path}: record {image_id!r} at byte {start}: {exc}") from None
-    return grids
+        off += size
+    ids = list(starts)
+    first_bad = len(ids)
+    for (L, D), (members, chunks) in shapes.items():
+        values = np.frombuffer(bytearray().join(chunks), dtype="<f4").astype(
+            np.float32, copy=False).reshape(len(members), L, L, D)
+        if not np.isfinite(values).all():
+            finite = np.isfinite(values.reshape(len(members), -1)).all(axis=1)
+            first_bad = min(first_bad, members[int(np.argmin(finite))])
+        for k, row in zip(members, values):
+            grid = grids[k] = _new_grid(FeatureGrid)
+            grid.values = row
+    if first_bad < len(ids):
+        image_id = ids[first_bad]
+        fault = f"record {image_id!r} at byte {starts[image_id]}: non-finite feature values"
+    if fault is not None:
+        raise CorpusError(f"{path}: {fault}")
+    return dict(zip(ids, grids))
 
 
 def read_captions(path, error=CorpusError) -> List[Tuple[str, str]]:
@@ -562,6 +604,8 @@ def read_manifest(path):
         if not line.strip():
             continue
         if line.startswith("seed:"):
+            if seed is not None:
+                raise CorpusError(f"{path}:{lineno}: seed repeated")
             seed = _integer(line.split(":", 1)[1], path, lineno, "seed")
         elif line.startswith("split:"):
             current = line.split(":", 1)[1].strip()

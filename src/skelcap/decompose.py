@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .treebank import ParseTree, base_label
+from .treebank import ParseTree
 
 
 class DecomposeError(ValueError):
@@ -53,19 +53,25 @@ class DecomposedCaption:
         return [t.surface for t in self.skeleton]
 
 
+# A label whose base category is NP: "NP" itself, or "NP" with a functional
+# tag after "-" or "=" ("NP-SBJ", "NP=2").
+_NP_TAGGED = ("NP-", "NP=")
+
+
 def _walk(node, words, spans):
-    """Append the leaf words under ``node`` to ``words`` and the (start, end)
-    word span of each lowest NP under it to ``spans``, left to right; True
-    when ``node`` is or contains an NP."""
-    if node.token is not None:
-        words.append(node.token)
-        return False
+    """Append the leaf words under the inner node ``node`` to ``words`` and
+    the (start, end) word span of each lowest NP under it to ``spans``, left
+    to right; True when ``node`` is or contains an NP. A leaf child is read
+    in place, so only inner nodes cost a call."""
     start = len(words)
     has_np = False
     for child in node.children:
-        if _walk(child, words, spans):
+        if child.token is not None:
+            words.append(child.token)
+        elif _walk(child, words, spans):
             has_np = True
-    if base_label(node.label) != "NP":
+    label = node.label
+    if label != "NP" and not label.startswith(_NP_TAGGED):
         return has_np
     if not has_np:
         spans.append((start, len(words)))
@@ -81,14 +87,19 @@ def decompose(tree: ParseTree) -> DecomposedCaption:
     """Apply the lowest-NP head/attribute split to a parse tree, in one walk."""
     words: List[str] = []
     spans: List[Tuple[int, int]] = []
-    _walk(tree.root, words, spans)
+    if tree.root.token is None:
+        _walk(tree.root, words, spans)
+    else:
+        words.append(tree.root.token)
     tokens: List[SkeletonToken] = []
     pos = 0
     for start, end in spans:
-        tokens.extend(_new(SkeletonToken, (w, False, ())) for w in words[pos:start])
+        if pos < start:
+            tokens += [_new(SkeletonToken, (w, False, ())) for w in words[pos:start]]
         tokens.append(_new(SkeletonToken, (words[end - 1], True, tuple(words[start:end - 1]))))
         pos = end
-    tokens.extend(_new(SkeletonToken, (w, False, ())) for w in words[pos:])
+    if pos < len(words):
+        tokens += [_new(SkeletonToken, (w, False, ())) for w in words[pos:]]
     return DecomposedCaption(skeleton=tuple(tokens), original_length=len(words))
 
 

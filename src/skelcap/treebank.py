@@ -94,12 +94,16 @@ def serialize(tree: ParseTree) -> str:
     return _serialize_node(tree.root, 1)
 
 
-# One token of a bracketed tree: a bracket, or a maximal run of characters
-# that are neither whitespace nor brackets (a label or a word). ``\s``
-# matches exactly the characters ``str.isspace`` accepts.
-_TOKEN = re.compile(r"[()]|[^\s()]+")
+# One piece of a bracketed tree: a whole leaf "(TAG word)" (groups 1 and
+# 2), an opening bracket with its label (group 1), a bracket on its own
+# (group 3), or a word outside a leaf (group 4). Whitespace separates
+# pieces and is otherwise skipped; ``\s`` matches exactly the characters
+# ``str.isspace`` accepts. The optional leaf tail is greedy but never
+# backtracks into the label: when "word)" does not follow, the piece is the
+# bracket and its whole label.
+_PIECE = re.compile(r"\(\s*([^\s()]+)(?:\s+([^\s()]+)\s*\))?|([()])|([^\s()]+)")
 
-# A label or word that would not come back from ``_TOKEN`` as one token.
+# A label or word that would not come back from ``_PIECE`` as itself.
 _UNWRITABLE = re.compile(r"[\s()]")
 
 # Deepest nesting a tree may have, counting the root and the leaves as
@@ -108,17 +112,16 @@ _UNWRITABLE = re.compile(r"[\s()]")
 # which leaves the caller room for its own.
 MAX_DEPTH = 200
 
-# Builds a node without ``ParseNode``'s checks: a label from ``_TOKEN``
-# follows "(" and is neither bracket, so it is non-empty and free of
-# whitespace and brackets; a leaf gets exactly one word token, any other
-# node at least one child and no word.
+# Builds a node without ``ParseNode``'s checks: a label or word from
+# ``_PIECE`` is non-empty and free of whitespace and brackets; a leaf gets
+# exactly one word, any other node at least one child and no word.
 _new = tuple.__new__
 
 
 def _token_offset(text, index, end=False):
-    """Character offset where token ``index`` of ``text`` starts (or ends);
-    ``len(text)`` when there is no such token."""
-    match = next(itertools.islice(_TOKEN.finditer(text), index, None), None)
+    """Character offset where piece ``index`` of ``text`` starts (or ends);
+    ``len(text)`` when there is no such piece. Only the error path rescans."""
+    match = next(itertools.islice(_PIECE.finditer(text), index, None), None)
     if match is None:
         return len(text)
     return match.end() if end else match.start()
@@ -127,62 +130,50 @@ def _token_offset(text, index, end=False):
 def parse_bracketed(text: str) -> ParseTree:
     """Parse one S-expression-style bracketed tree, e.g. ``(NP (DT a) (NN dog))``.
 
-    One regex pass splits ``text`` into tokens and an explicit stack of open
-    nodes builds the tree, so nesting costs no recursion; nesting deeper
-    than ``MAX_DEPTH`` is rejected. A malformed tree raises
-    ``TreeParseError`` with the character offset of the problem."""
-    tokens = _TOKEN.findall(text)
-    if not tokens:
+    One regex pass splits ``text`` into pieces, a whole leaf being one, and
+    an explicit stack of open nodes builds the tree, so nesting costs no
+    recursion; nesting deeper than ``MAX_DEPTH`` is rejected. A malformed
+    tree raises ``TreeParseError`` with the character offset of the
+    problem."""
+    pieces = _PIECE.findall(text)
+    if not pieces:
         raise TreeParseError("empty input", len(text))
-    if tokens[0] != "(":
+    if not pieces[0][0] and pieces[0][2] != "(":
         raise TreeParseError("expected '('", _token_offset(text, 0))
-    m = len(tokens)
-    # Open nodes, outermost first: (label, children, indices of word tokens).
+    # Open nodes, outermost first: (label, children, indices of stray words).
     stack = []
-    k = 0
-    while k < m:
-        tok = tokens[k]
-        if tok == "(":
-            if len(stack) == MAX_DEPTH:
-                raise TreeParseError("tree nested too deeply")
-            if k + 1 == m or tokens[k + 1] in "()":
-                raise TreeParseError("empty node", _token_offset(text, k + 1))
-            stack.append((tokens[k + 1], [], []))
-            k += 2
-            continue
-        if tok != ")":
-            stack[-1][2].append(k)
-            k += 1
-            continue
-        label, children, words = stack.pop()
-        if words:
-            if children:
+    for k, (label, word, bracket, stray) in enumerate(pieces):
+        if bracket == ")":
+            label, children, words = stack.pop()
+            # a label, one word and ")" would have been one leaf piece, so a
+            # stray word here has children beside it or another word
+            if words and children:
                 raise TreeParseError("mixed tokens and children under one node",
                                      _token_offset(text, words[0], end=True))
-            if len(words) > 1:
+            if words:
                 raise TreeParseError("leaf with more than one token",
                                      _token_offset(text, words[1], end=True))
-            node = _new(ParseNode, (label, (), tokens[words[0]]))
-        elif children:
+            if not children:
+                raise TreeParseError("empty node", _token_offset(text, k, end=True))
             node = _new(ParseNode, (label, tuple(children), None))
-        else:
-            raise TreeParseError("empty node", _token_offset(text, k, end=True))
-        k += 1
+        elif stray:
+            stack[-1][2].append(k)
+            continue
+        else:  # an opening bracket: of a leaf, of a labelled node, or alone
+            if len(stack) == MAX_DEPTH:
+                raise TreeParseError("tree nested too deeply")
+            if not word:
+                if not label:
+                    raise TreeParseError("empty node", _token_offset(text, k + 1))
+                stack.append((label, [], []))
+                continue
+            node = _new(ParseNode, (label, (), word))
         if not stack:
-            if k < m:
-                raise TreeParseError("trailing content after tree", _token_offset(text, k))
+            if k + 1 < len(pieces):
+                raise TreeParseError("trailing content after tree", _token_offset(text, k + 1))
             return ParseTree(root=node)
         stack[-1][1].append(node)
     raise TreeParseError("unbalanced", len(text))
-
-
-def base_label(label: str) -> str:
-    """Strip functional-tag suffixes (after ``-`` or ``=``), keeping the base category."""
-    for sep in "-=":
-        idx = label.find(sep, 1)
-        if idx > 0:
-            label = label[:idx]
-    return label
 
 
 def read_trees(path) -> Iterator[Tuple[int, ParseTree]]:

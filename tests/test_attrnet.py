@@ -9,8 +9,9 @@ from skelcap.attrnet import (HIDDEN_TAPS, AttrConfigError, AttributeGenerator,
                              AttrTrainingItem, build_training_items, check_conditioning)
 from skelcap.corpus import (BOS, EOS, SynthConfig, build_vocab, synth_generate)
 from skelcap.recurrent import BatchTable, cell_forward, length_batches
-from skelcap.skelnet import TRACE_BATCH, SkeletonGenerator, SkelState
+from skelcap.skelnet import TRACE_BATCH, SkeletonGenerator, SkelState, TeacherTrace
 
+from test_decode import _GridModel
 from test_numerics import grad_check
 from test_skelnet import refine_attention
 
@@ -397,3 +398,54 @@ def test_load_rejects_wrong_vocab(attr_vocab, skel_model, tmp_path):
     other = build_vocab([["zzz"]], 1)
     with pytest.raises(nm.NumericsError):
         AttributeGenerator.load(p, other)
+
+
+def _refined(L, logits, p_grid, lengths, alpha=None):
+    """The post-word maps ``word_conditioning`` gives words of the given
+    logits (N, Q) and per-location distributions (N, L, L, Q), the words
+    split into records of ``lengths``, each (L, L) in float64."""
+    from skelcap.attrnet import word_conditioning
+    N = len(logits)
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    alpha = np.full((N, L * L), 1.0 / (L * L), np.float32) if alpha is None else alpha
+    states = np.zeros((N, 1), dtype=np.float32)
+    trace = TeacherTrace(alpha, np.zeros((N, 1), np.float32), states, states, states,
+                         np.asarray(logits, np.float32), np.zeros(N, np.int64), offsets)
+    grids = [p_grid[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return word_conditioning(_GridModel(L, grids), trace, [None] * len(lengths),
+                             use_post_word_alpha=True).post_alpha
+
+
+def test_refinement_algebra_on_the_production_path():
+    # acceptance criterion 3's algebra, run through word_conditioning rather
+    # than its oracle: hand cases on a 2x2 grid within 1e-9, and every
+    # refined map of random words summing to 1 within 1e-6
+    one, even = [0.0, -1000.0], [0.0, 0.0]  # p_attend exactly (1, 0) and (.5, .5)
+    pre_word = np.array([[0.1, 0.2, 0.3, 0.4]], np.float32)
+    cases = [
+        (one, [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5], [0.5, 0.5]], None,
+         [0.45, 0.05, 0.25, 0.25]),
+        (one, [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], None,
+         [1 / 3, 2 / 3, 0.0, 0.0]),
+        (even, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], None,
+         [0.25, 0.25, 0.25, 0.25]),
+        # no similarity at all: the pre-word map is kept
+        (one, [[0.0, 1.0]] * 4, pre_word, pre_word[0]),
+    ]
+    hand_err = 0.0
+    for logits, grid, alpha, want in cases:
+        post = _refined(2, [logits], np.array(grid).reshape(1, 2, 2, 2), [1], alpha)
+        hand_err = max(hand_err, float(np.max(np.abs(post.reshape(4) - want))))
+    assert hand_err <= 1e-9
+    rng = np.random.default_rng(123)
+    worst_sum, maps = 0.0, 0
+    for L in (2, 3, 4):
+        for Q in range(2, 9):
+            lengths = rng.integers(1, 12, size=6)
+            N = int(lengths.sum())
+            logits = rng.normal(size=(N, Q)) * 3
+            posts = _refined(L, logits, rng.random((N, L, L, Q)) + 1e-6, lengths)
+            assert posts.shape == (N, L, L)
+            worst_sum = max(worst_sum, float(np.max(np.abs(posts.sum(axis=(1, 2)) - 1.0))))
+            maps += N
+    assert maps > 500 and worst_sum <= 1e-6

@@ -2,21 +2,26 @@
 
 ``perfbench/tracing.py`` times decoding through proxies that forward named
 model methods, and its training probe tapes ``sequence_loss`` and
-``batch_loss``, runs ``nm.backward`` on them and steps Adagrad. Renaming or
-deleting any of those, or changing how they are called, breaks the traced
-run, which the untraced one cannot show; these tests can.
+``batch_loss``, runs ``nm.backward`` on them and steps Adagrad. The traced
+``corpus-eval`` run times ``treebank.read_trees``, ``decompose`` on each tree
+and ``corpus.read_features`` one by one. Renaming or deleting any of those,
+or changing how they are called or what they return, breaks the traced run,
+which the untraced one cannot show; these tests can.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from skelcap import corpus, treebank
 from skelcap import numerics as nm
 from skelcap.attrnet import AttributeGenerator, build_training_items
 from skelcap.corpus import SynthConfig, build_vocab, synth_generate
 from skelcap.decode import caption
+from skelcap.decompose import decompose
 from skelcap.skelnet import SkeletonGenerator
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,14 +30,22 @@ SPANS = ("skelnet.init", "skelnet.step", "skelnet.refine", "decode.skel_beam",
          "attrnet.init_input", "attrnet.init", "attrnet.step", "decode.attr_beam")
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def _perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import tracing
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return tracing
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _perfbench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench_module("workloads")
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +104,20 @@ def test_training_probe_tapes_and_backpropagates(tracing, fitted):
         assert all(model.store[name].grad is None for name in before)
         assert any(not np.array_equal(model.store[name].data, value)
                    for name, value in before.items())
+
+
+def test_reader_calls_of_the_traced_run(workloads, tmp_path):
+    # a split written as the benchmark writes its own, then read as its
+    # traced run reads it layer by layer, and as load_records reads it whole
+    recs = synth_generate(SynthConfig(count=12, grid_size=2, feature_dim=16), seed=3).records
+    files = [tmp_path / name for name in ("eval.captions.tsv", "eval.trees.txt",
+                                          "eval.features.bin")]
+    corpus.write_captions(files[0], recs)
+    corpus.write_trees(files[1], recs)
+    corpus.write_features(files[2], recs)
+    trees = list(treebank.read_trees(files[1]))
+    assert [decompose(tree) for _, tree in trees] == [r.decomposition for r in recs]
+    grids = corpus.read_features(files[2])
+    assert list(grids) == [r.image_id for r in recs]
+    assert all(np.array_equal(grids[r.image_id].values, r.features.values) for r in recs)
+    assert workloads._same_records(corpus.load_records(*files), recs) is None

@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelcap.decompose import (DecomposeError, DecomposedCaption, SkeletonToken,
                                decompose, format_decomposition, fuse,
                                fuse_predicted)
-from skelcap.treebank import ParseNode, ParseTree, base_label, parse_bracketed
+from skelcap.treebank import ParseNode, ParseTree, parse_bracketed
 
 
 def leaves(tree):
@@ -140,6 +142,29 @@ def test_roundtrip_random_trees(src):
 
 
 # -- the two-walk decomposition, kept as the reference ------------------------
+
+def base_label(label):
+    """Strip functional-tag suffixes (after ``-`` or ``=``), keeping the base category."""
+    for sep in "-=":
+        idx = label.find(sep, 1)
+        if idx > 0:
+            label = label[:idx]
+    return label
+
+
+def test_np_test_matches_base_label():
+    # decompose tests a label for NP by its prefix; on every label of up to
+    # six characters over N, P, X, "-", "=" and "a" that agrees with
+    # stripping the functional tags
+    mismatched = []
+    for size in range(1, 7):
+        for label in map("".join, itertools.product("NPX-=a", repeat=size)):
+            d = decompose(ParseTree(ParseNode(label, children=(
+                ParseNode("DT", token="a"), ParseNode("NN", token="dog")))))
+            if d.skeleton[-1].is_np_head != (base_label(label) == "NP"):
+                mismatched.append(label)
+    assert mismatched == []
+
 
 def _is_np(node):
     return not node.is_leaf and base_label(node.label) == "NP"

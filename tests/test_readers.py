@@ -6,6 +6,7 @@ file as it was, or write what their reader reads back as the same value."""
 import functools
 import json
 import re
+import struct
 import types
 
 import numpy as np
@@ -85,6 +86,30 @@ def _contents(valid):
                      edit.map(lambda e: valid[:e[0]] + e[2] + valid[e[0] + e[1]:]))
 
 
+def _trees_come_back(trees, path):
+    """Trees ``read_trees`` accepted, written back and read again: equal node
+    for node, in order."""
+    corpus.write_trees(path, [types.SimpleNamespace(tree=tree) for _, tree in trees])
+    assert [tree for _, tree in treebank.read_trees(path)] == [tree for _, tree in trees]
+
+
+def _grids_come_back(grids, path):
+    """Grids ``read_features`` accepted, written back and read again: the same
+    ids in order, each grid byte-equal with its dtype and shape."""
+    corpus.write_features(path, [types.SimpleNamespace(image_id=image_id, features=grid)
+                                 for image_id, grid in grids.items()])
+    again = corpus.read_features(path)
+    assert list(again) == list(grids)
+    for image_id, grid in grids.items():
+        got, want = again[image_id].values, grid.values
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape, image_id
+        assert got.tobytes() == want.tobytes(), image_id
+
+
+# readers whose accepted result is written back with the package's writer
+ROUND_TRIPS = {"trees": _trees_come_back, "features": _grids_come_back}
+
+
 @pytest.mark.parametrize("kind", sorted(READERS))
 @FUZZ
 @given(data=st.data())
@@ -93,9 +118,12 @@ def test_reader_returns_or_names_the_file(kind, valid_files, tmp_path, data):
     path = tmp_path / f"fuzz-{kind}"
     path.write_bytes(data.draw(_contents(valid_files[kind]), label="contents"))
     try:
-        read(path)
+        result = read(path)
     except error as exc:
         assert str(exc).startswith(str(path)), str(exc)
+        return
+    if kind in ROUND_TRIPS:
+        ROUND_TRIPS[kind](result, tmp_path / f"again-{kind}")
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
@@ -132,6 +160,123 @@ def test_features_repeated_image_id_named(tmp_path):
                f"of the record at byte 0")
     with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
         corpus.read_features(path)
+
+
+def _feature_record(image_id, values):
+    """The bytes ``write_features`` gives one record, for any float32 values."""
+    ident = image_id.encode("utf-8")
+    L, _, D = values.shape
+    return (struct.pack("<H", len(ident)) + ident + struct.pack("<II", L, D)
+            + values.astype("<f4").tobytes())
+
+
+def _reference_read_features(path):
+    """The former reader, one record at a time, each grid checked on its own:
+    the oracle of ``read_features``'s one array per grid shape."""
+    blob = path.read_bytes()
+    grids, starts = {}, {}
+    off = 0
+    while off < len(blob):
+        start = off
+        try:
+            (id_len,) = struct.unpack_from("<H", blob, off)
+            image_id = blob[off + 2:off + 2 + id_len].decode("utf-8")
+            L, D = struct.unpack_from("<II", blob, off + 2 + id_len)
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise CorpusError(f"{path}: bad record header at byte {start}: {exc}") from None
+        off += 10 + id_len
+        if image_id in starts:
+            raise CorpusError(f"{path}: record {image_id!r} at byte {start} repeats the image "
+                              f"id of the record at byte {starts[image_id]}")
+        starts[image_id] = start
+        count = L * L * D
+        if off + 4 * count > len(blob):
+            raise CorpusError(f"{path}: record {image_id!r} at byte {start} needs {4 * count} "
+                              f"feature bytes from byte {off}, file ends at byte {len(blob)}")
+        try:
+            values = np.frombuffer(blob, "<f4", count, off).reshape(L, L, D).astype(np.float32)
+        except ValueError:
+            raise CorpusError(f"{path}: record {image_id!r} at byte {start}: a {L}x{L}x{D} "
+                              f"grid is too large") from None
+        if not np.isfinite(values).all():
+            raise CorpusError(f"{path}: record {image_id!r} at byte {start}: non-finite "
+                              f"feature values")
+        grids[image_id] = corpus.FeatureGrid(values)
+        off += 4 * count
+    return grids
+
+
+def _features_outcome(read, path):
+    try:
+        return [(i, g.values.dtype, g.values.shape, g.values.tobytes())
+                for i, g in read(path).items()]
+    except CorpusError as exc:
+        return str(exc)
+
+
+# records of a few grid shapes, a 0-sized one among them, with any float32
+# values; ids from a small set, so that some repeat
+_FEATURE_FILES = st.lists(st.tuples(
+    st.sampled_from("abcdefgh"),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (0, 2)]).flatmap(
+        lambda shape: hnp.arrays(np.float32, (shape[0], shape[0], shape[1]),
+                                 elements=st.floats(width=32)))),
+    max_size=6).map(lambda recs: b"".join(_feature_record(*rec) for rec in recs))
+
+
+def _edited(blob):
+    """``blob`` as is, or with a short run of bytes replaced."""
+    edit = st.tuples(st.integers(0, len(blob)), st.integers(0, 8), st.binary(max_size=8))
+    return st.one_of(st.just(blob), edit.map(lambda e: blob[:e[0]] + e[2] + blob[e[0] + e[1]:]))
+
+
+@FUZZ
+@given(data=st.data())
+def test_features_match_reference(tmp_path, data):
+    # the same grids or the same fault, with its message and byte offset
+    blob = data.draw(_FEATURE_FILES.flatmap(_edited), label="contents")
+    path = tmp_path / "f.bin"
+    path.write_bytes(blob)
+    assert (_features_outcome(corpus.read_features, path)
+            == _features_outcome(_reference_read_features, path))
+
+
+@pytest.mark.parametrize("order, named", [
+    ("abct", "b"), ("acb", "c"), ("cab", "c"), ("at", "t"), ("bt", "b"),
+], ids=["second-shape-first", "first-shape-first", "before-its-shape's-good", "header",
+        "values-before-header"])
+def test_features_first_fault_in_file_order_named(tmp_path, order, named):
+    # values are checked one grid shape at a time, after every header; the
+    # fault named is still the first in the file. "a" and "c" are 2x2x1
+    # grids, "b" a 1x1x2 one, "b" and "c" hold a non-finite value, and "t"
+    # is a truncated header
+    bad = np.full((1, 1, 2), 0.5, np.float32)
+    bad[0, 0, 1] = np.nan
+    parts = {"a": _feature_record("a", np.zeros((2, 2, 1), np.float32)),
+             "b": _feature_record("b", bad),
+             "c": _feature_record("c", np.full((2, 2, 1), np.inf, np.float32)),
+             "t": b"\x05\x00"}
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"".join(parts[key] for key in order))
+    at = sum(len(parts[key]) for key in order[:order.index(named)])
+    message = (f"bad record header at byte {at}: " if named == "t"
+               else f"record {named!r} at byte {at}: non-finite feature values")
+    with pytest.raises(CorpusError, match=f"^{re.escape(f'{path}: {message}')}"):
+        corpus.read_features(path)
+
+
+def test_features_empty_grid_too_large_named(tmp_path):
+    # an (L, L, 0) grid holds no bytes, so the file's length does not bound
+    # L; one too large for numpy to shape is named, not a bare ValueError
+    path = tmp_path / "f.bin"
+    L = 2 ** 32 - 1
+    path.write_bytes(_feature_record("a", np.zeros((1, 1, 2), np.float32))
+                     + struct.pack("<H", 1) + b"b" + struct.pack("<II", L, 0))
+    message = f"{path}: record 'b' at byte 19: a {L}x{L}x0 grid is too large"
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        corpus.read_features(path)
+    path.write_bytes(struct.pack("<H", 1) + b"b" + struct.pack("<II", 10 ** 5, 0))
+    assert corpus.read_features(path)["b"].values.shape == (10 ** 5, 10 ** 5, 0)
 
 
 def _checkpoint_lines(path):
@@ -205,6 +350,16 @@ def test_manifest_repeated_split_named(tmp_path):
                                  "val": {"captions": "v.tsv", "count": 1}})
     path.write_text(path.read_text() + "split: train\n  count: 5\n")
     with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:8: split 'train' repeated$"):
+        corpus.read_manifest(path)
+
+
+def test_manifest_repeated_seed_named(tmp_path):
+    # a second "seed:" line would silently replace the first
+    path = tmp_path / "m.txt"
+    corpus.write_manifest(path, {"train": {"captions": "t.tsv", "count": 2}}, seed=4)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([*lines[:2], "seed: 9\n", *lines[2:]]))
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: seed repeated$"):
         corpus.read_manifest(path)
 
 

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skelcap.decompose import SkeletonToken, decompose
-from skelcap.treebank import (MAX_DEPTH, ParseNode, ParseTree, TreeParseError, base_label,
+from skelcap.treebank import (MAX_DEPTH, ParseNode, ParseTree, TreeParseError,
                               parse_bracketed, read_trees, serialize)
 
-from test_decompose import leaves
+from test_decompose import base_label, leaves
 
 
 def test_parse_simple():
