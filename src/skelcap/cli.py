@@ -307,14 +307,17 @@ def cmd_caption(cfg):
             raise corpus.CorpusError(f"--ids: image ids not in split {cfg['split']!r}: "
                                      f"{', '.join(sorted(missing))}")
     out_path = Path(cfg["out"])
-    n = 0
+    # a split holds one record per caption line, and the records of an image
+    # share its one feature grid: each image is captioned once
+    done = set()
     with contextlib.ExitStack() as files:
         fh = files.enter_context(_text_replaced_on_success(out_path))
         trace_fh = files.enter_context(_text_replaced_on_success(Path(cfg["trace"]))) \
             if cfg["trace"] else None
         for rec in records:
-            if wanted is not None and rec.image_id not in wanted:
+            if rec.image_id in done or (wanted is not None and rec.image_id not in wanted):
                 continue
+            done.add(rec.image_id)
             trace = run_caption(
                 rec.features, skel_model, attr_model,
                 gamma_skel=cfg["gamma-skel"], gamma_attr=cfg["gamma-attr"],
@@ -324,8 +327,7 @@ def cmd_caption(cfg):
             fh.write(f"{rec.image_id}\t{' '.join(trace.tokens)}\n")
             if trace_fh:
                 trace_fh.write(f"image: {rec.image_id}\n{trace.render()}\n\n")
-            n += 1
-    print(f"captioned {n} images -> {out_path}")
+    print(f"captioned {len(done)} images -> {out_path}")
     return 0
 
 

@@ -555,9 +555,9 @@ MANIFEST_MAGIC = "skelcap-manifest-v1"
 MANIFEST_KEYS = ("captions", "trees", "features", "count")
 
 
-def _check_manifest_text(what, text):
+def _check_manifest_text(what, text, where=""):
     if not isinstance(text, str) or not text or text != text.strip() or _LINE_BREAKS.search(text):
-        raise CorpusError(f"manifest {what} {text!r} is not a non-empty string without "
+        raise CorpusError(f"{where}manifest {what} {text!r} is not a non-empty string without "
                           f"surrounding whitespace or line breaks")
 
 
@@ -609,6 +609,7 @@ def read_manifest(path):
             seed = _integer(line.split(":", 1)[1], path, lineno, "seed")
         elif line.startswith("split:"):
             current = line.split(":", 1)[1].strip()
+            _check_manifest_text("split name", current, f"{path}:{lineno}: ")
             if current in splits:
                 raise CorpusError(f"{path}:{lineno}: split {current!r} repeated")
             splits[current] = {}
@@ -622,6 +623,8 @@ def read_manifest(path):
             if key in splits[current]:
                 raise CorpusError(f"{path}:{lineno}: entry {key!r} repeated in split "
                                   f"{current!r}")
+            if key != "count":
+                _check_manifest_text(f"split {current!r} {key}", value, f"{path}:{lineno}: ")
             splits[current][key] = (_integer(value, path, lineno, "count") if key == "count"
                                     else value)
         else:

@@ -41,23 +41,17 @@ class BeamConfig:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """Partial or finished sentence; tokens never include EOS.
-
-    ``state`` is the (batch, row) of its state after its last step, and
-    ``states``, when recorded, the (batch, row) of its state after each step.
-    """
+    """Finished sentence; tokens never include EOS. ``states`` is the
+    (batch, row) of its state after each step, the last one its final state."""
 
     tokens: Tuple[int, ...]
     raw_logp: float
     adjusted_logp: float
-    state: object
-    finished: bool = False
-    states: Tuple[object, ...] = ()
+    states: Tuple[object, ...]
 
 
 def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
-                      vocab_size: Optional[int] = None,
-                      record_states: bool = False) -> List[Hypothesis]:
+                      vocab_size: int) -> List[Hypothesis]:
     """Length-factor beam search, for independent searches stepped together.
 
     Search i starts from row i of the batch ``init_states``. A batch of K
@@ -69,9 +63,10 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
     hypothesis), ``new_states`` the batch of their K new states and
     ``log_probs`` a (K, V) array; the survivors' rows of ``new_states`` are
     then taken in one gather. Expansion adds gamma to every candidate word's
-    log-probability except EOS. Each search keeps no finished pool, only
-    its best finished hypothesis: one that reached EOS (its raw score includes
-    the EOS term) or ``max_len``. It stops once it has no live hypothesis, or
+    log-probability except EOS. Each hypothesis records the (batch, row) of
+    its state after every step it took. Each search keeps no finished pool,
+    only its best finished hypothesis: one that reached EOS (its raw score
+    includes the EOS term) or ``max_len``. It stops once it has no live hypothesis, or
     once its best live one cannot beat that winner even gaining
     ``max(gamma, 0)`` at each step left before ``max_len``; with
     log-probabilities <= 0 no later hypothesis could, so the winner is the
@@ -91,14 +86,12 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
     # length and differ in their tokens, and a finished hypothesis's tokens
     # fix the step it ended at. So ranking never ties: it needs no insertion
     # counter and does not depend on the order candidates are made in.
-    # Live hypotheses are tuples (-adjusted, length, tokens, raw, row,
-    # history): row is the hypothesis's row in the batch its last step
+    # Live hypotheses and winners are tuples (-adjusted, length, tokens, raw,
+    # row, history): row is the hypothesis's row in the batch its last step
     # returned, history its recorded (batch, row) pairs; they follow the rows
     # of ``states`` in order.
     live = [[(0.0, 0, (), 0.0, i, ())] for i in range(len(init_states))]
-    # per search its winner so far, (-adjusted, length, tokens, raw,
-    # (batch, row), history), or None
-    best: list = [None] * len(live)
+    best: list = [None] * len(live)  # per search its winner so far, or None
     active = list(range(len(live)))
     states, tokens = init_states, np.full(len(live), BOS, dtype=np.int64)
     with np.errstate(over="ignore"):
@@ -108,11 +101,10 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
             new_states, logps = step_fn(states, tokens)
             logps = np.asarray(logps, dtype=np.float64)
             K = len(tokens)
-            if logps.ndim != 2 or logps.shape[0] != K or \
-                    (vocab_size is not None and logps.shape[1] != vocab_size):
+            if logps.shape != (K, vocab_size):
                 raise BeamError(f"step_fn returned log-probs of shape {logps.shape}, expected "
-                                f"({K}, {vocab_size if vocab_size is not None else 'V'})")
-            n_keep = min(width + 1, logps.shape[1])
+                                f"({K}, {vocab_size})")
+            n_keep = min(width + 1, vocab_size)
             tops = (-logps).argpartition(n_keep - 1, axis=1)[:, :n_keep]
             kept = logps[np.arange(K)[:, None], tops].tolist()
             tops = tops.tolist()
@@ -136,15 +128,11 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
                     k += 1
                 if ended is not None and (best[i] is None or ended < best[i]):
                     neg_adj, n, toks, raw, row, history = ended
-                    ref = (new_states, row)
-                    best[i] = (neg_adj, n, toks, raw, ref,
-                               history + (ref,) if record_states else history)
+                    best[i] = (neg_adj, n, toks, raw, row, history + ((new_states, row),))
                 candidates.sort()
-                del candidates[width:]
-                if record_states:
-                    candidates = [(neg_adj, n, toks, raw, row, history + ((new_states, row),))
-                                  for neg_adj, n, toks, raw, row, history in candidates]
-                live[i] = candidates
+                live[i] = candidates = [
+                    (neg_adj, n, toks, raw, row, history + ((new_states, row),))
+                    for neg_adj, n, toks, raw, row, history in candidates[:width]]
                 if not candidates:
                     continue
                 # the best live hypothesis cannot beat the winner
@@ -159,12 +147,10 @@ def joint_beam_search(step_fn: Callable, init_states, config: BeamConfig,
                 states = new_states.take(np.asarray(rows))
                 tokens = np.asarray(next_tokens, dtype=np.int64)
     for i in active:  # searches that ran to max_len
-        neg_adj, n, toks, raw, row, history = live[i][0]
         if best[i] is None or live[i][0] < best[i]:
-            best[i] = (neg_adj, n, toks, raw, (new_states, row), history)
-    return [Hypothesis(tokens=toks, raw_logp=raw, adjusted_logp=-neg_adj, state=state,
-                       finished=True, states=history)
-            for neg_adj, _, toks, raw, state, history in best]
+            best[i] = live[i][0]
+    return [Hypothesis(tokens=toks, raw_logp=raw, adjusted_logp=-neg_adj, states=history)
+            for neg_adj, _, toks, raw, _, history in best]
 
 
 @dataclass
@@ -221,8 +207,7 @@ def caption(features: FeatureGrid, skel_model, attr_model,
         raise BeamError(f"max_attr_len must be >= 0, got {max_attr_len}")
     step_fn = skel_model.make_step_fn(features)
     init = skel_model.initial_decode_state(features)
-    best = joint_beam_search(step_fn, init, skel_cfg, vocab_size=len(skel_model.vocab),
-                             record_states=True)[0]
+    best = joint_beam_search(step_fn, init, skel_cfg, vocab_size=len(skel_model.vocab))[0]
     if not best.tokens:
         log.warning("empty skeleton output; returning empty caption")
         return CaptionTrace([], [], [], [], [], empty=True)

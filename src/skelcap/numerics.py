@@ -559,12 +559,8 @@ class ParameterStore:
         for key in meta:
             _check_header_text("meta key", key, spaces=False)
         for key, value in sorted(meta.items()):
-            try:
-                text = json.dumps(value, separators=(',', ':'), sort_keys=True)
-                same = json.loads(text) == value
-            except (TypeError, ValueError):
-                same = False
-            if not same:
+            text = _meta_text(value)
+            if text is None:
                 raise NumericsError(f"meta {key!r}: {value!r} does not read back from JSON "
                                     f"as itself")
             header.append(f"meta {key} {text}")
@@ -603,9 +599,11 @@ class ParameterStore:
     @classmethod
     def load(cls, path, expect_model=None, expect_vocab_hashes=None):
         """Read a checkpoint written by ``save``. Checks in order that every
-        header line parses, the ``meta model`` kind, the vocabulary hashes and
-        that the payload holds every header entry, all of it finite; each
-        failure names ``path`` (and the header line where there is one)."""
+        header line parses (the step count, a meta key and a vocabulary hash
+        key at most once, each meta value one that ``save`` could write), the
+        ``meta model`` kind, the vocabulary hashes and that the payload holds
+        every header entry, all of it finite; each failure names ``path``
+        (and the header line where there is one)."""
         with open(path, "rb") as fh:
             blob = fh.read()
         end = blob.find(b"\nend-header\n")
@@ -623,17 +621,25 @@ class ParameterStore:
         meta = {}
         vocab_hashes = {}
         entries = []
+        step_count_read = False
         for lineno, line in enumerate(lines[1:], start=2):
             kind, _, rest = line.partition(" ")
             try:
                 if kind == "step_count":
-                    store.step_count = int(rest)
-                elif kind == "vocab_hash":
+                    if step_count_read:
+                        raise ValueError("step_count repeated")
+                    store.step_count, step_count_read = int(rest), True
+                elif kind in ("vocab_hash", "meta"):
                     key, _, value = rest.partition(" ")
-                    vocab_hashes[key] = value
-                elif kind == "meta":
-                    key, _, value = rest.partition(" ")
-                    meta[key] = json.loads(value)
+                    found = vocab_hashes if kind == "vocab_hash" else meta
+                    if key in found:
+                        raise ValueError(f"{kind} {key!r} repeated")
+                    if kind == "meta":
+                        value = json.loads(value)
+                        if _meta_text(value) is None:
+                            raise ValueError(f"meta {key!r} does not read back from JSON as "
+                                             f"itself")
+                    found[key] = value
                 elif kind in ("tensor", "accumulator"):
                     name, shape_s, off_s = rest.rsplit(" ", 2)
                     shape = () if shape_s == "scalar" else tuple(map(int, shape_s.split(",")))
@@ -642,7 +648,7 @@ class ParameterStore:
                     entries.append((lineno, kind, name, shape, int(off_s)))
                 else:
                     raise ValueError("unknown header line")
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # JSON nested too deeply
                 raise NumericsError(f"{path}:{lineno}: {exc}: {line!r}") from None
         if expect_model is not None and meta.get("model") != expect_model:
             raise NumericsError(f"{path}: {meta.get('model')} checkpoint, expected {expect_model}")
@@ -685,6 +691,16 @@ class ParameterStore:
         store.meta = meta
         store.vocab_hashes = vocab_hashes
         return store
+
+
+def _meta_text(value):
+    """The JSON text of a meta value, or None unless JSON reads it back as
+    an equal value."""
+    try:
+        text = json.dumps(value, separators=(',', ':'), sort_keys=True)
+        return text if json.loads(text) == value else None
+    except (TypeError, ValueError, RecursionError):
+        return None
 
 
 def _check_header_text(what, text, spaces=True):

@@ -53,15 +53,6 @@ class TeacherTrace(NamedTuple):
     offsets: np.ndarray  # (R + 1,) first row of each record, then N
 
 
-def add_grad(grads, name, g):
-    """Adds ``g`` to ``grads[name]``; the first contribution is written as
-    ``g + 0.0``, as ``Tensor._accumulate`` writes it."""
-    if name in grads:
-        grads[name] += g
-    else:
-        grads[name] = g + 0.0
-
-
 class _Grid(NamedTuple):
     """What the input step reads besides the states and the previous words:
     a batch's feature grid (B, P, D), or one image's (1, P, D) shared by a
@@ -191,15 +182,14 @@ class SkeletonGenerator(RecurrentDecoder):
         attention). ``att_U`` takes one (B, D, A) sum per step, as the tape
         does."""
         m = self.embed_size
-        add_grad(grads, "embed", nm.gather_rows_backward(gx[:, :m], inp.prev,
-                                                         self.store["embed"].data))
+        grads["embed"] += nm.gather_rows_backward(gx[:, :m], inp.prev, self.store["embed"].data)
         if inp.att is None:
             return None
         dalpha, _ = nm.weighted_sum_backward(gx[:, m:], inp.ws, (True, False))
         du, dh, dV, db, dw = nm.attention_backward(dalpha, inp.att)
         _, dU = nm.matmul_backward(du, inp.grid.feats, self.store["att_U"].data, (False, True))
         for name, g in (("att_U", dU), ("att_V", dV), ("att_b", db), ("att_w", dw)):
-            add_grad(grads, name, g)
+            grads[name] += g
         return dh
 
     def _teacher_steps(self, batch, S):
@@ -224,8 +214,8 @@ class SkeletonGenerator(RecurrentDecoder):
         for y, g, W, b in ((h0, gh, "init_Wh", "init_bh"), (c0, gc, "init_Wc", "init_bc")):
             _, dW, db = nm.affine_backward(nm.tanh_backward(g, y), grid.mean, p[W].data,
                                            p[b].data, need_x=False)
-            add_grad(grads, W, dW)
-            add_grad(grads, b, db)
+            grads[W] += dW
+            grads[b] += db
 
     def teacher_forced_loss(self, batch, grads=None):
         """The loss of ``sequence_loss`` on one batch of ``_table``, as a
@@ -235,9 +225,8 @@ class SkeletonGenerator(RecurrentDecoder):
         The gradients are those ``nm.backward`` gives the taped loss, bit for
         bit, because they are summed in the tape's order: ``out_W`` and
         ``out_b`` in step order, every other parameter in reverse step order,
-        a parameter's first contribution as ``g + 0.0``; the gradient of a
-        hidden state as its logits term, then its LSTM term, then its input
-        step's term.
+        each onto a buffer that starts at zero; the gradient of a hidden state
+        as its logits term, then its LSTM term, then its input step's term.
         """
         seqs = np.asarray(batch[-1])
         loss, steps = None, []
@@ -250,13 +239,14 @@ class SkeletonGenerator(RecurrentDecoder):
                     steps.append((h_prev, c_prev, h, inp, cell, nll))
         if grads is None:
             return float(loss)
+        grads.update((name, np.zeros_like(t.data)) for name, t in self.store.params.items())
         out_W, out_b = self.store["out_W"].data, self.store["out_b"].data
         one = np.ones_like(loss)
         gh_out = []  # the logits term of each step's h'
         for _, _, h, _, _, nll in steps:
             dh, dW, db = nm.affine_backward(nm.nll_backward(one, nll), h, out_W, out_b)
-            add_grad(grads, "out_W", dW)
-            add_grad(grads, "out_b", db)
+            grads["out_W"] += dW
+            grads["out_b"] += db
             gh_out.append(dh)
         gh, gc = gh_out[-1], None
         for t in reversed(range(len(steps))):
@@ -264,8 +254,8 @@ class SkeletonGenerator(RecurrentDecoder):
             d_o, gc_h = nm.lstm_h_backward(gh, cell)
             gc = gc_h if gc is None else gc + gc_h
             dx, dh, gc, dW, db = nm.lstm_backward(gc, d_o, cell)
-            add_grad(grads, "lstm_W", dW)
-            add_grad(grads, "lstm_b", db)
+            grads["lstm_W"] += dW
+            grads["lstm_b"] += db
             gh_in = self._input_backward(inp, dx, grads)
             gh = dh if t == 0 else gh_out[t - 1] + dh
             if gh_in is not None:

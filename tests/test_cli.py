@@ -379,6 +379,30 @@ def test_caption_id_subset_and_trace(workspace, tmp_path):
     assert f"image: {first_id}" in text and "alpha[step 0]:" in text
 
 
+def test_caption_one_line_per_image(workspace, tmp_path, capsys):
+    # a split with two caption lines for one image (as multi-reference
+    # splits have) captions that image once, where its first line stands
+    ws, data = _copied_data(workspace, tmp_path)
+    caps, trees = data / "test.captions.tsv", data / "test.trees.txt"
+    cap_lines = caps.read_text().splitlines(keepends=True)
+    tree_lines = trees.read_text().splitlines(keepends=True)
+    first_id = cap_lines[0].split("\t")[0]
+    caps.write_text("".join(cap_lines) + first_id + "\t" + cap_lines[1].split("\t", 1)[1])
+    trees.write_text("".join(tree_lines) + tree_lines[1])
+    manifest = data / "manifest.txt"
+    text = manifest.read_text()
+    at = text.index("split: test")
+    manifest.write_text(text[:at] + text[at:].replace("  count: 10", "  count: 11", 1))
+    once, twice = tmp_path / "once.tsv", tmp_path / "twice.tsv"
+    assert run(*_caption_args(workspace, once, "--trace", str(tmp_path / "once.txt"))) == 0
+    capsys.readouterr()
+    assert run(*_caption_args(ws, twice, "--trace", str(tmp_path / "twice.txt"))) == 0
+    assert capsys.readouterr().out == f"captioned 10 images -> {twice}\n"
+    assert twice.read_bytes() == once.read_bytes()
+    assert (tmp_path / "twice.txt").read_bytes() == (tmp_path / "once.txt").read_bytes()
+    assert len(once.read_text().splitlines()) == 10
+
+
 def test_caption_ids_not_in_split(workspace, tmp_path, capsys):
     # an id the split lacks fails the run, naming the split and every missing
     # id, and leaves an existing output file untouched
@@ -622,6 +646,29 @@ def test_caption_malformed_checkpoint_header(workspace, tmp_path, capsys, entry)
         workspace, tmp_path, lambda b: b.replace(header[line] + b"\n", entry + b"\n", 1))
     assert run(*_with_attr_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
     assert f"error: {ckpt}:{line + 1}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prefix, repeat", [
+    (b"step_count ", b"step_count 999"),
+    (b"meta model ", b'meta model "skeleton"'),
+    (b"vocab_hash ", None),
+    (b"meta model ", b"meta note NaN"),
+], ids=["step-count", "meta", "vocab-hash", "meta-nan"])
+def test_caption_checkpoint_header_line_not_read_back(workspace, tmp_path, capsys, prefix,
+                                                      repeat):
+    # a second header line of one key would silently override the first, and
+    # a meta value JSON does not read back as itself would not save again
+    blob = (workspace["attr"] / "attr.ckpt").read_bytes()
+    header = blob[:blob.index(b"\nend-header\n")].split(b"\n")
+    line = next(i for i, h in enumerate(header) if h.startswith(prefix))
+    repeat = repeat or header[line]
+    ckpt = _edited_attr_checkpoint(
+        workspace, tmp_path, lambda b: b.replace(header[line] + b"\n",
+                                                 header[line] + b"\n" + repeat + b"\n", 1))
+    assert run(*_with_attr_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {ckpt}:{line + 2}: " in err
+    assert ("does not read back" if b"NaN" in repeat else "repeated") in err
 
 
 def test_caption_malformed_tree(workspace, tmp_path, capsys):

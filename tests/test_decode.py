@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -96,8 +96,22 @@ def _sort_key(h):
     return (-h.adjusted_logp, len(h.tokens), h.tokens)
 
 
-def reference_beam_search(step_fn, init_state, config, vocab_size=None, record_states=False,
-                          exits=None, winner=False):
+@dataclass(frozen=True)
+class RefHypothesis:
+    """The scalar reference's hypothesis, live or finished; tokens never
+    include EOS. ``state`` is its state after its last step (the initial
+    state before its first), ``states`` its state after each step."""
+
+    tokens: tuple
+    raw_logp: float
+    adjusted_logp: float
+    state: object
+    finished: bool = False
+    states: tuple = ()
+
+
+def reference_beam_search(step_fn, init_state, config, vocab_size=None, exits=None,
+                          winner=False):
     """The scalar beam search: one ``step_fn(state, token)`` call per live
     hypothesis, keeping a finished pool capped at ``beam_size``.
 
@@ -109,7 +123,7 @@ def reference_beam_search(step_fn, init_state, config, vocab_size=None, record_s
     ("winner_decided", steps) or ("flush", max_len) when it ran to
     ``max_len``."""
     gamma = config.gamma
-    live = [Hypothesis(tokens=(), raw_logp=0.0, adjusted_logp=0.0, state=init_state)]
+    live = [RefHypothesis(tokens=(), raw_logp=0.0, adjusted_logp=0.0, state=init_state)]
     finished = []
 
     for step in range(config.max_len):
@@ -123,18 +137,18 @@ def reference_beam_search(step_fn, init_state, config, vocab_size=None, record_s
                     f"step_fn returned {logps.shape[0]} log-probs, expected {vocab_size}")
             n_keep = min(config.beam_size + 1, logps.shape[0])
             top = np.argpartition(-logps, n_keep - 1)[:n_keep]
-            states = hyp.states + (new_state,) if record_states else ()
+            states = hyp.states + (new_state,)
             for tok in sorted(top.tolist()):
                 lp = float(logps[tok])
                 raw = hyp.raw_logp + lp
                 if tok == EOS:
-                    candidates.append(Hypothesis(
+                    candidates.append(RefHypothesis(
                         tokens=hyp.tokens, raw_logp=raw,
                         adjusted_logp=score_adjust(raw, len(hyp.tokens), gamma),
                         state=new_state, finished=True, states=states))
                 else:
                     tokens = hyp.tokens + (tok,)
-                    candidates.append(Hypothesis(
+                    candidates.append(RefHypothesis(
                         tokens=tokens, raw_logp=raw,
                         adjusted_logp=score_adjust(raw, len(tokens), gamma),
                         state=new_state, states=states))
@@ -172,8 +186,8 @@ def reference_beam_search(step_fn, init_state, config, vocab_size=None, record_s
 
 
 def _summary(hyps, resolve=lambda state: state):
-    return [(h.tokens, h.raw_logp, h.adjusted_logp, h.finished, resolve(h.state),
-             tuple(map(resolve, h.states))) for h in hyps]
+    return [(h.tokens, h.raw_logp, h.adjusted_logp, tuple(map(resolve, h.states)))
+            for h in hyps]
 
 
 def make_tied_lm(vocab_size, seed, eos_bias):
@@ -201,14 +215,13 @@ def _joint_vs_reference(lms, vocab_size, config):
         return lms[state[0]](state, token)
 
     inits = [(i, ()) for i in range(len(lms))]
-    joint = joint_beam_search(batched(step), Rows(inits), config, vocab_size=vocab_size,
-                              record_states=True)
+    joint = joint_beam_search(batched(step), Rows(inits), config, vocab_size=vocab_size)
     assert len(joint) == len(inits)
     exits = []
     for init, hyp in zip(inits, joint):
         full_exits = []
-        ref = reference_beam_search(step, init, config, vocab_size=vocab_size,
-                                    record_states=True, exits=exits, winner=True)
+        ref = reference_beam_search(step, init, config, vocab_size=vocab_size, exits=exits,
+                                    winner=True)
         reference_beam_search(step, init, config, vocab_size=vocab_size, exits=full_exits)
         assert _summary([hyp], _state) == _summary([ref])
         assert exits[-1][1] <= full_exits[0][1]
@@ -358,25 +371,48 @@ def test_tie_breaking_prefers_short_then_lexicographic():
 
 
 def test_beam_returns_its_finished_winner():
+    # a winner's raw score holds its EOS term unless it ran to max_len, and
+    # its adjusted score adds gamma per token
+    config = BeamConfig(beam_size=3, gamma=0.5, max_len=4)
+    ended = set()
     for seed in range(8):
-        step_fn, _ = make_toy_lm(4, seed)
-        hyp = joint_beam_search(batched(step_fn), Rows([()]),
-                                BeamConfig(beam_size=3, max_len=4), vocab_size=4)[0]
-        assert isinstance(hyp, Hypothesis) and hyp.finished
+        step_fn, logps_for = make_toy_lm(4, seed)
+        hyp = joint_beam_search(batched(step_fn), Rows([()]), config, vocab_size=4)[0]
+        assert isinstance(hyp, Hypothesis)
+        raw = 0.0
+        for i, tok in enumerate(hyp.tokens):
+            raw += float(logps_for((BOS,) + hyp.tokens[:i])[tok])
+        if len(hyp.tokens) < config.max_len:
+            raw += float(logps_for((BOS,) + hyp.tokens)[EOS])
+        assert hyp.raw_logp == raw
+        assert hyp.adjusted_logp == score_adjust(raw, len(hyp.tokens), config.gamma)
+        ended.add(len(hyp.tokens) < config.max_len)
+    assert ended == {True, False}
 
 
-def test_record_states_tracks_steps():
+def test_every_winner_records_its_steps():
+    # every winner of a joint search records the (batch, row) of its state
+    # after each step it took: after step t a toy state has consumed BOS and
+    # the first t tokens, and the last record is the state its last step left
     lengths = set()
-    for seed in range(3, 11):
-        step_fn, _ = make_toy_lm(4, seed)
-        hyp = joint_beam_search(batched(step_fn), Rows([()]),
-                                BeamConfig(beam_size=2, max_len=4), vocab_size=4,
-                                record_states=True)[0]
-        # one recorded state per consumed step (EOS step included)
-        consumed = len(hyp.tokens) + (1 if len(hyp.tokens) < 4 else 0)
-        assert len(hyp.states) == consumed
-        lengths.add(len(hyp.tokens))
-    assert len(lengths) > 1
+    for seed in range(8):
+        lms = [make_tied_lm(4, seed * 3 + i, bias) for i, bias in enumerate((-1.5, 0.0, 3.0))]
+
+        def step(state, token):
+            return lms[state[0]](state, token)
+
+        for config in (BeamConfig(beam_size=2, max_len=4),
+                       BeamConfig(beam_size=3, gamma=1.0, max_len=3)):
+            winners = joint_beam_search(batched(step), Rows([(i, ()) for i in range(3)]),
+                                        config, vocab_size=4)
+            for i, hyp in enumerate(winners):
+                steps = min(len(hyp.tokens) + 1, config.max_len)
+                assert [batch.t for batch, _ in hyp.states] == list(range(1, steps + 1))
+                assert [_state(ref) for ref in hyp.states] == \
+                    [(i, (BOS,) + hyp.tokens[:t]) for t in range(steps)]
+                lengths.add((len(hyp.tokens), config.max_len))
+    assert {n < max_len for n, max_len in lengths} == {True, False}
+    assert len({n for n, _ in lengths}) > 2
 
 
 def test_vocab_size_mismatch_raises():
@@ -415,10 +451,9 @@ def test_winner_stop_returns_the_full_pools_first(data):
     step = make_tied_lm(V, data.draw(st.integers(0, 2**16), label="seed"),
                         data.draw(st.sampled_from([-1.5, -1.0, -0.5, 0.0]), label="eos_bias"))
     full_exits, winner_exits = [], []
-    full = reference_beam_search(step, (0, ()), config, vocab_size=V, record_states=True,
-                                 exits=full_exits)
-    won = reference_beam_search(step, (0, ()), config, vocab_size=V, record_states=True,
-                                exits=winner_exits, winner=True)
+    full = reference_beam_search(step, (0, ()), config, vocab_size=V, exits=full_exits)
+    won = reference_beam_search(step, (0, ()), config, vocab_size=V, exits=winner_exits,
+                                winner=True)
     assert _summary([won]) == _summary(full[:1])
     assert winner_exits[0][1] <= full_exits[0][1]
 
@@ -439,7 +474,8 @@ def test_joint_search_covers_every_exit():
 
 
 def test_joint_search_without_searches():
-    assert joint_beam_search(batched(make_tied_lm(3, 0, 0.0)), Rows([]), BeamConfig()) == []
+    assert joint_beam_search(batched(make_tied_lm(3, 0, 0.0)), Rows([]), BeamConfig(),
+                             vocab_size=3) == []
 
 
 def test_live_states_carry_the_beam_step():
@@ -616,8 +652,7 @@ def _counting(make_step_fn, calls):
     return make
 
 
-def _reference_steps(step_fn, init_state, config, vocab_size, record_states=False,
-                     winner=False):
+def _reference_steps(step_fn, init_state, config, vocab_size, winner=False):
     """Beam steps the scalar reference takes, one hypothesis per call,
     counted by each state's depth rather than read from its ``t``, and its
     result."""
@@ -630,7 +665,7 @@ def _reference_steps(step_fn, init_state, config, vocab_size, record_states=Fals
         return new, logps[0]
 
     result = reference_beam_search(one, init_state, config, vocab_size=vocab_size,
-                                   record_states=record_states, winner=winner)
+                                   winner=winner)
     return len(steps), result
 
 
@@ -737,15 +772,54 @@ def test_caption_recorded_rows_match_single_hypothesis_steps(pipeline, monkeypat
         won.clear()
         _, (ref, *_) = _reference_steps(skel.make_step_fn(rec.features),
                                         skel.init_state(rec.features), config,
-                                        len(skel.vocab), record_states=True)
+                                        len(skel.vocab))
         assert (best.tokens, best.raw_logp, best.adjusted_logp) == \
             (ref.tokens, ref.raw_logp, ref.adjusted_logp)
         assert len(best.states) == len(ref.states)
-        for (batch, row), one in zip(best.states + (best.state,), ref.states + (ref.state,)):
+        for (batch, row), one in zip(best.states, ref.states):
             for key in _STEP_KEYS:
                 assert np.array_equal(getattr(batch, key)[row], getattr(one, key)[0]), key
         for alpha, one in zip(trace.alphas, ref.states):
             assert np.array_equal(alpha, one.alpha[0].reshape(L, L))
+
+
+def test_every_winner_of_caption_records_its_steps(pipeline, monkeypatch):
+    # both of caption's searches, the skeleton's and the attributes', record
+    # for every winner one (batch, row) per step it took, each the state the
+    # scalar reference reaches through one-row steps
+    import skelcap.decode as decode
+    recs, skel, attr = pipeline
+    searches = []
+    real_search = decode.joint_beam_search
+
+    def spy(step_fn, init_states, config, vocab_size):
+        winners = real_search(step_fn, init_states, config, vocab_size)
+        searches.append((step_fn, init_states, config, vocab_size, winners))
+        return winners
+
+    monkeypatch.setattr(decode, "joint_beam_search", spy)
+    saved = skel.store["out_b"].data.copy()
+    skel.store["out_b"].data[EOS] = -5.0  # the untrained decoder says several words
+    try:
+        trace = caption(recs[0].features, skel, attr, beam_skel=3, beam_attr=2,
+                        max_skel_len=6, max_attr_len=4)
+        assert len(searches) == 2 and len(searches[1][4]) == len(trace.skeleton_words)
+        steps_seen = set()
+        for step_fn, init_states, config, vocab_size, winners in searches:
+            assert len(winners) == len(init_states)
+            for i, hyp in enumerate(winners):
+                steps = min(len(hyp.tokens) + 1, config.max_len)
+                assert [batch.t for batch, _ in hyp.states] == list(range(1, steps + 1))
+                _, ref = _reference_steps(step_fn, init_states.take([i]), config, vocab_size,
+                                          winner=True)
+                assert ref.tokens == hyp.tokens and len(ref.states) == steps
+                for (batch, row), one in zip(hyp.states, ref.states):
+                    assert np.array_equal(batch.h[row], one.h[0])
+                    assert np.array_equal(batch.c[row], one.c[0])
+                steps_seen.add(steps)
+    finally:
+        skel.store["out_b"].data[...] = saved
+    assert len(steps_seen) > 1
 
 
 @pytest.mark.parametrize("beam", [3, 5])
@@ -784,7 +858,7 @@ def test_no_attention_batched_rows_match_single_hypothesis_steps(pipeline, monke
     assert max(widths) == beam
 
 
-def _full_pool_search(step_fn, init_states, config, vocab_size=None, record_states=False):
+def _full_pool_search(step_fn, init_states, config, vocab_size):
     """``joint_beam_search`` through the full-pool scalar reference: each
     search alone on one-row batches, its pool's first entry as the winner."""
 
@@ -794,10 +868,9 @@ def _full_pool_search(step_fn, init_states, config, vocab_size=None, record_stat
 
     winners = []
     for i in range(len(init_states)):
-        best = reference_beam_search(one, init_states.take([i]), config, vocab_size,
-                                     record_states)[0]
-        winners.append(replace(best, state=(best.state, 0),
-                               states=tuple((state, 0) for state in best.states)))
+        best = reference_beam_search(one, init_states.take([i]), config, vocab_size)[0]
+        winners.append(Hypothesis(best.tokens, best.raw_logp, best.adjusted_logp,
+                                  tuple((state, 0) for state in best.states)))
     return winners
 
 

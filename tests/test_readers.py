@@ -106,8 +106,51 @@ def _grids_come_back(grids, path):
         assert got.tobytes() == want.tobytes(), image_id
 
 
+def _vocabulary_comes_back(vocab, path):
+    """A vocabulary ``Vocabulary.load`` accepted, saved and loaded again: the
+    same tokens in order, counts and threshold."""
+    vocab.save(path)
+    again = Vocabulary.load(path)
+    assert (again.index_to_token, again.counts, again.threshold) == \
+        (vocab.index_to_token, vocab.counts, vocab.threshold)
+
+
+def _manifest_comes_back(manifest, path):
+    """The (splits, seed) ``read_manifest`` accepted, written back and read
+    again: equal."""
+    corpus.write_manifest(path, *manifest)
+    assert corpus.read_manifest(path) == manifest
+
+
+def _captions_come_back(captions, path):
+    """Captions the eval reader accepted (image id -> token lists), written
+    back one line per caption and read again: equal, in order."""
+    corpus.write_captions(path, [types.SimpleNamespace(image_id=image_id, raw=" ".join(tokens))
+                                 for image_id, lists in captions.items() for tokens in lists])
+    again = cli._read_caption_file(path)
+    assert list(again.items()) == list(captions.items())
+
+
+def _checkpoint_comes_back(store, path):
+    """A checkpoint ``ParameterStore.load`` accepted, saved and loaded again:
+    the same step count, meta, vocabulary hashes, and each tensor and
+    accumulator byte-equal with its dtype and shape."""
+    store.save(path, meta=store.meta, vocab_hashes=store.vocab_hashes)
+    again = ParameterStore.load(path)
+    assert (again.step_count, again.meta, again.vocab_hashes) == \
+        (store.step_count, store.meta, store.vocab_hashes)
+    assert sorted(again.names()) == sorted(store.names())
+    for name in store.names():
+        for got, want in ((again[name].data, store[name].data),
+                          (again.accumulators[name], store.accumulators[name])):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
 # readers whose accepted result is written back with the package's writer
-ROUND_TRIPS = {"trees": _trees_come_back, "features": _grids_come_back}
+ROUND_TRIPS = {"trees": _trees_come_back, "features": _grids_come_back,
+               "vocabulary": _vocabulary_comes_back, "manifest": _manifest_comes_back,
+               "captions": _captions_come_back, "checkpoint": _checkpoint_comes_back}
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
@@ -331,6 +374,28 @@ def test_checkpoint_accumulator_fault_named(tmp_path, edit, shift, message):
         ParameterStore.load(path)
 
 
+@pytest.mark.parametrize("prefix, repeat, message", [
+    ("step_count ", "step_count 999", "step_count repeated"),
+    ("meta model ", 'meta model "attribute"', "meta 'model' repeated"),
+    ("vocab_hash v ", "vocab_hash v def", "vocab_hash 'v' repeated"),
+    ("meta model ", "meta note NaN", "meta 'note' does not read back from JSON as itself"),
+    ("meta model ", "meta deep " + "[" * 10 ** 5 + "]" * 10 ** 5, "maximum recursion depth"),
+], ids=["step-count", "meta", "vocab-hash", "meta-nan", "meta-deep"])
+def test_checkpoint_header_line_not_read_back_named(tmp_path, prefix, repeat, message):
+    # a second line of one key would silently override the first (a
+    # skeleton checkpoint loading as an attribute one), and a meta value that
+    # JSON does not read back as itself would not save again
+    path = tmp_path / "c.ckpt"
+    _store(w=np.ones(2, np.float32)).save(path, meta={"model": "skeleton"},
+                                           vocab_hashes={"v": "abc"})
+    head, _, payload = path.read_bytes().partition(b"end-header\n")
+    lines = head.decode("utf-8").splitlines()
+    at = lines.index(next(line for line in lines if line.startswith(prefix))) + 1
+    _rewrite(path, [*lines[:at], repeat, *lines[at:]], payload)
+    with pytest.raises(NumericsError, match=f"^{re.escape(f'{path}:{at + 1}: {message}')}"):
+        ParameterStore.load(path)
+
+
 @pytest.mark.parametrize("line", ["\t3", " \t3", "big dog\t3", "dog \t3", "\u00a0dog\t1"],
                          ids=["empty", "space", "inner-space", "trailing-space", "nbsp"])
 def test_vocabulary_token_without_text_named(valid_files, tmp_path, line):
@@ -370,6 +435,20 @@ def test_manifest_repeated_entry_named(tmp_path):
     path.write_text(path.read_text() + "  count: 5\n")
     with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:5: entry 'count' "
                                           f"repeated in split 'train'$"):
+        corpus.read_manifest(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("  captions", "manifest split 'train' captions '' is not"),
+    ("  captions:  t.tsv", "manifest split 'train' captions ' t.tsv' is not"),
+    ("split: ", "manifest split name '' is not"),
+], ids=["no-value", "spaced-value", "no-name"])
+def test_manifest_text_its_writer_refuses_named(tmp_path, line, message):
+    # what write_manifest would refuse to write back is refused on reading
+    path = tmp_path / "m.txt"
+    corpus.write_manifest(path, {"train": {"count": 2}})
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(CorpusError, match=f"^{re.escape(f'{path}:4: {message}')}"):
         corpus.read_manifest(path)
 
 
