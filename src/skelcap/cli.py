@@ -70,6 +70,8 @@ def _load_file_config(path):
         raise ValueError(f"{path}: cannot read config: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: config is not JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: config is not JSON: nested too deeply") from None
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object, not {type(config).__name__}")
     # one file serves every command, so a key of any command is accepted
@@ -337,20 +339,29 @@ def _read_caption_file(path):
     """Image id -> token lists, from lines ``image_id<TAB>caption``; faults
     raise MetricsError naming ``path:line`` (see ``corpus.read_captions``)."""
     out = {}
-    for image_id, text in corpus.read_captions(path, metrics.MetricsError):
+    for _, image_id, text in corpus.read_captions(path, metrics.MetricsError):
         out.setdefault(image_id, []).append(text.split())
     return out
 
 
 def cmd_eval(cfg):
-    cands = _read_caption_file(cfg["candidates"])
-    refs = _read_caption_file(cfg["references"])
+    cand_path, ref_path = cfg["candidates"], cfg["references"]
+    # one candidate per image: CIDEr's N and df count images
+    cands = {}  # image id -> (line, tokens)
+    for lineno, image_id, text in corpus.read_captions(cand_path, metrics.MetricsError):
+        if image_id in cands:
+            raise metrics.MetricsError(f"{cand_path}:{lineno}: image {image_id!r} repeated "
+                                       f"(first on line {cands[image_id][0]})")
+        cands[image_id] = lineno, text.split()
+    if not cands:
+        raise metrics.MetricsError(f"{cand_path}: no candidate captions")
+    refs = _read_caption_file(ref_path)
     ids = sorted(cands)
     for image_id in ids:
         if image_id not in refs:
-            raise metrics.MetricsError(f"no references for image {image_id!r}")
-    pairs = metrics.make_pairs([cand for i in ids for cand in cands[i]],
-                               [refs[i] for i in ids for _ in cands[i]])
+            raise metrics.MetricsError(f"{ref_path}: no references for image {image_id!r} "
+                                       f"({cand_path}:{cands[image_id][0]})")
+    pairs = metrics.make_pairs([cands[i][1] for i in ids], [refs[i] for i in ids])
     training = None
     if cfg["uniqueness"]:
         training = [toks for lst in _read_caption_file(cfg["uniqueness"]).values()

@@ -497,11 +497,11 @@ def read_features(path) -> Dict[str, FeatureGrid]:
     return dict(zip(ids, grids))
 
 
-def read_captions(path, error=CorpusError) -> List[Tuple[str, str]]:
-    """(image id, raw caption) of each line ``image_id<TAB>caption`` of
-    ``path``, in file order; blank lines are skipped. A line without a tab
-    or with an empty image id, and bytes that are not UTF-8, raise ``error``
-    naming ``path:line``."""
+def read_captions(path, error=CorpusError) -> List[Tuple[int, str, str]]:
+    """(line number, image id, raw caption) of each line
+    ``image_id<TAB>caption`` of ``path``, in file order; blank lines are
+    skipped. A line without a tab or with an empty image id, and bytes that
+    are not UTF-8, raise ``error`` naming ``path:line``."""
     out = []
     for lineno, line in treebank.read_lines(path, error):
         line = line.rstrip("\n")
@@ -512,7 +512,7 @@ def read_captions(path, error=CorpusError) -> List[Tuple[str, str]]:
             raise error(f"{path}:{lineno}: no tab between image id and caption")
         if not image_id.strip():
             raise error(f"{path}:{lineno}: empty image id")
-        out.append((image_id, raw))
+        out.append((lineno, image_id, raw))
     return out
 
 
@@ -529,7 +529,7 @@ def load_records(captions_path, trees_path, features_path=None) -> List[CaptionR
                           f"{len(trees)} trees; files must align")
     grids = read_features(features_path) if features_path else {}
     records = []
-    for (image_id, raw), tree in zip(captions, trees):
+    for (_, image_id, raw), tree in zip(captions, trees):
         tokens = preprocess(raw)
         if not tokens:
             log.warning("dropping %s: caption empty after preprocessing", image_id)

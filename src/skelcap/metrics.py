@@ -46,8 +46,9 @@ def make_pairs(candidates: Sequence[Sequence[str]],
 class _Corpus:
     """One call's pairs over their distinct sentences, each held once; a pair
     keeps the indices of its candidate and references. ``grams`` holds each
-    sentence's 1..MAX_N-gram counts in order of first occurrence. No pairs
-    is a MetricsError naming the calling function."""
+    sentence's 1..MAX_N-gram counts in order of first occurrence, keyed by
+    ids that live as long as the object. No pairs is a MetricsError naming
+    the calling function."""
 
     def __init__(self, pairs: Sequence[EvalPair], caller: str):
         if not pairs:
@@ -59,14 +60,23 @@ class _Corpus:
         self.sentences = list(index)
 
     @cached_property
-    def grams(self) -> List[List[Dict[Tuple[str, ...], int]]]:
+    def grams(self) -> Tuple[List[List[Dict[int, int]]], int]:
+        """(tables, number of ids): every distinct n-gram gets a dense int id
+        in order of first occurrence, and n-grams of different lengths are
+        distinct tuples, so one id space covers every n."""
+        ids: Dict[Tuple[str, ...], int] = {}
+        get = ids.get
         tables = [[{} for _ in range(MAX_N)] for _ in self.sentences]
         for tokens, table in zip(self.sentences, tables):
-            for n, counts in enumerate(table, 1):
-                for i in range(len(tokens) - n + 1):
-                    g = tokens[i:i + n]
+            shifted = []  # tokens[0:], ..., tokens[n-1:]: zipped, the n-grams
+            for n, counts in enumerate(table):
+                shifted.append(tokens[n:])
+                for t in zip(*shifted):
+                    g = get(t)
+                    if g is None:
+                        g = ids[t] = len(ids)
                     counts[g] = counts.get(g, 0) + 1
-        return tables
+        return tables, len(ids)
 
 
 def bleu(pairs: Sequence[EvalPair]) -> Dict[str, float]:
@@ -79,7 +89,7 @@ def bleu(pairs: Sequence[EvalPair]) -> Dict[str, float]:
 
 
 def _bleu(corpus):
-    sentences, grams = corpus.sentences, corpus.grams
+    sentences, (grams, _) = corpus.sentences, corpus.grams
     matched = [0] * MAX_N
     total = [0] * MAX_N
     cand_len = 0
@@ -186,37 +196,38 @@ def cider(pairs: Sequence[EvalPair]) -> float:
 
 
 def _cider(corpus):
-    sentences, grams = corpus.sentences, corpus.grams
+    sentences, (grams, n_ids) = corpus.sentences, corpus.grams
     n_images = len(corpus.pairs)
     if n_images == 1:
         log.warning("cider: single-image corpus yields degenerate idf statistics")
-    doc_freq: List[Dict[Tuple[str, ...], int]] = [{} for _ in range(MAX_N)]
+    doc_freq = [0] * n_ids  # per n-gram id, the images whose references hold it
     for _, refs in corpus.pairs:
-        for k, df in enumerate(doc_freq):
-            for g in set().union(*[grams[r][k] for r in refs]):
-                df[g] = df.get(g, 0) + 1
-    # an n-gram no reference has gets df 1, so its idf is log(N) - log(1)
+        for g in set().union(*[counts for r in refs for counts in grams[r]]):
+            doc_freq[g] += 1
+    # an n-gram no reference has keeps idf log(N), as if its df were 1
     log_n = math.log(n_images)
-    idf = [{g: log_n - math.log(d) for g, d in df.items()} for df in doc_freq]
+    idf = [log_n - math.log(d) if d else log_n for d in doc_freq]
 
-    penalties = [[math.exp(-((len(sentences[c]) - len(sentences[r])) ** 2)
-                           / (2 * CIDER_SIGMA ** 2)) for r in refs]
-                 for c, refs in corpus.pairs]
-    scores = [0.0] * n_images  # per pair, the sum of its per-n scores, left to right
-    for k, idf_k in enumerate(idf):
-        vectors = []  # each distinct sentence's tf-idf vector and norm for this n
-        for tokens, table in zip(sentences, grams):
-            length = len(tokens) - k
-            vec = {g: (c / length) * idf_k.get(g, log_n) for g, c in table[k].items()}
+    vectors = []  # per distinct sentence and n, its tf-idf vector and norm
+    for tokens, table in zip(sentences, grams):
+        length = len(tokens)  # its number of n-grams, for n = 1, 2, ...
+        per_n = []
+        for counts in table:
+            vec = {}
             norm = 0.0
-            for w in vec.values():
+            for g, c in counts.items():
+                w = vec[g] = (c / length) * idf[g]
                 norm += w * w
-            vectors.append((vec, math.sqrt(norm)))
-        for i, (ci, refs) in enumerate(corpus.pairs):
-            cvec, cnorm = vectors[ci]
-            score_k = 0.0
-            for ri, penalty in zip(refs, penalties[i]):
-                rvec, rnorm = vectors[ri]
+            per_n.append((vec, math.sqrt(norm)))
+            length -= 1
+        vectors.append(per_n)
+    total = 0.0
+    for ci, refs in corpus.pairs:
+        c_len = len(sentences[ci])
+        score_n = [0.0] * MAX_N  # per n, summed over the references in order
+        for ri in refs:
+            penalty = math.exp(-((c_len - len(sentences[ri])) ** 2) / (2 * CIDER_SIGMA ** 2))
+            for k, ((cvec, cnorm), (rvec, rnorm)) in enumerate(zip(vectors[ci], vectors[ri])):
                 sim = 0.0
                 if cnorm > 0 and rnorm > 0:
                     # min(cw, w) * w in the reference's order; an n-gram the
@@ -227,10 +238,10 @@ def _cider(corpus):
                         if cw is not None:
                             num += (w if w < cw else cw) * w
                     sim = num / (cnorm * rnorm)
-                score_k += sim * penalty
-            scores[i] += score_k * (CIDER_SCALE / len(refs))
-    total = 0.0
-    for score in scores:
+                score_n[k] += sim * penalty
+        score = 0.0
+        for score_k in score_n:
+            score += score_k * (CIDER_SCALE / len(refs))
         total += score / MAX_N
     return total / n_images
 

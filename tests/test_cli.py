@@ -803,13 +803,43 @@ def test_eval_without_a_and_uniqueness(workspace, tmp_path, capsys):
     assert "w/o a" in out and "unique %" in out
 
 
-def test_eval_missing_reference_id(tmp_path):
+def test_eval_missing_reference_id(tmp_path, capsys):
     cand = tmp_path / "c.tsv"
     ref = tmp_path / "r.tsv"
-    cand.write_text("img-1\ta dog\n")
-    ref.write_text("img-2\ta dog\n")
+    cand.write_text("img-1\ta dog\n\nimg-3\ta cat\n")
+    ref.write_text("img-1\ta dog\nimg-2\ta dog\n")
     assert run("eval", "--candidates", str(cand), "--references",
                str(ref)) == 2
+    assert capsys.readouterr().err == (f"error: {ref}: no references for image 'img-3' "
+                                       f"({cand}:3)\n")
+
+
+@pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_eval_no_candidates_names_file(tmp_path, capsys, content):
+    cand = tmp_path / "c.tsv"
+    ref = tmp_path / "r.tsv"
+    cand.write_text(content)
+    ref.write_text("img-1\ta dog\n")
+    assert run("eval", "--candidates", str(cand), "--references", str(ref)) == 2
+    assert capsys.readouterr().err == f"error: {cand}: no candidate captions\n"
+
+
+def test_eval_repeated_candidate_image_refused(tmp_path, capsys):
+    # a second line for an image would be a second pair: CIDEr's N and df
+    # would count that image's references twice
+    cand = tmp_path / "c.tsv"
+    ref = tmp_path / "r.tsv"
+    cand.write_text("img-1\ta dog\nimg-2\ta cat\n\nimg-1\ta red dog\n")
+    ref.write_text("img-1\ta dog\nimg-1\ta red dog\nimg-2\ta cat\n")
+    report = tmp_path / "report.json"
+    assert run("eval", "--candidates", str(cand), "--references", str(ref),
+               "--json", str(report)) == 2
+    assert capsys.readouterr().err == (f"error: {cand}:4: image 'img-1' repeated "
+                                       f"(first on line 1)\n")
+    assert not report.exists()
+    # the references file may hold several lines per image
+    cand.write_text("img-1\ta dog\nimg-2\ta cat\n")
+    assert run("eval", "--candidates", str(cand), "--references", str(ref)) == 0
 
 
 @pytest.mark.parametrize("side,content,message", [
@@ -874,7 +904,8 @@ def test_config_file_layering(workspace, tmp_path, monkeypatch):
     ("eval", None, ": cannot read config: No such file or directory"),
     ("eval", "{bad json", ":1: config is not JSON: "),
     ("synth", "[1]", ": config must be a JSON object, not list"),
-], ids=["missing", "not-json", "not-object"])
+    ("eval", "[" * 100000 + "]" * 100000, ": config is not JSON: nested too deeply"),
+], ids=["missing", "not-json", "not-object", "nested-too-deeply"])
 def test_config_file_fault_exits_2(tmp_path, capsys, command, content, message):
     config = tmp_path / "conf.json"
     if content is not None:

@@ -563,6 +563,37 @@ def test_interned_scores_equal_per_pair_reference(pairs, strip_a):
     assert {k: repr(v) for k, v in got.items()} == want
 
 
+# 40 words, so that most n-grams of a corpus are distinct: a candidate-only
+# n-gram (df 0, idf log N) is common, and the ids run to the hundreds
+WIDE_VOCAB = ("a", "the", "dog", "cat", "man", "woman", "boy", "girl", "horse", "bird",
+              "car", "bus", "tree", "grass", "table", "plate", "pizza", "ball", "kite", "field",
+              "red", "blue", "green", "big", "small", "old", "young", "white", "black", "tall",
+              "on", "in", "near", "with", "under", "sits", "runs", "holds", "eats", "flies")
+
+
+def _wide_sentence():
+    return st.lists(st.sampled_from(WIDE_VOCAB), max_size=12).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.builds(EvalPair, _wide_sentence(),
+                                st.lists(_wide_sentence(), min_size=1, max_size=5).map(tuple)),
+                      min_size=1, max_size=20))
+# one pair; "red", "red dog" and longer only in the candidate: df 0
+@example(pairs=[EvalPair(("a", "red", "dog", "runs", "on", "the", "grass"),
+                         (("a", "dog", "runs"),))])
+# a reference repeated within a pair, and a candidate-only 4-gram
+@example(pairs=[EvalPair(("a", "dog", "runs", "on", "grass"),
+                         (("a", "dog", "runs", "on"), ("the", "cat"), ("a", "dog", "runs", "on"))),
+                EvalPair(("the", "cat", "sits", "on", "a", "table"),
+                         (("a", "cat", "sits", "on", "the", "table"), ("the", "cat")))])
+def test_id_keyed_scores_equal_reference_on_wide_vocabulary(pairs):
+    want = {k: repr(v) for k, v in _ref_scores(pairs).items()}
+    assert {k: repr(v) for k, v in evaluate(pairs).scores.items()} == want
+    got = {**bleu(pairs), "ROUGE-L": rouge_l(pairs), "CIDEr": cider(pairs)}
+    assert {k: repr(v) for k, v in got.items()} == want
+
+
 def _neumaier_sum(values, start=0):
     """The compensated sum the builtin sum does on floats since Python 3.12."""
     total, compensation = start, 0.0

@@ -555,7 +555,7 @@ def test_captions_round_trip(tmp_path, pairs):
     error = _write_or_keep(corpus.write_captions, path, records)
     assert (error is None) == writable, error
     if writable:
-        assert corpus.read_captions(path) == pairs
+        assert corpus.read_captions(path) == [(n, i, raw) for n, (i, raw) in enumerate(pairs, 1)]
 
 
 def _split_entries():
