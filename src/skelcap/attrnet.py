@@ -85,7 +85,6 @@ class AttributeGenerator(RecurrentDecoder):
     """Estimator-style attribute decoder."""
 
     model_kind = "attribute"
-    vocab_key = "attr_vocab"
     default_batch_size = 128
 
     def __init__(self, vocab: Vocabulary, feature_dim: int, skel_embed_size: int,

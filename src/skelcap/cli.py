@@ -28,7 +28,7 @@ from . import corpus, metrics, treebank
 from .decompose import DecomposeError, decompose as decompose_tree, format_decomposition
 from .attrnet import (AttrConfigError, AttributeGenerator, build_training_items,
                       check_skeleton_sizes)
-from .corpus import SynthConfig, Vocabulary
+from .corpus import SynthConfig
 from .decode import caption as run_caption
 from .numerics import compare_gradients, NumericsError
 from .skelnet import SkeletonGenerator
@@ -43,7 +43,7 @@ DATA_ERRORS = (
     DecomposeError,
     metrics.MetricsError,
     NumericsError,
-    FileNotFoundError,
+    OSError,
     ValueError,
 )
 
@@ -102,7 +102,10 @@ def _echo_config(path: Path, command: str, config: dict):
 def _replaced_on_success(path: Path):
     """A temporary path beside ``path`` to write it through: the file written
     there replaces ``path`` only if the block completes, so a failed run
-    leaves an existing file as it was."""
+    leaves an existing file as it was. A ``path`` that is a directory
+    raises IsADirectoryError naming it before anything is written."""
+    if path.is_dir():
+        raise IsADirectoryError(f"{path}: is a directory, not an output file")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         yield tmp
@@ -210,15 +213,14 @@ def cmd_decompose(cfg):
 
 # -- training ----------------------------------------------------------------
 
-def _save_training(out_dir, cfg, stage, model, vocab, curve):
-    """Write ``stage``'s vocabulary, checkpoint, loss curve and config into
-    ``out_dir`` after training, each replacing its file only once all four
-    are written: a failed run leaves the directory as it was."""
+def _save_training(out_dir, cfg, stage, model, curve):
+    """Write ``stage``'s checkpoint, loss curve and config into ``out_dir``
+    after training, each replacing its file only once all three are
+    written: a failed run leaves the directory as it was."""
     with contextlib.ExitStack() as files:
         def target(name):
             return files.enter_context(_replaced_on_success(out_dir / name))
 
-        vocab.save(target(f"{stage}.vocab"))
         model.save(target(f"{stage}.ckpt"))
         with open(target(f"{stage}_loss_curve.txt"), "w", encoding="utf-8") as fh:
             fh.writelines(f"{step}\t{loss:.6f}\n" for step, loss in curve)
@@ -238,7 +240,10 @@ def cmd_train_skel(cfg):
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before training
     if cfg["resume"]:
-        model = SkeletonGenerator.load(cfg["resume"], vocab)
+        model = SkeletonGenerator.load(cfg["resume"])
+        if model.vocab.index_to_token != vocab.index_to_token:
+            raise NumericsError(f"{cfg['resume']}: its vocabulary is not the one the data "
+                                f"gives at --skel-threshold {cfg['skel-threshold']}")
     else:
         sample = train[0].features
         model = SkeletonGenerator(
@@ -251,7 +256,7 @@ def cmd_train_skel(cfg):
                         progress=lambda e, h: log.info(
                             "epoch %d val_loss %s", e,
                             h["val_loss"][-1] if h["val_loss"] else "n/a"))
-    _save_training(out_dir, cfg, "skel", model, vocab, history["train_curve"])
+    _save_training(out_dir, cfg, "skel", model, history["train_curve"])
     print(f"trained skeleton model: {model.store.step_count} steps -> {out_dir}")
     return 0
 
@@ -260,8 +265,7 @@ def cmd_train_attr(cfg):
     data_dir = Path(cfg["data"])
     train = _load_split(data_dir, "train")
     val = _load_split(data_dir, "val", required=False)
-    skel_vocab = Vocabulary.load(cfg["skel-vocab"])
-    skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"], skel_vocab)
+    skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"])
     attr_vocab = corpus.build_vocab(
         [list(t.attributes) for r in train for t in r.decomposition.skeleton
          if t.attributes], cfg["attr-threshold"])
@@ -282,22 +286,28 @@ def cmd_train_attr(cfg):
     history = model.fit(items(train), None if val is None else items(val), epochs=cfg["epochs"],
                         learning_rate=cfg["learning-rate"], batch_size=cfg["batch-size"],
                         shuffle_seed=cfg["seed"])
-    _save_training(out_dir, cfg, "attr", model, attr_vocab, history["train_curve"])
+    _save_training(out_dir, cfg, "attr", model, history["train_curve"])
     print(f"trained attribute model: {model.store.step_count} steps -> {out_dir}")
     return 0
 
 
 # -- caption -----------------------------------------------------------------
 
+def _check_finite(cfg, *flags):
+    """Raises ValueError naming the first of ``flags`` not a finite number."""
+    for flag in flags:
+        if not math.isfinite(cfg[flag]):
+            raise ValueError(f"--{flag} must be a finite number, not {cfg[flag]}")
+
+
 def cmd_caption(cfg):
     wanted = None if cfg["ids"] in (None, "all") else set(_csv(cfg["ids"]))
     if wanted == set():
         build_parser().error(f"--ids {cfg['ids']!r} names no image id")
+    _check_finite(cfg, "gamma-skel", "gamma-attr")
     records = _load_split(Path(cfg["data"]), cfg["split"])
-    skel_vocab = Vocabulary.load(cfg["skel-vocab"])
-    attr_vocab = Vocabulary.load(cfg["attr-vocab"])
-    skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"], skel_vocab)
-    attr_model = AttributeGenerator.load(cfg["attr-checkpoint"], attr_vocab)
+    skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"])
+    attr_model = AttributeGenerator.load(cfg["attr-checkpoint"])
     try:
         check_skeleton_sizes(attr_model, skel_model)
     except AttrConfigError as exc:
@@ -387,11 +397,11 @@ def _gradcheck(model, batch, cfg):
 
 
 def cmd_gradcheck(cfg):
-    from .corpus import SynthConfig, synth_generate
+    _check_finite(cfg, "tol")
     sc = SynthConfig(grid_size=2, feature_dim=8, objects=("dog", "cat", "cup"),
                      attributes=("red", "big"), relations=("on",),
                      noise_sigma=0.2, count=2)
-    records = synth_generate(sc, seed=1).records
+    records = corpus.synth_generate(sc, seed=1).records
     skel_vocab = corpus.build_vocab([r.decomposition.skeleton_words for r in records], 1)
     attr_vocab = corpus.build_vocab(
         [list(t.attributes) for r in records for t in r.decomposition.skeleton], 1)
@@ -479,7 +489,6 @@ COMMANDS = {
     "train-attr": (cmd_train_attr, "train the attribute decoder", (
         *_TRAIN_COMMON,
         Opt("skel-checkpoint", help="trained skeleton checkpoint", source="required"),
-        Opt("skel-vocab", help="its skeleton vocabulary", source="required"),
         Opt("batch-size", int, 128, "items per batch", positive=True),
         Opt("attr-threshold", int, 3, "minimum count of a vocabulary word"),
         Opt("hidden-tap", ("current", "previous", "final"), "current",
@@ -491,9 +500,7 @@ COMMANDS = {
         Opt("split", str, "test", "split to caption"),
         Opt("out", help="captions file", source="required"),
         Opt("skel-checkpoint", help="trained skeleton checkpoint", source="required"),
-        Opt("skel-vocab", help="its skeleton vocabulary", source="required"),
         Opt("attr-checkpoint", help="trained attribute checkpoint", source="required"),
-        Opt("attr-vocab", help="its attribute vocabulary", source="required"),
         Opt("ids", help="comma-separated image ids, or 'all'", source="flag"),
         Opt("gamma-skel", float, 0.0, "skeleton length factor"),
         Opt("gamma-attr", float, 0.0, "attribute length factor"),

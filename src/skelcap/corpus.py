@@ -24,7 +24,6 @@ import numpy as np
 
 from . import treebank
 from .decompose import DecomposedCaption, SkeletonToken, decompose, fuse
-from .numerics import vocab_hash
 from .treebank import ParseNode, ParseTree
 
 log = logging.getLogger(__name__)
@@ -49,19 +48,24 @@ def strip_article(tokens: Sequence[str]) -> List[str]:
     return [t for t in tokens if t != "a"]
 
 
-VOCAB_HEADER = "# vocabulary threshold="  # line 1 of a vocabulary file, then N
-
-
 class Vocabulary:
-    """Token/index bijection with BOS=0, EOS=1, UNK=2 and a count threshold."""
+    """Token/index bijection with BOS=0, EOS=1, UNK=2 before ``tokens``.
+    Each token must be a non-empty str without whitespace, neither a special
+    nor repeated; any other raises CorpusError. This one check serves every
+    vocabulary: built from a corpus, or written into and read back from a
+    checkpoint."""
 
-    def __init__(self, tokens: Sequence[str], counts: Dict[str, int], threshold: int):
-        self.index_to_token = list(SPECIALS) + list(tokens)
-        self.token_to_index = {t: i for i, t in enumerate(self.index_to_token)}
-        if len(self.token_to_index) != len(self.index_to_token):
-            raise CorpusError("duplicate tokens in vocabulary")
-        self.counts = dict(counts)
-        self.threshold = threshold
+    def __init__(self, tokens: Sequence[str]):
+        self.index_to_token = list(SPECIALS)
+        self.token_to_index = {t: i for i, t in enumerate(SPECIALS)}
+        for tok in tokens:
+            if not isinstance(tok, str) or tok.split() != [tok]:
+                raise CorpusError(f"vocabulary token {tok!r} is not a non-empty str "
+                                  f"without whitespace")
+            if tok in self.token_to_index:
+                raise CorpusError(f"vocabulary token {tok!r} is a special or repeated")
+            self.token_to_index[tok] = len(self.index_to_token)
+            self.index_to_token.append(tok)
 
     def __len__(self):
         return len(self.index_to_token)
@@ -74,61 +78,6 @@ class Vocabulary:
 
     def decode(self, index: int) -> str:
         return self.index_to_token[index]
-
-    def content_hash(self) -> str:
-        return vocab_hash(self.index_to_token)
-
-    def save(self, path):
-        """Write the file ``load`` reads back as this vocabulary. A token that
-        is empty or holds whitespace, or a threshold or count that is not an
-        int, raises CorpusError, and a token without a UTF-8 form
-        UnicodeEncodeError, before ``path`` is opened."""
-        _check_int("vocabulary threshold", self.threshold)
-        lines = [f"{VOCAB_HEADER}{self.threshold}\n"]
-        for tok in self.index_to_token[len(SPECIALS):]:
-            count = self.counts.get(tok, 0)
-            if tok.split() != [tok]:
-                raise CorpusError(f"vocabulary token {tok!r} is empty or holds whitespace")
-            _check_int(f"vocabulary count of {tok!r}", count)
-            lines.append(f"{tok}\t{count}\n")
-        _write_utf8(path, "".join(lines))
-
-    @classmethod
-    def load(cls, path):
-        """Read a file written by ``save``: the header line ``# vocabulary
-        threshold=N``, then one ``token<TAB>count`` line per token. A fault
-        raises ``CorpusError`` naming ``path:line``."""
-        tokens, counts = [], {}
-        threshold = None
-        for lineno, line in treebank.read_lines(path, CorpusError):
-            line = line.rstrip("\n")
-            if not line:
-                raise CorpusError(f"{path}:{lineno}: blank line")
-            if lineno == 1:
-                if not line.startswith(VOCAB_HEADER):
-                    raise CorpusError(f"{path}:1: expected the header '{VOCAB_HEADER}N', "
-                                      f"got {line!r}")
-                threshold = _integer(line[len(VOCAB_HEADER):], path, 1, "threshold")
-                continue
-            tok, tab, cnt = line.partition("\t")
-            if not tab:
-                raise CorpusError(f"{path}:{lineno}: expected 'token<TAB>count', got {line!r}")
-            if tok.split() != [tok]:
-                raise CorpusError(f"{path}:{lineno}: token {tok!r} is empty or holds whitespace")
-            if tok in counts or tok in SPECIALS:
-                raise CorpusError(f"{path}:{lineno}: duplicate token {tok!r}")
-            tokens.append(tok)
-            counts[tok] = _integer(cnt, path, lineno, "count")
-        if threshold is None:
-            raise CorpusError(f"{path}:1: empty file, expected the header '{VOCAB_HEADER}N'")
-        return cls(tokens, counts, threshold)
-
-
-def _integer(text, path, lineno, what):
-    try:
-        return int(text)
-    except ValueError:
-        raise CorpusError(f"{path}:{lineno}: {what} {text.strip()!r} is not an integer") from None
 
 
 def build_vocab(sequences: Sequence[Sequence[str]], threshold: int) -> Vocabulary:
@@ -144,7 +93,7 @@ def build_vocab(sequences: Sequence[Sequence[str]], threshold: int) -> Vocabular
     if total == 0:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
     kept = sorted(t for t, c in counts.items() if c >= threshold and t not in SPECIALS)
-    return Vocabulary(kept, {t: counts[t] for t in kept}, threshold)
+    return Vocabulary(kept)
 
 
 @dataclass
@@ -559,6 +508,13 @@ def _check_manifest_text(what, text, where=""):
     if not isinstance(text, str) or not text or text != text.strip() or _LINE_BREAKS.search(text):
         raise CorpusError(f"{where}manifest {what} {text!r} is not a non-empty string without "
                           f"surrounding whitespace or line breaks")
+
+
+def _integer(text, path, lineno, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise CorpusError(f"{path}:{lineno}: {what} {text.strip()!r} is not an integer") from None
 
 
 def _check_int(what, value):

@@ -14,7 +14,6 @@ checking.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 
@@ -22,7 +21,7 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-CHECKPOINT_MAGIC = "skelcap-checkpoint-v1"
+CHECKPOINT_MAGIC = "skelcap-checkpoint-v2"
 ADAGRAD_EPSILON = 1e-8
 CLIP_NORM = 5.0  # the global gradient norm ``adagrad_step`` clips to
 
@@ -536,26 +535,20 @@ class ParameterStore:
 
     # -- checkpoint I/O ----------------------------------------------------
 
-    def save(self, path, meta=None, vocab_hashes=None):
+    def save(self, path, meta=None):
         """Write a text manifest header followed by a raw little-endian
         payload, which ``load`` reads back as the same step count, meta,
-        vocabulary hashes, tensors (rounded to float32) and accumulators.
-        What ``load`` would reject or read back otherwise raises NumericsError
-        naming the entry before ``path`` is opened: a step count that is not
-        an int; a name, key or hash that is not UTF-8 text or holds a line
-        break, or a meta or vocabulary key holding a space; meta that JSON
-        does not give back equal; a tensor non-finite in float32; an
-        accumulator that is missing, orphaned, shaped otherwise than its
-        tensor or non-finite."""
-        meta, vocab_hashes = meta or {}, vocab_hashes or {}
+        tensors (rounded to float32) and accumulators. What ``load`` would
+        reject or read back otherwise raises NumericsError naming the entry
+        before ``path`` is opened: a step count that is not an int; a name or
+        key that is not UTF-8 text or holds a line break, or a meta key
+        holding a space; meta that JSON does not give back equal; a tensor
+        non-finite in float32; an accumulator that is missing, orphaned,
+        shaped otherwise than its tensor or non-finite."""
+        meta = meta or {}
         if type(self.step_count) is not int:
             raise NumericsError(f"step count {self.step_count!r} is not an int")
         header = [CHECKPOINT_MAGIC, f"step_count {self.step_count}"]
-        for key in vocab_hashes:
-            _check_header_text("vocabulary hash key", key, spaces=False)
-            _check_header_text(f"vocabulary hash for {key!r}", vocab_hashes[key])
-        for key, value in sorted(vocab_hashes.items()):
-            header.append(f"vocab_hash {key} {value}")
         for key in meta:
             _check_header_text("meta key", key, spaces=False)
         for key, value in sorted(meta.items()):
@@ -597,13 +590,13 @@ class ParameterStore:
                 fh.write(raw)
 
     @classmethod
-    def load(cls, path, expect_model=None, expect_vocab_hashes=None):
-        """Read a checkpoint written by ``save``. Checks in order that every
-        header line parses (the step count, a meta key and a vocabulary hash
-        key at most once, each meta value one that ``save`` could write), the
-        ``meta model`` kind, the vocabulary hashes and that the payload holds
-        every header entry, all of it finite; each failure names ``path``
-        (and the header line where there is one)."""
+    def load(cls, path, expect_model=None):
+        """Read a checkpoint written by ``save``. Checks in order the format
+        version (a v1 file is refused with a request to retrain), that every
+        header line parses (the step count and a meta key at most once, each
+        meta value one that ``save`` could write), the ``meta model`` kind
+        and that the payload holds every header entry, all of it finite; each
+        failure names ``path`` (and the header line where there is one)."""
         with open(path, "rb") as fh:
             blob = fh.read()
         end = blob.find(b"\nend-header\n")
@@ -615,11 +608,13 @@ class ParameterStore:
             line = blob.count(b"\n", 0, exc.start) + 1
             raise NumericsError(f"{path}:{line}: header is not UTF-8 text") from None
         payload = blob[end + len(b"\nend-header\n"):]
+        if lines[0] == "skelcap-checkpoint-v1":
+            raise NumericsError(f"{path}:1: a v1 checkpoint, whose vocabulary is a separate "
+                                f"file; retrain the model to write a {CHECKPOINT_MAGIC} file")
         if lines[0] != CHECKPOINT_MAGIC:
             raise NumericsError(f"{path}:1: not a {CHECKPOINT_MAGIC} file")
         store = cls()
         meta = {}
-        vocab_hashes = {}
         entries = []
         step_count_read = False
         for lineno, line in enumerate(lines[1:], start=2):
@@ -629,17 +624,13 @@ class ParameterStore:
                     if step_count_read:
                         raise ValueError("step_count repeated")
                     store.step_count, step_count_read = int(rest), True
-                elif kind in ("vocab_hash", "meta"):
+                elif kind == "meta":
                     key, _, value = rest.partition(" ")
-                    found = vocab_hashes if kind == "vocab_hash" else meta
-                    if key in found:
-                        raise ValueError(f"{kind} {key!r} repeated")
-                    if kind == "meta":
-                        value = json.loads(value)
-                        if _meta_text(value) is None:
-                            raise ValueError(f"meta {key!r} does not read back from JSON as "
-                                             f"itself")
-                    found[key] = value
+                    if key in meta:
+                        raise ValueError(f"meta {key!r} repeated")
+                    meta[key] = json.loads(value)
+                    if _meta_text(meta[key]) is None:
+                        raise ValueError(f"meta {key!r} does not read back from JSON as itself")
                 elif kind in ("tensor", "accumulator"):
                     name, shape_s, off_s = rest.rsplit(" ", 2)
                     shape = () if shape_s == "scalar" else tuple(map(int, shape_s.split(",")))
@@ -652,12 +643,6 @@ class ParameterStore:
                 raise NumericsError(f"{path}:{lineno}: {exc}: {line!r}") from None
         if expect_model is not None and meta.get("model") != expect_model:
             raise NumericsError(f"{path}: {meta.get('model')} checkpoint, expected {expect_model}")
-        if expect_vocab_hashes:
-            for key, value in expect_vocab_hashes.items():
-                if vocab_hashes.get(key) != value:
-                    raise NumericsError(
-                        f"{path}: vocabulary hash mismatch for {key!r} "
-                        f"(checkpoint {vocab_hashes.get(key)}, expected {value})")
         tensors, accumulators = {}, {}  # name -> (header line, array)
         for lineno, kind, name, shape, off in entries:
             dt = "<f4" if kind == "tensor" else "<f8"
@@ -689,7 +674,6 @@ class ParameterStore:
         for name, (lineno, _) in accumulators.items():
             raise NumericsError(f"{path}:{lineno}: accumulator {name!r} has no tensor")
         store.meta = meta
-        store.vocab_hashes = vocab_hashes
         return store
 
 
@@ -714,14 +698,6 @@ def _check_header_text(what, text, spaces=True):
             pass
     raise NumericsError(f"checkpoint {what} {text!r} is not UTF-8 text without line breaks"
                         + ("" if spaces else " or spaces"))
-
-
-def vocab_hash(tokens):
-    h = hashlib.sha256()
-    for tok in tokens:
-        h.update(tok.encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()[:16]
 
 
 def compare_gradients(analytic, loss, arrays, h=1e-3, tol=1e-4):

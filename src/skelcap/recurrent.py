@@ -1,8 +1,8 @@
 """Recurrent core shared by the skeleton and attribute decoders.
 
 Both decoders are an LSTM with a linear output layer, trained with teacher
-forcing and Adagrad on length-bucketed batches and saved as a checkpoint
-tagged with their model kind and vocabulary hash. A subclass creates its
+forcing and Adagrad on length-bucketed batches and saved as one checkpoint
+that holds their model kind, config and vocabulary. A subclass creates its
 own parameters and then the LSTM and output layer with
 ``_build_lstm_and_output`` and turns its training data into one
 ``BatchTable`` in ``_table``, once per fit; every batch of every epoch is
@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from . import numerics as nm
-from .corpus import BOS, EOS
+from .corpus import BOS, EOS, SPECIALS, CorpusError, Vocabulary
 from .numerics import NumericsError, ParameterStore
 
 log = logging.getLogger(__name__)
@@ -136,7 +136,6 @@ class RecurrentDecoder:
     """Estimator-style LSTM decoder: ``fit`` / ``save`` / ``load``."""
 
     model_kind: str          # "meta model" line of the checkpoint
-    vocab_key: str           # name of the vocabulary hash in the checkpoint
     default_batch_size: int  # training batch when ``fit`` is given none
 
     def get_params(self) -> dict:
@@ -267,27 +266,31 @@ class RecurrentDecoder:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path):
-        """Write the model's checkpoint. A checkpoint holds float32 tensors,
-        so a model of another dtype raises NumericsError before ``path`` is
-        opened, rather than reloading as a rounded float32 model."""
+        """Write the model's checkpoint, its non-special tokens as the
+        ``meta vocab`` list. A checkpoint holds float32 tensors, so a model of
+        another dtype raises NumericsError before ``path`` is opened, rather
+        than reloading as a rounded float32 model; so does a token list that
+        ``load`` would refuse."""
         if np.dtype(self.dtype) != np.float32:
             raise NumericsError(f"{path}: cannot save a {np.dtype(self.dtype).name} model; "
                                 "checkpoints hold float32 tensors")
-        self.store.save(path, meta={"model": self.model_kind, "config": self.get_params()},
-                        vocab_hashes={self.vocab_key: self.vocab.content_hash()})
+        tokens = self.vocab.index_to_token[len(SPECIALS):]
+        _checkpoint_vocab(path, tokens)
+        self.store.save(path, meta={"model": self.model_kind, "config": self.get_params(),
+                                    "vocab": tokens})
 
     @classmethod
-    def load(cls, path, vocab):
-        """Rebuild a model from ``path`` with its Adagrad state.
+    def load(cls, path):
+        """Rebuild a model from ``path`` with its vocabulary and Adagrad state.
 
-        After ``ParameterStore.load`` checked the model kind, vocabulary hash
-        and payload, checks the config keys and tensor shapes, naming ``path``.
+        After ``ParameterStore.load`` checked the model kind and payload,
+        checks the vocabulary, the config keys and tensor shapes, naming
+        ``path``.
         """
-        store = ParameterStore.load(path, expect_model=cls.model_kind,
-                                    expect_vocab_hashes={cls.vocab_key: vocab.content_hash()})
+        store = ParameterStore.load(path, expect_model=cls.model_kind)
+        vocab = _checkpoint_vocab(path, store.meta.get("vocab"))
         config = store.meta.get("config", {})
         try:
-            config.pop("invoke_on_all_tokens", None)  # older checkpoints; never read
             inspect.signature(cls).bind(vocab, **config)
         except (AttributeError, TypeError) as exc:
             raise NumericsError(f"{path}: config does not fit {cls.__name__}: {exc}") from None
@@ -299,3 +302,14 @@ class RecurrentDecoder:
             model.store.accumulators[name] = store.accumulators[name]  # its tensor's shape
         model.store.step_count = store.step_count
         return model
+
+
+def _checkpoint_vocab(path, tokens):
+    """The ``Vocabulary`` of a checkpoint's ``meta vocab`` list ``tokens``;
+    anything else raises NumericsError naming ``path``."""
+    if type(tokens) is not list:
+        raise NumericsError(f"{path}: meta 'vocab' is not a list of tokens")
+    try:
+        return Vocabulary(tokens)
+    except CorpusError as exc:
+        raise NumericsError(f"{path}: meta 'vocab': {exc}") from None

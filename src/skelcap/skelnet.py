@@ -82,7 +82,6 @@ class SkeletonGenerator(RecurrentDecoder):
     """Estimator-style skeleton decoder (``fit`` / ``make_step_fn``)."""
 
     model_kind = "skeleton"
-    vocab_key = "skel_vocab"
     default_batch_size = 64
 
     def __init__(self, vocab: Vocabulary, feature_dim: int, grid_size: int,

@@ -308,15 +308,12 @@ def test_criterion_9_cli_determinism(tmp_path):
                      "--seed", "2"]) == 0
         assert main(["train-attr", "--data", str(data), "--out", str(run),
                      "--skel-checkpoint", str(run / "skel.ckpt"),
-                     "--skel-vocab", str(run / "skel.vocab"),
                      "--epochs", "2", "--hidden-size", "16",
                      "--embed-size", "8", "--batch-size", "16",
                      "--attr-threshold", "1", "--seed", "2"]) == 0
         assert main(["caption", "--data", str(data), "--out", str(caps),
                      "--skel-checkpoint", str(run / "skel.ckpt"),
-                     "--skel-vocab", str(run / "skel.vocab"),
                      "--attr-checkpoint", str(run / "attr.ckpt"),
-                     "--attr-vocab", str(run / "attr.vocab"),
                      "--gamma-skel", "0.5", "--max-skel-len", "6"]) == 0
         return {
             "features": (data / "train.features.bin").read_bytes(),

@@ -368,13 +368,23 @@ def test_fit_deterministic(tiny_data, skel_model, attr_vocab):
 
 # -- persistence --------------------------------------------------------------
 
-def test_save_load_roundtrip(attr_vocab, skel_model, tmp_path):
+def test_save_load_roundtrip(attr_vocab, skel_model, tiny_data, tmp_path):
+    # one file gives back the vocabulary, config, tensors, Adagrad
+    # accumulators and step count
+    _, recs = tiny_data
     m = _make(attr_vocab, skel_model, seed=12, hidden_tap="previous",
               use_post_word_alpha=True)
+    m.fit(build_training_items(recs[:4], skel_model, attr_vocab, use_post_word_alpha=True,
+                               hidden_tap="previous"), epochs=1)
     p = tmp_path / "attr.ckpt"
     m.save(p)
-    loaded = AttributeGenerator.load(p, attr_vocab)
+    loaded = AttributeGenerator.load(p)
+    assert loaded.vocab.index_to_token == m.vocab.index_to_token
     assert loaded.get_params() == m.get_params()
+    assert loaded.store.step_count == m.store.step_count > 0
+    for name in m.store.names():
+        assert np.array_equal(loaded.store[name].data, m.store[name].data), name
+        assert np.array_equal(loaded.store.accumulators[name], m.store.accumulators[name]), name
     rng = np.random.default_rng(7)
     z = rng.normal(size=(1, m.feature_dim))
     s = rng.normal(size=(1, m.skel_embed_size))
@@ -392,12 +402,13 @@ def test_save_rejects_float64_model(attr_vocab, skel_model, tmp_path):
 
 
 def test_load_rejects_wrong_vocab(attr_vocab, skel_model, tmp_path):
+    # a vocabulary of another size than the checkpoint's tensors is refused
     m = _make(attr_vocab, skel_model)
     p = tmp_path / "attr.ckpt"
     m.save(p)
-    other = build_vocab([["zzz"]], 1)
-    with pytest.raises(nm.NumericsError):
-        AttributeGenerator.load(p, other)
+    p.write_bytes(p.read_bytes().replace(b'meta vocab ["', b'meta vocab ["zzz","', 1))
+    with pytest.raises(nm.NumericsError, match=f"^{re.escape(str(p))}: tensor 'embed' "):
+        AttributeGenerator.load(p)
 
 
 def _refined(L, logits, p_grid, lengths, alpha=None):

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,11 @@ import pytest
 from skelcap import cli, metrics
 from skelcap.attrnet import AttributeGenerator
 from skelcap.cli import main
-from skelcap.numerics import NonFiniteError, ParameterStore
+from skelcap.corpus import SPECIALS
+from skelcap.numerics import NonFiniteError, NumericsError, ParameterStore
 from skelcap.skelnet import SkeletonGenerator
+
+from test_readers import _edit_vocab_line, _vocab_line_number
 
 
 def run(*argv):
@@ -36,7 +40,6 @@ def workspace(tmp_path_factory):
                "--skel-threshold", "1", "--seed", "1") == 0
     assert run("train-attr", "--data", str(data), "--out", str(attr),
                "--skel-checkpoint", str(skel / "skel.ckpt"),
-               "--skel-vocab", str(skel / "skel.vocab"),
                "--epochs", "5", "--hidden-size", "16", "--embed-size", "8",
                "--batch-size", "16", "--attr-threshold", "1",
                "--seed", "1") == 0
@@ -46,10 +49,15 @@ def workspace(tmp_path_factory):
 def _caption_args(ws, out, *extra):
     return ("caption", "--data", str(ws["data"]), "--out", str(out),
             "--skel-checkpoint", str(ws["skel"] / "skel.ckpt"),
-            "--skel-vocab", str(ws["skel"] / "skel.vocab"),
             "--attr-checkpoint", str(ws["attr"] / "attr.ckpt"),
-            "--attr-vocab", str(ws["attr"] / "attr.vocab"),
             "--max-skel-len", "6", *extra)
+
+
+def _caption_with(ws, out, flag, value):
+    """``_caption_args`` with ``flag`` set to ``value``."""
+    args = list(_caption_args(ws, out))
+    args[args.index(flag) + 1] = str(value)
+    return args
 
 
 # -- synth --------------------------------------------------------------------
@@ -211,9 +219,10 @@ def test_decompose_missing_file(tmp_path):
 # -- training -----------------------------------------------------------------
 
 def test_train_skel_outputs(workspace):
+    # the vocabulary is in the checkpoint: a trained decoder is one file
     skel = workspace["skel"]
-    assert (skel / "skel.ckpt").exists()
-    assert (skel / "skel.vocab").exists()
+    assert sorted(p.name for p in skel.iterdir()) == ["config.json", "skel.ckpt",
+                                                      "skel_loss_curve.txt"]
     curve = (skel / "skel_loss_curve.txt").read_text().splitlines()
     assert curve
     step, loss = curve[0].split("\t")
@@ -245,6 +254,18 @@ def test_train_skel_resume_continues_steps(workspace, tmp_path):
     assert after > before
 
 
+def test_train_skel_resume_other_vocabulary(workspace, tmp_path, capsys):
+    # the checkpoint was trained at --skel-threshold 1; at 1000 the data give
+    # no word at all, so the resumed run exits 2 naming the checkpoint
+    ckpt = workspace["skel"] / "skel.ckpt"
+    out = tmp_path / "resumed"
+    assert run("train-skel", "--data", str(workspace["data"]), "--out", str(out),
+               "--epochs", "1", "--skel-threshold", "1000", "--resume", str(ckpt)) == 2
+    assert capsys.readouterr().err == (f"error: {ckpt}: its vocabulary is not the one the "
+                                       f"data gives at --skel-threshold 1000\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_train_skel_resume_without_accumulator(workspace, tmp_path, capsys):
     # an accumulator line removed from the header would restart Adagrad from
     # zero; the checkpoint is refused, naming it, and nothing is written
@@ -267,20 +288,28 @@ def test_train_skel_missing_data(tmp_path):
 
 def test_train_attr_outputs(workspace):
     attr = workspace["attr"]
-    assert (attr / "attr.ckpt").exists()
-    assert (attr / "attr.vocab").exists()
-    assert (attr / "attr_loss_curve.txt").exists()
+    assert sorted(p.name for p in attr.iterdir()) == ["attr.ckpt", "attr_loss_curve.txt",
+                                                      "config.json"]
     config = json.loads((attr / "config.json").read_text())
     assert config["hidden_tap"] == "current"
 
 
-def test_train_attr_wrong_vocab(workspace, tmp_path):
-    # the attribute vocab passed as the skeleton vocab fails the hash check
+def _vocab_replaced(src, path, tokens):
+    """The checkpoint ``src`` copied to ``path`` with the value of its ``meta
+    vocab`` line replaced by the bytes ``tokens``."""
+    path.write_bytes(_edit_vocab_line(src.read_bytes(), lambda _: [b"meta vocab " + tokens]))
+
+
+def test_train_attr_wrong_vocab(workspace, tmp_path, capsys):
+    # a skeleton checkpoint whose vocabulary is one word short of its
+    # embedding rows is refused, naming it
+    src = workspace["skel"] / "skel.ckpt"
+    tokens = SkeletonGenerator.load(src).vocab.index_to_token[len(SPECIALS):-1]
+    ckpt = tmp_path / "skel.ckpt"
+    _vocab_replaced(src, ckpt, json.dumps(tokens).encode())
     assert run("train-attr", "--data", str(workspace["data"]), "--out",
-               str(tmp_path / "x"),
-               "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
-               "--skel-vocab", str(workspace["attr"] / "attr.vocab"),
-               "--epochs", "1") == 2
+               str(tmp_path / "x"), "--skel-checkpoint", str(ckpt), "--epochs", "1") == 2
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: tensor ")
 
 
 @pytest.mark.parametrize("grid,dim", [("4", "24"), ("3", "30")], ids=["grid", "feature-dim"])
@@ -293,7 +322,6 @@ def test_train_attr_feature_grid_mismatch(workspace, tmp_path, capsys, grid, dim
     capsys.readouterr()
     assert run("train-attr", "--data", str(data), "--out", str(tmp_path / "x"),
                "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
-               "--skel-vocab", str(workspace["skel"] / "skel.vocab"),
                "--epochs", "1", "--attr-threshold", "1") == 2
     first = (data / "train.captions.tsv").read_text().split("\t", 1)[0]
     assert capsys.readouterr().err == (f"error: {first}: feature grid {grid}x{grid}x{dim} "
@@ -316,8 +344,7 @@ def _training_args(workspace, command, data, out):
         return (command, "--data", str(data), "--out", str(out), "--epochs", "2",
                 "--skel-threshold", "1")
     return (command, "--data", str(data), "--out", str(out), "--epochs", "2",
-            "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
-            "--skel-vocab", str(workspace["skel"] / "skel.vocab"), "--attr-threshold", "1")
+            "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"), "--attr-threshold", "1")
 
 
 @pytest.mark.parametrize("keep", [30, 0])
@@ -459,9 +486,7 @@ def test_caption_missing_checkpoint(workspace, tmp_path):
     assert run("caption", "--data", str(workspace["data"]), "--out",
                str(tmp_path / "c.tsv"),
                "--skel-checkpoint", str(tmp_path / "nope.ckpt"),
-               "--skel-vocab", str(workspace["skel"] / "skel.vocab"),
-               "--attr-checkpoint", str(workspace["attr"] / "attr.ckpt"),
-               "--attr-vocab", str(workspace["attr"] / "attr.vocab")) == 2
+               "--attr-checkpoint", str(workspace["attr"] / "attr.ckpt")) == 2
 
 
 
@@ -486,13 +511,16 @@ def test_caption_skeleton_checkpoint_as_attribute(workspace, tmp_path, capsys):
     assert "skeleton checkpoint, expected attribute" in capsys.readouterr().err
 
 
-def test_caption_legacy_attribute_checkpoint_loads(workspace, tmp_path):
-    # older attribute checkpoints carry an "invoke_on_all_tokens" config key
+def test_caption_v1_checkpoint_refused(workspace, tmp_path, capsys):
+    # a v1 checkpoint kept its vocabulary in a separate file; no second
+    # loader reads it, and the message says to retrain
     ckpt = _edited_attr_checkpoint(workspace, tmp_path, lambda b: b.replace(
-        b'"seed":1', b'"invoke_on_all_tokens":true,"seed":1', 1))
-    assert run(*_caption_args(workspace, tmp_path / "a.tsv")) == 0
-    assert run(*_with_attr_checkpoint(workspace, tmp_path / "b.tsv", ckpt)) == 0
-    assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+        b"skelcap-checkpoint-v2", b"skelcap-checkpoint-v1", 1))
+    out = tmp_path / "c.tsv"
+    assert run(*_with_attr_checkpoint(workspace, out, ckpt)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}:1: a v1 checkpoint") and "retrain" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,skel_key,skel_size,size", [
@@ -504,11 +532,10 @@ def test_caption_checkpoint_pair_sizes_differ(workspace, tmp_path, capsys, key, 
                                               skel_size, size):
     # an attribute model conditioned on another skeleton's sizes exits 2
     # naming both checkpoints, before any image is captioned
-    from skelcap.corpus import Vocabulary
-
     sizes = {"feature_dim": 24, "skel_embed_size": 8, "skel_hidden_size": 16, key: size}
     ckpt = tmp_path / "attr.ckpt"
-    AttributeGenerator(Vocabulary.load(workspace["attr"] / "attr.vocab"), hidden_size=16,
+    AttributeGenerator(AttributeGenerator.load(workspace["attr"] / "attr.ckpt").vocab,
+                       hidden_size=16,
                        embed_size=8, seed=1, **sizes).save(ckpt)
     out = tmp_path / "c.tsv"
     out.write_text("kept\n")
@@ -608,31 +635,35 @@ def test_manifest_non_integer(workspace, tmp_path, capsys, edit, line):
     assert f"error: {manifest}:{line}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit,line", [
-    (lambda lines: [lines[0].replace("threshold=1", "threshold=one"), *lines[1:]], 1),
-    (lambda lines: [lines[0], lines[1].split("\t")[0] + "\tmany", *lines[2:]], 2),
-    (lambda lines: [*lines[:3], lines[1], *lines[3:]], 4),
-    (lambda lines: [lines[0], "<eos>\t1", *lines[1:]], 2),
-    (lambda lines: [*lines[:2], "", *lines[2:]], 3),
-], ids=["threshold", "count", "duplicate", "special", "blank"])
-def test_vocabulary_malformed(workspace, tmp_path, capsys, edit, line):
-    vocab = tmp_path / "skel.vocab"
-    lines = (workspace["skel"] / "skel.vocab").read_text().splitlines()
-    vocab.write_text("\n".join(edit(lines)) + "\n")
-    args = list(_caption_args(workspace, tmp_path / "c.tsv"))
-    args[args.index("--skel-vocab") + 1] = str(vocab)
-    assert run(*args) == 2
-    assert f"error: {vocab}:{line}: " in capsys.readouterr().err
+@pytest.mark.parametrize("tokens", [
+    b'"dog"', b'["dog",1]', b'["dog",""]', b'["big dog"]', b'["dog","<eos>"]', b'["dog","dog"]',
+], ids=["not-list", "non-str", "blank", "whitespace", "special", "duplicate"])
+def test_vocabulary_malformed(workspace, tmp_path, capsys, tokens):
+    # a checkpoint's vocabulary is refused as it is read, naming the file,
+    # and the writer refuses the same list before it opens its file
+    src = workspace["skel"] / "skel.ckpt"
+    ckpt = tmp_path / "skel.ckpt"
+    _vocab_replaced(src, ckpt, tokens)
+    assert run(*_caption_with(workspace, tmp_path / "c.tsv", "--skel-checkpoint", ckpt)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: meta 'vocab'")
+    value = json.loads(tokens)
+    model = SkeletonGenerator.load(src)
+    model.vocab = types.SimpleNamespace(index_to_token=[*SPECIALS, *value]
+                                        if isinstance(value, list) else (*SPECIALS, value))
+    out = tmp_path / "out.ckpt"
+    out.write_bytes(b"before")
+    with pytest.raises(NumericsError, match=f"^{re.escape(f'{out}: meta')} 'vocab'"):
+        model.save(out)
+    assert out.read_bytes() == b"before"
 
 
 def test_vocabulary_not_utf8(workspace, tmp_path, capsys):
-    # a checkpoint passed as the vocabulary: its payload is not UTF-8 text
-    ckpt = workspace["skel"] / "skel.ckpt"
-    args = list(_caption_args(workspace, tmp_path / "c.tsv"))
-    args[args.index("--skel-vocab") + 1] = str(ckpt)
-    assert run(*args) == 2
-    err = capsys.readouterr().err
-    assert f"error: {ckpt}:" in err and "not UTF-8" in err
+    # a vocabulary byte that is not UTF-8 is named at its header line
+    ckpt = tmp_path / "skel.ckpt"
+    _vocab_replaced(workspace["skel"] / "skel.ckpt", ckpt, b'["dog","\xff"]')
+    assert run(*_caption_with(workspace, tmp_path / "c.tsv", "--skel-checkpoint", ckpt)) == 2
+    line = _vocab_line_number(ckpt.read_bytes())
+    assert capsys.readouterr().err == f"error: {ckpt}:{line}: header is not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("entry", [b"tensor embed", b"tensor embed 8,x 0",
@@ -651,9 +682,9 @@ def test_caption_malformed_checkpoint_header(workspace, tmp_path, capsys, entry)
 @pytest.mark.parametrize("prefix, repeat", [
     (b"step_count ", b"step_count 999"),
     (b"meta model ", b'meta model "skeleton"'),
-    (b"vocab_hash ", None),
+    (b"meta vocab ", None),
     (b"meta model ", b"meta note NaN"),
-], ids=["step-count", "meta", "vocab-hash", "meta-nan"])
+], ids=["step-count", "meta", "vocab", "meta-nan"])
 def test_caption_checkpoint_header_line_not_read_back(workspace, tmp_path, capsys, prefix,
                                                       repeat):
     # a second header line of one key would silently override the first, and
@@ -705,8 +736,7 @@ def test_caption_refinement_needs_attention(workspace, tmp_path, capsys):
                "--no-attention") == 0
     ws = {**workspace, "skel": skel}
     assert run("train-attr", "--data", str(ws["data"]), "--out", str(tmp_path / "attr"),
-               "--skel-checkpoint", str(skel / "skel.ckpt"),
-               "--skel-vocab", str(skel / "skel.vocab"), "--epochs", "1",
+               "--skel-checkpoint", str(skel / "skel.ckpt"), "--epochs", "1",
                "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1",
                "--post-word-alpha") == 2
     assert "needs a skeleton decoder with attention" in capsys.readouterr().err
@@ -733,8 +763,8 @@ def test_config_file_sets_no_attention(workspace, tmp_path):
     # train-attr reads "post-word-alpha" from the same file, which this skeleton refuses
     assert run("train-attr", "--config", str(config), "--data", str(workspace["data"]),
                "--out", str(tmp_path / "attr"), "--skel-checkpoint", str(skel / "skel.ckpt"),
-               "--skel-vocab", str(skel / "skel.vocab"), "--epochs", "1",
-               "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1") == 2
+               "--epochs", "1", "--hidden-size", "16", "--embed-size", "8",
+               "--attr-threshold", "1") == 2
 
 
 def test_config_file_sets_post_word_alpha(workspace, tmp_path):
@@ -744,8 +774,8 @@ def test_config_file_sets_post_word_alpha(workspace, tmp_path):
     attr = tmp_path / "attr"
     assert run("train-attr", "--config", str(on), "--data", str(workspace["data"]),
                "--out", str(attr), "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
-               "--skel-vocab", str(workspace["skel"] / "skel.vocab"), "--epochs", "1",
-               "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1") == 0
+               "--epochs", "1", "--hidden-size", "16", "--embed-size", "8",
+               "--attr-threshold", "1") == 0
     assert json.loads((attr / "config.json").read_text())["use_post_word_alpha"] is True
     ws = {**workspace, "attr": attr}
 
@@ -871,6 +901,60 @@ def test_eval_json_report_kept_when_write_fails(tmp_path, monkeypatch):
                "--json", str(report)) == 2
     assert report.read_text() == "earlier report\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["caps.tsv", "report.json"]
+
+
+# -- paths that are directories, factors that are not finite -----------------
+
+@pytest.mark.parametrize("command", ["decompose", "caption", "eval"])
+def test_input_path_that_is_a_directory(workspace, tmp_path, capsys, command):
+    # a directory given for an input file exits 2 naming it, not in a traceback
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {"decompose": ("decompose", "--trees", str(folder)),
+            "caption": _caption_with(workspace, tmp_path / "c.tsv", "--skel-checkpoint", folder),
+            "eval": ("eval", "--candidates", str(folder),
+                     "--references", str(workspace["data"] / "test.captions.tsv"))}[command]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{str(folder)!r}" in err, err
+    assert list(tmp_path.iterdir()) == [folder]
+
+
+@pytest.mark.parametrize("command", ["decompose", "caption", "eval"])
+def test_output_path_that_is_a_directory(workspace, tmp_path, capsys, command):
+    # refused naming the target, with nothing written into it or beside it
+    target = tmp_path / "out"
+    target.mkdir()
+    caps = tmp_path / "c.tsv"
+    caps.write_text("img\ta dog\n")
+    argv = {"decompose": ("decompose", "--trees", str(workspace["data"] / "test.trees.txt"),
+                          "--out", str(target)),
+            "caption": _caption_args(workspace, target),
+            "eval": ("eval", "--candidates", str(caps), "--references", str(caps),
+                     "--json", str(target))}[command]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {target}: is a directory, not an output file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.tsv", "out"]
+    assert not any(target.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("caption", "gamma-attr", "nan"), ("caption", "gamma-skel", "nan"),
+    ("caption", "gamma-skel", "inf"), ("caption", "gamma-attr", "-inf"),
+    ("gradcheck", "tol", "inf"), ("gradcheck", "tol", "nan"),
+])
+def test_non_finite_factor_exits_2(tmp_path, capsys, monkeypatch, command, flag, value):
+    # refused before any file is read or written: every path given names a
+    # directory that does not exist
+    monkeypatch.delenv("SKELCAP_CONFIG", raising=False)
+    missing = tmp_path / "missing"
+    _, _, options = cli.COMMANDS[command]
+    required = [arg for o in options if o.source == "required"
+                for arg in (f"--{o.flag}", str(missing / o.flag))]
+    assert run(command, *required, f"--{flag}={value}") == 2
+    assert capsys.readouterr() == ("", f"error: --{flag} must be a finite number, "
+                                       f"not {value}\n")
+    assert not missing.exists()
 
 
 # -- gradcheck / config / usage ----------------------------------------------
@@ -1141,7 +1225,6 @@ def test_failed_training_leaves_run_directory(workspace, tmp_path, monkeypatch, 
                 "--resume", str(run_dir / "skel.ckpt"))
     else:
         argv = ("train-attr", *common, "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
-                "--skel-vocab", str(workspace["skel"] / "skel.vocab"),
                 "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1")
     assert run(*argv) == 2
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before

@@ -365,8 +365,8 @@ def test_checkpoint_roundtrip(tmp_path):
     store.accumulators["beta"][:] = 0.25
     store.step_count = 42
     path = tmp_path / "model.ckpt"
-    store.save(path, meta={"config": {"x": 1}}, vocab_hashes={"v": "abc123"})
-    loaded = ParameterStore.load(path, expect_vocab_hashes={"v": "abc123"})
+    store.save(path, meta={"config": {"x": 1}})
+    loaded = ParameterStore.load(path)
     assert loaded.step_count == 42
     assert loaded.meta == {"config": {"x": 1}}
     for name in ("alpha", "beta"):
@@ -374,25 +374,11 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(loaded.accumulators[name], store.accumulators[name])
 
 
-def test_checkpoint_vocab_hash_mismatch(tmp_path):
-    store = ParameterStore()
-    store.add("w", np.zeros(2, dtype=np.float32))
-    path = tmp_path / "m.ckpt"
-    store.save(path, vocab_hashes={"v": "aaa"})
-    with pytest.raises(NumericsError):
-        ParameterStore.load(path, expect_vocab_hashes={"v": "bbb"})
-
-
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint\nend-header\n")
     with pytest.raises(NumericsError):
         ParameterStore.load(path)
-
-
-def test_vocab_hash_stable():
-    assert nm.vocab_hash(["a", "b"]) == nm.vocab_hash(["a", "b"])
-    assert nm.vocab_hash(["a", "b"]) != nm.vocab_hash(["ab"])
 
 
 def test_adagrad_step_returns_norm_before_clipping():
@@ -673,7 +659,7 @@ def _random_decoders(seed, use_attention, dtype):
     from skelcap.corpus import Vocabulary
     from skelcap.skelnet import SkeletonGenerator
 
-    vocab = Vocabulary([f"w{i}" for i in range(5)], {}, 1)
+    vocab = Vocabulary([f"w{i}" for i in range(5)])
     skel = SkeletonGenerator(vocab, feature_dim=4, grid_size=2, hidden_size=5, embed_size=3,
                              attention_hidden=4, use_attention=use_attention, seed=seed,
                              dtype=dtype)
@@ -727,7 +713,7 @@ def test_attribute_loss_and_grads_match_tape(seed, B, S, n_words, dtype):
     from skelcap.corpus import BOS, EOS, Vocabulary
 
     rng = np.random.default_rng(seed)
-    vocab = Vocabulary([f"w{i}" for i in range(6)], {}, 1)
+    vocab = Vocabulary([f"w{i}" for i in range(6)])
     attr = AttributeGenerator(vocab, feature_dim=4, skel_embed_size=3, skel_hidden_size=5,
                               hidden_size=6, embed_size=3, seed=seed % 1000, dtype=dtype)
     words = rng.choice(np.arange(EOS + 1, len(vocab)), size=n_words, replace=False)
@@ -765,7 +751,7 @@ def test_attribute_loss_and_grads_match_tape_either_input_rows(dtype, n_words, o
     from skelcap.corpus import BOS, EOS, Vocabulary
 
     rng = np.random.default_rng(n_words)
-    vocab = Vocabulary([f"w{i}" for i in range(40)], {}, 1)
+    vocab = Vocabulary([f"w{i}" for i in range(40)])
     attr = AttributeGenerator(vocab, feature_dim=4, skel_embed_size=3, skel_hidden_size=5,
                               hidden_size=6, embed_size=3, seed=7, dtype=dtype)
     words = rng.choice(np.arange(EOS + 1, len(vocab)), size=n_words, replace=False)

@@ -104,8 +104,7 @@ def _pipeline(root):
     # trained enough that the caption has a skeleton word, so attributes decode
     small = ("--epochs", "8", "--learning-rate", "0.3", "--hidden-size", "8",
              "--embed-size", "6")
-    skel_model = ("--skel-checkpoint", str(skel / "skel.ckpt"),
-                  "--skel-vocab", str(skel / "skel.vocab"))
+    skel_model = ("--skel-checkpoint", str(skel / "skel.ckpt"))
     yield ("synth", "--out", str(data), "--count", "40", "--val-count", "6",
            "--test-count", "4", "--grid-size", "2", "--feature-dim", "20", "--seed", "5")
     yield ("decompose", "--trees", str(data / "val.trees.txt"), "--out", str(root / "d.txt"))
@@ -121,7 +120,6 @@ def _pipeline(root):
     captions = root / "captions.tsv"
     yield ("caption", "--data", str(data), "--out", str(captions), *skel_model,
            "--attr-checkpoint", str(attr / "attr.ckpt"),
-           "--attr-vocab", str(attr / "attr.vocab"),
            "--trace", str(root / "trace.txt"), "--ids", image_id)
     yield ("eval", "--candidates", str(captions),
            "--references", str(data / "test.captions.tsv"), "--without-a",

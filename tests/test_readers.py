@@ -1,7 +1,9 @@
 """Property tests: every file reader, given arbitrary bytes, either returns or
 raises its module's own error naming the file; and the trees, captions,
 manifest, features and checkpoint writers either refuse a value, leaving the
-file as it was, or write what their reader reads back as the same value."""
+file as it was, or write what their reader reads back as the same value. A
+vocabulary is read and written as the ``meta vocab`` line of its decoder's
+checkpoint."""
 
 import functools
 import json
@@ -14,10 +16,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from skelcap import cli, corpus, treebank
-from skelcap.corpus import CorpusError, Vocabulary
+from skelcap import cli, corpus, recurrent, treebank
+from skelcap.corpus import CorpusError
 from skelcap.metrics import MetricsError
 from skelcap.numerics import NumericsError, ParameterStore
+from skelcap.skelnet import SkeletonGenerator
 from skelcap.treebank import TreeParseError
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -37,6 +40,46 @@ def _load_with_valid_trees(captions_path):
     return corpus.load_records(captions_path, trees_path)
 
 
+def _tiny_decoder(vocab):
+    return SkeletonGenerator(vocab, feature_dim=1, grid_size=1, hidden_size=1, embed_size=1,
+                             attention_hidden=1)
+
+
+def _read_vocabulary(path):
+    """The vocabulary of the decoder checkpoint ``path``, as its loader reads
+    it before building the model."""
+    return recurrent._checkpoint_vocab(path, ParameterStore.load(path).meta.get("vocab"))
+
+
+def _vocab_line_number(blob):
+    """The number of the ``meta vocab`` header line of the checkpoint ``blob``."""
+    return next(n for n, line in enumerate(blob.split(b"\n"), 1)
+                if line.startswith(b"meta vocab "))
+
+
+def _edit_vocab_line(blob, edit):
+    """The checkpoint ``blob`` with its ``meta vocab`` header line replaced
+    by the lines ``edit(line)`` returns."""
+    head, sep, payload = blob.partition(b"\nend-header\n")
+    lines = head.split(b"\n")
+    at = _vocab_line_number(blob) - 1
+    lines[at:at + 1] = edit(lines[at])
+    return b"\n".join(lines) + sep + payload
+
+
+def _vocab_tokens(blob):
+    """The token list of the ``meta vocab`` line of the checkpoint ``blob``."""
+    return json.loads(blob.split(b"\n")[_vocab_line_number(blob) - 1][len(b"meta vocab "):])
+
+
+def _with_token(blob, at, token):
+    """The checkpoint ``blob`` with ``token`` inserted at index ``at`` of its
+    ``meta vocab`` list."""
+    tokens = _vocab_tokens(blob)
+    line = b"meta vocab " + json.dumps([*tokens[:at], token, *tokens[at:]]).encode()
+    return _edit_vocab_line(blob, lambda _: [line])
+
+
 def _valid_files(root):
     """One well-formed file per reader, written by the package's own writers."""
     recs = _records()
@@ -46,12 +89,12 @@ def _valid_files(root):
     store = ParameterStore()
     store.add("w", np.arange(6, dtype=np.float32).reshape(2, 3))
     store.add("b", np.zeros(3, dtype=np.float32))
-    store.save(root / "c.ckpt", meta={"model": "skeleton"}, vocab_hashes={"v": "abc"})
+    store.save(root / "c.ckpt", meta={"model": "skeleton", "vocab": ["dog", "red"]})
     files["checkpoint"] = (root / "c.ckpt").read_bytes()
     corpus.write_manifest(root / "m.txt", {"train": {"captions": "t.tsv", "count": 2}}, seed=4)
     files["manifest"] = (root / "m.txt").read_bytes()
-    corpus.build_vocab([r.tokens for r in recs], 1).save(root / "v.txt")
-    files["vocabulary"] = (root / "v.txt").read_bytes()
+    _tiny_decoder(corpus.build_vocab([r.tokens for r in recs], 1)).save(root / "v.ckpt")
+    files["vocabulary"] = (root / "v.ckpt").read_bytes()
     corpus.write_trees(root / "t.txt", recs)
     files["trees"] = (root / "t.txt").read_bytes()
     corpus.write_captions(root / "c.tsv", recs)
@@ -66,7 +109,7 @@ READERS = {
     "features": (corpus.read_features, CorpusError),
     "checkpoint": (ParameterStore.load, NumericsError),
     "manifest": (corpus.read_manifest, CorpusError),
-    "vocabulary": (Vocabulary.load, CorpusError),
+    "vocabulary": (_read_vocabulary, NumericsError),
     "trees": (lambda p: list(treebank.read_trees(p)), TreeParseError),
     "captions": (cli._read_caption_file, MetricsError),
     "load": (_load_with_valid_trees, CorpusError),
@@ -107,12 +150,10 @@ def _grids_come_back(grids, path):
 
 
 def _vocabulary_comes_back(vocab, path):
-    """A vocabulary ``Vocabulary.load`` accepted, saved and loaded again: the
-    same tokens in order, counts and threshold."""
-    vocab.save(path)
-    again = Vocabulary.load(path)
-    assert (again.index_to_token, again.counts, again.threshold) == \
-        (vocab.index_to_token, vocab.counts, vocab.threshold)
+    """A vocabulary the checkpoint reader accepted, saved with a decoder and
+    loaded again: the same tokens in order."""
+    _tiny_decoder(vocab).save(path)
+    assert SkeletonGenerator.load(path).vocab.index_to_token == vocab.index_to_token
 
 
 def _manifest_comes_back(manifest, path):
@@ -133,12 +174,11 @@ def _captions_come_back(captions, path):
 
 def _checkpoint_comes_back(store, path):
     """A checkpoint ``ParameterStore.load`` accepted, saved and loaded again:
-    the same step count, meta, vocabulary hashes, and each tensor and
-    accumulator byte-equal with its dtype and shape."""
-    store.save(path, meta=store.meta, vocab_hashes=store.vocab_hashes)
+    the same step count, meta, and each tensor and accumulator byte-equal
+    with its dtype and shape."""
+    store.save(path, meta=store.meta)
     again = ParameterStore.load(path)
-    assert (again.step_count, again.meta, again.vocab_hashes) == \
-        (store.step_count, store.meta, store.vocab_hashes)
+    assert (again.step_count, again.meta) == (store.step_count, store.meta)
     assert sorted(again.names()) == sorted(store.names())
     for name in store.names():
         for got, want in ((again[name].data, store[name].data),
@@ -179,14 +219,13 @@ def test_valid_file_reads(kind, valid_files, tmp_path):
 @FUZZ
 @given(data=st.data())
 def test_vocabulary_blank_line_named(valid_files, tmp_path, data):
-    # a blank line would load as the token "" and shift every later index
-    lines = valid_files["vocabulary"].decode("utf-8").splitlines(keepends=True)
-    at = data.draw(st.integers(0, len(lines)), label="at")
-    blank = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="blank")
-    path = tmp_path / "blank.vocab"
-    path.write_bytes("".join([*lines[:at], blank, *lines[at:]]).encode("utf-8"))
-    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:{at + 1}: blank line"):
-        Vocabulary.load(path)
+    # a blank token would take an index of its own and shift every later one
+    at = data.draw(st.integers(0, len(_vocab_tokens(valid_files["vocabulary"]))), label="at")
+    path = tmp_path / "blank.ckpt"
+    path.write_bytes(_with_token(valid_files["vocabulary"], at, ""))
+    with pytest.raises(NumericsError, match=f"^{re.escape(str(path))}: meta 'vocab': "
+                                            f"vocabulary token '' is not a non-empty str"):
+        _read_vocabulary(path)
 
 
 def test_features_repeated_image_id_named(tmp_path):
@@ -377,17 +416,16 @@ def test_checkpoint_accumulator_fault_named(tmp_path, edit, shift, message):
 @pytest.mark.parametrize("prefix, repeat, message", [
     ("step_count ", "step_count 999", "step_count repeated"),
     ("meta model ", 'meta model "attribute"', "meta 'model' repeated"),
-    ("vocab_hash v ", "vocab_hash v def", "vocab_hash 'v' repeated"),
+    ("meta vocab ", 'meta vocab ["cat"]', "meta 'vocab' repeated"),
     ("meta model ", "meta note NaN", "meta 'note' does not read back from JSON as itself"),
     ("meta model ", "meta deep " + "[" * 10 ** 5 + "]" * 10 ** 5, "maximum recursion depth"),
-], ids=["step-count", "meta", "vocab-hash", "meta-nan", "meta-deep"])
+], ids=["step-count", "meta", "vocab", "meta-nan", "meta-deep"])
 def test_checkpoint_header_line_not_read_back_named(tmp_path, prefix, repeat, message):
     # a second line of one key would silently override the first (a
     # skeleton checkpoint loading as an attribute one), and a meta value that
     # JSON does not read back as itself would not save again
     path = tmp_path / "c.ckpt"
-    _store(w=np.ones(2, np.float32)).save(path, meta={"model": "skeleton"},
-                                           vocab_hashes={"v": "abc"})
+    _store(w=np.ones(2, np.float32)).save(path, meta={"model": "skeleton", "vocab": ["dog"]})
     head, _, payload = path.read_bytes().partition(b"end-header\n")
     lines = head.decode("utf-8").splitlines()
     at = lines.index(next(line for line in lines if line.startswith(prefix))) + 1
@@ -396,16 +434,16 @@ def test_checkpoint_header_line_not_read_back_named(tmp_path, prefix, repeat, me
         ParameterStore.load(path)
 
 
-@pytest.mark.parametrize("line", ["\t3", " \t3", "big dog\t3", "dog \t3", "\u00a0dog\t1"],
+@pytest.mark.parametrize("token", ["", " ", "big dog", "dog ", "\u00a0dog"],
                          ids=["empty", "space", "inner-space", "trailing-space", "nbsp"])
-def test_vocabulary_token_without_text_named(valid_files, tmp_path, line):
+def test_vocabulary_token_without_text_named(valid_files, tmp_path, token):
     # such a token can never come out of preprocessing, which splits on whitespace
-    lines = valid_files["vocabulary"].decode("utf-8").splitlines(keepends=True)
-    path = tmp_path / "bad.vocab"
-    path.write_text("".join([*lines[:2], line + "\n", *lines[2:]]), encoding="utf-8")
-    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: token .* is empty or "
-                                          f"holds whitespace$"):
-        Vocabulary.load(path)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_with_token(valid_files["vocabulary"], 0, token))
+    with pytest.raises(NumericsError, match=f"^{re.escape(str(path))}: meta 'vocab': "
+                                            f"vocabulary token .* is not a non-empty str "
+                                            f"without whitespace$"):
+        _read_vocabulary(path)
 
 
 def test_manifest_repeated_split_named(tmp_path):
@@ -452,19 +490,21 @@ def test_manifest_text_its_writer_refuses_named(tmp_path, line, message):
         corpus.read_manifest(path)
 
 
-@pytest.mark.parametrize("at,line,message", [
-    (0, "dog\t3", "expected the header '# vocabulary threshold=N', got 'dog\\t3'"),
-    (1, "# vocabulary threshold=2", "expected 'token<TAB>count', got '# vocabulary threshold=2'"),
-    (2, "dog", "expected 'token<TAB>count', got 'dog'"),
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda line: [], None, "meta 'vocab' is not a list of tokens"),
+    (lambda line: [line, line], 1, "meta 'vocab' repeated"),
+    (lambda line: [b"meta vocab"], 0, "Expecting value"),
 ], ids=["no-header", "second-header", "no-count"])
-def test_vocabulary_line_not_as_saved_named(valid_files, tmp_path, at, line, message):
-    # only what ``Vocabulary.save`` writes loads: a "#" line after the header
-    # is a token line like any other
-    lines = valid_files["vocabulary"].decode("utf-8").splitlines(keepends=True)
-    path = tmp_path / "bad.vocab"
-    path.write_text("".join([*lines[:at], line + "\n", *lines[at:]]), encoding="utf-8")
-    with pytest.raises(CorpusError, match=f"^{re.escape(f'{path}:{at + 1}: {message}')}$"):
-        Vocabulary.load(path)
+def test_vocabulary_line_not_as_saved_named(valid_files, tmp_path, edit, line, message):
+    # only the one vocabulary line the writer gives a checkpoint loads: not
+    # none, not two, not one without a value; the fault is named at its line
+    # where it has one
+    blob = valid_files["vocabulary"]
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_edit_vocab_line(blob, edit))
+    where = str(path) if line is None else f"{path}:{_vocab_line_number(blob) + line}"
+    with pytest.raises(NumericsError, match=f"^{re.escape(f'{where}: {message}')}"):
+        _read_vocabulary(path)
 
 
 # -- writers: what a writer accepts, its reader reads back as written ----------
@@ -599,8 +639,7 @@ def test_manifest_round_trip(tmp_path, splits, seed):
     lambda path: corpus.write_trees(path, [types.SimpleNamespace(tree=treebank.ParseTree(
         _node("NN", token=token))) for token in ("dog", "\ud800")]),
     lambda path: corpus.write_manifest(path, {"train": {"count": 1}, "\ud800": {}}),
-    lambda path: Vocabulary(["dog", "\ud800"], {"dog": 1, "\ud800": 1}, 1).save(path),
-], ids=["captions", "trees", "manifest", "vocabulary"])
+], ids=["captions", "trees", "manifest"])
 def test_writer_leaves_file_on_text_it_cannot_encode(tmp_path, write):
     # a lone surrogate has no UTF-8 form: the writer fails before the file
     # is opened, not after writing the lines before it
@@ -689,43 +728,39 @@ _CHECKPOINT_ENTRY = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_sid
 @FUZZ
 @given(tensors=st.dictionaries(_TEXT, _CHECKPOINT_ENTRY, max_size=3),
        step_count=st.integers(-10**6, 10**12),
-       meta=st.dictionaries(_TEXT, _JSON, max_size=3),
-       vocab_hashes=st.dictionaries(_TEXT, _TEXT, max_size=2))
-@example(tensors={"a\nb": (np.ones(2, np.float32), np.zeros(2))}, step_count=0, meta={},
-         vocab_hashes={})
-@example(tensors={"\ud800": (np.ones(2, np.float32), np.zeros(2))}, step_count=0, meta={},
-         vocab_hashes={})
-@example(tensors={}, step_count=0, meta={}, vocab_hashes={"a b": "x y"})
-@example(tensors={}, step_count=0, meta={"a b": 1}, vocab_hashes={})
-@example(tensors={}, step_count=0, meta={"config": {"sizes": (1, 2)}}, vocab_hashes={})
-@example(tensors={}, step_count=0, meta={"loss": float("nan")}, vocab_hashes={})
-@example(tensors={}, step_count=0, meta={"ids": {"\ud800": [1e308, -0.0]}}, vocab_hashes={})
+       meta=st.dictionaries(_TEXT, _JSON, max_size=3)
+       | st.lists(_TEXT, max_size=4).map(lambda tokens: {"vocab": tokens}))
+@example(tensors={"a\nb": (np.ones(2, np.float32), np.zeros(2))}, step_count=0, meta={})
+@example(tensors={"\ud800": (np.ones(2, np.float32), np.zeros(2))}, step_count=0, meta={})
+@example(tensors={}, step_count=0, meta={"a b": 1})
+@example(tensors={}, step_count=0, meta={"config": {"sizes": (1, 2)}})
+@example(tensors={}, step_count=0, meta={"loss": float("nan")})
+@example(tensors={}, step_count=0, meta={"ids": {"\ud800": [1e308, -0.0]}})
+@example(tensors={}, step_count=0, meta={"vocab": ["dog", "\ud800", "a\nb"]})
+@example(tensors={}, step_count=0, meta={"vocab": ("dog",)})
 @example(tensors={"": (np.float32(-0.0), np.float64(2.5)),
                   "w x": (np.ones((0, 2), np.float32), np.ones((0, 2)))},
-         step_count=7, meta={"": "", "model": "skeleton"}, vocab_hashes={"": ""})
-def test_checkpoint_round_trip(tmp_path, tensors, step_count, meta, vocab_hashes):
+         step_count=7, meta={"": "", "model": "skeleton"})
+def test_checkpoint_round_trip(tmp_path, tensors, step_count, meta):
     store = ParameterStore()
     for name, (data, acc) in tensors.items():
         store.add(name, np.asarray(data))
         store.accumulators[name] = np.asarray(acc)
     store.step_count = step_count
     writable = (all(_header_text(name) for name in tensors)
-                and all(_header_text(key, spaces=False) and _header_text(value)
-                        for key, value in vocab_hashes.items())
                 and all(_header_text(key, spaces=False) and _json_stable(value)
                         for key, value in meta.items()))
     path = tmp_path / "c.ckpt"
     path.write_bytes(b"before")
     try:
-        store.save(path, meta=meta, vocab_hashes=vocab_hashes)
+        store.save(path, meta=meta)
     except NumericsError as exc:
         assert path.read_bytes() == b"before"
         assert not writable, exc
         return
     assert writable
     loaded = ParameterStore.load(path)
-    assert (loaded.step_count, loaded.meta, loaded.vocab_hashes) == (step_count, meta,
-                                                                     vocab_hashes)
+    assert (loaded.step_count, loaded.meta) == (step_count, meta)
     assert sorted(loaded.names()) == sorted(tensors)
     for name, (data, acc) in tensors.items():
         for got, want in ((loaded[name].data, np.asarray(data)),
@@ -743,12 +778,10 @@ def _store(**tensors):
 
 @pytest.mark.parametrize("store, save, named", [
     (_store(**{"a\nb": np.ones(2, np.float32)}), {}, "'a\\nb'"),
-    (_store(w=np.ones(2, np.float32)), {"vocab_hashes": {"a b": "x y"}}, "'a b'"),
     (_store(w=np.ones(2, np.float32)), {"meta": {"a b": 1}}, "'a b'"),
     (_store(w=np.array([1.0, 1e39])), {}, "tensor 'w'"),
     (_store(w=np.ones(2, np.float32)), {"meta": {"config": {"sizes": (1, 2)}}}, "'config'"),
-], ids=["tensor-line-break", "vocab-key-space", "meta-key-space", "float32-overflow",
-        "meta-tuple"])
+], ids=["tensor-line-break", "meta-key-space", "float32-overflow", "meta-tuple"])
 def test_checkpoint_refusal_names_the_entry(tmp_path, store, save, named):
     # each of these saved before, then failed to load or loaded otherwise
     path = tmp_path / "c.ckpt"
