@@ -103,6 +103,7 @@ class AttributeGenerator(RecurrentDecoder):
         self.use_post_word_alpha = use_post_word_alpha
         self.seed = seed
         self.dtype = dtype
+        self._check_params()
         self.store = ParameterStore()
         self._build(np.random.default_rng(seed))
 
@@ -175,7 +176,9 @@ class AttributeGenerator(RecurrentDecoder):
         """Decode the attribute phrase (possibly empty) of every skeletal word
         of one caption, from their fused inputs ``x_init`` (W, m), in one
         joint beam search; returns W phrases, all empty when ``max_len`` is
-        0. A negative ``max_len`` is a ``BeamError``."""
+        0. A negative ``max_len`` is a ``BeamError``. A step's rows do not
+        depend on what else shares its batch (``nm.row_stable_matmul``), so
+        each phrase is bit for bit the one its own search would find."""
         from .decode import BeamConfig, BeamError, joint_beam_search
         if max_len < 0:
             raise BeamError(f"max_len must be >= 0, got {max_len}")

@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import corpus, metrics, treebank
-from .decompose import DecomposeError, decompose as decompose_tree, format_decomposition
-from .attrnet import (AttrConfigError, AttributeGenerator, build_training_items,
+from .decompose import decompose as decompose_tree, format_decomposition
+from .attrnet import (HIDDEN_TAPS, AttrConfigError, AttributeGenerator, build_training_items,
                       check_skeleton_sizes)
 from .corpus import SynthConfig
 from .decode import caption as run_caption
@@ -37,15 +37,8 @@ log = logging.getLogger(__name__)
 
 CONFIG_ENV = "SKELCAP_CONFIG"
 
-DATA_ERRORS = (
-    corpus.CorpusError,
-    treebank.TreeParseError,
-    DecomposeError,
-    metrics.MetricsError,
-    NumericsError,
-    OSError,
-    ValueError,
-)
+# the package's own errors are ValueErrors, except NumericsError
+DATA_ERRORS = (NumericsError, OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -293,18 +286,10 @@ def cmd_train_attr(cfg):
 
 # -- caption -----------------------------------------------------------------
 
-def _check_finite(cfg, *flags):
-    """Raises ValueError naming the first of ``flags`` not a finite number."""
-    for flag in flags:
-        if not math.isfinite(cfg[flag]):
-            raise ValueError(f"--{flag} must be a finite number, not {cfg[flag]}")
-
-
 def cmd_caption(cfg):
     wanted = None if cfg["ids"] in (None, "all") else set(_csv(cfg["ids"]))
     if wanted == set():
         build_parser().error(f"--ids {cfg['ids']!r} names no image id")
-    _check_finite(cfg, "gamma-skel", "gamma-attr")
     records = _load_split(Path(cfg["data"]), cfg["split"])
     skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"])
     attr_model = AttributeGenerator.load(cfg["attr-checkpoint"])
@@ -397,7 +382,6 @@ def _gradcheck(model, batch, cfg):
 
 
 def cmd_gradcheck(cfg):
-    _check_finite(cfg, "tol")
     sc = SynthConfig(grid_size=2, feature_dim=8, objects=("dog", "cat", "cup"),
                      attributes=("red", "big"), relations=("on",),
                      noise_sigma=0.2, count=2)
@@ -480,7 +464,8 @@ COMMANDS = {
     )),
     "train-skel": (cmd_train_skel, "train the skeleton decoder", (
         *_TRAIN_COMMON,
-        Opt("batch-size", int, 64, "records per batch", positive=True),
+        Opt("batch-size", int, SkeletonGenerator.default_batch_size, "records per batch",
+            positive=True),
         Opt("attention-hidden", int, 128, "attention MLP size", positive=True),
         Opt("skel-threshold", int, 5, "minimum count of a vocabulary word"),
         Opt("no-attention", bool, False, "decode without attention"),
@@ -489,9 +474,10 @@ COMMANDS = {
     "train-attr": (cmd_train_attr, "train the attribute decoder", (
         *_TRAIN_COMMON,
         Opt("skel-checkpoint", help="trained skeleton checkpoint", source="required"),
-        Opt("batch-size", int, 128, "items per batch", positive=True),
+        Opt("batch-size", int, AttributeGenerator.default_batch_size, "items per batch",
+            positive=True),
         Opt("attr-threshold", int, 3, "minimum count of a vocabulary word"),
-        Opt("hidden-tap", ("current", "previous", "final"), "current",
+        Opt("hidden-tap", HIDDEN_TAPS, "current",
             "skeleton hidden state to condition on"),
         Opt("post-word-alpha", bool, False, "condition on refined attention"),
     )),
@@ -552,7 +538,9 @@ def _configure(argv):
     the flag, else the config file's value where a file can set it, else the
     default, which an empty string also takes where there is one. A
     ``positive`` option set to a number not above 0, or a model option given
-    with ``--resume``, by flag or file, is a usage error naming it."""
+    with ``--resume``, by flag or file, is a usage error naming it; a float
+    option that is not finite raises ValueError naming it, before any file
+    but the config is read."""
     parser = build_parser()
     args = parser.parse_args(argv)
     func, _, options = COMMANDS[args.command]
@@ -570,6 +558,8 @@ def _configure(argv):
             value = opt.default
         if opt.positive and not 0 < value < math.inf:
             parser.error(f"{given[opt.flag]} must be positive, not {value}")
+        if opt.kind is float and not math.isfinite(value):
+            raise ValueError(f"{given[opt.flag]} must be a finite number, not {value}")
         cfg[opt.flag] = value
     if cfg.get("resume"):
         fixed = [given[flag] for flag in RESUME_FIXED if flag in given]

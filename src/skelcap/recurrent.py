@@ -108,9 +108,9 @@ def cell_forward(x, h, c, W, b, out_W, out_b):
     return h, c, nm.affine(h, out_W, out_b), cell
 
 
-def _at_least_one(name, value):
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, not {value}")
+def _at_least_one(name, value, least=1):
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, not {value}")
 
 
 @dataclass
@@ -142,6 +142,18 @@ class RecurrentDecoder:
         """Constructor keywords except ``vocab`` and ``dtype``; saved as the config."""
         return {k: getattr(self, k) for k in inspect.signature(type(self)).parameters
                 if k not in ("vocab", "dtype")}
+
+    def _check_params(self):
+        """Raises ValueError naming the first of ``get_params`` that is not of
+        its constructor annotation's type (a bool is no int) or is an int
+        below 1, a seed below 0: a checkpoint's config reaches the
+        constructor as JSON values, which nothing else checks."""
+        kinds = inspect.get_annotations(type(self).__init__, eval_str=True)
+        for key, value in self.get_params().items():
+            if type(value) is not kinds[key]:
+                raise ValueError(f"{key} must be {kinds[key].__name__}, not {value!r}")
+            if kinds[key] is int:
+                _at_least_one(key, value, 0 if key == "seed" else 1)
 
     def _build_lstm_and_output(self, rng, input_size):
         n, Q, dt = self.hidden_size, len(self.vocab), self.dtype
@@ -284,17 +296,19 @@ class RecurrentDecoder:
         """Rebuild a model from ``path`` with its vocabulary and Adagrad state.
 
         After ``ParameterStore.load`` checked the model kind and payload,
-        checks the vocabulary, the config keys and tensor shapes, naming
-        ``path``.
+        checks the vocabulary, the config keys and values and tensor shapes,
+        naming ``path``.
         """
         store = ParameterStore.load(path, expect_model=cls.model_kind)
         vocab = _checkpoint_vocab(path, store.meta.get("vocab"))
         config = store.meta.get("config", {})
         try:
             inspect.signature(cls).bind(vocab, **config)
+            model = cls(vocab, **config)
         except (AttributeError, TypeError) as exc:
             raise NumericsError(f"{path}: config does not fit {cls.__name__}: {exc}") from None
-        model = cls(vocab, **config)
+        except ValueError as exc:
+            raise NumericsError(f"{path}: config: {exc}") from None
         for name in model.store.names():
             if name not in store or store[name].data.shape != model.store[name].data.shape:
                 raise NumericsError(f"{path}: tensor {name!r} missing or not shaped as its config")

@@ -97,6 +97,7 @@ class SkeletonGenerator(RecurrentDecoder):
         self.use_attention = use_attention
         self.seed = seed
         self.dtype = dtype
+        self._check_params()
         self.store = ParameterStore()
         self._build(np.random.default_rng(seed))
 

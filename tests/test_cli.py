@@ -124,8 +124,8 @@ def test_synth_invalid_config_writes_nothing(workspace, tmp_path, args):
     ("max-objects", "-2", "max_objects must be >= 1, got -2"),
     ("max-attributes", "-1", "max_attributes must be >= 0, got -1"),
     ("noise-sigma", "-1", "noise_sigma must be finite and >= 0, got -1.0"),
-    ("noise-sigma", "nan", "noise_sigma must be finite and >= 0, got nan"),
-    ("noise-sigma", "inf", "noise_sigma must be finite and >= 0, got inf"),
+    ("noise-sigma", "nan", "--noise-sigma must be a finite number, not nan"),
+    ("noise-sigma", "inf", "--noise-sigma must be a finite number, not inf"),
 ])
 def test_synth_refuses_setting_it_cannot_honour(tmp_path, capsys, option, value, message):
     # exit 2 naming the option, before --out is created
@@ -279,6 +279,50 @@ def test_train_skel_resume_without_accumulator(workspace, tmp_path, capsys):
                "--epochs", "1", "--skel-threshold", "1", "--resume", str(ckpt)) == 2
     assert capsys.readouterr().err.startswith(f"error: {ckpt}:")
     assert not out.exists() or not any(out.iterdir())
+
+
+def _config_edited(src, path, key, value):
+    """The checkpoint ``src`` copied to ``path`` with ``key`` of its ``meta
+    config`` line set to the JSON value ``value``."""
+    head, sep, payload = src.read_bytes().partition(b"\nend-header\n")
+    lines = head.split(b"\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(b"meta config "))
+    config = json.loads(lines[at][len(b"meta config "):])
+    config[key] = json.loads(value)
+    lines[at] = b"meta config " + json.dumps(config, separators=(",", ":")).encode()
+    path.write_bytes(b"\n".join(lines) + sep + payload)
+
+
+_CONFIG_VALUE_FAULTS = [
+    ("skel", "hidden_size", "-8", "hidden_size must be at least 1, not -8"),
+    ("skel", "hidden_size", "8.0", "hidden_size must be int, not 8.0"),
+    ("skel", "grid_size", "true", "grid_size must be int, not True"),
+    ("skel", "use_attention", "1", "use_attention must be bool, not 1"),
+    ("skel", "seed", "-1", "seed must be at least 0, not -1"),
+    ("attr", "embed_size", "0", "embed_size must be at least 1, not 0"),
+    ("attr", "use_post_word_alpha", "null", "use_post_word_alpha must be bool, not None"),
+    ("attr", "hidden_tap", '"last"',
+     "hidden_tap must be one of ('current', 'previous', 'final')"),
+]
+
+
+# train-skel --resume reads a skeleton checkpoint, caption both
+@pytest.mark.parametrize("command, stage, key, value, message", [
+    (command, *fault) for fault in _CONFIG_VALUE_FAULTS
+    for command in ("caption", "train-skel")[:2 if fault[0] == "skel" else 1]])
+def test_checkpoint_config_value_exits_2(workspace, tmp_path, capsys, command, stage, key,
+                                         value, message):
+    # a config value the decoder cannot be built from is refused as the
+    # checkpoint is read, naming it and the key, without a traceback
+    ckpt = tmp_path / f"{stage}.ckpt"
+    _config_edited(workspace[stage] / f"{stage}.ckpt", ckpt, key, value)
+    if command == "caption":
+        argv = _caption_with(workspace, tmp_path / "c.tsv", f"--{stage}-checkpoint", ckpt)
+    else:
+        argv = ("train-skel", "--data", str(workspace["data"]), "--out", str(tmp_path / "out"),
+                "--epochs", "1", "--skel-threshold", "1", "--resume", str(ckpt))
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {ckpt}: config: {message}\n"
 
 
 def test_train_skel_missing_data(tmp_path):
@@ -954,6 +998,21 @@ def test_non_finite_factor_exits_2(tmp_path, capsys, monkeypatch, command, flag,
     assert run(command, *required, f"--{flag}={value}") == 2
     assert capsys.readouterr() == ("", f"error: --{flag} must be a finite number, "
                                        f"not {value}\n")
+    assert not missing.exists()
+
+
+def test_non_finite_config_value_names_key(tmp_path, capsys, monkeypatch):
+    # a value from the config file is named by its key, not by a flag never given
+    monkeypatch.delenv("SKELCAP_CONFIG", raising=False)
+    config = tmp_path / "conf.json"
+    config.write_text('{"gamma-attr": NaN}')
+    missing = tmp_path / "missing"
+    _, _, options = cli.COMMANDS["caption"]
+    required = [arg for o in options if o.source == "required"
+                for arg in (f"--{o.flag}", str(missing / o.flag))]
+    assert run("caption", "--config", str(config), *required) == 2
+    assert capsys.readouterr() == ("", "error: config key 'gamma-attr' must be a finite "
+                                       "number, not nan\n")
     assert not missing.exists()
 
 
