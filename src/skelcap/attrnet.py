@@ -15,7 +15,6 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import BOS, EOS, Vocabulary
-from .numerics import ParameterStore
 from .recurrent import BatchTable, LSTMState, RecurrentDecoder, cell_forward
 from .skelnet import SkelState
 
@@ -91,35 +90,21 @@ class AttributeGenerator(RecurrentDecoder):
                  skel_hidden_size: int, hidden_size: int = 128, embed_size: int = 64,
                  hidden_tap: str = "current", use_post_word_alpha: bool = False,
                  seed: int = 0, dtype=np.float32):
-        if hidden_tap not in HIDDEN_TAPS:
-            raise AttrConfigError(f"hidden_tap must be one of {HIDDEN_TAPS}")
-        self.vocab = vocab
-        self.feature_dim = feature_dim
-        self.skel_embed_size = skel_embed_size
-        self.skel_hidden_size = skel_hidden_size
-        self.hidden_size = hidden_size
-        self.embed_size = embed_size
-        self.hidden_tap = hidden_tap
-        self.use_post_word_alpha = use_post_word_alpha
-        self.seed = seed
-        self.dtype = dtype
-        self._check_params()
-        self.store = ParameterStore()
-        self._build(np.random.default_rng(seed))
+        super().__init__(vocab, dtype, feature_dim=feature_dim, skel_embed_size=skel_embed_size,
+                         skel_hidden_size=skel_hidden_size, hidden_size=hidden_size,
+                         embed_size=embed_size, hidden_tap=hidden_tap,
+                         use_post_word_alpha=use_post_word_alpha, seed=seed)
 
-    def _build(self, rng):
-        D, ms, ns = self.feature_dim, self.skel_embed_size, self.skel_hidden_size
-        m = self.embed_size
-        Q = len(self.vocab)
-        dt = self.dtype
-        add = self.store.add
-        add("embed", nm.glorot_uniform(rng, Q, m, dtype=dt))
-        add("W_I", nm.glorot_uniform(rng, D, m, dtype=dt))
-        add("W_t", nm.glorot_uniform(rng, ms, m, dtype=dt))
-        add("W_h", nm.glorot_uniform(rng, ns, m, dtype=dt))
-        add("fuse_W", nm.glorot_uniform(rng, m, m, dtype=dt))
-        add("fuse_b", np.zeros(m, dtype=dt))
-        self._build_lstm_and_output(rng, m)
+    def _check_params(self):
+        super()._check_params()
+        if self.hidden_tap not in HIDDEN_TAPS:
+            raise AttrConfigError(f"hidden_tap must be one of {HIDDEN_TAPS}")
+
+    def _shapes(self):
+        D, m = self.feature_dim, self.embed_size
+        ms, ns = self.skel_embed_size, self.skel_hidden_size
+        return {"embed": (len(self.vocab), m), "W_I": (D, m), "W_t": (ms, m), "W_h": (ns, m),
+                "fuse_W": (m, m), "fuse_b": (m,), **self._cell_shapes(m)}
 
     def _fused_input(self, z, s_skel, h_skel):
         """(fused, x_init): the fused layer's input z @ W_I + s @ W_t + h @ W_h

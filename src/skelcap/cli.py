@@ -4,8 +4,10 @@ eval, gradcheck.
 Configuration is layered: values from a JSON config file (``--config`` or the
 ``SKELCAP_CONFIG`` environment variable) are overridden by command-line
 flags; ``COMMANDS`` declares each option once, for both. Every command that
-writes an output directory echoes its effective configuration there as
-``config.json``. Exit codes: 0 success, 1 usage error, 2 data/contract
+writes an output directory echoes its effective configuration there:
+``synth`` as ``config.json``, ``train-skel`` and ``train-attr`` as
+``skel_config.json`` and ``attr_config.json``, so both stages can share one
+``--out``. Exit codes: 0 success, 1 usage error, 2 data/contract
 violation.
 """
 
@@ -217,7 +219,7 @@ def _save_training(out_dir, cfg, stage, model, curve):
         model.save(target(f"{stage}.ckpt"))
         with open(target(f"{stage}_loss_curve.txt"), "w", encoding="utf-8") as fh:
             fh.writelines(f"{step}\t{loss:.6f}\n" for step, loss in curve)
-        _echo_config(target("config.json"), f"train-{stage}",
+        _echo_config(target(f"{stage}_config.json"), f"train-{stage}",
                      {**model.get_params(), "shuffle_seed": cfg["seed"],
                       "epochs": cfg["epochs"], "learning_rate": cfg["learning-rate"],
                       "batch_size": cfg["batch-size"],
@@ -290,6 +292,9 @@ def cmd_caption(cfg):
     wanted = None if cfg["ids"] in (None, "all") else set(_csv(cfg["ids"]))
     if wanted == set():
         build_parser().error(f"--ids {cfg['ids']!r} names no image id")
+    out_path = Path(cfg["out"])
+    if cfg["trace"] and Path(cfg["trace"]).resolve() == out_path.resolve():
+        build_parser().error(f"--out and --trace both name {out_path}")
     records = _load_split(Path(cfg["data"]), cfg["split"])
     skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"])
     attr_model = AttributeGenerator.load(cfg["attr-checkpoint"])
@@ -303,7 +308,6 @@ def cmd_caption(cfg):
         if missing:
             raise corpus.CorpusError(f"--ids: image ids not in split {cfg['split']!r}: "
                                      f"{', '.join(sorted(missing))}")
-    out_path = Path(cfg["out"])
     # a split holds one record per caption line, and the records of an image
     # share its one feature grid: each image is captioned once
     done = set()

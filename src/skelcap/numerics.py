@@ -21,7 +21,7 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-CHECKPOINT_MAGIC = "skelcap-checkpoint-v2"
+CHECKPOINT_MAGIC = "skelcap-checkpoint-v3"
 ADAGRAD_EPSILON = 1e-8
 CLIP_NORM = 5.0  # the global gradient norm ``adagrad_step`` clips to
 
@@ -488,9 +488,6 @@ class ParameterStore:
     def __getitem__(self, name):
         return self.params[name]
 
-    def __contains__(self, name):
-        return name in self.params
-
     def names(self):
         return list(self.params)
 
@@ -536,15 +533,17 @@ class ParameterStore:
     # -- checkpoint I/O ----------------------------------------------------
 
     def save(self, path, meta=None):
-        """Write a text manifest header followed by a raw little-endian
-        payload, which ``load`` reads back as the same step count, meta,
-        tensors (rounded to float32) and accumulators. What ``load`` would
-        reject or read back otherwise raises NumericsError naming the entry
-        before ``path`` is opened: a step count that is not an int; a name or
-        key that is not UTF-8 text or holds a line break, or a meta key
-        holding a space; meta that JSON does not give back equal; a tensor
-        non-finite in float32; an accumulator that is missing, orphaned,
-        shaped otherwise than its tensor or non-finite."""
+        """Write a text header, one ``tensor NAME SHAPE`` line per tensor,
+        followed by a payload of every tensor as little-endian float32 and
+        then every accumulator as float64, both in header order. ``load``
+        reads it back as the same step count, meta, tensors (rounded to
+        float32) and accumulators. What ``load`` would reject or read back
+        otherwise raises NumericsError naming the entry before ``path`` is
+        opened: a step count that is not an int; a name or key that is not
+        UTF-8 text or holds a line break, or a meta key holding a space; meta
+        that JSON does not give back equal; a tensor non-finite in float32;
+        an accumulator that is missing, orphaned, shaped otherwise than its
+        tensor or non-finite."""
         meta = meta or {}
         if type(self.step_count) is not int:
             raise NumericsError(f"step count {self.step_count!r} is not an int")
@@ -557,46 +556,40 @@ class ParameterStore:
                 raise NumericsError(f"meta {key!r}: {value!r} does not read back from JSON "
                                     f"as itself")
             header.append(f"meta {key} {text}")
-        for name in self.params:
-            _check_header_text("tensor name", name)
         for name in self.accumulators:
             if name not in self.params:
                 raise NumericsError(f"accumulator {name!r} has no tensor")
-        offset = 0
-        payload = []
-        for name in sorted(self.params):
-            data = self.params[name].data
+        tensors, accumulators = [], []
+        for name, t in self.params.items():
+            _check_header_text("tensor name", name)
             acc = self.accumulators.get(name)
-            if acc is None or np.shape(acc) != data.shape:
+            if acc is None or np.shape(acc) != t.data.shape:
                 raise NumericsError(f"accumulator of tensor {name!r} is missing or not shaped "
-                                    f"{data.shape}")
+                                    f"{t.data.shape}")
             with np.errstate(over="ignore"):  # out of float32's range: caught below
-                flats = (("tensor", np.ascontiguousarray(data, dtype="<f4")),
-                         ("accumulator", np.ascontiguousarray(acc, dtype="<f8")))
-            for kind, flat in flats:
+                flats = (("tensor", np.ascontiguousarray(t.data, dtype="<f4"), tensors),
+                         ("accumulator", np.ascontiguousarray(acc, dtype="<f8"), accumulators))
+            for kind, flat, payload in flats:
                 if not np.isfinite(flat).all():
                     raise NumericsError(f"{kind} {name!r} holds values that are non-finite "
                                         f"as {flat.dtype.name}")
-                shape = ",".join(str(s) for s in data.shape) or "scalar"
-                header.append(f"{kind} {name} {shape} {offset}")
-                raw = flat.tobytes()
-                payload.append(raw)
-                offset += len(raw)
+                payload.append(flat.tobytes())
+            header.append(f"tensor {name} {_shape_text(t.data.shape)}")
         header.append("end-header")
-        head = ("\n".join(header) + "\n").encode("utf-8")
         with open(path, "wb") as fh:
-            fh.write(head)
-            for raw in payload:
-                fh.write(raw)
+            fh.write(("\n".join(header) + "\n").encode("utf-8"))
+            fh.writelines(tensors + accumulators)
 
     @classmethod
     def load(cls, path, expect_model=None):
         """Read a checkpoint written by ``save``. Checks in order the format
-        version (a v1 file is refused with a request to retrain), that every
-        header line parses (the step count and a meta key at most once, each
-        meta value one that ``save`` could write), the ``meta model`` kind
-        and that the payload holds every header entry, all of it finite; each
-        failure names ``path`` (and the header line where there is one)."""
+        version (an older one is refused with a request to retrain), that
+        every header line parses (the step count, a meta key and a tensor
+        name at most once, each meta value one that ``save`` could write,
+        each shape as ``save`` writes it), the ``meta model`` kind, that the
+        payload is exactly as long as the header implies, and that all of it
+        is finite; each failure names ``path`` (and the header line where
+        there is one)."""
         with open(path, "rb") as fh:
             blob = fh.read()
         end = blob.find(b"\nend-header\n")
@@ -607,15 +600,15 @@ class ParameterStore:
         except UnicodeDecodeError as exc:
             line = blob.count(b"\n", 0, exc.start) + 1
             raise NumericsError(f"{path}:{line}: header is not UTF-8 text") from None
-        payload = blob[end + len(b"\nend-header\n"):]
-        if lines[0] == "skelcap-checkpoint-v1":
-            raise NumericsError(f"{path}:1: a v1 checkpoint, whose vocabulary is a separate "
-                                f"file; retrain the model to write a {CHECKPOINT_MAGIC} file")
+        payload = memoryview(blob)[end + len(b"\nend-header\n"):]
+        if lines[0] in ("skelcap-checkpoint-v1", "skelcap-checkpoint-v2"):
+            raise NumericsError(f"{path}:1: a {lines[0][-2:]} checkpoint, an older layout; "
+                                f"retrain the model to write a {CHECKPOINT_MAGIC} file")
         if lines[0] != CHECKPOINT_MAGIC:
             raise NumericsError(f"{path}:1: not a {CHECKPOINT_MAGIC} file")
         store = cls()
         meta = {}
-        entries = []
+        shapes = {}  # name -> (header line, shape)
         step_count_read = False
         for lineno, line in enumerate(lines[1:], start=2):
             kind, _, rest = line.partition(" ")
@@ -631,50 +624,43 @@ class ParameterStore:
                     meta[key] = json.loads(value)
                     if _meta_text(meta[key]) is None:
                         raise ValueError(f"meta {key!r} does not read back from JSON as itself")
-                elif kind in ("tensor", "accumulator"):
-                    name, shape_s, off_s = rest.rsplit(" ", 2)
+                elif kind == "tensor":
+                    name, shape_s = rest.rsplit(" ", 1)
+                    if name in shapes:
+                        raise ValueError(f"tensor {name!r} repeated")
                     shape = () if shape_s == "scalar" else tuple(map(int, shape_s.split(",")))
-                    if int(off_s) < 0 or min(shape, default=0) < 0:
-                        raise ValueError("negative shape or offset")
-                    entries.append((lineno, kind, name, shape, int(off_s)))
+                    if min(shape, default=0) < 0 or _shape_text(shape) != shape_s:
+                        raise ValueError(f"shape {shape_s!r} is not one save writes")
+                    shapes[name] = (lineno, shape)
                 else:
                     raise ValueError("unknown header line")
             except (ValueError, RecursionError) as exc:  # JSON nested too deeply
                 raise NumericsError(f"{path}:{lineno}: {exc}: {line!r}") from None
         if expect_model is not None and meta.get("model") != expect_model:
             raise NumericsError(f"{path}: {meta.get('model')} checkpoint, expected {expect_model}")
-        tensors, accumulators = {}, {}  # name -> (header line, array)
-        for lineno, kind, name, shape, off in entries:
-            dt = "<f4" if kind == "tensor" else "<f8"
-            count = math.prod(shape)
-            stop = off + count * np.dtype(dt).itemsize
-            if stop > len(payload):
-                raise NumericsError(
-                    f"{path}:{lineno}: {kind} {name!r} needs payload bytes {off}..{stop}, "
-                    f"payload has {len(payload)}")
-            try:
-                arr = np.frombuffer(payload, dtype=dt, count=count, offset=off).reshape(shape)
-            except ValueError as exc:
-                raise NumericsError(f"{path}:{lineno}: {kind} {name!r}: {exc}") from None
-            if not np.isfinite(arr).all():
-                raise NumericsError(f"{path}:{lineno}: {kind} {name!r} holds non-finite values")
-            found = tensors if kind == "tensor" else accumulators
-            if name in found:
-                raise NumericsError(f"{path}:{lineno}: duplicate {kind} {name!r}")
-            found[name] = (lineno, arr)
-        for name, (lineno, arr) in tensors.items():
-            if name not in accumulators:
-                raise NumericsError(f"{path}:{lineno}: tensor {name!r} has no accumulator")
-            acc_line, acc = accumulators.pop(name)
-            if acc.shape != arr.shape:
-                raise NumericsError(f"{path}:{acc_line}: accumulator {name!r} is shaped "
-                                    f"{acc.shape}, its tensor {arr.shape}")
-            store.add(name, arr.astype(np.float32))
-            store.accumulators[name] = acc.astype(np.float64)
-        for name, (lineno, _) in accumulators.items():
-            raise NumericsError(f"{path}:{lineno}: accumulator {name!r} has no tensor")
+        total = sum(math.prod(shape) for _, shape in shapes.values())
+        if len(payload) != 12 * total:  # a float32 and a float64 per value
+            raise NumericsError(f"{path}: payload is {len(payload)} bytes, its header "
+                                f"implies {12 * total}")
+        tensors = np.frombuffer(payload[:4 * total], dtype="<f4")
+        accumulators = np.frombuffer(payload[4 * total:], dtype="<f8")
+        at = 0
+        for name, (lineno, shape) in shapes.items():
+            stop = at + math.prod(shape)
+            for kind, flat in (("tensor", tensors), ("accumulator", accumulators)):
+                if not np.isfinite(flat[at:stop]).all():
+                    raise NumericsError(f"{path}:{lineno}: {kind} {name!r} holds non-finite "
+                                        f"values")
+            store.add(name, tensors[at:stop].reshape(shape).astype(np.float32))
+            store.accumulators[name] = accumulators[at:stop].reshape(shape).astype(np.float64)
+            at = stop
         store.meta = meta
         return store
+
+
+def _shape_text(shape):
+    """A shape as a checkpoint header writes it: ``2,3``, or ``scalar``."""
+    return ",".join(map(str, shape)) or "scalar"
 
 
 def _meta_text(value):

@@ -2,11 +2,11 @@
 
 Both decoders are an LSTM with a linear output layer, trained with teacher
 forcing and Adagrad on length-bucketed batches and saved as one checkpoint
-that holds their model kind, config and vocabulary. A subclass creates its
-own parameters and then the LSTM and output layer with
-``_build_lstm_and_output`` and turns its training data into one
-``BatchTable`` in ``_table``, once per fit; every batch of every epoch is
-one fancy index per array of that table. Training,
+that holds their model kind, config and vocabulary. A subclass declares
+the name and shape of every parameter once, from its config alone, in
+``_shapes`` (its own, then the LSTM's and the output layer's), and turns its
+training data into one ``BatchTable`` in ``_table``, once per fit; every
+batch of every epoch is one fancy index per array of that table. Training,
 decoding and everything between run on the array kernels of ``numerics``
 alone: every decode step runs ``cell_forward``, the LSTM and the output
 layer, on the decoder's own input, and ``loss_and_grads`` runs the subclass's
@@ -138,6 +138,17 @@ class RecurrentDecoder:
     model_kind: str          # "meta model" line of the checkpoint
     default_batch_size: int  # training batch when ``fit`` is given none
 
+    def __init__(self, vocab, dtype, **params):
+        """Sets and checks the config (``_configure``), then draws the
+        parameters of ``_shapes`` (``_build``)."""
+        self._configure(vocab, dtype, **params)
+        self.store = self._build()
+
+    def _configure(self, vocab, dtype, **params):
+        self.vocab, self.dtype = vocab, dtype
+        self.__dict__.update(params)
+        self._check_params()
+
     def get_params(self) -> dict:
         """Constructor keywords except ``vocab`` and ``dtype``; saved as the config."""
         return {k: getattr(self, k) for k in inspect.signature(type(self)).parameters
@@ -155,14 +166,26 @@ class RecurrentDecoder:
             if kinds[key] is int:
                 _at_least_one(key, value, 0 if key == "seed" else 1)
 
-    def _build_lstm_and_output(self, rng, input_size):
-        n, Q, dt = self.hidden_size, len(self.vocab), self.dtype
-        self.store.add("lstm_W", nm.glorot_uniform(rng, input_size + n, 4 * n, dtype=dt))
-        lstm_b = np.zeros(4 * n, dtype=dt)
-        lstm_b[n:2 * n] = 1.0  # forget-gate bias
-        self.store.add("lstm_b", lstm_b)
-        self.store.add("out_W", nm.glorot_uniform(rng, n, Q, dtype=dt))
-        self.store.add("out_b", np.zeros(Q, dtype=dt))
+    def _cell_shapes(self, input_size):
+        """The LSTM's and the output layer's shapes, for LSTM inputs of
+        ``input_size``: the end of a subclass's ``_shapes``, its parameters'
+        shapes by name, from the config alone, in the order ``_build`` draws
+        them."""
+        n, Q = self.hidden_size, len(self.vocab)
+        return {"lstm_W": (input_size + n, 4 * n), "lstm_b": (4 * n,), "out_W": (n, Q),
+                "out_b": (Q,)}
+
+    def _build(self):
+        """The ``ParameterStore`` of ``_shapes``: its matrices drawn
+        Glorot-uniform in that order from ``seed``, its vectors zero but the
+        LSTM's forget-gate bias, one."""
+        store, rng, dt = ParameterStore(), np.random.default_rng(self.seed), self.dtype
+        for name, shape in self._shapes().items():
+            store.add(name, nm.glorot_uniform(rng, *shape, dtype=dt) if len(shape) == 2
+                      else np.zeros(shape, dtype=dt))
+        n = self.hidden_size
+        store["lstm_b"].data[n:2 * n] = 1.0
+        return store
 
     # -- the taped references' building blocks (batched, on the tape) --------
 
@@ -296,25 +319,34 @@ class RecurrentDecoder:
         """Rebuild a model from ``path`` with its vocabulary and Adagrad state.
 
         After ``ParameterStore.load`` checked the model kind and payload,
-        checks the vocabulary, the config keys and values and tensor shapes,
-        naming ``path``.
+        checks the vocabulary, the config's keys and values, and that the
+        checkpoint holds the tensors of ``_shapes``, in its order and no
+        others, each of its shape; each failure names ``path``. No weight is
+        drawn: the model takes the checkpoint's tensors as they are.
         """
         store = ParameterStore.load(path, expect_model=cls.model_kind)
         vocab = _checkpoint_vocab(path, store.meta.get("vocab"))
-        config = store.meta.get("config", {})
         try:
-            inspect.signature(cls).bind(vocab, **config)
-            model = cls(vocab, **config)
-        except (AttributeError, TypeError) as exc:
+            config = inspect.signature(cls).bind(vocab, **store.meta.get("config", {}),
+                                                 dtype=np.float32)
+        except TypeError as exc:
             raise NumericsError(f"{path}: config does not fit {cls.__name__}: {exc}") from None
+        config.apply_defaults()
+        model = cls.__new__(cls)  # configured, then given the checkpoint's tensors
+        try:
+            model._configure(**config.arguments)
         except ValueError as exc:
             raise NumericsError(f"{path}: config: {exc}") from None
-        for name in model.store.names():
-            if name not in store or store[name].data.shape != model.store[name].data.shape:
-                raise NumericsError(f"{path}: tensor {name!r} missing or not shaped as its config")
-            model.store[name].data[...] = store[name].data
-            model.store.accumulators[name] = store.accumulators[name]  # its tensor's shape
-        model.store.step_count = store.step_count
+        shapes = model._shapes()
+        found = {name: store[name].data.shape for name in store.names()}
+        for name in {**shapes, **found}:
+            if found.get(name) != shapes.get(name):
+                raise NumericsError(f"{path}: tensor {name!r} is {found.get(name, 'missing')}, "
+                                    f"its config gives {shapes.get(name, 'no such tensor')}")
+        if list(found) != list(shapes):
+            raise NumericsError(f"{path}: tensors not in the order its config gives: "
+                                f"{', '.join(shapes)}")
+        model.store = store
         return model
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import BOS, EOS, FeatureGrid, Vocabulary
-from .numerics import ParameterStore
 from .recurrent import BatchTable, LSTMState, RecurrentDecoder, cell_forward, length_batches
 
 
@@ -88,35 +87,17 @@ class SkeletonGenerator(RecurrentDecoder):
                  hidden_size: int = 128, embed_size: int = 64,
                  attention_hidden: int = 128, use_attention: bool = True,
                  seed: int = 0, dtype=np.float32):
-        self.vocab = vocab
-        self.feature_dim = feature_dim
-        self.grid_size = grid_size
-        self.hidden_size = hidden_size
-        self.embed_size = embed_size
-        self.attention_hidden = attention_hidden
-        self.use_attention = use_attention
-        self.seed = seed
-        self.dtype = dtype
-        self._check_params()
-        self.store = ParameterStore()
-        self._build(np.random.default_rng(seed))
+        super().__init__(vocab, dtype, feature_dim=feature_dim, grid_size=grid_size,
+                         hidden_size=hidden_size, embed_size=embed_size,
+                         attention_hidden=attention_hidden, use_attention=use_attention,
+                         seed=seed)
 
-    def _build(self, rng):
+    def _shapes(self):
         D, n, m, A = self.feature_dim, self.hidden_size, self.embed_size, self.attention_hidden
-        Q = len(self.vocab)
-        dt = self.dtype
-        add = self.store.add
-        add("embed", nm.glorot_uniform(rng, Q, m, dtype=dt))
-        if self.use_attention:
-            add("att_U", nm.glorot_uniform(rng, D, A, dtype=dt))
-            add("att_V", nm.glorot_uniform(rng, n, A, dtype=dt))
-            add("att_b", np.zeros(A, dtype=dt))
-            add("att_w", nm.glorot_uniform(rng, A, 1, dtype=dt))
-        add("init_Wh", nm.glorot_uniform(rng, D, n, dtype=dt))
-        add("init_bh", np.zeros(n, dtype=dt))
-        add("init_Wc", nm.glorot_uniform(rng, D, n, dtype=dt))
-        add("init_bc", np.zeros(n, dtype=dt))
-        self._build_lstm_and_output(rng, m + D)
+        attention = {"att_U": (D, A), "att_V": (n, A), "att_b": (A,), "att_w": (A, 1)}
+        return {"embed": (len(self.vocab), m), **(attention if self.use_attention else {}),
+                "init_Wh": (D, n), "init_bh": (n,), "init_Wc": (D, n), "init_bc": (n,),
+                **self._cell_shapes(m + D)}
 
     def sequence_loss(self, feats_np: np.ndarray, seqs: np.ndarray):
         """Teacher-forced loss on a batch, on the tape: the reference for

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skelcap import cli, metrics
+from skelcap import cli, metrics, numerics
 from skelcap.attrnet import AttributeGenerator
 from skelcap.cli import main
 from skelcap.corpus import SPECIALS
@@ -221,7 +221,7 @@ def test_decompose_missing_file(tmp_path):
 def test_train_skel_outputs(workspace):
     # the vocabulary is in the checkpoint: a trained decoder is one file
     skel = workspace["skel"]
-    assert sorted(p.name for p in skel.iterdir()) == ["config.json", "skel.ckpt",
+    assert sorted(p.name for p in skel.iterdir()) == ["skel.ckpt", "skel_config.json",
                                                       "skel_loss_curve.txt"]
     curve = (skel / "skel_loss_curve.txt").read_text().splitlines()
     assert curve
@@ -267,13 +267,12 @@ def test_train_skel_resume_other_vocabulary(workspace, tmp_path, capsys):
 
 
 def test_train_skel_resume_without_accumulator(workspace, tmp_path, capsys):
-    # an accumulator line removed from the header would restart Adagrad from
-    # zero; the checkpoint is refused, naming it, and nothing is written
-    head, _, payload = (workspace["skel"] / "skel.ckpt").read_bytes().partition(b"end-header\n")
-    lines = head.decode("utf-8").splitlines()
+    # a checkpoint without the last tensor's accumulator would restart
+    # Adagrad from zero; it is refused, naming it, and nothing is written
+    blob = (workspace["skel"] / "skel.ckpt").read_bytes()
+    last = ParameterStore.load(workspace["skel"] / "skel.ckpt").accumulators["out_b"]
     ckpt = tmp_path / "skel.ckpt"
-    ckpt.write_bytes("\n".join(line for line in lines if not line.startswith("accumulator out_W "))
-                     .encode("utf-8") + b"\nend-header\n" + payload)
+    ckpt.write_bytes(blob[:-last.nbytes])
     out = tmp_path / "resumed"
     assert run("train-skel", "--data", str(workspace["data"]), "--out", str(out),
                "--epochs", "1", "--skel-threshold", "1", "--resume", str(ckpt)) == 2
@@ -325,6 +324,66 @@ def test_checkpoint_config_value_exits_2(workspace, tmp_path, capsys, command, s
     assert capsys.readouterr().err == f"error: {ckpt}: config: {message}\n"
 
 
+def _resume_or_caption(workspace, tmp_path, command, ckpt):
+    """``command`` run on the skeleton checkpoint ``ckpt``: ``caption``, or
+    a one-epoch ``train-skel --resume``."""
+    if command == "caption":
+        return run(*_caption_with(workspace, tmp_path / "c.tsv", "--skel-checkpoint", ckpt))
+    return run("train-skel", "--data", str(workspace["data"]), "--out", str(tmp_path / "out"),
+               "--epochs", "1", "--skel-threshold", "1", "--resume", str(ckpt))
+
+
+@pytest.mark.parametrize("command", ["caption", "train-skel"])
+@pytest.mark.parametrize("key, value, message", [
+    ("hidden_size", "10000000", "tensor 'att_V' is (16, 12), its config gives (10000000, 12)"),
+    ("use_attention", "false", "tensor 'att_U' is (24, 12), its config gives no such tensor"),
+], ids=["huge-size", "attention-off"])
+def test_checkpoint_tensor_not_as_config_exits_2(workspace, tmp_path, capsys, monkeypatch,
+                                                 command, key, value, message):
+    # the tensors are compared with the config's shapes before any weight is
+    # drawn (drawing one fails this test at once, not after allocating
+    # petabytes), and a model without attention would silently drop the
+    # trained attention tensors
+    def drawn(*args, **kwargs):
+        raise AssertionError("a weight was drawn")
+    monkeypatch.setattr(numerics, "glorot_uniform", drawn)
+    ckpt = tmp_path / "skel.ckpt"
+    _config_edited(workspace["skel"] / "skel.ckpt", ckpt, key, value)
+    assert _resume_or_caption(workspace, tmp_path, command, ckpt) == 2
+    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+
+
+def test_checkpoint_tensors_out_of_order_exits_2(workspace, tmp_path, capsys):
+    # save writes the tensors in the order the model declares them, and the
+    # loaded model keeps the file's order, which its gradient norm sums in
+    src = workspace["skel"] / "skel.ckpt"
+    store = ParameterStore.load(src)
+    reordered = ParameterStore()
+    for name in reversed(store.names()):
+        reordered.add(name, store[name].data)
+        reordered.accumulators[name] = store.accumulators[name]
+    ckpt = tmp_path / "skel.ckpt"
+    reordered.save(ckpt, meta=store.meta)
+    assert _resume_or_caption(workspace, tmp_path, "caption", ckpt) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {ckpt}: tensors not in the order its config gives: embed, att_U, ")
+
+
+def test_train_stages_share_out_directory(workspace, tmp_path):
+    # each stage echoes its own config, so a run directory keeps both
+    run_dir = tmp_path / "run"
+    shutil.copytree(workspace["skel"], run_dir)
+    skel_config = (run_dir / "skel_config.json").read_bytes()
+    assert run("train-attr", "--data", str(workspace["data"]), "--out", str(run_dir),
+               "--skel-checkpoint", str(run_dir / "skel.ckpt"), "--epochs", "1",
+               "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1") == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "attr.ckpt", "attr_config.json", "attr_loss_curve.txt", "skel.ckpt", "skel_config.json",
+        "skel_loss_curve.txt"]
+    assert (run_dir / "skel_config.json").read_bytes() == skel_config
+    assert json.loads((run_dir / "attr_config.json").read_text())["command"] == "train-attr"
+
+
 def test_train_skel_missing_data(tmp_path):
     assert run("train-skel", "--data", str(tmp_path / "none"), "--out",
                str(tmp_path / "out")) == 2
@@ -332,9 +391,9 @@ def test_train_skel_missing_data(tmp_path):
 
 def test_train_attr_outputs(workspace):
     attr = workspace["attr"]
-    assert sorted(p.name for p in attr.iterdir()) == ["attr.ckpt", "attr_loss_curve.txt",
-                                                      "config.json"]
-    config = json.loads((attr / "config.json").read_text())
+    assert sorted(p.name for p in attr.iterdir()) == ["attr.ckpt", "attr_config.json",
+                                                      "attr_loss_curve.txt"]
+    config = json.loads((attr / "attr_config.json").read_text())
     assert config["hidden_tap"] == "current"
 
 
@@ -450,6 +509,21 @@ def test_caption_id_subset_and_trace(workspace, tmp_path):
     assert f"image: {first_id}" in text and "alpha[step 0]:" in text
 
 
+def test_caption_out_and_trace_same_file(workspace, tmp_path, capsys):
+    # both would be written through one temporary file; the same path, however
+    # spelt, is a usage error before any data is read (--data is missing), and
+    # an existing file there stays as it was
+    out = tmp_path / "c.tsv"
+    out.write_bytes(b"img\tan earlier caption\n")
+    args = _caption_with(workspace, out, "--data", tmp_path / "missing")
+    with pytest.raises(SystemExit) as exc:
+        run(*args, "--trace", str(tmp_path / "x" / ".." / "c.tsv"))
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: --out and --trace both name {out}\n")
+    assert out.read_bytes() == b"img\tan earlier caption\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.tsv"]
+
+
 def test_caption_one_line_per_image(workspace, tmp_path, capsys):
     # a split with two caption lines for one image (as multi-reference
     # splits have) captions that image once, where its first line stands
@@ -556,15 +630,17 @@ def test_caption_skeleton_checkpoint_as_attribute(workspace, tmp_path, capsys):
 
 
 def test_caption_v1_checkpoint_refused(workspace, tmp_path, capsys):
-    # a v1 checkpoint kept its vocabulary in a separate file; no second
-    # loader reads it, and the message says to retrain
-    ckpt = _edited_attr_checkpoint(workspace, tmp_path, lambda b: b.replace(
-        b"skelcap-checkpoint-v2", b"skelcap-checkpoint-v1", 1))
-    out = tmp_path / "c.tsv"
-    assert run(*_with_attr_checkpoint(workspace, out, ckpt)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {ckpt}:1: a v1 checkpoint") and "retrain" in err
-    assert not out.exists()
+    # a v1 checkpoint kept its vocabulary in a separate file, a v2 one gave
+    # every tensor an offset and every accumulator a header line; no second
+    # loader reads either, and the message says to retrain
+    for version in ("v1", "v2"):
+        ckpt = _edited_attr_checkpoint(workspace, tmp_path, lambda b: b.replace(
+            b"skelcap-checkpoint-v3", f"skelcap-checkpoint-{version}".encode(), 1))
+        out = tmp_path / "c.tsv"
+        assert run(*_with_attr_checkpoint(workspace, out, ckpt)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}:1: a {version} checkpoint") and "retrain" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key,skel_key,skel_size,size", [
@@ -710,8 +786,8 @@ def test_vocabulary_not_utf8(workspace, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {ckpt}:{line}: header is not UTF-8 text\n"
 
 
-@pytest.mark.parametrize("entry", [b"tensor embed", b"tensor embed 8,x 0",
-                                   b"tensor embed 8,-4 0", b"tensor embed 8 -4"],
+@pytest.mark.parametrize("entry", [b"tensor embed", b"tensor embed 8,x",
+                                   b"tensor embed 8,-4", b"tensor embed 8 -4"],
                          ids=["fields", "shape", "negative-shape", "negative-offset"])
 def test_caption_malformed_checkpoint_header(workspace, tmp_path, capsys, entry):
     blob = (workspace["attr"] / "attr.ckpt").read_bytes()
@@ -803,7 +879,7 @@ def test_config_file_sets_no_attention(workspace, tmp_path):
     assert run("train-skel", "--config", str(config), "--data", str(workspace["data"]),
                "--out", str(skel), "--epochs", "1", "--hidden-size", "16",
                "--embed-size", "8", "--skel-threshold", "1") == 0
-    assert json.loads((skel / "config.json").read_text())["use_attention"] is False
+    assert json.loads((skel / "skel_config.json").read_text())["use_attention"] is False
     # train-attr reads "post-word-alpha" from the same file, which this skeleton refuses
     assert run("train-attr", "--config", str(config), "--data", str(workspace["data"]),
                "--out", str(tmp_path / "attr"), "--skel-checkpoint", str(skel / "skel.ckpt"),
@@ -820,7 +896,7 @@ def test_config_file_sets_post_word_alpha(workspace, tmp_path):
                "--out", str(attr), "--skel-checkpoint", str(workspace["skel"] / "skel.ckpt"),
                "--epochs", "1", "--hidden-size", "16", "--embed-size", "8",
                "--attr-threshold", "1") == 0
-    assert json.loads((attr / "config.json").read_text())["use_post_word_alpha"] is True
+    assert json.loads((attr / "attr_config.json").read_text())["use_post_word_alpha"] is True
     ws = {**workspace, "attr": attr}
 
     def refined(*extra):
@@ -1164,8 +1240,8 @@ _ECHO_KEYS = {"command", "seed", "shuffle_seed", "epochs", "learning_rate", "bat
 
 
 def test_train_echo_keys(workspace):
-    skel = json.loads((workspace["skel"] / "config.json").read_text())
-    attr = json.loads((workspace["attr"] / "config.json").read_text())
+    skel = json.loads((workspace["skel"] / "skel_config.json").read_text())
+    attr = json.loads((workspace["attr"] / "attr_config.json").read_text())
     assert skel.keys() == _ECHO_KEYS | {"grid_size", "attention_hidden", "use_attention",
                                         "skel_threshold"}
     assert attr.keys() == _ECHO_KEYS | {"skel_embed_size", "skel_hidden_size", "hidden_tap",
@@ -1178,8 +1254,8 @@ def test_train_skel_resume_echoes_loaded_model(workspace, tmp_path):
     assert run("train-skel", "--data", str(workspace["data"]), "--out", str(out),
                "--epochs", "1", "--batch-size", "16", "--skel-threshold", "1",
                "--seed", "1", "--resume", str(workspace["skel"] / "skel.ckpt")) == 0
-    echoed = json.loads((out / "config.json").read_text())
-    trained = json.loads((workspace["skel"] / "config.json").read_text())
+    echoed = json.loads((out / "skel_config.json").read_text())
+    trained = json.loads((workspace["skel"] / "skel_config.json").read_text())
     assert echoed.keys() == trained.keys()
     assert (echoed["hidden_size"], echoed["embed_size"], echoed["attention_hidden"]) == \
            (16, 8, 12)
@@ -1192,7 +1268,7 @@ def test_train_skel_resume_records_shuffle_seed(workspace, tmp_path):
     assert run("train-skel", "--data", str(workspace["data"]), "--out", str(out),
                "--epochs", "1", "--batch-size", "16", "--skel-threshold", "1",
                "--seed", "9", "--resume", str(workspace["skel"] / "skel.ckpt")) == 0
-    echoed = json.loads((out / "config.json").read_text())
+    echoed = json.loads((out / "skel_config.json").read_text())
     assert (echoed["seed"], echoed["shuffle_seed"]) == (1, 9)
 
 
@@ -1292,11 +1368,14 @@ def test_failed_training_leaves_run_directory(workspace, tmp_path, monkeypatch, 
 @pytest.mark.parametrize("kind", ["tensor", "accumulator"])
 def test_caption_non_finite_checkpoint(workspace, tmp_path, capsys, kind):
     # save refuses non-finite values, so the NaN goes straight into the
-    # payload, over the entry's first value
+    # payload, over the entry's first value: the tensors come in header
+    # order, then the accumulators in the same order
     blob = (workspace["skel"] / "skel.ckpt").read_bytes()
-    end = blob.index(b"\nend-header\n") + len(b"\nend-header\n")
-    entry = next(h for h in blob[:end].split(b"\n") if h.startswith(f"{kind} out_W ".encode()))
-    at = end + int(entry.rsplit(b" ", 1)[1])
+    store = ParameterStore.load(workspace["skel"] / "skel.ckpt")
+    counts = [store[name].data.size for name in store.names()]
+    before = sum(counts[:store.names().index("out_W")])
+    at = len(blob) - 12 * sum(counts) + (4 * before if kind == "tensor"
+                                         else 4 * sum(counts) + 8 * before)
     nan = np.array(np.nan, dtype="<f4" if kind == "tensor" else "<f8").tobytes()
     ckpt = tmp_path / "skel.ckpt"
     ckpt.write_bytes(blob[:at] + nan + blob[at + len(nan):])

@@ -362,55 +362,61 @@ def test_features_empty_grid_too_large_named(tmp_path):
 
 
 def _checkpoint_lines(path):
-    """A two-tensor checkpoint at ``path`` whose accumulators are not zero,
-    and its header lines (the payload follows the last)."""
+    """A checkpoint of a (2, 3) tensor ``w`` then a (3,) tensor ``b`` at
+    ``path``: its header lines and its 108-byte payload."""
     store = ParameterStore()
-    store.add("b", np.zeros(3, dtype=np.float32))
     store.add("w", np.ones((2, 3), dtype=np.float32))
+    store.add("b", np.zeros(3, dtype=np.float32))
     store.accumulators["b"][:] = [1.0, 2.0, 3.0]
-    store.accumulators["w"][:] = 4.0
     store.save(path)
     head, _, payload = path.read_bytes().partition(b"end-header\n")
-    return store, head.decode("utf-8").splitlines(), payload
+    return head.decode("utf-8").splitlines(), payload
 
 
 def _rewrite(path, lines, payload):
     path.write_bytes(("\n".join(lines) + "\nend-header\n").encode("utf-8") + payload)
 
 
-def test_checkpoint_accumulator_before_its_tensor_loads(tmp_path):
-    path = tmp_path / "c.ckpt"
-    store, lines, payload = _checkpoint_lines(path)
-    at = lines.index(next(line for line in lines if line.startswith("tensor b ")))
-    lines[at], lines[at + 1] = lines[at + 1], lines[at]
-    _rewrite(path, lines, payload)
-    loaded = ParameterStore.load(path)
-    for name in ("b", "w"):
-        assert np.array_equal(loaded.accumulators[name], store.accumulators[name]), name
-        assert np.array_equal(loaded[name].data, store[name].data), name
+def _accumulator_bytes(*values):
+    return np.array(values, dtype="<f8").tobytes()
 
 
-@pytest.mark.parametrize("edit,shift,message", [
-    (lambda line: [line.replace(" 3 ", " scalar ")], 0,
-     "accumulator 'b' is shaped (), its tensor (3,)"),
-    (lambda line: [line.replace(" 3 ", " 2 ")], 0,
-     "accumulator 'b' is shaped (2,), its tensor (3,)"),
-    (lambda line: [], -1, "tensor 'b' has no accumulator"),
-    (lambda line: [line, line], 1, "duplicate accumulator 'b'"),
-    (lambda line: [line, line.replace(" b ", " c ")], 1, "accumulator 'c' has no tensor"),
+@pytest.mark.parametrize("edit", [
+    lambda payload: payload[:-24] + _accumulator_bytes(1.0),
+    lambda payload: payload[:-24] + _accumulator_bytes(1.0, 2.0),
+    lambda payload: payload[:-24],
+    lambda payload: payload + payload[-24:],
+    lambda payload: payload + _accumulator_bytes(5.0),
 ], ids=["scalar", "other-shape", "missing", "repeated", "orphan"])
-def test_checkpoint_accumulator_fault_named(tmp_path, edit, shift, message):
-    # each tensor has exactly one accumulator of its shape; a missing one
-    # would silently restart Adagrad on --resume. The fault is named at the
-    # accumulator's line, moved by ``shift`` lines (-1: its tensor's line)
+def test_checkpoint_accumulator_fault_named(tmp_path, edit):
+    # the header gives every tensor's shape, and its accumulator has that
+    # shape, so an accumulator of another shape, a missing, repeated or
+    # orphaned one is a payload of another length. A missing one would
+    # silently restart Adagrad on --resume. ``b`` is the last tensor, so its
+    # accumulator ends the payload
     path = tmp_path / "c.ckpt"
-    _, lines, payload = _checkpoint_lines(path)
-    at = lines.index(next(line for line in lines if line.startswith("accumulator b ")))
-    lines[at:at + 1] = edit(lines[at])
-    _rewrite(path, lines, payload)
-    named = at + 1 + shift
-    with pytest.raises(NumericsError, match=f"^{re.escape(f'{path}:{named}: {message}')}$"):
+    lines, payload = _checkpoint_lines(path)
+    assert lines[-1] == "tensor b 3"
+    _rewrite(path, lines, edit(payload))
+    message = f"{path}: payload is {len(edit(payload))} bytes, its header implies 108"
+    with pytest.raises(NumericsError, match=f"^{re.escape(message)}$"):
         ParameterStore.load(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_checkpoint_payload_exact_length(tmp_path, data):
+    # a payload cut short or followed by anything is refused naming the file:
+    # the header alone gives every tensor's and accumulator's bytes
+    path = tmp_path / "c.ckpt"
+    lines, payload = _checkpoint_lines(path)
+    cut = data.draw(st.integers(1, len(payload)), label="cut")
+    extra = data.draw(st.binary(min_size=1, max_size=len(payload)), label="extra")
+    for edited in (payload[:-cut], payload + extra):
+        _rewrite(path, lines, edited)
+        message = f"{path}: payload is {len(edited)} bytes, its header implies {len(payload)}"
+        with pytest.raises(NumericsError, match=f"^{re.escape(message)}$"):
+            ParameterStore.load(path)
 
 
 @pytest.mark.parametrize("prefix, repeat, message", [
