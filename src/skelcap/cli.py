@@ -53,14 +53,24 @@ class _Parser(argparse.ArgumentParser):
 def _load_file_config(path):
     """The JSON object in ``path`` (default: $SKELCAP_CONFIG), or {} without
     one, each value checked against its option's kind. A file that cannot be
-    read or holds no JSON object, a key no command takes from a file, or a
-    value not of its option's kind raises ValueError naming the file."""
+    read or holds no JSON object, a repeated key, a key no command takes from
+    a file, or a value not of its option's kind raises ValueError naming it."""
     if path is None:
         path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
+
+    def without_repeats(pairs):  # a JSON object; json itself keeps a repeated key's last value
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: config key {key!r} repeated")
+            obj[key] = value
+        return obj
+
     try:
-        config = json.loads("".join(line for _, line in treebank.read_lines(path, ValueError)))
+        config = json.loads("".join(line for _, line in treebank.read_lines(path, ValueError)),
+                            object_pairs_hook=without_repeats)
     except OSError as exc:
         raise ValueError(f"{path}: cannot read config: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
@@ -132,11 +142,10 @@ def cmd_synth(cfg):
     )
     seed = cfg["seed"]
     counts = {"train": cfg["count"], "val": cfg["val-count"], "test": cfg["test-count"]}
-    if counts["train"] < 1:
-        raise corpus.CorpusError("train count must be >= 1")
-    for split in ("val", "test"):
-        if counts[split] < 0:
-            raise corpus.CorpusError(f"{split}-count must be >= 0, got {counts[split]}")
+    for option, value, least in (("count", counts["train"], 1), ("val-count", counts["val"], 0),
+                                 ("test-count", counts["test"], 0), ("seed", seed, 0)):
+        if value < least:
+            raise corpus.CorpusError(f"{option} must be >= {least}, got {value}")
     # every split's config is checked before --out is touched
     configs = {split: SynthConfig(count=count, **base)
                for split, count in counts.items() if count >= 1}

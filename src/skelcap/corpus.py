@@ -511,15 +511,15 @@ def _check_manifest_text(what, text, where=""):
 
 
 def _integer(text, path, lineno, what):
-    try:
-        return int(text)
-    except ValueError:
-        raise CorpusError(f"{path}:{lineno}: {what} {text.strip()!r} is not an integer") from None
+    text = text.strip()  # decimal digits, as write_manifest writes an int >= 0
+    if not re.fullmatch(r"0|[1-9][0-9]*", text):
+        raise CorpusError(f"{path}:{lineno}: {what} {text!r} is not an integer >= 0")
+    return int(text)
 
 
 def _check_int(what, value):
-    if type(value) is not int:
-        raise CorpusError(f"{what} {value!r} is not an int")
+    if type(value) is not int or value < 0:
+        raise CorpusError(f"{what} {value!r} is not an int >= 0")
 
 
 def write_manifest(path, splits: Dict[str, Dict[str, object]], seed=None):
@@ -527,7 +527,7 @@ def write_manifest(path, splits: Dict[str, Dict[str, object]], seed=None):
     ``read_manifest`` reads back as ``(splits, seed)``. A split name or file
     entry that is not a non-empty string without surrounding whitespace or
     line breaks, a key outside ``MANIFEST_KEYS``, or a count or seed that is
-    not an int raises CorpusError before ``path`` is opened."""
+    not an int >= 0 raises CorpusError before ``path`` is opened."""
     lines = [MANIFEST_MAGIC]
     if seed is not None:
         _check_int("manifest seed", seed)

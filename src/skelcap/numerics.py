@@ -21,7 +21,8 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-CHECKPOINT_MAGIC = "skelcap-checkpoint-v3"
+CHECKPOINT_MAGIC = "skelcap-checkpoint-v4"
+_OLD_MAGICS = tuple(f"skelcap-checkpoint-v{n}".encode() for n in (1, 2, 3))
 ADAGRAD_EPSILON = 1e-8
 CLIP_NORM = 5.0  # the global gradient norm ``adagrad_step`` clips to
 
@@ -533,35 +534,30 @@ class ParameterStore:
     # -- checkpoint I/O ----------------------------------------------------
 
     def save(self, path, meta=None):
-        """Write a text header, one ``tensor NAME SHAPE`` line per tensor,
-        followed by a payload of every tensor as little-endian float32 and
-        then every accumulator as float64, both in header order. ``load``
-        reads it back as the same step count, meta, tensors (rounded to
-        float32) and accumulators. What ``load`` would reject or read back
+        """Write the ``CHECKPOINT_MAGIC`` line, the header line
+        ``{"meta": meta, "step_count": N, "tensors": [[name, shape], ...]}``
+        as ``_header_line`` writes it, then every tensor as little-endian
+        float32 and every accumulator as float64, both in header order.
+        ``load`` reads it back as the same step count, meta, tensors (rounded
+        to float32) and accumulators. What ``load`` would reject or read back
         otherwise raises NumericsError naming the entry before ``path`` is
-        opened: a step count that is not an int; a name or key that is not
-        UTF-8 text or holds a line break, or a meta key holding a space; meta
-        that JSON does not give back equal; a tensor non-finite in float32;
-        an accumulator that is missing, orphaned, shaped otherwise than its
-        tensor or non-finite."""
+        opened: a step count not an int >= 0, a tensor name not a str, a meta
+        entry JSON does not give back equal, a tensor non-finite in float32,
+        an accumulator missing, orphaned, misshapen or non-finite."""
         meta = meta or {}
-        if type(self.step_count) is not int:
-            raise NumericsError(f"step count {self.step_count!r} is not an int")
-        header = [CHECKPOINT_MAGIC, f"step_count {self.step_count}"]
-        for key in meta:
-            _check_header_text("meta key", key, spaces=False)
-        for key, value in sorted(meta.items()):
-            text = _meta_text(value)
-            if text is None:
+        if type(self.step_count) is not int or self.step_count < 0:
+            raise NumericsError(f"step count {self.step_count!r} is not an int >= 0")
+        for key, value in meta.items():
+            if _header_line({key: value}) is None:
                 raise NumericsError(f"meta {key!r}: {value!r} does not read back from JSON "
                                     f"as itself")
-            header.append(f"meta {key} {text}")
         for name in self.accumulators:
             if name not in self.params:
                 raise NumericsError(f"accumulator {name!r} has no tensor")
         tensors, accumulators = [], []
         for name, t in self.params.items():
-            _check_header_text("tensor name", name)
+            if type(name) is not str:
+                raise NumericsError(f"tensor name {name!r} is not a str")
             acc = self.accumulators.get(name)
             if acc is None or np.shape(acc) != t.data.shape:
                 raise NumericsError(f"accumulator of tensor {name!r} is missing or not shaped "
@@ -574,116 +570,82 @@ class ParameterStore:
                     raise NumericsError(f"{kind} {name!r} holds values that are non-finite "
                                         f"as {flat.dtype.name}")
                 payload.append(flat.tobytes())
-            header.append(f"tensor {name} {_shape_text(t.data.shape)}")
-        header.append("end-header")
+        header = {"meta": meta, "step_count": self.step_count,
+                  "tensors": [[name, list(t.data.shape)] for name, t in self.params.items()]}
         with open(path, "wb") as fh:
-            fh.write(("\n".join(header) + "\n").encode("utf-8"))
+            fh.write(f"{CHECKPOINT_MAGIC}\n{_header_line(header)}\n".encode("ascii"))
             fh.writelines(tensors + accumulators)
 
     @classmethod
     def load(cls, path, expect_model=None):
         """Read a checkpoint written by ``save``. Checks in order the format
-        version (an older one is refused with a request to retrain), that
-        every header line parses (the step count, a meta key and a tensor
-        name at most once, each meta value one that ``save`` could write,
-        each shape as ``save`` writes it), the ``meta model`` kind, that the
-        payload is exactly as long as the header implies, and that all of it
-        is finite; each failure names ``path`` (and the header line where
-        there is one)."""
+        version (an older one is refused with a request to retrain), that the
+        header line is byte for byte what ``_header_line`` writes for its
+        value, that value's fields (meta an object, a step count int >= 0,
+        distinct tensor names, dimensions ints >= 0), the ``meta model`` kind,
+        and that the payload is exactly as long as the header implies and
+        finite; each failure names ``path`` (``path:2`` for the header)."""
         with open(path, "rb") as fh:
-            blob = fh.read()
-        end = blob.find(b"\nend-header\n")
-        if end < 0:
-            raise NumericsError(f"{path}: missing checkpoint header terminator")
-        try:
-            lines = blob[:end].decode("utf-8").split("\n")
-        except UnicodeDecodeError as exc:
-            line = blob.count(b"\n", 0, exc.start) + 1
-            raise NumericsError(f"{path}:{line}: header is not UTF-8 text") from None
-        payload = memoryview(blob)[end + len(b"\nend-header\n"):]
-        if lines[0] in ("skelcap-checkpoint-v1", "skelcap-checkpoint-v2"):
-            raise NumericsError(f"{path}:1: a {lines[0][-2:]} checkpoint, an older layout; "
+            magic, _, rest = fh.read().partition(b"\n")
+        if magic in _OLD_MAGICS:
+            raise NumericsError(f"{path}:1: a {magic[-2:].decode()} checkpoint, an older layout; "
                                 f"retrain the model to write a {CHECKPOINT_MAGIC} file")
-        if lines[0] != CHECKPOINT_MAGIC:
+        if magic != CHECKPOINT_MAGIC.encode():
             raise NumericsError(f"{path}:1: not a {CHECKPOINT_MAGIC} file")
-        store = cls()
-        meta = {}
-        shapes = {}  # name -> (header line, shape)
-        step_count_read = False
-        for lineno, line in enumerate(lines[1:], start=2):
-            kind, _, rest = line.partition(" ")
-            try:
-                if kind == "step_count":
-                    if step_count_read:
-                        raise ValueError("step_count repeated")
-                    store.step_count, step_count_read = int(rest), True
-                elif kind == "meta":
-                    key, _, value = rest.partition(" ")
-                    if key in meta:
-                        raise ValueError(f"meta {key!r} repeated")
-                    meta[key] = json.loads(value)
-                    if _meta_text(meta[key]) is None:
-                        raise ValueError(f"meta {key!r} does not read back from JSON as itself")
-                elif kind == "tensor":
-                    name, shape_s = rest.rsplit(" ", 1)
-                    if name in shapes:
-                        raise ValueError(f"tensor {name!r} repeated")
-                    shape = () if shape_s == "scalar" else tuple(map(int, shape_s.split(",")))
-                    if min(shape, default=0) < 0 or _shape_text(shape) != shape_s:
-                        raise ValueError(f"shape {shape_s!r} is not one save writes")
-                    shapes[name] = (lineno, shape)
-                else:
-                    raise ValueError("unknown header line")
-            except (ValueError, RecursionError) as exc:  # JSON nested too deeply
-                raise NumericsError(f"{path}:{lineno}: {exc}: {line!r}") from None
+        line, newline, payload = rest.partition(b"\n")
+        try:
+            header = json.loads(line)
+            as_saved = bool(newline) and _header_line(header) == line.decode()
+        except UnicodeDecodeError:
+            raise NumericsError(f"{path}:2: header is not UTF-8 text") from None
+        except (ValueError, RecursionError):  # not JSON, or nested too deeply
+            as_saved = False
+        if not as_saved:
+            raise NumericsError(f"{path}:2: header is not as save writes it")
+        if not (type(header) is dict and sorted(header) == ["meta", "step_count", "tensors"]
+                and type(header["meta"]) is dict and type(header["tensors"]) is list
+                and type(header["step_count"]) is int and header["step_count"] >= 0):
+            raise NumericsError(f"{path}:2: header is not an object of meta (an object), "
+                                f"step_count (an int >= 0) and tensors (a list)")
+        shapes = {}
+        for entry in header["tensors"]:
+            match entry:
+                case [str() as name, list() as dims] if name not in shapes and all(
+                        type(d) is int and d >= 0 for d in dims):
+                    shapes[name] = tuple(dims)
+                case _:
+                    raise NumericsError(f"{path}:2: tensor entry {entry!r} is not a new name "
+                                        f"and its dimensions, each an int >= 0")
+        meta = header["meta"]
         if expect_model is not None and meta.get("model") != expect_model:
             raise NumericsError(f"{path}: {meta.get('model')} checkpoint, expected {expect_model}")
-        total = sum(math.prod(shape) for _, shape in shapes.values())
+        total = sum(map(math.prod, shapes.values()))
         if len(payload) != 12 * total:  # a float32 and a float64 per value
             raise NumericsError(f"{path}: payload is {len(payload)} bytes, its header "
                                 f"implies {12 * total}")
         tensors = np.frombuffer(payload[:4 * total], dtype="<f4")
         accumulators = np.frombuffer(payload[4 * total:], dtype="<f8")
-        at = 0
-        for name, (lineno, shape) in shapes.items():
+        store, at = cls(), 0
+        for name, shape in shapes.items():
             stop = at + math.prod(shape)
             for kind, flat in (("tensor", tensors), ("accumulator", accumulators)):
                 if not np.isfinite(flat[at:stop]).all():
-                    raise NumericsError(f"{path}:{lineno}: {kind} {name!r} holds non-finite "
-                                        f"values")
+                    raise NumericsError(f"{path}: {kind} {name!r} holds non-finite values")
             store.add(name, tensors[at:stop].reshape(shape).astype(np.float32))
             store.accumulators[name] = accumulators[at:stop].reshape(shape).astype(np.float64)
             at = stop
-        store.meta = meta
+        store.step_count, store.meta = header["step_count"], meta
         return store
 
 
-def _shape_text(shape):
-    """A shape as a checkpoint header writes it: ``2,3``, or ``scalar``."""
-    return ",".join(map(str, shape)) or "scalar"
-
-
-def _meta_text(value):
-    """The JSON text of a meta value, or None unless JSON reads it back as
-    an equal value."""
+def _header_line(value):
+    """``value`` as a checkpoint header line writes it: compact JSON, keys
+    sorted, ASCII, no NaN or infinity; None unless JSON reads it back equal."""
     try:
-        text = json.dumps(value, separators=(',', ':'), sort_keys=True)
+        text = json.dumps(value, separators=(",", ":"), sort_keys=True, allow_nan=False)
         return text if json.loads(text) == value else None
     except (TypeError, ValueError, RecursionError):
         return None
-
-
-def _check_header_text(what, text, spaces=True):
-    """Raises NumericsError unless ``text`` is a str that UTF-8 encodes,
-    holds no line break and, unless ``spaces``, no space."""
-    if isinstance(text, str) and "\n" not in text and (spaces or " " not in text):
-        try:
-            text.encode("utf-8")
-            return
-        except UnicodeEncodeError:
-            pass
-    raise NumericsError(f"checkpoint {what} {text!r} is not UTF-8 text without line breaks"
-                        + ("" if spaces else " or spaces"))
 
 
 def compare_gradients(analytic, loss, arrays, h=1e-3, tol=1e-4):

@@ -135,7 +135,7 @@ class LSTMState:
 class RecurrentDecoder:
     """Estimator-style LSTM decoder: ``fit`` / ``save`` / ``load``."""
 
-    model_kind: str          # "meta model" line of the checkpoint
+    model_kind: str          # the checkpoint's ``meta model``
     default_batch_size: int  # training batch when ``fit`` is given none
 
     def __init__(self, vocab, dtype, **params):
@@ -319,22 +319,23 @@ class RecurrentDecoder:
         """Rebuild a model from ``path`` with its vocabulary and Adagrad state.
 
         After ``ParameterStore.load`` checked the model kind and payload,
-        checks the vocabulary, the config's keys and values, and that the
-        checkpoint holds the tensors of ``_shapes``, in its order and no
-        others, each of its shape; each failure names ``path``. No weight is
-        drawn: the model takes the checkpoint's tensors as they are.
+        checks the vocabulary, the config's keys (exactly the constructor's:
+        none is defaulted) and values, and that the checkpoint holds the
+        tensors of ``_shapes``, in its order and no others, each of its
+        shape; each failure names ``path``. No weight is drawn: the model
+        takes the checkpoint's tensors as they are.
         """
         store = ParameterStore.load(path, expect_model=cls.model_kind)
         vocab = _checkpoint_vocab(path, store.meta.get("vocab"))
-        try:
-            config = inspect.signature(cls).bind(vocab, **store.meta.get("config", {}),
-                                                 dtype=np.float32)
-        except TypeError as exc:
-            raise NumericsError(f"{path}: config does not fit {cls.__name__}: {exc}") from None
-        config.apply_defaults()
+        config = store.meta.get("config")
+        given = set(config) if type(config) is dict else set()
+        keys = set(inspect.signature(cls).parameters) - {"vocab", "dtype"}
+        missing, unknown = sorted(keys - given), sorted(given - keys)
+        if missing or unknown:
+            raise NumericsError(f"{path}: config: missing {missing}, unknown {unknown}")
         model = cls.__new__(cls)  # configured, then given the checkpoint's tensors
         try:
-            model._configure(**config.arguments)
+            model._configure(vocab, np.float32, **config)
         except ValueError as exc:
             raise NumericsError(f"{path}: config: {exc}") from None
         shapes = model._shapes()

@@ -406,7 +406,7 @@ def test_load_rejects_wrong_vocab(attr_vocab, skel_model, tmp_path):
     m = _make(attr_vocab, skel_model)
     p = tmp_path / "attr.ckpt"
     m.save(p)
-    p.write_bytes(p.read_bytes().replace(b'meta vocab ["', b'meta vocab ["zzz","', 1))
+    p.write_bytes(p.read_bytes().replace(b'"vocab":["', b'"vocab":["zzz","', 1))
     with pytest.raises(nm.NumericsError, match=f"^{re.escape(str(p))}: tensor 'embed' "):
         AttributeGenerator.load(p)
 

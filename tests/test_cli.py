@@ -17,7 +17,7 @@ from skelcap.corpus import SPECIALS
 from skelcap.numerics import NonFiniteError, NumericsError, ParameterStore
 from skelcap.skelnet import SkeletonGenerator
 
-from test_readers import _edit_vocab_line, _vocab_line_number
+from test_readers import _as_saved, _edit_vocab_line, _vocab_line_number
 
 
 def run(*argv):
@@ -104,8 +104,8 @@ def _tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("args", [("--count", "5", "--feature-dim", "2"), ("--count", "0")],
-                         ids=["feature-dim", "count"])
+@pytest.mark.parametrize("args", [("--count", "5", "--feature-dim", "2"), ("--count", "0"),
+                                  ("--seed", "-1")], ids=["feature-dim", "count", "seed"])
 def test_synth_invalid_config_writes_nothing(workspace, tmp_path, args):
     missing = tmp_path / "new"
     assert run("synth", "--out", str(missing), *args) == 2
@@ -120,6 +120,7 @@ def test_synth_invalid_config_writes_nothing(workspace, tmp_path, args):
 @pytest.mark.parametrize("option,value,message", [
     ("val-count", "-5", "val-count must be >= 0, got -5"),
     ("test-count", "-3", "test-count must be >= 0, got -3"),
+    ("seed", "-1", "seed must be >= 0, got -1"),
     ("max-objects", "0", "max_objects must be >= 1, got 0"),
     ("max-objects", "-2", "max_objects must be >= 1, got -2"),
     ("max-attributes", "-1", "max_attributes must be >= 0, got -1"),
@@ -282,14 +283,16 @@ def test_train_skel_resume_without_accumulator(workspace, tmp_path, capsys):
 
 def _config_edited(src, path, key, value):
     """The checkpoint ``src`` copied to ``path`` with ``key`` of its ``meta
-    config`` line set to the JSON value ``value``."""
-    head, sep, payload = src.read_bytes().partition(b"\nend-header\n")
-    lines = head.split(b"\n")
-    at = next(i for i, line in enumerate(lines) if line.startswith(b"meta config "))
-    config = json.loads(lines[at][len(b"meta config "):])
-    config[key] = json.loads(value)
-    lines[at] = b"meta config " + json.dumps(config, separators=(",", ":")).encode()
-    path.write_bytes(b"\n".join(lines) + sep + payload)
+    config`` set to the JSON value ``value`` (removed if None), its header
+    line as ``save`` writes it."""
+    magic, line, payload = src.read_bytes().split(b"\n", 2)
+    header = json.loads(line)
+    config = header["meta"]["config"]
+    if value is None:
+        del config[key]
+    else:
+        config[key] = json.loads(value)
+    path.write_bytes(b"\n".join([magic, _as_saved(header), payload]))
 
 
 _CONFIG_VALUE_FAULTS = [
@@ -302,6 +305,10 @@ _CONFIG_VALUE_FAULTS = [
     ("attr", "use_post_word_alpha", "null", "use_post_word_alpha must be bool, not None"),
     ("attr", "hidden_tap", '"last"',
      "hidden_tap must be one of ('current', 'previous', 'final')"),
+    # a key left out is not defaulted: the model would decode otherwise
+    # than it was trained
+    ("skel", "seed", None, "missing ['seed'], unknown []"),
+    ("attr", "hidden_tap", None, "missing ['hidden_tap'], unknown []"),
 ]
 
 
@@ -315,22 +322,47 @@ def test_checkpoint_config_value_exits_2(workspace, tmp_path, capsys, command, s
     # checkpoint is read, naming it and the key, without a traceback
     ckpt = tmp_path / f"{stage}.ckpt"
     _config_edited(workspace[stage] / f"{stage}.ckpt", ckpt, key, value)
-    if command == "caption":
-        argv = _caption_with(workspace, tmp_path / "c.tsv", f"--{stage}-checkpoint", ckpt)
-    else:
-        argv = ("train-skel", "--data", str(workspace["data"]), "--out", str(tmp_path / "out"),
-                "--epochs", "1", "--skel-threshold", "1", "--resume", str(ckpt))
-    assert run(*argv) == 2
+    assert _resume_or_caption(workspace, tmp_path, command, ckpt, stage) == 2
     assert capsys.readouterr().err == f"error: {ckpt}: config: {message}\n"
+    _assert_nothing_written(tmp_path)
 
 
-def _resume_or_caption(workspace, tmp_path, command, ckpt):
-    """``command`` run on the skeleton checkpoint ``ckpt``: ``caption``, or
-    a one-epoch ``train-skel --resume``."""
+def _resume_or_caption(workspace, tmp_path, command, ckpt, stage="skel"):
+    """``command`` run on the ``stage`` checkpoint ``ckpt``: ``caption``, or
+    a one-epoch ``train-skel --resume`` of a skeleton checkpoint."""
     if command == "caption":
-        return run(*_caption_with(workspace, tmp_path / "c.tsv", "--skel-checkpoint", ckpt))
+        return run(*_caption_with(workspace, tmp_path / "c.tsv", f"--{stage}-checkpoint", ckpt))
     return run("train-skel", "--data", str(workspace["data"]), "--out", str(tmp_path / "out"),
                "--epochs", "1", "--skel-threshold", "1", "--resume", str(ckpt))
+
+
+def _assert_nothing_written(tmp_path):
+    """Neither output of ``_resume_or_caption`` was written."""
+    out = tmp_path / "out"
+    assert not (tmp_path / "c.tsv").exists()
+    assert not out.exists() or not any(out.iterdir())
+
+
+# train-skel --resume reads a skeleton checkpoint, caption both
+@pytest.mark.parametrize("command, stage", [
+    ("caption", "skel"), ("train-skel", "skel"), ("caption", "attr")])
+@pytest.mark.parametrize("edit", [
+    lambda b: b.replace(b'"vocab":[', b'"vocab": [', 1),
+    lambda b: re.sub(rb'"step_count":[0-9]+', b'"step_count":1_5', b, count=1),
+    lambda b: re.sub(rb',"step_count":[0-9]+', b"", b, count=1),
+], ids=["spaced-meta", "step-count-underscore", "step-count-missing"])
+def test_checkpoint_header_not_as_saved_exits_2(workspace, tmp_path, capsys, command, stage,
+                                                edit):
+    # each of these loaded, though save never writes it: any JSON spelling,
+    # any int() spelling of the step count, and no step count at all, which
+    # --resume would have continued from step 0
+    src = (workspace[stage] / f"{stage}.ckpt").read_bytes()
+    ckpt = tmp_path / f"{stage}.ckpt"
+    ckpt.write_bytes(edit(src))
+    assert ckpt.read_bytes() != src
+    assert _resume_or_caption(workspace, tmp_path, command, ckpt, stage) == 2
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}:2: header is not ")
+    _assert_nothing_written(tmp_path)
 
 
 @pytest.mark.parametrize("command", ["caption", "train-skel"])
@@ -399,8 +431,13 @@ def test_train_attr_outputs(workspace):
 
 def _vocab_replaced(src, path, tokens):
     """The checkpoint ``src`` copied to ``path`` with the value of its ``meta
-    vocab`` line replaced by the bytes ``tokens``."""
-    path.write_bytes(_edit_vocab_line(src.read_bytes(), lambda _: [b"meta vocab " + tokens]))
+    vocab`` replaced by the bytes ``tokens``, spelt as ``save`` spells JSON
+    where they are JSON."""
+    try:
+        tokens = json.dumps(json.loads(tokens), separators=(",", ":")).encode()
+    except ValueError:  # not UTF-8 JSON: written as it is
+        pass
+    path.write_bytes(_edit_vocab_line(src.read_bytes(), lambda _: b',"vocab":' + tokens))
 
 
 def test_train_attr_wrong_vocab(workspace, tmp_path, capsys):
@@ -631,11 +668,12 @@ def test_caption_skeleton_checkpoint_as_attribute(workspace, tmp_path, capsys):
 
 def test_caption_v1_checkpoint_refused(workspace, tmp_path, capsys):
     # a v1 checkpoint kept its vocabulary in a separate file, a v2 one gave
-    # every tensor an offset and every accumulator a header line; no second
-    # loader reads either, and the message says to retrain
-    for version in ("v1", "v2"):
+    # every tensor an offset and every accumulator a header line, a v3 one
+    # had a header line per entry; no second loader reads any of them, and
+    # the message says to retrain
+    for version in ("v1", "v2", "v3"):
         ckpt = _edited_attr_checkpoint(workspace, tmp_path, lambda b: b.replace(
-            b"skelcap-checkpoint-v3", f"skelcap-checkpoint-{version}".encode(), 1))
+            b"skelcap-checkpoint-v4", f"skelcap-checkpoint-{version}".encode(), 1))
         out = tmp_path / "c.tsv"
         assert run(*_with_attr_checkpoint(workspace, out, ckpt)) == 2
         err = capsys.readouterr().err
@@ -667,9 +705,9 @@ def test_caption_checkpoint_pair_sizes_differ(workspace, tmp_path, capsys, key, 
 
 
 @pytest.mark.parametrize("edit", [
-    lambda b: b.replace(b'"seed":1', b'"beam_width":3,"seed":1', 1),
+    lambda b: b.replace(b'"config":{', b'"config":{"beam_width":3,', 1),
     lambda b: b[:-10],
-    lambda b: re.sub(rb"meta config [^\n]*", b"meta config [1]", b, count=1),
+    lambda b: re.sub(rb'"config":{[^}]*}', b'"config":[1]', b, count=1),
 ], ids=["unknown-config-key", "truncated-payload", "config-not-object"])
 def test_caption_malformed_attribute_checkpoint(workspace, tmp_path, capsys, edit):
     ckpt = _edited_attr_checkpoint(workspace, tmp_path, edit)
@@ -744,7 +782,11 @@ def test_manifest_split_without_files(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("edit,line", [
     (lambda text: text.replace("  count: 10", "  count: ten", 1), None),
     (lambda text: text.replace("seed: 3", "seed: x", 1), 2),
-], ids=["count", "seed"])
+    # only the digits write_manifest writes: no sign, no underscore
+    (lambda text: text.replace("seed: 3", "seed: 3_0", 1), 2),
+    (lambda text: text.replace("  count: 10", "  count: +10", 1), None),
+    (lambda text: text.replace("  count: 10", "  count: -3", 1), None),
+], ids=["count", "seed", "seed-underscore", "count-plus", "count-negative"])
 def test_manifest_non_integer(workspace, tmp_path, capsys, edit, line):
     ws, data = _copied_data(workspace, tmp_path)
     manifest = data / "manifest.txt"
@@ -786,40 +828,30 @@ def test_vocabulary_not_utf8(workspace, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {ckpt}:{line}: header is not UTF-8 text\n"
 
 
-@pytest.mark.parametrize("entry", [b"tensor embed", b"tensor embed 8,x",
-                                   b"tensor embed 8,-4", b"tensor embed 8 -4"],
+@pytest.mark.parametrize("entry", [b'["embed"]', b'["embed",[8,"x"]]', b'["embed",[8,-4]]',
+                                   b'["embed",[8],-4]'],
                          ids=["fields", "shape", "negative-shape", "negative-offset"])
 def test_caption_malformed_checkpoint_header(workspace, tmp_path, capsys, entry):
-    blob = (workspace["attr"] / "attr.ckpt").read_bytes()
-    header = blob[:blob.index(b"\nend-header\n")].split(b"\n")
-    line = next(i for i, h in enumerate(header) if h.startswith(b"tensor embed "))
     ckpt = _edited_attr_checkpoint(
-        workspace, tmp_path, lambda b: b.replace(header[line] + b"\n", entry + b"\n", 1))
+        workspace, tmp_path, lambda b: re.sub(rb'\["embed",\[[0-9,]*\]\]', entry, b, count=1))
     assert run(*_with_attr_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
-    assert f"error: {ckpt}:{line + 1}: " in capsys.readouterr().err
+    assert f"error: {ckpt}:2: tensor entry " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("prefix, repeat", [
-    (b"step_count ", b"step_count 999"),
-    (b"meta model ", b'meta model "skeleton"'),
-    (b"meta vocab ", None),
-    (b"meta model ", b"meta note NaN"),
+@pytest.mark.parametrize("edit", [
+    lambda b: re.sub(rb'"step_count":[0-9]+', rb'\g<0>,"step_count":999', b, count=1),
+    lambda b: b.replace(b'"model":"attribute"', b'"model":"attribute","model":"skeleton"', 1),
+    lambda b: _edit_vocab_line(b, lambda entry: entry + entry),
+    lambda b: b.replace(b',"vocab":', b',"note":NaN,"vocab":', 1),
 ], ids=["step-count", "meta", "vocab", "meta-nan"])
-def test_caption_checkpoint_header_line_not_read_back(workspace, tmp_path, capsys, prefix,
-                                                      repeat):
-    # a second header line of one key would silently override the first, and
-    # a meta value JSON does not read back as itself would not save again
+def test_caption_checkpoint_header_line_not_read_back(workspace, tmp_path, capsys, edit):
+    # a repeated key would silently override the first, and a meta value
+    # JSON does not read back as itself would not save again
     blob = (workspace["attr"] / "attr.ckpt").read_bytes()
-    header = blob[:blob.index(b"\nend-header\n")].split(b"\n")
-    line = next(i for i, h in enumerate(header) if h.startswith(prefix))
-    repeat = repeat or header[line]
-    ckpt = _edited_attr_checkpoint(
-        workspace, tmp_path, lambda b: b.replace(header[line] + b"\n",
-                                                 header[line] + b"\n" + repeat + b"\n", 1))
+    ckpt = _edited_attr_checkpoint(workspace, tmp_path, edit)
+    assert ckpt.read_bytes() != blob
     assert run(*_with_attr_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
-    err = capsys.readouterr().err
-    assert f"error: {ckpt}:{line + 2}: " in err
-    assert ("does not read back" if b"NaN" in repeat else "repeated") in err
+    assert capsys.readouterr().err == f"error: {ckpt}:2: header is not as save writes it\n"
 
 
 def test_caption_malformed_tree(workspace, tmp_path, capsys):
@@ -1124,7 +1156,8 @@ def test_config_file_layering(workspace, tmp_path, monkeypatch):
     ("eval", "{bad json", ":1: config is not JSON: "),
     ("synth", "[1]", ": config must be a JSON object, not list"),
     ("eval", "[" * 100000 + "]" * 100000, ": config is not JSON: nested too deeply"),
-], ids=["missing", "not-json", "not-object", "nested-too-deeply"])
+    ("synth", '{"count": 1, "count": 2}', ": config key 'count' repeated"),
+], ids=["missing", "not-json", "not-object", "nested-too-deeply", "repeated-key"])
 def test_config_file_fault_exits_2(tmp_path, capsys, command, content, message):
     config = tmp_path / "conf.json"
     if content is not None:

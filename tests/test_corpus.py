@@ -76,7 +76,7 @@ def test_vocab_bijection():
 
 
 def test_vocab_save_load(tmp_path):
-    # a vocabulary is saved and loaded as the meta vocab line of its
+    # a vocabulary is saved and loaded as the meta vocab entry of its
     # decoder's checkpoint
     v = build_vocab([["dog", "cat", "dog"]], 1)
     p = tmp_path / "m.ckpt"

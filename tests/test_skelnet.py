@@ -458,6 +458,6 @@ def test_load_rejects_wrong_vocab(model, tmp_path):
     # a vocabulary of another size than the checkpoint's tensors is refused
     p = tmp_path / "skel.ckpt"
     model.save(p)
-    p.write_bytes(p.read_bytes().replace(b'meta vocab ["', b'meta vocab ["zzz","', 1))
+    p.write_bytes(p.read_bytes().replace(b'"vocab":["', b'"vocab":["zzz","', 1))
     with pytest.raises(nm.NumericsError, match=f"^{re.escape(str(p))}: tensor 'embed' "):
         SkeletonGenerator.load(p)
