@@ -808,6 +808,23 @@ def test_checkpoint_refusal_names_the_entry(tmp_path, store, save, named):
     assert path.read_bytes() == b"before"
 
 
+@pytest.mark.parametrize("store, save", [
+    (_store(**{"a\nb": np.ones(2, np.float32)}), {}),
+    (_store(w=np.ones(2, np.float32)), {"meta": {"a b": 1}}),
+], ids=["tensor-line-break", "meta-key-space"])
+def test_checkpoint_header_holds_any_text(tmp_path, store, save):
+    # the line header refused these names; the JSON header escapes them
+    path = tmp_path / "c.ckpt"
+    store.save(path, **save)
+    magic, line, _ = path.read_bytes().split(b"\n", 2)
+    assert (magic, line) == (b"skelcap-checkpoint-v4", _as_saved(json.loads(line)))
+    loaded = ParameterStore.load(path)
+    assert loaded.meta == save.get("meta", {})
+    assert list(loaded.names()) == list(store.names())
+    for name in store.names():
+        assert loaded[name].data.tobytes() == store[name].data.tobytes(), name
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda store: store.accumulators.pop("w"), "tensor 'w'"),
     (lambda store: store.accumulators.update(v=np.zeros(2)), "accumulator 'v'"),
