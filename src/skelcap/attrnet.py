@@ -100,6 +100,11 @@ class AttributeGenerator(RecurrentDecoder):
         if self.hidden_tap not in HIDDEN_TAPS:
             raise AttrConfigError(f"hidden_tap must be one of {HIDDEN_TAPS}")
 
+    def _check_follows(self, earlier):
+        if [m.model_kind for m in earlier] != ["skeleton"]:
+            raise AttrConfigError("an attribute stage follows one skeleton stage")
+        check_skeleton_sizes(self, earlier[0])
+
     def _shapes(self):
         D, m = self.feature_dim, self.embed_size
         ms, ns = self.skel_embed_size, self.skel_hidden_size

@@ -3,12 +3,14 @@ eval, gradcheck.
 
 Configuration is layered: values from a JSON config file (``--config`` or the
 ``SKELCAP_CONFIG`` environment variable) are overridden by command-line
-flags; ``COMMANDS`` declares each option once, for both. Every command that
+flags; ``COMMANDS`` declares each option once, for both. A command that
 writes an output directory echoes its effective configuration there:
-``synth`` as ``config.json``, ``train-skel`` and ``train-attr`` as
-``skel_config.json`` and ``attr_config.json``, so both stages can share one
-``--out``. Exit codes: 0 success, 1 usage error, 2 data/contract
-violation.
+``synth`` writes ``config.json`` beside its data files, ``train-skel``
+``skel.ckpt``, ``skel_loss_curve.txt`` and ``skel_config.json``, and
+``train-attr`` ``captioner.ckpt`` (the skeleton it read, then the attribute
+decoder), ``attr_loss_curve.txt`` and ``attr_config.json``, so both stages
+can share one ``--out``. Exit codes: 0 success, 1 usage error, 2
+data/contract violation.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ import numpy as np
 from . import corpus, metrics, treebank
 from .decompose import decompose as decompose_tree, format_decomposition
 from .attrnet import (HIDDEN_TAPS, AttrConfigError, AttributeGenerator, build_training_items,
-                      check_skeleton_sizes)
+                      check_conditioning)
 from .corpus import SynthConfig
 from .decode import caption as run_caption
 from .numerics import compare_gradients, NumericsError
+from .recurrent import load_checkpoint, save_checkpoint
 from .skelnet import SkeletonGenerator
 
 log = logging.getLogger(__name__)
@@ -153,21 +156,17 @@ def cmd_synth(cfg):
         sc.validate()
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(out_dir / "config.json", "synth", {**base, "seed": seed, **counts})
-    start = 0
-    manifest_entries = {}
+    start, entries = 0, {}
     for split, sc in configs.items():
-        manifest = corpus.synth_generate(sc, seed, split=split, start_index=start)
+        records = corpus.synth_generate(sc, seed, split=split, start_index=start).records
         start += sc.count
-        corpus.write_captions(out_dir / f"{split}.captions.tsv", manifest.records)
-        corpus.write_trees(out_dir / f"{split}.trees.txt", manifest.records)
-        corpus.write_features(out_dir / f"{split}.features.bin", manifest.records)
-        manifest_entries[split] = {
-            "captions": f"{split}.captions.tsv",
-            "trees": f"{split}.trees.txt",
-            "features": f"{split}.features.bin",
-            "count": sc.count,
-        }
-    corpus.write_manifest(out_dir / "manifest.txt", manifest_entries, seed=seed)
+        entries[split] = {"count": sc.count}
+        for key, suffix, write in (("captions", "captions.tsv", corpus.write_captions),
+                                   ("trees", "trees.txt", corpus.write_trees),
+                                   ("features", "features.bin", corpus.write_features)):
+            entries[split][key] = f"{split}.{suffix}"
+            write(out_dir / entries[split][key], records)
+    corpus.write_manifest(out_dir / "manifest.txt", entries, seed=seed)
     print(f"wrote {start} records to {out_dir}")
     return 0
 
@@ -196,43 +195,51 @@ def _load_split(data_dir: Path, split: str, required: bool = True):
 # -- decompose ---------------------------------------------------------------
 
 def cmd_decompose(cfg):
-    n = 0
-    skel_lens = []
-    attr_counts = []
+    skel_lens, attr_counts = [], []
     sink = _text_replaced_on_success(Path(cfg["out"])) if cfg["out"] else \
         contextlib.nullcontext(sys.stdout)
     with sink as out:
         for _, tree in treebank.read_trees(cfg["trees"]):
             d = decompose_tree(tree)
             out.write(format_decomposition(d) + "\n")
-            n += 1
             skel_lens.append(len(d.skeleton))
             attr_counts.extend(len(t.attributes) for t in d.skeleton if t.is_np_head)
-    mean_skel = sum(skel_lens) / n if n else 0.0
+    mean_skel = sum(skel_lens) / len(skel_lens) if skel_lens else 0.0
     mean_attr = sum(attr_counts) / len(attr_counts) if attr_counts else 0.0
-    print(f"trees: {n}  mean skeleton length: {mean_skel:.2f}  "
+    print(f"trees: {len(skel_lens)}  mean skeleton length: {mean_skel:.2f}  "
           f"mean attributes per NP-head: {mean_attr:.2f}", file=sys.stderr)
     return 0
 
 
 # -- training ----------------------------------------------------------------
 
-def _save_training(out_dir, cfg, stage, model, curve):
-    """Write ``stage``'s checkpoint, loss curve and config into ``out_dir``
-    after training, each replacing its file only once all three are
-    written: a failed run leaves the directory as it was."""
+def _train(cfg, stage, checkpoint, models, train, val):
+    """Fit ``models[-1]`` on ``train`` and ``val``, then write ``models`` as
+    ``checkpoint`` and ``stage``'s loss curve and config into ``--out``, all
+    three in place only once written: a failed run leaves ``--out`` as it was."""
+    model, out_dir = models[-1], Path(cfg["out"])
+    if cfg["seed"] < 0:  # it also shuffles a resumed model, which no constructor checks
+        raise ValueError(f"seed must be at least 0, not {cfg['seed']}")
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before training
+    history = model.fit(train, val, epochs=cfg["epochs"], learning_rate=cfg["learning-rate"],
+                        batch_size=cfg["batch-size"], shuffle_seed=cfg["seed"],
+                        progress=lambda e, h: log.info(
+                            "epoch %d val_loss %s", e,
+                            h["val_loss"][-1] if h["val_loss"] else "n/a"))
     with contextlib.ExitStack() as files:
         def target(name):
             return files.enter_context(_replaced_on_success(out_dir / name))
 
-        model.save(target(f"{stage}.ckpt"))
+        save_checkpoint(target(checkpoint), models)
         with open(target(f"{stage}_loss_curve.txt"), "w", encoding="utf-8") as fh:
-            fh.writelines(f"{step}\t{loss:.6f}\n" for step, loss in curve)
+            fh.writelines(f"{step}\t{loss:.6f}\n" for step, loss in history["train_curve"])
         _echo_config(target(f"{stage}_config.json"), f"train-{stage}",
                      {**model.get_params(), "shuffle_seed": cfg["seed"],
                       "epochs": cfg["epochs"], "learning_rate": cfg["learning-rate"],
                       "batch_size": cfg["batch-size"],
                       f"{stage}_threshold": cfg[f"{stage}-threshold"]})
+    print(f"trained {model.model_kind} model: {model.store.step_count} steps -> {out_dir}")
+    return 0
 
 
 def cmd_train_skel(cfg):
@@ -241,10 +248,8 @@ def cmd_train_skel(cfg):
     val = _load_split(data_dir, "val", required=False)
     vocab = corpus.build_vocab([r.decomposition.skeleton_words for r in train],
                                cfg["skel-threshold"])
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before training
     if cfg["resume"]:
-        model = SkeletonGenerator.load(cfg["resume"])
+        model, = load_checkpoint(cfg["resume"], SkeletonGenerator)
         if model.vocab.index_to_token != vocab.index_to_token:
             raise NumericsError(f"{cfg['resume']}: its vocabulary is not the one the data "
                                 f"gives at --skel-threshold {cfg['skel-threshold']}")
@@ -255,44 +260,31 @@ def cmd_train_skel(cfg):
             hidden_size=cfg["hidden-size"], embed_size=cfg["embed-size"],
             attention_hidden=cfg["attention-hidden"], use_attention=not cfg["no-attention"],
             seed=cfg["seed"])
-    history = model.fit(train, val, epochs=cfg["epochs"], learning_rate=cfg["learning-rate"],
-                        batch_size=cfg["batch-size"], shuffle_seed=cfg["seed"],
-                        progress=lambda e, h: log.info(
-                            "epoch %d val_loss %s", e,
-                            h["val_loss"][-1] if h["val_loss"] else "n/a"))
-    _save_training(out_dir, cfg, "skel", model, history["train_curve"])
-    print(f"trained skeleton model: {model.store.step_count} steps -> {out_dir}")
-    return 0
+    return _train(cfg, "skel", "skel.ckpt", [model], train, val)
 
 
 def cmd_train_attr(cfg):
     data_dir = Path(cfg["data"])
     train = _load_split(data_dir, "train")
     val = _load_split(data_dir, "val", required=False)
-    skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"])
+    skel_model, = load_checkpoint(cfg["skel-checkpoint"], SkeletonGenerator)
     attr_vocab = corpus.build_vocab(
         [list(t.attributes) for r in train for t in r.decomposition.skeleton
          if t.attributes], cfg["attr-threshold"])
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)  # a bad --out fails before training
     model = AttributeGenerator(
         attr_vocab, feature_dim=skel_model.feature_dim,
         skel_embed_size=skel_model.embed_size, skel_hidden_size=skel_model.hidden_size,
         hidden_size=cfg["hidden-size"], embed_size=cfg["embed-size"],
         hidden_tap=cfg["hidden-tap"], use_post_word_alpha=cfg["post-word-alpha"],
         seed=cfg["seed"])
-
-    def items(records):
-        return build_training_items(records, skel_model, attr_vocab,
-                                    use_post_word_alpha=model.use_post_word_alpha,
-                                    hidden_tap=model.hidden_tap)
-
-    history = model.fit(items(train), None if val is None else items(val), epochs=cfg["epochs"],
-                        learning_rate=cfg["learning-rate"], batch_size=cfg["batch-size"],
-                        shuffle_seed=cfg["seed"])
-    _save_training(out_dir, cfg, "attr", model, history["train_curve"])
-    print(f"trained attribute model: {model.store.step_count} steps -> {out_dir}")
-    return 0
+    try:
+        check_conditioning(skel_model, model.hidden_tap, model.use_post_word_alpha)
+    except AttrConfigError as exc:
+        raise AttrConfigError(f"--post-word-alpha: {exc}") from None
+    train, val = (None if records is None else build_training_items(
+        records, skel_model, attr_vocab, use_post_word_alpha=model.use_post_word_alpha,
+        hidden_tap=model.hidden_tap) for records in (train, val))
+    return _train(cfg, "attr", "captioner.ckpt", [skel_model, model], train, val)
 
 
 # -- caption -----------------------------------------------------------------
@@ -305,13 +297,8 @@ def cmd_caption(cfg):
     if cfg["trace"] and Path(cfg["trace"]).resolve() == out_path.resolve():
         build_parser().error(f"--out and --trace both name {out_path}")
     records = _load_split(Path(cfg["data"]), cfg["split"])
-    skel_model = SkeletonGenerator.load(cfg["skel-checkpoint"])
-    attr_model = AttributeGenerator.load(cfg["attr-checkpoint"])
-    try:
-        check_skeleton_sizes(attr_model, skel_model)
-    except AttrConfigError as exc:
-        raise AttrConfigError(f"{cfg['attr-checkpoint']} does not fit "
-                              f"{cfg['skel-checkpoint']}: {exc}") from None
+    skel_model, attr_model = load_checkpoint(cfg["checkpoint"], SkeletonGenerator,
+                                             AttributeGenerator)
     if wanted is not None:
         missing = wanted.difference(rec.image_id for rec in records)
         if missing:
@@ -385,13 +372,16 @@ def cmd_eval(cfg):
 
 # -- gradcheck ---------------------------------------------------------------
 
-def _gradcheck(model, batch, cfg):
-    """``loss_and_grads``'s gradients of ``batch`` against central differences
-    of its loss, in every parameter entry."""
+def _gradcheck(label, model, batch, cfg):
+    """Prints how ``loss_and_grads``'s gradients of ``batch`` compare with central
+    differences of its loss in every parameter entry; returns whether they pass."""
     _, grads = model.loss_and_grads(batch)
-    return compare_gradients(grads, lambda: model.teacher_forced_loss(batch),
-                             {n: t.data for n, t in model.store.params.items()},
-                             h=cfg["step"], tol=cfg["tol"])
+    report = compare_gradients(grads, lambda: model.teacher_forced_loss(batch),
+                               {n: t.data for n, t in model.store.params.items()},
+                               h=cfg["step"], tol=cfg["tol"])
+    print(f"{label}: max rel err {report['max_rel_error']:.3e} "
+          f"({'pass' if report['passed'] else 'FAIL'})")
+    return report["passed"]
 
 
 def cmd_gradcheck(cfg):
@@ -407,10 +397,7 @@ def cmd_gradcheck(cfg):
                              dtype=np.float64)
     feats = records[0].features.flat()[None].astype(np.float64)
     seqs = np.asarray([skel._encode_skeleton(records[0])])
-    report = _gradcheck(skel, (feats, seqs), cfg)
-    print(f"skel step: max rel err {report['max_rel_error']:.3e} "
-          f"({'pass' if report['passed'] else 'FAIL'})")
-    ok = report["passed"]
+    ok = _gradcheck("skel step", skel, (feats, seqs), cfg)
     attr = AttributeGenerator(attr_vocab, feature_dim=8, skel_embed_size=8,
                               skel_hidden_size=16, hidden_size=16, embed_size=8,
                               seed=4, dtype=np.float64)
@@ -421,10 +408,7 @@ def cmd_gradcheck(cfg):
     # words repeated within and across rows: the gate gradients summed by word
     red, big, eos = attr_vocab.encode("red"), attr_vocab.encode("big"), corpus.EOS
     seqs = np.asarray([[red, red, big, eos], [big, red, red, eos], [red, big, big, eos]])
-    report2 = _gradcheck(attr, (z, s, h, seqs), cfg)
-    print(f"attr init+steps: max rel err {report2['max_rel_error']:.3e} "
-          f"({'pass' if report2['passed'] else 'FAIL'})")
-    ok = ok and report2["passed"]
+    ok = _gradcheck("attr init+steps", attr, (z, s, h, seqs), cfg) and ok
     return 0 if ok else 2
 
 
@@ -498,8 +482,7 @@ COMMANDS = {
         Opt("data", help="dataset directory", source="required"),
         Opt("split", str, "test", "split to caption"),
         Opt("out", help="captions file", source="required"),
-        Opt("skel-checkpoint", help="trained skeleton checkpoint", source="required"),
-        Opt("attr-checkpoint", help="trained attribute checkpoint", source="required"),
+        Opt("checkpoint", help="trained captioner checkpoint", source="required"),
         Opt("ids", help="comma-separated image ids, or 'all'", source="flag"),
         Opt("gamma-skel", float, 0.0, "skeleton length factor"),
         Opt("gamma-attr", float, 0.0, "attribute length factor"),

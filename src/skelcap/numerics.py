@@ -21,8 +21,8 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-CHECKPOINT_MAGIC = "skelcap-checkpoint-v4"
-_OLD_MAGICS = tuple(f"skelcap-checkpoint-v{n}".encode() for n in (1, 2, 3))
+CHECKPOINT_MAGIC = "skelcap-checkpoint-v5"
+_OLD_MAGICS = tuple(f"skelcap-checkpoint-v{n}".encode() for n in (1, 2, 3, 4))
 ADAGRAD_EPSILON = 1e-8
 CLIP_NORM = 5.0  # the global gradient norm ``adagrad_step`` clips to
 
@@ -531,84 +531,84 @@ class ParameterStore:
         self.zero_grad()
         return float(norm)
 
-    # -- checkpoint I/O ----------------------------------------------------
 
-    def save(self, path, meta=None):
-        """Write the ``CHECKPOINT_MAGIC`` line, the header line
-        ``{"meta": meta, "step_count": N, "tensors": [[name, shape], ...]}``
-        as ``_header_line`` writes it, then every tensor as little-endian
-        float32 and every accumulator as float64, both in header order.
-        ``load`` reads it back as the same step count, meta, tensors (rounded
-        to float32) and accumulators. What ``load`` would reject or read back
-        otherwise raises NumericsError naming the entry before ``path`` is
-        opened: a step count not an int >= 0, a tensor name not a str, a meta
-        entry JSON does not give back equal, a tensor non-finite in float32,
-        an accumulator missing, orphaned, misshapen or non-finite."""
-        meta = meta or {}
-        if type(self.step_count) is not int or self.step_count < 0:
-            raise NumericsError(f"step count {self.step_count!r} is not an int >= 0")
+def save_stages(path, stages):
+    """Write ``stages``, (meta, ParameterStore) pairs: the ``CHECKPOINT_MAGIC`` line,
+    the ``_header_line`` of the list of each stage's ``{"meta": meta, "step_count":
+    N, "tensors": [[name, shape], ...]}``, then in header order each tensor as
+    little-endian float32 and its accumulator as float64. What ``load_stages``
+    would refuse or read back otherwise raises NumericsError naming the entry
+    before ``path`` is opened: a step count not an int >= 0, a tensor name not a
+    str, a meta entry JSON does not give back equal, a tensor non-finite in
+    float32, an accumulator missing, orphaned, misshapen or non-finite."""
+    header, payload = [], []
+    for meta, store in stages:
+        if type(store.step_count) is not int or store.step_count < 0:
+            raise NumericsError(f"step count {store.step_count!r} is not an int >= 0")
         for key, value in meta.items():
             if _header_line({key: value}) is None:
                 raise NumericsError(f"meta {key!r}: {value!r} does not read back from JSON "
                                     f"as itself")
-        for name in self.accumulators:
-            if name not in self.params:
+        for name in store.accumulators:
+            if name not in store.params:
                 raise NumericsError(f"accumulator {name!r} has no tensor")
-        tensors, accumulators = [], []
-        for name, t in self.params.items():
+        for name, t in store.params.items():
             if type(name) is not str:
                 raise NumericsError(f"tensor name {name!r} is not a str")
-            acc = self.accumulators.get(name)
+            acc = store.accumulators.get(name)
             if acc is None or np.shape(acc) != t.data.shape:
                 raise NumericsError(f"accumulator of tensor {name!r} is missing or not shaped "
                                     f"{t.data.shape}")
             with np.errstate(over="ignore"):  # out of float32's range: caught below
-                flats = (("tensor", np.ascontiguousarray(t.data, dtype="<f4"), tensors),
-                         ("accumulator", np.ascontiguousarray(acc, dtype="<f8"), accumulators))
-            for kind, flat, payload in flats:
+                flats = (("tensor", np.ascontiguousarray(t.data, dtype="<f4")),
+                         ("accumulator", np.ascontiguousarray(acc, dtype="<f8")))
+            for kind, flat in flats:
                 if not np.isfinite(flat).all():
                     raise NumericsError(f"{kind} {name!r} holds values that are non-finite "
                                         f"as {flat.dtype.name}")
                 payload.append(flat.tobytes())
-        header = {"meta": meta, "step_count": self.step_count,
-                  "tensors": [[name, list(t.data.shape)] for name, t in self.params.items()]}
-        with open(path, "wb") as fh:
-            fh.write(f"{CHECKPOINT_MAGIC}\n{_header_line(header)}\n".encode("ascii"))
-            fh.writelines(tensors + accumulators)
+        header.append({"meta": meta, "step_count": store.step_count, "tensors": [
+            [name, list(t.data.shape)] for name, t in store.params.items()]})
+    with open(path, "wb") as fh:
+        fh.write(f"{CHECKPOINT_MAGIC}\n{_header_line(header)}\n".encode("ascii"))
+        fh.writelines(payload)
 
-    @classmethod
-    def load(cls, path, expect_model=None):
-        """Read a checkpoint written by ``save``. Checks in order the format
-        version (an older one is refused with a request to retrain), that the
-        header line is byte for byte what ``_header_line`` writes for its
-        value, that value's fields (meta an object, a step count int >= 0,
-        distinct tensor names, dimensions ints >= 0), the ``meta model`` kind,
-        and that the payload is exactly as long as the header implies and
-        finite; each failure names ``path`` (``path:2`` for the header)."""
-        with open(path, "rb") as fh:
-            magic, _, rest = fh.read().partition(b"\n")
-        if magic in _OLD_MAGICS:
-            raise NumericsError(f"{path}:1: a {magic[-2:].decode()} checkpoint, an older layout; "
-                                f"retrain the model to write a {CHECKPOINT_MAGIC} file")
-        if magic != CHECKPOINT_MAGIC.encode():
-            raise NumericsError(f"{path}:1: not a {CHECKPOINT_MAGIC} file")
-        line, newline, payload = rest.partition(b"\n")
-        try:
-            header = json.loads(line)
-            as_saved = bool(newline) and _header_line(header) == line.decode()
-        except UnicodeDecodeError:
-            raise NumericsError(f"{path}:2: header is not UTF-8 text") from None
-        except (ValueError, RecursionError):  # not JSON, or nested too deeply
-            as_saved = False
-        if not as_saved:
-            raise NumericsError(f"{path}:2: header is not as save writes it")
-        if not (type(header) is dict and sorted(header) == ["meta", "step_count", "tensors"]
-                and type(header["meta"]) is dict and type(header["tensors"]) is list
-                and type(header["step_count"]) is int and header["step_count"] >= 0):
-            raise NumericsError(f"{path}:2: header is not an object of meta (an object), "
-                                f"step_count (an int >= 0) and tensors (a list)")
+
+def load_stages(path):
+    """The (meta, ParameterStore) stages ``save_stages`` wrote to ``path``,
+    checked in order: the format version (an older one is refused with a
+    request to retrain), the header line byte for byte as ``_header_line``
+    writes its value, its stages' fields (meta an object, a step count int >=
+    0, tensors of distinct names and int dimensions >= 0), then a payload
+    exactly as long as the header implies and finite. Faults name ``path``."""
+    with open(path, "rb") as fh:
+        magic, _, rest = fh.read().partition(b"\n")
+    if magic in _OLD_MAGICS:
+        raise NumericsError(f"{path}:1: a {magic[-2:].decode()} checkpoint, an older layout; "
+                            f"retrain the model to write a {CHECKPOINT_MAGIC} file")
+    if magic != CHECKPOINT_MAGIC.encode():
+        raise NumericsError(f"{path}:1: not a {CHECKPOINT_MAGIC} file")
+    line, newline, payload = rest.partition(b"\n")
+    try:
+        header = json.loads(line)
+        as_saved = bool(newline) and _header_line(header) == line.decode()
+    except UnicodeDecodeError:
+        raise NumericsError(f"{path}:2: header is not UTF-8 text") from None
+    except (ValueError, RecursionError):  # not JSON, or nested too deeply
+        as_saved = False
+    if not as_saved:
+        raise NumericsError(f"{path}:2: header is not as save writes it")
+    if type(header) is not list or not all(
+            type(stage) is dict and sorted(stage) == ["meta", "step_count", "tensors"]
+            and type(stage["meta"]) is dict and type(stage["tensors"]) is list
+            and type(stage["step_count"]) is int and stage["step_count"] >= 0
+            for stage in header):
+        raise NumericsError(f"{path}:2: header is not a list of stages, each an object of meta "
+                            f"(an object), step_count (an int >= 0) and tensors (a list)")
+    layouts = []
+    for stage in header:
         shapes = {}
-        for entry in header["tensors"]:
+        for entry in stage["tensors"]:
             match entry:
                 case [str() as name, list() as dims] if name not in shapes and all(
                         type(d) is int and d >= 0 for d in dims):
@@ -616,26 +616,27 @@ class ParameterStore:
                 case _:
                     raise NumericsError(f"{path}:2: tensor entry {entry!r} is not a new name "
                                         f"and its dimensions, each an int >= 0")
-        meta = header["meta"]
-        if expect_model is not None and meta.get("model") != expect_model:
-            raise NumericsError(f"{path}: {meta.get('model')} checkpoint, expected {expect_model}")
-        total = sum(map(math.prod, shapes.values()))
-        if len(payload) != 12 * total:  # a float32 and a float64 per value
-            raise NumericsError(f"{path}: payload is {len(payload)} bytes, its header "
-                                f"implies {12 * total}")
-        tensors = np.frombuffer(payload[:4 * total], dtype="<f4")
-        accumulators = np.frombuffer(payload[4 * total:], dtype="<f8")
-        store, at = cls(), 0
+        layouts.append(shapes)
+    total = sum(math.prod(shape) for shapes in layouts for shape in shapes.values())
+    if len(payload) != 12 * total:  # a float32 and a float64 per value
+        raise NumericsError(f"{path}: payload is {len(payload)} bytes, its header "
+                            f"implies {12 * total}")
+    stages, at = [], 0
+    for stage, shapes in zip(header, layouts):
+        store = ParameterStore()
         for name, shape in shapes.items():
-            stop = at + math.prod(shape)
-            for kind, flat in (("tensor", tensors), ("accumulator", accumulators)):
-                if not np.isfinite(flat[at:stop]).all():
+            n = math.prod(shape)
+            tensor = np.frombuffer(payload, "<f4", n, at).reshape(shape)
+            accumulator = np.frombuffer(payload, "<f8", n, at + 4 * n).reshape(shape)
+            for kind, flat in (("tensor", tensor), ("accumulator", accumulator)):
+                if not np.isfinite(flat).all():
                     raise NumericsError(f"{path}: {kind} {name!r} holds non-finite values")
-            store.add(name, tensors[at:stop].reshape(shape).astype(np.float32))
-            store.accumulators[name] = accumulators[at:stop].reshape(shape).astype(np.float64)
-            at = stop
-        store.step_count, store.meta = header["step_count"], meta
-        return store
+            store.add(name, tensor.astype(np.float32))
+            store.accumulators[name] = accumulator.astype(np.float64)
+            at += 12 * n
+        store.step_count = stage["step_count"]
+        stages.append((stage["meta"], store))
+    return stages
 
 
 def _header_line(value):

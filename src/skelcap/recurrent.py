@@ -133,7 +133,7 @@ class LSTMState:
 
 
 class RecurrentDecoder:
-    """Estimator-style LSTM decoder: ``fit`` / ``save`` / ``load``."""
+    """Estimator-style LSTM decoder: ``fit``, and one stage of a checkpoint."""
 
     model_kind: str          # the checkpoint's ``meta model``
     default_batch_size: int  # training batch when ``fit`` is given none
@@ -260,13 +260,14 @@ class RecurrentDecoder:
         halved once, the first time the validation loss fails to improve for
         a full epoch. Returns a history dict with the loss curve as
         (step, loss) pairs and each step's gradient norm before clipping.
-        Raises ValueError for fewer than one epoch, a batch below one or
-        empty ``val_records``, before the first step.
+        Raises ValueError for fewer than one epoch, a batch below one, a
+        shuffle seed below 0 or empty ``val_records``, before the first step.
         """
         if batch_size is None:
             batch_size = self.default_batch_size
         _at_least_one("epochs", epochs)
         _at_least_one("batch_size", batch_size)
+        _at_least_one("shuffle_seed", shuffle_seed, 0)
         train = self._table(train_records)
         val = None if val_records is None else self._table(val_records)
         if val is not None and not len(val):
@@ -300,34 +301,22 @@ class RecurrentDecoder:
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path):
-        """Write the model's checkpoint, its non-special tokens as the
-        ``meta vocab`` list. A checkpoint holds float32 tensors, so a model of
-        another dtype raises NumericsError before ``path`` is opened, rather
-        than reloading as a rounded float32 model; so does a token list that
-        ``load`` would refuse."""
-        if np.dtype(self.dtype) != np.float32:
-            raise NumericsError(f"{path}: cannot save a {np.dtype(self.dtype).name} model; "
-                                "checkpoints hold float32 tensors")
-        tokens = self.vocab.index_to_token[len(SPECIALS):]
-        _checkpoint_vocab(path, tokens)
-        self.store.save(path, meta={"model": self.model_kind, "config": self.get_params(),
-                                    "vocab": tokens})
+    def _check_follows(self, earlier):
+        """A subclass raises ValueError here unless it may follow the ``earlier`` stages."""
 
     @classmethod
-    def load(cls, path):
-        """Rebuild a model from ``path`` with its vocabulary and Adagrad state.
-
-        After ``ParameterStore.load`` checked the model kind and payload,
-        checks the vocabulary, the config's keys (exactly the constructor's:
-        none is defaulted) and values, and that the checkpoint holds the
-        tensors of ``_shapes``, in its order and no others, each of its
-        shape; each failure names ``path``. No weight is drawn: the model
-        takes the checkpoint's tensors as they are.
-        """
-        store = ParameterStore.load(path, expect_model=cls.model_kind)
-        vocab = _checkpoint_vocab(path, store.meta.get("vocab"))
-        config = store.meta.get("config")
+    def _from_stage(cls, path, meta, store, earlier):
+        """The model of a checkpoint stage after the ``earlier`` models, once its
+        vocabulary, config (exactly the constructor's keys), ``_check_follows``
+        and the tensors of ``_shapes`` (in order, no others) are checked, naming
+        ``path``. No weight is drawn: it takes the stage's tensors as they are."""
+        tokens, config = meta.get("vocab"), meta.get("config")
+        if type(tokens) is not list:
+            raise NumericsError(f"{path}: meta 'vocab' is not a list of tokens")
+        try:
+            vocab = Vocabulary(tokens)
+        except CorpusError as exc:
+            raise NumericsError(f"{path}: meta 'vocab': {exc}") from None
         given = set(config) if type(config) is dict else set()
         keys = set(inspect.signature(cls).parameters) - {"vocab", "dtype"}
         missing, unknown = sorted(keys - given), sorted(given - keys)
@@ -336,6 +325,7 @@ class RecurrentDecoder:
         model = cls.__new__(cls)  # configured, then given the checkpoint's tensors
         try:
             model._configure(vocab, np.float32, **config)
+            model._check_follows(earlier)
         except ValueError as exc:
             raise NumericsError(f"{path}: config: {exc}") from None
         shapes = model._shapes()
@@ -351,12 +341,33 @@ class RecurrentDecoder:
         return model
 
 
-def _checkpoint_vocab(path, tokens):
-    """The ``Vocabulary`` of a checkpoint's ``meta vocab`` list ``tokens``;
-    anything else raises NumericsError naming ``path``."""
-    if type(tokens) is not list:
-        raise NumericsError(f"{path}: meta 'vocab' is not a list of tokens")
-    try:
-        return Vocabulary(tokens)
-    except CorpusError as exc:
-        raise NumericsError(f"{path}: meta 'vocab': {exc}") from None
+def save_checkpoint(path, models):
+    """Write ``models``, a skeleton decoder and optionally the attribute
+    decoder trained on it, as one checkpoint's stages: each model's kind,
+    config and non-special tokens (``meta`` model, config, vocab), step
+    count, tensors and Adagrad accumulators. What ``_from_stage`` refuses,
+    or a model not float32, raises NumericsError before ``path`` is opened."""
+    stages = []
+    for at, model in enumerate(models):
+        if np.dtype(model.dtype) != np.float32:
+            raise NumericsError(f"{path}: cannot save a {np.dtype(model.dtype).name} model; "
+                                "checkpoints hold float32 tensors")
+        meta = {"model": model.model_kind, "config": model.get_params(),
+                "vocab": model.vocab.index_to_token[len(SPECIALS):]}
+        type(model)._from_stage(path, meta, model.store, models[:at])
+        stages.append((meta, model.store))
+    nm.save_stages(path, stages)
+
+
+def load_checkpoint(path, *kinds):
+    """The models of the checkpoint ``path``, one per decoder class of
+    ``kinds``, which must be the kinds of its stages in order, each built by
+    ``_from_stage``; each failure names ``path``."""
+    stages = nm.load_stages(path)
+    found, wanted = [meta.get("model") for meta, _ in stages], [c.model_kind for c in kinds]
+    if found != wanted:
+        raise NumericsError(f"{path}: holds the stages {found}, not {wanted}")
+    models = []
+    for cls, (meta, store) in zip(kinds, stages):
+        models.append(cls._from_stage(path, meta, store, models))
+    return models

@@ -312,14 +312,13 @@ def test_criterion_9_cli_determinism(tmp_path):
                      "--embed-size", "8", "--batch-size", "16",
                      "--attr-threshold", "1", "--seed", "2"]) == 0
         assert main(["caption", "--data", str(data), "--out", str(caps),
-                     "--skel-checkpoint", str(run / "skel.ckpt"),
-                     "--attr-checkpoint", str(run / "attr.ckpt"),
+                     "--checkpoint", str(run / "captioner.ckpt"),
                      "--gamma-skel", "0.5", "--max-skel-len", "6"]) == 0
         return {
             "features": (data / "train.features.bin").read_bytes(),
             "captions": (data / "train.captions.tsv").read_bytes(),
             "skel": (run / "skel.ckpt").read_bytes(),
-            "attr": (run / "attr.ckpt").read_bytes(),
+            "captioner": (run / "captioner.ckpt").read_bytes(),
             "curve": (run / "skel_loss_curve.txt").read_bytes(),
             "caps": caps.read_bytes(),
         }

@@ -8,7 +8,8 @@ from skelcap import numerics as nm
 from skelcap.attrnet import (HIDDEN_TAPS, AttrConfigError, AttributeGenerator,
                              AttrTrainingItem, build_training_items, check_conditioning)
 from skelcap.corpus import (BOS, EOS, SynthConfig, build_vocab, synth_generate)
-from skelcap.recurrent import BatchTable, cell_forward, length_batches
+from skelcap.recurrent import (BatchTable, cell_forward, length_batches, load_checkpoint,
+                               save_checkpoint)
 from skelcap.skelnet import TRACE_BATCH, SkeletonGenerator, SkelState, TeacherTrace
 
 from test_decode import _GridModel
@@ -376,9 +377,9 @@ def test_save_load_roundtrip(attr_vocab, skel_model, tiny_data, tmp_path):
               use_post_word_alpha=True)
     m.fit(build_training_items(recs[:4], skel_model, attr_vocab, use_post_word_alpha=True,
                                hidden_tap="previous"), epochs=1)
-    p = tmp_path / "attr.ckpt"
-    m.save(p)
-    loaded = AttributeGenerator.load(p)
+    p = tmp_path / "captioner.ckpt"
+    save_checkpoint(p, [skel_model, m])
+    _, loaded = load_checkpoint(p, SkeletonGenerator, AttributeGenerator)
     assert loaded.vocab.index_to_token == m.vocab.index_to_token
     assert loaded.get_params() == m.get_params()
     assert loaded.store.step_count == m.store.step_count > 0
@@ -394,21 +395,23 @@ def test_save_load_roundtrip(attr_vocab, skel_model, tiny_data, tmp_path):
 
 def test_save_rejects_float64_model(attr_vocab, skel_model, tmp_path):
     m = _make(attr_vocab, skel_model, dtype=np.float64)
-    p = tmp_path / "attr.ckpt"
+    p = tmp_path / "captioner.ckpt"
     p.write_bytes(b"an earlier checkpoint")
     with pytest.raises(nm.NumericsError, match=rf"{re.escape(str(p))}: .*float64 model"):
-        m.save(p)
+        save_checkpoint(p, [skel_model, m])
     assert p.read_bytes() == b"an earlier checkpoint"
 
 
 def test_load_rejects_wrong_vocab(attr_vocab, skel_model, tmp_path):
     # a vocabulary of another size than the checkpoint's tensors is refused
     m = _make(attr_vocab, skel_model)
-    p = tmp_path / "attr.ckpt"
-    m.save(p)
-    p.write_bytes(p.read_bytes().replace(b'"vocab":["', b'"vocab":["zzz","', 1))
+    p = tmp_path / "captioner.ckpt"
+    save_checkpoint(p, [skel_model, m])
+    blob = p.read_bytes()
+    at = blob.index(b'"model":"attribute"')  # the attribute stage's vocabulary follows
+    p.write_bytes(blob[:at] + blob[at:].replace(b'"vocab":["', b'"vocab":["zzz","', 1))
     with pytest.raises(nm.NumericsError, match=f"^{re.escape(str(p))}: tensor 'embed' "):
-        AttributeGenerator.load(p)
+        load_checkpoint(p, SkeletonGenerator, AttributeGenerator)
 
 
 def _refined(L, logits, p_grid, lengths, alpha=None):

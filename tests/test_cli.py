@@ -14,7 +14,9 @@ from skelcap import cli, metrics, numerics
 from skelcap.attrnet import AttributeGenerator
 from skelcap.cli import main
 from skelcap.corpus import SPECIALS
-from skelcap.numerics import NonFiniteError, NumericsError, ParameterStore
+from skelcap.numerics import (NonFiniteError, NumericsError, ParameterStore, load_stages,
+                              save_stages)
+from skelcap.recurrent import load_checkpoint, save_checkpoint
 from skelcap.skelnet import SkeletonGenerator
 
 from test_readers import _as_saved, _edit_vocab_line, _vocab_line_number
@@ -46,11 +48,15 @@ def workspace(tmp_path_factory):
     return {"root": root, "data": data, "skel": skel, "attr": attr}
 
 
+def _captioner(ws):
+    """The captioner ``train-attr`` wrote: the skeleton stage, then the
+    attribute stage trained on it."""
+    return ws["attr"] / "captioner.ckpt"
+
+
 def _caption_args(ws, out, *extra):
     return ("caption", "--data", str(ws["data"]), "--out", str(out),
-            "--skel-checkpoint", str(ws["skel"] / "skel.ckpt"),
-            "--attr-checkpoint", str(ws["attr"] / "attr.ckpt"),
-            "--max-skel-len", "6", *extra)
+            "--checkpoint", str(_captioner(ws)), "--max-skel-len", "6", *extra)
 
 
 def _caption_with(ws, out, flag, value):
@@ -244,14 +250,13 @@ def test_train_skel_deterministic(workspace, tmp_path):
 
 
 def test_train_skel_resume_continues_steps(workspace, tmp_path):
-    from skelcap.numerics import ParameterStore
-    before = ParameterStore.load(workspace["skel"] / "skel.ckpt").step_count
+    before = load_stages(workspace["skel"] / "skel.ckpt")[0][1].step_count
     out = tmp_path / "resumed"
     assert run("train-skel", "--data", str(workspace["data"]), "--out",
                str(out), "--epochs", "1", "--batch-size", "16",
                "--skel-threshold", "1", "--seed", "1",
                "--resume", str(workspace["skel"] / "skel.ckpt")) == 0
-    after = ParameterStore.load(out / "skel.ckpt").step_count
+    after = load_stages(out / "skel.ckpt")[0][1].step_count
     assert after > before
 
 
@@ -271,7 +276,7 @@ def test_train_skel_resume_without_accumulator(workspace, tmp_path, capsys):
     # a checkpoint without the last tensor's accumulator would restart
     # Adagrad from zero; it is refused, naming it, and nothing is written
     blob = (workspace["skel"] / "skel.ckpt").read_bytes()
-    last = ParameterStore.load(workspace["skel"] / "skel.ckpt").accumulators["out_b"]
+    last = load_stages(workspace["skel"] / "skel.ckpt")[0][1].accumulators["out_b"]
     ckpt = tmp_path / "skel.ckpt"
     ckpt.write_bytes(blob[:-last.nbytes])
     out = tmp_path / "resumed"
@@ -281,13 +286,13 @@ def test_train_skel_resume_without_accumulator(workspace, tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
-def _config_edited(src, path, key, value):
-    """The checkpoint ``src`` copied to ``path`` with ``key`` of its ``meta
-    config`` set to the JSON value ``value`` (removed if None), its header
-    line as ``save`` writes it."""
+def _config_edited(src, path, key, value, stage=0):
+    """The checkpoint ``src`` copied to ``path`` with ``key`` of the ``meta
+    config`` of its stage ``stage`` (0 first) set to the JSON value ``value``
+    (removed if None), its header line as ``save`` writes it."""
     magic, line, payload = src.read_bytes().split(b"\n", 2)
     header = json.loads(line)
-    config = header["meta"]["config"]
+    config = header[stage]["meta"]["config"]
     if value is None:
         del config[key]
     else:
@@ -312,7 +317,22 @@ _CONFIG_VALUE_FAULTS = [
 ]
 
 
-# train-skel --resume reads a skeleton checkpoint, caption both
+def _stage_edited(blob, stage, edit):
+    """The checkpoint ``blob`` with the header text of its stage ``stage``
+    (0 first) alone replaced by what ``edit`` gives for it."""
+    magic, line, payload = blob.split(b"\n", 2)
+    starts = [m.start() for m in re.finditer(rb'\{"meta":', line)] + [len(line) - 1]
+    lo, hi = starts[stage], starts[stage + 1]
+    return b"\n".join([magic, line[:lo] + edit(line[lo:hi]) + line[hi:], payload])
+
+
+def _checkpoint_of(workspace, command):
+    """The checkpoint ``command`` reads: ``caption`` the captioner,
+    ``train-skel --resume`` the skeleton checkpoint."""
+    return _captioner(workspace) if command == "caption" else workspace["skel"] / "skel.ckpt"
+
+
+# train-skel --resume reads a skeleton checkpoint, caption a captioner of both stages
 @pytest.mark.parametrize("command, stage, key, value, message", [
     (command, *fault) for fault in _CONFIG_VALUE_FAULTS
     for command in ("caption", "train-skel")[:2 if fault[0] == "skel" else 1]])
@@ -321,17 +341,19 @@ def test_checkpoint_config_value_exits_2(workspace, tmp_path, capsys, command, s
     # a config value the decoder cannot be built from is refused as the
     # checkpoint is read, naming it and the key, without a traceback
     ckpt = tmp_path / f"{stage}.ckpt"
-    _config_edited(workspace[stage] / f"{stage}.ckpt", ckpt, key, value)
-    assert _resume_or_caption(workspace, tmp_path, command, ckpt, stage) == 2
+    _config_edited(_checkpoint_of(workspace, command), ckpt, key, value,
+                   ("skel", "attr").index(stage))
+    assert _resume_or_caption(workspace, tmp_path, command, ckpt) == 2
     assert capsys.readouterr().err == f"error: {ckpt}: config: {message}\n"
     _assert_nothing_written(tmp_path)
 
 
-def _resume_or_caption(workspace, tmp_path, command, ckpt, stage="skel"):
-    """``command`` run on the ``stage`` checkpoint ``ckpt``: ``caption``, or
-    a one-epoch ``train-skel --resume`` of a skeleton checkpoint."""
+def _resume_or_caption(workspace, tmp_path, command, ckpt):
+    """``command`` run on the checkpoint ``ckpt``: ``caption`` of a
+    captioner, or a one-epoch ``train-skel --resume`` of a skeleton
+    checkpoint."""
     if command == "caption":
-        return run(*_caption_with(workspace, tmp_path / "c.tsv", f"--{stage}-checkpoint", ckpt))
+        return run(*_caption_with(workspace, tmp_path / "c.tsv", "--checkpoint", ckpt))
     return run("train-skel", "--data", str(workspace["data"]), "--out", str(tmp_path / "out"),
                "--epochs", "1", "--skel-threshold", "1", "--resume", str(ckpt))
 
@@ -343,7 +365,7 @@ def _assert_nothing_written(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
-# train-skel --resume reads a skeleton checkpoint, caption both
+# train-skel --resume reads a skeleton checkpoint, caption a captioner of both stages
 @pytest.mark.parametrize("command, stage", [
     ("caption", "skel"), ("train-skel", "skel"), ("caption", "attr")])
 @pytest.mark.parametrize("edit", [
@@ -356,11 +378,11 @@ def test_checkpoint_header_not_as_saved_exits_2(workspace, tmp_path, capsys, com
     # each of these loaded, though save never writes it: any JSON spelling,
     # any int() spelling of the step count, and no step count at all, which
     # --resume would have continued from step 0
-    src = (workspace[stage] / f"{stage}.ckpt").read_bytes()
+    src = _checkpoint_of(workspace, command).read_bytes()
     ckpt = tmp_path / f"{stage}.ckpt"
-    ckpt.write_bytes(edit(src))
+    ckpt.write_bytes(_stage_edited(src, ("skel", "attr").index(stage), edit))
     assert ckpt.read_bytes() != src
-    assert _resume_or_caption(workspace, tmp_path, command, ckpt, stage) == 2
+    assert _resume_or_caption(workspace, tmp_path, command, ckpt) == 2
     assert capsys.readouterr().err.startswith(f"error: {ckpt}:2: header is not ")
     _assert_nothing_written(tmp_path)
 
@@ -380,7 +402,7 @@ def test_checkpoint_tensor_not_as_config_exits_2(workspace, tmp_path, capsys, mo
         raise AssertionError("a weight was drawn")
     monkeypatch.setattr(numerics, "glorot_uniform", drawn)
     ckpt = tmp_path / "skel.ckpt"
-    _config_edited(workspace["skel"] / "skel.ckpt", ckpt, key, value)
+    _config_edited(_checkpoint_of(workspace, command), ckpt, key, value)
     assert _resume_or_caption(workspace, tmp_path, command, ckpt) == 2
     assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
 
@@ -388,14 +410,13 @@ def test_checkpoint_tensor_not_as_config_exits_2(workspace, tmp_path, capsys, mo
 def test_checkpoint_tensors_out_of_order_exits_2(workspace, tmp_path, capsys):
     # save writes the tensors in the order the model declares them, and the
     # loaded model keeps the file's order, which its gradient norm sums in
-    src = workspace["skel"] / "skel.ckpt"
-    store = ParameterStore.load(src)
+    (meta, store), attr_stage = load_stages(_captioner(workspace))
     reordered = ParameterStore()
     for name in reversed(store.names()):
         reordered.add(name, store[name].data)
         reordered.accumulators[name] = store.accumulators[name]
-    ckpt = tmp_path / "skel.ckpt"
-    reordered.save(ckpt, meta=store.meta)
+    ckpt = tmp_path / "captioner.ckpt"
+    save_stages(ckpt, [(meta, reordered), attr_stage])
     assert _resume_or_caption(workspace, tmp_path, "caption", ckpt) == 2
     assert capsys.readouterr().err.startswith(
         f"error: {ckpt}: tensors not in the order its config gives: embed, att_U, ")
@@ -410,8 +431,8 @@ def test_train_stages_share_out_directory(workspace, tmp_path):
                "--skel-checkpoint", str(run_dir / "skel.ckpt"), "--epochs", "1",
                "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1") == 0
     assert sorted(p.name for p in run_dir.iterdir()) == [
-        "attr.ckpt", "attr_config.json", "attr_loss_curve.txt", "skel.ckpt", "skel_config.json",
-        "skel_loss_curve.txt"]
+        "attr_config.json", "attr_loss_curve.txt", "captioner.ckpt", "skel.ckpt",
+        "skel_config.json", "skel_loss_curve.txt"]
     assert (run_dir / "skel_config.json").read_bytes() == skel_config
     assert json.loads((run_dir / "attr_config.json").read_text())["command"] == "train-attr"
 
@@ -423,8 +444,8 @@ def test_train_skel_missing_data(tmp_path):
 
 def test_train_attr_outputs(workspace):
     attr = workspace["attr"]
-    assert sorted(p.name for p in attr.iterdir()) == ["attr.ckpt", "attr_config.json",
-                                                      "attr_loss_curve.txt"]
+    assert sorted(p.name for p in attr.iterdir()) == ["attr_config.json", "attr_loss_curve.txt",
+                                                      "captioner.ckpt"]
     config = json.loads((attr / "attr_config.json").read_text())
     assert config["hidden_tap"] == "current"
 
@@ -444,7 +465,7 @@ def test_train_attr_wrong_vocab(workspace, tmp_path, capsys):
     # a skeleton checkpoint whose vocabulary is one word short of its
     # embedding rows is refused, naming it
     src = workspace["skel"] / "skel.ckpt"
-    tokens = SkeletonGenerator.load(src).vocab.index_to_token[len(SPECIALS):-1]
+    tokens = load_checkpoint(src, SkeletonGenerator)[0].vocab.index_to_token[len(SPECIALS):-1]
     ckpt = tmp_path / "skel.ckpt"
     _vocab_replaced(src, ckpt, json.dumps(tokens).encode())
     assert run("train-attr", "--data", str(workspace["data"]), "--out",
@@ -466,7 +487,7 @@ def test_train_attr_feature_grid_mismatch(workspace, tmp_path, capsys, grid, dim
     first = (data / "train.captions.tsv").read_text().split("\t", 1)[0]
     assert capsys.readouterr().err == (f"error: {first}: feature grid {grid}x{grid}x{dim} "
                                        f"does not match model 3x3x24\n")
-    assert not (tmp_path / "x" / "attr.ckpt").exists()
+    assert not (tmp_path / "x" / "captioner.ckpt").exists()
 
 
 def _rewrite_split(data, split, keep):
@@ -518,6 +539,57 @@ def test_training_empty_validation_split(workspace, tmp_path, capsys, command):
     assert run(*_training_args(workspace, command, data, out)) == 2
     assert capsys.readouterr().err == "error: the validation set is empty, so it has no loss\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def flat_skeleton(workspace):
+    """A skeleton checkpoint trained without attention."""
+    out = workspace["root"] / "flat"
+    assert run("train-skel", "--data", str(workspace["data"]), "--out", str(out),
+               "--epochs", "1", "--hidden-size", "16", "--embed-size", "8",
+               "--batch-size", "16", "--skel-threshold", "1", "--no-attention") == 0
+    return out / "skel.ckpt"
+
+
+def _training_refusal(workspace, flat_skeleton, case):
+    """(argv without --out, message) of a training run refused before it
+    creates --out."""
+    data = ("--data", str(workspace["data"]), "--epochs", "1")
+    skel = str(workspace["skel"] / "skel.ckpt")
+    seed = "seed must be at least 0, not -1"
+    return {
+        "train-skel-seed": (("train-skel", *data, "--seed", "-1"), seed),
+        "resume-seed": (("train-skel", *data, "--skel-threshold", "1", "--resume", skel,
+                         "--seed", "-1"), seed),
+        "train-attr-seed": (("train-attr", *data, "--skel-checkpoint", skel, "--seed", "-1"),
+                            seed),
+        "post-word-alpha": (("train-attr", *data, "--skel-checkpoint", str(flat_skeleton),
+                             "--post-word-alpha"),
+                            "--post-word-alpha: post-word refinement needs a skeleton decoder "
+                            "with attention; this one has use_attention=False"),
+    }[case]
+
+
+@pytest.mark.parametrize("case, flag", [
+    ("train-skel-seed", "seed"), ("resume-seed", "seed"), ("train-attr-seed", "seed"),
+    ("post-word-alpha", "--post-word-alpha")],
+    ids=["train-skel-seed", "resume-seed", "train-attr-seed", "post-word-alpha"])
+def test_training_invalid_config_writes_nothing(workspace, flat_skeleton, tmp_path, capsys,
+                                                case, flag):
+    # the training counterpart of test_synth_invalid_config_writes_nothing:
+    # the model is built and checked before --out is touched, and the
+    # refusal names the flag, without a traceback
+    argv, message = _training_refusal(workspace, flat_skeleton, case)
+    missing = tmp_path / "new"
+    existing = tmp_path / "run"
+    shutil.copytree(workspace["attr"], existing)
+    before = _tree_bytes(existing)
+    for out in (missing, existing):
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n" and flag in err and "Traceback" not in err
+    assert not missing.exists()
+    assert _tree_bytes(existing) == before
 
 
 # -- caption ------------------------------------------------------------------
@@ -639,43 +711,63 @@ def test_caption_four_gamma_pairs(workspace, tmp_path):
 
 def test_caption_missing_checkpoint(workspace, tmp_path):
     assert run("caption", "--data", str(workspace["data"]), "--out",
-               str(tmp_path / "c.tsv"),
-               "--skel-checkpoint", str(tmp_path / "nope.ckpt"),
-               "--attr-checkpoint", str(workspace["attr"] / "attr.ckpt")) == 2
+               str(tmp_path / "c.tsv"), "--checkpoint", str(tmp_path / "nope.ckpt")) == 2
 
 
 
 # -- malformed checkpoints and data files --------------------------------------
 
-def _with_attr_checkpoint(ws, out, ckpt):
-    args = list(_caption_args(ws, out))
-    args[args.index("--attr-checkpoint") + 1] = str(ckpt)
-    return args
+def _with_checkpoint(ws, out, ckpt):
+    return _caption_with(ws, out, "--checkpoint", ckpt)
 
 
-def _edited_attr_checkpoint(ws, tmp_path, edit):
-    path = tmp_path / "attr.ckpt"
-    path.write_bytes(edit((ws["attr"] / "attr.ckpt").read_bytes()))
+def _edited_checkpoint(ws, tmp_path, edit):
+    path = tmp_path / "captioner.ckpt"
+    path.write_bytes(edit(_captioner(ws).read_bytes()))
     return path
 
 
-def test_caption_skeleton_checkpoint_as_attribute(workspace, tmp_path, capsys):
-    args = _with_attr_checkpoint(workspace, tmp_path / "c.tsv",
-                                 workspace["skel"] / "skel.ckpt")
-    assert run(*args) == 2
-    assert "skeleton checkpoint, expected attribute" in capsys.readouterr().err
+def test_caption_skeleton_checkpoint_lacks_attribute_stage(workspace, tmp_path, capsys):
+    # a skeleton checkpoint holds no attribute decoder, so it captions nothing
+    skel = workspace["skel"] / "skel.ckpt"
+    out = tmp_path / "c.tsv"
+    assert run(*_with_checkpoint(workspace, out, skel)) == 2
+    assert capsys.readouterr().err == (f"error: {skel}: holds the stages ['skeleton'], not "
+                                       f"['skeleton', 'attribute']\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: _stage_edited(b, 1, lambda t: t.replace(b'"model":"attribute"',
+                                                       b'"model":"skeleton"')),
+     ": holds the stages ['skeleton', 'skeleton'], not ['skeleton', 'attribute']"),
+    (lambda b: _stage_edited(b, 1, lambda t: t.replace(b'"model":"attribute"',
+                                                       b'"model":"colour"')),
+     ": holds the stages ['skeleton', 'colour'], not ['skeleton', 'attribute']"),
+    (lambda b: _stage_edited(b, 1, lambda t: t + b',["embed",[8,8]]'),
+     ":2: header is not a list of stages, each an object of meta (an object), step_count "
+     "(an int >= 0) and tensors (a list)"),
+], ids=["stage-twice", "stage-unknown", "tensor-outside-stages"])
+def test_caption_captioner_stages_not_as_trained(workspace, tmp_path, capsys, edit, message):
+    # a captioner holds a skeleton stage, then an attribute stage, and every
+    # tensor inside one of them; anything else exits 2 naming the file
+    ckpt = _edited_checkpoint(workspace, tmp_path, edit)
+    out = tmp_path / "c.tsv"
+    assert run(*_with_checkpoint(workspace, out, ckpt)) == 2
+    assert capsys.readouterr().err == f"error: {ckpt}{message}\n"
+    assert not out.exists()
 
 
 def test_caption_v1_checkpoint_refused(workspace, tmp_path, capsys):
     # a v1 checkpoint kept its vocabulary in a separate file, a v2 one gave
     # every tensor an offset and every accumulator a header line, a v3 one
-    # had a header line per entry; no second loader reads any of them, and
-    # the message says to retrain
-    for version in ("v1", "v2", "v3"):
-        ckpt = _edited_attr_checkpoint(workspace, tmp_path, lambda b: b.replace(
-            b"skelcap-checkpoint-v4", f"skelcap-checkpoint-{version}".encode(), 1))
+    # had a header line per entry, a v4 one held one decoder; no second
+    # loader reads any of them, and the message says to retrain
+    for version in ("v1", "v2", "v3", "v4"):
+        ckpt = _edited_checkpoint(workspace, tmp_path, lambda b: b.replace(
+            b"skelcap-checkpoint-v5", f"skelcap-checkpoint-{version}".encode(), 1))
         out = tmp_path / "c.tsv"
-        assert run(*_with_attr_checkpoint(workspace, out, ckpt)) == 2
+        assert run(*_with_checkpoint(workspace, out, ckpt)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}:1: a {version} checkpoint") and "retrain" in err
         assert not out.exists()
@@ -686,32 +778,32 @@ def test_caption_v1_checkpoint_refused(workspace, tmp_path, capsys):
     ("skel_embed_size", "embed_size", 8, 12),
     ("skel_hidden_size", "hidden_size", 16, 32),
 ])
-def test_caption_checkpoint_pair_sizes_differ(workspace, tmp_path, capsys, key, skel_key,
+def test_caption_captioner_stage_sizes_differ(workspace, tmp_path, capsys, key, skel_key,
                                               skel_size, size):
-    # an attribute model conditioned on another skeleton's sizes exits 2
-    # naming both checkpoints, before any image is captioned
-    sizes = {"feature_dim": 24, "skel_embed_size": 8, "skel_hidden_size": 16, key: size}
-    ckpt = tmp_path / "attr.ckpt"
-    AttributeGenerator(AttributeGenerator.load(workspace["attr"] / "attr.ckpt").vocab,
-                       hidden_size=16,
-                       embed_size=8, seed=1, **sizes).save(ckpt)
+    # a hand-edited captioner whose attribute stage was built for other
+    # skeleton sizes than its skeleton stage's exits 2 naming it, before any
+    # image is captioned
+    ckpt = tmp_path / "captioner.ckpt"
+    _config_edited(_captioner(workspace), ckpt, key, str(size), stage=1)
     out = tmp_path / "c.tsv"
     out.write_text("kept\n")
-    assert run(*_with_attr_checkpoint(workspace, out, ckpt)) == 2
+    assert run(*_with_checkpoint(workspace, out, ckpt)) == 2
     assert capsys.readouterr().err == (
-        f"error: {ckpt} does not fit {workspace['skel'] / 'skel.ckpt'}: the attribute "
-        f"model's {key} is {size}, the skeleton's {skel_key} is {skel_size}\n")
+        f"error: {ckpt}: config: the attribute model's {key} is {size}, the skeleton's "
+        f"{skel_key} is {skel_size}\n")
     assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("edit", [
-    lambda b: b.replace(b'"config":{', b'"config":{"beam_width":3,', 1),
+    lambda b: _stage_edited(b, 1, lambda t: t.replace(b'"config":{',
+                                                      b'"config":{"beam_width":3,', 1)),
     lambda b: b[:-10],
-    lambda b: re.sub(rb'"config":{[^}]*}', b'"config":[1]', b, count=1),
+    lambda b: _stage_edited(b, 1, lambda t: re.sub(rb'"config":{[^}]*}', b'"config":[1]', t)),
 ], ids=["unknown-config-key", "truncated-payload", "config-not-object"])
 def test_caption_malformed_attribute_checkpoint(workspace, tmp_path, capsys, edit):
-    ckpt = _edited_attr_checkpoint(workspace, tmp_path, edit)
-    assert run(*_with_attr_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
+    # faults in the captioner's attribute stage, which ends the file
+    ckpt = _edited_checkpoint(workspace, tmp_path, edit)
+    assert run(*_with_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
     assert str(ckpt) in capsys.readouterr().err
 
 
@@ -803,27 +895,26 @@ def test_manifest_non_integer(workspace, tmp_path, capsys, edit, line):
 def test_vocabulary_malformed(workspace, tmp_path, capsys, tokens):
     # a checkpoint's vocabulary is refused as it is read, naming the file,
     # and the writer refuses the same list before it opens its file
-    src = workspace["skel"] / "skel.ckpt"
-    ckpt = tmp_path / "skel.ckpt"
-    _vocab_replaced(src, ckpt, tokens)
-    assert run(*_caption_with(workspace, tmp_path / "c.tsv", "--skel-checkpoint", ckpt)) == 2
+    ckpt = tmp_path / "captioner.ckpt"
+    _vocab_replaced(_captioner(workspace), ckpt, tokens)  # the skeleton stage's
+    assert run(*_with_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
     assert capsys.readouterr().err.startswith(f"error: {ckpt}: meta 'vocab'")
     value = json.loads(tokens)
-    model = SkeletonGenerator.load(src)
+    model, = load_checkpoint(workspace["skel"] / "skel.ckpt", SkeletonGenerator)
     model.vocab = types.SimpleNamespace(index_to_token=[*SPECIALS, *value]
                                         if isinstance(value, list) else (*SPECIALS, value))
     out = tmp_path / "out.ckpt"
     out.write_bytes(b"before")
     with pytest.raises(NumericsError, match=f"^{re.escape(f'{out}: meta')} 'vocab'"):
-        model.save(out)
+        save_checkpoint(out, [model])
     assert out.read_bytes() == b"before"
 
 
 def test_vocabulary_not_utf8(workspace, tmp_path, capsys):
     # a vocabulary byte that is not UTF-8 is named at its header line
-    ckpt = tmp_path / "skel.ckpt"
-    _vocab_replaced(workspace["skel"] / "skel.ckpt", ckpt, b'["dog","\xff"]')
-    assert run(*_caption_with(workspace, tmp_path / "c.tsv", "--skel-checkpoint", ckpt)) == 2
+    ckpt = tmp_path / "captioner.ckpt"
+    _vocab_replaced(_captioner(workspace), ckpt, b'["dog","\xff"]')
+    assert run(*_with_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
     line = _vocab_line_number(ckpt.read_bytes())
     assert capsys.readouterr().err == f"error: {ckpt}:{line}: header is not UTF-8 text\n"
 
@@ -832,9 +923,9 @@ def test_vocabulary_not_utf8(workspace, tmp_path, capsys):
                                    b'["embed",[8],-4]'],
                          ids=["fields", "shape", "negative-shape", "negative-offset"])
 def test_caption_malformed_checkpoint_header(workspace, tmp_path, capsys, entry):
-    ckpt = _edited_attr_checkpoint(
+    ckpt = _edited_checkpoint(
         workspace, tmp_path, lambda b: re.sub(rb'\["embed",\[[0-9,]*\]\]', entry, b, count=1))
-    assert run(*_with_attr_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
+    assert run(*_with_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
     assert f"error: {ckpt}:2: tensor entry " in capsys.readouterr().err
 
 
@@ -847,10 +938,10 @@ def test_caption_malformed_checkpoint_header(workspace, tmp_path, capsys, entry)
 def test_caption_checkpoint_header_line_not_read_back(workspace, tmp_path, capsys, edit):
     # a repeated key would silently override the first, and a meta value
     # JSON does not read back as itself would not save again
-    blob = (workspace["attr"] / "attr.ckpt").read_bytes()
-    ckpt = _edited_attr_checkpoint(workspace, tmp_path, edit)
+    blob = _captioner(workspace).read_bytes()
+    ckpt = _edited_checkpoint(workspace, tmp_path, edit)
     assert ckpt.read_bytes() != blob
-    assert run(*_with_attr_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
+    assert run(*_with_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
     assert capsys.readouterr().err == f"error: {ckpt}:2: header is not as save writes it\n"
 
 
@@ -886,12 +977,13 @@ def test_caption_refinement_needs_attention(workspace, tmp_path, capsys):
                "--epochs", "1", "--hidden-size", "16", "--embed-size", "8",
                "--batch-size", "16", "--skel-threshold", "1", "--seed", "1",
                "--no-attention") == 0
-    ws = {**workspace, "skel": skel}
-    assert run("train-attr", "--data", str(ws["data"]), "--out", str(tmp_path / "attr"),
-               "--skel-checkpoint", str(skel / "skel.ckpt"), "--epochs", "1",
-               "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1",
-               "--post-word-alpha") == 2
+    attr_args = ("train-attr", "--data", str(workspace["data"]), "--out", str(tmp_path / "attr"),
+                 "--skel-checkpoint", str(skel / "skel.ckpt"), "--epochs", "1",
+                 "--hidden-size", "16", "--embed-size", "8", "--attr-threshold", "1")
+    assert run(*attr_args, "--post-word-alpha") == 2
     assert "needs a skeleton decoder with attention" in capsys.readouterr().err
+    assert run(*attr_args) == 0
+    ws = {**workspace, "attr": tmp_path / "attr"}
     # the failed run leaves earlier outputs as they were, and no temporary file
     out, trace = tmp_path / "x.tsv", tmp_path / "x.trace"
     out.write_bytes(b"img\tan earlier caption\n")
@@ -1063,7 +1155,7 @@ def test_input_path_that_is_a_directory(workspace, tmp_path, capsys, command):
     folder = tmp_path / "folder"
     folder.mkdir()
     argv = {"decompose": ("decompose", "--trees", str(folder)),
-            "caption": _caption_with(workspace, tmp_path / "c.tsv", "--skel-checkpoint", folder),
+            "caption": _caption_with(workspace, tmp_path / "c.tsv", "--checkpoint", folder),
             "eval": ("eval", "--candidates", str(folder),
                      "--references", str(workspace["data"] / "test.captions.tsv"))}[command]
     assert run(*argv) == 2
@@ -1401,20 +1493,18 @@ def test_failed_training_leaves_run_directory(workspace, tmp_path, monkeypatch, 
 @pytest.mark.parametrize("kind", ["tensor", "accumulator"])
 def test_caption_non_finite_checkpoint(workspace, tmp_path, capsys, kind):
     # save refuses non-finite values, so the NaN goes straight into the
-    # payload, over the entry's first value: the tensors come in header
-    # order, then the accumulators in the same order
-    blob = (workspace["skel"] / "skel.ckpt").read_bytes()
-    store = ParameterStore.load(workspace["skel"] / "skel.ckpt")
+    # payload, over the entry's first value: the skeleton stage's entries
+    # start the payload, in header order, each tensor then its accumulator
+    blob = _captioner(workspace).read_bytes()
+    (_, store), _ = load_stages(_captioner(workspace))
     counts = [store[name].data.size for name in store.names()]
-    before = sum(counts[:store.names().index("out_W")])
-    at = len(blob) - 12 * sum(counts) + (4 * before if kind == "tensor"
-                                         else 4 * sum(counts) + 8 * before)
+    index = store.names().index("out_W")
+    at = (len(b"\n".join(blob.split(b"\n", 2)[:2])) + 1 + 12 * sum(counts[:index])
+          + (0 if kind == "tensor" else 4 * counts[index]))
     nan = np.array(np.nan, dtype="<f4" if kind == "tensor" else "<f8").tobytes()
-    ckpt = tmp_path / "skel.ckpt"
+    ckpt = tmp_path / "captioner.ckpt"
     ckpt.write_bytes(blob[:at] + nan + blob[at + len(nan):])
-    args = list(_caption_args(workspace, tmp_path / "c.tsv"))
-    args[args.index("--skel-checkpoint") + 1] = str(ckpt)
-    assert run(*args) == 2
+    assert run(*_with_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}:") and f"{kind} 'out_W' holds non-finite" in err
     assert not (tmp_path / "c.tsv").exists()

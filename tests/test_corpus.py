@@ -13,7 +13,8 @@ from skelcap.corpus import (BOS, EOS, UNK, CaptionRecord, CorpusError,
                             write_captions, write_features, write_manifest,
                             write_trees)
 from skelcap.decompose import decompose, fuse
-from skelcap.numerics import NumericsError
+from skelcap.numerics import NumericsError, save_stages
+from skelcap.recurrent import load_checkpoint, save_checkpoint
 from skelcap.skelnet import SkeletonGenerator
 from skelcap.treebank import parse_bracketed, serialize
 
@@ -80,8 +81,8 @@ def test_vocab_save_load(tmp_path):
     # decoder's checkpoint
     v = build_vocab([["dog", "cat", "dog"]], 1)
     p = tmp_path / "m.ckpt"
-    _tiny_decoder(v).save(p)
-    assert SkeletonGenerator.load(p).vocab.index_to_token == v.index_to_token
+    save_checkpoint(p, [_tiny_decoder(v)])
+    assert load_checkpoint(p, SkeletonGenerator)[0].vocab.index_to_token == v.index_to_token
 
 
 # a token is any non-empty text without whitespace, "#" first or not; JSON
@@ -96,8 +97,9 @@ _token = st.text(min_size=1).filter(lambda t: t.split() == [t] and t not in corp
 def test_vocab_save_load_roundtrip(tmp_path, tokens):
     v = Vocabulary(tokens)
     p = tmp_path / "m.ckpt"
-    _tiny_decoder(v).save(p)
-    assert SkeletonGenerator.load(p).vocab.index_to_token == [*corpus.SPECIALS, *tokens]
+    save_checkpoint(p, [_tiny_decoder(v)])
+    assert load_checkpoint(p, SkeletonGenerator)[0].vocab.index_to_token == [*corpus.SPECIALS,
+                                                                               *tokens]
 
 
 def _vocab_valid(tokens):
@@ -129,16 +131,16 @@ def test_vocab_save_refuses_what_load_rejects(tmp_path, tokens):
         model.vocab = types.SimpleNamespace(index_to_token=[*corpus.SPECIALS, *tokens])
         refused = f"^{re.escape(str(p))}: meta 'vocab': "
         with pytest.raises(NumericsError, match=refused):
-            model.save(p)
+            save_checkpoint(p, [model])
         assert p.read_bytes() == b"before"
-        model.store.save(p, meta={"model": model.model_kind, "config": model.get_params(),
-                                  "vocab": tokens})
+        save_stages(p, [({"model": model.model_kind, "config": model.get_params(),
+                          "vocab": tokens}, model.store)])
         with pytest.raises(NumericsError, match=refused):
-            SkeletonGenerator.load(p)
+            load_checkpoint(p, SkeletonGenerator)
         return
     assert _vocab_valid(tokens)
-    _tiny_decoder(v).save(p)
-    assert SkeletonGenerator.load(p).vocab.index_to_token == v.index_to_token
+    save_checkpoint(p, [_tiny_decoder(v)])
+    assert load_checkpoint(p, SkeletonGenerator)[0].vocab.index_to_token == v.index_to_token
 
 
 def test_feature_grid_shape_checks():

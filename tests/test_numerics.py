@@ -365,10 +365,10 @@ def test_checkpoint_roundtrip(tmp_path):
     store.accumulators["beta"][:] = 0.25
     store.step_count = 42
     path = tmp_path / "model.ckpt"
-    store.save(path, meta={"config": {"x": 1}})
-    loaded = ParameterStore.load(path)
+    nm.save_stages(path, [({"config": {"x": 1}}, store)])
+    (meta, loaded), = nm.load_stages(path)
     assert loaded.step_count == 42
-    assert loaded.meta == {"config": {"x": 1}}
+    assert meta == {"config": {"x": 1}}
     for name in ("alpha", "beta"):
         assert np.array_equal(loaded[name].data, store[name].data)
         assert np.array_equal(loaded.accumulators[name], store.accumulators[name])
@@ -378,7 +378,7 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint\nend-header\n")
     with pytest.raises(NumericsError):
-        ParameterStore.load(path)
+        nm.load_stages(path)
 
 
 def test_adagrad_step_returns_norm_before_clipping():

@@ -118,8 +118,8 @@ def _pipeline(root):
            "--post-word-alpha", "--hidden-tap", "final", "--attr-threshold", "1")
     image_id = (data / "test.captions.tsv").read_text(encoding="utf-8").split("\t", 1)[0]
     captions = root / "captions.tsv"
-    yield ("caption", "--data", str(data), "--out", str(captions), *skel_model,
-           "--attr-checkpoint", str(attr / "attr.ckpt"),
+    yield ("caption", "--data", str(data), "--out", str(captions),
+           "--checkpoint", str(attr / "captioner.ckpt"),
            "--trace", str(root / "trace.txt"), "--ids", image_id)
     yield ("eval", "--candidates", str(captions),
            "--references", str(data / "test.captions.tsv"), "--without-a",

@@ -17,10 +17,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from skelcap import cli, corpus, recurrent, treebank
+from skelcap import cli, corpus, treebank
 from skelcap.corpus import CorpusError
 from skelcap.metrics import MetricsError
-from skelcap.numerics import NumericsError, ParameterStore
+from skelcap.attrnet import AttributeGenerator
+from skelcap.numerics import NumericsError, ParameterStore, load_stages, save_stages
+from skelcap.recurrent import load_checkpoint, save_checkpoint
 from skelcap.skelnet import SkeletonGenerator
 from skelcap.treebank import TreeParseError
 
@@ -47,9 +49,9 @@ def _tiny_decoder(vocab):
 
 
 def _read_vocabulary(path):
-    """The vocabulary of the decoder checkpoint ``path``, as its loader reads
-    it before building the model."""
-    return recurrent._checkpoint_vocab(path, ParameterStore.load(path).meta.get("vocab"))
+    """The vocabulary of the one-stage decoder checkpoint ``path``, which its
+    loader reads before the stage's config and tensors."""
+    return load_checkpoint(path, SkeletonGenerator)[0].vocab
 
 
 def _header(blob):
@@ -82,8 +84,9 @@ def _edit_vocab_line(blob, edit):
 
 
 def _vocab_tokens(blob):
-    """The ``meta vocab`` token list of the checkpoint ``blob``."""
-    return _header(blob)["meta"]["vocab"]
+    """The ``meta vocab`` token list of the first stage of the checkpoint
+    ``blob``."""
+    return _header(blob)[0]["meta"]["vocab"]
 
 
 def _with_token(blob, at, token):
@@ -104,11 +107,13 @@ def _valid_files(root):
     store = ParameterStore()
     store.add("w", np.arange(6, dtype=np.float32).reshape(2, 3))
     store.add("b", np.zeros(3, dtype=np.float32))
-    store.save(root / "c.ckpt", meta={"model": "skeleton", "vocab": ["dog", "red"]})
+    save_stages(root / "c.ckpt", [({"model": "skeleton", "vocab": ["dog", "red"]}, store),
+                                  ({}, ParameterStore())])
     files["checkpoint"] = (root / "c.ckpt").read_bytes()
     corpus.write_manifest(root / "m.txt", {"train": {"captions": "t.tsv", "count": 2}}, seed=4)
     files["manifest"] = (root / "m.txt").read_bytes()
-    _tiny_decoder(corpus.build_vocab([r.tokens for r in recs], 1)).save(root / "v.ckpt")
+    save_checkpoint(root / "v.ckpt", [_tiny_decoder(corpus.build_vocab([r.tokens for r in recs],
+                                                                        1))])
     files["vocabulary"] = (root / "v.ckpt").read_bytes()
     corpus.write_trees(root / "t.txt", recs)
     files["trees"] = (root / "t.txt").read_bytes()
@@ -122,7 +127,7 @@ def _valid_files(root):
 
 READERS = {
     "features": (corpus.read_features, CorpusError),
-    "checkpoint": (ParameterStore.load, NumericsError),
+    "checkpoint": (load_stages, NumericsError),
     "manifest": (corpus.read_manifest, CorpusError),
     "vocabulary": (_read_vocabulary, NumericsError),
     "trees": (lambda p: list(treebank.read_trees(p)), TreeParseError),
@@ -167,8 +172,8 @@ def _grids_come_back(grids, path):
 def _vocabulary_comes_back(vocab, path):
     """A vocabulary the checkpoint reader accepted, saved with a decoder and
     loaded again: the same tokens in order."""
-    _tiny_decoder(vocab).save(path)
-    assert SkeletonGenerator.load(path).vocab.index_to_token == vocab.index_to_token
+    save_checkpoint(path, [_tiny_decoder(vocab)])
+    assert _read_vocabulary(path).index_to_token == vocab.index_to_token
 
 
 def _manifest_comes_back(manifest, path):
@@ -187,19 +192,21 @@ def _captions_come_back(captions, path):
     assert list(again.items()) == list(captions.items())
 
 
-def _checkpoint_comes_back(store, path):
-    """A checkpoint ``ParameterStore.load`` accepted, saved and loaded again:
-    the same step count, meta, and each tensor and accumulator byte-equal
+def _checkpoint_comes_back(stages, path):
+    """The stages ``load_stages`` accepted, saved and loaded again: per stage
+    the same meta, step count, and each tensor and accumulator byte-equal
     with its dtype and shape."""
-    store.save(path, meta=store.meta)
-    again = ParameterStore.load(path)
-    assert (again.step_count, again.meta) == (store.step_count, store.meta)
-    assert sorted(again.names()) == sorted(store.names())
-    for name in store.names():
-        for got, want in ((again[name].data, store[name].data),
-                          (again.accumulators[name], store.accumulators[name])):
-            assert got.dtype == want.dtype and got.shape == want.shape, name
-            assert got.tobytes() == want.tobytes(), name
+    save_stages(path, stages)
+    again = load_stages(path)
+    assert len(again) == len(stages)
+    for (meta, store), (again_meta, again_store) in zip(stages, again):
+        assert (again_store.step_count, again_meta) == (store.step_count, meta)
+        assert again_store.names() == store.names()
+        for name in store.names():
+            for got, want in ((again_store[name].data, store[name].data),
+                              (again_store.accumulators[name], store.accumulators[name])):
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
 
 
 # readers whose accepted result is written back with the package's writer
@@ -384,7 +391,7 @@ def _checkpoint_lines(path):
     store.add("w", np.ones((2, 3), dtype=np.float32))
     store.add("b", np.zeros(3, dtype=np.float32))
     store.accumulators["b"][:] = [1.0, 2.0, 3.0]
-    store.save(path)
+    save_stages(path, [({}, store)])
     *lines, payload = path.read_bytes().split(b"\n", 2)
     return lines, payload
 
@@ -412,11 +419,11 @@ def test_checkpoint_accumulator_fault_named(tmp_path, edit):
     # accumulator ends the payload
     path = tmp_path / "c.ckpt"
     lines, payload = _checkpoint_lines(path)
-    assert json.loads(lines[1])["tensors"][-1] == ["b", [3]]
+    assert json.loads(lines[1])[-1]["tensors"][-1] == ["b", [3]]
     _rewrite(path, lines, edit(payload))
     message = f"{path}: payload is {len(edit(payload))} bytes, its header implies 108"
     with pytest.raises(NumericsError, match=f"^{re.escape(message)}$"):
-        ParameterStore.load(path)
+        load_stages(path)
 
 
 @FUZZ
@@ -432,7 +439,7 @@ def test_checkpoint_payload_exact_length(tmp_path, data):
         _rewrite(path, lines, edited)
         message = f"{path}: payload is {len(edited)} bytes, its header implies {len(payload)}"
         with pytest.raises(NumericsError, match=f"^{re.escape(message)}$"):
-            ParameterStore.load(path)
+            load_stages(path)
 
 
 @pytest.mark.parametrize("edit", [
@@ -449,13 +456,14 @@ def test_checkpoint_header_line_not_read_back_named(tmp_path, edit):
     # does not read back as itself would not save again: neither is what
     # save writes for the value the line parses to
     path = tmp_path / "c.ckpt"
-    _store(w=np.ones(2, np.float32)).save(path, meta={"model": "skeleton", "vocab": ["dog"]})
+    save_stages(path, [({"model": "skeleton", "vocab": ["dog"]},
+                        _store(w=np.ones(2, np.float32)))])
     magic, line, payload = path.read_bytes().split(b"\n", 2)
     assert edit(line) != line
     _rewrite(path, [magic, edit(line)], payload)
     message = f"{path}:2: header is not as save writes it"
     with pytest.raises(NumericsError, match=f"^{re.escape(message)}$"):
-        ParameterStore.load(path)
+        load_stages(path)
 
 
 @pytest.mark.parametrize("token", ["", " ", "big dog", "dog ", "\u00a0dog"],
@@ -529,6 +537,110 @@ def test_vocabulary_line_not_as_saved_named(valid_files, tmp_path, edit, at_line
     where = f"{path}:{_vocab_line_number(blob)}" if at_line else str(path)
     with pytest.raises(NumericsError, match=f"^{re.escape(f'{where}: {message}')}"):
         _read_vocabulary(path)
+
+
+# -- staged checkpoints: a captioner is one file of two stages ----------------
+
+def _tiny_captioner(skel_hidden_size=1):
+    """A tiny skeleton decoder and an attribute decoder built for its sizes,
+    or for a skeleton hidden state of ``skel_hidden_size``."""
+    vocab = corpus.build_vocab([["dog", "red"]], 1)
+    return [_tiny_decoder(vocab),
+            AttributeGenerator(vocab, feature_dim=1, skel_embed_size=1,
+                               skel_hidden_size=skel_hidden_size, hidden_size=1, embed_size=1)]
+
+
+def _header_edited(path, edit):
+    """The checkpoint ``path`` rewritten with its header value passed through
+    ``edit``, the line as ``save_stages`` writes it."""
+    magic, line, payload = path.read_bytes().split(b"\n", 2)
+    header = json.loads(line)
+    edit(header)
+    path.write_bytes(b"\n".join([magic, _as_saved(header), payload]))
+
+
+def test_captioner_holds_its_skeleton_stage_as_saved(tmp_path):
+    # the captioner's skeleton stage is the skeleton checkpoint's one stage,
+    # header entry and payload bytes alike, and both load back
+    skel, attr = _tiny_captioner()
+    skel.store.step_count = 3
+    save_checkpoint(tmp_path / "skel.ckpt", [skel])
+    save_checkpoint(tmp_path / "captioner.ckpt", [skel, attr])
+    _, skel_line, skel_payload = (tmp_path / "skel.ckpt").read_bytes().split(b"\n", 2)
+    _, line, payload = (tmp_path / "captioner.ckpt").read_bytes().split(b"\n", 2)
+    assert json.loads(line)[0] == json.loads(skel_line)[0]
+    assert payload.startswith(skel_payload) and len(payload) > len(skel_payload)
+    loaded = load_checkpoint(tmp_path / "captioner.ckpt", SkeletonGenerator, AttributeGenerator)
+    assert [m.store.step_count for m in loaded] == [3, 0]
+    for model, again in zip((skel, attr), loaded):
+        assert again.get_params() == model.get_params()
+        for name in model.store.names():
+            assert again.store[name].data.tobytes() == model.store[name].data.tobytes()
+
+
+@pytest.mark.parametrize("kinds, edit, message", [
+    ((SkeletonGenerator, AttributeGenerator), None,
+     ": holds the stages ['skeleton'], not ['skeleton', 'attribute']"),
+    ((SkeletonGenerator,), lambda h: h[1]["meta"].update(model="skeleton"),
+     ": holds the stages ['skeleton', 'skeleton'], not ['skeleton']"),
+    ((SkeletonGenerator, AttributeGenerator), lambda h: h[1]["meta"].update(model="skeleton"),
+     ": holds the stages ['skeleton', 'skeleton'], not ['skeleton', 'attribute']"),
+    ((SkeletonGenerator, AttributeGenerator), lambda h: h[1]["meta"].update(model="colour"),
+     ": holds the stages ['skeleton', 'colour'], not ['skeleton', 'attribute']"),
+    ((SkeletonGenerator, AttributeGenerator), lambda h: h.append(["embed", [3, 1]]),
+     ":2: header is not a list of stages, each an object of meta (an object), step_count "
+     "(an int >= 0) and tensors (a list)"),
+    ((SkeletonGenerator, AttributeGenerator),
+     lambda h: h[1]["meta"]["config"].update(skel_hidden_size=2),
+     ": config: the attribute model's skel_hidden_size is 2, the skeleton's hidden_size is 1"),
+], ids=["stage-missing", "stage-twice", "stage-twice-captioner", "stage-unknown",
+        "tensor-outside-stages", "stage-sizes-differ"])
+def test_staged_checkpoint_refusal_named(tmp_path, kinds, edit, message):
+    # a captioner is refused unless it holds exactly the stages asked for,
+    # in order, each fitting the stage before it; each fault names the file
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_captioner() if edit else _tiny_captioner()[:1])
+    if edit:
+        _header_edited(path, edit)
+    with pytest.raises(NumericsError, match=f"^{re.escape(f'{path}{message}')}$"):
+        load_checkpoint(path, *kinds)
+
+
+def test_staged_checkpoint_tensor_of_no_stage_model_named(tmp_path):
+    # a tensor the skeleton stage lists but its model has no parameter for,
+    # here the attribute stage's first, is refused naming it
+    path = tmp_path / "c.ckpt"
+    skel, attr = _tiny_captioner()
+    skel.store.add("W_I", attr.store["W_I"].data)
+    save_stages(path, [({"model": "skeleton", "config": skel.get_params(),
+                         "vocab": skel.vocab.index_to_token[len(corpus.SPECIALS):]}, skel.store)])
+    with pytest.raises(NumericsError, match=f"^{re.escape(str(path))}: tensor 'W_I' is "
+                                            rf"\(1, 1\), its config gives no such tensor$"):
+        load_checkpoint(path, SkeletonGenerator)
+
+
+def test_older_checkpoint_refused_with_retrain(tmp_path):
+    # a v4 file held one decoder; it gets the same request to retrain as v1-v3
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, _tiny_captioner()[:1])
+    path.write_bytes(path.read_bytes().replace(b"skelcap-checkpoint-v5", b"skelcap-checkpoint-v4"))
+    message = (f"{path}:1: a v4 checkpoint, an older layout; retrain the model to write a "
+               f"skelcap-checkpoint-v5 file")
+    with pytest.raises(NumericsError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path, SkeletonGenerator)
+
+
+@pytest.mark.parametrize("models, message", [
+    (lambda: _tiny_captioner()[1:], "config: an attribute stage follows one skeleton stage"),
+    (lambda: _tiny_captioner(skel_hidden_size=2),
+     "config: the attribute model's skel_hidden_size is 2, the skeleton's hidden_size is 1"),
+], ids=["attribute-alone", "sizes-differ"])
+def test_staged_checkpoint_writer_refuses_what_loading_refuses(tmp_path, models, message):
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(b"before")
+    with pytest.raises(NumericsError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        save_checkpoint(path, models())
+    assert path.read_bytes() == b"before"
 
 
 # -- writers: what a writer accepts, its reader reads back as written ----------
@@ -770,16 +882,16 @@ def test_checkpoint_round_trip(tmp_path, tensors, step_count, meta):
     path = tmp_path / "c.ckpt"
     path.write_bytes(b"before")
     try:
-        store.save(path, meta=meta)
+        save_stages(path, [(meta, store)])
     except NumericsError as exc:
         assert path.read_bytes() == b"before"
         assert not writable, exc
         return
     assert writable
     magic, line, _ = path.read_bytes().split(b"\n", 2)
-    assert (magic, line) == (b"skelcap-checkpoint-v4", _as_saved(json.loads(line)))
-    loaded = ParameterStore.load(path)
-    assert (loaded.step_count, loaded.meta) == (step_count, meta)
+    assert (magic, line) == (b"skelcap-checkpoint-v5", _as_saved(json.loads(line)))
+    (loaded_meta, loaded), = load_stages(path)
+    assert (loaded.step_count, loaded_meta) == (step_count, meta)
     assert sorted(loaded.names()) == sorted(tensors)
     for name, (data, acc) in tensors.items():
         for got, want in ((loaded[name].data, np.asarray(data)),
@@ -804,7 +916,7 @@ def test_checkpoint_refusal_names_the_entry(tmp_path, store, save, named):
     path = tmp_path / "c.ckpt"
     path.write_bytes(b"before")
     with pytest.raises(NumericsError, match=re.escape(named)):
-        store.save(path, **save)
+        save_stages(path, [(save.get("meta", {}), store)])
     assert path.read_bytes() == b"before"
 
 
@@ -815,11 +927,11 @@ def test_checkpoint_refusal_names_the_entry(tmp_path, store, save, named):
 def test_checkpoint_header_holds_any_text(tmp_path, store, save):
     # the line header refused these names; the JSON header escapes them
     path = tmp_path / "c.ckpt"
-    store.save(path, **save)
+    save_stages(path, [(save.get("meta", {}), store)])
     magic, line, _ = path.read_bytes().split(b"\n", 2)
-    assert (magic, line) == (b"skelcap-checkpoint-v4", _as_saved(json.loads(line)))
-    loaded = ParameterStore.load(path)
-    assert loaded.meta == save.get("meta", {})
+    assert (magic, line) == (b"skelcap-checkpoint-v5", _as_saved(json.loads(line)))
+    (loaded_meta, loaded), = load_stages(path)
+    assert loaded_meta == save.get("meta", {})
     assert list(loaded.names()) == list(store.names())
     for name in store.names():
         assert loaded[name].data.tobytes() == store[name].data.tobytes(), name
@@ -838,5 +950,5 @@ def test_checkpoint_accumulator_refusal_names_the_entry(tmp_path, edit, named):
     path = tmp_path / "c.ckpt"
     path.write_bytes(b"before")
     with pytest.raises(NumericsError, match=re.escape(named)):
-        store.save(path)
+        save_stages(path, [({}, store)])
     assert path.read_bytes() == b"before"

@@ -5,12 +5,15 @@ each command as a heading and a table with one row per option, rendered here
 from that declaration: the flag, the value it takes (its type or choices and
 the ``> 0`` rule), its default, where it may be set and its help text. The
 reference must hold exactly those rows in that order, so an undocumented,
-misdocumented or removed flag fails. The exit-code table is checked against
-three in-process runs: a success, a usage error and a data error.
+misdocumented or removed flag fails. Every command of the walkthrough is
+parsed with the CLI's own parser, so a stale flag there fails too. The
+exit-code table is checked against three in-process runs: a success, a
+usage error and a data error.
 """
 
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -74,6 +77,26 @@ def test_cli_reference_lists_every_option():
             assert documented, f"a table row before the first command: {line}"
             documented[-1][1].append(line)
     assert documented == render_reference()
+
+
+def _walkthrough():
+    """The commands of README's walkthrough code block, each as its argv,
+    continuation lines joined and comments dropped."""
+    lines = _section("Walkthrough")
+    start = lines.index("```sh") + 1
+    block = "\n".join(lines[start:lines.index("```", start)]).replace("\\\n", " ")
+    commands = (shlex.split(line, comments=True) for line in block.splitlines())
+    return [argv for argv in commands if argv]
+
+
+def test_walkthrough_commands_parse():
+    commands = _walkthrough()
+    assert commands and all(argv[0] == "skelcap" for argv in commands)
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README walkthrough: {shlex.join(argv)} does not parse")
 
 
 def _exit_codes():

@@ -47,10 +47,12 @@ def test_length_batches_seeded_rng_repeats(lengths, batch_size, seed):
     (dict(epochs=-1), "epochs must be at least 1, not -1"),
     (dict(batch_size=0), "batch_size must be at least 1, not 0"),
     (dict(batch_size=-5), "batch_size must be at least 1, not -5"),
-], ids=["epochs-0", "epochs-negative", "batch-0", "batch-negative"])
+    (dict(shuffle_seed=-1), "shuffle_seed must be at least 0, not -1"),
+], ids=["epochs-0", "epochs-negative", "batch-0", "batch-negative", "shuffle-seed-negative"])
 def test_fit_rejects_fewer_than_one(kwargs, message):
-    # a batch size of 0 is not the default, and no epoch count below 1
-    # returns an untrained model
+    # a batch size of 0 is not the default, no epoch count below 1 returns
+    # an untrained model, and a negative shuffle seed would otherwise fail at
+    # the first epoch with numpy's error, which names no option
     cfg = SynthConfig(count=4, grid_size=2, feature_dim=16)
     recs = synth_generate(cfg, seed=1).records
     model = SkeletonGenerator(build_vocab([r.decomposition.skeleton_words for r in recs], 1),

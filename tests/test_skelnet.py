@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from skelcap.corpus import (BOS, FeatureGrid, SynthConfig, build_vocab,
                             synth_generate)
-from skelcap.recurrent import cell_forward
+from skelcap.recurrent import cell_forward, load_checkpoint, save_checkpoint
 from skelcap.skelnet import ConfigError, SkeletonGenerator, SkelState
 from skelcap import numerics as nm
 
@@ -422,8 +422,8 @@ def test_save_load_roundtrip(model, tiny_data, tmp_path):
     trained = SkeletonGenerator(model.vocab, **model.get_params())
     trained.fit(recs[:8], epochs=1, batch_size=4)
     p = tmp_path / "skel.ckpt"
-    trained.save(p)
-    loaded = SkeletonGenerator.load(p)
+    save_checkpoint(p, [trained])
+    loaded, = load_checkpoint(p, SkeletonGenerator)
     assert loaded.vocab.index_to_token == trained.vocab.index_to_token
     assert loaded.get_params() == trained.get_params()
     assert loaded.store.step_count == trained.store.step_count > 0
@@ -450,14 +450,14 @@ def test_save_rejects_non_float32_model(tiny_data, tmp_path, dtype):
     p = tmp_path / "skel.ckpt"
     p.write_bytes(b"an earlier checkpoint")
     with pytest.raises(nm.NumericsError, match=rf"{re.escape(str(p))}: .*{np.dtype(dtype).name} model"):
-        wide.save(p)
+        save_checkpoint(p, [wide])
     assert p.read_bytes() == b"an earlier checkpoint"
 
 
 def test_load_rejects_wrong_vocab(model, tmp_path):
     # a vocabulary of another size than the checkpoint's tensors is refused
     p = tmp_path / "skel.ckpt"
-    model.save(p)
+    save_checkpoint(p, [model])
     p.write_bytes(p.read_bytes().replace(b'"vocab":["', b'"vocab":["zzz","', 1))
     with pytest.raises(nm.NumericsError, match=f"^{re.escape(str(p))}: tensor 'embed' "):
-        SkeletonGenerator.load(p)
+        load_checkpoint(p, SkeletonGenerator)
