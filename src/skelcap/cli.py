@@ -299,6 +299,13 @@ def cmd_caption(cfg):
     records = _load_split(Path(cfg["data"]), cfg["split"])
     skel_model, attr_model = load_checkpoint(cfg["checkpoint"], SkeletonGenerator,
                                              AttributeGenerator)
+    refine = cfg["post-word-alpha"]
+    if refine is None:
+        refine = attr_model.use_post_word_alpha
+    try:
+        check_conditioning(skel_model, attr_model.hidden_tap, refine)
+    except AttrConfigError as exc:
+        raise AttrConfigError(f"--post-word-alpha: {exc}") from None
     if wanted is not None:
         missing = wanted.difference(rec.image_id for rec in records)
         if missing:
@@ -320,7 +327,7 @@ def cmd_caption(cfg):
                 gamma_skel=cfg["gamma-skel"], gamma_attr=cfg["gamma-attr"],
                 beam_skel=cfg["beam-skel"], beam_attr=cfg["beam-attr"],
                 max_skel_len=cfg["max-skel-len"], max_attr_len=cfg["max-attr-len"],
-                use_post_word_alpha=cfg["post-word-alpha"])
+                use_post_word_alpha=refine)
             fh.write(f"{rec.image_id}\t{' '.join(trace.tokens)}\n")
             if trace_fh:
                 trace_fh.write(f"image: {rec.image_id}\n{trace.render()}\n\n")
@@ -496,7 +503,8 @@ COMMANDS = {
     "eval": (cmd_eval, "score candidate captions against references", (
         Opt("candidates", help="candidate captions file", source="required"),
         Opt("references", help="reference captions file", source="required"),
-        Opt("without-a", bool, False, "also score with the word 'a' removed", source="flag"),
+        Opt("without-a", bool, False, "score only with the word 'a' removed from every caption",
+            source="flag"),
         Opt("uniqueness", help="training captions file for novelty stats", source="flag"),
         Opt("json", help="also write a machine-readable report here", source="flag"),
     )),

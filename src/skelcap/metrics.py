@@ -1,5 +1,12 @@
 """Caption evaluation: BLEU-1..4, ROUGE-L, CIDEr, the "w/o a" transform, and
-uniqueness/novelty statistics."""
+uniqueness/novelty statistics.
+
+BLEU and CIDEr score a corpus from one array table per call: the 1..4-gram
+counts of each distinct sentence (``_Corpus.table``), laid out pair by pair
+(``_Corpus.links``). Each float sum runs left to right in the order a loop
+over each sentence's n-grams in order of first occurrence would take, and
+``log``/``exp`` come from ``math``, so the scores are bit for bit those of
+such a loop (``tests/test_metrics.py`` keeps one as the reference)."""
 
 from __future__ import annotations
 
@@ -8,7 +15,9 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .corpus import strip_article
 
@@ -45,10 +54,10 @@ def make_pairs(candidates: Sequence[Sequence[str]],
 
 class _Corpus:
     """One call's pairs over their distinct sentences, each held once; a pair
-    keeps the indices of its candidate and references. ``grams`` holds each
-    sentence's 1..MAX_N-gram counts in order of first occurrence, keyed by
-    ids that live as long as the object. No pairs is a MetricsError naming
-    the calling function."""
+    keeps the indices of its candidate and references. ``table`` holds every
+    distinct sentence's n-gram counts as arrays, and ``links`` lays them out
+    pair by pair, for BLEU and CIDEr to score with array operations. No pairs
+    is a MetricsError naming the calling function."""
 
     def __init__(self, pairs: Sequence[EvalPair], caller: str):
         if not pairs:
@@ -60,23 +69,110 @@ class _Corpus:
         self.sentences = list(index)
 
     @cached_property
-    def grams(self) -> Tuple[List[List[Dict[int, int]]], int]:
-        """(tables, number of ids): every distinct n-gram gets a dense int id
-        in order of first occurrence, and n-grams of different lengths are
-        distinct tuples, so one id space covers every n."""
-        ids: Dict[Tuple[str, ...], int] = {}
-        get = ids.get
-        tables = [[{} for _ in range(MAX_N)] for _ in self.sentences]
-        for tokens, table in zip(self.sentences, tables):
-            shifted = []  # tokens[0:], ..., tokens[n-1:]: zipped, the n-grams
-            for n, counts in enumerate(table):
-                shifted.append(tokens[n:])
-                for t in zip(*shifted):
-                    g = get(t)
-                    if g is None:
-                        g = ids[t] = len(ids)
-                    counts[g] = counts.get(g, 0) + 1
-        return tables, len(ids)
+    def table(self) -> "_Table":
+        """One row per distinct n-gram of a sentence, n = 1..MAX_N: n by n,
+        then sentence by sentence, in order of first occurrence. An n-gram's
+        id is the rank of (its (n-1)-gram's id, its last token's id) among
+        those of the corpus, so ids are dense and the int64 keys built from
+        them stay below the number of tokens squared whatever the vocabulary;
+        each n's ids follow those of n - 1, so one id space covers every n."""
+        sentences = self.sentences
+        lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        vocab: Dict[str, int] = {}
+        intern = vocab.setdefault  # called with len(vocab): a new token's id
+        tokens = np.array([intern(t, len(vocab)) for s in sentences for t in s], np.int64)
+        sentence = np.repeat(np.arange(len(sentences)), lengths)  # per token
+        room = np.cumsum(lengths)[sentence] - np.arange(len(tokens))  # tokens left in it
+        ids = tokens.copy()  # per token, the id of the n-gram starting there
+        n_ids, width = 0, len(vocab)
+        starts, grams = [], []  # per n: the n-grams' first tokens, and their ids
+        for k in range(MAX_N):  # n = k + 1
+            start = np.flatnonzero(room > k)
+            if k:
+                distinct, ids[start] = np.unique(ids[start] * len(vocab) + tokens[start + k],
+                                                 return_inverse=True)
+                width = len(distinct)
+            starts.append(start)
+            grams.append(ids[start] + n_ids)
+            n_ids += width
+        sentence = sentence[np.concatenate(starts)]
+        gram = np.concatenate(grams)
+        level = np.repeat(np.arange(MAX_N), [len(s) for s in starts])  # n - 1
+        # every n-gram in order of n, sentence and position: a distinct one's
+        # first occurrence is its row, and holds its count
+        _, first, count = np.unique(sentence * n_ids + gram, return_index=True,
+                                    return_counts=True)
+        counts = np.zeros(len(gram), np.int64)
+        counts[first] = count
+        rows = np.flatnonzero(counts)
+        segment = level[rows] * len(sentences) + sentence[rows]
+        bounds = np.zeros(MAX_N * len(sentences) + 1, np.int64)
+        np.cumsum(np.bincount(segment, minlength=MAX_N * len(sentences)), out=bounds[1:])
+        return _Table(gram[rows], counts[rows], sentence[rows], level[rows], bounds, lengths,
+                      n_ids)
+
+    @cached_property
+    def links(self) -> "_Links":
+        """The table's rows pair by pair: each pair's candidate rows and each
+        of its references' rows, n by n; which candidate row of the same pair
+        holds a reference row's n-gram; the n-grams each pair's references
+        hold."""
+        table, n_pairs = self.table, len(self.pairs)
+        cand = np.fromiter((c for c, _ in self.pairs), np.int64, n_pairs)
+        n_refs = np.fromiter((len(r) for _, r in self.pairs), np.int64, n_pairs)
+        refs = np.array([r for _, rs in self.pairs for r in rs], np.int64)
+        ref_pair = np.repeat(np.arange(n_pairs), n_refs)
+        cand_rows, cand_at = _rows(table, cand)
+        ref_rows, ref_at = _rows(table, refs)
+        # one slot per distinct (pair, n-gram) of the candidates and references
+        grams = table.gram[np.concatenate([cand_rows, ref_rows])]
+        pair = np.concatenate([cand_at // MAX_N, ref_pair[ref_at // MAX_N]])
+        distinct, slot = np.unique(pair * table.n_ids + grams, return_inverse=True)
+        n_slots = len(distinct)
+        cand_slot, ref_slot = slot[:len(cand_rows)], slot[len(cand_rows):]
+        cand_of_slot = np.full(n_slots, -1)
+        cand_of_slot[cand_slot] = np.arange(len(cand_rows))
+        match = cand_of_slot[ref_slot]
+        hit = match >= 0
+        gram_of_slot = np.empty(n_slots, np.int64)
+        gram_of_slot[slot] = grams
+        held = np.zeros(n_slots, bool)
+        held[ref_slot] = True
+        return _Links(cand, refs, ref_pair, n_refs, cand_rows, ref_rows, ref_at,
+                      hit, match[hit], gram_of_slot[held])
+
+
+class _Table(NamedTuple):
+    gram: np.ndarray      # per row: its n-gram's id
+    count: np.ndarray     # its occurrences in the sentence
+    sentence: np.ndarray  # the sentence's index
+    k: np.ndarray         # n - 1
+    start: np.ndarray     # per (k, sentence), at k * sentences + sentence: its first row
+    lengths: np.ndarray   # per sentence: its number of tokens
+    n_ids: int
+
+
+class _Links(NamedTuple):
+    cand: np.ndarray       # per pair: its candidate's sentence index
+    refs: np.ndarray       # per (pair, reference), pair by pair: the sentence index
+    ref_pair: np.ndarray   # and its pair
+    n_refs: np.ndarray     # per pair: its number of references
+    cand_rows: np.ndarray  # the table rows of each pair's candidate, pair by pair
+    ref_rows: np.ndarray   # the table rows of each (pair, reference) in turn
+    ref_at: np.ndarray     # per ref_rows entry, (pair, reference) * MAX_N + k
+    hit: np.ndarray        # per ref_rows entry: the pair's candidate holds its n-gram
+    match: np.ndarray      # per hit: the index into cand_rows of that candidate row
+    held: np.ndarray       # per pair in turn, the ids of the n-grams its references hold
+
+
+def _rows(table, sentences):
+    """(the table rows of each of ``sentences`` in turn, n by n, and per row
+    its sentence's position in ``sentences`` * MAX_N + k)."""
+    segment = (np.arange(MAX_N) * len(table.lengths) + sentences[:, None]).ravel()
+    sizes = table.start[segment + 1] - table.start[segment]
+    ends = np.cumsum(sizes)
+    at = np.repeat(np.arange(len(segment)), sizes)
+    return np.arange(ends[-1]) + (table.start[segment] - (ends - sizes))[at], at
 
 
 def bleu(pairs: Sequence[EvalPair]) -> Dict[str, float]:
@@ -89,31 +185,22 @@ def bleu(pairs: Sequence[EvalPair]) -> Dict[str, float]:
 
 
 def _bleu(corpus):
-    sentences, (grams, _) = corpus.sentences, corpus.grams
-    matched = [0] * MAX_N
-    total = [0] * MAX_N
-    cand_len = 0
-    ref_len = 0
-    for ci, refs in corpus.pairs:
-        c_len = len(sentences[ci])
-        cand_len += c_len
-        ref_len += min((abs(len(sentences[r]) - c_len), len(sentences[r])) for r in refs)[1]
-        cand = grams[ci]
-        ref_tables = [grams[r] for r in dict.fromkeys(refs)]
-        for k in range(min(MAX_N, c_len)):
-            ref_counts = [r[k] for r in ref_tables]
-            total[k] += c_len - k
-            hits = 0
-            for g, v in cand[k].items():
-                clip = 0
-                for rc in ref_counts:
-                    r = rc.get(g, 0)
-                    if r > clip:
-                        clip = r
-                        if clip >= v:
-                            break
-                hits += v if v < clip else clip
-            matched[k] += hits
+    table, links = corpus.table, corpus.links
+    c_len = table.lengths[links.cand]
+    r_len = table.lengths[links.refs]
+    # per pair, the reference length closest to the candidate's, the shorter on ties
+    span = int(r_len.max()) + 1
+    closest = np.minimum.reduceat(np.abs(r_len - c_len[links.ref_pair]) * span + r_len,
+                                  np.cumsum(links.n_refs) - links.n_refs)
+    cand_len = int(c_len.sum())
+    ref_len = int((closest % span).sum())
+    total = [int(np.maximum(c_len - k, 0).sum()) for k in range(MAX_N)]
+    # a candidate n-gram's count is clipped to its most in any one reference
+    clip = np.zeros(len(links.cand_rows), np.int64)
+    np.maximum.at(clip, links.match, table.count[links.ref_rows[links.hit]])
+    matched = np.zeros(MAX_N, np.int64)
+    np.add.at(matched, table.k[links.cand_rows], np.minimum(table.count[links.cand_rows], clip))
+    matched = matched.tolist()
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len) if cand_len else 0.0
     scores = {}
     for n in range(1, MAX_N + 1):
@@ -196,54 +283,65 @@ def cider(pairs: Sequence[EvalPair]) -> float:
 
 
 def _cider(corpus):
-    sentences, (grams, n_ids) = corpus.sentences, corpus.grams
+    table, links = corpus.table, corpus.links
     n_images = len(corpus.pairs)
     if n_images == 1:
         log.warning("cider: single-image corpus yields degenerate idf statistics")
-    doc_freq = [0] * n_ids  # per n-gram id, the images whose references hold it
-    for _, refs in corpus.pairs:
-        for g in set().union(*[counts for r in refs for counts in grams[r]]):
-            doc_freq[g] += 1
-    # an n-gram no reference has keeps idf log(N), as if its df were 1
+    # per n-gram id, the images whose references hold it; one that no
+    # reference has keeps idf log(N), as if its df were 1
+    doc_freq = np.bincount(links.held, minlength=table.n_ids)
     log_n = math.log(n_images)
-    idf = [log_n - math.log(d) if d else log_n for d in doc_freq]
+    idf = _by_value(doc_freq, lambda d: log_n - math.log(d) if d else log_n)
 
-    vectors = []  # per distinct sentence and n, its tf-idf vector and norm
-    for tokens, table in zip(sentences, grams):
-        length = len(tokens)  # its number of n-grams, for n = 1, 2, ...
-        per_n = []
-        for counts in table:
-            vec = {}
-            norm = 0.0
-            for g, c in counts.items():
-                w = vec[g] = (c / length) * idf[g]
-                norm += w * w
-            per_n.append((vec, math.sqrt(norm)))
-            length -= 1
-        vectors.append(per_n)
+    # Every float sum below is an np.add.at, which adds in index order: left
+    # to right over the rows, as the per-sentence loop does. np.sum, reduceat
+    # and matmul sum pairwise or blocked, so their last bit may differ.
+    length = table.lengths[table.sentence] - table.k  # its number of n-grams
+    weight = (table.count / length) * idf[table.gram]
+    norm = _sums(table.sentence * MAX_N + table.k, weight * weight,
+                 len(table.lengths) * MAX_N)
+    norm = np.sqrt(norm).reshape(-1, MAX_N)
+    # min(cw, w) * w in each reference's order; an n-gram the candidate lacks
+    # would add an exact 0.0: skipped
+    w = weight[links.ref_rows[links.hit]]
+    cw = weight[links.cand_rows[links.match]]
+    n_rows = len(links.refs)
+    num = _sums(links.ref_at[links.hit], np.minimum(w, cw) * w,
+                n_rows * MAX_N).reshape(n_rows, MAX_N)
+    cnorm = norm[links.cand[links.ref_pair]]
+    rnorm = norm[links.refs]
+    both = (cnorm > 0) & (rnorm > 0)
+    sim = np.zeros((n_rows, MAX_N))
+    sim[both] = num[both] / (cnorm[both] * rnorm[both])
+    gap = table.lengths[links.cand[links.ref_pair]] - table.lengths[links.refs]
+    penalty = _by_value(gap * gap, lambda d: math.exp(-d / (2 * CIDER_SIGMA ** 2)))
+    # per pair and n, summed over the references in order
+    score_n = _sums((links.ref_pair[:, None] * MAX_N + np.arange(MAX_N)).ravel(),
+                    (sim * penalty[:, None]).ravel(), n_images * MAX_N).reshape(-1, MAX_N)
+    scale = CIDER_SCALE / links.n_refs
+    score = np.zeros(n_images)
+    for k in range(MAX_N):
+        score += score_n[:, k] * scale
     total = 0.0
-    for ci, refs in corpus.pairs:
-        c_len = len(sentences[ci])
-        score_n = [0.0] * MAX_N  # per n, summed over the references in order
-        for ri in refs:
-            penalty = math.exp(-((c_len - len(sentences[ri])) ** 2) / (2 * CIDER_SIGMA ** 2))
-            for k, ((cvec, cnorm), (rvec, rnorm)) in enumerate(zip(vectors[ci], vectors[ri])):
-                sim = 0.0
-                if cnorm > 0 and rnorm > 0:
-                    # min(cw, w) * w in the reference's order; an n-gram the
-                    # candidate lacks would add an exact 0.0: skipped
-                    num = 0.0
-                    for g, w in rvec.items():
-                        cw = cvec.get(g)
-                        if cw is not None:
-                            num += (w if w < cw else cw) * w
-                    sim = num / (cnorm * rnorm)
-                score_n[k] += sim * penalty
-        score = 0.0
-        for score_k in score_n:
-            score += score_k * (CIDER_SCALE / len(refs))
-        total += score / MAX_N
+    for s in (score / MAX_N).tolist():
+        total += s
     return total / n_images
+
+
+def _by_value(values, fn):
+    """``fn`` of each of ``values``, called once per distinct value. It calls
+    ``math``: numpy's vectorised ``log`` and ``exp`` need not round as the C
+    library's do."""
+    distinct, which = np.unique(values, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()], np.float64)[which]
+
+
+def _sums(index, values, size):
+    """Per slot of ``size``, the sum of the ``values`` whose ``index`` is it,
+    added left to right from 0.0."""
+    out = np.zeros(size)
+    np.add.at(out, index, values)
+    return out
 
 
 def without_a(pairs: Sequence[EvalPair]) -> List[EvalPair]:
@@ -305,7 +403,7 @@ def evaluate(pairs: Sequence[EvalPair], apply_without_a: bool = False,
     ``training_captions``, also the uniqueness of the pairs' candidates."""
     if apply_without_a:
         pairs = without_a(pairs)
-    corpus = _Corpus(pairs, "evaluate")  # its n-gram tables serve BLEU and CIDEr
+    corpus = _Corpus(pairs, "evaluate")  # its n-gram table serves BLEU and CIDEr
     scores = _bleu(corpus)
     scores["ROUGE-L"] = _rouge_l(corpus)
     scores["CIDEr"] = _cider(corpus)

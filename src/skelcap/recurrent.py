@@ -309,33 +309,36 @@ class RecurrentDecoder:
         """The model of a checkpoint stage after the ``earlier`` models, once its
         vocabulary, config (exactly the constructor's keys), ``_check_follows``
         and the tensors of ``_shapes`` (in order, no others) are checked, naming
-        ``path``. No weight is drawn: it takes the stage's tensors as they are."""
+        ``path`` and the stage (its index and model kind), as both stages of a
+        captioner hold tensors of the same names. No weight is drawn: it takes
+        the stage's tensors as they are."""
+        where = f"{path}: stage {len(earlier)} ({cls.model_kind})"
         tokens, config = meta.get("vocab"), meta.get("config")
         if type(tokens) is not list:
-            raise NumericsError(f"{path}: meta 'vocab' is not a list of tokens")
+            raise NumericsError(f"{where}: meta 'vocab' is not a list of tokens")
         try:
             vocab = Vocabulary(tokens)
         except CorpusError as exc:
-            raise NumericsError(f"{path}: meta 'vocab': {exc}") from None
+            raise NumericsError(f"{where}: meta 'vocab': {exc}") from None
         given = set(config) if type(config) is dict else set()
         keys = set(inspect.signature(cls).parameters) - {"vocab", "dtype"}
         missing, unknown = sorted(keys - given), sorted(given - keys)
         if missing or unknown:
-            raise NumericsError(f"{path}: config: missing {missing}, unknown {unknown}")
+            raise NumericsError(f"{where}: config: missing {missing}, unknown {unknown}")
         model = cls.__new__(cls)  # configured, then given the checkpoint's tensors
         try:
             model._configure(vocab, np.float32, **config)
             model._check_follows(earlier)
         except ValueError as exc:
-            raise NumericsError(f"{path}: config: {exc}") from None
+            raise NumericsError(f"{where}: config: {exc}") from None
         shapes = model._shapes()
         found = {name: store[name].data.shape for name in store.names()}
         for name in {**shapes, **found}:
             if found.get(name) != shapes.get(name):
-                raise NumericsError(f"{path}: tensor {name!r} is {found.get(name, 'missing')}, "
+                raise NumericsError(f"{where}: tensor {name!r} is {found.get(name, 'missing')}, "
                                     f"its config gives {shapes.get(name, 'no such tensor')}")
         if list(found) != list(shapes):
-            raise NumericsError(f"{path}: tensors not in the order its config gives: "
+            raise NumericsError(f"{where}: tensors not in the order its config gives: "
                                 f"{', '.join(shapes)}")
         model.store = store
         return model

@@ -403,14 +403,16 @@ def test_save_rejects_float64_model(attr_vocab, skel_model, tmp_path):
 
 
 def test_load_rejects_wrong_vocab(attr_vocab, skel_model, tmp_path):
-    # a vocabulary of another size than the checkpoint's tensors is refused
+    # a vocabulary of another size than the checkpoint's tensors is refused,
+    # naming the attribute stage: the skeleton stage has an 'embed' too
     m = _make(attr_vocab, skel_model)
     p = tmp_path / "captioner.ckpt"
     save_checkpoint(p, [skel_model, m])
     blob = p.read_bytes()
     at = blob.index(b'"model":"attribute"')  # the attribute stage's vocabulary follows
     p.write_bytes(blob[:at] + blob[at:].replace(b'"vocab":["', b'"vocab":["zzz","', 1))
-    with pytest.raises(nm.NumericsError, match=f"^{re.escape(str(p))}: tensor 'embed' "):
+    with pytest.raises(nm.NumericsError, match=f"^{re.escape(str(p))}: stage 1 \\(attribute\\): "
+                                               "tensor 'embed' "):
         load_checkpoint(p, SkeletonGenerator, AttributeGenerator)
 
 

@@ -344,7 +344,9 @@ def test_checkpoint_config_value_exits_2(workspace, tmp_path, capsys, command, s
     _config_edited(_checkpoint_of(workspace, command), ckpt, key, value,
                    ("skel", "attr").index(stage))
     assert _resume_or_caption(workspace, tmp_path, command, ckpt) == 2
-    assert capsys.readouterr().err == f"error: {ckpt}: config: {message}\n"
+    index = ("skel", "attr").index(stage)
+    kind = ("skeleton", "attribute")[index]
+    assert capsys.readouterr().err == f"error: {ckpt}: stage {index} ({kind}): config: {message}\n"
     _assert_nothing_written(tmp_path)
 
 
@@ -404,7 +406,7 @@ def test_checkpoint_tensor_not_as_config_exits_2(workspace, tmp_path, capsys, mo
     ckpt = tmp_path / "skel.ckpt"
     _config_edited(_checkpoint_of(workspace, command), ckpt, key, value)
     assert _resume_or_caption(workspace, tmp_path, command, ckpt) == 2
-    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+    assert capsys.readouterr().err == f"error: {ckpt}: stage 0 (skeleton): {message}\n"
 
 
 def test_checkpoint_tensors_out_of_order_exits_2(workspace, tmp_path, capsys):
@@ -419,7 +421,8 @@ def test_checkpoint_tensors_out_of_order_exits_2(workspace, tmp_path, capsys):
     save_stages(ckpt, [(meta, reordered), attr_stage])
     assert _resume_or_caption(workspace, tmp_path, "caption", ckpt) == 2
     assert capsys.readouterr().err.startswith(
-        f"error: {ckpt}: tensors not in the order its config gives: embed, att_U, ")
+        f"error: {ckpt}: stage 0 (skeleton): tensors not in the order its config gives: "
+        "embed, att_U, ")
 
 
 def test_train_stages_share_out_directory(workspace, tmp_path):
@@ -470,7 +473,7 @@ def test_train_attr_wrong_vocab(workspace, tmp_path, capsys):
     _vocab_replaced(src, ckpt, json.dumps(tokens).encode())
     assert run("train-attr", "--data", str(workspace["data"]), "--out",
                str(tmp_path / "x"), "--skel-checkpoint", str(ckpt), "--epochs", "1") == 2
-    assert capsys.readouterr().err.startswith(f"error: {ckpt}: tensor ")
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: stage 0 (skeleton): tensor ")
 
 
 @pytest.mark.parametrize("grid,dim", [("4", "24"), ("3", "30")], ids=["grid", "feature-dim"])
@@ -789,7 +792,8 @@ def test_caption_captioner_stage_sizes_differ(workspace, tmp_path, capsys, key, 
     out.write_text("kept\n")
     assert run(*_with_checkpoint(workspace, out, ckpt)) == 2
     assert capsys.readouterr().err == (
-        f"error: {ckpt}: config: the attribute model's {key} is {size}, the skeleton's "
+        f"error: {ckpt}: stage 1 (attribute): config: the attribute model's {key} is {size}, "
+        f"the skeleton's "
         f"{skel_key} is {skel_size}\n")
     assert out.read_text() == "kept\n"
 
@@ -898,14 +902,15 @@ def test_vocabulary_malformed(workspace, tmp_path, capsys, tokens):
     ckpt = tmp_path / "captioner.ckpt"
     _vocab_replaced(_captioner(workspace), ckpt, tokens)  # the skeleton stage's
     assert run(*_with_checkpoint(workspace, tmp_path / "c.tsv", ckpt)) == 2
-    assert capsys.readouterr().err.startswith(f"error: {ckpt}: meta 'vocab'")
+    stage = "stage 0 (skeleton): meta 'vocab'"
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: {stage}")
     value = json.loads(tokens)
     model, = load_checkpoint(workspace["skel"] / "skel.ckpt", SkeletonGenerator)
     model.vocab = types.SimpleNamespace(index_to_token=[*SPECIALS, *value]
                                         if isinstance(value, list) else (*SPECIALS, value))
     out = tmp_path / "out.ckpt"
     out.write_bytes(b"before")
-    with pytest.raises(NumericsError, match=f"^{re.escape(f'{out}: meta')} 'vocab'"):
+    with pytest.raises(NumericsError, match=f"^{re.escape(f'{out}: {stage}')}"):
         save_checkpoint(out, [model])
     assert out.read_bytes() == b"before"
 
@@ -989,7 +994,9 @@ def test_caption_refinement_needs_attention(workspace, tmp_path, capsys):
     out.write_bytes(b"img\tan earlier caption\n")
     trace.write_bytes(b"image: img\n")
     assert run(*_caption_args(ws, out, "--post-word-alpha", "--trace", str(trace))) == 2
-    assert "needs a skeleton decoder with attention" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --post-word-alpha: post-word refinement needs a skeleton decoder with "
+        "attention; this one has use_attention=False\n")
     assert out.read_bytes() == b"img\tan earlier caption\n"
     assert trace.read_bytes() == b"image: img\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["attr", "skel", "x.trace", "x.tsv"]

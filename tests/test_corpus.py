@@ -129,7 +129,7 @@ def test_vocab_save_refuses_what_load_rejects(tmp_path, tokens):
         assert not _vocab_valid(tokens)
         model = _tiny_decoder(build_vocab([["w"]], 1))
         model.vocab = types.SimpleNamespace(index_to_token=[*corpus.SPECIALS, *tokens])
-        refused = f"^{re.escape(str(p))}: meta 'vocab': "
+        refused = f"^{re.escape(str(p))}: stage 0 \\(skeleton\\): meta 'vocab': "
         with pytest.raises(NumericsError, match=refused):
             save_checkpoint(p, [model])
         assert p.read_bytes() == b"before"

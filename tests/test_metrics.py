@@ -612,3 +612,52 @@ def test_scores_independent_of_builtin_sum(monkeypatch):
     test_evaluate_golden_scores(False)
     test_evaluate_golden_scores(True)
     test_evaluate_golden_window_scores()
+
+
+# -- the array scorer at its edges --------------------------------------------
+
+def _distinct_token_corpus(count=1000, size=80):
+    """``count`` pairs over ``count * size`` distinct tokens: each reference
+    holds ``size`` tokens of its own; the candidate and a second reference
+    are cut from it, so that n-grams of every length match."""
+    pairs = []
+    for i in range(count):
+        ref = tuple(f"t{i * size + j}" for j in range(size))
+        pairs.append(EvalPair(ref[10:50] + ref[:5], (ref, ref[::2])))
+    return pairs
+
+
+LONG_REFERENCE = tuple(WIDE_VOCAB[(7 * j) % 37] for j in range(300))
+
+ARRAY_EDGE_CASES = {  # name -> its pairs, built when the test runs
+    "empty-candidates": lambda: [EvalPair((), (("a", "dog"),)),
+                                 EvalPair((), (("a",), ("dog", "runs"))), EvalPair((), ((),))],
+    "no-3-gram": lambda: [EvalPair(("a", "dog"), (("a",), ("dog", "a"))),
+                          EvalPair(("dog",), (("dog", "runs"), ("a",))),
+                          EvalPair(("runs", "a"), (("a", "dog"),))],
+    "300-token-reference": lambda: [
+        EvalPair(LONG_REFERENCE[40:70], (LONG_REFERENCE, LONG_REFERENCE[:25])),
+        EvalPair(("a", "dog", "runs"), (("a", "dog"), LONG_REFERENCE[:12]))],
+    "70k-distinct-tokens": _distinct_token_corpus,
+    "one-pair": lambda: [EvalPair(("a", "red", "dog", "runs", "on", "the", "grass"),
+                                  (("a", "dog", "runs", "on", "grass"), ("the", "red", "dog")))],
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_EDGE_CASES))
+def test_array_scorer_edge_cases_equal_reference(name, caplog):
+    # an n-gram key of (n-1)-gram id * vocabulary + token id passes 2**32 at
+    # 70k distinct tokens; one pair gives every n-gram idf 0 and keeps its warning
+    pairs = ARRAY_EDGE_CASES[name]()
+    if name == "70k-distinct-tokens":
+        assert len({t for p in pairs for r in p.references for t in r}) > 70_000
+    want = {k: repr(v) for k, v in _ref_scores(pairs).items()}
+    with caplog.at_level("WARNING"):
+        got = evaluate(pairs).scores
+    assert {k: repr(v) for k, v in got.items()} == want
+    public = {**bleu(pairs), "ROUGE-L": rouge_l(pairs), "CIDEr": cider(pairs)}
+    assert {k: repr(v) for k, v in public.items()} == want
+    degenerate = any("degenerate" in r.message for r in caplog.records)
+    assert degenerate == (len(pairs) == 1)
+    if name == "one-pair":
+        assert got["CIDEr"] == 0.0 and got["B-1"] > 0.0

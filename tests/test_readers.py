@@ -245,7 +245,8 @@ def test_vocabulary_blank_line_named(valid_files, tmp_path, data):
     at = data.draw(st.integers(0, len(_vocab_tokens(valid_files["vocabulary"]))), label="at")
     path = tmp_path / "blank.ckpt"
     path.write_bytes(_with_token(valid_files["vocabulary"], at, ""))
-    with pytest.raises(NumericsError, match=f"^{re.escape(str(path))}: meta 'vocab': "
+    with pytest.raises(NumericsError, match=f"^{re.escape(str(path))}: stage 0 \\(skeleton\\): "
+                                            f"meta 'vocab': "
                                             f"vocabulary token '' is not a non-empty str"):
         _read_vocabulary(path)
 
@@ -472,7 +473,8 @@ def test_vocabulary_token_without_text_named(valid_files, tmp_path, token):
     # such a token can never come out of preprocessing, which splits on whitespace
     path = tmp_path / "bad.ckpt"
     path.write_bytes(_with_token(valid_files["vocabulary"], 0, token))
-    with pytest.raises(NumericsError, match=f"^{re.escape(str(path))}: meta 'vocab': "
+    with pytest.raises(NumericsError, match=f"^{re.escape(str(path))}: stage 0 \\(skeleton\\): "
+                                            f"meta 'vocab': "
                                             f"vocabulary token .* is not a non-empty str "
                                             f"without whitespace$"):
         _read_vocabulary(path)
@@ -523,7 +525,7 @@ def test_manifest_text_its_writer_refuses_named(tmp_path, line, message):
 
 
 @pytest.mark.parametrize("edit, at_line, message", [
-    (lambda entry: b"", False, "meta 'vocab' is not a list of tokens"),
+    (lambda entry: b"", False, "stage 0 (skeleton): meta 'vocab' is not a list of tokens"),
     (lambda entry: entry + entry, True, "header is not as save writes it"),
     (lambda entry: b',"vocab":', True, "header is not as save writes it"),
 ], ids=["no-header", "second-header", "no-count"])
@@ -592,7 +594,8 @@ def test_captioner_holds_its_skeleton_stage_as_saved(tmp_path):
      "(an int >= 0) and tensors (a list)"),
     ((SkeletonGenerator, AttributeGenerator),
      lambda h: h[1]["meta"]["config"].update(skel_hidden_size=2),
-     ": config: the attribute model's skel_hidden_size is 2, the skeleton's hidden_size is 1"),
+     ": stage 1 (attribute): config: the attribute model's skel_hidden_size is 2, the "
+     "skeleton's hidden_size is 1"),
 ], ids=["stage-missing", "stage-twice", "stage-twice-captioner", "stage-unknown",
         "tensor-outside-stages", "stage-sizes-differ"])
 def test_staged_checkpoint_refusal_named(tmp_path, kinds, edit, message):
@@ -614,7 +617,8 @@ def test_staged_checkpoint_tensor_of_no_stage_model_named(tmp_path):
     skel.store.add("W_I", attr.store["W_I"].data)
     save_stages(path, [({"model": "skeleton", "config": skel.get_params(),
                          "vocab": skel.vocab.index_to_token[len(corpus.SPECIALS):]}, skel.store)])
-    with pytest.raises(NumericsError, match=f"^{re.escape(str(path))}: tensor 'W_I' is "
+    with pytest.raises(NumericsError, match=f"^{re.escape(str(path))}: stage 0 \\(skeleton\\): "
+                                            "tensor 'W_I' is "
                                             rf"\(1, 1\), its config gives no such tensor$"):
         load_checkpoint(path, SkeletonGenerator)
 
@@ -631,9 +635,11 @@ def test_older_checkpoint_refused_with_retrain(tmp_path):
 
 
 @pytest.mark.parametrize("models, message", [
-    (lambda: _tiny_captioner()[1:], "config: an attribute stage follows one skeleton stage"),
+    (lambda: _tiny_captioner()[1:],
+     "stage 0 (attribute): config: an attribute stage follows one skeleton stage"),
     (lambda: _tiny_captioner(skel_hidden_size=2),
-     "config: the attribute model's skel_hidden_size is 2, the skeleton's hidden_size is 1"),
+     "stage 1 (attribute): config: the attribute model's skel_hidden_size is 2, the skeleton's "
+     "hidden_size is 1"),
 ], ids=["attribute-alone", "sizes-differ"])
 def test_staged_checkpoint_writer_refuses_what_loading_refuses(tmp_path, models, message):
     path = tmp_path / "c.ckpt"

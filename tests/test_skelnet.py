@@ -459,5 +459,6 @@ def test_load_rejects_wrong_vocab(model, tmp_path):
     p = tmp_path / "skel.ckpt"
     save_checkpoint(p, [model])
     p.write_bytes(p.read_bytes().replace(b'"vocab":["', b'"vocab":["zzz","', 1))
-    with pytest.raises(nm.NumericsError, match=f"^{re.escape(str(p))}: tensor 'embed' "):
+    with pytest.raises(nm.NumericsError, match=f"^{re.escape(str(p))}: stage 0 \\(skeleton\\): "
+                                               "tensor 'embed' "):
         load_checkpoint(p, SkeletonGenerator)
