@@ -104,6 +104,7 @@ class AttributeGenerator(RecurrentDecoder):
         if [m.model_kind for m in earlier] != ["skeleton"]:
             raise AttrConfigError("an attribute stage follows one skeleton stage")
         check_skeleton_sizes(self, earlier[0])
+        check_conditioning(earlier[0], self.hidden_tap, self.use_post_word_alpha)
 
     def _shapes(self):
         D, m = self.feature_dim, self.embed_size
@@ -183,50 +184,37 @@ class AttributeGenerator(RecurrentDecoder):
     # -- training ------------------------------------------------------------
 
     def batch_loss(self, z, s_skel, h_skel, seqs):
-        """Teacher-forced loss over a batch of items with equal target length,
-        on the tape.
-
-        ``seqs`` is (B, S) whose last column is EOS. The fused init is
-        consumed at step -1, then BOS, then the gold attribute words.
-        ``fit`` trains through ``loss_and_grads``, which gives this loss and
-        the gradients ``nm.backward`` gives it up to rounding.
-        """
-        p = self.store
-        z, s_skel, h_skel = (np.ascontiguousarray(v, dtype=self.dtype)
-                             for v in (z, s_skel, h_skel))
-        fused = nm.add(nm.add(nm.matmul(z, p["W_I"]), nm.matmul(s_skel, p["W_t"])),
-                       nm.matmul(h_skel, p["W_h"]))
-        x_init = nm.tanh(nm.add(nm.matmul(fused, p["fuse_W"]), p["fuse_b"]))
-        zeros = np.zeros((len(z), self.hidden_size), dtype=self.dtype)
-        h, c = self._lstm_t(x_init, zeros, zeros)  # step -1, from the zero state
-
-        def step(h, c, words):
-            h, c = self._lstm_t(nm.lookup(p["embed"], words), h, c)
-            return h, c, self._logits_t(h)
-
-        return self._teacher_forced_t(np.asarray(seqs), h, c, step)
+        """``teacher_forced_loss`` of a batch of items with equal target
+        length (``seqs`` (B, S) whose last column is EOS) as one node: a
+        Tensor of the loss whose parents are the parameters, and whose
+        backward ``nm.backward`` runs to set their gradients. Nothing in the
+        package calls it; it is the loss perfbench's training probe steps,
+        its forward and backward timed apart. The taped reference is
+        tests/tape.py."""
+        return nm.Tensor(*self.teacher_forced_loss((z, s_skel, h_skel, seqs)),
+                         self.store.params.values())
 
     # -- the teacher-forced loop on the array kernels ---------------------------
 
-    def teacher_forced_loss(self, batch, grads=None):
-        """The loss of ``batch_loss`` on one batch of ``_table``, as a
-        float; given a dict ``grads``, also fills it with the gradient of
-        every parameter.
+    def teacher_forced_loss(self, batch):
+        """(loss, backward) of one batch of ``_table``: the loss as a float,
+        and ``backward()``, the gradient of every parameter by name, in the
+        store's order.
 
-        Under teacher forcing every LSTM input is known before the first
-        step, so only ``h @ W_rec`` stays in the time loop (``lstm_W`` is
-        ``W_in`` over ``W_rec``, the rows for the input and for h). The
-        fused step -1 inputs and the word embeddings the steps read are
-        rows of one array X (see ``input_rows``), and ``X @ W_in + lstm_b``
-        is one product; the step -1 cell runs from the zero state on its
-        rows alone. The logits, the NLL and their backward are one product
-        each over all S·B rows. Backward, the gate gradients of all steps
-        give ``W_rec`` one ``H_prev.T @ DZ``; summed onto the rows of X,
-        they give ``W_in`` one ``X.T @ DZ`` and the inputs one ``DZ @
-        W_in.T``, whose word rows go into ``embed`` by
-        ``nm.gather_rows_backward``. These sums run in another order than
-        the tape's, so the loss and gradients equal the tape's to rounding,
-        not bit for bit.
+        The fused init is consumed at step -1, then BOS, then the gold
+        attribute words. Under teacher forcing every LSTM input is known before
+        the first step, so only ``h @ W_rec`` stays in the time loop
+        (``lstm_W`` is ``W_in`` over ``W_rec``, the rows for the input and for
+        h). The fused step -1 inputs and the word embeddings the steps read are
+        rows of one array X (see ``input_rows``), and ``X @ W_in + lstm_b`` is
+        one product; the step -1 cell runs from the zero state on its rows
+        alone. The logits, the NLL and their backward are one product each over
+        all S·B rows. Backward, the gate gradients of all steps give ``W_rec``
+        one ``H_prev.T @ DZ``; summed onto the rows of X, they give ``W_in``
+        one ``X.T @ DZ`` and the inputs one ``DZ @ W_in.T``, whose word rows go
+        into ``embed`` by ``nm.gather_rows_backward``. These sums run in
+        another order than the taped loss of tests/tape.py, so the loss and
+        gradients equal the tape's to rounding, not bit for bit.
         """
         p = self.store
         seqs = np.asarray(batch[-1])
@@ -258,37 +246,41 @@ class AttributeGenerator(RecurrentDecoder):
             # the sum over steps of batch means: S times the mean over all rows
             loss, nll = nm.nll_forward(nm.affine(hs, out_W, out_b), seqs.T.reshape(-1))
             loss = loss * S
-        if grads is None:
-            return float(loss)
-        dh_out, grads["out_W"], grads["out_b"] = nm.affine_backward(
-            nm.nll_backward(np.full_like(loss, S), nll), hs, out_W, out_b)
-        dh_out = dh_out.reshape(S, B, n)
-        DZ = np.empty((S + 1, B, 4 * n), dtype=self.dtype)  # gate gradients of steps -1 .. S-1
-        gh, gc = dh_out[-1], None
-        for t in reversed(range(S)):
-            d_o, gc_h = nm.lstm_h_backward(gh, cells[t])
-            gc = gc_h if gc is None else gc + gc_h
-            DZ[t + 1], gc = nm.lstm_gates_backward(gc, d_o, cells[t])
-            gh = np.matmul(DZ[t + 1], W_rec.T)
-            if t:
-                gh += dh_out[t - 1]
-        d_o, gc_h = nm.lstm_h_backward(gh, start)
-        DZ[0] = nm.lstm_gates_backward(gc + gc_h, d_o, start)[0]
-        dz = DZ.reshape(-1, 4 * n)
-        grads["lstm_b"] = dz.sum(axis=0)
-        W_rec_grad = np.matmul(H[:S].reshape(S * B, n).T, dz[B:])
-        if row_of is not None:  # sum the steps' gate gradients onto their word's row
-            by_row = np.zeros((len(rows), S * B), dtype=self.dtype)
-            by_row[row_of, np.arange(S * B)] = 1.0
-            dz = np.concatenate([DZ[0], np.matmul(by_row, dz[B:])])
-        grads["lstm_W"] = np.concatenate([np.matmul(X.T, dz), W_rec_grad])
-        dX = np.matmul(dz, W_in.T)
-        grads["embed"] = nm.gather_rows_backward(dX[B:], rows, embed)
-        dfused, grads["fuse_W"], grads["fuse_b"] = nm.affine_backward(
-            nm.tanh_backward(dX[:B], X[:B]), fused, p["fuse_W"].data, p["fuse_b"].data)
-        for v, name in zip(inputs, ("W_I", "W_t", "W_h")):
-            grads[name] = np.matmul(v.T, dfused)
-        return float(loss)
+
+        def backward():
+            grads = dict.fromkeys(p.params)
+            dh_out, grads["out_W"], grads["out_b"] = nm.affine_backward(
+                nm.nll_backward(np.full_like(loss, S), nll), hs, out_W, out_b)
+            dh_out = dh_out.reshape(S, B, n)
+            # the gate gradients of steps -1 .. S-1
+            DZ = np.empty((S + 1, B, 4 * n), dtype=self.dtype)
+            gh, gc = dh_out[-1], None
+            for t in reversed(range(S)):
+                d_o, gc_h = nm.lstm_h_backward(gh, cells[t])
+                gc = gc_h if gc is None else gc + gc_h
+                DZ[t + 1], gc = nm.lstm_gates_backward(gc, d_o, cells[t])
+                gh = np.matmul(DZ[t + 1], W_rec.T)
+                if t:
+                    gh += dh_out[t - 1]
+            d_o, gc_h = nm.lstm_h_backward(gh, start)
+            DZ[0] = nm.lstm_gates_backward(gc + gc_h, d_o, start)[0]
+            dz = DZ.reshape(-1, 4 * n)
+            grads["lstm_b"] = dz.sum(axis=0)
+            W_rec_grad = np.matmul(H[:S].reshape(S * B, n).T, dz[B:])
+            if row_of is not None:  # sum the steps' gate gradients onto their word's row
+                by_row = np.zeros((len(rows), S * B), dtype=self.dtype)
+                by_row[row_of, np.arange(S * B)] = 1.0
+                dz = np.concatenate([DZ[0], np.matmul(by_row, dz[B:])])
+            grads["lstm_W"] = np.concatenate([np.matmul(X.T, dz), W_rec_grad])
+            dX = np.matmul(dz, W_in.T)
+            grads["embed"] = nm.gather_rows_backward(dX[B:], rows, embed)
+            dfused, grads["fuse_W"], grads["fuse_b"] = nm.affine_backward(
+                nm.tanh_backward(dX[:B], X[:B]), fused, p["fuse_W"].data, p["fuse_b"].data)
+            for v, name in zip(inputs, ("W_I", "W_t", "W_h")):
+                grads[name] = np.matmul(v.T, dfused)
+            return grads
+
+        return float(loss), backward
 
     def _table(self, items: Sequence[AttrTrainingItem]) -> BatchTable:
         return item_table(items)

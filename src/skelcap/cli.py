@@ -383,7 +383,7 @@ def _gradcheck(label, model, batch, cfg):
     """Prints how ``loss_and_grads``'s gradients of ``batch`` compare with central
     differences of its loss in every parameter entry; returns whether they pass."""
     _, grads = model.loss_and_grads(batch)
-    report = compare_gradients(grads, lambda: model.teacher_forced_loss(batch),
+    report = compare_gradients(grads, lambda: model.teacher_forced_loss(batch)[0],
                                {n: t.data for n, t in model.store.params.items()},
                                h=cfg["step"], tol=cfg["tol"])
     print(f"{label}: max rel err {report['max_rel_error']:.3e} "

@@ -1,13 +1,11 @@
-"""Dense tensor core: array kernels, reverse-mode autodiff, Adagrad, and a
-gradient checker.
+"""Dense tensor core: array kernels, parameters and Adagrad, checkpoint
+stages, and a gradient checker.
 
 Everything is numpy-backed. The decoders train and decode on the array
 kernels alone: plain-array functions, the recurrent layers each a forward
 that returns its output and a cache and a backward that takes that cache.
-The tape ops are the reference those hand-written gradients are tested
-against: each records one Tensor node, whatever its operands, through one
-builder over its kernel's backward, and ``backward`` on a scalar loss walks
-the tape in reverse topological order. Default dtype is
+The package holds no autodiff tape: the reference those hand-written
+gradients are tested against is the tape in tests/tape.py. Default dtype is
 float32; pass ``dtype=np.float64`` when building parameters for gradient
 checking.
 """
@@ -40,169 +38,20 @@ class NonFiniteError(NumericsError):
 
 
 class Tensor:
-    """A dense array node on the autodiff tape."""
+    """A parameter's array and its gradient, or a decoder's loss as one node
+    (``sequence_loss``, ``batch_loss``): its parents are the parameters, and
+    ``backward`` sets their gradients from its own."""
 
     __slots__ = ("data", "grad", "_backward", "_parents")
 
-    def __init__(self, data):
+    def __init__(self, data, backward=None, parents=()):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad = None
-        self._backward = None
-        self._parents = ()
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def item(self):
-        return float(self.data)
-
-    def _accumulate(self, g):
-        if self.grad is None:
-            # zeros + g in one pass; adding 0.0 turns -0.0 into +0.0 as that did
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
-            self.grad += g
-
-
-# Every op takes Tensors or plain arrays, runs one forward on arrays and
-# records one node. A Tensor is a parameter or a tape node; a plain-array
-# operand is a constant, which is not a parent of the node and gets no
-# gradient.
-
-
-def _data(x):
-    """The array behind an operand: a Tensor's data, or ``x`` as an array."""
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
-def _node(data, operands, backward_fn):
-    out = Tensor(data)
-    out._parents = tuple(x for x in operands if isinstance(x, Tensor))
-    out._backward = backward_fn
-    return out
-
-
-def _kernel_node(y, cache, operands, kernel_backward):
-    """The node of an op whose forward gave ``y`` and ``cache``. Its backward
-    calls ``kernel_backward(grad, cache, need)``, ``need`` holding one flag
-    per operand, true for a Tensor, and adds each returned gradient to its
-    Tensor operand, in operand order."""
-    need = tuple(isinstance(x, Tensor) for x in operands)
-
-    def bw(out):
-        for x, needed, g in zip(operands, need, kernel_backward(out.grad, cache, need)):
-            if needed:
-                x._accumulate(g)
-
-    return _node(y, operands, bw)
-
-
-def _unbroadcast(grad, shape):
-    """Reduce a broadcast gradient back to ``shape``."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-def add(a, b):
-    ad, bd = _data(a), _data(b)
-    return _kernel_node(ad + bd, (ad.shape, bd.shape), (a, b),
-                        lambda g, shapes, need: [_unbroadcast(g, s) if n else None
-                                                 for s, n in zip(shapes, need)])
-
-
-def matmul(a, b):
-    """Batched matrix product; both operands are at least 2-d."""
-    ad, bd = _data(a), _data(b)
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul requires at least 2-d operands: {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    return _kernel_node(row_stable_matmul(ad, bd), (ad, bd), (a, b),
-                        lambda g, ab, need: matmul_backward(g, *ab, need))
-
-
-def tanh(a):
-    y = np.tanh(_data(a))
-    return _kernel_node(y, y, (a,), lambda g, y, need: (tanh_backward(g, y),))
-
-
-def concat(tensors, axis=-1):
-    arrays = [_data(t) for t in tensors]
-    ends = np.cumsum([x.shape[axis] for x in arrays])[:-1]
-    return _kernel_node(np.concatenate(arrays, axis=axis), ends, tensors,
-                        lambda g, ends, need: np.split(g, ends, axis=axis))
-
-
-def lookup(table, indices):
-    """Embedding lookup: rows of ``table`` selected by integer ``indices``."""
-    idx, td = np.asarray(indices), _data(table)
-    return _kernel_node(gather_rows(td, idx), (idx, td), (table,),
-                        lambda g, cache, need: (gather_rows_backward(g, *cache),))
-
-
-def cross_entropy(logits, targets):
-    """Mean negative log-likelihood of integer ``targets`` (B,) under ``logits``
-    (B, Q), as one node over ``nll_forward``."""
-    loss, cache = nll_forward(_data(logits), targets)
-    return _kernel_node(loss, cache, (logits,), lambda g, cache, need: (nll_backward(g, cache),))
-
-
-# -- fused recurrent ops ------------------------------------------------------------
-#
-# Each op below is one tape node (the LSTM cell two) over the array kernel of
-# the same name, in place of a graph of the ops above. The kernels repeat that
-# graph's arithmetic operation for operation, in the same order and on arrays
-# of the same layout, so outputs and gradients are bit-identical to it; only
-# the intermediate nodes and their zero-filled gradient buffers are gone.
-# tests/test_numerics.py keeps the composed graphs as the reference.
-
-
-def lstm_cell(x, h, c, W, b):
-    """LSTM transition ``lstm_forward``; returns (h', c').
-
-    Two nodes: ``c'`` owns the backward, and ``h'`` hands its output-gate
-    gradient and its share of the gradient of ``c'`` to ``c'``.
-    """
-    operands = (x, h, c, W, b)
-    with np.errstate(over="ignore"):
-        h_new, c_new, cache = lstm_forward(*(_data(v) for v in operands))
-    d_o = []  # the output-gate gradient, from the h' node
-    # x last: the tape reaches x's own inputs (a step's word lookup) after
-    # the history in h and c, as it did through the composed graph's concat
-    c_out = _kernel_node(c_new, cache, operands, lambda gc, cache, need:
-                         lstm_backward(gc, d_o.pop() if d_o else None, cache, need))
-
-    def bw_h(out):
-        do, gc = lstm_h_backward(out.grad, cache)
-        d_o.append(do)
-        c_out._accumulate(gc)
-
-    return _node(h_new, (c_out,), bw_h), c_out
-
-
-def attention(u, h, V, b, w):
-    """Soft-attention maps ``attention_forward`` as one node."""
-    operands = (u, h, V, b, w)
-    return _kernel_node(*attention_forward(*(_data(v) for v in operands)), operands,
-                        attention_backward)
-
-
-def weighted_sum(alpha, feats):
-    """Context vectors ``weighted_sum_forward`` as one node."""
-    return _kernel_node(*weighted_sum_forward(_data(alpha), _data(feats)), (alpha, feats),
-                        weighted_sum_backward)
+        self._backward = backward
+        self._parents = tuple(parents)
 
 
 # -- array kernels ------------------------------------------------------------------
@@ -228,6 +77,17 @@ def row_stable_matmul(a, b):
     if a.ndim == 2 and a.shape[0] == 1:
         return np.matmul(np.concatenate([a, a]), b)[:1]
     return np.matmul(a, b)
+
+
+def _unbroadcast(grad, shape):
+    """Reduce a broadcast gradient back to ``shape``."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
 
 
 def sum64(x, axis=None):
@@ -437,32 +297,12 @@ def weighted_sum_backward(gz, cache, need=(True, True)):
 
 
 def backward(loss):
-    """Populate gradients of everything reachable from the scalar ``loss``."""
-    if loss.data.size != 1:
-        raise NumericsError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    topo = []
-    visited = set()
-    stack = [(loss, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node)
-    # release the tape so intermediate buffers can be collected
-    for node in topo:
-        node._backward = None
-        node._parents = ()
+    """Sets ``.grad`` on every parameter of ``loss``, a decoder's ``sequence_loss``
+    or ``batch_loss`` node, from its backward: the node's parents are the
+    parameters and its backward gives their gradients by name, both in the
+    order of the decoder's ``ParameterStore``."""
+    for t, g in zip(loss._parents, loss._backward().values(), strict=True):
+        t.grad = g
 
 
 def glorot_uniform(rng, fan_in, fan_out, dtype=DEFAULT_DTYPE):

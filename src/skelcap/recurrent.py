@@ -10,10 +10,9 @@ batch of every epoch is one fancy index per array of that table. Training,
 decoding and everything between run on the array kernels of ``numerics``
 alone: every decode step runs ``cell_forward``, the LSTM and the output
 layer, on the decoder's own input, and ``loss_and_grads`` runs the subclass's
-``teacher_forced_loss``, its backpropagation through time written out on
-the same kernels. Each decoder's taped batch loss (``sequence_loss``,
-``batch_loss``), built from the tape helpers below, is the reference those
-gradients are tested against.
+``teacher_forced_loss``, a forward and its backpropagation through time
+written out on the same kernels. The package holds no autodiff tape: the
+taped losses those gradients are tested against are in tests/tape.py.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from . import numerics as nm
-from .corpus import BOS, EOS, SPECIALS, CorpusError, Vocabulary
+from .corpus import EOS, SPECIALS, CorpusError, Vocabulary
 from .numerics import NumericsError, ParameterStore
 
 log = logging.getLogger(__name__)
@@ -187,29 +186,6 @@ class RecurrentDecoder:
         store["lstm_b"].data[n:2 * n] = 1.0
         return store
 
-    # -- the taped references' building blocks (batched, on the tape) --------
-
-    def _lstm_t(self, x, h, c):
-        return nm.lstm_cell(x, h, c, self.store["lstm_W"], self.store["lstm_b"])
-
-    def _logits_t(self, h):
-        return nm.add(nm.matmul(h, self.store["out_W"]), self.store["out_b"])
-
-    def _teacher_forced_t(self, seqs, h, c, step):
-        """Sum over steps of batch-mean cross-entropy against ``seqs`` (B, S).
-
-        ``step(h, c, prev) -> (h, c, logits)`` advances the batch by one word
-        given the previous gold words, BOS first.
-        """
-        loss = None
-        prev = np.full(seqs.shape[0], BOS, dtype=np.int64)
-        for t in range(seqs.shape[1]):
-            h, c, logits = step(h, c, prev)
-            step_loss = nm.cross_entropy(logits, seqs[:, t])
-            loss = step_loss if loss is None else nm.add(loss, step_loss)
-            prev = seqs[:, t]
-        return loss
-
     # -- the step and the loop on the array kernels ---------------------------
 
     def _cell_weights(self):
@@ -223,28 +199,28 @@ class RecurrentDecoder:
         decoder, conditioning items for the attribute decoder."""
         raise NotImplementedError
 
-    def teacher_forced_loss(self, batch, grads=None):
-        """The loss of the decoder's taped batch loss on one batch of its
-        ``_table``, as a float, computed on the array kernels; given a dict
-        ``grads``, also fills it with the gradient of every parameter. Each
+    def teacher_forced_loss(self, batch):
+        """(loss, backward) of one batch of ``_table`` on the array kernels:
+        the teacher-forced loss (the sum over steps of batch-mean
+        cross-entropy) as a float, and ``backward()``, which returns the
+        gradient of every parameter by name, in the store's order. Each
         decoder writes its own backpropagation through time."""
         raise NotImplementedError
 
     def loss_and_grads(self, batch):
         """(loss, gradients by parameter name) of one batch of ``_table``:
-        the taped loss and what ``nm.backward`` gives it, without a tape, as
-        each decoder's ``teacher_forced_loss`` computes them (the skeleton's
-        bit for bit, the attribute decoder's to rounding)."""
-        grads = {}
-        loss = self.teacher_forced_loss(batch, grads)
-        return loss, grads
+        ``teacher_forced_loss`` and what its backward returns. They equal the
+        taped loss of tests/tape.py and its gradients, the skeleton's bit for
+        bit, the attribute decoder's to rounding."""
+        loss, backward = self.teacher_forced_loss(batch)
+        return loss, backward()
 
     # -- training -----------------------------------------------------------
 
     def _mean_loss(self, table, batch_size):
         total = 0.0
         for batch in table.batches(batch_size):
-            total += self.teacher_forced_loss(batch) * batch[-1].shape[0]
+            total += self.teacher_forced_loss(batch)[0] * batch[-1].shape[0]
         return total / len(table)
 
     def fit(self, train_records, val_records=None, epochs: int = 10,

@@ -100,34 +100,15 @@ class SkeletonGenerator(RecurrentDecoder):
                 **self._cell_shapes(m + D)}
 
     def sequence_loss(self, feats_np: np.ndarray, seqs: np.ndarray):
-        """Teacher-forced loss on a batch, on the tape: the reference for
-        ``teacher_forced_loss``, which ``fit`` trains through.
-
-        ``feats_np`` is (B, P, D); ``seqs`` is (B, S) of targets whose last
-        column is EOS. Returns the scalar loss (sum over steps of batch-mean
-        cross-entropy) as a Tensor.
-        """
-        p = self.store
-        feats = np.ascontiguousarray(feats_np, dtype=self.dtype)  # a constant
-        mean_v = nm.mean64(feats, 1)
-        h = nm.tanh(nm.add(nm.matmul(mean_v, p["init_Wh"]), p["init_bh"]))
-        c = nm.tanh(nm.add(nm.matmul(mean_v, p["init_Wc"]), p["init_bc"]))
-
-        def step(h, c, prev):
-            if self.use_attention:
-                # projected at every step, not once per batch: one shared
-                # projection sums the gradient of att_U in another order, and
-                # the seeded training amplifies those low bits into its losses
-                u = nm.matmul(feats, p["att_U"])
-                z = nm.weighted_sum(nm.attention(u, h, p["att_V"], p["att_b"], p["att_w"]),
-                                    feats)
-            else:
-                z = mean_v
-            x = nm.concat([nm.lookup(p["embed"], prev), z], axis=-1)
-            h, c = self._lstm_t(x, h, c)
-            return h, c, self._logits_t(h)
-
-        return self._teacher_forced_t(np.asarray(seqs), h, c, step)
+        """``teacher_forced_loss`` of the batch (feature grids ``feats_np``
+        (B, P, D), targets ``seqs`` (B, S) whose last column is EOS) as one
+        node: a Tensor of the loss whose parents are the parameters, and
+        whose backward ``nm.backward`` runs to set their gradients. Nothing in
+        the package calls it; it is the loss perfbench's training probe steps,
+        its forward and backward timed apart. The taped reference is
+        tests/tape.py."""
+        return nm.Tensor(*self.teacher_forced_loss((feats_np, seqs)),
+                         self.store.params.values())
 
     # -- the input step and initial state on the array kernels ----------------
 
@@ -179,7 +160,7 @@ class SkeletonGenerator(RecurrentDecoder):
         the caller's ``np.errstate(over="ignore")``. Yields per step (h, c
         entering it, h', c', logits, its ``_Input``, the LSTM's cache); a
         consumer keeps only what it needs."""
-        seqs = batch[-1]
+        seqs = np.asarray(batch[-1])
         grid = self._grid(np.ascontiguousarray(batch[0], dtype=self.dtype))
         h, c = self._init_state(grid.mean)
         prev = np.full(len(seqs), BOS, dtype=np.int64)
@@ -198,12 +179,11 @@ class SkeletonGenerator(RecurrentDecoder):
             grads[W] += dW
             grads[b] += db
 
-    def teacher_forced_loss(self, batch, grads=None):
-        """The loss of ``sequence_loss`` on one batch of ``_table``, as a
-        float; given a dict ``grads``, also fills it with the gradient of
-        every parameter.
+    def teacher_forced_loss(self, batch):
+        """(loss, backward) of one batch of ``_table``: the loss as a float,
+        and ``backward()``, the gradient of every parameter by name.
 
-        The gradients are those ``nm.backward`` gives the taped loss, bit for
+        The gradients are those the taped loss of tests/tape.py gets, bit for
         bit, because they are summed in the tape's order: ``out_W`` and
         ``out_b`` in step order, every other parameter in reverse step order,
         each onto a buffer that starts at zero; the gradient of a hidden state
@@ -216,34 +196,35 @@ class SkeletonGenerator(RecurrentDecoder):
                     self._teacher_steps(batch, seqs.shape[1])):
                 step_loss, nll = nm.nll_forward(logits, seqs[:, t])
                 loss = step_loss if loss is None else loss + step_loss
-                if grads is not None:
-                    steps.append((h_prev, c_prev, h, inp, cell, nll))
-        if grads is None:
-            return float(loss)
-        grads.update((name, np.zeros_like(t.data)) for name, t in self.store.params.items())
-        out_W, out_b = self.store["out_W"].data, self.store["out_b"].data
-        one = np.ones_like(loss)
-        gh_out = []  # the logits term of each step's h'
-        for _, _, h, _, _, nll in steps:
-            dh, dW, db = nm.affine_backward(nm.nll_backward(one, nll), h, out_W, out_b)
-            grads["out_W"] += dW
-            grads["out_b"] += db
-            gh_out.append(dh)
-        gh, gc = gh_out[-1], None
-        for t in reversed(range(len(steps))):
-            inp, cell = steps[t][3:5]
-            d_o, gc_h = nm.lstm_h_backward(gh, cell)
-            gc = gc_h if gc is None else gc + gc_h
-            dx, dh, gc, dW, db = nm.lstm_backward(gc, d_o, cell)
-            grads["lstm_W"] += dW
-            grads["lstm_b"] += db
-            gh_in = self._input_backward(inp, dx, grads)
-            gh = dh if t == 0 else gh_out[t - 1] + dh
-            if gh_in is not None:
-                gh = gh + gh_in
-        h0, c0, _, inp = steps[0][:4]
-        self._start_backward(inp.grid, h0, c0, gh, gc, grads)
-        return float(loss)
+                steps.append((h_prev, c_prev, h, inp, cell, nll))
+
+        def backward():
+            grads = {name: np.zeros_like(t.data) for name, t in self.store.params.items()}
+            out_W, out_b = self.store["out_W"].data, self.store["out_b"].data
+            one = np.ones_like(loss)
+            gh_out = []  # the logits term of each step's h'
+            for _, _, h, _, _, nll in steps:
+                dh, dW, db = nm.affine_backward(nm.nll_backward(one, nll), h, out_W, out_b)
+                grads["out_W"] += dW
+                grads["out_b"] += db
+                gh_out.append(dh)
+            gh, gc = gh_out[-1], None
+            for t in reversed(range(len(steps))):
+                inp, cell = steps[t][3:5]
+                d_o, gc_h = nm.lstm_h_backward(gh, cell)
+                gc = gc_h if gc is None else gc + gc_h
+                dx, dh, gc, dW, db = nm.lstm_backward(gc, d_o, cell)
+                grads["lstm_W"] += dW
+                grads["lstm_b"] += db
+                gh_in = self._input_backward(inp, dx, grads)
+                gh = dh if t == 0 else gh_out[t - 1] + dh
+                if gh_in is not None:
+                    gh = gh + gh_in
+            h0, c0, _, inp = steps[0][:4]
+            self._start_backward(inp.grid, h0, c0, gh, gc, grads)
+            return grads
+
+        return float(loss), backward
 
     # -- inference ------------------------------------------------------------
 

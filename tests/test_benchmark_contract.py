@@ -1,8 +1,9 @@
 """What the traced benchmark (``perfbench/``) needs of the package.
 
 ``perfbench/tracing.py`` times decoding through proxies that forward named
-model methods, and its training probe tapes ``sequence_loss`` and
-``batch_loss``, runs ``nm.backward`` on them and steps Adagrad. The traced
+model methods, and its training probe times ``sequence_loss`` and
+``batch_loss``, each decoder's loss on the array kernels as one node, then
+``nm.backward`` on that node, and steps Adagrad. The traced
 ``corpus-eval`` run times ``treebank.read_trees``, ``decompose`` on each tree
 and ``corpus.read_features`` one by one. Renaming or deleting any of those,
 or changing how they are called or what they return, breaks the traced run,
@@ -86,19 +87,26 @@ def test_captions_through_the_proxies(tracing, fitted):
 
 def test_training_probe_tapes_and_backpropagates(tracing, fitted):
     # the probe's whole step for each decoder, called as ``probe_training``
-    # calls it: zero_grad, the taped loss, backward, then Adagrad given only
-    # the learning rate, positionally
+    # calls it: zero_grad, the loss node, backward, then Adagrad given only
+    # the learning rate, positionally. The node is the loss ``fit`` trains
+    # on: its value and the gradients it sets are those of the kernels,
+    # bit for bit
     recs, skel, attr = fitted
     items = build_training_items(recs, skel, attr.vocab)
-    for model, records, taped_loss in (
+    for model, records, node_loss in (
             (SkeletonGenerator(skel.vocab, **skel.get_params()), recs, "sequence_loss"),
             (AttributeGenerator(attr.vocab, **attr.get_params()), items, "batch_loss")):
         before = {name: model.store[name].data.copy() for name in model.store.names()}
+        batch = next(model._table(records).batches(8))
+        want_loss, want = model.loss_and_grads(batch)
         model.store.zero_grad()
-        loss = getattr(model, taped_loss)(*next(model._table(records).batches(8)))
-        assert tracing.tape_nodes(loss) > 1
+        loss = getattr(model, node_loss)(*batch)
+        assert tracing.tape_nodes(loss) == 1 + len(before)  # the node and the parameters
+        assert float(loss.data) == want_loss == model.teacher_forced_loss(batch)[0]
         nm.backward(loss)
-        assert model.store["lstm_W"].grad is not None
+        for name, t in model.store.params.items():
+            assert t.grad.dtype == want[name].dtype, name
+            assert t.grad.tobytes() == want[name].tobytes(), name
         model.store.adagrad_step(0.1)
         assert model.store.step_count == 1
         assert all(model.store[name].grad is None for name in before)

@@ -19,7 +19,7 @@ from skelcap.numerics import (NonFiniteError, NumericsError, ParameterStore, loa
 from skelcap.recurrent import load_checkpoint, save_checkpoint
 from skelcap.skelnet import SkeletonGenerator
 
-from test_readers import _as_saved, _edit_vocab_line, _vocab_line_number
+from test_readers import _as_saved, _edit_vocab_line, _header_edited, _vocab_line_number
 
 
 def run(*argv):
@@ -1001,6 +1001,15 @@ def test_caption_refinement_needs_attention(workspace, tmp_path, capsys):
     assert trace.read_bytes() == b"image: img\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["attr", "skel", "x.trace", "x.tsv"]
     assert run(*_caption_args(ws, tmp_path / "c.tsv")) == 0
+    # an attribute stage that says it refines, over this skeleton, is refused
+    # as the checkpoint's fault, not blamed on a flag that was not given
+    captioner = _captioner(ws)
+    _header_edited(captioner, lambda h: h[1]["meta"]["config"].update(use_post_word_alpha=True))
+    assert run(*_caption_args(ws, tmp_path / "d.tsv")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {captioner}: stage 1 (attribute): config: post-word refinement needs a "
+        f"skeleton decoder with attention; this one has use_attention=False\n")
+    assert not (tmp_path / "d.tsv").exists()
 
 
 def test_config_file_sets_no_attention(workspace, tmp_path):

@@ -1,10 +1,11 @@
 """Training, teacher traces, conditioning and decoding run on the array
-kernels alone: with every tape op of ``skelcap.numerics`` and ``backward``
-replaced by a function that raises, each still runs. The taped losses are
-only the reference the kernels are tested against."""
+kernels alone: with what is left of the tape in the package, ``nm.backward``
+and the decoders' one-node losses ``sequence_loss`` and ``batch_loss``,
+replaced by a function that raises, each still runs. Those are only what
+perfbench's training probe calls; the taped reference the kernels are tested
+against is tests/tape.py."""
 
 import inspect
-import re
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from skelcap.corpus import EOS, SynthConfig, build_vocab, synth_generate
 from skelcap.decode import caption
 from skelcap.skelnet import SkeletonGenerator
 
-# every op that records a tape node, found by its call of ``_kernel_node`` or
-# ``_node``, and ``backward``, which walks the tape
-TAPE_OPS = sorted([name for name, f in vars(nm).items()
-                   if inspect.isfunction(f) and not name.startswith("_")
-                   and re.search(r"\b_(kernel_)?node\(", inspect.getsource(f))]
-                  + ["backward"])
+# every function of numerics and method of a decoder that makes a loss node
+# (``nm.Tensor``) or runs one (``._backward``)
+OWNERS = {"numerics": nm, "SkeletonGenerator": SkeletonGenerator,
+          "AttributeGenerator": AttributeGenerator}
+TAPE_OPS = sorted(f"{label}.{name}" for label, owner in OWNERS.items()
+                  for name, f in vars(owner).items()
+                  if inspect.isfunction(f) and ("._backward" in inspect.getsource(f)
+                                                or "nm.Tensor(" in inspect.getsource(f)))
 
 
 @pytest.fixture(scope="module")
@@ -47,27 +50,28 @@ def _models(data, use_attention=True):
 
 @pytest.fixture
 def no_tape(monkeypatch):
-    """Every tape op and ``backward`` raise while the test runs."""
+    """Every one of ``TAPE_OPS`` raises while the test runs."""
     def forbidden(name):
         def op(*args, **kwargs):
-            raise AssertionError(f"numerics.{name} called outside the taped reference")
+            raise AssertionError(f"{name} called outside perfbench's training probe")
         return op
 
     for name in TAPE_OPS:
-        monkeypatch.setattr(nm, name, forbidden(name))
+        label, attr = name.split(".")
+        monkeypatch.setattr(OWNERS[label], attr, forbidden(name))
 
 
 def test_tape_ops_found():
-    # the whole set: an op added to the tape must be added here too
-    assert TAPE_OPS == sorted(["add", "matmul", "tanh", "concat", "lookup", "cross_entropy",
-                               "lstm_cell", "attention", "weighted_sum", "backward"])
+    # the whole set: a function added to it must be added here too
+    assert TAPE_OPS == ["AttributeGenerator.batch_loss", "SkeletonGenerator.sequence_loss",
+                        "numerics.backward"]
 
 
 def test_guard_blocks_the_taped_losses(data, no_tape):
     _, recs, _, _ = data
     skel, _ = _models(data)
     feats, seqs = next(skel._table(recs).batches(4))
-    with pytest.raises(AssertionError, match="outside the taped reference"):
+    with pytest.raises(AssertionError, match="outside perfbench's training probe"):
         skel.sequence_loss(feats, seqs)
 
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import tape
 from skelcap import numerics as nm
 from skelcap.numerics import (NonFiniteError, NumericsError, ParameterStore,
-                              ShapeError, Tensor, backward, compare_gradients)
+                              ShapeError, compare_gradients)
+from tape import Tensor, backward
 
 
 def t64(data):
@@ -14,21 +16,24 @@ def t64(data):
 
 
 def grad_check(fn, params, h=1e-3, tol=1e-4):
-    """Compare the tape's gradients of ``fn`` against central finite differences.
+    """Compare the gradients of ``fn`` against central finite differences.
 
     ``fn`` takes no arguments, reads the tensors in ``params`` (a dict
-    name -> Tensor) and returns a scalar loss Tensor. Parameters should be
-    float64 for a meaningful comparison. Returns ``compare_gradients``'s report.
+    name -> Tensor) and returns a scalar loss Tensor: a tape node, whose
+    gradients ``tape.backward`` gives, or a decoder's one-node
+    ``sequence_loss`` or ``batch_loss``, whose gradients are its kernels'
+    (``nm.backward``). Parameters should be float64 for a meaningful
+    comparison. Returns ``compare_gradients``'s report.
     """
     for t in params.values():
         t.grad = None
     loss = fn()
-    backward(loss)
+    (backward if isinstance(loss, Tensor) else nm.backward)(loss)
     analytic = {n: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
                 for n, t in params.items()}
     for t in params.values():
         t.grad = None
-    return compare_gradients(analytic, lambda: fn().item(),
+    return compare_gradients(analytic, lambda: float(fn().data),
                              {n: t.data for n, t in params.items()}, h, tol)
 
 
@@ -36,89 +41,89 @@ def grad_check(fn, params, h=1e-3, tol=1e-4):
 
 def scale(a, s):
     s = float(s)
-    return nm._kernel_node(nm._data(a) * s, s, (a,), lambda g, s, need: (g * s,))
+    return tape._kernel_node(tape._data(a) * s, s, (a,), lambda g, s, need: (g * s,))
 
 
 def softmax(a, axis=-1):
-    y = nm.probs(nm._data(a), axis)
+    y = nm.probs(tape._data(a), axis)
 
     def bw(g, y, need):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
 
-    return nm._kernel_node(y, y, (a,), bw)
+    return tape._kernel_node(y, y, (a,), bw)
 
 
 def log_softmax(a, axis=-1):
-    y = nm.log_probs(nm._data(a), axis)
-    return nm._kernel_node(y, y, (a,), lambda g, y, need:
-                           (g - np.exp(y) * g.sum(axis=axis, keepdims=True),))
+    y = nm.log_probs(tape._data(a), axis)
+    return tape._kernel_node(y, y, (a,), lambda g, y, need:
+                             (g - np.exp(y) * g.sum(axis=axis, keepdims=True),))
 
 
 def sum_(a, axis=None):
-    ad = nm._data(a)
+    ad = tape._data(a)
 
     def bw(g, shape, need):
         if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).copy(),)
 
-    return nm._kernel_node(nm.sum64(ad, axis), ad.shape, (a,), bw)
+    return tape._kernel_node(nm.sum64(ad, axis), ad.shape, (a,), bw)
 
 
 def mean(a, axis=None):
-    n = nm._data(a).size if axis is None else nm._data(a).shape[axis]
+    n = tape._data(a).size if axis is None else tape._data(a).shape[axis]
     return scale(sum_(a, axis=axis), 1.0 / n)
 
 
 def mul(a, b):
-    y = nm._data(a) * nm._data(b)
+    y = tape._data(a) * tape._data(b)
 
     def bw(out):
         g = out.grad
-        if isinstance(a, Tensor):
-            a._accumulate(nm._unbroadcast(g * nm._data(b), a.data.shape))
-        if isinstance(b, Tensor):
-            b._accumulate(nm._unbroadcast(g * nm._data(a), b.data.shape))
+        if isinstance(a, nm.Tensor):
+            tape._accumulate(a, nm._unbroadcast(g * tape._data(b), a.data.shape))
+        if isinstance(b, nm.Tensor):
+            tape._accumulate(b, nm._unbroadcast(g * tape._data(a), b.data.shape))
 
-    return nm._node(y, (a, b), bw)
+    return tape._node(y, (a, b), bw)
 
 
 def sigmoid(a):
     with np.errstate(over="ignore"):
-        y = 1.0 / (1.0 + np.exp(-nm._data(a)))
+        y = 1.0 / (1.0 + np.exp(-tape._data(a)))
 
     def bw(out):
-        a._accumulate(out.grad * out.data * (1.0 - out.data))
+        tape._accumulate(a, out.grad * out.data * (1.0 - out.data))
 
-    return nm._node(y, (a,), bw)
+    return tape._node(y, (a,), bw)
 
 
 def reshape(a, shape):
-    y = nm._data(a).reshape(shape)
+    y = tape._data(a).reshape(shape)
 
     def bw(out):
-        a._accumulate(out.grad.reshape(a.data.shape))
+        tape._accumulate(a, out.grad.reshape(a.data.shape))
 
-    return nm._node(y, (a,), bw)
+    return tape._node(y, (a,), bw)
 
 
 def lookup_rows(a, indices):
     """Select one entry per row along the last axis."""
     pick = (*np.indices(np.shape(indices)), np.asarray(indices))
-    y = nm._data(a)[pick]
+    y = tape._data(a)[pick]
 
     def bw(out):
         g = np.zeros_like(a.data)
         g[pick] = out.grad
-        a._accumulate(g)
+        tape._accumulate(a, g)
 
-    return nm._node(y, (a,), bw)
+    return tape._node(y, (a,), bw)
 
 
 def narrow(a, axis, start, length):
     """Contiguous slice of ``length`` entries along ``axis``."""
-    ad = nm._data(a)
+    ad = tape._data(a)
     idx = [slice(None)] * ad.ndim
     idx[axis % ad.ndim] = slice(start, start + length)
     idx = tuple(idx)
@@ -126,9 +131,9 @@ def narrow(a, axis, start, length):
     def bw(out):
         g = np.zeros_like(a.data)
         g[idx] = out.grad
-        a._accumulate(g)
+        tape._accumulate(a, g)
 
-    return nm._node(ad[idx], (a,), bw)
+    return tape._node(ad[idx], (a,), bw)
 
 
 def test_softmax_uniform():
@@ -154,7 +159,7 @@ def test_matmul_shape_mismatch():
     # tape operands are batched: a vector is a batch of one, shape (1, n)
     for a, b in (((2, 3), (4, 2)), ((3,), (3, 2)), ((2, 3), (3,))):
         with pytest.raises(ShapeError):
-            nm.matmul(np.zeros(a), np.zeros(b))
+            tape.matmul(np.zeros(a), np.zeros(b))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -172,10 +177,10 @@ def test_matmul_row_same_alone_and_in_a_batch(dtype):
 
 
 def test_cross_entropy_uniform():
-    loss = nm.cross_entropy(t64([[0.0, 0.0]]), [0])
+    loss = tape.cross_entropy(t64([[0.0, 0.0]]), [0])
     assert math.isclose(loss.item(), math.log(2), rel_tol=1e-6)
     with pytest.raises(ShapeError):
-        nm.cross_entropy(t64([0.0, 0.0]), 0)
+        tape.cross_entropy(t64([0.0, 0.0]), 0)
 
 
 def test_backward_sum_gives_ones():
@@ -199,7 +204,7 @@ def test_backward_requires_scalar():
 def test_broadcast_add_backward():
     x = t64(np.ones((3, 4)))
     b = t64(np.ones(4))
-    backward(sum_(nm.add(x, b)))
+    backward(sum_(tape.add(x, b)))
     assert np.allclose(b.grad, 3.0)
     assert np.allclose(x.grad, 1.0)
 
@@ -207,7 +212,7 @@ def test_broadcast_add_backward():
 def test_concat_backward():
     a = t64(np.ones((2, 2)))
     b = t64(np.ones((2, 3)))
-    out = nm.concat([a, b], axis=-1)
+    out = tape.concat([a, b], axis=-1)
     assert out.data.shape == (2, 5)
     backward(sum_(mul(out, out)))
     assert a.grad.shape == (2, 2) and b.grad.shape == (2, 3)
@@ -215,7 +220,7 @@ def test_concat_backward():
 
 def test_concat_middle_axis_backward():
     parts = [t64(np.full((2, k, 3), float(k))) for k in (1, 3, 2)]
-    out = nm.concat(parts, axis=1)
+    out = tape.concat(parts, axis=1)
     assert out.data.shape == (2, 6, 3)
     weights = np.arange(36.0).reshape(2, 6, 3)
     backward(sum_(mul(out, weights)))
@@ -225,7 +230,7 @@ def test_concat_middle_axis_backward():
 
 def test_lookup_backward_accumulates():
     table = t64(np.ones((4, 3)))
-    out = nm.lookup(table, np.array([1, 1, 2]))
+    out = tape.lookup(table, np.array([1, 1, 2]))
     backward(sum_(out))
     assert np.allclose(table.grad[1], 2.0)
     assert np.allclose(table.grad[2], 1.0)
@@ -234,7 +239,7 @@ def test_lookup_backward_accumulates():
 
 def test_lookup_out_of_range():
     with pytest.raises(ShapeError):
-        nm.lookup(t64(np.ones((2, 2))), np.array([5]))
+        tape.lookup(t64(np.ones((2, 2))), np.array([5]))
 
 
 def test_narrow_backward():
@@ -250,10 +255,10 @@ def test_narrow_backward():
 def test_nonfinite_loss_detected():
     logits = t64([[1e30, -1e30]])
     # cross entropy handles extreme logits via log-softmax, stays finite
-    loss = nm.cross_entropy(logits, [1])
+    loss = tape.cross_entropy(logits, [1])
     assert np.isfinite(loss.item())
     with pytest.raises(NonFiniteError):
-        nm.cross_entropy(t64([[np.nan, 0.0]]), [1])
+        tape.cross_entropy(t64([[np.nan, 0.0]]), [1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,8 +272,8 @@ def test_random_mlp_matches_finite_differences(seed):
     tgt = np.array([0, 2])
 
     def f():
-        h = nm.tanh(nm.matmul(x, W1))
-        return nm.cross_entropy(nm.add(nm.matmul(h, W2), b), tgt)
+        h = tape.tanh(tape.matmul(x, W1))
+        return tape.cross_entropy(tape.add(tape.matmul(h, W2), b), tgt)
 
     report = grad_check(f, {"W1": W1, "W2": W2, "b": b}, h=1e-5, tol=1e-6)
     assert report["passed"], report
@@ -286,7 +291,7 @@ def test_three_layer_net_grad_check():
     def f():
         h = x
         for i in range(3):
-            h = nm.tanh(nm.add(nm.matmul(h, params[f"W{i}"]), params[f"b{i}"]))
+            h = tape.tanh(tape.add(tape.matmul(h, params[f"W{i}"]), params[f"b{i}"]))
         return mean(mul(h, h))
 
     report = grad_check(f, params, h=1e-3, tol=1e-4)
@@ -390,7 +395,7 @@ def test_matmul_constant_operand_gets_no_gradient():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 3, 4))  # a constant input, e.g. a feature grid
     W = t64(rng.normal(size=(4, 5)))
-    out = nm.matmul(x, W)
+    out = tape.matmul(x, W)
     assert out._parents == (W,)  # the constant is not on the tape
     backward(sum_(out))
     assert np.allclose(W.grad, x.sum(axis=(0, 1))[:, None])
@@ -402,19 +407,19 @@ def test_matmul_constant_operand_gets_no_gradient():
 # fused op must give the same bits, forward and backward.
 
 def ref_lstm_cell(x, h, c, W, b):
-    n = nm._data(h).shape[-1]
-    z = nm.add(nm.matmul(nm.concat([x, h], axis=-1), W), b)
+    n = tape._data(h).shape[-1]
+    z = tape.add(tape.matmul(tape.concat([x, h], axis=-1), W), b)
     i = sigmoid(narrow(z, -1, 0, n))
     f = sigmoid(narrow(z, -1, n, n))
-    g = nm.tanh(narrow(z, -1, 2 * n, n))
+    g = tape.tanh(narrow(z, -1, 2 * n, n))
     o = sigmoid(narrow(z, -1, 3 * n, n))
-    c_new = nm.add(mul(f, c), mul(i, g))
-    return mul(o, nm.tanh(c_new)), c_new
+    c_new = tape.add(mul(f, c), mul(i, g))
+    return mul(o, tape.tanh(c_new)), c_new
 
 
 def ref_attention(u, h, V, b, w):
-    vh = reshape(nm.matmul(h, V), (h.data.shape[0], 1, -1))
-    scores = nm.matmul(nm.tanh(nm.add(nm.add(u, vh), b)), w)
+    vh = reshape(tape.matmul(h, V), (h.data.shape[0], 1, -1))
+    scores = tape.matmul(tape.tanh(tape.add(tape.add(u, vh), b)), w)
     return softmax(reshape(scores, scores.data.shape[:-1]), axis=-1)
 
 
@@ -425,7 +430,7 @@ def ref_weighted_sum(alpha, feats):
 
 def ref_cross_entropy(logits, targets):
     loss = scale(mean(lookup_rows(log_softmax(logits, axis=-1), targets)), -1.0)
-    if not np.all(np.isfinite(nm._data(loss))):
+    if not np.all(np.isfinite(tape._data(loss))):
         raise NonFiniteError("non-finite values in cross_entropy loss")
     return loss
 
@@ -461,13 +466,13 @@ def _run(op, arrays, const, upstream, dtype):
     for out, up in zip(outs, upstream):
         if up is not None:
             term = sum_(mul(out, np.asarray(up, dtype=dtype)))
-            loss = term if loss is None else nm.add(loss, term)
+            loss = term if loss is None else tape.add(loss, term)
     backward(loss)
     return [o.data for o in outs] + [t.grad for t in inputs if isinstance(t, Tensor)]
 
 
 def _assert_same_bits(name, arrays, const, upstream, dtype=np.float32):
-    fused = _run(getattr(nm, name), arrays, const, upstream, dtype)
+    fused = _run(getattr(tape, name), arrays, const, upstream, dtype)
     ref = _run(FUSED[name], arrays, const, upstream, dtype)
     assert len(fused) == len(ref)
     for got, want in zip(fused, ref):
@@ -511,7 +516,7 @@ def test_cross_entropy_bit_identical_to_composed(seed, B, Q, dtype):
     rng = np.random.default_rng(seed)
     logits, tgt = rng.normal(size=(B, Q)) * 4, rng.integers(0, Q, size=B)
     upstream = [rng.normal()]
-    fused = _run(lambda x: nm.cross_entropy(x, tgt), [logits], set(), upstream, dtype)
+    fused = _run(lambda x: tape.cross_entropy(x, tgt), [logits], set(), upstream, dtype)
     ref = _run(lambda x: ref_cross_entropy(x, tgt), [logits], set(), upstream, dtype)
     for got, want in zip(fused, ref):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -531,13 +536,13 @@ def test_fused_op_matches_finite_differences(name, arrays, upstream):
     rng = np.random.default_rng(11)
     params = {f"in{k}": t64(a) for k, a in enumerate(arrays(rng))}
     ups = upstream(rng)
-    op = getattr(nm, name)
+    op = getattr(tape, name)
 
     def f():
         outs = op(*params.values())
         outs = outs if isinstance(outs, tuple) else (outs,)
         terms = [sum_(mul(o, u)) for o, u in zip(outs, ups)]
-        return terms[0] if len(terms) == 1 else nm.add(*terms)
+        return terms[0] if len(terms) == 1 else tape.add(*terms)
 
     report = grad_check(f, params, h=1e-5, tol=1e-6)
     assert report["passed"], report
@@ -575,29 +580,28 @@ def _fit_both_decoders():
     return hists, tensors, [it.z.tobytes() for it in items[0]]
 
 
-def _taped_loss(model, batch):
+def _taped_teacher_forced_loss(model, batch):
+    """``teacher_forced_loss`` on the tape: the taped loss of ``model`` on
+    ``batch``, and a backward that runs ``tape.backward`` on it."""
     from skelcap.skelnet import SkeletonGenerator
 
-    return (model.sequence_loss if isinstance(model, SkeletonGenerator) else model.batch_loss)(*batch)
+    taped = tape.sequence_loss if isinstance(model, SkeletonGenerator) else tape.batch_loss
+    loss = taped(model, *batch)
+
+    def taped_backward():
+        model.store.zero_grad()
+        backward(loss)
+        grads = {name: t.grad for name, t in model.store.params.items() if t.grad is not None}
+        model.store.zero_grad()
+        return grads
+
+    return loss.item(), taped_backward
 
 
 def _taped_loss_and_grads(model, batch):
-    """``loss_and_grads`` from the taped loss and ``nm.backward``."""
-    model.store.zero_grad()
-    loss = _taped_loss(model, batch)
-    backward(loss)
-    grads = {name: t.grad for name, t in model.store.params.items() if t.grad is not None}
-    model.store.zero_grad()
-    return loss.item(), grads
-
-
-def _taped_teacher_forced_loss(model, batch, grads=None):
-    """``teacher_forced_loss`` from the taped loss (and ``nm.backward``)."""
-    if grads is None:
-        return _taped_loss(model, batch).item()
-    loss, taped = _taped_loss_and_grads(model, batch)
-    grads.update(taped)
-    return loss
+    """``loss_and_grads`` on the tape."""
+    loss, taped_backward = _taped_teacher_forced_loss(model, batch)
+    return loss, taped_backward()
 
 
 # The attribute decoder's loss_and_grads sums its products in another order
@@ -631,17 +635,22 @@ def test_decoders_train_bit_identical_with_composed_graphs(monkeypatch):
     attr_loss = AttributeGenerator.teacher_forced_loss
     errors = []
 
-    def checked_attr_loss(model, batch, grads=None):
-        loss = attr_loss(model, batch, grads)
-        ref = {}
-        ref_loss = _taped_teacher_forced_loss(model, batch, None if grads is None else ref)
-        errors.append(_tape_error(loss, grads or {}, ref_loss, ref))
-        return loss
+    def checked_attr_loss(model, batch):
+        loss, attr_backward = attr_loss(model, batch)
+        ref_loss, ref_backward = _taped_teacher_forced_loss(model, batch)
+        errors.append(_tape_error(loss, {}, ref_loss, {}))
+
+        def checked_backward():
+            grads = attr_backward()
+            errors.append(_tape_error(loss, grads, ref_loss, ref_backward()))
+            return grads
+
+        return loss, checked_backward
 
     monkeypatch.setattr(SkeletonGenerator, "teacher_forced_loss", _taped_teacher_forced_loss)
     monkeypatch.setattr(AttributeGenerator, "teacher_forced_loss", checked_attr_loss)
     for name, ref in FUSED.items():
-        monkeypatch.setattr(nm, name, ref)
+        monkeypatch.setattr(tape, name, ref)
     composed = _fit_both_decoders()
     for hist_f, hist_c in zip(bptt[0], composed[0]):
         assert hist_f["train_curve"] == hist_c["train_curve"]
@@ -689,7 +698,8 @@ def test_loss_and_grads_bit_identical_to_tape(seed, B, S, use_attention, dtype):
     for model, batch in batches:
         loss, grads = model.loss_and_grads(batch)
         ref_loss, ref = _taped_loss_and_grads(model, batch)
-        assert loss == model.teacher_forced_loss(batch)
+        assert loss == model.teacher_forced_loss(batch)[0]
+        assert loss == model.teacher_forced_loss((*batch[:-1], seqs.tolist()))[0]  # as lists
         assert grads.keys() == ref.keys() == model.store.params.keys()
         if model is attr:
             assert _tape_error(loss, grads, ref_loss, ref) <= TAPE_BOUND[dtype]
@@ -722,7 +732,7 @@ def test_attribute_loss_and_grads_match_tape(seed, B, S, n_words, dtype):
     batch = (rng.normal(size=(B, 4)), rng.normal(size=(B, 3)), rng.normal(size=(B, 5)), seqs)
     loss, grads = attr.loss_and_grads(batch)
     ref_loss, ref = _taped_loss_and_grads(attr, batch)
-    assert loss == attr.teacher_forced_loss(batch)
+    assert loss == attr.teacher_forced_loss(batch)[0]
     assert grads.keys() == attr.store.params.keys()
     assert _tape_error(loss, grads, ref_loss, ref) <= TAPE_BOUND[dtype]
     unused = np.setdiff1d(np.arange(len(vocab)), np.append(seqs[:, :-1], BOS))
@@ -774,20 +784,20 @@ def _parameter_contributions(monkeypatch):
     params = {id(t): f"{kind}.{name}" for kind, model in (("skel", skel), ("attr", attr))
               for name, t in model.store.params.items()}
     seen = {name: [] for name in params.values()}
-    accumulate = Tensor._accumulate
+    accumulate = tape._accumulate
 
-    def spy(self, g):
-        if id(self) in params:
-            seen[params[id(self)]].append(np.array(g, copy=True).tobytes())
-        accumulate(self, g)
+    def spy(t, g):
+        if id(t) in params:
+            seen[params[id(t)]].append(np.array(g, copy=True).tobytes())
+        accumulate(t, g)
 
     batch = next(b for b in skel._table(recs).batches(8) if b[1].shape[1] >= 4)
     items = build_training_items(recs, skel, attr.vocab)
     attr_batch = next(b for b in attr._table(items).batches(8) if b[-1].shape[1] >= 3)
     with monkeypatch.context() as mp:
-        mp.setattr(Tensor, "_accumulate", spy)
-        backward(skel.sequence_loss(*batch))
-        backward(attr.batch_loss(*attr_batch))
+        mp.setattr(tape, "_accumulate", spy)
+        backward(tape.sequence_loss(skel, *batch))
+        backward(tape.batch_loss(attr, *attr_batch))
     return seen
 
 
@@ -796,7 +806,7 @@ def test_fused_graphs_add_parameter_gradients_in_composed_order(monkeypatch):
     # contribution per step; the tape must add them in the composed order
     fused = _parameter_contributions(monkeypatch)
     for name, ref in FUSED.items():
-        monkeypatch.setattr(nm, name, ref)
+        monkeypatch.setattr(tape, name, ref)
     composed = _parameter_contributions(monkeypatch)
     assert fused.keys() == composed.keys()
     for name in fused:
@@ -817,19 +827,19 @@ def _taped_ops(rng, B, m, n, P, A):
     lstm, att, ws = f32[:5], f32[5:10], f32[10:]
     x = rng.normal(size=(B, n)).astype(np.float32)
     return {
-        "matmul": (nm.matmul, nm.row_stable_matmul,
+        "matmul": (tape.matmul, nm.row_stable_matmul,
                    [x, rng.normal(size=(n, m)).astype(np.float32)]),
-        "add": (nm.add, np.add, [x, rng.normal(size=n).astype(np.float32)]),
-        "tanh": (nm.tanh, np.tanh, [x]),
-        "concat": (lambda a, b: nm.concat([a, b], axis=-1),
+        "add": (tape.add, np.add, [x, rng.normal(size=n).astype(np.float32)]),
+        "tanh": (tape.tanh, np.tanh, [x]),
+        "concat": (lambda a, b: tape.concat([a, b], axis=-1),
                    lambda a, b: np.concatenate([a, b], axis=-1), [x, lstm[0]]),
-        "lookup": (lambda table: nm.lookup(table, idx), lambda table: nm.gather_rows(table, idx),
+        "lookup": (lambda table: tape.lookup(table, idx), lambda table: nm.gather_rows(table, idx),
                    [rng.normal(size=(n + 1, m)).astype(np.float32)]),
-        "cross_entropy": (lambda a: nm.cross_entropy(a, tgt),
+        "cross_entropy": (lambda a: tape.cross_entropy(a, tgt),
                           lambda a: nm.nll_forward(a, tgt)[0], [x]),
-        "lstm_cell": (nm.lstm_cell, lambda *a: nm.lstm_forward(*a)[:2], lstm),
-        "attention": (nm.attention, lambda *a: nm.attention_forward(*a)[0], att),
-        "weighted_sum": (nm.weighted_sum, lambda *a: nm.weighted_sum_forward(*a)[0], ws),
+        "lstm_cell": (tape.lstm_cell, lambda *a: nm.lstm_forward(*a)[:2], lstm),
+        "attention": (tape.attention, lambda *a: nm.attention_forward(*a)[0], att),
+        "weighted_sum": (tape.weighted_sum, lambda *a: nm.weighted_sum_forward(*a)[0], ws),
     }
 
 

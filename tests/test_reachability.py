@@ -4,7 +4,7 @@ by a tiny run of the command-line pipeline, apart from an allow-list.
 The pipeline runs in process through ``cli.main`` under a ``sys.settrace``
 tracer that records only ``call`` events (it returns None, so no line is
 traced). Every ``def`` found by ``ast`` in the package must have been
-entered, or be on ``ALLOWED`` with one of five reasons. The allow-list
+entered, or be on ``ALLOWED`` with one of four reasons. The allow-list
 checks itself: an entry that is entered, or that names no ``def``, fails,
 and so does a perfbench entry whose use is not found in ``perfbench/*.py``.
 
@@ -29,8 +29,7 @@ ERROR_PATH = "error path"
 REPLACE_HOOK = "_replace check hook"
 ABSTRACT = "abstract stub"
 PERFBENCH_CALLS = "called by perfbench/"
-TAPE = "the tape, the reference the hand-written gradients are tested against"
-REASONS = (ERROR_PATH, REPLACE_HOOK, ABSTRACT, PERFBENCH_CALLS, TAPE)
+REASONS = (ERROR_PATH, REPLACE_HOOK, ABSTRACT, PERFBENCH_CALLS)
 
 
 def perfbench(use):
@@ -56,16 +55,8 @@ ALLOWED = {
     "attrnet.AttrTrainingItem.skel_hidden": perfbench(".skel_hidden for i in chunk"),
     "attrnet.AttrTrainingItem.targets": perfbench(".targets"),
     "skelnet.SkeletonGenerator.sequence_loss": perfbench("skel.sequence_loss"),
-    "skelnet.SkeletonGenerator.sequence_loss.step": perfbench("skel.sequence_loss"),
     "attrnet.AttributeGenerator.batch_loss": perfbench("attr.batch_loss"),
-    "attrnet.AttributeGenerator.batch_loss.step": perfbench("attr.batch_loss"),
-    **{f"numerics.{name}": (TAPE, None) for name in (
-        "Tensor.__repr__", "Tensor.shape", "Tensor.item", "Tensor._accumulate", "_data",
-        "_node", "_kernel_node", "_kernel_node.bw", "add", "matmul", "tanh", "concat",
-        "lookup", "cross_entropy", "lstm_cell", "lstm_cell.bw_h", "attention",
-        "weighted_sum", "backward")},
-    **{f"recurrent.RecurrentDecoder.{name}": (TAPE, None)
-       for name in ("_lstm_t", "_logits_t", "_teacher_forced_t")},
+    "numerics.backward": perfbench("nm.backward"),
 }
 
 

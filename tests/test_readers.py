@@ -43,9 +43,9 @@ def _load_with_valid_trees(captions_path):
     return corpus.load_records(captions_path, trees_path)
 
 
-def _tiny_decoder(vocab):
+def _tiny_decoder(vocab, use_attention=True):
     return SkeletonGenerator(vocab, feature_dim=1, grid_size=1, hidden_size=1, embed_size=1,
-                             attention_hidden=1)
+                             attention_hidden=1, use_attention=use_attention)
 
 
 def _read_vocabulary(path):
@@ -543,13 +543,18 @@ def test_vocabulary_line_not_as_saved_named(valid_files, tmp_path, edit, at_line
 
 # -- staged checkpoints: a captioner is one file of two stages ----------------
 
-def _tiny_captioner(skel_hidden_size=1):
+def _tiny_captioner(skel_hidden_size=1, use_attention=True, use_post_word_alpha=False):
     """A tiny skeleton decoder and an attribute decoder built for its sizes,
     or for a skeleton hidden state of ``skel_hidden_size``."""
     vocab = corpus.build_vocab([["dog", "red"]], 1)
-    return [_tiny_decoder(vocab),
+    return [_tiny_decoder(vocab, use_attention),
             AttributeGenerator(vocab, feature_dim=1, skel_embed_size=1,
-                               skel_hidden_size=skel_hidden_size, hidden_size=1, embed_size=1)]
+                               skel_hidden_size=skel_hidden_size, hidden_size=1, embed_size=1,
+                               use_post_word_alpha=use_post_word_alpha)]
+
+
+REFINES_WITHOUT_ATTENTION = ("post-word refinement needs a skeleton decoder with attention; "
+                             "this one has use_attention=False")
 
 
 def _header_edited(path, edit):
@@ -596,13 +601,19 @@ def test_captioner_holds_its_skeleton_stage_as_saved(tmp_path):
      lambda h: h[1]["meta"]["config"].update(skel_hidden_size=2),
      ": stage 1 (attribute): config: the attribute model's skel_hidden_size is 2, the "
      "skeleton's hidden_size is 1"),
+    ((SkeletonGenerator, AttributeGenerator),
+     lambda h: h[1]["meta"]["config"].update(use_post_word_alpha=True),
+     f": stage 1 (attribute): config: {REFINES_WITHOUT_ATTENTION}"),
 ], ids=["stage-missing", "stage-twice", "stage-twice-captioner", "stage-unknown",
-        "tensor-outside-stages", "stage-sizes-differ"])
+        "tensor-outside-stages", "stage-sizes-differ", "refinement-without-attention"])
 def test_staged_checkpoint_refusal_named(tmp_path, kinds, edit, message):
     # a captioner is refused unless it holds exactly the stages asked for,
-    # in order, each fitting the stage before it; each fault names the file
+    # in order, each fitting the stage before it; each fault names the file.
+    # Its skeleton stage has no attention, which no attribute stage may
+    # refine with
     path = tmp_path / "c.ckpt"
-    save_checkpoint(path, _tiny_captioner() if edit else _tiny_captioner()[:1])
+    captioner = _tiny_captioner(use_attention=False)
+    save_checkpoint(path, captioner if edit else captioner[:1])
     if edit:
         _header_edited(path, edit)
     with pytest.raises(NumericsError, match=f"^{re.escape(f'{path}{message}')}$"):
@@ -640,7 +651,9 @@ def test_older_checkpoint_refused_with_retrain(tmp_path):
     (lambda: _tiny_captioner(skel_hidden_size=2),
      "stage 1 (attribute): config: the attribute model's skel_hidden_size is 2, the skeleton's "
      "hidden_size is 1"),
-], ids=["attribute-alone", "sizes-differ"])
+    (lambda: _tiny_captioner(use_attention=False, use_post_word_alpha=True),
+     f"stage 1 (attribute): config: {REFINES_WITHOUT_ATTENTION}"),
+], ids=["attribute-alone", "sizes-differ", "refinement-without-attention"])
 def test_staged_checkpoint_writer_refuses_what_loading_refuses(tmp_path, models, message):
     path = tmp_path / "c.ckpt"
     path.write_bytes(b"before")
